@@ -235,8 +235,7 @@ let e7_symbc () =
 (* ---------------------------------------------------------------- *)
 (* E8: model checking + property coverage.                           *)
 
-(* The FIFO-controller property plans of the E8 refinement story; the
-   refined plan is also the PCC load of the parallel-speedup bench. *)
+(* The FIFO-controller property plans of the E8 refinement story. *)
 let fifo_property_plans fifo =
   let module E = Symbad_hdl.Expr in
   let module P = Symbad_mc.Prop in
@@ -375,74 +374,6 @@ let a2_static_vs_reconfig () =
     (fun g -> Format.printf "  %a@." Explore.pp_grade g)
     (Explore.sweep_hw_sets ~task_area ~profile ~pinned_sw:Face_app.pinned_sw
        ~max_hw:6 graph)
-
-(* ---------------------------------------------------------------- *)
-(* PAR: the parallel verification-job engine — wall-clock speedup of  *)
-(* the fan-outs at jobs=4 over jobs=1, with the results cross-checked *)
-(* for identity.  `dune exec bench/main.exe -- par_speedup [FILE]`    *)
-(* also writes the figures as JSON (the committed BENCH_par.json      *)
-(* baseline).                                                         *)
-
-let par_speedup out =
-  let module Par = Symbad_par.Par in
-  let module Json = Symbad_obs.Json in
-  section "PAR" "parallel verification speedup (wall clock, jobs=1 vs jobs=4)";
-  (* Sys.time is CPU time summed over all domains; speedup needs wall
-     clock. *)
-  let wall_time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let measure name run =
-    let seq, t1 = wall_time (fun () -> Par.with_pool ~jobs:1 run) in
-    let par, t4 = wall_time (fun () -> Par.with_pool ~jobs:4 run) in
-    let identical = seq = par in
-    let speedup = t1 /. t4 in
-    Format.printf "%-28s jobs=1 %7.2fs   jobs=4 %7.2fs   speedup %.2fx   %s@."
-      name t1 t4 speedup
-      (if identical then "identical results" else "RESULTS DIFFER");
-    ( name,
-      Json.Obj
-        [
-          ("seconds_jobs1", Json.Float t1);
-          ("seconds_jobs4", Json.Float t4);
-          ("speedup", Json.Float speedup);
-          ("identical", Json.Bool identical);
-        ] )
-  in
-  let cores = Domain.recommended_domain_count () in
-  Format.printf "host cores: %d%s@." cores
-    (if cores < 4 then
-       " (jobs=4 oversubscribes; expect overhead, not speedup — the \
-        identity check is the meaningful result here)"
-     else "");
-  let fifo = Symbad_hdl.Rtl_lib.fifo_ctrl ~addr_width:2 () in
-  let _, strong = fifo_property_plans fifo in
-  let rows =
-    [
-      (* one SAT job per fault: the flagship fan-out *)
-      measure "pcc_fifo_refined_plan" (fun pool ->
-          Symbad_pcc.Pcc.run ~pool ~depth:8 fifo strong);
-      (* the whole level-4 portfolio: MC windows + per-module PCC *)
-      measure "level4_rtl_verification" (fun pool -> Level4.run ~pool ());
-      (* the architecture-exploration sweep *)
-      measure "explore_hw_set_sweep" (fun pool ->
-          Explore.sweep_hw_sets ~pool ~task_area:Level3.default_task_area
-            ~profile ~pinned_sw:Face_app.pinned_sw ~max_hw:6 graph);
-    ]
-  in
-  let json =
-    Json.to_string (Json.Obj (("host_cores", Json.Int cores) :: rows))
-  in
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json
 
 (* ---------------------------------------------------------------- *)
 (* INC: incremental sessions + the content-addressed verdict cache —  *)
@@ -607,116 +538,6 @@ let gov_deadline out =
   | None -> Format.printf "%s@." json
 
 (* ---------------------------------------------------------------- *)
-(* Gov guard: every engine must degrade instantly — never raise,      *)
-(* never run long — when handed an already-exhausted governor.  CI    *)
-(* runs this via the @gov-guard alias.                                *)
-
-let gov_guard () =
-  let module Gov = Symbad_gov.Gov in
-  let module Budget = Symbad_gov.Budget in
-  section "GOV-GUARD" "zero-budget degradation smoke test";
-  let zero () = Gov.create ~label:"guard" (Budget.make ~conflicts:0 ~patterns:0 ()) in
-  let failures = ref [] in
-  let check what ~max_s ok_of =
-    let t0 = Unix.gettimeofday () in
-    let outcome = try ok_of () with e -> `Raised (Printexc.to_string e) in
-    let secs = Unix.gettimeofday () -. t0 in
-    let verdict =
-      match outcome with
-      | `Raised msg -> Printf.sprintf "RAISED %s" msg
-      | `Bad msg -> Printf.sprintf "WRONG %s" msg
-      | `Ok when secs > max_s -> Printf.sprintf "TOO SLOW %.2fs" secs
-      | `Ok -> "ok"
-    in
-    Format.printf "%-34s %8.3fs  %s@." what secs verdict;
-    if verdict <> "ok" then failures := what :: !failures
-  in
-  let fifo = Symbad_hdl.Rtl_lib.fifo_ctrl ~addr_width:2 () in
-  let _, strong = fifo_property_plans fifo in
-  let prop = List.hd strong in
-  check "sat: solve" ~max_s:1.0 (fun () ->
-      let s = Symbad_sat.Solver.create 2 in
-      Symbad_sat.Solver.add_clause s [ 1; 2 ];
-      Symbad_sat.Solver.add_clause s [ -1; 2 ];
-      Symbad_sat.Solver.add_clause s [ 1; -2 ];
-      match Symbad_sat.Solver.solve ~gov:(zero ()) s with
-      | Symbad_sat.Solver.Unknown -> `Ok
-      | Symbad_sat.Solver.Sat -> `Bad "Sat"
-      | Symbad_sat.Solver.Unsat -> `Bad "Unsat");
-  check "mc: bmc" ~max_s:1.0 (fun () ->
-      match Symbad_mc.Bmc.check ~gov:(zero ()) ~depth:8 fifo prop with
-      | Symbad_mc.Bmc.Resource_out -> `Ok
-      | Symbad_mc.Bmc.Holds -> `Bad "Holds"
-      | Symbad_mc.Bmc.Counterexample _ -> `Bad "Counterexample");
-  check "mc: engine" ~max_s:1.0 (fun () ->
-      let r = Symbad_mc.Engine.check ~gov:(zero ()) fifo prop in
-      match r.Symbad_mc.Engine.verdict with
-      | Symbad_mc.Engine.Unknown { reason } ->
-          if String.length reason >= 9 && String.sub reason 0 9 = "governor:"
-          then `Ok
-          else `Bad reason
-      | _ -> `Bad "not Unknown");
-  check "atpg: random" ~max_s:1.0 (fun () ->
-      match
-        Symbad_atpg.Random_engine.generate ~gov:(zero ()) ~count:64
-          (Symbad_atpg.Models.root ())
-      with
-      | [] -> `Ok
-      | ts -> `Bad (Printf.sprintf "%d patterns" (List.length ts)));
-  check "atpg: genetic" ~max_s:1.0 (fun () ->
-      match
-        Symbad_atpg.Genetic_engine.generate ~gov:(zero ())
-          (Symbad_atpg.Models.root ())
-      with
-      | [] -> `Ok
-      | ts -> `Bad (Printf.sprintf "%d patterns" (List.length ts)));
-  check "pcc: run" ~max_s:1.0 (fun () ->
-      let r = Symbad_pcc.Pcc.run ~gov:(zero ()) ~depth:8 fifo strong in
-      if
-        List.for_all
-          (fun (fr : Symbad_pcc.Pcc.fault_report) ->
-            fr.Symbad_pcc.Pcc.status = Symbad_pcc.Pcc.Unresolved)
-          r.Symbad_pcc.Pcc.faults
-        && r.Symbad_pcc.Pcc.faults <> []
-      then `Ok
-      else `Bad "fault classified under zero budget");
-  check "lpv: deadlock" ~max_s:1.0 (fun () ->
-      match Lpv_bridge.check_deadlock ~gov:(zero ()) graph with
-      | Symbad_lpv.Deadlock.Not_analyzable _ -> `Ok
-      | v -> `Bad (Fmt.str "%a" Symbad_lpv.Deadlock.pp_verdict v));
-  check "lpv: timing" ~max_s:1.0 (fun () ->
-      match
-        Symbad_lpv.Timing.min_cycle_ratio ~gov:(zero ())
-          (Lpv_bridge.net_of ~capacity:2 graph)
-      with
-      | Symbad_lpv.Timing.Not_analyzable _ -> `Ok
-      | v -> `Bad (Fmt.str "%a" Symbad_lpv.Timing.pp_verdict v));
-  check "flow: end to end" ~max_s:5.0 (fun () ->
-      let w = Face_app.smoke_workload in
-      let report =
-        Flow.run ~workload:w
-          ~budget:(Budget.make ~conflicts:0 ~patterns:0 ())
-          ()
-      in
-      let inconclusive =
-        List.exists
-          (fun l ->
-            List.exists
-              (fun v ->
-                match v.Verdict.outcome with
-                | Verdict.Inconclusive _ -> true
-                | _ -> false)
-              l.Flow.verifications)
-          report.Flow.levels
-      in
-      if inconclusive then `Ok else `Bad "no inconclusive verdict");
-  match !failures with
-  | [] -> Format.printf "gov-guard: every engine degrades gracefully.@."
-  | fs ->
-      List.iter (fun f -> Format.printf "gov-guard FAILURE: %s@." f) fs;
-      exit 1
-
-(* ---------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks: one Test.make per experiment id.       *)
 
 let micro_benchmarks () =
@@ -789,7 +610,7 @@ let micro_benchmarks () =
       (* E8: BMC on the fifo controller *)
       Test.make ~name:"E8_bmc_fifo_depth8"
         (Staged.stage (fun () ->
-             Symbad_mc.Bmc.check ~depth:8 fifo fifo_prop));
+             Symbad_mc.Session.(bmc (create fifo fifo_prop) ~depth:8)));
       (* A1: the context-partition sweep *)
       Test.make ~name:"A1_placement_sweep"
         (Staged.stage (fun () ->
@@ -1349,13 +1170,10 @@ let () =
   | "tables" -> tables ()
   | "micro" -> micro_benchmarks ()
   | "guard" -> guard ()
-  | "par_speedup" ->
-      par_speedup (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
   | "inc" ->
       inc (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
   | "gov_deadline" ->
       gov_deadline (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
-  | "gov_guard" -> gov_guard ()
   | "resil" ->
       resil (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
   | "fault_guard" -> fault_guard ()

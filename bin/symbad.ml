@@ -577,8 +577,10 @@ let lint_cmd =
                    carries a proof obligation to the model checker.  \
                    Disproved warnings are promoted to errors with the \
                    counterexample trace attached; proved ones demote to \
-                   info; inconclusive ones keep their severity.  Results \
-                   are byte-identical at any $(b,--jobs) width.")
+                   info; inconclusive ones keep their severity.  Bounded \
+                   by $(b,--budget)/$(b,--deadline) like every governed \
+                   check.  Results are byte-identical at any $(b,--jobs) \
+                   width.")
   in
   let programs_arg =
     Arg.(value & opt int 1
@@ -1200,49 +1202,6 @@ let run_bench check baseline_dir tolerance full =
           if warm.Level4.cached && norm cold = norm warm then
             ok "inc replay (fresh, one module)"
           else fail "inc replay (fresh, one module)" "warm run did not replay"));
-  (match (baseline "BENCH_par.json", check) with
-  | None, _ -> fail "par" "baseline missing"
-  | Some b, false -> ignore b
-  | Some b, true ->
-      (* the committed identity flags must all be true — a false one
-         means a recorded determinism break shipped *)
-      (match b with
-      | Json.Obj fields ->
-          List.iter
-            (fun (name, v) ->
-              match Json.member "identical" v with
-              | Some (Json.Bool true) -> ok ("par " ^ name ^ " (identical)")
-              | Some _ -> fail ("par " ^ name ^ " (identical)") "flag is false"
-              | None -> ())
-            fields
-      | _ -> fail "par" "baseline is not an object");
-      if full then begin
-        (* re-establish the flagship identity fresh: the refined-plan
-           PCC fan-out at jobs=1 vs jobs=4 *)
-        let fifo = Symbad_hdl.Rtl_lib.fifo_ctrl ~addr_width:2 () in
-        let module E = Symbad_hdl.Expr in
-        let module P = Symbad_mc.Prop in
-        let push_ok = E.and_ (E.input "push") (E.not_ (P.output fifo "full")) in
-        let pop_ok = E.and_ (E.input "pop") (E.not_ (P.output fifo "empty")) in
-        let delta = E.sub (P.next (E.reg "count")) (E.reg "count") in
-        let props =
-          [
-            P.make ~name:"not_full_and_empty"
-              (E.not_ (E.and_ (P.output fifo "full") (P.output fifo "empty")));
-            P.make ~name:"count_le_depth"
-              (E.ule (E.reg "count") (E.const ~width:3 4));
-            P.make_step ~name:"push_increments"
-              (P.implies (E.and_ push_ok (E.not_ pop_ok))
-                 (E.eq delta (E.const ~width:3 1)));
-          ]
-        in
-        let run jobs =
-          Par.with_pool ~jobs (fun pool ->
-              Symbad_pcc.Pcc.run ~pool ~depth:8 fifo props)
-        in
-        if run 1 = run 4 then ok "par pcc identity (fresh, jobs 1 vs 4)"
-        else fail "par pcc identity (fresh, jobs 1 vs 4)" "results differ"
-      end);
   let rows = List.rev !results in
   if not check then begin
     Format.printf
@@ -1250,8 +1209,8 @@ let run_bench check baseline_dir tolerance full =
        runs against them@."
       baseline_dir
       (String.concat ", "
-         [ "BENCH_par.json"; "BENCH_inc.json"; "BENCH_gov.json";
-           "BENCH_resil.json"; "BENCH_tmr.json"; "BENCH_lint.json" ]);
+         [ "BENCH_inc.json"; "BENCH_gov.json"; "BENCH_resil.json";
+           "BENCH_tmr.json"; "BENCH_lint.json" ]);
     if List.exists (fun (_, d) -> d <> None) rows then 2 else 0
   end
   else begin
@@ -1280,9 +1239,9 @@ let bench_cmd =
     "Compare fresh runs against the committed BENCH_*.json baselines: \
      the fault campaign and lint counts must match exactly (they are \
      deterministic), governed verdict mixes must match with wall times \
-     under a tolerance, the recorded parallel-identity flags must \
-     hold, and the verdict cache must replay a warm module identically \
-     to its cold run.  Nonzero exit on any regression."
+     under a tolerance, and the verdict cache must replay a warm \
+     module identically to its cold run.  Nonzero exit on any \
+     regression."
   in
   let check_arg =
     Arg.(value & flag
@@ -1307,7 +1266,7 @@ let bench_cmd =
     Arg.(value & flag
          & info [ "full" ]
              ~doc:"Also run the expensive rows (ungoverned flow, large \
-                   budgets, a fresh parallel-identity run).")
+                   budgets).")
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(const run_bench $ check_arg $ dir_arg $ tolerance_arg $ full_arg)

@@ -18,7 +18,7 @@ type target = { output : string; bit : int; polarity : bool }
 type outcome =
   | Test of int array list  (* input vectors, one per cycle *)
   | Unreachable  (* proven at every depth up to the bound *)
-  | Budget_exceeded
+  | Budget_exceeded  (* the governor's budget ran out *)
 
 let all_targets nl =
   List.concat_map
@@ -37,7 +37,7 @@ let inputs_at solver u frame nl =
     (List.map (fun (n, _) -> Unroll.input_value solver u frame n)
        (Netlist.inputs nl))
 
-let cover_target ?(max_depth = 8) ?(max_conflicts = 50_000) nl target =
+let cover_target ?(max_depth = 8) ?gov nl target =
   let out_expr =
     match Netlist.find_output nl target.output with
     | Some e -> e
@@ -58,7 +58,7 @@ let cover_target ?(max_depth = 8) ?(max_conflicts = 50_000) nl target =
       let u = Unroll.create ~init:Unroll.Reset solver nl in
       Unroll.unroll_to u (k + 1);
       Solver.add_clause solver [ Unroll.bool_lit u k goal ];
-      match Solver.solve ~max_conflicts solver with
+      match Solver.solve ?gov solver with
       | Solver.Sat ->
           Test (List.init (k + 1) (fun i -> inputs_at solver u i nl))
       | Solver.Unsat -> at (k + 1)
@@ -75,13 +75,13 @@ type report = {
 }
 
 (* Chase every output-bit polarity of the netlist. *)
-let generate ?(max_depth = 8) ?(max_conflicts = 50_000) nl =
+let generate ?(max_depth = 8) ?gov nl =
   let targets = all_targets nl in
   let covered = ref 0 and unreachable = ref 0 and unresolved = ref 0 in
   let tests = ref [] in
   List.iter
     (fun t ->
-      match cover_target ~max_depth ~max_conflicts nl t with
+      match cover_target ~max_depth ?gov nl t with
       | Test seq ->
           incr covered;
           tests := seq :: !tests

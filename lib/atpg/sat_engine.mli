@@ -9,13 +9,19 @@ type target = { output : string; bit : int; polarity : bool }
 type outcome =
   | Test of int array list  (** input vectors, one per cycle *)
   | Unreachable  (** proven at every depth up to the bound *)
-  | Budget_exceeded
+  | Budget_exceeded  (** the governor's budget ran out *)
 
 val all_targets : Symbad_hdl.Netlist.t -> target list
 (** Both polarities of every output bit. *)
 
 val cover_target :
-  ?max_depth:int -> ?max_conflicts:int -> Symbad_hdl.Netlist.t -> target -> outcome
+  ?max_depth:int ->
+  ?gov:Symbad_gov.Gov.t ->
+  Symbad_hdl.Netlist.t ->
+  target ->
+  outcome
+(** [gov] bounds and is charged for every SAT call (omitted =
+    unlimited); running out yields [Budget_exceeded]. *)
 
 type report = {
   covered : int;
@@ -25,12 +31,8 @@ type report = {
 }
 
 val generate :
-  ?max_depth:int -> ?max_conflicts:int -> Symbad_hdl.Netlist.t -> report
-(** Chase every target of the netlist.
-
-    [max_conflicts] is the historical per-call budget knob, deprecated
-    in favour of dispatching through a governor-shaped driver (see
-    [Symbad_core.Engines] for the unified
-    [?gov ?pool ?jobs ~seed target] shape). *)
+  ?max_depth:int -> ?gov:Symbad_gov.Gov.t -> Symbad_hdl.Netlist.t -> report
+(** Chase every target of the netlist under [gov], as {!cover_target};
+    targets that run out of budget count as [unresolved]. *)
 
 val pp_report : Format.formatter -> report -> unit

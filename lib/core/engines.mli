@@ -13,11 +13,7 @@
 
     The fault-campaign driver answers the same shape from its own
     library ({!Symbad_resil.Campaign.check} — resil sits above core in
-    the stack and cannot be re-exported here).
-
-    These drivers supersede the historical per-engine entry points with
-    their ad-hoc budget knobs ([?max_conflicts] and friends), which
-    remain for callers that need the raw reports. *)
+    the stack and cannot be re-exported here). *)
 
 val lint :
   ?gov:Symbad_gov.Gov.t ->

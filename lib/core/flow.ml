@@ -14,19 +14,13 @@ module Gov = Symbad_gov.Gov
 module Budget = Symbad_gov.Budget
 module Degrade = Symbad_gov.Degrade
 
-(* The historical per-flow result record is now the stack-wide
-   [Verdict.t] (see lib/core/verdict.mli); the alias (and the
-   [verification] constructor below) stay for one release so existing
-   callers keep compiling. *)
-type verification = Verdict.t
-
 type level_report = {
   level : int;
   title : string;
   host_seconds : float;
   latency_ns : int option;
   sim_speed_khz : float option;
-  verifications : verification list;
+  verifications : Verdict.t list;
 }
 
 type t = {
@@ -35,11 +29,6 @@ type t = {
   mapping : Mapping.t;  (* final (level-3) mapping *)
   all_passed : bool;
 }
-
-let verification ~check ~passed detail =
-  (* deprecated shim: callers should construct Verdict.t directly *)
-  Verdict.make ~name:check ~passed ~detail
-    (if passed then Verdict.Proved else Verdict.Disproved detail)
 
 (* Time one verification step; the seconds land in the verdict. *)
 let timed f =

@@ -2,20 +2,16 @@
     recognition case study with every verification the methodology
     prescribes, carrying all reports. *)
 
-type verification = Verdict.t
-(** Every flow check is a stack-wide {!Verdict.t} — see
-    [lib/core/verdict.mli] for the outcome vocabulary (including the
-    [Inconclusive] verdicts a resource-governed run degrades to).  The
-    alias keeps the historical name compiling; new code should say
-    [Verdict.t]. *)
-
 type level_report = {
   level : int;
   title : string;
   host_seconds : float;
   latency_ns : int option;
   sim_speed_khz : float option;
-  verifications : verification list;
+  verifications : Verdict.t list;
+      (** every check of the level — see [lib/core/verdict.mli] for the
+          outcome vocabulary, including the [Inconclusive] verdicts a
+          resource-governed run degrades to *)
 }
 
 type t = {
@@ -24,13 +20,6 @@ type t = {
   mapping : Mapping.t;  (** final (level-3) mapping *)
   all_passed : bool;
 }
-
-val verification : check:string -> passed:bool -> string -> verification
-[@@ocaml.deprecated "construct Verdict.t directly (Verdict.make)"]
-(** Pre-[Verdict] constructor, kept for one release.  It can only
-    express the [Proved]/[Disproved] extremes — no coverage figures, no
-    governed [Inconclusive] degradation — which is why it is
-    deprecated in favour of {!Verdict.make}. *)
 
 val run :
   ?pool:Symbad_par.Par.pool ->

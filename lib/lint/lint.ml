@@ -165,15 +165,12 @@ let run_tenants ?pool ?gov ?rules ?suppress ?cost_ns ?deadline_ns
    are folded in the obligations' deterministic order and the report is
    re-sorted with [D.order], so escalated reports stay byte-identical
    at any pool width (check_all splits the governor before its
-   fan-out). *)
-(* [max_conflicts] is deliberately far below the engine's own default:
-   escalation is a lint pass, not the level-4 gate, and an obligation
-   the solver cannot settle inside the allowance degrades to an
-   [Inconclusive] discharge (the warning keeps its severity) instead of
-   stalling the whole report.  Conflict counts are deterministic, so
-   the cap never breaks byte-identity across pool widths. *)
-let escalate ?pool ?gov ?(max_depth = 12) ?(max_conflicts = 2_000) ?properties
-    nl report =
+   fan-out).  Escalation is a lint pass, not the level-4 gate: the
+   caller bounds it with [gov] (a thin slice in the flow), and an
+   obligation the engine cannot settle degrades to an [Inconclusive]
+   discharge (the warning keeps its severity) instead of stalling the
+   whole report. *)
+let escalate ?pool ?gov ?(max_depth = 12) ?properties nl report =
   let ctx = Netlist_rules.context ?properties nl in
   let key (d : D.t) = (d.D.rule, d.D.location, d.D.message) in
   let wanted =
@@ -190,7 +187,7 @@ let escalate ?pool ?gov ?(max_depth = 12) ?(max_conflicts = 2_000) ?properties
   if wanted = [] then report
   else begin
     let mc_reports =
-      Mc.Engine.check_all ?pool ~max_depth ~max_conflicts ?gov nl
+      Mc.Engine.check_all ?pool ~max_depth ?gov nl
         (List.map (fun (o : Netlist_absint.obligation) -> o.Netlist_absint.prop)
            wanted)
     in

@@ -99,7 +99,6 @@ val escalate :
   ?pool:Symbad_par.Par.pool ->
   ?gov:Symbad_gov.Gov.t ->
   ?max_depth:int ->
-  ?max_conflicts:int ->
   ?properties:(string * Expr.t) list ->
   Netlist.t ->
   report ->
@@ -114,12 +113,14 @@ val escalate :
     unchanged.  Diagnostics are never dropped.  Byte-identical at any
     pool width.
 
-    [max_conflicts] (default 2_000, well below the engine's own
-    default) bounds the solver effort per obligation: escalation is a
-    lint pass, not the level-4 gate, so an obligation that does not
-    settle inside the allowance degrades to an [Inconclusive] discharge
-    rather than stalling the report.  Conflict budgets are counted
-    deterministically, so the cap preserves byte-identity. *)
+    [gov] is the only bound on solver effort (omitted = unlimited):
+    escalation is a lint pass, not the level-4 gate, so an obligation
+    that does not settle inside the budget degrades to an
+    [Inconclusive] discharge rather than stalling the report.  Every
+    obligation proves or disproves within [max_depth] (default 12), or
+    falls back to exact reachability, without a budget.  From the CLI,
+    bound it with [symbad lint --escalate --budget N] or
+    [--deadline S]. *)
 
 val merge : target:string -> report list -> report
 (** Concatenate reports into one (rule lists unioned in first-seen

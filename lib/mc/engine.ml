@@ -49,24 +49,25 @@ let window_width = 4
 (* One bound of the portfolio: the BMC base case at depth k, plus the
    inductive step when the base holds (exactly what the sequential loop
    would go on to run at that k). *)
-let check_bound ~session ~max_conflicts ~gov k =
-  let base = Session.check_bound ~max_conflicts ~gov session k in
+let check_bound ~session ~gov k =
+  let base = Session.check_bound ~gov session k in
   let induction =
     match base with
     | Session.Base_holds when k > 0 ->
-        Some (Session.induction ~max_conflicts ~gov session k)
+        Some (Session.induction ~gov session k)
     | Session.Base_holds | Session.Base_cex _ | Session.Base_unknown -> None
   in
   (base, induction)
 
-(* Why a Resource_out happened, as seen from the window's parent
-   governor (child charges have propagated by the time we scan). *)
+(* Why a bound came back unknown, as seen from the window's parent
+   governor (child charges have propagated by the time we scan); a
+   bound's own share can run dry while the parent still has budget. *)
 let out_reason gov ~what =
   match Gov.exhaustion gov with
   | Some r -> Printf.sprintf "governor: %s" (Degrade.reason_string r)
   | None -> "SAT budget exhausted in " ^ what
 
-let check ?pool ?(max_depth = 20) ?(max_conflicts = 200_000) ?gov nl prop =
+let check ?pool ?(max_depth = 20) ?gov nl prop =
   ignore (Par.get pool);
   let gov = Gov.get gov in
   let name = Prop.name prop in
@@ -108,9 +109,7 @@ let check ?pool ?(max_depth = 20) ?(max_conflicts = 200_000) ?gov nl prop =
         let rec scan = function
           | [] -> loop (hi + 1)
           | (k, gk) :: rest -> (
-              let base, induction =
-                check_bound ~session ~max_conflicts ~gov:gk k
-              in
+              let base, induction = check_bound ~session ~gov:gk k in
               match base with
               | Session.Base_cex tr ->
                   { property = name; verdict = Falsified tr; checked_depth = k }
@@ -148,7 +147,7 @@ let check ?pool ?(max_depth = 20) ?(max_conflicts = 200_000) ?gov nl prop =
       match r.verdict with Unknown _ -> true | Proved _ | Falsified _ -> false)
     run
 
-let check_all ?pool ?max_depth ?max_conflicts ?gov nl props =
+let check_all ?pool ?max_depth ?gov nl props =
   (* per-property fan-out; each job replays the sequential engine over
      its own pre-split budget share (and its own session), so the report
      list is identical at any pool width *)
@@ -159,7 +158,7 @@ let check_all ?pool ?max_depth ?max_conflicts ?gov nl props =
   | props ->
       let shares = Gov.split ~label:"mc.properties" gov (List.length props) in
       Par.map ~label:"mc.properties" pool
-        (fun (p, g) -> check ?max_depth ?max_conflicts ~gov:g nl p)
+        (fun (p, g) -> check ?max_depth ~gov:g nl p)
         (List.combine props shares)
 
 let all_proved reports =

@@ -33,7 +33,6 @@ type report = {
 val check :
   ?pool:Symbad_par.Par.pool ->
   ?max_depth:int ->
-  ?max_conflicts:int ->
   ?gov:Symbad_gov.Gov.t ->
   Symbad_hdl.Netlist.t ->
   Prop.t ->
@@ -42,13 +41,12 @@ val check :
     conflict allowance is split deterministically across each parallel
     bound window, exhaustion degrades to [Unknown] carrying the best
     bound reached, and when the governor grants retries an [Unknown]
-    run is re-dispatched under the remaining budget.  [max_conflicts]
-    is the historical per-call knob, kept as a deprecated alias. *)
+    run is re-dispatched under the remaining budget.  Without [gov]
+    the run is unlimited. *)
 
 val check_all :
   ?pool:Symbad_par.Par.pool ->
   ?max_depth:int ->
-  ?max_conflicts:int ->
   ?gov:Symbad_gov.Gov.t ->
   Symbad_hdl.Netlist.t ->
   Prop.t list ->

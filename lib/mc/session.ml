@@ -27,6 +27,7 @@ module Unroll = Symbad_hdl.Unroll
 module Netlist = Symbad_hdl.Netlist
 module Obs = Symbad_obs.Obs
 module Json = Symbad_obs.Json
+module Gov = Symbad_gov.Gov
 
 type sub = {
   solver : Solver.t;
@@ -113,7 +114,7 @@ let extract_trace sub upto nl =
 
 type base_result = Base_holds | Base_cex of Trace.t | Base_unknown
 
-let check_bound ?max_conflicts ?gov t k =
+let check_bound ?gov t k =
   if k < 0 then invalid_arg "Session.check_bound: negative bound";
   if Hashtbl.mem t.proved k then Base_holds
   else
@@ -130,9 +131,7 @@ let check_bound ?max_conflicts ?gov t k =
         let pl = prop_lit t sub k in
         let act = Solver.new_var sub.solver in
         Solver.add_clause sub.solver [ -act; -pl ];
-        let o = Solver.solve_outcome ~assumptions:[ act ] ?max_conflicts ?gov
-            sub.solver in
-        match o.Solver.result with
+        match Solver.solve ~assumptions:[ act ] ?gov sub.solver with
         | Solver.Sat ->
             (* read the model before any add_clause backtracks it away *)
             let tr = extract_trace sub (trace_span t.prop k) t.nl in
@@ -149,9 +148,24 @@ let check_bound ?max_conflicts ?gov t k =
             Solver.add_clause sub.solver [ -act ];
             Base_unknown)
 
+(* BMC: bounds 0..depth in ascending order on the one base instance.
+   The governor is polled before each bound, so an exhausted one stops
+   the walk without unrolling another frame. *)
+let bmc ?gov t ~depth =
+  let rec at k =
+    if k > depth then Base_holds
+    else if Option.fold ~none:false ~some:Gov.out_of_budget gov then
+      Base_unknown
+    else
+      match check_bound ?gov t k with
+      | Base_holds -> at (k + 1)
+      | (Base_cex _ | Base_unknown) as r -> r
+  in
+  at 0
+
 type step_result = Inductive | Cti of Trace.t | Step_unknown
 
-let induction ?max_conflicts ?gov t k =
+let induction ?gov t k =
   if k < 1 then invalid_arg "Session.induction: k must be >= 1";
   Obs.span ~cat:"mc"
     ~args:
@@ -168,10 +182,7 @@ let induction ?max_conflicts ?gov t k =
       let assumptions =
         List.init k (fun i -> prop_lit t sub i) @ [ -(prop_lit t sub k) ]
       in
-      let o =
-        Solver.solve_outcome ~assumptions ?max_conflicts ?gov sub.solver
-      in
-      match o.Solver.result with
+      match Solver.solve ~assumptions ?gov sub.solver with
       | Solver.Unsat -> Inductive
       | Solver.Sat -> Cti (extract_trace sub (trace_span t.prop k) t.nl)
       | Solver.Unknown -> Step_unknown)

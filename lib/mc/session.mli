@@ -4,8 +4,9 @@
     Frames are unrolled on demand and each BMC bound is posed as a
     retractable query through an activation literal (the convention
     documented on {!Symbad_sat.Solver.add_clause}), so learned clauses
-    survive across bounds and into the inductive step.  {!Bmc} and
-    {!Engine} are thin drivers over this module.
+    survive across bounds and into the inductive step.  {!bmc} walks
+    the bounds for a plain BMC query; {!Engine} drives the base case and
+    the inductive step together.
 
     Sessions are single-domain state: create and drive a session from
     one domain (the [Par] fan-outs in {!Engine.check_all} give each
@@ -25,10 +26,9 @@ val prop : t -> Prop.t
 type base_result =
   | Base_holds  (** no counterexample ending at exactly this bound *)
   | Base_cex of Trace.t  (** concrete reset-path violation *)
-  | Base_unknown  (** resource budget exhausted inside the SAT call *)
+  | Base_unknown  (** the governor's budget ran out *)
 
-val check_bound :
-  ?max_conflicts:int -> ?gov:Symbad_gov.Gov.t -> t -> int -> base_result
+val check_bound : ?gov:Symbad_gov.Gov.t -> t -> int -> base_result
 (** [check_bound t k] decides whether some reset path violates the
     property at exactly depth [k] (bounds below [k] are {e not}
     re-examined — drive bounds in ascending order for BMC semantics).
@@ -36,7 +36,16 @@ val check_bound :
     asserted into the instance; re-posing a closed bound returns
     immediately without solving or allocating variables.  [gov] bounds
     and is charged for the embedded SAT call, exactly as
-    {!Symbad_sat.Solver.solve_outcome}. *)
+    {!Symbad_sat.Solver.solve}. *)
+
+val bmc : ?gov:Symbad_gov.Gov.t -> t -> depth:int -> base_result
+(** Bounded model checking: {!check_bound} at [0, 1, .., depth] in
+    ascending order, stopping at the first bound that is not
+    [Base_holds].  [Base_holds] means no reset path violates the
+    property within [depth] steps (a step property at bound [k] spans
+    states [k] and [k + 1]); [Base_unknown] means the governor ran out
+    before or inside some bound, every lower bound having held.  [gov]
+    is polled before each bound. *)
 
 type step_result =
   | Inductive
@@ -44,13 +53,14 @@ type step_result =
       (** counterexample-to-induction: a [k]-step free-state path
           satisfying the property that then violates it — not
           necessarily reachable *)
-  | Step_unknown  (** resource budget exhausted inside the SAT call *)
+  | Step_unknown  (** the governor's budget ran out *)
 
-val induction :
-  ?max_conflicts:int -> ?gov:Symbad_gov.Gov.t -> t -> int -> step_result
+val induction : ?gov:Symbad_gov.Gov.t -> t -> int -> step_result
 (** The inductive step at depth [k >= 1] over the free-initial-state
     instance: assumes [P@0 .. P@k-1] and [-P@k] — nothing is asserted,
-    so one instance serves every [k] and repeated queries are cheap. *)
+    so one instance serves every [k] and repeated queries are cheap.
+    Together with [bmc ~depth:k] returning [Base_holds], [Inductive]
+    proves the property. *)
 
 val base_nvars : t -> int
 (** Variable count of the reset-initialised instance (0 before first

@@ -54,7 +54,7 @@ let build a b =
 
 (* Is there an input sequence of length <= depth after which the two
    designs disagree on some output? *)
-let detectable ?(depth = 10) ?(max_conflicts = 100_000) ?gov a b =
+let detectable ?(depth = 10) ?gov a b =
   let m = build a b in
   let prop =
     Symbad_mc.Prop.make ~name:"outputs_equal"
@@ -62,7 +62,8 @@ let detectable ?(depth = 10) ?(max_conflicts = 100_000) ?gov a b =
       | Some e -> e
       | None -> assert false)
   in
-  match Symbad_mc.Bmc.check ~max_conflicts ?gov ~depth m prop with
-  | Symbad_mc.Bmc.Counterexample tr -> `Detectable tr
-  | Symbad_mc.Bmc.Holds -> `Undetectable_within depth
-  | Symbad_mc.Bmc.Resource_out -> `Resource_out
+  let module Session = Symbad_mc.Session in
+  match Session.bmc ?gov (Session.create m prop) ~depth with
+  | Session.Base_cex tr -> `Detectable tr
+  | Session.Base_holds -> `Undetectable_within depth
+  | Session.Base_unknown -> `Resource_out

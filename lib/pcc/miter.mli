@@ -9,7 +9,6 @@ val build : Symbad_hdl.Netlist.t -> Symbad_hdl.Netlist.t -> Symbad_hdl.Netlist.t
 
 val detectable :
   ?depth:int ->
-  ?max_conflicts:int ->
   ?gov:Symbad_gov.Gov.t ->
   Symbad_hdl.Netlist.t ->
   Symbad_hdl.Netlist.t ->

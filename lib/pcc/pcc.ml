@@ -12,7 +12,7 @@ type fault_status =
   | Covered of string  (* name of a property that fails on the mutant *)
   | Uncovered  (* detectable, but every property still passes *)
   | Undetectable  (* no output difference within the bound *)
-  | Unresolved  (* SAT resources exhausted *)
+  | Unresolved  (* the governor's budget ran out before a verdict *)
 
 type fault_report = { fault : Fault.t; status : fault_status }
 
@@ -26,35 +26,40 @@ type report = {
 }
 
 module Gov = Symbad_gov.Gov
+module Session = Symbad_mc.Session
 
-(* Does any property fail on [mutant] within [depth] cycles? *)
-let first_failing_property ~depth ~max_conflicts ~gov mutant props =
-  let rec go = function
-    | [] -> None
+(* Classify a detectable mutant: covered by the first property BMC
+   falsifies within [depth] cycles, uncovered when every property holds.
+   A property whose check ran out of budget proves nothing, so when no
+   later property falsifies the fault stays unresolved — never a
+   missing property. *)
+let classify_detectable ~depth ~gov mutant props =
+  let rec go ~exhausted = function
+    | [] -> if exhausted then Unresolved else Uncovered
     | p :: rest -> (
-        match Symbad_mc.Bmc.check ~max_conflicts ~gov ~depth mutant p with
-        | Symbad_mc.Bmc.Counterexample _ -> Some (Symbad_mc.Prop.name p)
-        | Symbad_mc.Bmc.Holds | Symbad_mc.Bmc.Resource_out -> go rest)
+        match Session.bmc ~gov (Session.create mutant p) ~depth with
+        | Session.Base_cex _ -> Covered (Symbad_mc.Prop.name p)
+        | Session.Base_holds -> go ~exhausted rest
+        | Session.Base_unknown -> go ~exhausted:true rest)
   in
-  go props
+  go ~exhausted:false props
 
-let check_fault ~depth ~max_conflicts ~gov nl props fault =
+let check_fault ~depth ~gov nl props fault =
   if Gov.out_of_budget gov then { fault; status = Unresolved }
   else begin
     (* one pattern per fault classified: the governed unit of PCC work *)
     Gov.charge_patterns gov 1;
     let mutant = Fault.apply nl fault in
-    match Miter.detectable ~depth ~max_conflicts ~gov nl mutant with
-    | `Undetectable_within _ -> { fault; status = Undetectable }
-    | `Resource_out -> { fault; status = Unresolved }
-    | `Detectable _ -> (
-        match first_failing_property ~depth ~max_conflicts ~gov mutant props with
-        | Some name -> { fault; status = Covered name }
-        | None -> { fault; status = Uncovered })
+    let status =
+      match Miter.detectable ~depth ~gov nl mutant with
+      | `Undetectable_within _ -> Undetectable
+      | `Resource_out -> Unresolved
+      | `Detectable _ -> classify_detectable ~depth ~gov mutant props
+    in
+    { fault; status }
   end
 
-let run ?pool ?(depth = 10) ?(max_conflicts = 100_000) ?max_reg_bits ?gov nl
-    props =
+let run ?pool ?(depth = 10) ?max_reg_bits ?gov nl props =
   let pool = Symbad_par.Par.get pool in
   let gov = Gov.get gov in
   let faults = Fault.enumerate ?max_reg_bits nl in
@@ -71,7 +76,7 @@ let run ?pool ?(depth = 10) ?(max_conflicts = 100_000) ?max_reg_bits ?gov nl
         let shares = Gov.split ~label:"pcc.faults" gov (List.length faults) in
         Symbad_par.Par.map ~label:"pcc.faults" pool
           (fun (fault, g) ->
-            check_fault ~depth ~max_conflicts ~gov:g nl props fault)
+            check_fault ~depth ~gov:g nl props fault)
           (List.combine faults shares)
   in
   let detectable =

@@ -9,9 +9,10 @@ type fault_status =
   | Uncovered  (** detectable, yet every property passes: a gap *)
   | Undetectable  (** no output difference within the bound *)
   | Unresolved
-      (** resource budget exhausted — the SAT conflict allowance or the
-          governor's deadline/allowance — before the fault could be
-          classified *)
+      (** the governor's budget (conflict allowance, deadline or
+          cancellation) ran out before the fault could be classified:
+          during the detectability check, or during a property check
+          with no other property falsifying the mutant *)
 
 type fault_report = { fault : Fault.t; status : fault_status }
 
@@ -27,7 +28,6 @@ type report = {
 val run :
   ?pool:Symbad_par.Par.pool ->
   ?depth:int ->
-  ?max_conflicts:int ->
   ?max_reg_bits:int ->
   ?gov:Symbad_gov.Gov.t ->
   Symbad_hdl.Netlist.t ->

@@ -339,15 +339,13 @@ let rec luby i =
   if (1 lsl k) - 1 = i then 1 lsl (k - 1)
   else luby (i - (1 lsl (k - 1)) + 1)
 
-let solve_search ?(assumptions = []) ?(max_conflicts = max_int) ?gov s =
-  (* the governor's conflict allowance combines with the historical
-     per-call knob (smaller wins); deadline/cancellation are polled at
-     every conflict — conflicts are heavy enough that one clock read is
-     noise *)
-  let max_conflicts =
-    match Option.bind gov Symbad_gov.Gov.conflicts_left with
-    | Some left -> min max_conflicts left
-    | None -> max_conflicts
+let solve_search ?(assumptions = []) ?gov s =
+  (* the governor's conflict allowance caps the call; deadline and
+     cancellation are polled at every conflict — conflicts are heavy
+     enough that one clock read is noise *)
+  let allowance =
+    Option.value ~default:max_int
+      (Option.bind gov Symbad_gov.Gov.conflicts_left)
   in
   let gov_out () =
     match gov with Some g -> Symbad_gov.Gov.out_of_budget g | None -> false
@@ -389,7 +387,7 @@ let solve_search ?(assumptions = []) ?(max_conflicts = max_int) ?gov s =
                 cancel_until s backjump;
                 record_learned s learned;
                 var_decay s;
-                if budget () - start_conflicts >= max_conflicts || gov_out ()
+                if budget () - start_conflicts >= allowance || gov_out ()
                 then result := Some Unknown
                 else if !conflicts_this_restart >= !restart_limit then begin
                   incr restart_count;
@@ -444,7 +442,7 @@ let result_string = function Sat -> "sat" | Unsat -> "unsat" | Unknown -> "unkno
    effort deltas (conflicts, propagations, restarts, ...) flushed to the
    metrics registry once the call returns.  The governor is charged the
    conflicts spent on every exit path, including exceptional ones. *)
-let solve ?assumptions ?max_conflicts ?gov s =
+let solve ?assumptions ?gov s =
   let module Obs = Symbad_obs.Obs in
   let module Json = Symbad_obs.Json in
   let c_start = s.conflicts in
@@ -453,16 +451,10 @@ let solve ?assumptions ?max_conflicts ?gov s =
     | Some g -> Symbad_gov.Gov.charge_conflicts g (s.conflicts - c_start)
     | None -> ()
   in
-  let solve_search ?assumptions ?max_conflicts ?gov s =
-    match solve_search ?assumptions ?max_conflicts ?gov s with
-    | r ->
-        settle ();
-        r
-    | exception e ->
-        settle ();
-        raise e
+  let solve_search () =
+    Fun.protect ~finally:settle (fun () -> solve_search ?assumptions ?gov s)
   in
-  if not (Obs.enabled ()) then solve_search ?assumptions ?max_conflicts ?gov s
+  if not (Obs.enabled ()) then solve_search ()
   else begin
     let c0 = s.conflicts
     and p0 = s.propagations
@@ -492,7 +484,7 @@ let solve ?assumptions ?max_conflicts ?gov s =
           ]
         sp
     in
-    match solve_search ?assumptions ?max_conflicts ?gov s with
+    match solve_search () with
     | r ->
         finish (Some r);
         r
@@ -523,25 +515,4 @@ let stats (s : t) =
     propagations = s.propagations;
     learned = s.learned;
     restarts = s.restarts;
-  }
-
-type outcome = { result : result; spent : stats }
-
-(* The stats-carrying entry point: same search, but the effort this call
-   spent (not the solver lifetime totals) comes back with the result, so
-   callers can account for budget without diffing [stats] themselves. *)
-let solve_outcome ?assumptions ?max_conflicts ?gov s =
-  let before = stats s in
-  let result = solve ?assumptions ?max_conflicts ?gov s in
-  let after = stats s in
-  {
-    result;
-    spent =
-      {
-        conflicts = after.conflicts - before.conflicts;
-        decisions = after.decisions - before.decisions;
-        propagations = after.propagations - before.propagations;
-        learned = after.learned - before.learned;
-        restarts = after.restarts - before.restarts;
-      };
   }

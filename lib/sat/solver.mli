@@ -8,9 +8,8 @@
 type t
 
 type result = Sat | Unsat | Unknown
-(** [Unknown]: resource budget exhausted — the conflict allowance, the
-    governor's wall-clock deadline, or a cancellation (see
-    {!Symbad_gov.Gov}). *)
+(** [Unknown]: the governor's budget ran out — its conflict allowance,
+    its wall-clock deadline, or a cancellation (see {!Symbad_gov.Gov}). *)
 
 val create : int -> t
 (** [create n] is a solver over variables [1..n]. *)
@@ -39,27 +38,15 @@ val add_clause : t -> int list -> unit
     [~assumptions:[a]] proves the unguarded [Q] is unsatisfiable with the
     rest of the CNF. *)
 
-val solve :
-  ?assumptions:int list ->
-  ?max_conflicts:int ->
-  ?gov:Symbad_gov.Gov.t ->
-  t ->
-  result
+val solve : ?assumptions:int list -> ?gov:Symbad_gov.Gov.t -> t -> result
 (** Decide satisfiability under the given assumption literals.
 
-    [gov] bounds the search: its conflict allowance caps this call (in
-    combination with [max_conflicts], the smaller wins), its deadline
-    and cancel token are polled at every conflict, and the conflicts
-    actually spent are charged back to it on return.  An exhausted
-    governor yields [Unknown] immediately.
-
-    [max_conflicts] is the historical per-call budget knob, kept as a
-    deprecated alias — new callers should pass a governor instead.
-
-    {b Deprecated alias:} this bare-[result] form charges the governor
-    silently and discards the effort figures; new callers should use
-    {!solve_outcome}, which returns the same result together with the
-    per-call spend. *)
+    [gov] is the only budget: its conflict allowance caps this call, its
+    deadline and cancel token are polled at every conflict, and the
+    conflicts actually spent are charged back to it on return (on every
+    exit path).  An exhausted governor yields [Unknown] immediately.
+    Without [gov] the search runs to completion.  The effort a call
+    spent is the difference of {!stats} around it. *)
 
 val model_value : t -> int -> bool
 (** Value of a variable in the model; meaningful only right after [solve]
@@ -78,19 +65,3 @@ type stats = {
 
 val stats : t -> stats
 (** Lifetime totals for the solver instance. *)
-
-type outcome = { result : result; spent : stats }
-(** A solve result together with the effort {e this call} spent —
-    [spent] carries deltas, not lifetime totals. *)
-
-val solve_outcome :
-  ?assumptions:int list ->
-  ?max_conflicts:int ->
-  ?gov:Symbad_gov.Gov.t ->
-  t ->
-  outcome
-(** Like {!solve}, but the conflicts/decisions/propagations/restarts the
-    call consumed come back alongside the result instead of having to be
-    recovered by diffing {!stats} around the call.  The governor (when
-    given) is still charged [spent.conflicts] on every exit path, exactly
-    as {!solve} does. *)

@@ -159,6 +159,36 @@ let sat_engine_tests_replay () =
            (Symbad_hdl.Simulator.output sim ~inputs:!final_inputs "full"))
   | _ -> Alcotest.fail "expected test"
 
+let conflicts n =
+  Symbad_gov.Gov.create (Symbad_gov.Budget.make ~conflicts:n ())
+
+let sat_engine_exhausted_gov () =
+  let nl = Symbad_hdl.Rtl_lib.fifo_ctrl ~addr_width:2 () in
+  let target = { Sat_engine.output = "full"; bit = 0; polarity = true } in
+  match Sat_engine.cover_target ~max_depth:8 ~gov:(conflicts 0) nl target with
+  | Sat_engine.Budget_exceeded -> ()
+  | _ -> Alcotest.fail "expected budget exceeded"
+
+let sat_engine_zero_budget_unresolved () =
+  let nl = Symbad_hdl.Rtl_lib.fifo_ctrl ~addr_width:2 () in
+  let r = Sat_engine.generate ~max_depth:8 ~gov:(conflicts 0) nl in
+  check "every target unresolved"
+    (List.length (Sat_engine.all_targets nl))
+    r.Sat_engine.unresolved;
+  check "nothing covered" 0 r.Sat_engine.covered;
+  check "nothing proved unreachable" 0 r.Sat_engine.unreachable
+
+let sat_engine_ample_gov_matches_unlimited () =
+  let nl = Symbad_hdl.Rtl_lib.fifo_ctrl ~addr_width:2 () in
+  let free = Sat_engine.generate ~max_depth:8 nl in
+  let governed =
+    Sat_engine.generate ~max_depth:8 ~gov:(conflicts 1_000_000) nl
+  in
+  check "covered" free.Sat_engine.covered governed.Sat_engine.covered;
+  check "unreachable" free.Sat_engine.unreachable governed.Sat_engine.unreachable;
+  check "unresolved" 0 governed.Sat_engine.unresolved;
+  check_bool "same tests" true (free.Sat_engine.tests = governed.Sat_engine.tests)
+
 let testbench_engine_comparison_shape () =
   (* the headline ATPG result: genetic >= random coverage at equal budget *)
   let m = Models.root () in
@@ -251,6 +281,12 @@ let suite =
     Alcotest.test_case "SAT engine: proves unreachability" `Quick
       sat_engine_proves_unreachability;
     Alcotest.test_case "SAT engine: tests replay" `Quick sat_engine_tests_replay;
+    Alcotest.test_case "SAT engine: exhausted governor" `Quick
+      sat_engine_exhausted_gov;
+    Alcotest.test_case "SAT engine: zero budget leaves targets unresolved"
+      `Quick sat_engine_zero_budget_unresolved;
+    Alcotest.test_case "SAT engine: ample governor matches unlimited" `Quick
+      sat_engine_ample_gov_matches_unlimited;
     Alcotest.test_case "engine comparison shape" `Quick
       testbench_engine_comparison_shape;
     Alcotest.test_case "memcheck: uninitialised reads" `Quick

@@ -471,9 +471,10 @@ let wrapper_gen_checkers_catch_mutations () =
         | `Detectable _ ->
             List.exists
               (fun p ->
-                match Symbad_mc.Bmc.check ~depth:6 mutant p with
-                | Symbad_mc.Bmc.Counterexample _ -> true
-                | _ -> false)
+                let module Session = Symbad_mc.Session in
+                match Session.bmc (Session.create mutant p) ~depth:6 with
+                | Session.Base_cex _ -> true
+                | Session.Base_holds | Session.Base_unknown -> false)
               props)
       faults
   in

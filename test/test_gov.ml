@@ -2,8 +2,9 @@
    hierarchical charge propagation, cancellation, retry dispatch, the
    zero-budget degradation contract of every engine (inconclusive with
    partial data, fast, never raising), governed-flow determinism across
-   pool widths, and the qcheck monotonicity property (shrinking a budget
-   may weaken a verdict to inconclusive, never flip it). *)
+   pool widths, and the qcheck monotonicity properties (shrinking a
+   budget may weaken an MC verdict to inconclusive or a PCC fault to
+   unresolved, never flip either). *)
 
 open Symbad_core
 module Gov = Symbad_gov.Gov
@@ -180,11 +181,14 @@ let engines_degrade_instantly () =
    with
   | Symbad_sat.Solver.Unknown -> ()
   | _ -> Alcotest.fail "sat: expected Unknown");
-  (match
-     within_1s "bmc" (fun () -> Symbad_mc.Bmc.check ~gov:(zero ()) ~depth:8 f prop)
+  (let module Session = Symbad_mc.Session in
+   let session = Session.create f prop in
+   match
+     within_1s "bmc" (fun () -> Session.bmc ~gov:(zero ()) session ~depth:8)
    with
-  | Symbad_mc.Bmc.Resource_out -> ()
-  | _ -> Alcotest.fail "bmc: expected Resource_out");
+   | Session.Base_unknown ->
+       check_int "bmc: nothing unrolled" 0 (Session.base_nvars session)
+   | _ -> Alcotest.fail "bmc: expected Base_unknown");
   (let r = within_1s "mc engine" (fun () -> Symbad_mc.Engine.check ~gov:(zero ()) f prop) in
    match r.Symbad_mc.Engine.verdict with
    | Symbad_mc.Engine.Unknown { reason } ->
@@ -276,6 +280,32 @@ let qcheck_budget_monotone =
       | Symbad_mc.Engine.Falsified _, Symbad_mc.Engine.Falsified _ -> true
       | _ -> false)
 
+(* --- qcheck: a budget can only leave a PCC fault unresolved --- *)
+
+let qcheck_pcc_budget_unresolved =
+  let module Pcc = Symbad_pcc.Pcc in
+  (* the refined plan of the E8 story: complete on the FIFO controller,
+     so every detectable fault is covered when unlimited *)
+  let statuses gov =
+    List.map
+      (fun fr -> fr.Pcc.status)
+      (Pcc.run ?gov ~depth:8 Test_pcc.fifo Test_pcc.strong_props).Pcc.faults
+  in
+  let unlimited = statuses None in
+  (* half the draws land below 300, where the per-fault shares are
+     tight enough to run out inside a property check *)
+  let allowances =
+    QCheck.make ~print:string_of_int
+      QCheck.Gen.(frequency [ (1, int_bound 300); (1, int_bound 5000) ])
+  in
+  QCheck.Test.make ~name:"budgeted PCC: unlimited status or unresolved"
+    ~count:25 allowances
+    (fun allowance ->
+      let gov = Gov.create (Budget.make ~conflicts:allowance ()) in
+      List.for_all2
+        (fun s base -> s = base || s = Pcc.Unresolved)
+        (statuses (Some gov)) unlimited)
+
 (* --- the budget-timeline ledger --- *)
 
 (* every charge lands in the ledger exactly once (on the directly
@@ -333,4 +363,5 @@ let suite =
     Alcotest.test_case "ledger sums match governor spend" `Quick
       ledger_sums_match_spend;
     QCheck_alcotest.to_alcotest qcheck_budget_monotone;
+    QCheck_alcotest.to_alcotest qcheck_pcc_budget_unresolved;
   ]

@@ -299,8 +299,8 @@ let synth_detects_comb_loop () =
      way, [recovery]'s retry and no-op counters are compare-guarded
      (escalation proves both), [root]'s num update wraps by
      two's-complement construction (escalation returns the concrete
-     wrap trace) and [argmin]'s accumulation outruns the prover's
-     budget (escalation reports it inconclusive).  Each stays
+     wrap trace) and [argmin]'s accumulation has no proof within
+     k=12 (escalation reports it inconclusive).  Each stays
      escalatable on demand. *)
 let repo_corpus_is_clean () =
   let module R = Symbad_hdl.Rtl_lib in
@@ -477,6 +477,23 @@ let escalation_roundtrip () =
       | None -> Alcotest.fail "discharge missing")
   | _ -> Alcotest.fail "expected exactly one promoted diagnostic"
 
+(* The governor is escalation's only bound: an exhausted one discharges
+   every obligation as inconclusive and moves no severity. *)
+let escalation_exhausted_gov_inconclusive () =
+  let before = Lint.run_netlist Seeded.escalation in
+  let gov = Gov.create (Budget.make ~conflicts:0 ()) in
+  let after = Lint.escalate ~gov Seeded.escalation before in
+  check_int "nothing dropped" 2 (List.length after.Lint.diagnostics);
+  check_int "warnings kept" 2 (Lint.warnings after);
+  check_int "no errors" 0 (Lint.errors after);
+  check_bool "every discharge inconclusive" true
+    (List.for_all
+       (fun (d : Diagnostic.t) ->
+         match d.Diagnostic.discharged with
+         | Some g -> g.Diagnostic.status = Diagnostic.Inconclusive
+         | None -> false)
+       after.Lint.diagnostics)
+
 (* Escalated reports are byte-identical at any pool width: the JSON
    digest at jobs 1, 2 and 4 equals the sequential one. *)
 let escalation_jobs_invariant () =
@@ -628,6 +645,8 @@ let suite =
       escalation_roundtrip;
     Alcotest.test_case "escalation is jobs-width invariant" `Quick
       escalation_jobs_invariant;
+    Alcotest.test_case "escalation under exhausted governor" `Quick
+      escalation_exhausted_gov_inconclusive;
     Alcotest.test_case "sched.context-conflict on interleaved tenants" `Quick
       sched_conflict;
     Alcotest.test_case "sched.wcrt vs the admission deadline" `Quick sched_wcrt;

@@ -54,21 +54,23 @@ let prop_next_rewrites () =
 
 (* --- BMC --- *)
 
+let bmc ~depth p = Session.bmc (Session.create fifo p) ~depth
+
 let bmc_finds_shallow_bug () =
-  match Bmc.check ~depth:6 fifo p_false with
-  | Bmc.Counterexample tr ->
+  match bmc ~depth:6 p_false with
+  | Session.Base_cex tr ->
       (* counter reaches 2 after two pushes: trace length 3 states *)
       Alcotest.(check int) "trace length" 3 (Trace.length tr)
   | _ -> Alcotest.fail "expected counterexample"
 
 let bmc_holds_within_depth () =
-  match Bmc.check ~depth:6 fifo p_count_bound with
-  | Bmc.Holds -> ()
+  match bmc ~depth:6 p_count_bound with
+  | Session.Base_holds -> ()
   | _ -> Alcotest.fail "expected hold"
 
 let bmc_counterexample_is_concrete () =
-  match Bmc.check ~depth:6 fifo p_false with
-  | Bmc.Counterexample tr ->
+  match bmc ~depth:6 p_false with
+  | Session.Base_cex tr ->
       (* replay the trace inputs on the simulator and reconfirm *)
       let sim = Simulator.create fifo in
       List.iteri
@@ -96,16 +98,16 @@ let bmc_counterexample_is_concrete () =
 (* --- k-induction --- *)
 
 let induction_proves () =
-  match Bmc.inductive_step ~k:1 fifo p_count_bound with
-  | Bmc.Inductive -> ()
+  match Session.induction (Session.create fifo p_count_bound) 1 with
+  | Session.Inductive -> ()
   | _ -> Alcotest.fail "count bound is 1-inductive"
 
 let induction_cti_for_unreachable_claim () =
   (* "count <= 2" holds up to depth but is not inductive (from count=2 a
      push gives 3): expect a CTI, not a proof *)
   let p = Prop.make ~name:"le2" (E.ule (E.reg "count") (E.const ~width:cw 2)) in
-  match Bmc.inductive_step ~k:1 fifo p with
-  | Bmc.Cti _ -> ()
+  match Session.induction (Session.create fifo p) 1 with
+  | Session.Cti _ -> ()
   | _ -> Alcotest.fail "expected counterexample-to-induction"
 
 (* --- Explicit --- *)
@@ -275,6 +277,101 @@ let qcheck_session_incremental_agrees =
         (fun k -> same_base (Session.check_bound inc k) (drive_fresh p k))
         (List.init 9 Fun.id))
 
+(* --- Session.bmc and the governor --- *)
+
+let zero () =
+  Symbad_gov.Gov.create (Symbad_gov.Budget.make ~conflicts:0 ())
+
+(* qcheck: [bmc] is exactly the ascending check_bound walk that stops at
+   the first bound that does not hold. *)
+let qcheck_bmc_is_ascending_walk =
+  QCheck.Test.make ~name:"session bmc = ascending check_bound walk" ~count:30
+    QCheck.(pair (int_bound 6) (int_bound 8))
+    (fun (threshold, depth) ->
+      let p =
+        Prop.make ~name:"thr"
+          (E.ule (E.reg "count") (E.const ~width:cw threshold))
+      in
+      let walk =
+        let s = Session.create fifo p in
+        let rec go k =
+          if k > depth then Session.Base_holds
+          else
+            match Session.check_bound s k with
+            | Session.Base_holds -> go (k + 1)
+            | r -> r
+        in
+        go 0
+      in
+      same_base (bmc ~depth p) walk)
+
+let session_bmc_rewalk_allocates_nothing () =
+  let s = Session.create fifo p_count_bound in
+  (match Session.bmc s ~depth:5 with
+  | Session.Base_holds -> ()
+  | _ -> Alcotest.fail "expected hold");
+  let n = Session.base_nvars s in
+  (* every bound of the re-walk is closed: no solve, no new variables *)
+  (match Session.bmc s ~depth:5 with
+  | Session.Base_holds -> ()
+  | _ -> Alcotest.fail "closed bounds must stay held");
+  Alcotest.(check int) "base nvars drift" n (Session.base_nvars s);
+  (match Session.bmc s ~depth:7 with
+  | Session.Base_holds -> ()
+  | _ -> Alcotest.fail "expected hold at the deeper bound");
+  check_bool "deeper walk unrolls more" true (Session.base_nvars s > n)
+
+let session_recovers_after_unknown_bound () =
+  (* an exhausted bound retires its query and leaves the session sound:
+     the same bound posed without the governor answers as a fresh run *)
+  List.iter
+    (fun p ->
+      let s = Session.create fifo p in
+      let rec go k =
+        if k <= 6 then
+          match Session.check_bound ~gov:(zero ()) s k with
+          | Session.Base_unknown ->
+              let r = Session.check_bound s k in
+              check_bool
+                (Printf.sprintf "%s @ bound %d" (Prop.name p) k)
+                true
+                (same_base r (drive_fresh p k));
+              (match r with Session.Base_holds -> go (k + 1) | _ -> ())
+          | _ -> Alcotest.failf "%s @ %d: expected unknown" (Prop.name p) k
+      in
+      go 0)
+    [ p_no_full_empty; p_count_bound; p_false ]
+
+let session_induction_under_exhausted_gov () =
+  let s = Session.create fifo p_count_bound in
+  (match Session.induction ~gov:(zero ()) s 1 with
+  | Session.Step_unknown -> ()
+  | _ -> Alcotest.fail "expected step unknown");
+  match Session.induction s 1 with
+  | Session.Inductive -> ()
+  | _ -> Alcotest.fail "count bound is still 1-inductive"
+
+let engine_ample_gov_matches_unlimited () =
+  (* a governor that never binds leaves every verdict as the unlimited
+     run gives it *)
+  List.iter
+    (fun p ->
+      let gov =
+        Symbad_gov.Gov.create (Symbad_gov.Budget.make ~conflicts:1_000_000 ())
+      in
+      match
+        ((Engine.check fifo p).Engine.verdict,
+         (Engine.check ~gov fifo p).Engine.verdict)
+      with
+      | Engine.Proved { method_ = m1; depth = d1 },
+        Engine.Proved { method_ = m2; depth = d2 } ->
+          check_bool (Prop.name p ^ ": same proof") true (m1 = m2 && d1 = d2)
+      | Engine.Falsified a, Engine.Falsified b ->
+          Alcotest.(check int) (Prop.name p ^ ": same trace length")
+            (Trace.length a) (Trace.length b)
+      | _ -> Alcotest.failf "verdicts differ on %s" (Prop.name p))
+    [ p_no_full_empty; p_count_bound; p_false ]
+
 (* qcheck: explicit-state and BMC agree on random small mutants of the
    counter threshold property. *)
 let qcheck_bmc_explicit_agree =
@@ -286,10 +383,9 @@ let qcheck_bmc_explicit_agree =
           (E.ule (E.reg "count") (E.const ~width:cw threshold))
       in
       let bmc_says =
-        match Bmc.check ~depth:8 fifo p with
-        | Bmc.Counterexample _ -> false
-        | Bmc.Holds -> true
-        | Bmc.Resource_out -> true
+        match bmc ~depth:8 p with
+        | Session.Base_cex _ -> false
+        | Session.Base_holds | Session.Base_unknown -> true
       in
       let explicit_says =
         match Explicit.check fifo p with
@@ -330,4 +426,13 @@ let suite =
       session_cex_is_concrete;
     QCheck_alcotest.to_alcotest qcheck_session_incremental_agrees;
     QCheck_alcotest.to_alcotest qcheck_bmc_explicit_agree;
+    QCheck_alcotest.to_alcotest qcheck_bmc_is_ascending_walk;
+    Alcotest.test_case "session bmc re-walk allocates nothing" `Quick
+      session_bmc_rewalk_allocates_nothing;
+    Alcotest.test_case "session recovers after unknown bound" `Quick
+      session_recovers_after_unknown_bound;
+    Alcotest.test_case "session induction under exhausted governor" `Quick
+      session_induction_under_exhausted_gov;
+    Alcotest.test_case "engine under ample governor matches unlimited" `Quick
+      engine_ample_gov_matches_unlimited;
   ]

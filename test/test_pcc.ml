@@ -152,6 +152,55 @@ let pcc_undetectable_excluded () =
             | _ -> false)
           r.Pcc.faults))
 
+(* --- PCC under the governor --- *)
+
+module Gov = Symbad_gov.Gov
+module Budget = Symbad_gov.Budget
+
+let conflicts n = Gov.create (Budget.make ~conflicts:n ())
+let statuses ?gov props =
+  List.map (fun fr -> fr.Pcc.status) (Pcc.run ?gov ~depth:8 fifo props).Pcc.faults
+
+let miter_exhausted_gov_resource_out () =
+  match
+    Miter.detectable ~depth:8 ~gov:(conflicts 0) fifo
+      (Rtl_lib.fifo_ctrl_buggy ~addr_width:2 ())
+  with
+  | `Resource_out -> ()
+  | _ -> Alcotest.fail "expected resource-out"
+
+let pcc_zero_budget_all_unresolved () =
+  let r = Pcc.run ~depth:8 ~gov:(conflicts 0) fifo strong_props in
+  check "every fault listed" 6 (List.length r.Pcc.faults);
+  check_bool "every fault unresolved" true
+    (List.for_all (fun fr -> fr.Pcc.status = Pcc.Unresolved) r.Pcc.faults);
+  check "nothing counted detectable" 0 r.Pcc.detectable;
+  check "no gaps reported" 0 (List.length (Pcc.uncovered_faults r))
+
+let pcc_ample_budget_matches_unlimited () =
+  List.iter
+    (fun props ->
+      check_bool "same statuses" true
+        (statuses ~gov:(conflicts 1_000_000) props = statuses props))
+    [ weak_props; strong_props ]
+
+let pcc_budget_never_invents_gaps () =
+  (* the weak set has real gaps; under any allowance a fault is either
+     classified as the unlimited run classifies it or left unresolved —
+     never reported uncovered because a property check ran out *)
+  let unlimited = statuses weak_props in
+  List.iter
+    (fun n ->
+      List.iter2
+        (fun s base ->
+          check_bool
+            (Printf.sprintf "allowance %d" n)
+            true
+            (s = base || s = Pcc.Unresolved))
+        (statuses ~gov:(conflicts n) weak_props)
+        unlimited)
+    [ 0; 6; 12; 24; 48; 96; 192; 384; 768 ]
+
 let suite =
   [
     Alcotest.test_case "fault enumeration" `Quick fault_enumeration;
@@ -173,4 +222,12 @@ let suite =
       pcc_coverage_monotone;
     Alcotest.test_case "pcc: undetectable faults excluded" `Quick
       pcc_undetectable_excluded;
+    Alcotest.test_case "miter: exhausted governor" `Quick
+      miter_exhausted_gov_resource_out;
+    Alcotest.test_case "pcc: zero budget leaves faults unresolved" `Quick
+      pcc_zero_budget_all_unresolved;
+    Alcotest.test_case "pcc: ample budget matches unlimited" `Quick
+      pcc_ample_budget_matches_unlimited;
+    Alcotest.test_case "pcc: budget never invents gaps" `Quick
+      pcc_budget_never_invents_gaps;
   ]

@@ -38,7 +38,7 @@ let model_satisfies () =
   check_bool "model checks out" true
     (List.for_all (List.exists value) clauses)
 
-let pigeonhole n m =
+let pigeonhole_solver n m =
   (* n pigeons into m holes *)
   let var p h = ((p - 1) * m) + h in
   let s = Solver.create (n * m) in
@@ -52,7 +52,9 @@ let pigeonhole n m =
       done
     done
   done;
-  Solver.solve s
+  s
+
+let pigeonhole n m = Solver.solve (pigeonhole_solver n m)
 
 let pigeonhole_unsat () = check_bool "php(6,5)" true (is_unsat (pigeonhole 6 5))
 let pigeonhole_sat () = check_bool "php(5,5)" true (is_sat (pigeonhole 5 5))
@@ -80,9 +82,69 @@ let conflict_budget () =
       done
     done
   done;
-  match Solver.solve ~max_conflicts:5 s with
+  let module Gov = Symbad_gov.Gov in
+  let gov = Gov.create (Symbad_gov.Budget.make ~conflicts:5 ()) in
+  (match Solver.solve ~gov s with
   | Solver.Unknown -> ()
-  | Solver.Sat | Solver.Unsat -> Alcotest.fail "expected resource-out"
+  | Solver.Sat | Solver.Unsat -> Alcotest.fail "expected resource-out");
+  Alcotest.(check int) "allowance spent exactly" 5 (Gov.spent_conflicts gov);
+  check_bool "governor exhausted" true (Gov.out_of_budget gov)
+
+(* --- the governor as the only SAT budget --- *)
+
+module Gov = Symbad_gov.Gov
+module Budget = Symbad_gov.Budget
+
+let exhausted_governor_skips_search () =
+  let s = pigeonhole_solver 6 5 in
+  let before = Solver.stats s in
+  let gov = Gov.create (Budget.make ~conflicts:0 ()) in
+  check_bool "unknown" true (Solver.solve ~gov s = Solver.Unknown);
+  let after = Solver.stats s in
+  Alcotest.(check int) "no conflicts" before.Solver.conflicts
+    after.Solver.conflicts;
+  Alcotest.(check int) "no decisions" before.Solver.decisions
+    after.Solver.decisions;
+  Alcotest.(check int) "nothing charged" 0 (Gov.spent_conflicts gov)
+
+let ample_governor_does_ungoverned_work () =
+  (* a governor that never binds changes neither the answer nor the
+     search: same conflicts, decisions and propagations, all charged *)
+  let free = pigeonhole_solver 6 5 in
+  check_bool "ungoverned unsat" true (is_unsat (Solver.solve free));
+  let governed = pigeonhole_solver 6 5 in
+  let gov = Gov.create (Budget.make ~conflicts:1_000_000 ()) in
+  check_bool "governed unsat" true (is_unsat (Solver.solve ~gov governed));
+  let f = Solver.stats free and g = Solver.stats governed in
+  Alcotest.(check int) "same conflicts" f.Solver.conflicts g.Solver.conflicts;
+  Alcotest.(check int) "same decisions" f.Solver.decisions g.Solver.decisions;
+  Alcotest.(check int) "same propagations" f.Solver.propagations
+    g.Solver.propagations;
+  Alcotest.(check int) "every conflict charged" g.Solver.conflicts
+    (Gov.spent_conflicts gov)
+
+let governor_allowance_spans_calls () =
+  (* one allowance caps the sum of the calls it governs: what the first
+     solve spends the second cannot *)
+  let gov = Gov.create (Budget.make ~conflicts:7 ()) in
+  let first = pigeonhole_solver 7 6 in
+  check_bool "first runs out" true (Solver.solve ~gov first = Solver.Unknown);
+  let second = pigeonhole_solver 7 6 in
+  check_bool "second starts exhausted" true
+    (Solver.solve ~gov second = Solver.Unknown);
+  Alcotest.(check int) "second searched nothing" 0
+    (Solver.stats second).Solver.conflicts;
+  Alcotest.(check int) "total within the allowance" 7 (Gov.spent_conflicts gov)
+
+let governor_child_caps_call () =
+  (* a split child caps the call at its share and charges the parent *)
+  let parent = Gov.create (Budget.make ~conflicts:20 ()) in
+  let child = List.hd (Gov.split parent 4) in
+  let s = pigeonhole_solver 7 6 in
+  check_bool "child runs out" true (Solver.solve ~gov:child s = Solver.Unknown);
+  Alcotest.(check int) "share spent" 5 (Solver.stats s).Solver.conflicts;
+  Alcotest.(check int) "parent charged" 5 (Gov.spent_conflicts parent);
+  check_bool "parent still has budget" false (Gov.out_of_budget parent)
 
 let new_var_growth () =
   let s = Solver.create 0 in
@@ -297,19 +359,20 @@ let activation_literal_retires () =
   Solver.add_clause s [ -act ];
   check_bool "retired: instance sat again" true (is_sat (Solver.solve s))
 
-let solve_outcome_spends () =
+let resolve_spends_nothing () =
   let s = Solver.create 0 in
   let vars = List.init 6 (fun _ -> Solver.new_var s) in
   List.iter (fun v -> Solver.add_clause s [ v ]) vars;
-  let o1 = Solver.solve_outcome s in
-  check_bool "sat" true (is_sat o1.Solver.result);
-  let o2 = Solver.solve_outcome s in
-  check_bool "re-solve sat" true (is_sat o2.Solver.result);
-  (* spent carries per-call deltas, not lifetime totals: a repeat solve
-     of an already-satisfied instance spends no conflicts *)
-  Alcotest.(check int) "no conflicts re-spent" 0 o2.Solver.spent.Solver.conflicts;
-  check_bool "lifetime >= per-call" true
-    ((Solver.stats s).Solver.propagations >= o2.Solver.spent.Solver.propagations)
+  check_bool "sat" true (is_sat (Solver.solve s));
+  let before = Solver.stats s in
+  check_bool "re-solve sat" true (is_sat (Solver.solve s));
+  let after = Solver.stats s in
+  (* a repeat solve of an already-satisfied instance spends no
+     conflicts and makes no decisions *)
+  Alcotest.(check int) "no conflicts re-spent" before.Solver.conflicts
+    after.Solver.conflicts;
+  Alcotest.(check int) "no decisions re-made" before.Solver.decisions
+    after.Solver.decisions
 
 let suite =
   [
@@ -326,7 +389,16 @@ let suite =
     Alcotest.test_case "add_clause after solve" `Quick add_clause_after_solve;
     Alcotest.test_case "activation literal retires" `Quick
       activation_literal_retires;
-    Alcotest.test_case "solve_outcome spends" `Quick solve_outcome_spends;
+    Alcotest.test_case "re-solve spends no conflicts" `Quick
+      resolve_spends_nothing;
+    Alcotest.test_case "exhausted governor skips search" `Quick
+      exhausted_governor_skips_search;
+    Alcotest.test_case "ample governor does ungoverned work" `Quick
+      ample_governor_does_ungoverned_work;
+    Alcotest.test_case "governor allowance spans calls" `Quick
+      governor_allowance_spans_calls;
+    Alcotest.test_case "governor child caps a call" `Quick
+      governor_child_caps_call;
     Alcotest.test_case "unit propagation chain" `Quick unit_propagation_chain;
     Alcotest.test_case "solver reusable across solves" `Quick
       solver_reusable_across_solves;
