@@ -52,8 +52,9 @@ val pcc :
   Level4.rtl_module ->
   Verdict.t
 (** Property-coverage completeness ({!Symbad_pcc.Pcc.run} +
-    {!Verdict.of_pcc}): [Coverage] over detectable faults, degrading to
-    [Inconclusive] when unresolved faults would otherwise pass. *)
+    {!Verdict.of_pcc}): [Coverage] over detectable faults; with
+    unresolved faults, a pass needs the worst case and a failure the
+    best case, otherwise [Inconclusive]. *)
 
 val atpg :
   ?gov:Symbad_gov.Gov.t ->

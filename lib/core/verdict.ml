@@ -70,24 +70,39 @@ let of_pcc ?host_seconds ?(threshold = 0.75) (r : Symbad_pcc.Pcc.report) =
          r.Symbad_pcc.Pcc.faults)
   in
   let total_faults = List.length r.Symbad_pcc.Pcc.faults in
-  if unresolved > 0 && r.Symbad_pcc.Pcc.coverage >= threshold then
-    (* unresolved faults make the coverage ratio optimistic (they are
-       excluded from "detectable"): never let exhaustion produce a
-       pass, degrade to Inconclusive carrying what WAS classified *)
-    make ?host_seconds ~name
-      ~detail:
-        (Printf.sprintf "resource budget exhausted; %d/%d faults classified"
-           (total_faults - unresolved) total_faults)
-      (Inconclusive "resource budget exhausted")
-  else
+  let covered = r.Symbad_pcc.Pcc.covered in
+  if unresolved = 0 then
     make ?host_seconds ~name
       ~passed:(r.Symbad_pcc.Pcc.coverage >= threshold)
       ~detail:
         (Printf.sprintf "%.0f%% of %d detectable faults"
            (100. *. r.Symbad_pcc.Pcc.coverage)
            r.Symbad_pcc.Pcc.detectable)
-      (Coverage
-         { hit = r.Symbad_pcc.Pcc.covered; total = r.Symbad_pcc.Pcc.detectable })
+      (Coverage { hit = covered; total = r.Symbad_pcc.Pcc.detectable })
+  else
+    (* an unresolved fault may be detectable and covered, detectable and
+       uncovered, or undetectable: bound the coverage by counting every
+       one as a detectable fault, uncovered (worst) or covered (best) *)
+    let total = r.Symbad_pcc.Pcc.detectable + unresolved in
+    let ratio hit = float_of_int hit /. float_of_int total in
+    let worst = ratio covered and best = ratio (covered + unresolved) in
+    let bounded ~passed ~bound ratio =
+      make ?host_seconds ~name ~passed
+        ~detail:
+          (Printf.sprintf "%s %.0f%% of %d detectable + %d unresolved faults"
+             bound (100. *. ratio) r.Symbad_pcc.Pcc.detectable unresolved)
+        (Coverage { hit = covered; total })
+    in
+    if worst >= threshold then bounded ~passed:true ~bound:"at least" worst
+    else if best < threshold then bounded ~passed:false ~bound:"at most" best
+    else
+      (* the gate lies between the bounds: only a larger budget can
+         decide it, so report what WAS classified *)
+      make ?host_seconds ~name
+        ~detail:
+          (Printf.sprintf "resource budget exhausted; %d/%d faults classified"
+             (total_faults - unresolved) total_faults)
+        (Inconclusive "resource budget exhausted")
 
 let of_atpg ?host_seconds ?(threshold = 0.85)
     (e : Symbad_atpg.Testbench.evaluation) =

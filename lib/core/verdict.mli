@@ -54,10 +54,16 @@ val of_mc : ?host_seconds:float -> Symbad_mc.Engine.report -> t
 
 val of_pcc : ?host_seconds:float -> ?threshold:float -> Symbad_pcc.Pcc.report -> t
 (** [Coverage] over detectable faults; passes at [threshold] (default
-    [0.75], the flow's completeness gate).  When the report contains
-    [Unresolved] faults (resource budget ran out) that would otherwise
-    let it pass, the verdict degrades to [Inconclusive] instead —
-    exhaustion never produces an optimistic pass. *)
+    [0.75], the flow's completeness gate).
+
+    [Unresolved] faults (the resource budget ran out) are bounded, not
+    guessed: over [detectable + unresolved] faults, the worst case
+    counts each as uncovered and the best case as covered.  The row
+    passes when the worst case meets the gate, fails only when the best
+    case misses it — both as [Coverage] of [covered] over
+    [detectable + unresolved] — and is otherwise [Inconclusive] with
+    the number of faults classified.  Exhaustion never produces an
+    optimistic pass nor a pessimistic failure. *)
 
 val of_atpg :
   ?host_seconds:float -> ?threshold:float -> Symbad_atpg.Testbench.evaluation -> t

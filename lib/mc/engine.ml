@@ -28,7 +28,7 @@ module Degrade = Symbad_gov.Degrade
 (* Cache keys embed this (see Symbad_cache): bump on any change to the
    decision procedure, encodings or verdict semantics so stale verdicts
    can never be replayed against a different engine. *)
-let version = "3"
+let version = "4"
 
 type verdict =
   | Proved of { method_ : string; depth : int }

@@ -18,9 +18,10 @@
      step at k is pure assumption work — [P@0 .. P@k-1, -P@k] — so
      nothing is ever asserted and the same instance serves every k.
 
-   Property literals are cached per frame: re-posing a bound re-uses the
-   cached literal instead of re-blasting the formula, so a repeated
-   query allocates no variables (asserted by the nvars-drift test). *)
+   Gates are hash-consed (Symbad_sat.Tseitin), so re-blasting the
+   property at a frame returns the literal of its first blast: a
+   repeated query allocates no variables (asserted by the nvars-drift
+   test). *)
 
 module Solver = Symbad_sat.Solver
 module Unroll = Symbad_hdl.Unroll
@@ -29,12 +30,7 @@ module Obs = Symbad_obs.Obs
 module Json = Symbad_obs.Json
 module Gov = Symbad_gov.Gov
 
-type sub = {
-  solver : Solver.t;
-  unroll : Unroll.t;
-  (* frame index -> literal of the property instance anchored there *)
-  lits : (int, int) Hashtbl.t;
-}
+type sub = { solver : Solver.t; unroll : Unroll.t }
 
 type t = {
   nl : Netlist.t;
@@ -56,8 +52,7 @@ let prop t = t.prop
 
 let make_sub ~init nl =
   let solver = Solver.create 0 in
-  let unroll = Unroll.create ~init solver nl in
-  { solver; unroll; lits = Hashtbl.create 32 }
+  { solver; unroll = Unroll.create ~init solver nl }
 
 let base_sub t =
   match t.base with
@@ -81,19 +76,11 @@ let step_sub t =
    unrolled to [k + 1] for invariants and [k + 2] for step props). *)
 let frames_for prop i = if Prop.is_step prop then i + 2 else i + 1
 
-(* The property literal at frame [i], blasted once and cached. *)
 let prop_lit t sub i =
-  match Hashtbl.find_opt sub.lits i with
-  | Some l -> l
-  | None ->
-      Unroll.unroll_to sub.unroll (frames_for t.prop i);
-      let l =
-        if Prop.is_step t.prop then
-          Unroll.bool_lit_step sub.unroll i (Prop.formula t.prop)
-        else Unroll.bool_lit sub.unroll i (Prop.formula t.prop)
-      in
-      Hashtbl.add sub.lits i l;
-      l
+  Unroll.unroll_to sub.unroll (frames_for t.prop i);
+  if Prop.is_step t.prop then
+    Unroll.bool_lit_step sub.unroll i (Prop.formula t.prop)
+  else Unroll.bool_lit sub.unroll i (Prop.formula t.prop)
 
 let trace_span prop k = if Prop.is_step prop then k + 1 else k
 

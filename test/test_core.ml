@@ -521,9 +521,87 @@ let flow_speed_ordering () =
   | Some a, Some b -> check_bool "reconfig costs latency" true (b > a)
   | _ -> Alcotest.fail "levels 2 and 3 report latency"
 
+(* --- Verdict.of_pcc under a budget --- *)
+
+module Pcc = Symbad_pcc.Pcc
+
+(* A synthetic PCC report with the given status counts. *)
+let pcc_report ?(undetectable = 0) ~covered ~uncovered ~unresolved () =
+  let statuses =
+    List.concat
+      [
+        List.init covered (fun _ -> Pcc.Covered "p");
+        List.init uncovered (fun _ -> Pcc.Uncovered);
+        List.init undetectable (fun _ -> Pcc.Undetectable);
+        List.init unresolved (fun _ -> Pcc.Unresolved);
+      ]
+  in
+  let detectable = covered + uncovered in
+  {
+    Pcc.design = "SYN";
+    properties = [ "p" ];
+    faults =
+      List.mapi
+        (fun i status ->
+          {
+            Pcc.fault =
+              Symbad_pcc.Fault.Reg_stuck { reg = "r"; bit = i; value = true };
+            status;
+          })
+        statuses;
+    detectable;
+    covered;
+    coverage =
+      (if detectable = 0 then 1.
+       else float_of_int covered /. float_of_int detectable);
+  }
+
+let check_pcc_verdict name ~passed ~outcome ~detail r =
+  let v = Verdict.of_pcc r in
+  check_bool (name ^ ": passed") passed v.Verdict.passed;
+  Alcotest.(check string) (name ^ ": outcome") outcome
+    (match v.Verdict.outcome with
+    | Verdict.Coverage { hit; total } -> Printf.sprintf "%d/%d" hit total
+    | o -> Verdict.outcome_label o);
+  Alcotest.(check string) (name ^ ": detail") detail v.Verdict.detail
+
+let of_pcc_bounds_unresolved () =
+  (* no unresolved fault: the plain ratio, as every unlimited run *)
+  check_pcc_verdict "resolved pass" ~passed:true ~outcome:"15/16"
+    ~detail:"94% of 16 detectable faults"
+    (pcc_report ~covered:15 ~uncovered:1 ~unresolved:0 ());
+  check_pcc_verdict "resolved fail" ~passed:false ~outcome:"2/4"
+    ~detail:"50% of 4 detectable faults"
+    (pcc_report ~covered:2 ~uncovered:2 ~unresolved:0 ());
+  (* WRAPPER under a 10k budget: 12 covered, 4 unresolved — even with
+     all four uncovered the worst case sits exactly on the 75% gate *)
+  check_pcc_verdict "worst case meets the gate" ~passed:true ~outcome:"12/16"
+    ~detail:"at least 75% of 12 detectable + 4 unresolved faults"
+    (pcc_report ~undetectable:2 ~covered:12 ~uncovered:0 ~unresolved:4 ());
+  (* even with the unresolved fault covered, 6/16 misses the gate *)
+  check_pcc_verdict "best case misses the gate" ~passed:false ~outcome:"5/16"
+    ~detail:"at most 38% of 15 detectable + 1 unresolved faults"
+    (pcc_report ~covered:5 ~uncovered:10 ~unresolved:1 ());
+  (* 10..14 of 16: the gate lies in between *)
+  check_pcc_verdict "gate between the bounds" ~passed:false
+    ~outcome:"inconclusive"
+    ~detail:"resource budget exhausted; 13/17 faults classified"
+    (pcc_report ~undetectable:1 ~covered:10 ~uncovered:2 ~unresolved:4 ());
+  (* 8/12 resolved fails alone, but 4 unresolved could lift it to 12/16:
+     no longer a conclusive failure *)
+  check_pcc_verdict "a resolved miss is not a failure" ~passed:false
+    ~outcome:"inconclusive"
+    ~detail:"resource budget exhausted; 12/16 faults classified"
+    (pcc_report ~covered:8 ~uncovered:4 ~unresolved:4 ());
+  check_pcc_verdict "nothing classified" ~passed:false ~outcome:"inconclusive"
+    ~detail:"resource budget exhausted; 0/5 faults classified"
+    (pcc_report ~covered:0 ~uncovered:0 ~unresolved:5 ())
+
 let suite =
   [
     Alcotest.test_case "token bytes" `Quick token_bytes;
+    Alcotest.test_case "PCC verdict bounds unresolved faults" `Quick
+      of_pcc_bounds_unresolved;
     Alcotest.test_case "token digest" `Quick token_digest_stable;
     Alcotest.test_case "token accessors" `Quick token_accessors_reject;
     Alcotest.test_case "graph validation" `Quick graph_validation;

@@ -323,6 +323,67 @@ let unroll_multiplication () =
   | Symbad_sat.Solver.Unsat | Symbad_sat.Solver.Unknown ->
       Alcotest.fail "expected solution"
 
+(* Gates are hash-consed, so re-blasting an expression at the same frame
+   returns the literals of the first blast and allocates nothing. *)
+let unroll_reblast_is_shared () =
+  let nl = Rtl_lib.fifo_ctrl ~addr_width:2 () in
+  let solver = Symbad_sat.Solver.create 0 in
+  let u = Unroll.create solver nl in
+  Unroll.unroll_to u 3;
+  let e =
+    Expr.mux (Expr.input "push")
+      (Expr.add (Expr.reg "count") (Expr.reg "count"))
+      (Expr.mul (Expr.reg "count") (Expr.reg "count"))
+  in
+  let first = Unroll.expr_lits u 2 e in
+  let nvars = Symbad_sat.Solver.nvars solver in
+  let again = Unroll.expr_lits u 2 e in
+  Alcotest.(check (array int)) "same literals" first again;
+  check "no variable allocated" nvars (Symbad_sat.Solver.nvars solver)
+
+(* qcheck: the bit-blaster against the simulator on random netlists.
+   Every frame's inputs are pinned to a random stimulus with unit
+   clauses, so the instance has exactly one model, and each register's
+   model value must be what simulation reaches at that cycle.  A hash
+   key that merged two different gate functions would show up here. *)
+let qcheck_unroll_matches_simulator =
+  QCheck.Test.make ~count:150
+    ~name:"unrolled netlist matches the simulator frame by frame"
+    (QCheck.make
+       QCheck.Gen.(pair (Netlist_gen.gen ~cycles:8) (int_range 1 8)))
+    (fun ((nl, width, stimulus), k) ->
+      let module Solver = Symbad_sat.Solver in
+      let stimulus = List.filteri (fun i _ -> i < k) stimulus in
+      let solver = Solver.create 0 in
+      let u = Unroll.create solver nl in
+      Unroll.unroll_to u k;
+      List.iteri
+        (fun i ab ->
+          List.iter
+            (fun (n, v) ->
+              Array.iteri
+                (fun j l ->
+                  Solver.add_clause solver [ (if Bitvec.bit v j then l else -l) ])
+                (Unroll.expr_lits u i (Expr.input n)))
+            (Netlist_gen.inputs ~width ab))
+        stimulus;
+      match Solver.solve solver with
+      | Solver.Sat ->
+          let sim = Simulator.create nl in
+          List.for_all Fun.id
+            (List.mapi
+               (fun i ab ->
+                 let agrees =
+                   List.for_all
+                     (fun (r, v) ->
+                       Unroll.reg_value solver u i r = Bitvec.to_int v)
+                     (Simulator.state sim)
+                 in
+                 Simulator.step sim ~inputs:(Netlist_gen.inputs ~width ab);
+                 agrees)
+               stimulus)
+      | Solver.Unsat | Solver.Unknown -> false)
+
 (* qcheck: word-level eval of random expressions agrees with bit-blasted
    SAT evaluation under forced inputs. *)
 let gen_expr_inputs =
@@ -664,6 +725,9 @@ let suite =
     Alcotest.test_case "unroll agrees with simulator" `Quick
       unroll_agrees_with_simulator;
     Alcotest.test_case "unroll multiplication" `Quick unroll_multiplication;
+    Alcotest.test_case "unroll re-blast is shared" `Quick
+      unroll_reblast_is_shared;
+    QCheck_alcotest.to_alcotest qcheck_unroll_matches_simulator;
     Alcotest.test_case "RTL back-end recognises (co-simulation)" `Quick
       rtl_backend_recognises;
     Alcotest.test_case "sobel window vs reference" `Quick

@@ -354,63 +354,9 @@ module Sarif = Symbad_lint.Sarif
    concrete register value is a member of its abstraction.  This is
    the one property the whole semantic rule family leans on. *)
 let qcheck_absint_sound =
-  let open QCheck in
-  let gen =
-    let open Gen in
-    let* width = int_range 1 4 in
-    let* nregs = int_range 1 3 in
-    let regs = List.init nregs (fun i -> Printf.sprintf "r%d" i) in
-    let m = (1 lsl width) - 1 in
-    let leaf =
-      oneof
-        ([
-           return (Expr.input "a");
-           return (Expr.input "b");
-           map (fun v -> Expr.const ~width v) (int_range 0 m);
-         ]
-        @ List.map (fun r -> return (Expr.reg r)) regs)
-    in
-    let rec expr depth =
-      if depth = 0 then leaf
-      else
-        let sub_ = expr (depth - 1) in
-        oneof
-          [
-            leaf;
-            map2 Expr.add sub_ sub_;
-            map2 Expr.sub sub_ sub_;
-            map2 Expr.mul sub_ sub_;
-            map2 Expr.and_ sub_ sub_;
-            map2 Expr.or_ sub_ sub_;
-            map2 Expr.xor sub_ sub_;
-            map Expr.not_ sub_;
-            map3 (fun c t e -> Expr.mux (Expr.ult c t) t e) leaf sub_ sub_;
-          ]
-    in
-    let* registers =
-      flatten_l
-        (List.map
-           (fun name ->
-             let* init = int_range 0 m in
-             let* next = expr 2 in
-             return
-               { Netlist.name; width; init = Bitvec.make ~width init; next })
-           regs)
-    in
-    let* stimulus =
-      list_repeat 50 (pair (int_range 0 m) (int_range 0 m))
-    in
-    return
-      ( Netlist.make ~name:"rand"
-          ~inputs:[ ("a", width); ("b", width) ]
-          ~registers
-          ~outputs:[ ("o", Expr.reg (List.hd regs)) ],
-        width,
-        stimulus )
-  in
   QCheck.Test.make ~count:60
     ~name:"abstract fixpoint over-approximates 50 simulated cycles"
-    (QCheck.make gen)
+    (QCheck.make (Netlist_gen.gen ~cycles:50))
     (fun (nl, width, stimulus) ->
       match Absint.analyze nl with
       | None -> false (* the generator only builds sound netlists *)
@@ -426,13 +372,8 @@ let qcheck_absint_sound =
           let sim = Simulator.create nl in
           covered sim
           && List.for_all
-               (fun (va, vb) ->
-                 Simulator.step sim
-                   ~inputs:
-                     [
-                       ("a", Bitvec.make ~width va);
-                       ("b", Bitvec.make ~width vb);
-                     ];
+               (fun ab ->
+                 Simulator.step sim ~inputs:(Netlist_gen.inputs ~width ab);
                  covered sim)
                stimulus)
 

@@ -262,6 +262,54 @@ let tseitin_constant_folding () =
     (let x = Tseitin.fresh ctx in
      Tseitin.xor_gate ctx x x)
 
+(* --- Tseitin structural hashing --- *)
+
+(* [gate] must return [want] (the literal of an earlier gate, or its
+   negation) without allocating a variable. *)
+let check_shared name ctx want gate =
+  let s = Tseitin.solver ctx in
+  let nvars = Solver.nvars s in
+  Alcotest.(check int) name want (gate ());
+  Alcotest.(check int) (name ^ ": no new variable") nvars (Solver.nvars s)
+
+let tseitin_shared_gates () =
+  let ctx = Tseitin.create (Solver.create 0) in
+  let a = Tseitin.fresh ctx and b = Tseitin.fresh ctx and s = Tseitin.fresh ctx in
+  let ab = Tseitin.and_gate ctx a b in
+  check_shared "and commutes" ctx ab (fun () -> Tseitin.and_gate ctx b a);
+  let nanb = Tseitin.and_gate ctx (-a) (-b) in
+  check_shared "or reuses its and" ctx (-nanb) (fun () ->
+      Tseitin.or_gate ctx a b);
+  let x = Tseitin.xor_gate ctx a b in
+  check_shared "xor of a negated operand" ctx (-x) (fun () ->
+      Tseitin.xor_gate ctx (-a) b);
+  check_shared "xor of two negated operands" ctx x (fun () ->
+      Tseitin.xor_gate ctx (-b) (-a));
+  check_shared "iff is the negated xor" ctx (-x) (fun () ->
+      Tseitin.iff_gate ctx a b);
+  let m = Tseitin.mux_gate ctx ~sel:s b a in
+  check_shared "mux with a negated selector swaps its arms" ctx m (fun () ->
+      Tseitin.mux_gate ctx ~sel:(-s) a b)
+
+let tseitin_distinct_gates () =
+  (* keys separate different functions of the same operands *)
+  let ctx = Tseitin.create (Solver.create 0) in
+  let a = Tseitin.fresh ctx and b = Tseitin.fresh ctx and s = Tseitin.fresh ctx in
+  let gates =
+    [
+      Tseitin.and_gate ctx a b;
+      Tseitin.and_gate ctx a (-b);
+      Tseitin.and_gate ctx (-a) b;
+      Tseitin.xor_gate ctx a b;
+      Tseitin.mux_gate ctx ~sel:s a b;
+      Tseitin.mux_gate ctx ~sel:s b a;
+      Tseitin.mux_gate ctx ~sel:a s b;
+    ]
+  in
+  let vars = List.sort_uniq compare (List.map abs gates) in
+  Alcotest.(check int) "one variable per gate" (List.length gates)
+    (List.length vars)
+
 (* --- Dimacs --- *)
 
 let dimacs_roundtrip () =
@@ -407,6 +455,10 @@ let suite =
     Alcotest.test_case "tseitin full adder" `Quick tseitin_full_adder;
     Alcotest.test_case "tseitin constant folding" `Quick
       tseitin_constant_folding;
+    Alcotest.test_case "tseitin shares equal gates" `Quick
+      tseitin_shared_gates;
+    Alcotest.test_case "tseitin keeps distinct gates apart" `Quick
+      tseitin_distinct_gates;
     Alcotest.test_case "dimacs roundtrip" `Quick dimacs_roundtrip;
     Alcotest.test_case "dimacs comments" `Quick dimacs_parse_comments;
     QCheck_alcotest.to_alcotest qcheck_vs_brute_force;
