@@ -3,7 +3,19 @@
     MiniSat architecture: two-watched-literal propagation, first-UIP
     learning, activity-based decisions with phase saving, Luby restarts.
     Literals are non-zero ints: [v] is variable [v >= 1] positive, [-v]
-    its negation. *)
+    its negation.
+
+    {b The search trajectory is part of the contract.}  Every decision,
+    propagation and learned clause — so every conflict count, model and
+    counterexample — is a function of the calls made, and stays fixed
+    across changes to the solver's data structures: the conflict rows of
+    [BENCH_gov.json], the verdicts held in the verification cache and
+    [Mc.Engine.version] rely on it.  Two orders decide it besides the
+    literal order inside each clause.  A decision takes the unassigned
+    variable of greatest activity, ties going to the lowest index.  A
+    literal's watchers are visited most recently added first, and the
+    ones that stay are re-added in visiting order, so the next visit
+    runs them in reverse. *)
 
 type t
 
@@ -40,6 +52,8 @@ val add_clause : t -> int list -> unit
 
 val solve : ?assumptions:int list -> ?gov:Symbad_gov.Gov.t -> t -> result
 (** Decide satisfiability under the given assumption literals.
+    Raises [Invalid_argument] if an assumption is [0] or names a
+    variable beyond {!nvars}, as {!add_clause} does.
 
     [gov] is the only budget: its conflict allowance caps this call, its
     deadline and cancel token are polled at every conflict, and the
@@ -51,9 +65,6 @@ val solve : ?assumptions:int list -> ?gov:Symbad_gov.Gov.t -> t -> result
 val model_value : t -> int -> bool
 (** Value of a variable in the model; meaningful only right after [solve]
     returned [Sat]. *)
-
-val model : t -> bool array
-(** Full model, indexed by variable (index 0 unused). *)
 
 type stats = {
   conflicts : int;

@@ -68,6 +68,33 @@ let assumptions_work () =
   (* solver is reusable after an assumption failure *)
   check_bool "still sat" true (is_sat (Solver.solve s))
 
+let assumption_literals_validated () =
+  (* rejected as add_clause rejects them, before any search state moves;
+     variables come from new_var, so the arrays have spare capacity *)
+  let s = Solver.create 0 in
+  for _ = 1 to 5 do
+    ignore (Solver.new_var s)
+  done;
+  Solver.add_clause s [ 1; 2 ];
+  List.iter
+    (fun l ->
+      Alcotest.check_raises
+        (Printf.sprintf "assumption %d" l)
+        (Invalid_argument (Printf.sprintf "Solver.solve: bad literal %d" l))
+        (fun () -> ignore (Solver.solve ~assumptions:[ 1; l ] s)))
+    [ 6; 0; 9; -6 ];
+  check_bool "valid assumptions still solve" true
+    (is_sat (Solver.solve ~assumptions:[ -1; 5 ] s))
+
+let repeated_assumptions () =
+  (* each assumption opens a decision level, even one already true *)
+  let s = Solver.create 1 in
+  check_bool "sat" true
+    (is_sat (Solver.solve ~assumptions:[ 1; 1; 1; 1; 1 ] s));
+  check_bool "x1" true (Solver.model_value s 1);
+  check_bool "unsat" true
+    (is_unsat (Solver.solve ~assumptions:[ 1; 1; 1; -1 ] s))
+
 let conflict_budget () =
   (* a hard instance with a tiny budget returns Unknown *)
   let var p h = ((p - 1) * 8 ) + h in
@@ -145,6 +172,69 @@ let governor_child_caps_call () =
   Alcotest.(check int) "share spent" 5 (Solver.stats s).Solver.conflicts;
   Alcotest.(check int) "parent charged" 5 (Gov.spent_conflicts parent);
   check_bool "parent still has budget" false (Gov.out_of_budget parent)
+
+(* --- the search trajectory ---
+
+   The exact effort of fixed instances: a change to the decision order,
+   the watcher order or the literal order inside a clause moves these
+   counts, and with them the conflict rows of BENCH_gov.json and the
+   verdicts in the verification cache. *)
+
+let effort s =
+  let st = Solver.stats s in
+  Solver.
+    [ st.conflicts; st.decisions; st.propagations; st.learned; st.restarts ]
+
+let check_effort name want s = Alcotest.(check (list int)) name want (effort s)
+
+let pigeonhole_trajectory () =
+  let php76 = pigeonhole_solver 7 6 in
+  check_bool "php(7,6) unsat" true (is_unsat (Solver.solve php76));
+  check_effort "php(7,6)" [ 819; 1009; 10963; 818; 6 ] php76;
+  (* past the 1e100 activity rescale (near conflict 4490), so the
+     rescale is pinned too *)
+  let php87 = pigeonhole_solver 8 7 in
+  check_bool "php(8,7) unsat" true (is_unsat (Solver.solve php87));
+  check_effort "php(8,7)" [ 6160; 7426; 86239; 6159; 29 ] php87
+
+let incremental_trajectory () =
+  (* activation-literal queries over one solver, clauses added between
+     solves: answers, models and cumulative effort after each call *)
+  let n = 6 in
+  let s = pigeonhole_solver n n in
+  let var p h = ((p - 1) * n) + h in
+  let query clauses =
+    let a = Solver.new_var s in
+    List.iter (fun c -> Solver.add_clause s (-a :: c)) clauses;
+    a
+  in
+  let model () =
+    List.filter (Solver.model_value s) (List.init (n * n) (fun i -> i + 1))
+  in
+  let step name ?(assumptions = []) want_sat want_model want_effort =
+    check_bool (name ^ ": answer") want_sat
+      (is_sat (Solver.solve ~assumptions s));
+    if want_sat then
+      Alcotest.(check (list int)) (name ^ ": model") want_model (model ());
+    check_effort (name ^ ": effort") want_effort s
+  in
+  let closed h = query (List.init n (fun p -> [ -var (p + 1) h ])) in
+  let hole6 = closed 6 in
+  step "hole 6 closed" ~assumptions:[ hole6 ] false []
+    [ 155; 208; 1782; 154; 1 ];
+  let hole5 = closed 5 in
+  step "hole 5 closed" ~assumptions:[ hole5 ] false []
+    [ 226; 284; 2645; 224; 1 ];
+  Solver.add_clause s [ -hole6 ];
+  let placed = query [ [ var 1 6 ]; [ var 2 5 ] ] in
+  step "two pigeons placed" ~assumptions:[ placed ] true
+    [ 6; 11; 16; 20; 27; 31 ] [ 226; 292; 2684; 224; 1 ];
+  Solver.add_clause s [ -var 3 1 ];
+  let first_in_6 = query [ [ var 1 6 ] ] in
+  step "hole 5 closed, pigeon 1 in hole 6" ~assumptions:[ hole5; first_in_6 ]
+    false [] [ 227; 292; 2719; 224; 1 ];
+  step "no assumptions" true [ 6; 11; 14; 22; 27; 31 ]
+    [ 230; 311; 2790; 227; 1 ]
 
 let new_var_growth () =
   let s = Solver.create 0 in
@@ -347,35 +437,56 @@ let brute_force nvars clauses =
   in
   go (Array.make (nvars + 1) false) 1
 
-let gen_instance =
+(* A script of steps over one solver: each step adds a batch of clauses,
+   then solves under assumptions.  A one-step script without assumptions
+   is the one-shot instance. *)
+let gen_script =
   QCheck.Gen.(
     let* nvars = 2 -- 8 in
-    let* nclauses = 1 -- 25 in
-    let* clauses =
-      list_repeat nclauses
-        (let* k = 1 -- 3 in
-         list_repeat k
-           (let* v = 1 -- nvars in
-            let* sign = bool in
-            return (if sign then v else -v)))
+    let lit =
+      let* v = 1 -- nvars in
+      let* sign = bool in
+      return (if sign then v else -v)
     in
-    return (nvars, clauses))
+    let* nsteps = 1 -- 4 in
+    let* steps =
+      list_repeat nsteps
+        (let* nclauses = 1 -- 25 in
+         let* clauses =
+           list_repeat nclauses
+             (let* k = 1 -- 3 in
+              list_repeat k lit)
+         in
+         let* nassumed = 0 -- 3 in
+         let* assumptions = list_repeat nassumed lit in
+         return (clauses, assumptions))
+    in
+    return (nvars, steps))
 
 let qcheck_vs_brute_force =
   QCheck.Test.make ~name:"solver agrees with brute force" ~count:300
-    (QCheck.make gen_instance)
-    (fun (nvars, clauses) ->
-      let s, r = solve_clauses nvars clauses in
-      match r with
-      | Solver.Sat ->
-          brute_force nvars clauses
-          && List.for_all
-               (List.exists (fun l ->
-                    if l > 0 then Solver.model_value s l
-                    else not (Solver.model_value s (-l))))
-               clauses
-      | Solver.Unsat -> not (brute_force nvars clauses)
-      | Solver.Unknown -> false)
+    (QCheck.make gen_script)
+    (fun (nvars, steps) ->
+      let s = Solver.create nvars in
+      let holds l =
+        if l > 0 then Solver.model_value s l
+        else not (Solver.model_value s (-l))
+      in
+      let rec run so_far = function
+        | [] -> true
+        | (clauses, assumptions) :: rest -> (
+            List.iter (Solver.add_clause s) clauses;
+            let so_far = so_far @ clauses in
+            let posed = so_far @ List.map (fun l -> [ l ]) assumptions in
+            match Solver.solve ~assumptions s with
+            | Solver.Sat ->
+                brute_force nvars posed
+                && List.for_all (List.exists holds) posed
+                && run so_far rest
+            | Solver.Unsat -> (not (brute_force nvars posed)) && run so_far rest
+            | Solver.Unknown -> false)
+      in
+      run [] steps)
 
 (* --- incremental use (solve / add_clause / solve) --- *)
 
@@ -432,6 +543,11 @@ let suite =
     Alcotest.test_case "pigeonhole unsat" `Quick pigeonhole_unsat;
     Alcotest.test_case "pigeonhole sat" `Quick pigeonhole_sat;
     Alcotest.test_case "assumptions" `Quick assumptions_work;
+    Alcotest.test_case "assumption literals validated" `Quick
+      assumption_literals_validated;
+    Alcotest.test_case "repeated assumptions" `Quick repeated_assumptions;
+    Alcotest.test_case "pigeonhole trajectory" `Quick pigeonhole_trajectory;
+    Alcotest.test_case "incremental trajectory" `Quick incremental_trajectory;
     Alcotest.test_case "conflict budget" `Quick conflict_budget;
     Alcotest.test_case "new_var growth" `Quick new_var_growth;
     Alcotest.test_case "add_clause after solve" `Quick add_clause_after_solve;
