@@ -1,12 +1,14 @@
 (* The experiment harness: regenerates every figure and quantitative
    claim of the paper's evaluation (see DESIGN.md section 4 for the
    experiment index and EXPERIMENTS.md for recorded results), then runs
-   one Bechamel micro-benchmark per experiment.
+   one Bechamel micro-benchmark per experiment.  The exact determinism
+   columns (campaigns, lint counts, governed verdict mixes) are golden
+   files under test/golden/, checked by `dune runtest`; wall-clock
+   figures are the benchmark's (perf/).
 
    Usage:  dune exec bench/main.exe            (everything)
            dune exec bench/main.exe -- tables  (only the tables)
-           dune exec bench/main.exe -- micro   (only the micro-benches)
-           dune exec bench/main.exe -- guard   (telemetry smoke guard) *)
+           dune exec bench/main.exe -- micro   (only the micro-benches) *)
 
 open Symbad_core
 module Sim = Symbad_sim
@@ -376,168 +378,6 @@ let a2_static_vs_reconfig () =
        ~max_hw:6 graph)
 
 (* ---------------------------------------------------------------- *)
-(* INC: incremental sessions + the content-addressed verdict cache —  *)
-(* what a warm cache buys on the level-4 portfolio.                   *)
-(* `dune exec bench/main.exe -- inc [FILE]` writes the figures as     *)
-(* JSON (the committed BENCH_inc.json baseline; host seconds are      *)
-(* informative, the all_cached/identical flags are the checked part). *)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then (
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path)
-    else Sys.remove path
-
-let inc out =
-  let module Json = Symbad_obs.Json in
-  let module Cache = Symbad_cache.Cache in
-  section "INC" "incremental verification: cold vs warm verdict cache (level 4)";
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "symbad_bench_inc_%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cache = Cache.create ~dir () in
-  let cold, cold_s = wall (fun () -> Level4.run ~cache ()) in
-  let warm, warm_s = wall (fun () -> Level4.run ~cache ()) in
-  (* warm must reproduce the cold verdicts exactly, modulo the cached
-     marker and host timing *)
-  let norm (r : Level4.result) =
-    List.map
-      (fun m ->
-        ( m.Level4.module_name,
-          List.map
-            (fun v -> { v with Verdict.cached = false; Verdict.host_seconds = 0. })
-            (Level4.module_verdicts m) ))
-      r.Level4.modules
-  in
-  let identical = norm cold = norm warm in
-  let all_cached = Level4.all_cached warm in
-  Format.printf
-    "level4 cold %7.2fs (%d stored)   warm %7.2fs (%d hits)   speedup %.0fx   \
-     %s%s@."
-    cold_s (Cache.stores cache) warm_s (Cache.hits cache)
-    (cold_s /. Float.max warm_s 1e-9)
-    (if all_cached then "all cached" else "NOT ALL CACHED")
-    (if identical then ", identical verdicts" else ", VERDICTS DIFFER");
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ( "level4_cold",
-             Json.Obj
-               [
-                 ("seconds", Json.Float cold_s);
-                 ("stores", Json.Int (Cache.stores cache));
-               ] );
-           ( "level4_warm",
-             Json.Obj
-               [
-                 ("seconds", Json.Float warm_s);
-                 ("hits", Json.Int (Cache.hits cache));
-                 ("all_cached", Json.Bool all_cached);
-                 ("identical", Json.Bool identical);
-               ] );
-           ("speedup_warm", Json.Float (cold_s /. Float.max warm_s 1e-9));
-         ])
-  in
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json
-
-(* ---------------------------------------------------------------- *)
-(* GOV: resource-governed verification — what a deadline buys.        *)
-(* Sweeps the flow under shrinking budgets and reports how run time   *)
-(* and verdict mix degrade.  `dune exec bench/main.exe -- gov_deadline *)
-(* [FILE]` also writes the figures as JSON (the committed             *)
-(* BENCH_gov.json baseline).                                          *)
-
-let gov_deadline out =
-  let module Json = Symbad_obs.Json in
-  let module Budget = Symbad_gov.Budget in
-  section "GOV" "graceful degradation under deadline / budget pressure";
-  let w = Face_app.smoke_workload in
-  let wall_time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let verdict_mix report =
-    List.fold_left
-      (fun (p, f, i) l ->
-        List.fold_left
-          (fun (p, f, i) v ->
-            match v.Verdict.outcome with
-            | Verdict.Inconclusive _ -> (p, f, i + 1)
-            | _ when v.Verdict.passed -> (p + 1, f, i)
-            | _ -> (p, f + 1, i))
-          (p, f, i) l.Flow.verifications)
-      (0, 0, 0) report.Flow.levels
-  in
-  let measure label budget_of =
-    (* budgets are built lazily: Budget.make anchors ~deadline_s to an
-       absolute instant, so a deadline budget must be created just
-       before its run, not when the sweep list is declared *)
-    let budget = budget_of () in
-    let report, secs = wall_time (fun () -> Flow.run ~workload:w ?budget ()) in
-    let passed, failed, inconclusive = verdict_mix report in
-    Format.printf "%-26s %8.2fs   passed %2d   failed %2d   inconclusive %2d@."
-      label secs passed failed inconclusive;
-    ( label,
-      Json.Obj
-        [
-          ("seconds", Json.Float secs);
-          ("passed", Json.Int passed);
-          ("failed", Json.Int failed);
-          ("inconclusive", Json.Int inconclusive);
-        ] )
-  in
-  Format.printf "%-26s %9s   %s@." "budget" "wall" "verdicts";
-  let logical n () = Some (Budget.make ~conflicts:n ~patterns:n ()) in
-  let deadline s () = Some (Budget.make ~deadline_s:s ()) in
-  let sweep =
-    [
-      ("unlimited", fun () -> None);
-      (* logical allowances: deterministic degradation points *)
-      ("conflicts+patterns 100k", logical 100_000);
-      ("conflicts+patterns 10k", logical 10_000);
-      ("conflicts+patterns 1k", logical 1_000);
-      ("conflicts+patterns 0", logical 0);
-      (* wall-clock deadlines: best-effort, the headline knob *)
-      ("deadline 5s", deadline 5.0);
-      ("deadline 0.5s", deadline 0.5);
-      ("deadline 0s (instant)", deadline 0.0);
-    ]
-  in
-  let rows = List.map (fun (label, budget_of) -> measure label budget_of) sweep in
-  Format.printf
-    "shape: shrinking budget trades verdicts for time — checks degrade to \
-     inconclusive@.partial results instead of running long; the zero-budget \
-     row is the floor cost of@.the flow itself.@.";
-  let json = Json.to_string (Json.Obj rows) in
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json
-
-(* ---------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks: one Test.make per experiment id.       *)
 
 let micro_benchmarks () =
@@ -649,508 +489,6 @@ let micro_benchmarks () =
   in
   List.iter (fun (name, t) -> Format.printf "%-36s %a@." name pp_ns t) rows
 
-(* ---------------------------------------------------------------- *)
-(* Guard: the instrumentation stays wired.  Runs a small flow with    *)
-(* telemetry on and fails if the key signals are missing — the smoke  *)
-(* test CI runs so a refactor cannot silently sever the telemetry.    *)
-
-let guard () =
-  let module Obs = Symbad_obs.Obs in
-  let module Tracer = Symbad_obs.Tracer in
-  let module Metrics = Symbad_obs.Metrics in
-  section "GUARD" "telemetry wiring smoke test";
-  Obs.reset ();
-  Obs.set_enabled true;
-  let w =
-    { Face_app.size = 32; identities = 6; frames = [ (0, 1); (3, 2) ] }
-  in
-  let report = Flow.run ~workload:w () in
-  Obs.set_enabled false;
-  let m = Obs.metrics () in
-  let tracer = Obs.tracer () in
-  let counter name = Option.value ~default:0 (Metrics.find_counter m name) in
-  let failures = ref [] in
-  let check what ok = if not ok then failures := what :: !failures in
-  check "flow verdicts all passed" report.Flow.all_passed;
-  check "sim.events_dispatched > 0" (counter "sim.events_dispatched" > 0);
-  check "bus.transactions > 0" (counter "bus.transactions" > 0);
-  check "bus.grant_wait_ns histogram populated"
-    (match Metrics.find_histogram m "bus.grant_wait_ns" with
-    | Some h -> Symbad_obs.Histogram.count h > 0
-    | None -> false);
-  check ">= 4 level spans"
-    (List.length (Tracer.spans_with_cat tracer "level") >= 4);
-  check "bus spans present" (Tracer.spans_with_cat tracer "bus" <> []);
-  Format.printf "events=%d transactions=%d spans=%d@."
-    (counter "sim.events_dispatched")
-    (counter "bus.transactions")
-    (Tracer.span_count tracer);
-  (* two-domain trace-merge smoke: telemetry emitted on a worker domain
-     must survive the buffer merge, land on its own lane track and stay
-     parent-linked to the dispatch span.  The two jobs rendezvous (with
-     a timeout escape) so both really run, one per domain. *)
-  Obs.reset ();
-  Obs.set_enabled true;
-  let started = Atomic.make 0 in
-  let lanes =
-    Symbad_par.Par.with_pool ~jobs:2 (fun pool ->
-        Symbad_par.Par.map ~label:"guard.rv" pool
-          (fun _ ->
-            Atomic.incr started;
-            let t0 = Unix.gettimeofday () in
-            while Atomic.get started < 2 && Unix.gettimeofday () -. t0 < 5. do
-              Domain.cpu_relax ()
-            done;
-            Obs.incr_counter "guard.rv.work";
-            Symbad_par.Par.current_lane ())
-          [ 0; 1 ])
-  in
-  Obs.set_enabled false;
-  let merged =
-    Option.value ~default:0
-      (Metrics.find_counter (Obs.metrics ()) "guard.rv.work")
-  in
-  let spans = Tracer.spans_with_cat (Obs.tracer ()) "par" in
-  let dispatch =
-    List.find_opt (fun s -> String.equal s.Tracer.track "par") spans
-  in
-  let job_spans =
-    List.filter (fun s -> not (String.equal s.Tracer.track "par")) spans
-  in
-  check "rendezvous ran on two distinct lanes"
-    (match lanes with [ a; b ] -> a <> b | _ -> false);
-  check "worker-lane counter merged (2 of 2)" (merged = 2);
-  check "no telemetry dropped" (Obs.dropped_count () = 0);
-  check "job spans on two distinct lane tracks"
-    (List.length
-       (List.sort_uniq compare
-          (List.map (fun s -> s.Tracer.track) job_spans))
-    = 2);
-  check "job spans parent-linked to dispatch"
-    (match dispatch with
-    | Some d ->
-        job_spans <> []
-        && List.for_all
-             (fun s -> s.Tracer.parent = Some d.Tracer.id)
-             job_spans
-    | None -> false);
-  Format.printf "trace-merge smoke: merged=%d lanes=%d@." merged
-    (List.length (List.sort_uniq compare lanes));
-  match !failures with
-  | [] -> Format.printf "guard: telemetry wired.@."
-  | fs ->
-      List.iter (fun f -> Format.printf "guard FAILURE: %s@." f) fs;
-      exit 1
-
-(* ---------------------------------------------------------------- *)
-(* RESIL: the dependability campaign — per-fault-kind detection and   *)
-(* recovery rates on the smoke workload.                              *)
-(* `dune exec bench/main.exe -- resil [FILE]` also writes the report  *)
-(* as JSON (the committed BENCH_resil.json baseline; simulated-time   *)
-(* figures only, so it is byte-stable across hosts and --jobs).       *)
-
-let resil out =
-  let module Campaign = Symbad_resil.Campaign in
-  let module Json = Symbad_obs.Json in
-  section "RESIL" "fault-injection campaign (smoke workload, seed 1)";
-  let report =
-    Symbad_par.Par.with_pool (fun pool -> Campaign.run ~pool ~seed:1 ())
-  in
-  Format.printf "%-16s %6s %8s %8s %9s %7s@." "kind" "trials" "injected"
-    "detected" "recovered" "correct";
-  List.iter
-    (fun row ->
-      Format.printf "%-16s %6d %8d %8d %9d %7d@." row.Campaign.row_kind
-        row.Campaign.row_trials row.Campaign.row_injected
-        row.Campaign.row_detected row.Campaign.row_recovered
-        row.Campaign.row_correct)
-    report.Campaign.per_kind;
-  Format.printf "campaign %s (%d trials, %d skipped)@."
-    (if report.Campaign.passed then "PASSED" else "FAILED")
-    (List.length report.Campaign.outcomes)
-    report.Campaign.skipped;
-  let json = Json.to_string (Campaign.to_json report) in
-  (match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json);
-  if not report.Campaign.passed then exit 1
-
-(* ---------------------------------------------------------------- *)
-(* TMR: masked-fault mode vs scrubbing-only — the same campaign run   *)
-(* in both operating modes, compared on fault-survival, masked        *)
-(* trials, recovery-latency histogram and fabric area.                *)
-(* `dune exec bench/main.exe -- tmr [FILE]` also writes the two       *)
-(* reports plus the comparison as JSON (the committed BENCH_tmr.json  *)
-(* baseline; the reports are simulated-time-only and byte-stable, the *)
-(* `seconds` fields carry host wall times for the tolerance gate).    *)
-
-let tmr_bench out =
-  let module Campaign = Symbad_resil.Campaign in
-  let module Json = Symbad_obs.Json in
-  section "TMR" "masked (TMR + bus ECC) vs scrubbing-only, seed 1";
-  let timed mode =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Symbad_par.Par.with_pool (fun pool -> Campaign.run ~pool ~mode ~seed:1 ())
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let scrub, scrub_s = timed Campaign.Scrub in
-  let tmr, tmr_s = timed Campaign.Tmr in
-  print_string (Campaign.compare_modes_markdown ~scrub ~tmr);
-  Format.printf "scrub %s in %.2fs, tmr %s in %.2fs@."
-    (if scrub.Campaign.passed then "PASSED" else "FAILED")
-    scrub_s
-    (if tmr.Campaign.passed then "PASSED" else "FAILED")
-    tmr_s;
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ( "scrub",
-             Json.Obj
-               [
-                 ("report", Campaign.to_json scrub);
-                 ("seconds", Json.Float scrub_s);
-               ] );
-           ( "tmr",
-             Json.Obj
-               [
-                 ("report", Campaign.to_json tmr);
-                 ("seconds", Json.Float tmr_s);
-               ] );
-           ("comparison", Campaign.compare_modes ~scrub ~tmr);
-         ])
-  in
-  (match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json);
-  if not (scrub.Campaign.passed && tmr.Campaign.passed) then exit 1
-
-(* ---------------------------------------------------------------- *)
-(* LINT: the static-analysis pass — per-target diagnostic counts      *)
-(* over the repo corpus plus rule throughput on the largest           *)
-(* synthesised netlist.  `dune exec bench/main.exe -- lint [FILE]`    *)
-(* also writes the figures as JSON (the committed BENCH_lint.json     *)
-(* baseline; the per-target counts are deterministic, the throughput  *)
-(* row carries host timings).                                         *)
-
-let prop_pairs props =
-  List.map (fun p -> (Symbad_mc.Prop.name p, Symbad_mc.Prop.formula p)) props
-
-let lint_bench out =
-  let module Lint = Symbad_lint.Lint in
-  let module Json = Symbad_obs.Json in
-  section "LINT" "static-analysis corpus counts and rule throughput";
-  let wall_time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let l3 = Level3.run graph mapping3 in
-  let row (r : Lint.report) =
-    Format.printf "%-24s %d rules, %d errors, %d warnings@." r.Lint.target
-      (List.length r.Lint.rules_run)
-      (Lint.errors r) (Lint.warnings r);
-    ( r.Lint.target,
-      Json.Obj
-        [
-          ("rules", Json.Int (List.length r.Lint.rules_run));
-          ("errors", Json.Int (Lint.errors r));
-          ("warnings", Json.Int (Lint.warnings r));
-        ] )
-  in
-  let targets =
-    List.map
-      (fun (m : Level4.rtl_module) ->
-        row
-          (Lint.run_netlist
-             ~properties:(prop_pairs m.Level4.properties)
-             m.Level4.netlist))
-      (Level4.modules ())
-    @ [
-        (let nl = Symbad_resil.Recovery.netlist () in
-         row
-           (Lint.run_netlist
-              ~properties:(prop_pairs (Symbad_resil.Recovery.properties nl))
-              nl));
-        row
-          (Lint.run_program ~name:"instrumented software"
-             l3.Level3.config_info l3.Level3.instrumented_sw);
-        row (Lint.run_netlist Symbad_lint.Seeded.demo);
-      ]
-  in
-  (* throughput: all seven netlist rules over the largest synthesised
-     netlist in the repo, repeated for a stable figure *)
-  let spec = Wrapper_gen.make_spec ~data_width:32 ~depth:2 () in
-  let nl = Wrapper_gen.synthesize spec in
-  let props = prop_pairs (Wrapper_gen.checkers spec nl) in
-  let repeats = 50 in
-  let (), secs =
-    wall_time (fun () ->
-        for _ = 1 to repeats do
-          ignore (Lint.run_netlist ~properties:props nl)
-        done)
-  in
-  let rules = List.length Lint.netlist_rule_ids * repeats in
-  let per_sec = float_of_int rules /. secs in
-  Format.printf
-    "throughput: %d rule runs over %s (%d registers) in %.2fs = %.0f rules/s@."
-    rules
-    (Symbad_hdl.Netlist.name nl)
-    (List.length (Symbad_hdl.Netlist.registers nl))
-    secs per_sec;
-  let json =
-    Json.to_string
-      (Json.Obj
-         [
-           ("targets", Json.Obj targets);
-           ( "throughput",
-             Json.Obj
-               [
-                 ("netlist", Json.Str (Symbad_hdl.Netlist.name nl));
-                 ( "registers",
-                   Json.Int (List.length (Symbad_hdl.Netlist.registers nl)) );
-                 ("rule_runs", Json.Int rules);
-                 ("seconds", Json.Float secs);
-                 ("rules_per_second", Json.Float per_sec);
-               ] );
-         ])
-  in
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_string oc "\n";
-      close_out oc;
-      Format.printf "baseline written to %s@." path
-  | None -> Format.printf "%s@." json
-
-(* ---------------------------------------------------------------- *)
-(* Lint guard: the shipped corpus must stay diagnostic-free.  CI      *)
-(* runs this via the @lint-guard alias: the recovery controller, one  *)
-(* synthesised wrapper and the face-app reconfiguration program are   *)
-(* linted and any diagnostic at all fails the build.                  *)
-
-let lint_guard () =
-  let module Lint = Symbad_lint.Lint in
-  section "LINT-GUARD" "repo corpus stays diagnostic-free";
-  let failures = ref [] in
-  let check (r : Lint.report) =
-    Format.printf "%a" Lint.pp r;
-    if r.Lint.diagnostics <> [] then failures := r.Lint.target :: !failures
-  in
-  let recovery = Symbad_resil.Recovery.netlist () in
-  (* net.range is suppressed on the recovery controller: its retry and
-     no-op counters are bounded by the controller's own compare logic,
-     which the interval domain cannot see (provable with --escalate) —
-     the same documented suppression the lint test suite carries *)
-  check
-    (Lint.run_netlist ~suppress:[ "net.range" ]
-       ~properties:(prop_pairs (Symbad_resil.Recovery.properties recovery))
-       recovery);
-  let spec = Wrapper_gen.make_spec ~data_width:8 ~depth:2 () in
-  let wrapper = Wrapper_gen.synthesize spec in
-  check
-    (Lint.run_netlist
-       ~properties:(prop_pairs (Wrapper_gen.checkers spec wrapper))
-       wrapper);
-  let l3 = Level3.run graph mapping3 in
-  check
-    (Lint.run_program ~name:"instrumented software" l3.Level3.config_info
-       l3.Level3.instrumented_sw);
-  match !failures with
-  | [] -> Format.printf "lint-guard: corpus clean.@."
-  | fs ->
-      List.iter (fun f -> Format.printf "lint-guard FAILURE: %s@." f) fs;
-      exit 1
-
-(* ---------------------------------------------------------------- *)
-(* Absint guard: the semantic rules stay wired, sub-second.  CI runs  *)
-(* this via the @absint-guard alias: the abstract interpreter must    *)
-(* reach a fixpoint on every corpus netlist, the seeded per-rule      *)
-(* fixtures must each fire exactly their rule, and the escalation     *)
-(* round-trip on the seeded netlist must promote exactly one warning  *)
-(* to an error with a counterexample attached and discharge exactly   *)
-(* one as proved.                                                     *)
-
-let absint_guard () =
-  let module Lint = Symbad_lint.Lint in
-  let module D = Symbad_lint.Diagnostic in
-  let module Absint = Symbad_lint.Netlist_absint in
-  section "ABSINT-GUARD" "semantic-rule and escalation smoke test";
-  let failures = ref [] in
-  let check what ok =
-    Format.printf "%-52s %s@." what (if ok then "ok" else "FAILED");
-    if not ok then failures := what :: !failures
-  in
-  (* the whole corpus reaches a fixpoint with every register abstracted *)
-  let corpus =
-    List.map
-      (fun (m : Level4.rtl_module) -> m.Level4.netlist)
-      (Level4.modules ())
-    @ [ Symbad_resil.Recovery.netlist () ]
-  in
-  List.iter
-    (fun nl ->
-      let name = Symbad_hdl.Netlist.name nl in
-      check
-        (Printf.sprintf "fixpoint: %s" name)
-        (match Absint.analyze nl with
-        | None -> false
-        | Some a ->
-            List.for_all
-              (fun (r : Symbad_hdl.Netlist.register) ->
-                Absint.reg_value a r.Symbad_hdl.Netlist.name <> None)
-              (Symbad_hdl.Netlist.registers nl)))
-    corpus;
-  (* each semantic fixture fires exactly its seeded rule *)
-  let semantic =
-    [ "net.x-prop"; "net.range"; "net.unreachable-state"; "net.const-reg" ]
-  in
-  List.iter
-    (fun (rule, nl) ->
-      if List.mem rule semantic then
-        let r = Lint.run_netlist ~rules:[ rule ] nl in
-        check
-          (Printf.sprintf "fires: %s" rule)
-          (List.exists
-             (fun (d : D.t) -> String.equal d.D.rule rule)
-             r.Lint.diagnostics))
-    Symbad_lint.Seeded.fixtures;
-  (* the escalation round-trip: one disproved + promoted, one proved *)
-  let before = Lint.run_netlist Symbad_lint.Seeded.escalation in
-  let after =
-    Lint.escalate Symbad_lint.Seeded.escalation before
-  in
-  let status s (d : D.t) =
-    match d.D.discharged with Some g -> g.D.status = s | None -> false
-  in
-  let promoted =
-    List.filter
-      (fun (d : D.t) -> d.D.severity = D.Error && status D.Disproved d)
-      after.Lint.diagnostics
-  in
-  let proved =
-    List.filter
-      (fun (d : D.t) -> d.D.severity = D.Info && status D.Proved d)
-      after.Lint.diagnostics
-  in
-  check "escalation input: 2 warnings, 0 errors"
-    (Lint.warnings before = 2 && Lint.errors before = 0);
-  check "escalation: exactly one warning promoted to error"
-    (List.length promoted = 1);
-  check "escalation: the promoted error carries a counterexample"
-    (match promoted with
-    | [ d ] -> (
-        match d.D.discharged with
-        | Some g -> g.D.counterexample <> None
-        | None -> false)
-    | _ -> false);
-  check "escalation: exactly one warning discharged as proved"
-    (List.length proved = 1);
-  check "escalation: no diagnostic dropped"
-    (List.length after.Lint.diagnostics
-    = List.length before.Lint.diagnostics);
-  match !failures with
-  | [] -> Format.printf "absint-guard: semantic rules wired.@."
-  | fs ->
-      List.iter (fun f -> Format.printf "absint-guard FAILURE: %s@." f) fs;
-      exit 1
-
-(* ---------------------------------------------------------------- *)
-(* Fault guard: one injected-and-recovered flow, sub-second.  CI      *)
-(* runs this via the @fault-guard alias: a bitstream SEU must be      *)
-(* caught by the download CRC, re-downloaded, and the pipeline must   *)
-(* still elect the fault-free WINNER.                                 *)
-
-let fault_guard () =
-  let module Campaign = Symbad_resil.Campaign in
-  let module Fault = Symbad_resil.Fault in
-  section "FAULT-GUARD" "injected-and-recovered smoke test";
-  let report =
-    Campaign.run ~kinds:[ Fault.Bitstream_seu ] ~trials_per_kind:1 ~seed:1 ()
-  in
-  List.iter
-    (fun (o : Campaign.outcome) ->
-      Format.printf "trial %d %-14s %-24s %s@." o.Campaign.trial
-        o.Campaign.kind o.Campaign.injection o.Campaign.detail)
-    report.Campaign.outcomes;
-  if report.Campaign.passed then
-    Format.printf "guard: fault injected, detected, recovered; winner intact.@."
-  else begin
-    Format.printf "guard FAILURE: %s@."
-      (match Campaign.first_failure report with
-      | Some o -> o.Campaign.detail
-      | None -> "campaign inconclusive");
-    exit 1
-  end
-
-(* ---------------------------------------------------------------- *)
-(* TMR guard: the masked operating mode holds, sub-second.  CI runs   *)
-(* this via the @tmr-guard alias: the voter's masking contract and    *)
-(* the triplicated datapath's lock-step invariant must prove, the     *)
-(* voter must lint clean, and a mini campaign in tmr mode must mask   *)
-(* a configuration upset, a per-copy upset and a single-bit bus       *)
-(* corruption at zero recovery latency.                               *)
-
-let tmr_guard () =
-  let module Masking = Symbad_resil.Masking in
-  let module Campaign = Symbad_resil.Campaign in
-  let module Fault = Symbad_resil.Fault in
-  let module Lint = Symbad_lint.Lint in
-  let module Tmr = Symbad_hdl.Tmr in
-  section "TMR-GUARD" "voter proofs and masked campaign smoke test";
-  let failures = ref [] in
-  let proofs name reports =
-    List.iter
-      (fun r -> Format.printf "%a@." Symbad_mc.Engine.pp_report r)
-      reports;
-    if not (Masking.all_proved reports) then failures := name :: !failures
-  in
-  proofs "voter masking contract" (Masking.check_voter ());
-  proofs "triplicated lock-step"
-    (Masking.check_triplicated
-       (Symbad_hdl.Rtl_lib.distance_datapath ~data_width:4 ~acc_width:8 ()));
-  let voter = Tmr.voter ~width:8 () in
-  let lint = Lint.run_netlist ~properties:(Tmr.voter_properties ()) voter in
-  Format.printf "%a" Lint.pp lint;
-  if lint.Lint.diagnostics <> [] then failures := "voter lint" :: !failures;
-  let report =
-    Campaign.run ~mode:Campaign.Tmr
-      ~kinds:[ Fault.Config_upset; Fault.Ecc_single; Fault.Tmr_upset ]
-      ~trials_per_kind:1 ~seed:1 ()
-  in
-  List.iter
-    (fun (o : Campaign.outcome) ->
-      Format.printf "trial %d %-14s %-28s masked=%b recovery=%dns %s@."
-        o.Campaign.trial o.Campaign.kind o.Campaign.injection o.Campaign.masked
-        o.Campaign.recovery_ns o.Campaign.detail;
-      if
-        (not o.Campaign.skipped)
-        && (not (String.equal o.Campaign.kind "control"))
-        && not (o.Campaign.masked && o.Campaign.recovery_ns = 0)
-      then failures := ("unmasked trial: " ^ o.Campaign.kind) :: !failures)
-    report.Campaign.outcomes;
-  if not report.Campaign.passed then failures := "tmr campaign" :: !failures;
-  match List.rev !failures with
-  | [] ->
-      Format.printf
-        "guard: voter proved, lint clean, faults masked at zero latency.@."
-  | fs ->
-      List.iter (fun f -> Format.printf "guard FAILURE: %s@." f) fs;
-      exit 1
-
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   let tables () =
@@ -1169,21 +507,6 @@ let () =
   (match mode with
   | "tables" -> tables ()
   | "micro" -> micro_benchmarks ()
-  | "guard" -> guard ()
-  | "inc" ->
-      inc (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
-  | "gov_deadline" ->
-      gov_deadline (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
-  | "resil" ->
-      resil (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
-  | "fault_guard" -> fault_guard ()
-  | "tmr" ->
-      tmr_bench (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
-  | "tmr_guard" -> tmr_guard ()
-  | "lint" ->
-      lint_bench (if Array.length Sys.argv > 2 then Some Sys.argv.(2) else None)
-  | "lint_guard" -> lint_guard ()
-  | "absint_guard" -> absint_guard ()
   | _ ->
       tables ();
       micro_benchmarks ());

@@ -12,7 +12,6 @@
      symbad recognize --identity I --pose P
      symbad stats [...]                 flow + telemetry summary table
      symbad report [...]                the unified verification report
-     symbad bench [--check]             compare fresh runs vs BENCH_*.json
 
    Every subcommand that does verification work shares the same option
    vocabulary: [--jobs] (worker domains, also $SYMBAD_JOBS), [--seed]
@@ -974,303 +973,6 @@ let report_cmd =
           $ no_timings_arg $ escalate_arg $ markdown_arg $ json_arg
           $ trace_arg)
 
-(* --- bench --check (regression gate over the committed baselines) --- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let run_bench check baseline_dir tolerance full =
-  let module Campaign = Symbad_resil.Campaign in
-  let module Lint = Symbad_lint.Lint in
-  let module Budget = Symbad_gov.Budget in
-  let baseline name =
-    let path = Filename.concat baseline_dir name in
-    match read_file path with
-    | s -> Some (Json.parse_exn (String.trim s))
-    | exception Sys_error _ ->
-        Format.eprintf "symbad: missing baseline %s@." path;
-        None
-  in
-  let mem path j =
-    List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j) path
-  in
-  let num path j = Option.bind (mem path j) Json.to_number in
-  let results = ref [] in
-  let ok name = results := (name, None) :: !results in
-  let fail name detail = results := (name, Some detail) :: !results in
-  let check_exact name ~expected ~fresh =
-    if String.equal expected fresh then ok name
-    else fail name "fresh output differs from the committed baseline"
-  in
-  (match (baseline "BENCH_resil.json", check) with
-  | None, _ -> fail "resil" "baseline missing"
-  | Some b, false -> ignore b
-  | Some b, true ->
-      (* the campaign report is byte-stable (simulated time only), so
-         the strongest check is the cheapest: exact JSON equality *)
-      let fresh = Campaign.run ~seed:1 () in
-      check_exact "resil campaign (exact)"
-        ~expected:(Json.to_string b)
-        ~fresh:(Json.to_string (Campaign.to_json fresh)));
-  (match (baseline "BENCH_tmr.json", check) with
-  | None, _ -> fail "tmr" "baseline missing"
-  | Some b, false -> ignore b
-  | Some b, true ->
-      (* masked-vs-scrub: both campaign reports and the comparison block
-         are simulated-time-only, so they are checked byte-for-byte; the
-         recorded wall times gate under the tolerance *)
-      let t0 = Unix.gettimeofday () in
-      let scrub = Campaign.run ~mode:Campaign.Scrub ~seed:1 () in
-      let tmr = Campaign.run ~mode:Campaign.Tmr ~seed:1 () in
-      let secs = Unix.gettimeofday () -. t0 in
-      let part name fresh =
-        match mem [ name; "report" ] b with
-        | None -> fail ("tmr " ^ name) "report missing from baseline"
-        | Some expected ->
-            check_exact
-              ("tmr " ^ name ^ " campaign (exact)")
-              ~expected:(Json.to_string expected)
-              ~fresh:(Json.to_string (Campaign.to_json fresh))
-      in
-      part "scrub" scrub;
-      part "tmr" tmr;
-      (match mem [ "comparison" ] b with
-      | None -> fail "tmr comparison" "missing from baseline"
-      | Some expected ->
-          check_exact "tmr comparison (exact)"
-            ~expected:(Json.to_string expected)
-            ~fresh:(Json.to_string (Campaign.compare_modes ~scrub ~tmr)));
-      match (num [ "scrub"; "seconds" ] b, num [ "tmr"; "seconds" ] b) with
-      | Some s1, Some s2 when s1 +. s2 > 0. ->
-          if secs <= (s1 +. s2) *. tolerance then ok "tmr (wall)"
-          else
-            fail "tmr (wall)"
-              (Printf.sprintf "%.2fs > %.2fs x%.1f" secs (s1 +. s2) tolerance)
-      | _ -> ());
-  (match (baseline "BENCH_lint.json", check) with
-  | None, _ -> fail "lint" "baseline missing"
-  | Some b, false -> ignore b
-  | Some b, true -> (
-      match mem [ "targets" ] b with
-      | None -> fail "lint targets" "baseline has no targets object"
-      | Some expected ->
-          (* regenerate the per-target diagnostic counts (deterministic);
-             the throughput row carries host timings and is not checked *)
-          let w = Face_app.default_workload in
-          let graph = Face_app.graph w in
-          let l1 = Level1.run graph in
-          let m3 =
-            Mapping.refine_to_fpga
-              (Face_app.level2_mapping ~profile:l1.Level1.profile graph)
-              Face_app.level3_refinement
-          in
-          let l3 = Level3.run graph m3 in
-          let row (r : Lint.report) =
-            ( r.Lint.target,
-              Json.Obj
-                [
-                  ("rules", Json.Int (List.length r.Lint.rules_run));
-                  ("errors", Json.Int (Lint.errors r));
-                  ("warnings", Json.Int (Lint.warnings r));
-                ] )
-          in
-          let fresh =
-            Json.Obj
-              (List.map
-                 (fun (m : Level4.rtl_module) ->
-                   row
-                     (Lint.run_netlist
-                        ~properties:(prop_pairs m.Level4.properties)
-                        m.Level4.netlist))
-                 (Level4.modules ())
-              @ [
-                  (let nl = Symbad_resil.Recovery.netlist () in
-                   row
-                     (Lint.run_netlist
-                        ~properties:
-                          (prop_pairs (Symbad_resil.Recovery.properties nl))
-                        nl));
-                  row
-                    (Lint.run_program ~name:"instrumented software"
-                       l3.Level3.config_info l3.Level3.instrumented_sw);
-                  row (Lint.run_netlist Symbad_lint.Seeded.demo);
-                ])
-          in
-          check_exact "lint targets (exact)"
-            ~expected:(Json.to_string expected)
-            ~fresh:(Json.to_string fresh)));
-  (match (baseline "BENCH_gov.json", check) with
-  | None, _ -> fail "gov" "baseline missing"
-  | Some b, false -> ignore b
-  | Some b, true ->
-      let verdict_mix (report : Flow.t) =
-        List.fold_left
-          (fun (p, f, i) (l : Flow.level_report) ->
-            List.fold_left
-              (fun (p, f, i) (v : Verdict.t) ->
-                match v.Verdict.outcome with
-                | Verdict.Inconclusive _ -> (p, f, i + 1)
-                | _ when v.Verdict.passed -> (p + 1, f, i)
-                | _ -> (p, f + 1, i))
-              (p, f, i) l.Flow.verifications)
-          (0, 0, 0) report.Flow.levels
-      in
-      let row label budget_of =
-        match mem [ label ] b with
-        | None -> fail ("gov " ^ label) "row missing from baseline"
-        | Some base ->
-            let t0 = Unix.gettimeofday () in
-            let report =
-              Flow.run ~workload:Face_app.smoke_workload ?budget:(budget_of ())
-                ()
-            in
-            let secs = Unix.gettimeofday () -. t0 in
-            let p, f, i = verdict_mix report in
-            let want what = num [ what ] base in
-            let mix_ok =
-              want "passed" = Some (float_of_int p)
-              && want "failed" = Some (float_of_int f)
-              && want "inconclusive" = Some (float_of_int i)
-            in
-            if not mix_ok then
-              fail
-                ("gov " ^ label ^ " (verdict mix)")
-                (Printf.sprintf "fresh %d/%d/%d" p f i)
-            else ok ("gov " ^ label ^ " (verdict mix)");
-            (match want "seconds" with
-            | Some base_s when base_s > 0. ->
-                (* host timing: a wide non-exceeding gate, not equality *)
-                if secs <= base_s *. tolerance then
-                  ok ("gov " ^ label ^ " (wall)")
-                else
-                  fail
-                    ("gov " ^ label ^ " (wall)")
-                    (Printf.sprintf "%.2fs > %.2fs x%.1f" secs base_s tolerance)
-            | _ -> ())
-      in
-      let logical n () = Some (Budget.make ~conflicts:n ~patterns:n ()) in
-      row "conflicts+patterns 1k" (logical 1_000);
-      row "conflicts+patterns 0" (logical 0);
-      if full then begin
-        row "conflicts+patterns 10k" (logical 10_000);
-        row "conflicts+patterns 100k" (logical 100_000);
-        row "unlimited" (fun () -> None)
-      end);
-  (match (baseline "BENCH_inc.json", check) with
-  | None, _ -> fail "inc" "baseline missing"
-  | Some b, false -> ignore b
-  | Some b, true ->
-      (* the committed flags: the warm run must have replayed every
-         level-4 module and reproduced the cold verdicts *)
-      (match mem [ "level4_warm"; "all_cached" ] b with
-      | Some (Json.Bool true) -> ok "inc warm all-cached (committed)"
-      | _ -> fail "inc warm all-cached (committed)" "flag is false or missing");
-      (match mem [ "level4_warm"; "identical" ] b with
-      | Some (Json.Bool true) -> ok "inc warm identity (committed)"
-      | _ -> fail "inc warm identity (committed)" "flag is false or missing");
-      (* fresh: one module cold then warm against a scratch cache *)
-      let module Cache = Symbad_cache.Cache in
-      let dir =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "symbad_bench_check_inc_%d" (Unix.getpid ()))
-      in
-      let rec rm_rf path =
-        if Sys.file_exists path then
-          if Sys.is_directory path then (
-            Array.iter
-              (fun f -> rm_rf (Filename.concat path f))
-              (Sys.readdir path);
-            Sys.rmdir path)
-          else Sys.remove path
-      in
-      rm_rf dir;
-      Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
-          let cache = Cache.create ~dir () in
-          let m = List.hd (Level4.modules ()) in
-          let cold = Level4.verify_module ~cache m in
-          let warm = Level4.verify_module ~cache m in
-          let norm r =
-            List.map
-              (fun (v : Verdict.t) ->
-                { v with Verdict.cached = false; Verdict.host_seconds = 0. })
-              (Level4.module_verdicts r)
-          in
-          if warm.Level4.cached && norm cold = norm warm then
-            ok "inc replay (fresh, one module)"
-          else fail "inc replay (fresh, one module)" "warm run did not replay"));
-  let rows = List.rev !results in
-  if not check then begin
-    Format.printf
-      "committed baselines in %s:@.  %s@.run with --check to compare fresh \
-       runs against them@."
-      baseline_dir
-      (String.concat ", "
-         [ "BENCH_inc.json"; "BENCH_gov.json"; "BENCH_resil.json";
-           "BENCH_tmr.json"; "BENCH_lint.json" ]);
-    if List.exists (fun (_, d) -> d <> None) rows then 2 else 0
-  end
-  else begin
-    let failed = ref 0 in
-    List.iter
-      (fun (name, detail) ->
-        match detail with
-        | None -> Format.printf "ok    %s@." name
-        | Some d ->
-            incr failed;
-            Format.printf "FAIL  %s: %s@." name d)
-      rows;
-    if !failed > 0 then begin
-      Format.printf "bench --check: %d regression%s@." !failed
-        (if !failed = 1 then "" else "s");
-      1
-    end
-    else begin
-      Format.printf "bench --check: all baselines hold@.";
-      0
-    end
-  end
-
-let bench_cmd =
-  let doc =
-    "Compare fresh runs against the committed BENCH_*.json baselines: \
-     the fault campaign and lint counts must match exactly (they are \
-     deterministic), governed verdict mixes must match with wall times \
-     under a tolerance, and the verdict cache must replay a warm \
-     module identically to its cold run.  Nonzero exit on any \
-     regression."
-  in
-  let check_arg =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Run the comparisons (without it, just list the \
-                   baselines).")
-  in
-  let dir_arg =
-    Arg.(value & opt string "."
-         & info [ "baseline-dir" ] ~docv:"DIR"
-             ~doc:"Directory holding the BENCH_*.json files (default: the \
-                   current directory).")
-  in
-  let tolerance_arg =
-    Arg.(value & opt float 5.0
-         & info [ "tolerance" ] ~docv:"X"
-             ~doc:"Wall-clock gate: fresh seconds may be at most X times \
-                   the committed figure (host timings are noisy; logical \
-                   figures are always exact).")
-  in
-  let full_arg =
-    Arg.(value & flag
-         & info [ "full" ]
-             ~doc:"Also run the expensive rows (ungoverned flow, large \
-                   budgets).")
-  in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(const run_bench $ check_arg $ dir_arg $ tolerance_arg $ full_arg)
-
 let () =
   let doc = "Symbad: design and verification flow for reconfigurable SoCs." in
   let info = Cmd.info "symbad" ~version:"1.0.0" ~doc in
@@ -1278,5 +980,4 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ flow_cmd; level_cmd; verify_cmd; lint_cmd; explore_cmd;
-            recognize_cmd; stats_cmd; faults_cmd; wrapper_cmd; report_cmd;
-            bench_cmd ]))
+            recognize_cmd; stats_cmd; faults_cmd; wrapper_cmd; report_cmd ]))

@@ -424,8 +424,6 @@ let run ?pool ?cache ?gov ?escalate ?max_depth ?pcc_depth ?max_reg_bits () =
         ms shares;
   }
 
-let all_cached r = List.for_all (fun m -> m.cached) r.modules
-
 let pp_module_report fmt r =
   Fmt.pf fmt "RTL module %s:@." r.module_name;
   match r.results with

@@ -95,9 +95,5 @@ val run :
 (** Verify every case-study module.  [gov]'s remaining budget is split
     near-equally across the modules before any verification runs. *)
 
-val all_cached : result -> bool
-(** Every module replayed from the cache — the warm-run invariant the
-    [@inc-guard] smoke asserts. *)
-
 val pp_module_report : Format.formatter -> module_report -> unit
 val pp : Format.formatter -> result -> unit

@@ -127,8 +127,8 @@ val to_markdown : report -> string
 val compare_modes : scrub:report -> tmr:report -> Symbad_obs.Json.t
 (** Side-by-side masked-vs-scrub comparison: fault-survival, masked and
     zero-recovery-latency counts, fabric area, baseline latency and the
-    recovery histograms of both modes (the [BENCH_tmr] comparison
-    block). *)
+    recovery histograms of both modes (the [comparison] block of
+    [test/golden/tmr.json]). *)
 
 val compare_modes_markdown : scrub:report -> tmr:report -> string
 (** {!compare_modes} rendered as markdown tables. *)

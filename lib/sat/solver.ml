@@ -21,11 +21,11 @@
 
    The search trajectory is part of the contract: every decision,
    propagation and learned clause, hence every conflict count, model
-   and counterexample.  The BENCH_gov.json conflict rows, the verdicts
-   in the verification cache and [Mc.Engine.version] rely on it, and
-   test/test_sat.ml pins it.  The heap tie-break, the watcher order and
-   the literal order inside a clause (conflict analysis iterates it) all
-   decide the trajectory. *)
+   and counterexample.  The budgeted verdict mixes in
+   test/golden/gov.json, the verdicts in the verification cache and
+   [Mc.Engine.version] rely on it, and test/test_sat.ml pins it.  The
+   heap tie-break, the watcher order and the literal order inside a
+   clause (conflict analysis iterates it) all decide the trajectory. *)
 
 type result = Sat | Unsat | Unknown
 

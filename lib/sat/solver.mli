@@ -8,14 +8,14 @@
     {b The search trajectory is part of the contract.}  Every decision,
     propagation and learned clause — so every conflict count, model and
     counterexample — is a function of the calls made, and stays fixed
-    across changes to the solver's data structures: the conflict rows of
-    [BENCH_gov.json], the verdicts held in the verification cache and
-    [Mc.Engine.version] rely on it.  Two orders decide it besides the
-    literal order inside each clause.  A decision takes the unassigned
-    variable of greatest activity, ties going to the lowest index.  A
-    literal's watchers are visited most recently added first, and the
-    ones that stay are re-added in visiting order, so the next visit
-    runs them in reverse. *)
+    across changes to the solver's data structures: the budgeted verdict
+    mixes in [test/golden/gov.json], the verdicts held in the
+    verification cache and [Mc.Engine.version] rely on it.  Two orders
+    decide it besides the literal order inside each clause.  A decision
+    takes the unassigned variable of greatest activity, ties going to
+    the lowest index.  A literal's watchers are visited most recently
+    added first, and the ones that stay are re-added in visiting order,
+    so the next visit runs them in reverse. *)
 
 type t
 

@@ -13,7 +13,7 @@ val wait_cycles : period_ns:int -> int -> unit
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process.  [register] receives the
     resume function; whoever calls it wakes the process at the then-current
-    simulated time.  Building block for channels and signals. *)
+    simulated time.  Building block for channels ({!Fifo}). *)
 
 val now : unit -> Time.t
 (** Current simulated time. *)

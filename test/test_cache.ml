@@ -21,16 +21,9 @@ let scratch () =
     (Printf.sprintf "symbad_cache_test_%d_%d" (Unix.getpid ())
        !scratch_counter)
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then (
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path)
-    else Sys.remove path
-
 let with_scratch f =
   let dir = scratch () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Flow_fixture.rm_rf dir) (fun () -> f dir)
 
 (* --- keys -------------------------------------------------------------- *)
 
@@ -151,25 +144,51 @@ let inconclusive_never_stored () =
 
 let md5 s = Digest.to_hex (Digest.string s)
 
+let contains needle hay =
+  let nl = String.length needle and tl = String.length hay in
+  let rec go i = i + nl <= tl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* every occurrence of [needle] removed from [hay] *)
+let strip needle hay =
+  let nl = String.length needle and tl = String.length hay in
+  let b = Buffer.create tl in
+  let rec go i =
+    if i < tl then
+      if i + nl <= tl && String.sub hay i nl = needle then go (i + nl)
+      else (
+        Buffer.add_char b hay.[i];
+        go (i + 1))
+  in
+  go 0;
+  Buffer.contents b
+
+(* The cold run is the shared fixture, which filled its scratch cache;
+   both warm runs replay from it. *)
 let flow_warm_identity_across_jobs () =
-  with_scratch @@ fun dir ->
-  let cache = Cache.create ~dir () in
+  let { Flow_fixture.report = cold; cache; _ } =
+    Lazy.force Flow_fixture.cold
+  in
   let w = Face_app.smoke_workload in
-  let cold = Flow.run ~cache ~workload:w () in
+  let hits = Cache.hits cache and misses = Cache.misses cache in
   let warm1 = Flow.run ~cache ~workload:w () in
+  Alcotest.(check int) "one hit per level-4 module"
+    (List.length (Level4.modules ()))
+    (Cache.hits cache - hits);
+  Alcotest.(check int) "no miss" misses (Cache.misses cache);
+  let level4 = List.find (fun l -> l.Flow.level = 4) warm1.Flow.levels in
+  check_bool "every level-4 row replayed" true
+    (List.for_all (fun v -> v.Verdict.cached) level4.Flow.verifications);
   let warm2 =
     Symbad_par.Par.with_pool ~jobs:2 (fun pool ->
         Flow.run ~pool ~cache ~workload:w ())
   in
+  let c = Flow.to_json ~timings:false cold in
   let j1 = Flow.to_json ~timings:false warm1 in
-  let contains needle hay =
-    let nl = String.length needle and tl = String.length hay in
-    let rec go i = i + nl <= tl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   check_bool "warm report carries cached rows" true (contains "cached" j1);
-  check_bool "cold report does not" true
-    (not (contains "cached" (Flow.to_json ~timings:false cold)));
+  check_bool "cold report does not" true (not (contains "cached" c));
+  Alcotest.(check string) "warm minus cached markers equals cold" c
+    (strip {|,"cached":true|} j1);
   Alcotest.(check string) "warm md5 is pool-width invariant" (md5 j1)
     (md5 (Flow.to_json ~timings:false warm2));
   check_bool "cold and warm agree on the outcome" true

@@ -491,15 +491,15 @@ let wrapper_gen_rejects_bad_spec () =
 (* --- Flow --- *)
 
 (* the flow run (level 4 included) is expensive: share it *)
-let shared_flow = lazy (Flow.run ~workload:Face_app.smoke_workload ())
+let shared_flow () = (Lazy.force Flow_fixture.cold).Flow_fixture.report
 
 let flow_smoke_all_passes () =
-  let r = Lazy.force shared_flow in
+  let r = shared_flow () in
   check "four levels" 4 (List.length r.Flow.levels);
   check_bool "all verifications pass" true r.Flow.all_passed
 
 let flow_markdown_report () =
-  let r = Lazy.force shared_flow in
+  let r = shared_flow () in
   let md = Flow.to_markdown r in
   let contains needle =
     let nl = String.length needle and tl = String.length md in
@@ -514,7 +514,7 @@ let flow_markdown_report () =
 let flow_speed_ordering () =
   (* the paper's E1-E3 shape: untimed level 1 is the fastest to
      simulate; level 3 is slower than level 2 in simulated terms *)
-  let r = Lazy.force shared_flow in
+  let r = shared_flow () in
   let find n = List.find (fun l -> l.Flow.level = n) r.Flow.levels in
   let l2 = find 2 and l3 = find 3 in
   match (l2.Flow.latency_ns, l3.Flow.latency_ns) with

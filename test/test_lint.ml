@@ -377,6 +377,28 @@ let qcheck_absint_sound =
                  covered sim)
                stimulus)
 
+(* Every netlist the flow verifies (the level-4 modules and the
+   recovery controller) reaches an abstract fixpoint with every register
+   abstracted. *)
+let corpus_reaches_fixpoint () =
+  List.iter
+    (fun nl ->
+      let name = Netlist.name nl in
+      match Absint.analyze nl with
+      | None -> Alcotest.fail (name ^ ": no abstract fixpoint")
+      | Some a ->
+          List.iter
+            (fun (r : Netlist.register) ->
+              check_bool
+                (Printf.sprintf "%s.%s abstracted" name r.Netlist.name)
+                true
+                (Absint.reg_value a r.Netlist.name <> None))
+            (Netlist.registers nl))
+    (List.map
+       (fun (m : Symbad_core.Level4.rtl_module) -> m.Symbad_core.Level4.netlist)
+       (Symbad_core.Level4.modules ())
+    @ [ Symbad_resil.Recovery.netlist () ])
+
 (* The escalation round-trip on the seeded fixture: one warning is
    disproved (the accumulator wraps — promoted to error, two-frame
    counterexample attached), one is proved (d + ~d never carries —
@@ -582,6 +604,8 @@ let suite =
       governor_skips_recorded;
     QCheck_alcotest.to_alcotest qcheck_jobs_invariant;
     QCheck_alcotest.to_alcotest qcheck_absint_sound;
+    Alcotest.test_case "corpus reaches an abstract fixpoint" `Quick
+      corpus_reaches_fixpoint;
     Alcotest.test_case "escalation round-trip on the seeded fixture" `Quick
       escalation_roundtrip;
     Alcotest.test_case "escalation is jobs-width invariant" `Quick

@@ -262,47 +262,44 @@ let events_reach_sinks () =
 (* --- end to end through the flow --- *)
 
 let flow_is_instrumented () =
-  with_obs true (fun () ->
-      let report = Flow.run ~workload:Face_app.smoke_workload () in
-      check_bool "flow passed" true report.Flow.all_passed;
-      let tr = Obs.tracer () in
-      let levels = Tracer.spans_with_cat tr "level" in
-      check_int "four level spans" 4 (List.length levels);
-      List.iteri
-        (fun i s ->
-          check_str "level order" (Printf.sprintf "level%d" (i + 1))
-            s.Tracer.name)
-        levels;
-      check_bool "bus spans nested in the run" true
-        (Tracer.spans_with_cat tr "bus" <> []);
-      check_bool "sat spans" true (Tracer.spans_with_cat tr "sat" <> []);
-      check_bool "mc spans" true (Tracer.spans_with_cat tr "mc" <> []);
-      let m = Obs.metrics () in
-      let pos name =
-        match Metrics.find_counter m name with Some v -> v > 0 | None -> false
-      in
-      check_bool "kernel events counted" true (pos "sim.events_dispatched");
-      check_bool "bus transactions counted" true (pos "bus.transactions");
-      check_bool "sat solves counted" true (pos "sat.solves");
-      check_bool "grant-wait histogram" true
-        (match Metrics.find_histogram m "bus.grant_wait_ns" with
-        | Some h -> Histogram.count h > 0
-        | None -> false);
-      check_bool "atpg coverage gauge" true
-        (match Metrics.find_gauge m "atpg.coverage" with
-        | Some v -> v > 0.
-        | None -> false);
-      (* the whole timeline export survives a parse *)
-      let doc = Json.parse_exn (Tracer.to_chrome_json tr) in
-      check_bool "traceEvents present" true
-        (Json.member "traceEvents" doc <> None);
-      (* and the flow report JSON parses and agrees with the run *)
-      let rj = Json.parse_exn (Flow.to_json report) in
-      check_bool "report all_passed" true
-        (Json.member "all_passed" rj = Some (Json.Bool true));
-      check_int "report levels" 4
-        (List.length
-           (Option.get (Json.to_list (Option.get (Json.member "levels" rj))))))
+  let { Flow_fixture.report; tracer = tr; metrics = m; _ } =
+    Lazy.force Flow_fixture.cold
+  in
+  check_bool "flow passed" true report.Flow.all_passed;
+  let levels = Tracer.spans_with_cat tr "level" in
+  check_int "four level spans" 4 (List.length levels);
+  List.iteri
+    (fun i s ->
+      check_str "level order" (Printf.sprintf "level%d" (i + 1)) s.Tracer.name)
+    levels;
+  check_bool "bus spans nested in the run" true
+    (Tracer.spans_with_cat tr "bus" <> []);
+  check_bool "sat spans" true (Tracer.spans_with_cat tr "sat" <> []);
+  check_bool "mc spans" true (Tracer.spans_with_cat tr "mc" <> []);
+  let pos name =
+    match Metrics.find_counter m name with Some v -> v > 0 | None -> false
+  in
+  check_bool "kernel events counted" true (pos "sim.events_dispatched");
+  check_bool "bus transactions counted" true (pos "bus.transactions");
+  check_bool "sat solves counted" true (pos "sat.solves");
+  check_bool "grant-wait histogram" true
+    (match Metrics.find_histogram m "bus.grant_wait_ns" with
+    | Some h -> Histogram.count h > 0
+    | None -> false);
+  check_bool "atpg coverage gauge" true
+    (match Metrics.find_gauge m "atpg.coverage" with
+    | Some v -> v > 0.
+    | None -> false);
+  (* the whole timeline export survives a parse *)
+  let doc = Json.parse_exn (Tracer.to_chrome_json tr) in
+  check_bool "traceEvents present" true (Json.member "traceEvents" doc <> None);
+  (* and the flow report JSON parses and agrees with the run *)
+  let rj = Json.parse_exn (Flow.to_json report) in
+  check_bool "report all_passed" true
+    (Json.member "all_passed" rj = Some (Json.Bool true));
+  check_int "report levels" 4
+    (List.length
+       (Option.get (Json.to_list (Option.get (Json.member "levels" rj)))))
 
 let suite =
   [

@@ -3,7 +3,8 @@
    byte-identical at --jobs 1/2/4), the gov-spend-equals-ledger-sums
    invariant, and that the JSON export parses back with every section
    present.  Runs under a small logical budget so each assemble is a
-   sub-second governed run rather than the full unlimited flow. *)
+   sub-second governed run rather than the full unlimited flow, and
+   assembles once per pool width for all four tests. *)
 
 open Symbad_obs
 module Par = Symbad_par.Par
@@ -15,22 +16,30 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
-(* the 2-frame / 32px / 6-identity smoke workload the CLI guards use *)
+(* the 3-frame / 32px / 6-identity smoke workload *)
 let workload = Symbad_core.Face_app.smoke_workload
 
 let budget () = Budget.make ~conflicts:1_000 ~patterns:1_000 ()
 
-let assemble ~jobs =
-  Par.with_pool ~jobs (fun pool ->
-      let r =
-        Report.assemble ~pool ~seed:1 ~workload ~budget:(budget ())
-          ~trials_per_kind:1 ()
-      in
-      (* assemble leaves telemetry populated for the CLI; the tests
-         don't want it leaking into later suites *)
-      Obs.reset ();
-      Obs.set_enabled false;
-      r)
+(* one assemble per pool width, shared by every test that reads it *)
+let assembled =
+  List.map
+    (fun jobs ->
+      ( jobs,
+        lazy
+          (Par.with_pool ~jobs (fun pool ->
+               let r =
+                 Report.assemble ~pool ~seed:1 ~workload ~budget:(budget ())
+                   ~trials_per_kind:1 ()
+               in
+               (* assemble leaves telemetry populated for the CLI; the
+                  tests don't want it leaking into later suites *)
+               Obs.reset ();
+               Obs.set_enabled false;
+               r)) ))
+    [ 1; 2; 4 ]
+
+let assemble ~jobs = Lazy.force (List.assoc jobs assembled)
 
 let md5 s = Digest.to_hex (Digest.string s)
 

@@ -187,10 +187,25 @@ let masking_voter_proved () =
   Alcotest.(check bool) "all proved" true (Masking.all_proved reports)
 
 let masking_lockstep_proved () =
-  let reports =
-    Masking.check_triplicated (Symbad_hdl.Rtl_lib.counter ~width:4)
+  List.iter
+    (fun (name, nl) ->
+      Alcotest.(check bool)
+        (name ^ " lock-step proved")
+        true
+        (Masking.all_proved (Masking.check_triplicated nl)))
+    [
+      ("counter", Symbad_hdl.Rtl_lib.counter ~width:4);
+      ( "distance",
+        Symbad_hdl.Rtl_lib.distance_datapath ~data_width:4 ~acc_width:8 () );
+    ]
+
+let voter_lints_clean () =
+  let module Tmr = Symbad_hdl.Tmr in
+  let r =
+    Symbad_lint.Lint.run_netlist ~properties:(Tmr.voter_properties ())
+      (Tmr.voter ~width:8 ())
   in
-  Alcotest.(check bool) "lock-step proved" true (Masking.all_proved reports)
+  check "no diagnostics" 0 (List.length r.Symbad_lint.Lint.diagnostics)
 
 (* All fault kinds disabled: the campaign is exactly one control trial,
    and it must be byte-identical to the uninjected platform run at any
@@ -222,6 +237,7 @@ let suite =
     Alcotest.test_case "masking voter proved" `Quick masking_voter_proved;
     Alcotest.test_case "masking lock-step proved" `Quick
       masking_lockstep_proved;
+    Alcotest.test_case "masking voter lints clean" `Quick voter_lints_clean;
     Alcotest.test_case "campaign recovers the winner" `Quick
       campaign_recovers_winner;
     Alcotest.test_case "undetected fault is a failure" `Quick

@@ -1,4 +1,4 @@
-(* Tests for the CDCL SAT solver, Tseitin encodings and DIMACS. *)
+(* Tests for the CDCL SAT solver and the Tseitin encodings. *)
 
 open Symbad_sat
 
@@ -177,8 +177,8 @@ let governor_child_caps_call () =
 
    The exact effort of fixed instances: a change to the decision order,
    the watcher order or the literal order inside a clause moves these
-   counts, and with them the conflict rows of BENCH_gov.json and the
-   verdicts in the verification cache. *)
+   counts, and with them the budgeted verdict mixes in
+   test/golden/gov.json and the verdicts in the verification cache. *)
 
 let effort s =
   let st = Solver.stats s in
@@ -400,23 +400,6 @@ let tseitin_distinct_gates () =
   Alcotest.(check int) "one variable per gate" (List.length gates)
     (List.length vars)
 
-(* --- Dimacs --- *)
-
-let dimacs_roundtrip () =
-  let p = { Dimacs.nvars = 3; clauses = [ [ 1; -2 ]; [ 2; 3 ]; [ -3 ] ] } in
-  let p' = Dimacs.parse_string (Dimacs.to_string p) in
-  Alcotest.(check int) "nvars" p.Dimacs.nvars p'.Dimacs.nvars;
-  Alcotest.(check (list (list int))) "clauses" p.Dimacs.clauses p'.Dimacs.clauses
-
-let dimacs_parse_comments () =
-  let p =
-    Dimacs.parse_string "c a comment\np cnf 2 2\n1 -2 0\nc another\n2 0\n"
-  in
-  Alcotest.(check int) "nvars" 2 p.Dimacs.nvars;
-  Alcotest.(check (list (list int))) "clauses" [ [ 1; -2 ]; [ 2 ] ]
-    p.Dimacs.clauses;
-  check_bool "solves" true (is_sat (Dimacs.solve p))
-
 (* --- qcheck: random instances vs brute force --- *)
 
 let brute_force nvars clauses =
@@ -575,7 +558,5 @@ let suite =
       tseitin_shared_gates;
     Alcotest.test_case "tseitin keeps distinct gates apart" `Quick
       tseitin_distinct_gates;
-    Alcotest.test_case "dimacs roundtrip" `Quick dimacs_roundtrip;
-    Alcotest.test_case "dimacs comments" `Quick dimacs_parse_comments;
     QCheck_alcotest.to_alcotest qcheck_vs_brute_force;
   ]

@@ -234,41 +234,6 @@ let fifo_rejects_negative_capacity () =
     (Invalid_argument "Fifo.create: negative capacity") (fun () ->
       ignore (Fifo.create ~capacity:(-1) "bad"))
 
-(* --- Signal --- *)
-
-let signal_await_change () =
-  let k = Kernel.create () in
-  let s = Signal.create "s" 0 in
-  let seen = ref [] in
-  Kernel.spawn k (fun () ->
-      seen := Signal.await_change s :: !seen;
-      seen := Signal.await_change s :: !seen);
-  Kernel.spawn k (fun () ->
-      Process.wait (Time.ns 1);
-      Signal.write s 5;
-      Process.wait (Time.ns 1);
-      Signal.write s 5;
-      (* no change: no wake *)
-      Process.wait (Time.ns 1);
-      Signal.write s 9);
-  Kernel.run k;
-  Alcotest.(check (list int)) "changes seen" [ 5; 9 ] (List.rev !seen);
-  check "writes" 3 (Signal.writes s);
-  check "changes" 2 (Signal.changes s)
-
-let signal_await_predicate () =
-  let k = Kernel.create () in
-  let s = Signal.create "s" 0 in
-  let result = ref 0 in
-  Kernel.spawn k (fun () -> result := Signal.await s (fun v -> v >= 3));
-  Kernel.spawn k (fun () ->
-      for i = 1 to 5 do
-        Process.wait (Time.ns 1);
-        Signal.write s i
-      done);
-  Kernel.run k;
-  check "woke at 3" 3 !result
-
 (* --- Trace --- *)
 
 let trace_streams () =
@@ -364,8 +329,6 @@ let suite =
     Alcotest.test_case "fifo injected loss" `Quick fifo_injected_loss;
     Alcotest.test_case "fifo rejects negative capacity" `Quick
       fifo_rejects_negative_capacity;
-    Alcotest.test_case "signal await_change" `Quick signal_await_change;
-    Alcotest.test_case "signal await predicate" `Quick signal_await_predicate;
     Alcotest.test_case "trace streams" `Quick trace_streams;
     Alcotest.test_case "trace comparison ignores time" `Quick
       trace_compare_ignores_time;
