@@ -48,7 +48,7 @@ let artefact ~what serialise = function
 
 (* Telemetry-consuming subcommands call this once their run is over: a
    nonzero dropped count means emissions were lost (a worker domain ran
-   outside a buffered job), so every exported figure under-reports. *)
+   outside a Par job), so every exported figure under-reports. *)
 let warned_dropped = ref false
 
 let warn_dropped () =
@@ -57,7 +57,7 @@ let warn_dropped () =
     warned_dropped := true;
     Format.eprintf
       "symbad: warning: %d telemetry emission%s dropped (worker domain \
-       outside a buffered job) — counters and spans under-report the \
+       outside a Par job) — counters and spans under-report the \
        parallel work@."
       n
       (if n = 1 then "" else "s")

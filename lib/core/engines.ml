@@ -1,89 +1,21 @@
-(* The unified engine surface.
+(* The governed engine drivers that produce a verdict directly.
 
-   Every verification engine in the stack — model checking, PCC, ATPG,
-   lint, the fault campaign — historically grew its own entry point with
-   its own budget knobs.  This module redesigns the drivers behind one
-   call shape:
+   One call shape,
 
-     ?gov ?pool ?jobs ~seed target -> Verdict.t
+     ?gov ?pool ~seed () -> Verdict.t
 
-   [gov] is the resource governor (omitted = unlimited), [pool]/[jobs]
-   pick the worker-domain fan-out ([pool] wins; [jobs] builds a scoped
-   pool; neither = sequential), [seed] drives the stochastic engines and
-   is accepted — and ignored — by the deterministic ones so portfolios
-   can treat every engine uniformly.  Verdicts are identical at any
-   pool width.
-
-   The fault-campaign driver lives with its engine
-   ([Symbad_resil.Campaign.check] — resil sits above core in the
-   library stack) but answers the same shape. *)
+   [gov] is the resource governor (omitted = unlimited), [pool] the
+   worker-domain fan-out (omitted = sequential), [seed] drives the
+   stochastic search.  Verdicts are identical at any pool width. *)
 
 module Gov = Symbad_gov.Gov
 module Budget = Symbad_gov.Budget
 module Degrade = Symbad_gov.Degrade
-module Lint = Symbad_lint.Lint
-module Mc = Symbad_mc
-module Pcc = Symbad_pcc.Pcc
-
-let with_jobs ?pool ?jobs f =
-  match (pool, jobs) with
-  | Some p, _ -> f p
-  | None, None -> f Symbad_par.Par.sequential
-  | None, Some jobs -> Symbad_par.Par.with_pool ~jobs f
 
 let timed f =
   let t0 = Sys.time () in
   let v = f () in
   (v, Sys.time () -. t0)
-
-let prop_pairs props =
-  List.map (fun p -> (Mc.Prop.name p, Mc.Prop.formula p)) props
-
-(* --- the static engine ------------------------------------------------ *)
-
-let lint ?gov ?pool ?jobs ?(escalate = false) ~seed:_ (m : Level4.rtl_module) =
-  with_jobs ?pool ?jobs @@ fun pool ->
-  let props = prop_pairs m.Level4.properties in
-  let report, host_seconds =
-    timed (fun () ->
-        let r = Lint.run_netlist ~pool ?gov ~properties:props m.Level4.netlist in
-        if escalate then
-          Lint.escalate ~pool ?gov ~properties:props m.Level4.netlist r
-        else r)
-  in
-  { (Verdict.of_lint ~host_seconds report) with
-    Verdict.name = Printf.sprintf "lint %s" m.Level4.module_name }
-
-(* --- the formal engines ----------------------------------------------- *)
-
-let model_check ?gov ?pool ?jobs ?(max_depth = 12) ~seed:_
-    (m : Level4.rtl_module) =
-  with_jobs ?pool ?jobs @@ fun pool ->
-  let reports, host_seconds =
-    timed (fun () ->
-        Mc.Engine.check_all ~pool ~max_depth ?gov m.Level4.netlist
-          m.Level4.properties)
-  in
-  let all = Mc.Engine.all_proved reports in
-  Verdict.make
-    ~name:(Printf.sprintf "model checking %s" m.Level4.module_name)
-    ~passed:all ~host_seconds
-    ~detail:(Printf.sprintf "%d properties" (List.length reports))
-    (if all then Verdict.Proved
-     else Verdict.Inconclusive "not all properties proved")
-
-let pcc ?gov ?pool ?jobs ?(depth = 6) ?(max_reg_bits = 4) ~seed:_
-    (m : Level4.rtl_module) =
-  with_jobs ?pool ?jobs @@ fun pool ->
-  let report, host_seconds =
-    timed (fun () ->
-        Pcc.run ~pool ~depth ~max_reg_bits ?gov m.Level4.netlist
-          m.Level4.properties)
-  in
-  { (Verdict.of_pcc ~host_seconds report) with
-    Verdict.name = Printf.sprintf "PCC completeness %s" m.Level4.module_name }
-
-(* --- the simulation engine -------------------------------------------- *)
 
 (* Laerte++ on the behavioural hot spots: genetic engine, report the
    worst coverage across models.  Model runs fan out on the pool.
@@ -91,8 +23,8 @@ let pcc ?gov ?pool ?jobs ?(depth = 6) ?(max_reg_bits = 4) ~seed:_
    degrades to Inconclusive carrying the coverage reached so far, and
    granted retries re-dispatch re-seeded over a share of the remaining
    budget (the portfolio retry). *)
-let atpg ?gov ?pool ?jobs ~seed () =
-  with_jobs ?pool ?jobs @@ fun pool ->
+let atpg ?gov ?pool ~seed () =
+  let pool = Symbad_par.Par.get pool in
   let gov = Gov.get gov in
   let retries = (Gov.budget gov).Budget.retries in
   let attempt_once ~attempt =

@@ -52,7 +52,7 @@ let compare_traces ~check ~reference ~actual =
         (Verdict.Disproved (Printf.sprintf "%d stream mismatches" (List.length ms)))
 
 (* One "flow.verdict" event per verification: a failing check surfaces on
-   every sink at [Error] severity without grepping the report. *)
+   the trace timeline at [Error] severity without grepping the report. *)
 let emit_verdicts level verifications =
   if Obs.enabled () then
     List.iter

@@ -40,7 +40,7 @@ let run (graph : Task_graph.t) =
       channels tokens
   in
   let spawn_task (t : Task_graph.task) =
-    Sim.Kernel.spawn kernel ~name:t.Task_graph.name (fun () ->
+    Sim.Kernel.spawn kernel (fun () ->
         let rec loop firing_index =
           let inputs =
             List.map (fun c -> Sim.Fifo.get (fifo_of c)) t.Task_graph.inputs

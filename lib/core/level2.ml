@@ -110,7 +110,7 @@ let run ?(config = default_config) ?(force_sw = []) (graph : Task_graph.t)
   in
   (* HW tasks: autonomous processes *)
   let spawn_hw (t : Task_graph.task) =
-    Sim.Kernel.spawn kernel ~name:t.Task_graph.name (fun () ->
+    Sim.Kernel.spawn kernel (fun () ->
         let rec loop firing_index =
           let inputs =
             List.map (fun c -> Sim.Fifo.get (fifo_of c)) t.Task_graph.inputs
@@ -145,7 +145,7 @@ let run ?(config = default_config) ?(force_sw = []) (graph : Task_graph.t)
       sw_schedule
   in
   let spawn_cpu () =
-    Sim.Kernel.spawn kernel ~name:"cpu" (fun () ->
+    Sim.Kernel.spawn kernel (fun () ->
         let ended : (string, unit) Hashtbl.t = Hashtbl.create 8 in
         let counts : (string, int) Hashtbl.t = Hashtbl.create 8 in
         let fire_once (t : Task_graph.task) =

@@ -196,7 +196,7 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
   in
   (* pure-HW tasks stay autonomous *)
   let spawn_hw (t : Task_graph.task) =
-    Sim.Kernel.spawn kernel ~name:t.Task_graph.name (fun () ->
+    Sim.Kernel.spawn kernel (fun () ->
         let rec loop firing_index =
           let inputs =
             List.map (fun c -> Sim.Fifo.get (fifo_of c)) t.Task_graph.inputs
@@ -232,7 +232,7 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
   let sw_fallbacks = ref 0 in
   let cpu_done = ref false in
   let spawn_cpu () =
-    Sim.Kernel.spawn kernel ~name:"cpu" (fun () ->
+    Sim.Kernel.spawn kernel (fun () ->
         let ended : (string, unit) Hashtbl.t = Hashtbl.create 8 in
         let counts : (string, int) Hashtbl.t = Hashtbl.create 8 in
         let fire_once (t : Task_graph.task) =
@@ -395,7 +395,7 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
      upsets; stops at the first wake after the schedule has drained *)
   let spawn_scrubber () =
     if config.scrub_period_ns > 0 then
-      Sim.Kernel.spawn kernel ~name:"scrubber" (fun () ->
+      Sim.Kernel.spawn kernel (fun () ->
           let rec loop () =
             Sim.Process.wait (Sim.Time.ns config.scrub_period_ns);
             if not !cpu_done then begin

@@ -20,11 +20,6 @@ type t = {
   cached : bool;
 }
 
-let coverage_ratio = function
-  | Coverage { hit; total } ->
-      Some (if total = 0 then 1. else float_of_int hit /. float_of_int total)
-  | Proved | Disproved _ | Inconclusive _ -> None
-
 let default_passed = function
   | Proved -> true
   | Disproved _ | Inconclusive _ -> false
@@ -44,21 +39,6 @@ let make ?passed ?(host_seconds = 0.) ?(detail = "") ?(cached = false) ~name
 let with_cached t = { t with cached = true; host_seconds = 0. }
 
 (* --- adapters --------------------------------------------------------- *)
-
-let of_mc ?host_seconds (r : Symbad_mc.Engine.report) =
-  let name = r.Symbad_mc.Engine.property in
-  match r.Symbad_mc.Engine.verdict with
-  | Symbad_mc.Engine.Proved { method_; depth } ->
-      make ?host_seconds ~name
-        ~detail:(Printf.sprintf "proved (%s, k=%d)" method_ depth)
-        Proved
-  | Symbad_mc.Engine.Falsified tr ->
-      make ?host_seconds ~name
-        (Disproved
-           (Printf.sprintf "%d-cycle counterexample trace"
-              (Symbad_mc.Trace.length tr)))
-  | Symbad_mc.Engine.Unknown { reason } ->
-      make ?host_seconds ~name (Inconclusive reason)
 
 let of_pcc ?host_seconds ?(threshold = 0.75) (r : Symbad_pcc.Pcc.report) =
   let name = Printf.sprintf "PCC completeness %s" r.Symbad_pcc.Pcc.design in
@@ -103,26 +83,6 @@ let of_pcc ?host_seconds ?(threshold = 0.75) (r : Symbad_pcc.Pcc.report) =
           (Printf.sprintf "resource budget exhausted; %d/%d faults classified"
              (total_faults - unresolved) total_faults)
         (Inconclusive "resource budget exhausted")
-
-let of_atpg ?host_seconds ?(threshold = 0.85)
-    (e : Symbad_atpg.Testbench.evaluation) =
-  let c = e.Symbad_atpg.Testbench.coverage in
-  make ?host_seconds
-    ~name:
-      (Printf.sprintf "ATPG coverage %s (%s)" e.Symbad_atpg.Testbench.model
-         e.Symbad_atpg.Testbench.engine)
-    ~passed:(c.Symbad_atpg.Coverage.total > threshold)
-    ~detail:
-      (Printf.sprintf "%d tests, %.0f%% of %d points, faults %.0f%%"
-         e.Symbad_atpg.Testbench.tests
-         (100. *. c.Symbad_atpg.Coverage.total)
-         c.Symbad_atpg.Coverage.total_points
-         (100. *. e.Symbad_atpg.Testbench.fault_coverage))
-    (Coverage
-       {
-         hit = c.Symbad_atpg.Coverage.hit_points;
-         total = c.Symbad_atpg.Coverage.total_points;
-       })
 
 let of_lpv_deadlock ?host_seconds (v : Symbad_lpv.Deadlock.verdict) =
   let name = "LPV deadlock freeness" in

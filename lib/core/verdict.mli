@@ -41,16 +41,7 @@ val with_cached : t -> t
 (** The verdict marked as a cache replay: [cached] set, [host_seconds]
     zeroed (no engine ran this time). *)
 
-val coverage_ratio : outcome -> float option
-(** [hit / total] ([1.] when [total = 0]); [None] for non-coverage
-    outcomes. *)
-
 (** {1 Adapters} *)
-
-val of_mc : ?host_seconds:float -> Symbad_mc.Engine.report -> t
-(** [Proved] with method and depth, [Disproved] with the trace length,
-    or [Inconclusive] carrying the engine's reason (bound reached,
-    budget exhausted). *)
 
 val of_pcc : ?host_seconds:float -> ?threshold:float -> Symbad_pcc.Pcc.report -> t
 (** [Coverage] over detectable faults; passes at [threshold] (default
@@ -64,11 +55,6 @@ val of_pcc : ?host_seconds:float -> ?threshold:float -> Symbad_pcc.Pcc.report ->
     [detectable + unresolved] — and is otherwise [Inconclusive] with
     the number of faults classified.  Exhaustion never produces an
     optimistic pass nor a pessimistic failure. *)
-
-val of_atpg :
-  ?host_seconds:float -> ?threshold:float -> Symbad_atpg.Testbench.evaluation -> t
-(** [Coverage] over the point universe; passes when total coverage
-    exceeds [threshold] (default [0.85], the flow's gate). *)
 
 val of_lpv_deadlock : ?host_seconds:float -> Symbad_lpv.Deadlock.verdict -> t
 (** [Proved] with the minimum cycle tokens, [Disproved] with the witness

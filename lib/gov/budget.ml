@@ -1,7 +1,7 @@
 (* Resource budgets: the immutable description of what a verification
    run may consume.  Spend accounting lives in Gov; this module is pure
-   arithmetic over the four axes (deadline, conflicts, patterns, memory
-   hint) plus the retry count.
+   arithmetic over the three axes (deadline, conflicts, patterns) plus
+   the retry count.
 
    Invariant kept by every constructor: logical allowances are >= 0, so
    "Some 0" uniformly means "exhausted" and None means "unlimited". *)
@@ -12,22 +12,19 @@ type t = {
   deadline : float option;
   conflicts : int option;
   patterns : int option;
-  memory_mb : int option;
   retries : int;
 }
 
 let unlimited =
-  { deadline = None; conflicts = None; patterns = None; memory_mb = None;
-    retries = 0 }
+  { deadline = None; conflicts = None; patterns = None; retries = 0 }
 
 let clamp = Option.map (fun n -> max 0 n)
 
-let make ?deadline_s ?conflicts ?patterns ?memory_mb ?(retries = 0) () =
+let make ?deadline_s ?conflicts ?patterns ?(retries = 0) () =
   {
     deadline = Option.map (fun s -> Unix.gettimeofday () +. s) deadline_s;
     conflicts = clamp conflicts;
     patterns = clamp patterns;
-    memory_mb = clamp memory_mb;
     retries = max 0 retries;
   }
 
@@ -72,12 +69,11 @@ let pp fmt t =
     | None -> Fmt.pf fmt "%s=inf" name
     | Some v -> Fmt.pf fmt "%s=%a" name pp_v v
   in
-  Fmt.pf fmt "{%a %a %a %a retries=%d}"
+  Fmt.pf fmt "{%a %a %a retries=%d}"
     (axis "deadline_s" (fun fmt d -> Fmt.pf fmt "%+.3f" (d -. Unix.gettimeofday ())))
     t.deadline
     (axis "conflicts" Fmt.int) t.conflicts
     (axis "patterns" Fmt.int) t.patterns
-    (axis "memory_mb" Fmt.int) t.memory_mb
     t.retries
 
 let to_json t =
@@ -87,6 +83,5 @@ let to_json t =
       ("deadline_s_left", opt (fun s -> Json.Float s) (remaining_s t));
       ("conflicts", opt (fun n -> Json.Int n) t.conflicts);
       ("patterns", opt (fun n -> Json.Int n) t.patterns);
-      ("memory_mb", opt (fun n -> Json.Int n) t.memory_mb);
       ("retries", Json.Int t.retries);
     ]

@@ -1,9 +1,8 @@
 (** Resource budgets for the verification engines.
 
-    A budget bounds what a verification run may consume along four axes:
-    wall-clock time (a deadline), SAT conflicts, test patterns /
-    simulation units, and memory (a hint).  [None] on an axis means
-    unlimited.  Budgets are immutable descriptions; the mutable spend
+    A budget bounds what a verification run may consume along three
+    axes: wall-clock time (a deadline), SAT conflicts, and test patterns
+    / simulation units.  [None] on an axis means unlimited.  Budgets are immutable descriptions; the mutable spend
     accounting lives in {!Gov}.
 
     The two logical allowances ([conflicts], [patterns]) are
@@ -22,9 +21,6 @@ type t = {
   patterns : int option;
       (** test-pattern / simulation-unit allowance (ATPG vectors
           generated, PCC faults classified); [None] = unlimited *)
-  memory_mb : int option;
-      (** advisory memory ceiling in megabytes — a sizing hint for
-          engines that pre-allocate, never enforced *)
   retries : int;
       (** portfolio retries: how many times an [Inconclusive] engine run
           may be re-dispatched under the remaining budget (default 0) *)
@@ -38,7 +34,6 @@ val make :
   ?deadline_s:float ->
   ?conflicts:int ->
   ?patterns:int ->
-  ?memory_mb:int ->
   ?retries:int ->
   unit ->
   t
@@ -48,8 +43,7 @@ val make :
     budget). *)
 
 val is_unlimited : t -> bool
-(** No deadline and no logical allowance (the memory hint does not make
-    a budget limited). *)
+(** No deadline and no logical allowance. *)
 
 val remaining_s : t -> float option
 (** Seconds until the deadline (negative once passed); [None] when the
@@ -61,8 +55,8 @@ val deadline_over : t -> bool
 val split : n:int -> t -> t list
 (** [split ~n t] divides the logical allowances into [n] near-equal
     shares (earlier shares receive the remainder, so the shares sum
-    exactly to the allowance).  The deadline, memory hint and retry
-    count are inherited by every share — parallel siblings race the same
+    exactly to the allowance).  The deadline and retry count are
+    inherited by every share — parallel siblings race the same
     wall clock.  Deterministic: depends only on [t] and [n]. *)
 
 val slice : fraction:float -> t -> t

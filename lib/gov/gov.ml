@@ -115,9 +115,9 @@ let out_of_budget t = exhaustion t <> None
 
 (* --- telemetry -------------------------------------------------------- *)
 
-(* Obs routes these through the per-job buffer when called inside a Par
-   worker (merged at the fan-in) and straight to the registry on the
-   owning domain; the ledger records in parallel with its own lock. *)
+(* Obs routes these to the job's recorder when called inside a Par job
+   (merged at the fan-in) and straight to the registry on the owning
+   domain; the ledger records in parallel with its own lock. *)
 let event ?(severity = Severity.Info) ~counter name args =
   if Obs.enabled () then begin
     Obs.incr_counter counter;

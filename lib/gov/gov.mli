@@ -19,7 +19,7 @@
 
     Telemetry: splits, exhaustions, retries and degradations are
     reported as [gov.*] events and counters whenever [Symbad_obs] is
-    enabled (buffered and merged when emitted inside a Par job).  With a
+    enabled (merged at the fan-in when emitted inside a Par job).  With a
     {!Ledger} attached at the root, every node creation, charge, retry
     and degradation is additionally recorded as a timestamped ledger
     entry — the budget waterfall `symbad report` renders. *)
@@ -121,7 +121,7 @@ val with_retry :
 
 val note_degraded : t -> what:string -> Degrade.reason -> unit
 (** Report that a run under this governor degraded: a [gov.degrade]
-    warning event plus the [gov.degradations] counter (buffered on
+    warning event plus the [gov.degradations] counter (merged from
     worker domains), and a ledger entry when one is attached. *)
 
 val pp : Format.formatter -> t -> unit

@@ -68,6 +68,21 @@ let nonempty_buckets h =
   done;
   !acc
 
+let absorb h other =
+  if other.count > 0 then begin
+    Array.iteri (fun i c -> h.counts.(i) <- h.counts.(i) + c) other.counts;
+    if h.count = 0 then begin
+      h.min_value <- other.min_value;
+      h.max_value <- other.max_value
+    end
+    else begin
+      h.min_value <- min h.min_value other.min_value;
+      h.max_value <- max h.max_value other.max_value
+    end;
+    h.count <- h.count + other.count;
+    h.sum <- h.sum +. other.sum
+  end
+
 let reset h =
   Array.fill h.counts 0 buckets 0;
   h.count <- 0;

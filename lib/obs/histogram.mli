@@ -36,6 +36,10 @@ val bucket_bounds : int -> int * int
 val nonempty_buckets : t -> (int * int * int) list
 (** [(lo, hi, count)] per populated bucket, ascending. *)
 
+val absorb : t -> t -> unit
+(** [absorb h other] adds every observation of [other] to [h], as if
+    they had been observed on [h]. *)
+
 val reset : t -> unit
 (** Drop every observation. *)
 

@@ -9,7 +9,9 @@
 type counter = { mutable c_value : int }
 
 type gauge = {
-  mutable g_samples : (float * float) list;  (* (x, value), newest first *)
+  mutable g_samples : (float option * float) list;
+      (* (x, value), newest first; x = None stands for the sample index,
+         resolved on read so appended samples keep counting *)
   mutable g_last : float option;
 }
 
@@ -61,16 +63,15 @@ let incr ?(by = 1) c = c.c_value <- c.c_value + by
 let counter_value c = c.c_value
 
 let set ?x g v =
-  let x =
-    match x with
-    | Some x -> x
-    | None -> float_of_int (List.length g.g_samples)
-  in
   g.g_samples <- (x, v) :: g.g_samples;
   g.g_last <- Some v
 
 let last g = g.g_last
-let samples g = List.rev g.g_samples
+
+let samples g =
+  List.mapi
+    (fun i (x, v) -> ((match x with Some x -> x | None -> float_of_int i), v))
+    (List.rev g.g_samples)
 
 let observe h v = Histogram.observe h.h_hist v
 let hist h = h.h_hist
@@ -97,6 +98,21 @@ let names t = List.rev t.names
 let reset t =
   Hashtbl.reset t.table;
   t.names <- []
+
+(* The fan-in of a Par job: absorbing job registries in a fixed order
+   gives the same registry whatever order the jobs ran in. *)
+let absorb t other =
+  List.iter
+    (fun name ->
+      match Hashtbl.find_opt other.table name with
+      | Some (Counter c) -> incr ~by:c.c_value (counter t name)
+      | Some (Gauge g) ->
+          let into = gauge t name in
+          into.g_samples <- g.g_samples @ into.g_samples;
+          if g.g_last <> None then into.g_last <- g.g_last
+      | Some (Hist h) -> Histogram.absorb (histogram t name).h_hist h.h_hist
+      | None -> ())
+    (names other)
 
 (* --- export --- *)
 

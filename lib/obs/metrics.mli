@@ -69,6 +69,12 @@ val names : t -> string list
 val reset : t -> unit
 (** Drop every registered metric. *)
 
+val absorb : t -> t -> unit
+(** [absorb t other] folds [other] into [t], registering its names in
+    [other]'s registration order: counters add, histograms merge, gauge
+    samples append in order.  [Invalid_argument] if a name has
+    different kinds in the two registries. *)
+
 (** {1 Export} *)
 
 val to_jsonl : t -> string

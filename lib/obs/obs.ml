@@ -1,36 +1,31 @@
 (* The process-wide telemetry switchboard.
 
    Instrumentation all over the stack (kernel, bus, solver, FPGA, flow)
-   talks to one global tracer, one global metrics registry and one list
-   of event sinks, all behind a single [enabled] flag.  When telemetry
-   is off every instrumentation site reduces to one branch on
-   [Obs.enabled ()] — no allocation, no registry traffic — which keeps
-   the simulation hot paths at their uninstrumented speed.
+   talks to one recorder — a tracer plus a metrics registry — behind a
+   single [enabled] flag.  When telemetry is off every instrumentation
+   site reduces to one branch on [Obs.enabled ()] — no allocation, no
+   registry traffic — which keeps the simulation hot paths at their
+   uninstrumented speed.
 
-   The tracer, registry and sinks are not safe for concurrent mutation,
-   so direct writes belong to one domain: the one that last called
-   [set_enabled true].  Every other domain records into a per-domain
-   [Telemetry_buffer.t] installed by the dispatcher ([with_buffer] — Par installs
-   one per job), and the dispatcher replays the buffers into the global
-   state at the fan-in ([merge_buffer]) in job order, so merged metrics
+   A recorder is not safe for concurrent mutation, so each one belongs
+   to one domain.  The owner domain (the one that last called
+   [set_enabled true]) records into the global pair; a Par job records
+   into a fresh pair installed in its domain's DLS slot
+   ([with_recorder]), and Par folds the job pairs back in job order at
+   the fan-in ([Tracer.absorb], [Metrics.absorb]), so merged metrics
    are identical at any pool width.  A domain that is neither the owner
-   nor running under a buffer drops the emission and counts it
+   nor running a job drops the emission and counts it
    ([dropped_count]) so the CLI can warn instead of silently
    under-reporting. *)
 
 let enabled_flag = Atomic.make false
 let owner = ref (Domain.self ())
 
-(* the per-domain buffer installed by [with_buffer] *)
-let buffer_key : Telemetry_buffer.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let global = ref (Tracer.create (), Metrics.create ())
 
-(* [set_buffering false] restores the pre-merge behaviour (worker
-   emissions dropped) — kept for the regression test and as an escape
-   hatch if buffering memory ever matters more than completeness. *)
-let buffering_flag = Atomic.make true
-let set_buffering b = Atomic.set buffering_flag b
-let buffering () = Atomic.get buffering_flag
+(* the job recorder installed by [with_recorder] *)
+let job_key : (Tracer.t * Metrics.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
 let dropped = Atomic.make 0
 let dropped_count () = Atomic.get dropped
@@ -38,183 +33,78 @@ let dropped_count () = Atomic.get dropped
 let note_drop () =
   if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add dropped 1)
 
-type mode = Off | Direct | Buffered of Telemetry_buffer.t
-
-let mode () =
-  if not (Atomic.get enabled_flag) then Off
+let recorder () =
+  if not (Atomic.get enabled_flag) then None
   else
-    match Domain.DLS.get buffer_key with
-    | Some b -> Buffered b
-    | None -> if Domain.self () = !owner then Direct else Off
+    match Domain.DLS.get job_key with
+    | Some _ as r -> r
+    | None -> if Domain.self () = !owner then Some !global else None
 
-let enabled () = mode () <> Off
+let enabled () = Option.is_some (recorder ())
 
 let set_enabled b =
   if b then owner := Domain.self ();
   Atomic.set enabled_flag b
 
-let tracer_ref = ref (Tracer.create ())
-let metrics_ref = ref (Metrics.create ())
-let sinks : Sink.t list ref = ref []
-
-let tracer () = !tracer_ref
-let metrics () = !metrics_ref
-let add_sink s = sinks := s :: !sinks
-let sink_list () = !sinks
+let tracer () = fst !global
+let metrics () = snd !global
 
 let reset () =
-  tracer_ref := Tracer.create ();
-  metrics_ref := Metrics.create ();
-  sinks := [];
+  global := (Tracer.create (), Metrics.create ());
   Atomic.set dropped 0
 
-let now_us () = Unix.gettimeofday () *. 1e6
-
-let with_buffer b f =
-  let old = Domain.DLS.get buffer_key in
-  Domain.DLS.set buffer_key (Some b);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set buffer_key old) f
+let with_recorder tracer metrics f =
+  let old = Domain.DLS.get job_key in
+  Domain.DLS.set job_key (Some (tracer, metrics));
+  Fun.protect ~finally:(fun () -> Domain.DLS.set job_key old) f
 
 (* --- events --- *)
 
-let event ?(severity = Severity.Info) ?(args = []) ?sim_ns name =
-  match mode () with
-  | Off -> note_drop ()
-  | Direct ->
-      let e = Event.make ~severity ~args ?sim_ns ~host_us:(now_us ()) name in
-      List.iter (fun (s : Sink.t) -> s.Sink.emit e) !sinks;
-      (* warnings and errors also land on the timeline *)
+let event ?(severity = Severity.Info) ?args ?sim_ns name =
+  match recorder () with
+  | None -> note_drop ()
+  | Some (t, _) ->
       if Severity.compare severity Severity.Info >= 0 then
-        Tracer.instant !tracer_ref ~severity ~args ?sim_ns name
-  | Buffered b ->
-      (* Debug events only reach sinks, so don't buffer them unless a
-         sink is listening — a simulated job parks/resumes constantly *)
-      if Severity.compare severity Severity.Info >= 0 || !sinks <> [] then
-        Telemetry_buffer.event b
-          (Event.make ~severity ~args ?sim_ns ~host_us:(now_us ()) name)
+        Tracer.instant t ~severity ?args ?sim_ns name
 
 (* --- spans --- *)
 
-type span =
-  | S_none
-  | S_direct of Tracer.span
-  | S_buffered of Telemetry_buffer.t * Telemetry_buffer.open_span
+type span = No_span | Span of Tracer.t * Tracer.span
 
-let null_span : span = S_none
+let null_span = No_span
 
 let begin_span ?track ?cat ?args ?sim_ns name =
-  match mode () with
-  | Off ->
+  match recorder () with
+  | None ->
       note_drop ();
-      S_none
-  | Direct ->
-      S_direct (Tracer.begin_span !tracer_ref ?track ?cat ?args ?sim_ns name)
-  | Buffered b ->
-      S_buffered (b, Telemetry_buffer.begin_span b ?track ?cat ?args ?sim_ns name)
+      No_span
+  | Some (t, _) -> Span (t, Tracer.begin_span t ?track ?cat ?args ?sim_ns name)
 
-let end_span ?args ?sim_ns (s : span) =
-  match s with
-  | S_none -> ()
-  | S_direct s -> Tracer.end_span !tracer_ref ?args ?sim_ns s
-  | S_buffered (b, o) -> Telemetry_buffer.end_span b ?args ?sim_ns o
+let end_span ?args ?sim_ns = function
+  | No_span -> ()
+  | Span (t, s) -> Tracer.end_span t ?args ?sim_ns s
 
 let span ?track ?cat ?args ?sim_ns name f =
-  match mode () with
-  | Off ->
+  match recorder () with
+  | None ->
       note_drop ();
       f ()
-  | Direct | Buffered _ -> (
-      let s = begin_span ?track ?cat ?args ?sim_ns name in
-      match f () with
-      | v ->
-          end_span s;
-          v
-      | exception e ->
-          end_span s;
-          raise e)
+  | Some (t, _) -> Tracer.with_span t ?track ?cat ?args ?sim_ns name f
 
 (* --- metric conveniences (registry lookup per call; fine off the hot
    path, hot paths should flush deltas at quiescent points) --- *)
 
 let incr_counter ?(by = 1) name =
-  match mode () with
-  | Off -> note_drop ()
-  | Direct -> Metrics.incr ~by (Metrics.counter !metrics_ref name)
-  | Buffered b -> Telemetry_buffer.counter b ~by name
+  match recorder () with
+  | None -> note_drop ()
+  | Some (_, m) -> Metrics.incr ~by (Metrics.counter m name)
 
 let set_gauge ?x name v =
-  match mode () with
-  | Off -> note_drop ()
-  | Direct -> Metrics.set ?x (Metrics.gauge !metrics_ref name) v
-  | Buffered b -> Telemetry_buffer.gauge b ?x name v
+  match recorder () with
+  | None -> note_drop ()
+  | Some (_, m) -> Metrics.set ?x (Metrics.gauge m name) v
 
 let observe name v =
-  match mode () with
-  | Off -> note_drop ()
-  | Direct -> Metrics.observe (Metrics.histogram !metrics_ref name) v
-  | Buffered b -> Telemetry_buffer.observe b name v
-
-(* --- the merge --- *)
-
-let merge_buffer ?parent ~lane buf =
-  match mode () with
-  | Off -> () (* telemetry was turned off mid-flight; nothing to merge into *)
-  | Buffered outer ->
-      (* nested Par map: fold the job buffer into the dispatcher's own
-         buffer; parents resolve when the outer buffer itself merges *)
-      let parent_local =
-        match parent with
-        | Some (S_buffered (b, o)) when b == outer ->
-            Some (Telemetry_buffer.open_span_id o)
-        | _ -> None
-      in
-      Telemetry_buffer.absorb outer ~lane ?parent:parent_local buf
-  | Direct ->
-      let t = !tracer_ref in
-      let m = !metrics_ref in
-      let base = Tracer.reserve_ids t (Telemetry_buffer.span_ids buf) in
-      let parent_global =
-        match parent with
-        | Some (S_direct s) -> Some (Tracer.span_id s)
-        | _ -> None
-      in
-      List.iter
-        (fun (op : Telemetry_buffer.op) ->
-          match op with
-          | Telemetry_buffer.Span s ->
-              let top = s.Telemetry_buffer.b_parent = None in
-              let parent =
-                match s.Telemetry_buffer.b_parent with
-                | None -> parent_global
-                | Some (Telemetry_buffer.Local i) -> Some (base + i)
-                | Some (Telemetry_buffer.Global g) -> Some g
-              in
-              Tracer.add_completed t
-                {
-                  Tracer.id = base + s.Telemetry_buffer.b_id;
-                  parent;
-                  name = s.Telemetry_buffer.b_name;
-                  cat = s.Telemetry_buffer.b_cat;
-                  track =
-                    Telemetry_buffer.lane_track ~lane s.Telemetry_buffer.b_track ~top_level:top;
-                  depth = s.Telemetry_buffer.b_depth;
-                  start_us = s.Telemetry_buffer.b_start_us;
-                  dur_us = s.Telemetry_buffer.b_dur_us;
-                  sim_start_ns = s.Telemetry_buffer.b_sim_start_ns;
-                  sim_dur_ns = s.Telemetry_buffer.b_sim_dur_ns;
-                  args = s.Telemetry_buffer.b_args;
-                }
-          | Telemetry_buffer.Counter { name; by } ->
-              Metrics.incr ~by (Metrics.counter m name)
-          | Telemetry_buffer.Gauge { name; x; value } ->
-              Metrics.set ?x (Metrics.gauge m name) value
-          | Telemetry_buffer.Observe { name; value } ->
-              Metrics.observe (Metrics.histogram m name) value
-          | Telemetry_buffer.Ev e ->
-              List.iter (fun (s : Sink.t) -> s.Sink.emit e) !sinks;
-              if Severity.compare e.Event.severity Severity.Info >= 0 then
-                Tracer.instant t
-                  ~track:(Telemetry_buffer.lane_track ~lane "flow" ~top_level:true)
-                  ~severity:e.Event.severity ~args:e.Event.args
-                  ?sim_ns:e.Event.sim_ns ~ts_us:e.Event.host_us e.Event.name)
-        (Telemetry_buffer.ops buf)
+  match recorder () with
+  | None -> note_drop ()
+  | Some (_, m) -> Metrics.observe (Metrics.histogram m name) v

@@ -1,27 +1,27 @@
-(** Process-wide telemetry: one tracer, one metrics registry, one sink
-    list, behind a single enable flag.
+(** Process-wide telemetry: one tracer and one metrics registry behind a
+    single enable flag.
 
     Everything is a no-op while disabled; instrumentation sites on hot
     paths should still guard with [if Obs.enabled () then ...] so that
     argument lists are not even allocated.
 
-    Direct writes to the tracer/registry belong to the {e owner} domain
-    (the one that last called [set_enabled true]).  Other domains record
-    into a per-domain {!Telemetry_buffer.t} installed by their dispatcher
-    ({!with_buffer} — [Par] installs one per job) and the dispatcher
-    replays the buffers at the fan-in ({!merge_buffer}) in job order, so
-    merged metrics are byte-identical at any pool width.  Emissions from
-    a domain with neither role are dropped and counted
+    A {!Tracer.t} plus a {!Metrics.t} is the one recorder.  The {e owner}
+    domain (the one that last called [set_enabled true]) records into the
+    global pair; a [Par] job records into a fresh pair of its own
+    ({!with_recorder}), which the dispatcher folds back at the fan-in
+    with {!Tracer.absorb} and {!Metrics.absorb} in job order, so merged
+    metrics are byte-identical at any pool width.  Emissions from a
+    domain with neither role are dropped and counted
     ({!dropped_count}). *)
 
 val enabled : unit -> bool
-(** True on the owner domain and on any domain running under an
-    installed buffer; false (and emissions are dropped-and-counted)
+(** True on the owner domain and inside a {!with_recorder} thunk while
+    telemetry is on; false (and emissions are dropped-and-counted)
     elsewhere. *)
 
 val set_enabled : bool -> unit
 (** [set_enabled true] also makes the calling domain the owner of the
-    switchboard — the tracer and registry are single-domain state. *)
+    global recorder — the tracer and registry are single-domain state. *)
 
 val tracer : unit -> Tracer.t
 (** The process-wide span timeline (owner domain only). *)
@@ -29,30 +29,27 @@ val tracer : unit -> Tracer.t
 val metrics : unit -> Metrics.t
 (** The process-wide metrics registry (owner domain only). *)
 
-val add_sink : Sink.t -> unit
-(** Register an event sink; every subsequent {!event} reaches it. *)
-
-val sink_list : unit -> Sink.t list
-(** The registered sinks, in registration order. *)
-
 val reset : unit -> unit
-(** Fresh tracer, fresh registry, no sinks, dropped count zeroed.  Does
-    not change the enabled flag. *)
-
-(** {1 Cross-domain buffering} *)
-
-val set_buffering : bool -> unit
-(** [set_buffering false] disables per-job buffering in [Par] (worker
-    emissions are dropped and counted, as before the merge existed) —
-    regression-test escape hatch.  Default: enabled. *)
-
-val buffering : unit -> bool
-(** Whether per-job buffering is on. *)
+(** Fresh tracer, fresh registry, dropped count zeroed.  Does not
+    change the enabled flag. *)
 
 val dropped_count : unit -> int
 (** Emissions dropped since the last {!reset} because they came from a
-    domain that is neither the owner nor under a buffer.  Nonzero means
-    counters/spans under-report parallel work — the CLI warns on it. *)
+    domain that is neither the owner nor inside a {!with_recorder}
+    thunk.  Nonzero means counters/spans under-report parallel work —
+    the CLI warns on it. *)
+
+(** {1 Recorders} *)
+
+val recorder : unit -> (Tracer.t * Metrics.t) option
+(** The pair the calling domain records into: the one installed by
+    {!with_recorder}, else the global pair on the owner domain; [None]
+    while telemetry is off or on any other domain. *)
+
+val with_recorder : Tracer.t -> Metrics.t -> (unit -> 'a) -> 'a
+(** Run a thunk with every telemetry emission of the calling domain
+    recorded into the given pair (restoring the previous one on exit).
+    [Par] wraps each job in this. *)
 
 (** {1 Events} *)
 
@@ -62,8 +59,8 @@ val event :
   ?sim_ns:int ->
   string ->
   unit
-(** Emit a structured event to every sink; [Info] and graver also become
-    instants on the trace timeline. *)
+(** Record an event of severity [Info] (the default) or graver as an
+    instant on the trace timeline; [Debug] events are not recorded. *)
 
 (** {1 Spans} *)
 
@@ -95,31 +92,16 @@ val span :
   'a
 (** Scoped span around a computation; transparent while disabled. *)
 
-val with_buffer : Telemetry_buffer.t -> (unit -> 'a) -> 'a
-(** Run a thunk with every telemetry emission of the calling domain
-    recorded into the buffer (restores the previous buffer, if any, on
-    exit).  [Par] wraps each job in this. *)
-
-val merge_buffer : ?parent:span -> lane:int -> Telemetry_buffer.t -> unit
-(** Replay a buffer into the caller's telemetry target: the global
-    tracer/registry on the owner domain, or the caller's own buffer
-    when Par maps nest.  Top-level buffered spans are parented to
-    [parent] (the dispatch span) and placed on track ["lane<lane>"];
-    nested spans keep their original track under a ["lane<lane>/"]
-    prefix.  Counter deltas, gauge samples, histogram observations and
-    events replay in recorded order — merging buffers in job-dispatch
-    order makes the merged registry deterministic. *)
-
 (** {1 Metric shorthands} *)
 
 val incr_counter : ?by:int -> string -> unit
-(** [Metrics.incr] on the named counter of the global registry (or the
-    installed buffer). *)
+(** [Metrics.incr] on the named counter of the calling domain's
+    {!recorder}. *)
 
 val set_gauge : ?x:float -> string -> float -> unit
-(** [Metrics.set] on the named gauge of the global registry (or the
-    installed buffer). *)
+(** [Metrics.set] on the named gauge of the calling domain's
+    {!recorder}. *)
 
 val observe : string -> int -> unit
-(** [Metrics.observe] on the named histogram of the global registry (or
-    the installed buffer). *)
+(** [Metrics.observe] on the named histogram of the calling domain's
+    {!recorder}. *)

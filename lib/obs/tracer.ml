@@ -10,21 +10,16 @@
    interleaved transactions of concurrent simulation processes still
    render as properly nested rectangles.
 
-   Every span has a timeline-unique [id] and an optional causal
-   [parent]: by default the innermost still-open span on the same track,
-   or an explicit [?parent] for cross-track causality (a Par dispatch
-   span parenting the job spans that ran on worker lanes).  Cross-track
-   parent links are exported as Chrome flow events ("s"/"f"), so
-   Perfetto draws the dispatch→job arrows.  [reserve_ids] and
-   [add_completed] exist for [Obs.merge_buffer], which replays spans
-   recorded off-domain into this timeline. *)
+   Every span has a timeline-unique [id] and a causal [parent]: the
+   innermost span still open on the timeline, whatever its track.  A
+   timeline is written by one domain, so that is the innermost span
+   open on the domain.  A Par job records into a timeline of its own,
+   and [absorb] folds it back under the dispatch span at the fan-in.
+   Links between two "par" spans (dispatch -> job, job -> nested
+   dispatch) are exported as Chrome flow events ("s"/"f"), so Perfetto
+   draws the fan-out arrows. *)
 
-type track = {
-  tid : int;
-  label : string;
-  mutable depth : int;
-  mutable open_ids : int list;  (* innermost first *)
-}
+type track = { tid : int; label : string; mutable depth : int }
 
 type span = {
   s_id : int;
@@ -69,6 +64,7 @@ type t = {
   tracks : (string, track) Hashtbl.t;
   mutable next_tid : int;
   mutable next_span_id : int;
+  mutable open_ids : int list;  (* open spans, innermost first *)
   mutable completed : completed list;  (* newest first *)
   mutable instants : instant list;
   mutable counters : counter_sample list;  (* newest first *)
@@ -85,6 +81,7 @@ let create () =
     tracks = Hashtbl.create 8;
     next_tid = 1;
     next_span_id = 1;
+    open_ids = [];
     completed = [];
     instants = [];
     counters = [];
@@ -95,30 +92,20 @@ let track_of t label =
   match Hashtbl.find_opt t.tracks label with
   | Some tr -> tr
   | None ->
-      let tr = { tid = t.next_tid; label; depth = 0; open_ids = [] } in
+      let tr = { tid = t.next_tid; label; depth = 0 } in
       t.next_tid <- t.next_tid + 1;
       Hashtbl.add t.tracks label tr;
       tr
 
-let reserve_ids t n =
-  let base = t.next_span_id in
-  t.next_span_id <- base + n;
-  base
-
 let begin_span t ?(track = default_track) ?(cat = "app") ?(args = [])
-    ?sim_ns ?parent name =
+    ?sim_ns name =
   let tr = track_of t track in
   let id = t.next_span_id in
   t.next_span_id <- id + 1;
-  let parent =
-    match parent with
-    | Some _ as p -> p
-    | None -> ( match tr.open_ids with [] -> None | p :: _ -> Some p)
-  in
   let s =
     {
       s_id = id;
-      s_parent = parent;
+      s_parent = (match t.open_ids with [] -> None | p :: _ -> Some p);
       s_name = name;
       s_cat = cat;
       s_track = tr;
@@ -129,15 +116,18 @@ let begin_span t ?(track = default_track) ?(cat = "app") ?(args = [])
     }
   in
   tr.depth <- tr.depth + 1;
-  tr.open_ids <- id :: tr.open_ids;
+  t.open_ids <- id :: t.open_ids;
   s
 
-let span_id s = s.s_id
+(* ids are unique, so the walk stops at the span: O(1) for LIFO closes *)
+let rec remove_id id = function
+  | [] -> []
+  | x :: rest -> if x = id then rest else x :: remove_id id rest
 
 let end_span t ?(args = []) ?sim_ns s =
   let tr = s.s_track in
   if tr.depth > 0 then tr.depth <- tr.depth - 1;
-  tr.open_ids <- List.filter (fun id -> id <> s.s_id) tr.open_ids;
+  t.open_ids <- remove_id s.s_id t.open_ids;
   let sim_dur_ns =
     match (s.s_sim_start_ns, sim_ns) with
     | Some a, Some b -> Some (b - a)
@@ -160,12 +150,6 @@ let end_span t ?(args = []) ?sim_ns s =
     :: t.completed;
   t.completed_count <- t.completed_count + 1
 
-let add_completed t (c : completed) =
-  (* used by the merge path: ids must come from [reserve_ids] *)
-  ignore (track_of t c.track);
-  t.completed <- c :: t.completed;
-  t.completed_count <- t.completed_count + 1
-
 let with_span t ?track ?cat ?args ?sim_ns name f =
   let s = begin_span t ?track ?cat ?args ?sim_ns name in
   match f () with
@@ -177,12 +161,12 @@ let with_span t ?track ?cat ?args ?sim_ns name f =
       raise e
 
 let instant t ?(track = default_track) ?(severity = Severity.Info)
-    ?(args = []) ?sim_ns ?ts_us name =
+    ?(args = []) ?sim_ns name =
   t.instants <-
     {
       i_name = name;
       i_severity = severity;
-      i_ts_us = (match ts_us with Some ts -> ts | None -> now_us ());
+      i_ts_us = now_us ();
       i_track = track_of t track;
       i_sim_ns = sim_ns;
       i_args = args;
@@ -197,6 +181,38 @@ let counter_sample t ?ts_us name value =
       c_value = value;
     }
     :: t.counters
+
+(* The fan-in of a Par job: the job's ids are offset past every id [t]
+   has handed out, its top-level spans hang under the dispatch span on
+   the job's lane track, and everything below keeps its track under the
+   lane prefix (nested maps prefix again: "lane1/lane0/m2"). *)
+let absorb t ~parent ~lane job =
+  let offset = t.next_span_id - 1 in
+  t.next_span_id <- t.next_span_id + job.next_span_id - 1;
+  let lane_label = Printf.sprintf "lane%d" lane in
+  let moved (c : completed) =
+    let parent, track =
+      match c.parent with
+      | None -> (Some parent.s_id, lane_label)
+      | Some p -> (Some (p + offset), lane_label ^ "/" ^ c.track)
+    in
+    ignore (track_of t track);
+    { c with id = c.id + offset; parent; track }
+  in
+  (* oldest first, so tracks register in the order their spans closed *)
+  t.completed <-
+    List.fold_left
+      (fun acc c -> moved c :: acc)
+      t.completed (List.rev job.completed);
+  t.completed_count <- t.completed_count + job.completed_count;
+  if job.instants <> [] then begin
+    let lane_track = track_of t lane_label in
+    t.instants <-
+      List.fold_left
+        (fun acc i -> { i with i_track = lane_track } :: acc)
+        t.instants (List.rev job.instants)
+  end;
+  t.counters <- job.counters @ t.counters
 
 let span_count t = t.completed_count
 
@@ -263,15 +279,18 @@ let to_chrome_json t =
         ("args", Json.Obj [ ("value", Json.Float c.c_value) ]);
       ]
   in
-  (* cross-track parent links render as flow arrows dispatch → job *)
-  let by_id = Hashtbl.create 64 in
-  List.iter (fun (c : completed) -> Hashtbl.replace by_id c.id c) t.completed;
+  (* links between two par spans render as flow arrows: dispatch -> job
+     and job -> nested dispatch *)
+  let is_par (c : completed) = String.equal c.cat "par" in
+  let par_by_id = Hashtbl.create 64 in
+  List.iter
+    (fun (c : completed) -> if is_par c then Hashtbl.replace par_by_id c.id c)
+    t.completed;
   let flow_events (c : completed) =
     match c.parent with
-    | None -> []
-    | Some p -> (
-        match Hashtbl.find_opt by_id p with
-        | Some pc when not (String.equal pc.track c.track) ->
+    | Some p when is_par c -> (
+        match Hashtbl.find_opt par_by_id p with
+        | Some pc ->
             let arrow ph extra ts track =
               Json.Obj
                 ([
@@ -289,7 +308,8 @@ let to_chrome_json t =
               arrow "s" [] (pc.start_us +. (pc.dur_us /. 2.)) pc.track;
               arrow "f" [ ("bp", Json.Str "e") ] c.start_us c.track;
             ]
-        | _ -> [])
+        | None -> [])
+    | Some _ | None -> []
   in
   let thread_name tr =
     Json.Obj

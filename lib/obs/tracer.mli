@@ -7,11 +7,12 @@
     concurrent simulation processes (e.g. bus masters) should each use
     their own track so their interleaved spans still nest.
 
-    Every span has a timeline-unique id and an optional causal parent
-    (defaulting to the innermost open span on the same track); parents
-    that live on a {e different} track are exported as Chrome flow
-    arrows, which is how a [Par] dispatch span points at the job spans
-    that ran on worker lanes. *)
+    Every span has a timeline-unique id and a causal parent: the
+    innermost span still open on the timeline when it began, whatever
+    its track.  One timeline belongs to one domain, so that is the
+    innermost span open on the recording domain.  [Par] gives each job
+    a timeline of its own and folds it back with {!absorb}; the Chrome
+    export draws the dispatch → job links as flow arrows. *)
 
 type t
 
@@ -43,20 +44,17 @@ val begin_span :
   ?cat:string ->
   ?args:(string * Json.t) list ->
   ?sim_ns:int ->
-  ?parent:int ->
   string ->
   span
 (** Open a span on [track] (default {!default_track}) at the current
     host time; [cat] is the Chrome category, [sim_ns] the simulated
-    start time.  [parent] overrides the causal parent (default: the
-    innermost span still open on the same track). *)
-
-val span_id : span -> int
-(** The timeline-unique id of an open span (usable as [?parent]). *)
+    start time.  Its parent is the innermost span still open on the
+    timeline. *)
 
 val end_span : t -> ?args:(string * Json.t) list -> ?sim_ns:int -> span -> unit
 (** Close the span; [sim_ns] here yields a simulated duration in the
-    exported args.  Spans on the same track must close in LIFO order. *)
+    exported args.  Spans may close out of order (interleaved
+    simulation processes do): a span stays a parent until it closes. *)
 
 val with_span :
   t ->
@@ -75,26 +73,22 @@ val instant :
   ?severity:Severity.t ->
   ?args:(string * Json.t) list ->
   ?sim_ns:int ->
-  ?ts_us:float ->
   string ->
   unit
-(** A zero-duration marker on the timeline.  [ts_us] overrides the
-    timestamp (absolute host microseconds) — the merge path uses it to
-    replay events recorded on worker domains at their original time. *)
+(** A zero-duration marker on the timeline. *)
 
 val counter_sample : t -> ?ts_us:float -> string -> float -> unit
 (** One sample of a named Chrome counter track (ph ["C"]) — the budget
     waterfall exports the governor's cumulative spend this way. *)
 
-val reserve_ids : t -> int -> int
-(** [reserve_ids t n] reserves [n] consecutive span ids and returns the
-    first; the merge path allocates ids for a whole buffer up front so
-    parent links survive arbitrary completion order. *)
-
-val add_completed : t -> completed -> unit
-(** Append an externally-built completed span (merge path); its [id]
-    must come from {!reserve_ids} and its [track] is registered on
-    first use. *)
+val absorb : t -> parent:span -> lane:int -> t -> unit
+(** [absorb t ~parent ~lane job] appends the spans, instants and
+    counter samples of the timeline [job] to [t].  Job span ids are
+    offset past every id [t] has handed out, so absorbing job timelines
+    in a fixed order gives the same ids whatever order the jobs ran in.
+    The job's top-level spans are parented to [parent] and moved to
+    track ["lane<lane>"]; its other spans keep their track under a
+    ["lane<lane>/"] prefix, and its instants land on ["lane<lane>"]. *)
 
 val span_count : t -> int
 (** Number of completed spans. *)
@@ -106,4 +100,6 @@ val spans_with_cat : t -> string -> completed list
 (** Completed spans whose category equals the argument, oldest first. *)
 
 val to_chrome_json : t -> string
-(** The whole timeline as a Chrome trace_event JSON document. *)
+(** The whole timeline as a Chrome trace_event JSON document.  A link
+    between two ["par"] spans (dispatch → job, job → nested dispatch)
+    is also drawn as a flow arrow. *)

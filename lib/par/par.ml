@@ -6,17 +6,18 @@
    [jobs = 1] pool runs the identical code with zero workers and the
    parallel result is the sequential result by construction.
 
-   Telemetry crosses domains through per-job buffers: when telemetry is
-   on, [map] wraps each chunk in [Obs.with_buffer] (a job-root span plus
-   every emission the job makes, recorded domain-locally) and merges the
-   buffers back in chunk-index order at the fan-in, parented to the
-   dispatch span and placed on a per-lane track — so traces show one
-   lane per executing domain while the merged metrics are identical at
-   any pool width. *)
+   Telemetry crosses domains through per-job recorders: when telemetry
+   is on, [map] runs each chunk under [Obs.with_recorder] with a fresh
+   tracer and registry (a job-root span plus every emission the job
+   makes) and absorbs them back in chunk-index order at the fan-in,
+   parented to the dispatch span and placed on a per-lane track — so
+   traces show one lane per executing domain while the merged metrics
+   are identical at any pool width. *)
 
 module Obs = Symbad_obs.Obs
 module Json = Symbad_obs.Json
-module Telemetry_buffer = Symbad_obs.Telemetry_buffer
+module Tracer = Symbad_obs.Tracer
+module Metrics = Symbad_obs.Metrics
 
 type job = { run : unit -> unit  (* must not raise *) }
 
@@ -195,66 +196,64 @@ let map_array ?(label = "par.map") ?progress pool f xs =
     let nchunks = min n max_chunks in
     let results = Array.make n None in
     let errors = Array.make nchunks None in
-    let telemetry = Obs.enabled () in
-    let buffered = telemetry && Obs.buffering () in
-    let bufs = Array.make (if buffered then nchunks else 0) None in
-    let lanes = Array.make nchunks 0 in
-    let thunks =
-      Array.init nchunks (fun c ->
-          let lo = c * n / nchunks and hi = (c + 1) * n / nchunks in
-          let body () =
-            try
-              for i = lo to hi - 1 do
-                results.(i) <- Some (f xs.(i))
-              done
-            with e -> errors.(c) <- Some (e, Printexc.get_raw_backtrace ())
-          in
-          if not buffered then body
-          else begin
-            let buf = Telemetry_buffer.create () in
-            bufs.(c) <- Some buf;
-            fun () ->
-              lanes.(c) <- current_lane ();
-              Obs.with_buffer buf (fun () ->
-                  Obs.span ~cat:"par"
-                    ~args:
-                      [
-                        ("chunk", Json.Int c);
-                        ("lo", Json.Int lo);
-                        ("hi", Json.Int (hi - 1));
-                      ]
-                    label body)
-          end)
+    let body c () =
+      let lo = c * n / nchunks and hi = (c + 1) * n / nchunks in
+      try
+        for i = lo to hi - 1 do
+          results.(i) <- Some (f xs.(i))
+        done
+      with e -> errors.(c) <- Some (e, Printexc.get_raw_backtrace ())
     in
-    let sp =
-      if telemetry then
-        Obs.begin_span ~track:"par" ~cat:"par"
-          ~args:
-            [
-              ("jobs", Json.Int pool.width);
-              ("chunks", Json.Int nchunks);
-              ("items", Json.Int n);
-            ]
-          label
-      else Obs.null_span
-    in
-    let waits = run_chunks pool ?progress thunks in
-    (* merge the per-job buffers in chunk-index order: dispatch order,
-       never completion order, so the merged registry is deterministic *)
-    if buffered then
-      Array.iteri
-        (fun c b ->
-          match b with
-          | Some b -> Obs.merge_buffer ~parent:sp ~lane:lanes.(c) b
-          | None -> ())
-        bufs;
-    if telemetry then begin
-      Obs.incr_counter ~by:nchunks "par.jobs_dispatched";
-      Array.iter
-        (fun w -> Obs.observe "par.queue_wait_us" (int_of_float w))
-        waits
-    end;
-    Obs.end_span sp;
+    (match Obs.recorder () with
+    | None -> ignore (run_chunks pool ?progress (Array.init nchunks body))
+    | Some (tracer, metrics) ->
+        (* each job records into a fresh pair, under a job span named
+           [label] on the lane that takes it *)
+        let recorders =
+          Array.init nchunks (fun _ -> (Tracer.create (), Metrics.create ()))
+        in
+        let lanes = Array.make nchunks 0 in
+        let job c () =
+          let jt, jm = recorders.(c) in
+          lanes.(c) <- current_lane ();
+          Obs.with_recorder jt jm (fun () ->
+              Tracer.with_span jt ~cat:"par"
+                ~args:
+                  [
+                    ("chunk", Json.Int c);
+                    ("lo", Json.Int (c * n / nchunks));
+                    ("hi", Json.Int (((c + 1) * n / nchunks) - 1));
+                  ]
+                label (body c))
+        in
+        let dispatch =
+          Tracer.begin_span tracer ~track:"par" ~cat:"par"
+            ~args:
+              [
+                ("jobs", Json.Int pool.width);
+                ("chunks", Json.Int nchunks);
+                ("items", Json.Int n);
+              ]
+            (label ^ ".dispatch")
+        in
+        let waits =
+          (* an unclosed dispatch span would parent every later span *)
+          try run_chunks pool ?progress (Array.init nchunks job)
+          with e ->
+            Tracer.end_span tracer dispatch;
+            raise e
+        in
+        (* fold the job recorders back in chunk-index order: dispatch
+           order, never completion order, so the merge is deterministic *)
+        Array.iteri
+          (fun c (jt, jm) ->
+            Tracer.absorb tracer ~parent:dispatch ~lane:lanes.(c) jt;
+            Metrics.absorb metrics jm)
+          recorders;
+        Metrics.incr ~by:nchunks (Metrics.counter metrics "par.jobs_dispatched");
+        let wait_hist = Metrics.histogram metrics "par.queue_wait_us" in
+        Array.iter (fun w -> Metrics.observe wait_hist (int_of_float w)) waits;
+        Tracer.end_span tracer dispatch);
     Array.iter
       (function
         | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())

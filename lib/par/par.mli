@@ -10,16 +10,17 @@
     Exceptions raised inside jobs are captured and re-raised on the
     calling domain (first failing chunk in input order wins).
 
-    Telemetry: every parallel section is a dispatch span on the ["par"]
-    track, with [par.jobs_dispatched] counting chunks and
-    [par.queue_wait_us] a histogram of chunk queue-wait times.  When
-    telemetry is on, each chunk runs under a per-job
-    [Obs.Telemetry_buffer] wrapped in a job-root span; the buffers merge
-    back in chunk-index order at the fan-in, parented to the dispatch
-    span and placed on per-lane tracks (["lane0"] is the calling
-    domain) — worker emissions are never lost, and because chunk counts
-    and merge order are width-independent the merged metrics are
-    byte-identical at any [--jobs].  See [docs/OBSERVABILITY.md]. *)
+    Telemetry: every parallel section is a dispatch span
+    ["<label>.dispatch"] on the ["par"] track, with [par.jobs_dispatched]
+    counting chunks and [par.queue_wait_us] a histogram of chunk
+    queue-wait times.  When telemetry is on, each chunk runs under a
+    fresh tracer and registry ([Obs.with_recorder]) in a job span named
+    [label]; they are absorbed back in chunk-index order at the fan-in,
+    parented to the dispatch span and placed on per-lane tracks
+    (["lane0"] is the calling domain) — worker emissions are never lost,
+    and because chunk counts and merge order are width-independent the
+    merged metrics are byte-identical at any [--jobs].  See
+    [docs/OBSERVABILITY.md]. *)
 
 type pool
 
@@ -62,7 +63,7 @@ val map :
   'a list ->
   'b list
 (** [map pool f xs = List.map f xs] for pure [f], computed on up to
-    [jobs pool] domains.  [label] names the telemetry span; [progress]
+    [jobs pool] domains.  [label] names the telemetry spans; [progress]
     is invoked on the {e calling} domain as chunks complete (counts in
     chunks), the safe place to emit progress events from. *)
 

@@ -20,7 +20,7 @@
 
    With [~timings:false] the whole document is therefore md5-comparable
    across [--jobs] widths, while the counts still include every
-   worker-lane contribution (the telemetry-buffer merge). *)
+   worker-lane contribution (the per-job recorder merge). *)
 
 module Obs = Symbad_obs.Obs
 module Tracer = Symbad_obs.Tracer

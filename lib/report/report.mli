@@ -6,7 +6,7 @@
 
     The record carries the verdict table, the lint diagnostics, the
     per-span self-time profile, the merged counters and histograms (all
-    worker-lane contributions included via the telemetry-buffer merge),
+    worker-lane contributions included via the per-job recorder merge),
     the budget waterfall and a trace summary, and renders as JSON or
     markdown.
 

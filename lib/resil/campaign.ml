@@ -293,7 +293,7 @@ let run_one ~workload ~mapping ~baseline ~base_winner ~base_config
               baseline.Level3.latency_ns * at_permille / 1000
             in
             let poll_ns = 2_000 and max_polls = 2_000 in
-            Kernel.spawn kernel ~name:"saboteur" (fun () ->
+            Kernel.spawn kernel (fun () ->
                 Process.wait (Time.ns t_ns);
                 let repairs () =
                   let s = Fpga.stats fpga in
@@ -753,16 +753,3 @@ let compare_modes_markdown ~scrub ~tmr =
         (Printf.sprintf "| %s ns | %d | %d |\n" bucket (c scrub) (c tmr)))
     buckets;
   Buffer.contents b
-
-(* The unified-driver shape (Core.Engines): run + consolidate. *)
-let check ?gov ?pool ?jobs ?mode ?kinds ?trials_per_kind ?workload
-    ?scrub_period_ns ~seed () =
-  let go pool =
-    verdict
-      (run ~pool ?gov ?mode ?kinds ?trials_per_kind ?workload
-         ?scrub_period_ns ~seed ())
-  in
-  match (pool, jobs) with
-  | Some p, _ -> go p
-  | None, None -> go Symbad_par.Par.sequential
-  | None, Some jobs -> Symbad_par.Par.with_pool ~jobs go

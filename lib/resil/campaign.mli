@@ -132,21 +132,3 @@ val compare_modes : scrub:report -> tmr:report -> Symbad_obs.Json.t
 
 val compare_modes_markdown : scrub:report -> tmr:report -> string
 (** {!compare_modes} rendered as markdown tables. *)
-
-val check :
-  ?gov:Symbad_gov.Gov.t ->
-  ?pool:Symbad_par.Par.pool ->
-  ?jobs:int ->
-  ?mode:mode ->
-  ?kinds:Fault.kind list ->
-  ?trials_per_kind:int ->
-  ?workload:Symbad_core.Face_app.workload ->
-  ?scrub_period_ns:int ->
-  seed:int ->
-  unit ->
-  Symbad_core.Verdict.t
-(** The campaign behind the unified driver shape
-    ([?gov ?pool ?jobs ~seed target -> Verdict.t] — see
-    [Symbad_core.Engines]): {!run} consolidated by {!verdict}.  [jobs]
-    builds a pool scoped to the call; [pool] wins when both are
-    given. *)

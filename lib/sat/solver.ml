@@ -605,7 +605,7 @@ let solve ?(assumptions = []) ?gov s =
     in
     let finish result =
       (* through the facade: a solve inside a Par job flushes into the
-         job's buffer, not the (foreign) global registry *)
+         job's recorder, not the (foreign) global registry *)
       let flush name v = Obs.incr_counter ~by:v name in
       flush "sat.solves" 1;
       flush "sat.conflicts" (s.conflicts - c0);

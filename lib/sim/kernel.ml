@@ -71,16 +71,10 @@ let exec_fiber k body =
           | Suspend register ->
               Some
                 (fun (cont : (a, _) continuation) ->
-                  if Obs.enabled () then
-                    Obs.event ~severity:Symbad_obs.Severity.Debug
-                      ~sim_ns:(Time.to_ns k.now) "sim.park";
                   let resumed = ref false in
                   register (fun () ->
                       if not !resumed then begin
                         resumed := true;
-                        if Obs.enabled () then
-                          Obs.event ~severity:Symbad_obs.Severity.Debug
-                            ~sim_ns:(Time.to_ns k.now) "sim.resume";
                         schedule_at k k.now (fun () -> continue cont ())
                       end))
           | Get_kernel ->
@@ -88,14 +82,9 @@ let exec_fiber k body =
           | _ -> None);
     }
 
-let spawn k ?(name = "proc") body =
+let spawn k body =
   k.processes_spawned <- k.processes_spawned + 1;
-  if Obs.enabled () then begin
-    Obs.event ~severity:Symbad_obs.Severity.Debug
-      ~args:[ ("name", Json.Str name) ]
-      ~sim_ns:(Time.to_ns k.now) "sim.spawn";
-    Obs.incr_counter "sim.processes_spawned"
-  end;
+  if Obs.enabled () then Obs.incr_counter "sim.processes_spawned";
   schedule k (fun () -> exec_fiber k body)
 
 let run ?until k =
@@ -137,7 +126,7 @@ let run ?until k =
       let dispatched = k.events_processed - events0 in
       let sim_ns = Time.to_ns k.now in
       (* through the facade, never the registry directly: a kernel run
-         inside a Par job must land in the job's buffer *)
+         inside a Par job must land in the job's recorder *)
       Obs.incr_counter ~by:dispatched "sim.events_dispatched";
       Obs.incr_counter ~by:(int_of_float (dt *. 1e6)) "sim.cpu_us";
       if dt > 0. then

@@ -36,8 +36,8 @@ val schedule : ?delay:Time.t -> t -> (unit -> unit) -> unit
 
 val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 
-val spawn : t -> ?name:string -> (unit -> unit) -> unit
-(** [spawn k ~name body] registers [body] as a process starting at the
+val spawn : t -> (unit -> unit) -> unit
+(** [spawn k body] registers [body] as a process starting at the
     current time. *)
 
 val run : ?until:Time.t -> t -> unit

@@ -9,6 +9,4 @@ let kernel () = Effect.perform Kernel.Get_kernel
 let now () = Kernel.now (kernel ())
 let halt () = raise Kernel.Halted
 
-let spawn ?name body =
-  let k = kernel () in
-  Kernel.spawn k ?name body
+let spawn body = Kernel.spawn (kernel ()) body

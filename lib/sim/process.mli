@@ -24,5 +24,5 @@ val kernel : unit -> Kernel.t
 val halt : unit -> 'a
 (** Terminate the calling process immediately. *)
 
-val spawn : ?name:string -> (unit -> unit) -> unit
+val spawn : (unit -> unit) -> unit
 (** Spawn a sibling process on the same kernel. *)

@@ -159,8 +159,11 @@ let span_nesting () =
   let find n = List.find (fun s -> s.Tracer.name = n) spans in
   check_int "outer depth" 0 (find "outer").Tracer.depth;
   check_int "inner depth" 1 (find "inner").Tracer.depth;
-  (* a span on its own track starts a fresh nesting *)
+  (* a span on its own track starts a fresh nesting, but its parent is
+     the innermost open span whatever the track *)
   check_int "other-track depth" 0 (find "elsewhere").Tracer.depth;
+  check_bool "other-track parent" true
+    ((find "elsewhere").Tracer.parent = Some (find "outer").Tracer.id);
   check_bool "sim durations" true
     ((find "inner").Tracer.sim_dur_ns = Some 30
     && (find "outer").Tracer.sim_dur_ns = Some 100);
@@ -196,6 +199,10 @@ let chrome_trace_parses_back () =
   let metadata = List.filter (fun e -> phase e = "M") events in
   check_int "complete events" 2 (List.length complete);
   check_int "instants" 1 (List.length instants);
+  (* bus.read's parent is level1 on another track, but only links
+     between two par spans are drawn as flow arrows *)
+  check_int "no flow arrows" 0
+    (List.length (List.filter (fun e -> phase e = "s" || phase e = "f") events));
   (* one thread_name record per track *)
   check_int "track metadata" 2 (List.length metadata);
   List.iter
@@ -232,32 +239,28 @@ let disabled_is_noop () =
       (* end_span on the canonical disabled span is a no-op too *)
       Obs.end_span Obs.null_span)
 
-let events_reach_sinks () =
+let error_event_is_an_instant () =
   with_obs true (fun () ->
-      let sink, drain = Sink.buffer () in
-      Obs.add_sink sink;
       Obs.event ~severity:Severity.Debug "quiet";
       Obs.event ~severity:Severity.Error
         ~args:[ ("k", Json.Str "v") ]
         ~sim_ns:17 "loud";
-      let evs = drain () in
-      check_int "both recorded" 2 (List.length evs);
-      let loud = List.nth evs 1 in
-      check_str "name" "loud" loud.Event.name;
-      check_bool "sim time carried" true (loud.Event.sim_ns = Some 17);
-      (* Debug stays off the timeline; Error becomes an instant *)
+      (* Debug stays off the timeline; Error becomes one instant *)
       let doc = Json.parse_exn (Tracer.to_chrome_json (Obs.tracer ())) in
       let events =
         Option.get (Json.to_list (Option.get (Json.member "traceEvents" doc)))
       in
-      check_int "one instant" 1
-        (List.length
-           (List.filter
-              (fun e ->
-                Json.member "ph" e |> Option.get |> Json.to_str
-                |> Option.get = "i")
-              events));
-      ignore (Json.parse_exn (Json.to_string (Event.to_json loud))))
+      let str k e = Option.bind (Json.member k e) Json.to_str in
+      match List.filter (fun e -> str "ph" e = Some "i") events with
+      | [ loud ] ->
+          check_bool "name" true (str "name" loud = Some "loud");
+          check_bool "severity" true (str "cat" loud = Some "error");
+          let args = Option.get (Json.member "args" loud) in
+          check_bool "args carried" true
+            (Json.member "k" args = Some (Json.Str "v"));
+          check_bool "sim time carried" true
+            (Json.member "sim_ns" args = Some (Json.Int 17))
+      | is -> Alcotest.failf "%d instants, expected one" (List.length is))
 
 (* --- end to end through the flow --- *)
 
@@ -301,6 +304,46 @@ let flow_is_instrumented () =
     (List.length
        (Option.get (Json.to_list (Option.get (Json.member "levels" rj)))))
 
+(* One parent rule on every domain: a span's parent is the innermost
+   span open on its domain, and a Par job hangs under its dispatch span.
+   So the four levels are the flow's only roots, and the verification
+   work (every dispatch of level 4 included) sits beneath them. *)
+let flow_spans_have_parents () =
+  let { Flow_fixture.tracer = tr; _ } = Lazy.force Flow_fixture.cold in
+  let spans = Tracer.completed_spans tr in
+  let by_id = Hashtbl.create 4096 in
+  List.iter (fun (s : Tracer.completed) -> Hashtbl.replace by_id s.id s) spans;
+  let is_dispatch (s : Tracer.completed) =
+    s.cat = "par" && Filename.check_suffix s.name ".dispatch"
+  in
+  let roots =
+    List.filter_map
+      (fun (s : Tracer.completed) ->
+        if s.parent = None then Some s.name else None)
+      spans
+  in
+  let level4 = List.find (fun (s : Tracer.completed) -> s.name = "level4") spans in
+  check_bool "level4 has child spans" true
+    (List.exists
+       (fun (s : Tracer.completed) -> s.parent = Some level4.id)
+       spans);
+  check_bool "only the four levels are roots" true
+    (List.sort compare roots = [ "level1"; "level2"; "level3"; "level4" ]);
+  let dispatches = List.filter is_dispatch spans in
+  check_bool "the flow dispatches" true (dispatches <> []);
+  List.iter
+    (fun (s : Tracer.completed) ->
+      if is_dispatch s then
+        check_bool (s.name ^ " has a parent") true (s.parent <> None)
+      else if s.cat = "par" then
+        check_bool
+          (s.name ^ " job hangs under a dispatch span")
+          true
+          (match Option.bind s.parent (Hashtbl.find_opt by_id) with
+          | Some p -> is_dispatch p
+          | None -> false))
+    spans
+
 let suite =
   [
     Alcotest.test_case "json round trip" `Quick json_round_trip;
@@ -315,6 +358,8 @@ let suite =
     Alcotest.test_case "chrome trace parses back" `Quick
       chrome_trace_parses_back;
     Alcotest.test_case "disabled is no-op" `Quick disabled_is_noop;
-    Alcotest.test_case "events reach sinks" `Quick events_reach_sinks;
+    Alcotest.test_case "error event becomes an instant" `Quick
+      error_event_is_an_instant;
     Alcotest.test_case "flow is instrumented" `Slow flow_is_instrumented;
+    Alcotest.test_case "flow spans have parents" `Slow flow_spans_have_parents;
   ]

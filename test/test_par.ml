@@ -126,10 +126,12 @@ let pool_telemetry () =
       let spans = Tracer.spans_with_cat (Obs.tracer ()) "par" in
       check_int "dispatch + 16 job spans" 17 (List.length spans);
       let dispatch =
-        List.find (fun s -> String.equal s.Tracer.track "par") spans
+        List.find (fun s -> String.equal s.Tracer.name "test.batch.dispatch") spans
       in
+      check_bool "dispatch on the par track" true
+        (String.equal dispatch.Tracer.track "par");
       let jobs =
-        List.filter (fun s -> not (String.equal s.Tracer.track "par")) spans
+        List.filter (fun s -> String.equal s.Tracer.name "test.batch") spans
       in
       check_int "16 job spans" 16 (List.length jobs);
       List.iter
@@ -158,37 +160,17 @@ let rendezvous pool name =
       Par.current_lane ())
     [ 0; 1 ]
 
-(* Satellite regression for the worker-telemetry drop: with per-job
-   buffering on, emissions from the worker domain reach the merged
-   registry; with buffering off (the pre-merge behaviour), they are
-   dropped and counted — so the buffered flow records strictly more. *)
+(* Emissions from the worker domain reach the merged registry: the
+   counter sees both lanes, and nothing is dropped. *)
 let worker_telemetry_merged () =
-  let buffered =
-    with_obs (fun () ->
-        let lanes = Par.with_pool ~jobs:2 (fun pool -> rendezvous pool "rv") in
-        check_bool "two distinct lanes" true
-          (match lanes with [ a; b ] -> a <> b | _ -> false);
-        check_int "no emission dropped" 0 (Obs.dropped_count ());
-        match Metrics.find_counter (Obs.metrics ()) "rv.work" with
-        | Some n -> n
-        | None -> Alcotest.fail "rv.work not recorded")
-  in
-  check_int "both lanes counted" 2 buffered;
-  let unbuffered =
-    with_obs (fun () ->
-        Obs.set_buffering false;
-        Fun.protect
-          ~finally:(fun () -> Obs.set_buffering true)
-          (fun () ->
-            ignore (Par.with_pool ~jobs:2 (fun pool -> rendezvous pool "rv"));
-            check_bool "worker emissions dropped and counted" true
-              (Obs.dropped_count () > 0);
-            match Metrics.find_counter (Obs.metrics ()) "rv.work" with
-            | Some n -> n
-            | None -> 0))
-  in
-  check_int "dispatch lane only" 1 unbuffered;
-  check_bool "buffered records strictly more" true (buffered > unbuffered)
+  with_obs (fun () ->
+      let lanes = Par.with_pool ~jobs:2 (fun pool -> rendezvous pool "rv") in
+      check_bool "two distinct lanes" true
+        (match lanes with [ a; b ] -> a <> b | _ -> false);
+      check_int "no emission dropped" 0 (Obs.dropped_count ());
+      check_int "both lanes counted" 2
+        (Option.value ~default:0
+           (Metrics.find_counter (Obs.metrics ()) "rv.work")))
 
 (* Chrome-trace parse-back: the exported timeline must show one thread
    per lane, the job spans on (at least) two distinct lane threads, each
@@ -217,15 +199,9 @@ let merged_trace_parse_back () =
       in
       check_bool "at least two lane threads" true (List.length lane_tids >= 2);
       let xs = List.filter (fun e -> str "ph" e = Some "X") events in
-      let jobs =
-        List.filter
-          (fun e -> str "name" e = Some "rvt" && arg "chunk" e <> None)
-          xs
-      in
+      let jobs = List.filter (fun e -> str "name" e = Some "rvt") xs in
       let dispatch =
-        List.find
-          (fun e -> str "name" e = Some "rvt" && arg "chunks" e <> None)
-          xs
+        List.find (fun e -> str "name" e = Some "rvt.dispatch") xs
       in
       let dispatch_id = Option.bind (arg "span_id" dispatch) Json.to_number in
       check_int "two job spans" 2 (List.length jobs);
@@ -260,18 +236,60 @@ let merged_trace_parse_back () =
             (List.exists (fun i -> Some i = id) (arrows "f")))
         jobs)
 
+(* Nested maps fold back through the same two calls: inner jobs hang
+   under their inner dispatch span, which hangs under the outer job that
+   ran it, and each of those par -> par links gets a flow arrow. *)
+let nested_map_telemetry () =
+  with_obs (fun () ->
+      Par.with_pool ~jobs:2 (fun pool ->
+          ignore
+            (Par.map ~label:"outer" pool
+               (fun i -> Par.map ~label:"inner" pool succ [ i; i + 1 ])
+               [ 0; 1 ]));
+      let spans = Tracer.completed_spans (Obs.tracer ()) in
+      let by_id = Hashtbl.create 16 in
+      List.iter (fun s -> Hashtbl.replace by_id s.Tracer.id s) spans;
+      let parent_name s =
+        Option.map (fun p -> (Hashtbl.find by_id p).Tracer.name) s.Tracer.parent
+      in
+      let under name parent =
+        let named = List.filter (fun s -> s.Tracer.name = name) spans in
+        List.iter
+          (fun s ->
+            check_bool (name ^ " under " ^ parent) true
+              (parent_name s = Some parent))
+          named;
+        List.length named
+      in
+      check_int "outer jobs" 2 (under "outer" "outer.dispatch");
+      check_int "inner dispatches" 2 (under "inner.dispatch" "outer");
+      check_int "inner jobs" 4 (under "inner" "inner.dispatch");
+      let doc = Json.parse_exn (Tracer.to_chrome_json (Obs.tracer ())) in
+      let arrows =
+        match Option.bind (Json.member "traceEvents" doc) Json.to_list with
+        | Some es ->
+            List.filter
+              (fun e -> Option.bind (Json.member "ph" e) Json.to_str = Some "s")
+              es
+        | None -> []
+      in
+      check_int "one arrow per par link" 8 (List.length arrows))
+
 (* qcheck: the merged telemetry is pool-width invariant — the span
    structure (ids, parents, names, cats, depths) and the deterministic
-   metric figures hash identically at any width. *)
+   metric figures hash identically at any width.  The probe dispatches
+   from inside an open span, so the hash covers the dispatch span's
+   parent too. *)
 let telemetry_probe pool =
-  ignore
-    (Par.map ~label:"q.map" pool
-       (fun i ->
-         Obs.span ~cat:"q" "q.work" (fun () ->
-             Obs.incr_counter ~by:(i + 1) "q.count";
-             Obs.observe "q.depth_ns" (i * 100);
-             i * 3))
-       (List.init 24 Fun.id))
+  Obs.span ~cat:"q" "q.caller" (fun () ->
+      ignore
+        (Par.map ~label:"q.map" pool
+           (fun i ->
+             Obs.span ~cat:"q" "q.work" (fun () ->
+                 Obs.incr_counter ~by:(i + 1) "q.count";
+                 Obs.observe "q.depth_ns" (i * 100);
+                 i * 3))
+           (List.init 24 Fun.id)))
 
 let has_suffix s suf =
   let ls = String.length s and lf = String.length suf in
@@ -419,6 +437,7 @@ let suite =
     Alcotest.test_case "pool telemetry" `Quick pool_telemetry;
     Alcotest.test_case "worker telemetry merged" `Quick worker_telemetry_merged;
     Alcotest.test_case "merged trace parses back" `Quick merged_trace_parse_back;
+    Alcotest.test_case "nested map telemetry" `Quick nested_map_telemetry;
     QCheck_alcotest.to_alcotest qcheck_telemetry_width_invariant;
     Alcotest.test_case "progress reaches the caller" `Quick
       progress_reaches_caller;

@@ -64,10 +64,10 @@ let event_queue_growth () =
 let kernel_wait_order () =
   let k = Kernel.create () in
   let log = ref [] in
-  Kernel.spawn k ~name:"a" (fun () ->
+  Kernel.spawn k (fun () ->
       Process.wait (Time.ns 20);
       log := ("a", Time.to_ns (Process.now ())) :: !log);
-  Kernel.spawn k ~name:"b" (fun () ->
+  Kernel.spawn k (fun () ->
       Process.wait (Time.ns 10);
       log := ("b", Time.to_ns (Process.now ())) :: !log);
   Kernel.run k;

@@ -21,7 +21,7 @@ let bus_serialises () =
   let b = Bus.create "bus" in
   let done_at = ref [] in
   let master name =
-    Sim.Kernel.spawn k ~name (fun () ->
+    Sim.Kernel.spawn k (fun () ->
         Bus.transfer b (Transaction.make ~master:name ~target:"mem"
             ~kind:Transaction.Write ~bytes:4);
         done_at := (name, Sim.Time.to_ns (Sim.Process.now ())) :: !done_at)
@@ -38,17 +38,17 @@ let bus_priority_grant () =
   let b = Bus.create "bus" in
   let order = ref [] in
   (* occupy the bus, then two waiters with different priorities *)
-  Sim.Kernel.spawn k ~name:"hog" (fun () ->
+  Sim.Kernel.spawn k (fun () ->
       Bus.transfer ~priority:5 b
         (Transaction.make ~master:"hog" ~target:"t" ~kind:Transaction.Write
            ~bytes:40));
-  Sim.Kernel.spawn k ~name:"low" (fun () ->
+  Sim.Kernel.spawn k (fun () ->
       Sim.Process.wait (Sim.Time.ns 1);
       Bus.transfer ~priority:9 b
         (Transaction.make ~master:"low" ~target:"t" ~kind:Transaction.Write
            ~bytes:4);
       order := "low" :: !order);
-  Sim.Kernel.spawn k ~name:"high" (fun () ->
+  Sim.Kernel.spawn k (fun () ->
       Sim.Process.wait (Sim.Time.ns 2);
       Bus.transfer ~priority:1 b
         (Transaction.make ~master:"high" ~target:"t" ~kind:Transaction.Write
@@ -79,13 +79,13 @@ let bus_fifo_within_priority () =
   let k = Sim.Kernel.create () in
   let b = Bus.create "bus" in
   let order = ref [] in
-  Sim.Kernel.spawn k ~name:"hog" (fun () ->
+  Sim.Kernel.spawn k (fun () ->
       Bus.transfer b
         (Transaction.make ~master:"hog" ~target:"t" ~kind:Transaction.Write
            ~bytes:40));
   List.iteri
     (fun i name ->
-      Sim.Kernel.spawn k ~name (fun () ->
+      Sim.Kernel.spawn k (fun () ->
           Sim.Process.wait (Sim.Time.ns (i + 1));
           Bus.transfer ~priority:5 b
             (Transaction.make ~master:name ~target:"t" ~kind:Transaction.Write
