@@ -1,4 +1,8 @@
-(** Cycle-accurate netlist simulation. *)
+(** Cycle-accurate netlist simulation.
+
+    {!create} compiles the netlist once: inputs and registers live in
+    int slots, and every next-state function and output is a closure
+    over them with its width masks worked out up front. *)
 
 type state = (string * Bitvec.t) list
 (** Register name to value. *)
@@ -6,7 +10,8 @@ type state = (string * Bitvec.t) list
 type t
 
 val create : Netlist.t -> t
-(** Simulator in the reset state. *)
+(** Simulator in the reset state.  Raises [Invalid_argument], naming
+    the register or output, on a malformed netlist. *)
 
 val reset : t -> unit
 val state : t -> state
@@ -14,9 +19,12 @@ val cycle : t -> int
 (** Clock edges executed so far. *)
 
 val set_state : t -> state -> unit
+(** Overwrite the listed registers; the others keep their values. *)
 
 val outputs : t -> inputs:(string * Bitvec.t) list -> (string * Bitvec.t) list
-(** Combinational outputs for the current state and the given inputs. *)
+(** Combinational outputs for the current state and the given inputs
+    (every declared input must be bound; values are truncated to the
+    declared width). *)
 
 val output : t -> inputs:(string * Bitvec.t) list -> string -> Bitvec.t
 
@@ -29,3 +37,27 @@ val run :
   (string * Bitvec.t) list list
 (** Apply a stimulus (one input valuation per cycle); returns the outputs
     observed before each edge. *)
+
+(** {2 Raw slots}
+
+    For loops that draw their own stimulus: inputs as ints in
+    {!Netlist.inputs} order, and expressions compiled against the
+    simulator's slots. *)
+
+val set_inputs : t -> int array -> unit
+(** Load one value per input, in {!Netlist.inputs} order (truncated to
+    the declared widths). *)
+
+val tick : t -> unit
+(** One clock edge under the loaded inputs, which stay loaded. *)
+
+val compile : t -> Expr.t -> unit -> int
+(** [compile t e] reads [e] over the loaded inputs and the current
+    state.  Raises [Invalid_argument] on undeclared signals or
+    inconsistent widths. *)
+
+val compile_step : t -> Expr.t -> unit -> int
+(** Like {!compile} for a two-state formula, read across the last
+    {!tick} as {!Unroll.bool_lit_step} reads it: a primed register
+    ([Reg "x'"]) reads the state after the edge; unprimed registers and
+    inputs read the state and inputs the edge was taken from. *)

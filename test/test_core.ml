@@ -530,7 +530,8 @@ let pcc_report ?(undetectable = 0) ~covered ~uncovered ~unresolved () =
   let statuses =
     List.concat
       [
-        List.init covered (fun _ -> Pcc.Covered "p");
+        List.init covered (fun _ ->
+            Pcc.Covered { property = "p"; witness = [] });
         List.init uncovered (fun _ -> Pcc.Uncovered);
         List.init undetectable (fun _ -> Pcc.Undetectable);
         List.init unresolved (fun _ -> Pcc.Unresolved);

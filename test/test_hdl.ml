@@ -350,13 +350,17 @@ let qcheck_unroll_matches_simulator =
   QCheck.Test.make ~count:150
     ~name:"unrolled netlist matches the simulator frame by frame"
     (QCheck.make
-       QCheck.Gen.(pair (Netlist_gen.gen ~cycles:8) (int_range 1 8)))
-    (fun ((nl, width, stimulus), k) ->
+       QCheck.Gen.(
+         let* ((nl, _, _) as case) = Netlist_gen.gen ~cycles:8 in
+         let* k = int_range 1 8 in
+         let* formula = Netlist_gen.formula ~step:true nl in
+         return (case, k, formula)))
+    (fun ((nl, width, stimulus), k, formula) ->
       let module Solver = Symbad_sat.Solver in
       let stimulus = List.filteri (fun i _ -> i < k) stimulus in
       let solver = Solver.create 0 in
       let u = Unroll.create solver nl in
-      Unroll.unroll_to u k;
+      Unroll.unroll_to u (k + 1);
       List.iteri
         (fun i ab ->
           List.iter
@@ -367,20 +371,37 @@ let qcheck_unroll_matches_simulator =
                 (Unroll.expr_lits u i (Expr.input n)))
             (Netlist_gen.inputs ~width ab))
         stimulus;
+      (* every output at every frame and the two-state formula across
+         every edge, blasted before solving so the model fixes them *)
+      let outputs =
+        List.init k (fun i ->
+            List.map (fun (_, e) -> Unroll.expr_lits u i e) (Netlist.outputs nl))
+      in
+      let across = List.init k (fun i -> Unroll.expr_lits_step u i formula) in
       match Solver.solve solver with
       | Solver.Sat ->
           let sim = Simulator.create nl in
+          let step_value = Simulator.compile_step sim formula in
           List.for_all Fun.id
             (List.mapi
                (fun i ab ->
-                 let agrees =
+                 let inputs = Netlist_gen.inputs ~width ab in
+                 let regs_agree =
                    List.for_all
                      (fun (r, v) ->
                        Unroll.reg_value solver u i r = Bitvec.to_int v)
                      (Simulator.state sim)
                  in
-                 Simulator.step sim ~inputs:(Netlist_gen.inputs ~width ab);
-                 agrees)
+                 let outputs_agree =
+                   List.for_all2
+                     (fun (_, v) bits ->
+                       Unroll.bits_value solver bits = Bitvec.to_int v)
+                     (Simulator.outputs sim ~inputs)
+                     (List.nth outputs i)
+                 in
+                 Simulator.step sim ~inputs;
+                 regs_agree && outputs_agree
+                 && step_value () = Unroll.bits_value solver (List.nth across i))
                stimulus)
       | Solver.Unsat | Solver.Unknown -> false)
 

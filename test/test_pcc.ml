@@ -201,6 +201,193 @@ let pcc_budget_never_invents_gaps () =
         unlimited)
     [ 0; 6; 12; 24; 48; 96; 192; 384; 768 ]
 
+(* --- Simulation first --- *)
+
+module Level4 = Symbad_core.Level4
+module Session = Symbad_mc.Session
+module Trace = Symbad_mc.Trace
+
+(* PCC over the five level-4 modules at the flow's settings, shared by
+   the tests below. *)
+let flow_depth = 6
+
+let flow_pcc =
+  lazy
+    (List.map
+       (fun (m : Level4.rtl_module) ->
+         ( m,
+           Pcc.run ~depth:flow_depth ~max_reg_bits:4 m.Level4.netlist
+             m.Level4.properties ))
+       (Level4.modules ()))
+
+(* Replay [witness]'s inputs on [mutant] from reset: its states must be
+   the replay's, and [p] (evaluated by [Expr.eval], not by the
+   simulator's closures) must fail within depth + 1 states — a step
+   property across two consecutive frames of the trace. *)
+let witness_breaks ~depth mutant p (witness : Trace.t) =
+  let sim = Simulator.create mutant in
+  let width n = List.assoc n (Netlist.inputs mutant) in
+  let ints st = List.map (fun (n, v) -> (n, Bitvec.to_int v)) st in
+  let anchors = List.length witness - if Prop.is_step p then 1 else 0 in
+  let fails = ref false in
+  List.iteri
+    (fun i (frame : Trace.frame) ->
+      let before = Simulator.state sim in
+      check_bool "trace state replays" true (ints before = frame.Trace.regs);
+      let inputs =
+        List.map
+          (fun (n, v) -> (n, Bitvec.make ~width:(width n) v))
+          frame.Trace.inputs
+      in
+      Simulator.step sim ~inputs;
+      let after = Simulator.state sim in
+      let reg n =
+        let len = String.length n in
+        if n.[len - 1] = '\'' then
+          List.assoc (String.sub n 0 (len - 1)) after
+        else List.assoc n before
+      in
+      let holds =
+        Expr.eval ~input:(fun n -> List.assoc n inputs) ~reg (Prop.formula p)
+      in
+      if i < anchors && i <= depth && Bitvec.to_int holds = 0 then
+        fails := true)
+    witness;
+  !fails
+
+let pcc_witnesses_replay () =
+  let replayed = ref 0 in
+  List.iter
+    (fun ((m : Level4.rtl_module), r) ->
+      List.iter
+        (fun fr ->
+          match fr.Pcc.status with
+          | Pcc.Covered { property; witness } ->
+              let p =
+                List.find
+                  (fun p -> Prop.name p = property)
+                  m.Level4.properties
+              in
+              let mutant = Fault.apply m.Level4.netlist fr.Pcc.fault in
+              check_bool
+                (Printf.sprintf "%s %s breaks %s" m.Level4.module_name
+                   (Fault.to_string fr.Pcc.fault) property)
+                true
+                (witness_breaks ~depth:flow_depth mutant p witness);
+              incr replayed
+          | Pcc.Uncovered | Pcc.Undetectable | Pcc.Unresolved -> ())
+        r.Pcc.faults)
+    (Lazy.force flow_pcc);
+  check "every covered fault replayed" 128 !replayed
+
+(* Faults a property does break but no output reveals: a property
+   failure alone must never cover them. *)
+let root_breaks_undetectable =
+  List.init 4 (fun i -> Printf.sprintf "nsave[%d]/sa0" i)
+  @ List.init 4 (fun i -> Printf.sprintf "nsave[%d]/sa1" i)
+  @ [ "cond1/stuck-T"; "cond8/stuck-F"; "cond8/stuck-T" ]
+
+let pcc_detectability_first () =
+  let m, r =
+    List.find
+      (fun ((m : Level4.rtl_module), _) -> m.Level4.module_name = "ROOT")
+      (Lazy.force flow_pcc)
+  in
+  check "ROOT detectable" 42 r.Pcc.detectable;
+  check "ROOT covered" 41 r.Pcc.covered;
+  let undetectable =
+    List.filter_map
+      (fun fr ->
+        if fr.Pcc.status = Pcc.Undetectable then Some fr.Pcc.fault else None)
+      r.Pcc.faults
+  in
+  check "ROOT undetectable" 14 (List.length undetectable);
+  List.iter
+    (fun name ->
+      match
+        List.find_opt (fun f -> Fault.to_string f = name) undetectable
+      with
+      | None -> Alcotest.failf "%s must stay undetectable" name
+      | Some fault ->
+          let mutant = Fault.apply m.Level4.netlist fault in
+          check_bool (name ^ " breaks a property") true
+            (List.exists
+               (fun p ->
+                 match
+                   Session.bmc (Session.create mutant p) ~depth:flow_depth
+                 with
+                 | Session.Base_cex _ -> true
+                 | Session.Base_holds | Session.Base_unknown -> false)
+               m.Level4.properties))
+    root_breaks_undetectable
+
+(* The SAT-only reference [Pcc.check_fault] replaces: the miter, then
+   BMC of each property in order.  Statuses only — the property inside
+   [Covered] may differ. *)
+let sat_only ~depth nl props fault =
+  let mutant = Fault.apply nl fault in
+  match Miter.detectable ~depth nl mutant with
+  | `Undetectable_within _ -> `Undetectable
+  | `Resource_out -> `Unresolved
+  | `Detectable _ ->
+      if
+        List.exists
+          (fun p ->
+            match Session.bmc (Session.create mutant p) ~depth with
+            | Session.Base_cex _ -> true
+            | Session.Base_holds | Session.Base_unknown -> false)
+          props
+      then `Covered
+      else `Uncovered
+
+let kind = function
+  | Pcc.Covered _ -> `Covered
+  | Pcc.Uncovered -> `Uncovered
+  | Pcc.Undetectable -> `Undetectable
+  | Pcc.Unresolved -> `Unresolved
+
+let qcheck_pcc_matches_sat_only =
+  QCheck.Test.make ~count:30
+    ~name:"simulation-first PCC matches the SAT-only reference"
+    (QCheck.make
+       QCheck.Gen.(
+         let* nl, _, _ = Netlist_gen.gen ~cycles:0 in
+         (* next-state properties on some registers hold on the
+            original, so only a fault breaks them; faults elsewhere stay
+            uncovered *)
+         let* next =
+           flatten_l
+             (List.map
+                (fun (r : Netlist.register) ->
+                  map
+                    (fun keep ->
+                      if not keep then []
+                      else
+                        [
+                          Prop.make_step ~name:(r.Netlist.name ^ "_next")
+                            (E.eq
+                               (E.reg (r.Netlist.name ^ "'"))
+                               r.Netlist.next);
+                        ])
+                    bool)
+                (Netlist.registers nl))
+         in
+         let* step = bool in
+         let* random = opt (Netlist_gen.formula ~step nl) in
+         let random =
+           Option.map
+             (fun f ->
+               if step then Prop.make_step ~name:"random" f
+               else Prop.make ~name:"random" f)
+             random
+         in
+         return (nl, List.concat next @ Option.to_list random)))
+    (fun (nl, props) ->
+      let depth = 3 in
+      List.for_all
+        (fun fr -> kind fr.Pcc.status = sat_only ~depth nl props fr.Pcc.fault)
+        (Pcc.run ~depth nl props).Pcc.faults)
+
 let suite =
   [
     Alcotest.test_case "fault enumeration" `Quick fault_enumeration;
@@ -230,4 +417,9 @@ let suite =
       pcc_ample_budget_matches_unlimited;
     Alcotest.test_case "pcc: budget never invents gaps" `Quick
       pcc_budget_never_invents_gaps;
+    Alcotest.test_case "pcc: covered witnesses replay" `Quick
+      pcc_witnesses_replay;
+    Alcotest.test_case "pcc: detectability first" `Quick
+      pcc_detectability_first;
+    QCheck_alcotest.to_alcotest qcheck_pcc_matches_sat_only;
   ]
