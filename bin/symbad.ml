@@ -224,7 +224,8 @@ let run_flow c markdown json no_timings trace metrics =
   let cache = cache_of c in
   let report =
     with_pool c (fun pool ->
-        Flow.run ~pool ?cache ~seed:c.seed ~workload:w ?budget:(budget_of c) ())
+        Flow.run ~pool ?cache ~seed:c.seed ~workload:w
+          ?gov:(gov_of ~label:"flow" c) ())
   in
   Format.printf "%a@." Flow.pp report;
   report_cache_use c cache;
@@ -678,7 +679,8 @@ let run_stats c =
   let cache = cache_of c in
   let report =
     with_pool c (fun pool ->
-        Flow.run ~pool ?cache ~seed:c.seed ~workload:w ?budget:(budget_of c) ())
+        Flow.run ~pool ?cache ~seed:c.seed ~workload:w
+          ?gov:(gov_of ~label:"flow" c) ())
   in
   let tracer = Obs.tracer () in
   Format.printf "%s@." (Metrics.to_table (Obs.metrics ()));

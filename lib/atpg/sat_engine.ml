@@ -1,17 +1,16 @@
 (* SAT-based test generation (the formal engine of Laerte++).
 
    Works on the RTL view of a module: to cover the bit-coverage point
-   "output o, bit i, polarity v at depth d", it asks the SAT solver for
-   an input sequence driving that bit to that polarity, by unrolling the
-   netlist.  Complete on the covered depth: if the solver says UNSAT the
-   point is formally unreachable and excluded from the denominator —
-   something no simulation-based engine can conclude. *)
+   "output o, bit i, polarity v at depth d", it asks the model checker
+   for a reset path driving that bit to that polarity, posed as BMC of
+   the invariant "never that polarity".  Complete on the covered depth:
+   if every bound holds the point is formally unreachable and excluded
+   from the denominator — something no simulation-based engine can
+   conclude. *)
 
-module Solver = Symbad_sat.Solver
-module Hdl = Symbad_hdl
 module Netlist = Symbad_hdl.Netlist
-module Unroll = Symbad_hdl.Unroll
 module Expr = Symbad_hdl.Expr
+module Mc = Symbad_mc
 
 type target = { output : string; bit : int; polarity : bool }
 
@@ -31,12 +30,6 @@ let all_targets nl =
         (List.init w (fun i -> i)))
     (Netlist.outputs nl)
 
-(* Pack one frame's inputs into a vector following the netlist order. *)
-let inputs_at solver u frame nl =
-  Array.of_list
-    (List.map (fun (n, _) -> Unroll.input_value solver u frame n)
-       (Netlist.inputs nl))
-
 let cover_target ?(max_depth = 8) ?gov nl target =
   let out_expr =
     match Netlist.find_output nl target.output with
@@ -47,25 +40,21 @@ let cover_target ?(max_depth = 8) ?gov nl target =
   if target.bit < 0 || target.bit >= w then
     invalid_arg "Sat_engine: bit out of range";
   let bit_expr = Expr.slice out_expr ~hi:target.bit ~lo:target.bit in
-  let goal =
-    if target.polarity then bit_expr
-    else Expr.not_ bit_expr
+  let never_goal = if target.polarity then Expr.not_ bit_expr else bit_expr in
+  let prop =
+    Mc.Prop.make
+      ~name:(Printf.sprintf "cover %s[%d]" target.output target.bit)
+      never_goal
   in
-  let rec at k =
-    if k > max_depth then Unreachable
-    else begin
-      let solver = Solver.create 0 in
-      let u = Unroll.create ~init:Unroll.Reset solver nl in
-      Unroll.unroll_to u (k + 1);
-      Solver.add_clause solver [ Unroll.bool_lit u k goal ];
-      match Solver.solve ?gov solver with
-      | Solver.Sat ->
-          Test (List.init (k + 1) (fun i -> inputs_at solver u i nl))
-      | Solver.Unsat -> at (k + 1)
-      | Solver.Unknown -> Budget_exceeded
-    end
-  in
-  at 0
+  match Mc.Session.bmc ?gov (Mc.Session.create nl prop) ~depth:max_depth with
+  | Mc.Session.Base_cex tr ->
+      (* the trace's input rows are in netlist input order *)
+      Test
+        (List.map
+           (fun (f : Mc.Trace.frame) -> Array.of_list (List.map snd f.inputs))
+           tr)
+  | Mc.Session.Base_holds -> Unreachable
+  | Mc.Session.Base_unknown -> Budget_exceeded
 
 type report = {
   covered : int;

@@ -1,8 +1,10 @@
 (** SAT-based test generation (the formal engine of Laerte++), working
     on the RTL view: to cover "output bit at polarity within depth d" it
-    asks the solver for a driving input sequence by unrolling the
-    netlist.  UNSAT at every depth proves the point unreachable —
-    a conclusion no simulation-based engine can draw. *)
+    runs bounded model checking ({!Symbad_mc.Session.bmc}) of the
+    invariant "the bit never takes that polarity"; a counterexample is
+    the driving input sequence.  A bound that holds at every depth
+    proves the point unreachable — a conclusion no simulation-based
+    engine can draw. *)
 
 type target = { output : string; bit : int; polarity : bool }
 

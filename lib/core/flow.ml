@@ -11,7 +11,6 @@ module Annotation = Symbad_tlm.Annotation
 module Obs = Symbad_obs.Obs
 module Json = Symbad_obs.Json
 module Gov = Symbad_gov.Gov
-module Budget = Symbad_gov.Budget
 module Degrade = Symbad_gov.Degrade
 
 type level_report = {
@@ -93,13 +92,8 @@ let entry_verdicts level g =
 
 let run ?pool ?cache ?escalate ?(seed = 1)
     ?(workload = Face_app.default_workload) ?(deadline_ns = 40_000_000)
-    ?budget ?gov () =
-  let gov =
-    match (gov, budget) with
-    | Some g, _ -> g
-    | None, Some b -> Gov.create ~label:"flow" b
-    | None, None -> Gov.unlimited
-  in
+    ?gov () =
+  let gov = Gov.get gov in
   (* sequential slices: each level gets its fraction of what the levels
      before it left unspent; level 4 runs over the rest *)
   let level_gov n =

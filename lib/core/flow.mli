@@ -28,7 +28,6 @@ val run :
   ?seed:int ->
   ?workload:Face_app.workload ->
   ?deadline_ns:int ->
-  ?budget:Symbad_gov.Budget.t ->
   ?gov:Symbad_gov.Gov.t ->
   unit ->
   t
@@ -38,15 +37,17 @@ val run :
     domains; results are identical at any width (defaults to the
     sequential pool).  [seed] (default 1) drives the ATPG engines.
 
-    [budget] puts the whole run under a resource governor: levels 1–3
-    get fixed fractions of the remaining budget (level 4, where the
+    [gov] puts the whole run under a resource governor: levels 1–3
+    get fixed fractions of its remaining budget (level 4, where the
     SAT and PCC work lives, runs over the rest), each level splits its
     share across its checks before dispatch, and an exhausted share
     degrades that check to [Verdict.Inconclusive] carrying its partial
     result instead of running long.  With only logical allowances
     (conflicts/patterns) the degraded report is deterministic at any
     [pool] width; the wall-clock deadline is best-effort.  Omitting
-    [budget] reproduces the ungoverned flow exactly.
+    [gov] reproduces the ungoverned flow exactly.  The levels' governors
+    are children of [gov], so a caller that owns a root (as
+    `symbad report` does) reads the run's budget waterfall from it.
 
     [cache] hands level 4 a content-addressed verdict store
     ({!Level4.verify_module}): unchanged modules replay their stored
@@ -55,11 +56,7 @@ val run :
 
     [escalate] forwards to {!Level4.run}: level-4 lint warnings that
     carry proof obligations are dispatched to the model checker and
-    folded back into the gate before MC/PCC run.
-
-    [gov] overrides [budget] with a caller-built root governor — what
-    `symbad report` uses to attach a {!Symbad_gov.Ledger} so the run's
-    budget waterfall can be reported. *)
+    folded back into the gate before MC/PCC run. *)
 
 val to_markdown : t -> string
 (** The report as a markdown document (CI artefacts, experiment logs). *)

@@ -61,13 +61,8 @@ let crosses_bus mapping graph channel =
     (endpoint_sw (Task_graph.producer_of graph channel)
     && endpoint_sw (Task_graph.consumer_of graph channel))
 
-let run ?(config = default_config) ?(force_sw = []) (graph : Task_graph.t)
+let run ?(config = default_config) (graph : Task_graph.t)
     (mapping : Mapping.t) =
-  (* static graceful degradation: tasks whose accelerator is unavailable
-     run from their software implementation instead *)
-  let mapping =
-    List.fold_left (fun m t -> Mapping.move m t Mapping.Sw) mapping force_sw
-  in
   (* environment models (sources) must stay on the CPU: they pace the
      cyclostatic schedule *)
   List.iter

@@ -34,10 +34,6 @@ val simulation_speed_khz : bus_period_ns:int -> result -> float
 val crosses_bus : Mapping.t -> Task_graph.t -> string -> bool
 (** Does the channel leave the CPU (and hence ride the bus)? *)
 
-val run :
-  ?config:config -> ?force_sw:string list -> Task_graph.t -> Mapping.t -> result
+val run : ?config:config -> Task_graph.t -> Mapping.t -> result
 (** Raises [Invalid_argument] if a source is not mapped to SW or any
-    task is mapped to an FPGA context (that is level 3).  [force_sw]
-    remaps the listed tasks to software before running — the static
-    graceful-degradation story: the pipeline still computes the same
-    tokens when an accelerator is unavailable, only slower. *)
+    task is mapped to an FPGA context (that is level 3). *)

@@ -28,9 +28,6 @@ let make ?deadline_s ?conflicts ?patterns ?(retries = 0) () =
     retries = max 0 retries;
   }
 
-let is_unlimited t =
-  t.deadline = None && t.conflicts = None && t.patterns = None
-
 let remaining_s t = Option.map (fun d -> d -. Unix.gettimeofday ()) t.deadline
 
 let deadline_over t =

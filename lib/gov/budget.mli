@@ -42,9 +42,6 @@ val make :
     absolute.  Negative allowances are clamped to 0 (an already-exhausted
     budget). *)
 
-val is_unlimited : t -> bool
-(** No deadline and no logical allowance. *)
-
 val remaining_s : t -> float option
 (** Seconds until the deadline (negative once passed); [None] when the
     budget has no deadline. *)

@@ -9,7 +9,11 @@
    its share *before* the fan-out, so which job exhausts first does not
    depend on scheduling — parallel runs reproduce sequential ones.  The
    wall-clock deadline is inherently a race against real time and is
-   polled best-effort at step boundaries. *)
+   polled best-effort at step boundaries.
+
+   The tree is also the run's budget record: each node keeps its
+   children, retries and degradations, and [waterfall] reads the spend
+   of every node back out of the same counters that enforce it. *)
 
 module Obs = Symbad_obs.Obs
 module Json = Symbad_obs.Json
@@ -18,49 +22,49 @@ module Severity = Symbad_obs.Severity
 type t = {
   label : string;
   budget : Budget.t;
+  deadline_s : float option;  (* seconds to the deadline at creation *)
   cancel : Cancel.t;
   spent_conflicts : int Atomic.t;
   spent_patterns : int Atomic.t;
   parent : t option;
-  ledger : Ledger.t option;  (* inherited root → children *)
+  children : t list Atomic.t;  (* newest first *)
+  retries : int Atomic.t;
+  degradations : string list Atomic.t;  (* reason strings, newest first *)
 }
 
-let make ?(label = "gov") ?(cancel = Cancel.none) ?parent ?ledger budget =
-  let ledger =
-    match (ledger, parent) with
-    | (Some _ as l), _ -> l
-    | None, Some p -> p.ledger
-    | None, None -> None
-  in
-  (match ledger with
-  | Some l ->
-      Ledger.record l ~node:label
-        (Ledger.Created
-           {
-             parent = Option.map (fun p -> p.label) parent;
-             conflicts = budget.Budget.conflicts;
-             patterns = budget.Budget.patterns;
-             deadline_s = Budget.remaining_s budget;
-             retries = budget.Budget.retries;
-           })
-  | None -> ());
+let node ~label ~cancel ~parent budget =
   {
     label;
     budget;
+    deadline_s = Budget.remaining_s budget;
     cancel;
     spent_conflicts = Atomic.make 0;
     spent_patterns = Atomic.make 0;
     parent;
-    ledger;
+    children = Atomic.make [];
+    retries = Atomic.make 0;
+    degradations = Atomic.make [];
   }
 
-let create ?label ?cancel ?ledger budget = make ?label ?cancel ?ledger budget
-let unlimited = make ~label:"unlimited" Budget.unlimited
+let create ?(label = "gov") ?(cancel = Cancel.none) budget =
+  node ~label ~cancel ~parent:None budget
+
+let unlimited = create ~label:"unlimited" Budget.unlimited
 let get = function Some g -> g | None -> unlimited
 let label t = t.label
 let budget t = t.budget
-let cancel_token t = t.cancel
-let ledger t = t.ledger
+
+(* lock-free prepend: children and degradations arrive from any domain *)
+let rec push cell x =
+  let l = Atomic.get cell in
+  if not (Atomic.compare_and_set cell l (x :: l)) then push cell x
+
+(* the shared [unlimited] keeps no children, so ungoverned runs leave
+   nothing reachable from it *)
+let child t ~label budget =
+  let c = node ~label ~cancel:t.cancel ~parent:(Some t) budget in
+  if t != unlimited then push t.children c;
+  c
 
 (* --- spend accounting ------------------------------------------------- *)
 
@@ -70,23 +74,8 @@ let rec charge counter_of t n =
     match t.parent with Some p -> charge counter_of p n | None -> ()
   end
 
-(* each charge is recorded once, on the directly-charged node (the
-   atomic propagation handles the ancestors), so ledger sums equal the
-   root's spend counters exactly *)
-let note_charge t axis n =
-  if n > 0 then
-    match t.ledger with
-    | Some l ->
-        Ledger.record l ~node:t.label (Ledger.Charge { axis; amount = n })
-    | None -> ()
-
-let charge_conflicts t n =
-  note_charge t Ledger.Conflicts n;
-  charge (fun t -> t.spent_conflicts) t n
-
-let charge_patterns t n =
-  note_charge t Ledger.Patterns n;
-  charge (fun t -> t.spent_patterns) t n
+let charge_conflicts t n = charge (fun t -> t.spent_conflicts) t n
+let charge_patterns t n = charge (fun t -> t.spent_patterns) t n
 
 let spent_conflicts t = Atomic.get t.spent_conflicts
 let spent_patterns t = Atomic.get t.spent_patterns
@@ -117,7 +106,7 @@ let out_of_budget t = exhaustion t <> None
 
 (* Obs routes these to the job's recorder when called inside a Par job
    (merged at the fan-in) and straight to the registry on the owning
-   domain; the ledger records in parallel with its own lock. *)
+   domain. *)
 let event ?(severity = Severity.Info) ~counter name args =
   if Obs.enabled () then begin
     Obs.incr_counter counter;
@@ -127,11 +116,7 @@ let event ?(severity = Severity.Info) ~counter name args =
 let opt_int = function None -> Json.Null | Some n -> Json.Int n
 
 let note_degraded t ~what reason =
-  (match t.ledger with
-  | Some l ->
-      Ledger.record l ~node:t.label
-        (Ledger.Degraded { what; reason = Degrade.reason_string reason })
-  | None -> ());
+  push t.degradations (Degrade.reason_string reason);
   event ~severity:Severity.Warn ~counter:"gov.degradations" "gov.degrade"
     [
       ("gov", Json.Str t.label);
@@ -153,8 +138,7 @@ let split ?label:(l = "split") t n =
     ];
   List.mapi
     (fun i share ->
-      make ~label:(Printf.sprintf "%s.%s/%d" t.label l i) ~cancel:t.cancel
-        ~parent:t share)
+      child t ~label:(Printf.sprintf "%s.%s/%d" t.label l i) share)
     (Budget.split ~n rem)
 
 let slice ?label:(l = "slice") ~fraction t =
@@ -167,8 +151,7 @@ let slice ?label:(l = "slice") ~fraction t =
       ("conflicts_left", opt_int share.Budget.conflicts);
       ("patterns_left", opt_int share.Budget.patterns);
     ];
-  make ~label:(Printf.sprintf "%s.%s" t.label l) ~cancel:t.cancel ~parent:t
-    share
+  child t ~label:(Printf.sprintf "%s.%s" t.label l) share
 
 (* --- portfolio retry -------------------------------------------------- *)
 
@@ -178,11 +161,7 @@ let with_retry ?label:(l = "engine") t ~inconclusive run =
     if inconclusive r && attempt < t.budget.Budget.retries
        && not (out_of_budget t)
     then begin
-      (match t.ledger with
-      | Some led ->
-          Ledger.record led ~node:t.label
-            (Ledger.Retry { what = l; attempt = attempt + 1 })
-      | None -> ());
+      Atomic.incr t.retries;
       event ~counter:"gov.retries" "gov.retry"
         [
           ("gov", Json.Str t.label);
@@ -201,3 +180,80 @@ let pp fmt t =
       | None -> ()
       | Some r -> Fmt.pf fmt " [%s]" (Degrade.reason_string r))
     (exhaustion t)
+
+(* --- the budget waterfall ---------------------------------------------- *)
+
+type row = {
+  label : string;
+  parent : string option;
+  depth : int;
+  created : int;
+  granted_conflicts : int option;
+  granted_patterns : int option;
+  granted_deadline_s : float option;
+  granted_retries : int;
+  charged_conflicts : int;
+  charged_patterns : int;
+  subtree_conflicts : int;
+  subtree_patterns : int;
+  retries : int;
+  degradations : string list;
+}
+
+(* Consecutive runs of one label in a label-sorted list.  A label is
+   created more than once when an engine is called repeatedly under one
+   parent (retries, windows); its nodes make one row. *)
+let rec by_label = function
+  | [] -> []
+  | (n : t) :: _ as ns ->
+      let rec take acc = function
+        | (m : t) :: rest when String.equal m.label n.label ->
+            take (m :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let same, rest = take [] ns in
+      same :: by_label rest
+
+(* A row's own charge is its nodes' spend minus their children's:
+   charges propagate to every ancestor, and every child of a retaining
+   node is registered. *)
+let waterfall (root : t) =
+  let total f (ns : t list) =
+    List.fold_left (fun acc n -> acc + Atomic.get (f n)) 0 ns
+  in
+  let conflicts = total (fun n -> n.spent_conflicts)
+  and patterns = total (fun n -> n.spent_patterns) in
+  let grant f (ns : t list) =
+    List.fold_left
+      (fun acc n ->
+        match (acc, f n.budget) with Some a, Some b -> Some (a + b) | _ -> None)
+      (Some 0) ns
+  in
+  let rec rows ~parent depth (nodes : t list) =
+    let kids =
+      List.concat_map (fun n -> List.rev (Atomic.get n.children)) nodes
+      |> List.stable_sort (fun (a : t) b -> String.compare a.label b.label)
+    in
+    let label = (List.hd nodes).label in
+    {
+      label;
+      parent;
+      depth;
+      created = List.length nodes;
+      granted_conflicts = grant (fun b -> b.Budget.conflicts) nodes;
+      granted_patterns = grant (fun b -> b.Budget.patterns) nodes;
+      granted_deadline_s = List.find_map (fun n -> n.deadline_s) nodes;
+      granted_retries =
+        List.fold_left (fun acc n -> max acc n.budget.Budget.retries) 0 nodes;
+      charged_conflicts = conflicts nodes - conflicts kids;
+      charged_patterns = patterns nodes - patterns kids;
+      subtree_conflicts = conflicts nodes;
+      subtree_patterns = patterns nodes;
+      retries = total (fun n -> n.retries) nodes;
+      degradations =
+        List.sort_uniq String.compare
+          (List.concat_map (fun (n : t) -> Atomic.get n.degradations) nodes);
+    }
+    :: List.concat_map (rows ~parent:(Some label) (depth + 1)) (by_label kids)
+  in
+  rows ~parent:(Option.map (fun (p : t) -> p.label) root.parent) 0 [ root ]

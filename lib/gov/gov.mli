@@ -13,29 +13,28 @@
     {e remaining} budget — flow levels split across engines, engines
     split across parallel jobs.  A child's charges propagate to every
     ancestor, so unspent allowance flows forward to whatever runs next.
-    Charging is domain-safe (atomics); splitting of the logical
-    allowances is deterministic, so parallel runs reproduce sequential
-    ones at any pool width.
+    Charging and child registration are domain-safe (atomics); splitting
+    of the logical allowances is deterministic, so parallel runs
+    reproduce sequential ones at any pool width.
 
     Telemetry: splits, exhaustions, retries and degradations are
     reported as [gov.*] events and counters whenever [Symbad_obs] is
-    enabled (merged at the fan-in when emitted inside a Par job).  With a
-    {!Ledger} attached at the root, every node creation, charge, retry
-    and degradation is additionally recorded as a timestamped ledger
-    entry — the budget waterfall `symbad report` renders. *)
+    enabled (merged at the fan-in when emitted inside a Par job).  The
+    tree itself is the budget record: every node keeps its children,
+    its retries and its degradations, and {!waterfall} turns them into
+    the budget waterfall `symbad report` renders. *)
 
 type t
 
-val create : ?label:string -> ?cancel:Cancel.t -> ?ledger:Ledger.t -> Budget.t -> t
+val create : ?label:string -> ?cancel:Cancel.t -> Budget.t -> t
 (** A root governor over [budget].  [label] names it in telemetry
-    (default ["gov"]); [cancel] defaults to {!Cancel.none}; [ledger],
-    when given, records the budget timeline of the whole tree (children
-    inherit it). *)
+    (default ["gov"]); [cancel] defaults to {!Cancel.none}. *)
 
 val unlimited : t
 (** The shared do-nothing governor: unlimited budget, never cancelled.
     What engine entry points use when handed no governor — identical
-    behaviour to the pre-governor code. *)
+    behaviour to the pre-governor code.  It keeps no children, so an
+    ungoverned run retains no tree. *)
 
 val get : t option -> t
 (** [get (Some g)] is [g]; [get None] is {!unlimited} — the idiom for
@@ -45,11 +44,6 @@ val label : t -> string
 val budget : t -> Budget.t
 (** The budget this governor was created over (allowances as granted,
     not as remaining — see {!remaining}). *)
-
-val cancel_token : t -> Cancel.t
-
-val ledger : t -> Ledger.t option
-(** The ledger this tree records into, if one was attached. *)
 
 (** {1 Spend accounting} *)
 
@@ -68,8 +62,7 @@ val patterns_left : t -> int option
 
 val spent_conflicts : t -> int
 (** Total conflicts charged to this node and its whole subtree (charges
-    propagate upward).  At the root this equals the ledger's
-    {!Ledger.spent_conflicts} exactly. *)
+    propagate upward). *)
 
 val spent_patterns : t -> int
 
@@ -122,7 +115,37 @@ val with_retry :
 val note_degraded : t -> what:string -> Degrade.reason -> unit
 (** Report that a run under this governor degraded: a [gov.degrade]
     warning event plus the [gov.degradations] counter (merged from
-    worker domains), and a ledger entry when one is attached. *)
+    worker domains); the reason is kept on the node for {!waterfall}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Label, remaining budget and exhaustion state. *)
+
+(** {1 The budget waterfall} *)
+
+type row = {
+  label : string;
+  parent : string option;  (** the parent row's label *)
+  depth : int;  (** tree depth, for indentation *)
+  created : int;  (** nodes created under this label *)
+  granted_conflicts : int option;
+      (** summed grants; [None] if any is unlimited *)
+  granted_patterns : int option;
+  granted_deadline_s : float option;
+      (** the first node's seconds to its deadline at creation *)
+  granted_retries : int;  (** the largest retry grant *)
+  charged_conflicts : int;  (** spend minus the children's spend *)
+  charged_patterns : int;
+  subtree_conflicts : int;  (** spend, this label's whole subtree included *)
+  subtree_patterns : int;
+  retries : int;
+  degradations : string list;  (** reasons, sorted and deduplicated *)
+}
+
+val waterfall : t -> row list
+(** One row per label of the tree below (and including) the given node,
+    children after their parent and siblings sorted by label.  Nodes
+    that share a label (an engine called more than once under one
+    parent) merge into one row, and so do their children, label by
+    label.  The rows depend only on the tree's structure and logical
+    spend, so a logically budgeted run gives the same rows at any pool
+    width.  Read it once the run is over: it reads live counters. *)

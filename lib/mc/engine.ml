@@ -67,8 +67,7 @@ let out_reason gov ~what =
   | Some r -> Printf.sprintf "governor: %s" (Degrade.reason_string r)
   | None -> "SAT budget exhausted in " ^ what
 
-let check ?pool ?(max_depth = 20) ?gov nl prop =
-  ignore (Par.get pool);
+let check ?(max_depth = 20) ?gov nl prop =
   let gov = Gov.get gov in
   let name = Prop.name prop in
   let session = Session.create nl prop in

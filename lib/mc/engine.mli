@@ -31,7 +31,6 @@ type report = {
 }
 
 val check :
-  ?pool:Symbad_par.Par.pool ->
   ?max_depth:int ->
   ?gov:Symbad_gov.Gov.t ->
   Symbad_hdl.Netlist.t ->

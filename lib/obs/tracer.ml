@@ -56,9 +56,6 @@ type instant = {
   i_args : (string * Json.t) list;
 }
 
-(* one sample of a Chrome counter track (ph "C") *)
-type counter_sample = { c_name : string; c_ts_us : float; c_value : float }
-
 type t = {
   epoch_us : float;
   tracks : (string, track) Hashtbl.t;
@@ -67,7 +64,6 @@ type t = {
   mutable open_ids : int list;  (* open spans, innermost first *)
   mutable completed : completed list;  (* newest first *)
   mutable instants : instant list;
-  mutable counters : counter_sample list;  (* newest first *)
   mutable completed_count : int;
 }
 
@@ -84,7 +80,6 @@ let create () =
     open_ids = [];
     completed = [];
     instants = [];
-    counters = [];
     completed_count = 0;
   }
 
@@ -173,15 +168,6 @@ let instant t ?(track = default_track) ?(severity = Severity.Info)
     }
     :: t.instants
 
-let counter_sample t ?ts_us name value =
-  t.counters <-
-    {
-      c_name = name;
-      c_ts_us = (match ts_us with Some ts -> ts | None -> now_us ());
-      c_value = value;
-    }
-    :: t.counters
-
 (* The fan-in of a Par job: the job's ids are offset past every id [t]
    has handed out, its top-level spans hang under the dispatch span on
    the job's lane track, and everything below keeps its track under the
@@ -211,8 +197,7 @@ let absorb t ~parent ~lane job =
       List.fold_left
         (fun acc i -> { i with i_track = lane_track } :: acc)
         t.instants (List.rev job.instants)
-  end;
-  t.counters <- job.counters @ t.counters
+  end
 
 let span_count t = t.completed_count
 
@@ -267,16 +252,6 @@ let to_chrome_json t =
         ("tid", Json.Int i.i_track.tid);
         ("ts", Json.Float (rel i.i_ts_us));
         ("args", Json.Obj (sim_args i.i_sim_ns None @ i.i_args));
-      ]
-  in
-  let counter_event (c : counter_sample) =
-    Json.Obj
-      [
-        ("name", Json.Str c.c_name);
-        ("ph", Json.Str "C");
-        ("pid", Json.Int 1);
-        ("ts", Json.Float (rel c.c_ts_us));
-        ("args", Json.Obj [ ("value", Json.Float c.c_value) ]);
       ]
   in
   (* links between two par spans render as flow arrows: dispatch -> job
@@ -335,6 +310,5 @@ let to_chrome_json t =
              (List.map thread_name tracks
              @ List.map span_event spans
              @ List.concat_map flow_events spans
-             @ List.map instant_event (List.rev t.instants)
-             @ List.map counter_event (List.rev t.counters)) );
+             @ List.map instant_event (List.rev t.instants)) );
        ])

@@ -77,15 +77,11 @@ val instant :
   unit
 (** A zero-duration marker on the timeline. *)
 
-val counter_sample : t -> ?ts_us:float -> string -> float -> unit
-(** One sample of a named Chrome counter track (ph ["C"]) — the budget
-    waterfall exports the governor's cumulative spend this way. *)
-
 val absorb : t -> parent:span -> lane:int -> t -> unit
-(** [absorb t ~parent ~lane job] appends the spans, instants and
-    counter samples of the timeline [job] to [t].  Job span ids are
-    offset past every id [t] has handed out, so absorbing job timelines
-    in a fixed order gives the same ids whatever order the jobs ran in.
+(** [absorb t ~parent ~lane job] appends the spans and instants of the
+    timeline [job] to [t].  Job span ids are offset past every id [t]
+    has handed out, so absorbing job timelines in a fixed order gives
+    the same ids whatever order the jobs ran in.
     The job's top-level spans are parented to [parent] and moved to
     track ["lane<lane>"]; its other spans keep their track under a
     ["lane<lane>/"] prefix, and its instants land on ["lane<lane>"]. *)

@@ -2,9 +2,9 @@
 
    [assemble] runs everything the methodology prescribes for one workload
    — the four-level flow, the static lints, the fault campaign — under a
-   single governor tree with a ledger attached, with telemetry on, and
-   snapshots what the run left behind (span profile, merged counters and
-   histograms, trace summary, budget waterfall) into one record that
+   single governor tree, with telemetry on, and snapshots what the run
+   left behind (span profile, merged counters and histograms, trace
+   summary, the governor tree's budget waterfall) into one record that
    renders as JSON or markdown.
 
    Determinism contract: everything in the rendered forms is either
@@ -29,7 +29,6 @@ module Histogram = Symbad_obs.Histogram
 module Json = Symbad_obs.Json
 module Gov = Symbad_gov.Gov
 module Budget = Symbad_gov.Budget
-module Ledger = Symbad_gov.Ledger
 module Lint = Symbad_lint.Lint
 module Campaign = Symbad_resil.Campaign
 module Recovery = Symbad_resil.Recovery
@@ -52,8 +51,8 @@ type t = {
   lint_reports : Lint.report list;
   lint : Lint.report;  (** the reports merged *)
   faults : Campaign.report option;
-  ledger : Ledger.t;
-  gov_conflicts : int;  (** root governor spend, = ledger sums *)
+  waterfall : Gov.row list;
+  gov_conflicts : int;  (** root governor spend *)
   gov_patterns : int;
   profile : profile_row list;  (** unordered; rendering sorts *)
   counters : (string * int) list;  (** name-sorted *)
@@ -146,10 +145,8 @@ let assemble ?pool ?cache ?(seed = 1) ?(workload = Face_app.default_workload)
      it); only the flag is restored for callers that had it off *)
   Fun.protect ~finally:(fun () -> if not had then Obs.set_enabled false)
   @@ fun () ->
-  let ledger = Ledger.create () in
   let root =
-    Gov.create ~label:"run" ~ledger
-      (Option.value budget ~default:Budget.unlimited)
+    Gov.create ~label:"run" (Option.value budget ~default:Budget.unlimited)
   in
   let flow =
     Flow.run ?pool ?cache ~seed ~workload ~escalate
@@ -197,8 +194,6 @@ let assemble ?pool ?cache ?(seed = 1) ?(workload = Face_app.default_workload)
           (Metrics.find_histogram m n))
       metric_names
   in
-  (* the trace-side budget waterfall: cumulative spend as counter tracks *)
-  Ledger.counter_track ledger tracer;
   let all_passed =
     flow.Flow.all_passed
     && Lint.errors lint = 0
@@ -214,7 +209,7 @@ let assemble ?pool ?cache ?(seed = 1) ?(workload = Face_app.default_workload)
     lint_reports;
     lint;
     faults = fault_report;
-    ledger;
+    waterfall = Gov.waterfall root;
     gov_conflicts = Gov.spent_conflicts root;
     gov_patterns = Gov.spent_patterns root;
     profile = profile_of_spans spans;
@@ -266,6 +261,32 @@ let workload_json (w : Face_app.workload) =
       ("frames", Json.Int (List.length w.Face_app.frames));
     ]
 
+let opt_int = function None -> Json.Null | Some n -> Json.Int n
+
+(* the deadline grant is host time: [~timings:false] nulls it *)
+let row_json ~timings (r : Gov.row) =
+  Json.Obj
+    [
+      ("node", Json.Str r.label);
+      ("parent", match r.parent with Some p -> Json.Str p | None -> Json.Null);
+      ("depth", Json.Int r.depth);
+      ("created", Json.Int r.created);
+      ("granted_conflicts", opt_int r.granted_conflicts);
+      ("granted_patterns", opt_int r.granted_patterns);
+      ( "granted_deadline_s",
+        match r.granted_deadline_s with
+        | Some d when timings -> Json.Float d
+        | _ -> Json.Null );
+      ("granted_retries", Json.Int r.granted_retries);
+      ("charged_conflicts", Json.Int r.charged_conflicts);
+      ("charged_patterns", Json.Int r.charged_patterns);
+      ("subtree_conflicts", Json.Int r.subtree_conflicts);
+      ("subtree_patterns", Json.Int r.subtree_patterns);
+      ("retries", Json.Int r.retries);
+      ( "degradations",
+        Json.List (List.map (fun d -> Json.Str d) r.degradations) );
+    ]
+
 let to_json ?(timings = true) t =
   let profile_json r =
     Json.Obj
@@ -298,14 +319,19 @@ let to_json ?(timings = true) t =
         ( "faults",
           match t.faults with Some r -> Campaign.to_json r | None -> Json.Null
         );
-        ("budget", Ledger.to_json ~timings t.ledger);
+        ( "budget",
+          Json.Obj
+            [
+              ("spent_conflicts", Json.Int t.gov_conflicts);
+              ("spent_patterns", Json.Int t.gov_patterns);
+              ( "waterfall",
+                Json.List (List.map (row_json ~timings) t.waterfall) );
+            ] );
         ( "gov",
           Json.Obj
             [
               ("spent_conflicts", Json.Int t.gov_conflicts);
               ("spent_patterns", Json.Int t.gov_patterns);
-              ("ledger_conflicts", Json.Int (Ledger.spent_conflicts t.ledger));
-              ("ledger_patterns", Json.Int (Ledger.spent_patterns t.ledger));
             ] );
         ( "profile",
           Json.List (List.map profile_json (sorted_profile ~timings t.profile))
@@ -387,12 +413,23 @@ let to_markdown ?(timings = true) t =
       line "");
   line "## Budget waterfall";
   line "";
-  line "- spent: %d conflicts, %d patterns (governor) / %d, %d (ledger)"
-    t.gov_conflicts t.gov_patterns
-    (Ledger.spent_conflicts t.ledger)
-    (Ledger.spent_patterns t.ledger);
+  line "- spent: %d conflicts, %d patterns" t.gov_conflicts t.gov_patterns;
   line "";
-  Buffer.add_string b (Ledger.to_markdown t.ledger);
+  line
+    "| governor | granted (confl/patt) | spent (confl/patt) | subtree \
+     (confl/patt) | retries | degraded |";
+  line "|---|---|---|---|---|---|";
+  let grant = function None -> "∞" | Some n -> string_of_int n in
+  List.iter
+    (fun (r : Gov.row) ->
+      line "| %s%s | %s / %s | %d / %d | %d / %d | %d | %s |"
+        (String.concat "" (List.init r.depth (fun _ -> "&nbsp;&nbsp;")))
+        r.label
+        (grant r.granted_conflicts) (grant r.granted_patterns)
+        r.charged_conflicts r.charged_patterns r.subtree_conflicts
+        r.subtree_patterns r.retries
+        (match r.degradations with [] -> "—" | ds -> String.concat ", " ds))
+    t.waterfall;
   line "";
   line "## Profile";
   line "";

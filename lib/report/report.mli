@@ -1,14 +1,14 @@
 (** The unified verification report: one [assemble] runs the whole
     methodology — the four-level flow, the static lints and the fault
-    campaign — under a single governor tree with a {!Symbad_gov.Ledger}
-    attached and telemetry on, then snapshots everything the run left
-    behind into one self-contained record.
+    campaign — under a single governor tree with telemetry on, then
+    snapshots everything the run left behind into one self-contained
+    record.
 
     The record carries the verdict table, the lint diagnostics, the
     per-span self-time profile, the merged counters and histograms (all
     worker-lane contributions included via the per-job recorder merge),
-    the budget waterfall and a trace summary, and renders as JSON or
-    markdown.
+    the governor tree's budget waterfall ({!Symbad_gov.Gov.waterfall})
+    and a trace summary, and renders as JSON or markdown.
 
     Determinism: with [~timings:false] the rendered forms contain only
     simulated-time and logical-spend figures and are byte-identical at
@@ -35,10 +35,9 @@ type t = {
   lint_reports : Symbad_lint.Lint.report list;
   lint : Symbad_lint.Lint.report;  (** the reports merged *)
   faults : Symbad_resil.Campaign.report option;
-  ledger : Symbad_gov.Ledger.t;
-  gov_conflicts : int;
-      (** root governor spend; equals {!Symbad_gov.Ledger.spent_conflicts}
-          of [ledger] — the invariant the report tests assert *)
+  waterfall : Symbad_gov.Gov.row list;
+      (** the budget waterfall of the run's root governor ["run"] *)
+  gov_conflicts : int;  (** root governor spend *)
   gov_patterns : int;
   profile : profile_row list;  (** unordered; rendering sorts *)
   counters : (string * int) list;  (** name-sorted *)
@@ -77,9 +76,8 @@ val assemble :
     the report verdict; disproved ones fail it.
 
     Telemetry is reset and force-enabled for the duration; it is left
-    populated on return (the CLI exports the Chrome trace from it — the
-    ledger's spend is already replayed onto counter tracks), and the
-    enabled flag is restored for callers that had it off. *)
+    populated on return (the CLI exports the Chrome trace from it), and
+    the enabled flag is restored for callers that had it off. *)
 
 val to_json : ?timings:bool -> t -> string
 (** One JSON document (trailing newline).  [~timings:false] scrubs host

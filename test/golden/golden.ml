@@ -11,6 +11,7 @@ module Json = Symbad_obs.Json
 module Campaign = Symbad_resil.Campaign
 module Lint = Symbad_lint.Lint
 module Budget = Symbad_gov.Budget
+module Gov = Symbad_gov.Gov
 
 let write name json =
   Out_channel.with_open_bin (name ^ ".out") (fun oc ->
@@ -81,7 +82,11 @@ let lint () =
    Logical budgets degrade deterministically, so each mix is exact. *)
 let gov () =
   let mix budget =
-    let report = Flow.run ~workload:Face_app.smoke_workload ?budget () in
+    let report =
+      Flow.run ~workload:Face_app.smoke_workload
+        ?gov:(Option.map (Gov.create ~label:"flow") budget)
+        ()
+    in
     let passed, failed, inconclusive =
       List.fold_left
         (fun acc (l : Flow.level_report) ->

@@ -232,7 +232,8 @@ let flow_zero_budget_deterministic () =
   let run jobs =
     Par.with_pool ~jobs (fun pool ->
         Flow.run ~pool ~workload:Face_app.smoke_workload
-          ~budget:(Budget.make ~conflicts:0 ~patterns:0 ())
+          ~gov:
+            (Gov.create ~label:"flow" (Budget.make ~conflicts:0 ~patterns:0 ()))
           ())
   in
   let r1 = within_1s "zero-budget flow" (fun () -> run 1) in
@@ -306,17 +307,14 @@ let qcheck_pcc_budget_unresolved =
         (fun s base -> s = base || s = Pcc.Unresolved)
         (statuses (Some gov)) unlimited)
 
-(* --- the budget-timeline ledger --- *)
+(* --- the budget waterfall --- *)
 
-(* every charge lands in the ledger exactly once (on the directly
-   charged node), even when the charging happens from worker domains,
-   so the ledger sums equal the root's propagated spend counters *)
-let ledger_sums_match_spend () =
-  let module Ledger = Symbad_gov.Ledger in
-  let ledger = Ledger.create () in
+(* the waterfall reads the tree's own counters: charges made from
+   worker domains reach the root's subtree, and each row's own charge
+   is its spend minus its children's *)
+let waterfall_sums_match_spend () =
   let root =
-    Gov.create ~label:"root" ~ledger
-      (Budget.make ~conflicts:10_000 ~patterns:10_000 ())
+    Gov.create ~label:"root" (Budget.make ~conflicts:10_000 ~patterns:10_000 ())
   in
   let children = Gov.split ~label:"work" root 4 in
   Par.with_pool ~jobs:3 (fun pool ->
@@ -329,20 +327,42 @@ let ledger_sums_match_spend () =
            (List.mapi (fun i c -> (i, c)) children)));
   Gov.charge_conflicts (Gov.slice ~label:"tail" ~fraction:0.5 root) 7;
   check_int "root conflicts spend" 107 (Gov.spent_conflicts root);
-  check_int "ledger conflicts sum" (Gov.spent_conflicts root)
-    (Ledger.spent_conflicts ledger);
-  check_int "ledger patterns sum" (Gov.spent_patterns root)
-    (Ledger.spent_patterns ledger);
-  let rows = Ledger.waterfall ledger in
+  let rows = Gov.waterfall root in
   (* root + 4 split children + 1 slice *)
   check_int "one waterfall row per node" 6 (List.length rows);
-  let row label = List.find (fun r -> r.Ledger.label = label) rows in
+  let row label = List.find (fun (r : Gov.row) -> r.label = label) rows in
   check_int "root subtree includes every worker charge" 107
-    (row "root").Ledger.subtree_conflicts;
-  check_int "slice charge on its own row" 7
-    (row "root.tail").Ledger.charged_conflicts;
+    (row "root").subtree_conflicts;
+  check_int "root patterns subtree" (Gov.spent_patterns root)
+    (row "root").subtree_patterns;
+  check_int "root charges nothing itself" 0 (row "root").charged_conflicts;
+  check_int "slice charge on its own row" 7 (row "root.tail").charged_conflicts;
   check_bool "waterfall order is deterministic" true
-    (rows = Ledger.waterfall ledger)
+    (rows = Gov.waterfall root);
+  (* concurrent registration on one parent: every job splits the same
+     node, and a lost child would leave its charge on the parent's row *)
+  let shared = Gov.create ~label:"shared" (Budget.make ~conflicts:10_000 ()) in
+  Par.with_pool ~jobs:3 (fun pool ->
+      ignore
+        (Par.map pool
+           (fun i ->
+             List.iter
+               (fun c -> Gov.charge_conflicts c 1)
+               (Gov.split ~label:"job" shared 8);
+             i)
+           (List.init 16 Fun.id)));
+  let rows = Gov.waterfall shared in
+  check_int "one row per split label" 9 (List.length rows);
+  check_bool "every split registered" true
+    (List.for_all (fun (r : Gov.row) -> r.depth = 0 || r.created = 16) rows);
+  check_int "shared subtree" 128 (List.hd rows).subtree_conflicts;
+  check_int "shared charges nothing itself" 0 (List.hd rows).charged_conflicts
+
+(* the shared ungoverned governor keeps no children *)
+let unlimited_keeps_no_children () =
+  ignore (Gov.split ~label:"w" Gov.unlimited 4);
+  ignore (Gov.slice ~label:"s" ~fraction:0.5 Gov.unlimited);
+  check_int "one row" 1 (List.length (Gov.waterfall Gov.unlimited))
 
 let suite =
   [
@@ -360,8 +380,10 @@ let suite =
     Alcotest.test_case "zero budget: LPV not analyzable" `Quick lpv_degrades;
     Alcotest.test_case "zero-budget flow is deterministic" `Quick
       flow_zero_budget_deterministic;
-    Alcotest.test_case "ledger sums match governor spend" `Quick
-      ledger_sums_match_spend;
+    Alcotest.test_case "waterfall sums match governor spend" `Quick
+      waterfall_sums_match_spend;
+    Alcotest.test_case "unlimited keeps no children" `Quick
+      unlimited_keeps_no_children;
     QCheck_alcotest.to_alcotest qcheck_budget_monotone;
     QCheck_alcotest.to_alcotest qcheck_pcc_budget_unresolved;
   ]

@@ -1,7 +1,8 @@
 (* Tests for the unified verification report: the md5 width-invariance
    acceptance property (the no-timings JSON and markdown renders are
-   byte-identical at --jobs 1/2/4), the gov-spend-equals-ledger-sums
-   invariant, and that the JSON export parses back with every section
+   byte-identical at --jobs 1/2/4), that the budget waterfall accounts
+   for the root governor's spend, and that the JSON export parses back
+   with every section
    present.  Runs under a small logical budget so each assemble is a
    sub-second governed run rather than the full unlimited flow, and
    assembles once per pool width for all four tests. *)
@@ -9,7 +10,7 @@
 open Symbad_obs
 module Par = Symbad_par.Par
 module Budget = Symbad_gov.Budget
-module Ledger = Symbad_gov.Ledger
+module Gov = Symbad_gov.Gov
 module Report = Symbad_report.Report
 
 let check_int = Alcotest.(check int)
@@ -57,13 +58,29 @@ let report_md5_width_invariant () =
   check_str "markdown md5 jobs=2 equals jobs=1" m1 m2;
   check_str "markdown md5 jobs=4 equals jobs=1" m1 m4
 
-let gov_spend_equals_ledger_sums () =
+let waterfall_accounts_for_spend () =
   let r = assemble ~jobs:2 in
   check_bool "some spend recorded" true (r.Report.gov_conflicts > 0);
-  check_int "conflicts: ledger sums equal gov spend" r.Report.gov_conflicts
-    (Ledger.spent_conflicts r.Report.ledger);
-  check_int "patterns: ledger sums equal gov spend" r.Report.gov_patterns
-    (Ledger.spent_patterns r.Report.ledger);
+  let row label =
+    match
+      List.find_opt (fun (w : Gov.row) -> w.label = label) r.Report.waterfall
+    with
+    | Some w -> w
+    | None -> Alcotest.fail (label ^ " missing from the waterfall")
+  in
+  let root = row "run" in
+  check_int "root subtree conflicts equal gov spend" r.Report.gov_conflicts
+    root.subtree_conflicts;
+  check_int "root subtree patterns equal gov spend" r.Report.gov_patterns
+    root.subtree_patterns;
+  (* every engine runs under a slice: an unregistered child would leave
+     its spend on its parent's own row *)
+  List.iter
+    (fun label ->
+      let w = row label in
+      check_int (label ^ " charges no conflicts itself") 0 w.charged_conflicts;
+      check_int (label ^ " charges no patterns itself") 0 w.charged_patterns)
+    [ "run"; "run.flow" ];
   check_int "no telemetry dropped" 0 r.Report.dropped
 
 let json_parses_back () =
@@ -80,16 +97,15 @@ let json_parses_back () =
       "seed"; "workload"; "all_passed"; "flow"; "lint"; "faults"; "budget";
       "gov"; "profile"; "counters"; "histograms"; "trace";
     ];
-  let gov = mem "gov" in
-  let num k =
-    match Option.bind (Json.member k gov) Json.to_number with
+  let num section k =
+    match Option.bind (Json.member k (mem section)) Json.to_number with
     | Some v -> int_of_float v
-    | None -> Alcotest.fail (k ^ " missing from gov section")
+    | None -> Alcotest.fail (k ^ " missing from " ^ section ^ " section")
   in
   check_int "json gov spend equals record" r.Report.gov_conflicts
-    (num "spent_conflicts");
-  check_int "json ledger sum equals record" r.Report.gov_conflicts
-    (num "ledger_conflicts");
+    (num "gov" "spent_conflicts");
+  check_int "json budget spend equals record" r.Report.gov_conflicts
+    (num "budget" "spent_conflicts");
   (* worker-lane totals present: the merged counters made it out *)
   check_bool "counters section non-empty" true (r.Report.counters <> []);
   check_bool "spans recorded" true (r.Report.span_total > 0)
@@ -114,8 +130,8 @@ let suite =
   [
     Alcotest.test_case "report md5 is pool-width invariant" `Slow
       report_md5_width_invariant;
-    Alcotest.test_case "gov spend equals ledger sums" `Quick
-      gov_spend_equals_ledger_sums;
+    Alcotest.test_case "waterfall accounts for gov spend" `Quick
+      waterfall_accounts_for_spend;
     Alcotest.test_case "json parses back with every section" `Quick
       json_parses_back;
     Alcotest.test_case "markdown has every section" `Quick
