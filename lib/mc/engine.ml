@@ -1,21 +1,28 @@
 (* The level-4 model-checking engine.
 
    Strategy mirroring the paper's "model checking and SAT solving are
-   used at this level": interleave BMC (counterexample hunting) with
-   k-induction (proof attempts) for increasing k; fall back to explicit
-   reachability when the design is small enough and induction fails.
-   Every property receives either a proof certificate or a counter
-   example, as the flow requires.
+   used at this level": first the transition query — does the property
+   fail over one transition from a free state? — whose Unsat proves it
+   on every state, so at every bound, without a single reset-anchored
+   base case.  Most RTL properties of the flow are local to one
+   transition and close here, and through DISTANCE's multiplier the
+   free query costs a few dozen conflicts where a base case costs about
+   a thousand.  The rest interleave BMC (counterexample hunting) with
+   k-induction (proof attempts) for increasing k, and fall back to
+   explicit reachability when the design is small enough and induction
+   fails.  Every property receives either a proof certificate or a
+   counterexample, as the flow requires.
 
    Incremental core: one Session per property — a persistent solver
    pair with frames unrolled on demand — so bound k+1 starts from the
    clauses learned closing bounds 0..k and the inductive step shares the
-   same free-state instance across k.  Bounds advance in fixed-width
-   windows purely for budget accounting: the governor's remaining
-   allowance is split per window BEFORE the bounds run, with a share per
-   bound, so conflict charges land per bound exactly as they did when
-   each bound owned a throwaway solver — and the split is independent of
-   the pool width, keeping verdicts byte-identical at any [--jobs].
+   same free-state instance across k, from the transition query (k = 0)
+   on.  Bounds advance in fixed-width windows purely for budget
+   accounting: the governor's remaining allowance is split per window
+   BEFORE the bounds run, with a share per bound, so conflict charges
+   land per bound exactly as they did when each bound owned a throwaway
+   solver — and the split is independent of the pool width, keeping
+   verdicts byte-identical at any [--jobs].
 
    Parallelism lives one level up: [check_all] fans out one job per
    property, each job driving its own session sequentially. *)
@@ -24,11 +31,12 @@ module Netlist = Symbad_hdl.Netlist
 module Par = Symbad_par.Par
 module Gov = Symbad_gov.Gov
 module Degrade = Symbad_gov.Degrade
+module Obs = Symbad_obs.Obs
 
 (* Cache keys embed this (see Symbad_cache): bump on any change to the
    decision procedure, encodings or verdict semantics so stale verdicts
    can never be replayed against a different engine. *)
-let version = "4"
+let version = "5"
 
 type verdict =
   | Proved of { method_ : string; depth : int }
@@ -48,7 +56,8 @@ let window_width = 4
 
 (* One bound of the portfolio: the BMC base case at depth k, plus the
    inductive step when the base holds (exactly what the sequential loop
-   would go on to run at that k). *)
+   would go on to run at that k).  The step at k = 0 is the transition
+   query, which [check] asks before the first bound. *)
 let check_bound ~session ~gov k =
   let base = Session.check_bound ~gov session k in
   let induction =
@@ -91,6 +100,21 @@ let check ?(max_depth = 20) ?gov nl prop =
       verdict = Unknown { reason };
       checked_depth = max 0 (k - 1) }
   in
+  (* The transition query, charged to this property's own governor
+     before any window split.  A CTI is a fact about the netlist, so a
+     retry re-asks only a query the budget cut short. *)
+  let transition_refuted = ref false in
+  let transition_proved () =
+    (not !transition_refuted)
+    && (not (Gov.out_of_budget gov))
+    &&
+    match Session.induction ~gov session 0 with
+    | Session.Inductive -> true
+    | Session.Cti _ ->
+        transition_refuted := true;
+        false
+    | Session.Step_unknown -> false
+  in
   let run ~attempt:_ =
     let rec loop k =
       if k > max_depth then fallback ()
@@ -116,7 +140,7 @@ let check ?(max_depth = 20) ?gov nl prop =
                   degraded ~reason:(out_reason gov ~what:"BMC") k
               | Session.Base_holds -> (
                   match induction with
-                  | None -> scan rest  (* k = 0: nothing to induct on yet *)
+                  | None -> scan rest  (* k = 0: the transition query *)
                   | Some Session.Inductive ->
                       { property = name;
                         verdict = Proved { method_ = "k-induction"; depth = k };
@@ -132,15 +156,24 @@ let check ?(max_depth = 20) ?gov nl prop =
         scan (List.combine window shares)
       end
     in
-    let report = loop 0 in
+    let report =
+      if transition_proved () then begin
+        if Obs.enabled () then Obs.incr_counter "mc.transition_proved";
+        { property = name;
+          verdict = Proved { method_ = "transition"; depth = 0 };
+          checked_depth = 0 }
+      end
+      else loop 0
+    in
     (match (report.verdict, Gov.exhaustion gov) with
     | Unknown _, Some reason ->
         Gov.note_degraded gov ~what:(Printf.sprintf "mc:%s" name) reason
     | _ -> ());
     report
   in
-  (* retries reuse the session: closed bounds answer instantly and the
-     clauses learned before exhaustion keep their value *)
+  (* retries reuse the session: closed bounds answer instantly, a
+     refuted transition query is not re-asked, and the clauses learned
+     before exhaustion keep their value *)
   Gov.with_retry ~label:"mc" gov
     ~inconclusive:(fun r ->
       match r.verdict with Unknown _ -> true | Proved _ | Falsified _ -> false)

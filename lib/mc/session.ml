@@ -16,7 +16,9 @@
 
    - the STEP instance unrolls from a free initial state.  The inductive
      step at k is pure assumption work — [P@0 .. P@k-1, -P@k] — so
-     nothing is ever asserted and the same instance serves every k.
+     nothing is ever asserted and the same instance serves every k,
+     k = 0 included: [-P@0] alone asks whether P fails over one
+     transition from any state, and Unsat proves it outright.
 
    Gates are hash-consed (Symbad_sat.Tseitin), so re-blasting the
    property at a frame returns the literal of its first blast: a
@@ -153,7 +155,7 @@ let bmc ?gov t ~depth =
 type step_result = Inductive | Cti of Trace.t | Step_unknown
 
 let induction ?gov t k =
-  if k < 1 then invalid_arg "Session.induction: k must be >= 1";
+  if k < 0 then invalid_arg "Session.induction: negative k";
   Obs.span ~cat:"mc"
     ~args:
       [

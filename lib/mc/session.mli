@@ -5,8 +5,9 @@
     retractable query through an activation literal (the convention
     documented on {!Symbad_sat.Solver.add_clause}), so learned clauses
     survive across bounds and into the inductive step.  {!bmc} walks
-    the bounds for a plain BMC query; {!Engine} drives the base case and
-    the inductive step together.
+    the bounds for a plain BMC query; {!Engine} asks the transition
+    query ({!induction} at [k = 0]) first, then drives the base case
+    and the inductive step together.
 
     Sessions are single-domain state: create and drive a session from
     one domain (the [Par] fan-outs in {!Engine.check_all} give each
@@ -56,11 +57,14 @@ type step_result =
   | Step_unknown  (** the governor's budget ran out *)
 
 val induction : ?gov:Symbad_gov.Gov.t -> t -> int -> step_result
-(** The inductive step at depth [k >= 1] over the free-initial-state
+(** The inductive step at depth [k >= 0] over the free-initial-state
     instance: assumes [P@0 .. P@k-1] and [-P@k] — nothing is asserted,
     so one instance serves every [k] and repeated queries are cheap.
     Together with [bmc ~depth:k] returning [Base_holds], [Inductive]
-    proves the property. *)
+    proves the property.  At [k = 0] the assumptions are [-P@0] alone:
+    [Inductive] means the property holds over one transition from
+    every state, reachable or not, so it needs no base case.  Raises
+    [Invalid_argument] when [k < 0]. *)
 
 val base_nvars : t -> int
 (** Variable count of the reset-initialised instance (0 before first

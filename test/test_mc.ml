@@ -110,6 +110,24 @@ let induction_cti_for_unreachable_claim () =
   | Session.Cti _ -> ()
   | _ -> Alcotest.fail "expected counterexample-to-induction"
 
+(* --- the transition query (induction at k = 0) --- *)
+
+let transition_query_cti_then_inductive () =
+  (* a free state may hold count = 5, so "count <= 4" fails over one
+     transition from it; one step of induction excludes that state *)
+  let s = Session.create fifo p_count_bound in
+  (match Session.induction s 0 with
+  | Session.Cti _ -> ()
+  | _ -> Alcotest.fail "count bound is no transition invariant");
+  match Session.induction s 1 with
+  | Session.Inductive -> ()
+  | _ -> Alcotest.fail "count bound is 1-inductive"
+
+let induction_rejects_negative_k () =
+  check_bool "k = -1 raises" true
+    (try ignore (Session.induction (Session.create fifo p_count_bound) (-1)); false
+     with Invalid_argument _ -> true)
+
 (* --- Explicit --- *)
 
 let explicit_proves () =
@@ -137,18 +155,44 @@ let explicit_reachable_states () =
 
 (* --- Engine --- *)
 
-let engine_agreement () =
-  (* engine and explicit agree on a battery of properties *)
-  let props = [ p_no_full_empty; p_count_bound; p_false ] in
-  List.iter
-    (fun p ->
-      let e = Engine.check fifo p in
-      let x = Explicit.check fifo p in
-      match (e.Engine.verdict, x) with
-      | Engine.Proved _, Explicit.Proved _ -> ()
-      | Engine.Falsified _, Explicit.Falsified _ -> ()
-      | _ -> Alcotest.failf "disagreement on %s" (Prop.name p))
-    props
+(* qcheck: the engine and explicit reachability agree on random small
+   netlists.  At most 12 bits of state and input keep explicit to a few
+   thousand transition evaluations per case, so it always decides.
+   Properties are random invariants, random step formulas and
+   next-state updates [r' = next(r)], which hold over every transition
+   and so exercise the transition query.  Both engines return a
+   shortest counterexample; a step trace from the engine keeps the
+   successor state as well. *)
+let qcheck_engine_agreement =
+  let rec small st =
+    let nl, width, _ = Netlist_gen.gen ~cycles:0 st in
+    if width * (List.length (Netlist.registers nl) + 2) <= 12 then nl
+    else small st
+  in
+  QCheck.Test.make ~name:"engine agrees with explicit" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         let* nl = small in
+         let* r = oneofl (Netlist.registers nl) in
+         let* prop =
+           oneof
+             [
+               map (Prop.make ~name:"inv") (Netlist_gen.formula ~step:false nl);
+               map (Prop.make_step ~name:"step")
+                 (Netlist_gen.formula ~step:true nl);
+               return
+                 (Prop.make_step ~name:"next"
+                    (E.eq (E.reg (r.Netlist.name ^ "'")) r.Netlist.next));
+             ]
+         in
+         return (nl, prop)))
+    (fun (nl, p) ->
+      match ((Engine.check nl p).Engine.verdict, Explicit.check nl p) with
+      | Engine.Proved _, Explicit.Proved _ -> true
+      | Engine.Falsified a, Explicit.Falsified b ->
+          Trace.length a
+          = Trace.length b + if Prop.is_step p then 1 else 0
+      | _ -> false)
 
 let engine_step_property () =
   let push_ok = E.and_ (E.input "push") (E.not_ (Prop.output fifo "full")) in
@@ -159,9 +203,15 @@ let engine_step_property () =
       (Prop.implies (E.and_ push_ok (E.not_ pop_ok))
          (E.eq delta (E.const ~width:cw 1)))
   in
-  (match (Engine.check fifo p).Engine.verdict with
-  | Engine.Proved _ -> ()
-  | _ -> Alcotest.fail "step property should be proved");
+  (* the update holds over every transition, reachable or not: the
+     transition query proves it before any base case runs *)
+  (match Session.induction (Session.create fifo p) 0 with
+  | Session.Inductive -> ()
+  | _ -> Alcotest.fail "push_increments holds over every transition");
+  (match Engine.check fifo p with
+  | { Engine.verdict = Engine.Proved { method_ = "transition"; depth = 0 };
+      checked_depth = 0; _ } -> ()
+  | r -> Alcotest.failf "expected a transition proof, got %a" Engine.pp_report r);
   (* and a false step property is falsified *)
   let bad =
     Prop.make_step ~name:"never_changes"
@@ -351,6 +401,42 @@ let session_induction_under_exhausted_gov () =
   | Session.Inductive -> ()
   | _ -> Alcotest.fail "count bound is still 1-inductive"
 
+let engine_retry_keeps_transition_cti () =
+  (* One conflict split over a window leaves bound 1 a zero share: the
+     run degrades with the property's own budget intact, so the
+     governor retries.  The retry re-poses only bound 1 (bound 0 is
+     closed); a CTI at k = 0 is never re-asked. *)
+  let solves retries =
+    Symbad_obs.Obs.reset ();
+    Symbad_obs.Obs.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Symbad_obs.Obs.set_enabled false;
+        Symbad_obs.Obs.reset ())
+      (fun () ->
+        let gov =
+          Symbad_gov.Gov.create
+            (Symbad_gov.Budget.make ~conflicts:1 ~retries ())
+        in
+        let r = Engine.check ~gov fifo p_count_bound in
+        let m = Symbad_obs.Obs.metrics () in
+        let count name =
+          Option.value ~default:0 (Symbad_obs.Metrics.find_counter m name)
+        in
+        (r, count "sat.solves", count "gov.retries"))
+  in
+  let unknown = function
+    | { Engine.verdict = Engine.Unknown _; _ } -> true
+    | _ -> false
+  in
+  let r0, s0, n0 = solves 0 in
+  let r1, s1, n1 = solves 1 in
+  check_bool "degraded without a retry" true (unknown r0);
+  check_bool "degraded after the retry" true (unknown r1);
+  Alcotest.(check (pair int int)) "retries" (0, 1) (n0, n1);
+  (* the transition query, bound 0 and bound 1; then bound 1 again *)
+  Alcotest.(check (pair int int)) "sat.solves" (3, 4) (s0, s1)
+
 let engine_ample_gov_matches_unlimited () =
   (* a governor that never binds leaves every verdict as the unlimited
      run gives it *)
@@ -407,13 +493,17 @@ let suite =
     Alcotest.test_case "k-induction proves" `Quick induction_proves;
     Alcotest.test_case "k-induction CTI" `Quick
       induction_cti_for_unreachable_claim;
+    Alcotest.test_case "transition query: CTI at 0, inductive at 1" `Quick
+      transition_query_cti_then_inductive;
+    Alcotest.test_case "induction rejects negative k" `Quick
+      induction_rejects_negative_k;
     Alcotest.test_case "explicit proves" `Quick explicit_proves;
     Alcotest.test_case "explicit shortest counterexample" `Quick
       explicit_falsifies_with_shortest_path;
     Alcotest.test_case "explicit too large" `Quick explicit_too_large;
     Alcotest.test_case "explicit reachable states" `Quick
       explicit_reachable_states;
-    Alcotest.test_case "engine agrees with explicit" `Quick engine_agreement;
+    QCheck_alcotest.to_alcotest qcheck_engine_agreement;
     Alcotest.test_case "engine step properties" `Quick engine_step_property;
     Alcotest.test_case "engine finds seeded fifo bug" `Quick
       engine_on_buggy_fifo;
@@ -435,4 +525,6 @@ let suite =
       session_induction_under_exhausted_gov;
     Alcotest.test_case "engine under ample governor matches unlimited" `Quick
       engine_ample_gov_matches_unlimited;
+    Alcotest.test_case "engine retry keeps a transition CTI" `Quick
+      engine_retry_keeps_transition_cti;
   ]
