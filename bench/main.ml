@@ -1,14 +1,11 @@
 (* The experiment harness: regenerates every figure and quantitative
    claim of the paper's evaluation (see DESIGN.md section 4 for the
-   experiment index and EXPERIMENTS.md for recorded results), then runs
-   one Bechamel micro-benchmark per experiment.  The exact determinism
-   columns (campaigns, lint counts, governed verdict mixes) are golden
-   files under test/golden/, checked by `dune runtest`; wall-clock
-   figures are the benchmark's (perf/).
+   experiment index and EXPERIMENTS.md for recorded results).  The exact
+   determinism columns (campaigns, lint counts, governed verdict mixes)
+   are golden files under test/golden/, checked by `dune runtest`;
+   wall-clock figures are the benchmark's (perf/).
 
-   Usage:  dune exec bench/main.exe            (everything)
-           dune exec bench/main.exe -- tables  (only the tables)
-           dune exec bench/main.exe -- micro   (only the micro-benches) *)
+   Usage:  dune exec bench/main.exe *)
 
 open Symbad_core
 module Sim = Symbad_sim
@@ -377,137 +374,16 @@ let a2_static_vs_reconfig () =
     (Explore.sweep_hw_sets ~task_area ~profile ~pinned_sw:Face_app.pinned_sw
        ~max_hw:6 graph)
 
-(* ---------------------------------------------------------------- *)
-(* Bechamel micro-benchmarks: one Test.make per experiment id.       *)
-
-let micro_benchmarks () =
-  let open Bechamel in
-  let open Toolkit in
-  section "MICRO" "Bechamel micro-benchmarks (one per experiment)";
-  let smoke = Face_app.smoke_workload in
-  let smoke_graph = Face_app.graph smoke in
-  let smoke_l1 = Level1.run smoke_graph in
-  let smoke_m2 = Face_app.level2_mapping ~profile:smoke_l1.Level1.profile smoke_graph in
-  let smoke_m3 = Mapping.refine_to_fpga smoke_m2 Face_app.level3_refinement in
-  let smoke_db = I.Pipeline.enroll ~size:smoke.Face_app.size
-      ~identities:smoke.Face_app.identities () in
-  let fifo = Symbad_hdl.Rtl_lib.fifo_ctrl ~addr_width:2 () in
-  let module E = Symbad_hdl.Expr in
-  let module P = Symbad_mc.Prop in
-  let fifo_prop =
-    P.make ~name:"bound" (E.ule (E.reg "count") (E.const ~width:3 4))
-  in
-  let symbc_l3 = Level3.run smoke_graph smoke_m3 in
-  let placement_calls = symbc_l3.Level3.call_sequence in
-  let resources =
-    [ Symbad_fpga.Resource.algorithm ~area:900 "DISTANCE";
-      Symbad_fpga.Resource.algorithm ~area:700 "ROOT" ]
-  in
-  let static_m3 =
-    Mapping.refine_to_fpga smoke_m2
-      [ ("DISTANCE", "config_all"); ("ROOT", "config_all") ]
-  in
-  let static_cfg = { Level3.default_config with Level3.fpga_capacity = 2000 } in
-  let tests =
-    [
-      (* F1: levels 1-3 of the flow, end to end *)
-      Test.make ~name:"F1_flow_levels_1to3"
-        (Staged.stage (fun () ->
-             let l1 = Level1.run smoke_graph in
-             let m2 = Face_app.level2_mapping ~profile:l1.Level1.profile smoke_graph in
-             let _ = Level2.run smoke_graph m2 in
-             Level3.run smoke_graph
-               (Mapping.refine_to_fpga m2 Face_app.level3_refinement)));
-      (* F2: one frame through the Figure 2 pipeline *)
-      Test.make ~name:"F2_recognise_frame"
-        (Staged.stage (fun () ->
-             I.Pipeline.recognize smoke_db
-               (I.Pipeline.camera ~size:smoke.Face_app.size ~identity:2 ~pose:1 ())));
-      (* E1-E3: one simulation per level *)
-      Test.make ~name:"E1_level1_sim"
-        (Staged.stage (fun () -> Level1.run smoke_graph));
-      Test.make ~name:"E2_level2_sim"
-        (Staged.stage (fun () -> Level2.run smoke_graph smoke_m2));
-      Test.make ~name:"E3_level3_sim"
-        (Staged.stage (fun () -> Level3.run smoke_graph smoke_m3));
-      (* E4: genetic ATPG on the ROOT model *)
-      Test.make ~name:"E4_atpg_genetic_root"
-        (Staged.stage (fun () ->
-             Symbad_atpg.Genetic_engine.generate (Symbad_atpg.Models.root ())));
-      (* E5: the deadlock LP *)
-      Test.make ~name:"E5_lpv_deadlock"
-        (Staged.stage (fun () -> Lpv_bridge.check_deadlock smoke_graph));
-      (* E6: the min-cycle-ratio LP *)
-      Test.make ~name:"E6_lpv_min_cycle_ratio"
-        (Staged.stage (fun () ->
-             Symbad_lpv.Timing.min_cycle_ratio
-               (Lpv_bridge.net_of ~capacity:2 smoke_graph)));
-      (* E7: the SymbC product check *)
-      Test.make ~name:"E7_symbc_check"
-        (Staged.stage (fun () ->
-             Symbad_symbc.Check.check symbc_l3.Level3.config_info
-               symbc_l3.Level3.instrumented_sw));
-      (* E8: BMC on the fifo controller *)
-      Test.make ~name:"E8_bmc_fifo_depth8"
-        (Staged.stage (fun () ->
-             Symbad_mc.Session.(bmc (create fifo fifo_prop) ~depth:8)));
-      (* A1: the context-partition sweep *)
-      Test.make ~name:"A1_placement_sweep"
-        (Staged.stage (fun () ->
-             Symbad_fpga.Placement.sweep ~capacity:1700 ~max_contexts:2
-               ~calls:placement_calls resources));
-      (* A2: the static (single-context) simulation *)
-      Test.make ~name:"A2_level3_static_sim"
-        (Staged.stage (fun () ->
-             Level3.run ~config:static_cfg smoke_graph static_m3));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"symbad" ~fmt:"%s/%s" tests in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        match Analyze.OLS.estimates ols with
-        | Some [ t ] -> (name, t) :: acc
-        | Some _ | None -> (name, nan) :: acc)
-      results []
-    |> List.sort compare
-  in
-  Format.printf "%-36s %16s@." "benchmark" "time/run";
-  let pp_ns fmt t =
-    if t >= 1e9 then Fmt.pf fmt "%10.2f s " (t /. 1e9)
-    else if t >= 1e6 then Fmt.pf fmt "%10.2f ms" (t /. 1e6)
-    else if t >= 1e3 then Fmt.pf fmt "%10.2f us" (t /. 1e3)
-    else Fmt.pf fmt "%10.0f ns" t
-  in
-  List.iter (fun (name, t) -> Format.printf "%-36s %a@." name pp_ns t) rows
-
 let () =
-  let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  let tables () =
-    f1_flow ();
-    f2_recognition ();
-    speed_table ();
-    e4_atpg ();
-    e5_lpv_deadlock ();
-    e6_lpv_timing ();
-    e7_symbc ();
-    e8_mc_pcc ();
-    a1_context_ablation ();
-    a2_static_vs_reconfig ();
-    a3_download_granularity ()
-  in
-  (match mode with
-  | "tables" -> tables ()
-  | "micro" -> micro_benchmarks ()
-  | _ ->
-      tables ();
-      micro_benchmarks ());
+  f1_flow ();
+  f2_recognition ();
+  speed_table ();
+  e4_atpg ();
+  e5_lpv_deadlock ();
+  e6_lpv_timing ();
+  e7_symbc ();
+  e8_mc_pcc ();
+  a1_context_ablation ();
+  a2_static_vs_reconfig ();
+  a3_download_granularity ();
   Format.printf "@.done.@."

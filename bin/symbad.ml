@@ -4,13 +4,16 @@
      symbad flow [--frames N] [--size S] [--identities N]
                  [--jobs N] [--seed N] [--no-timings]
                  [--deadline SEC] [--budget N] [--retries N]
+                 [--no-cache] [--cache-dir DIR]
                  [--trace FILE] [--metrics FILE]
                  [--json FILE] [--markdown FILE]
      symbad level (1|2|3) [...]         run one refinement level
      symbad verify (deadlock|timing|symbc|rtl)
+     symbad lint [TARGET] [...]         static diagnostics
+     symbad faults [...]                fault-injection campaign
      symbad explore [...]
      symbad recognize --identity I --pose P
-     symbad stats [...]                 flow + telemetry summary table
+     symbad wrapper [...]               interface synthesis + checking
      symbad report [...]                the unified verification report
 
    Every subcommand that does verification work shares the same option
@@ -670,37 +673,6 @@ let recognize_cmd =
   Cmd.v (Cmd.info "recognize" ~doc)
     Term.(const run_recognize $ identity_arg $ pose_arg $ size_arg $ identities_arg)
 
-(* --- stats (telemetry summary) --- *)
-
-let run_stats c =
-  Obs.reset ();
-  Obs.set_enabled true;
-  let w = workload c in
-  let cache = cache_of c in
-  let report =
-    with_pool c (fun pool ->
-        Flow.run ~pool ?cache ~seed:c.seed ~workload:w
-          ?gov:(gov_of ~label:"flow" c) ())
-  in
-  let tracer = Obs.tracer () in
-  Format.printf "%s@." (Metrics.to_table (Obs.metrics ()));
-  Format.printf "spans: %d (levels %d, bus %d, sat %d, mc %d, par %d)@."
-    (Tracer.span_count tracer)
-    (List.length (Tracer.spans_with_cat tracer "level"))
-    (List.length (Tracer.spans_with_cat tracer "bus"))
-    (List.length (Tracer.spans_with_cat tracer "sat"))
-    (List.length (Tracer.spans_with_cat tracer "mc"))
-    (List.length (Tracer.spans_with_cat tracer "par"));
-  warn_dropped ();
-  if report.Flow.all_passed then 0 else 1
-
-let stats_cmd =
-  let doc =
-    "Run the flow with telemetry enabled and print the metrics table \
-     (counters, gauges, histograms) plus a span census."
-  in
-  Cmd.v (Cmd.info "stats" ~doc) Term.(const run_stats $ common_term)
-
 (* --- faults (dependability campaign) --- *)
 
 let run_faults c markdown json trials kinds_opt mode scrub_period trace metrics
@@ -958,8 +930,7 @@ let report_cmd =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
              ~doc:"Also write the run's Chrome trace (one lane per worker \
-                   domain, governor spend as counter tracks; \"-\" for \
-                   stdout).")
+                   domain; \"-\" for stdout).")
   in
   let escalate_arg =
     Arg.(value & flag
@@ -982,4 +953,4 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ flow_cmd; level_cmd; verify_cmd; lint_cmd; explore_cmd;
-            recognize_cmd; stats_cmd; faults_cmd; wrapper_cmd; report_cmd ]))
+            recognize_cmd; faults_cmd; wrapper_cmd; report_cmd ]))

@@ -39,10 +39,10 @@ let lpv_deadlock_tour () =
   let consumer = Symbad_lpv.Petri.add_transition net ~delay:3 "consumer" in
   let data = Symbad_lpv.Petri.add_place net ~tokens:0 "data" in
   let ack = Symbad_lpv.Petri.add_place net ~tokens:0 "ack" in
-  Symbad_lpv.Petri.add_post net ~transition:producer ~place:data ();
-  Symbad_lpv.Petri.add_pre net ~transition:consumer ~place:data ();
-  Symbad_lpv.Petri.add_post net ~transition:consumer ~place:ack ();
-  Symbad_lpv.Petri.add_pre net ~transition:producer ~place:ack ();
+  Symbad_lpv.Petri.add_post net ~transition:producer ~place:data;
+  Symbad_lpv.Petri.add_pre net ~transition:consumer ~place:data;
+  Symbad_lpv.Petri.add_post net ~transition:consumer ~place:ack;
+  Symbad_lpv.Petri.add_pre net ~transition:producer ~place:ack;
   Format.printf "unprimed ack loop:  %a@." Symbad_lpv.Deadlock.pp_verdict
     (Symbad_lpv.Deadlock.check net);
   (* fix: prime the acknowledgement channel *)
@@ -51,10 +51,10 @@ let lpv_deadlock_tour () =
   let consumer = Symbad_lpv.Petri.add_transition fixed ~delay:3 "consumer" in
   let data = Symbad_lpv.Petri.add_place fixed ~tokens:0 "data" in
   let ack = Symbad_lpv.Petri.add_place fixed ~tokens:1 "ack" in
-  Symbad_lpv.Petri.add_post fixed ~transition:producer ~place:data ();
-  Symbad_lpv.Petri.add_pre fixed ~transition:consumer ~place:data ();
-  Symbad_lpv.Petri.add_post fixed ~transition:consumer ~place:ack ();
-  Symbad_lpv.Petri.add_pre fixed ~transition:producer ~place:ack ();
+  Symbad_lpv.Petri.add_post fixed ~transition:producer ~place:data;
+  Symbad_lpv.Petri.add_pre fixed ~transition:consumer ~place:data;
+  Symbad_lpv.Petri.add_post fixed ~transition:consumer ~place:ack;
+  Symbad_lpv.Petri.add_pre fixed ~transition:producer ~place:ack;
   Format.printf "primed ack loop:    %a@." Symbad_lpv.Deadlock.pp_verdict
     (Symbad_lpv.Deadlock.check fixed);
   Format.printf "throughput:         %a@." Symbad_lpv.Timing.pp_verdict
@@ -69,7 +69,6 @@ let symbc_tour () =
       ~fpga_functions:[ "filter"; "transform" ]
       ~configurations:
         [ ("cfgA", [ "filter" ]); ("cfgB", [ "transform" ]) ]
-      ()
   in
   let buggy =
     Symbad_symbc.Parser.parse

@@ -12,12 +12,6 @@ type point =
   | Cond of string * bool  (* both values of each atomic condition *)
   | Bit of string * int * bool  (* output name, bit index, polarity *)
 
-let point_to_string = function
-  | Stmt s -> Printf.sprintf "stmt:%s" s
-  | Branch (s, v) -> Printf.sprintf "branch:%s=%b" s v
-  | Cond (s, v) -> Printf.sprintf "cond:%s=%b" s v
-  | Bit (s, i, v) -> Printf.sprintf "bit:%s[%d]=%b" s i v
-
 type t = { hits : (point, int) Hashtbl.t }
 
 let create () = { hits = Hashtbl.create 64 }
@@ -39,8 +33,6 @@ let out_bits c name ~width value =
 
 let is_hit c point = Hashtbl.mem c.hits point
 let hit_count c point = Option.value ~default:0 (Hashtbl.find_opt c.hits point)
-let covered_points c = Hashtbl.length c.hits
-
 let merge ~into src =
   Hashtbl.iter
     (fun point n ->

@@ -11,8 +11,6 @@ type point =
   | Cond of string * bool  (** both values of each atomic condition *)
   | Bit of string * int * bool  (** output name, bit index, polarity *)
 
-val point_to_string : point -> string
-
 type t
 
 val create : unit -> t
@@ -27,7 +25,6 @@ val out_bits : t -> string -> width:int -> int -> unit
 
 val is_hit : t -> point -> bool
 val hit_count : t -> point -> int
-val covered_points : t -> int
 val merge : into:t -> t -> unit
 
 type report = {

@@ -21,10 +21,12 @@ type t = {
   written : bool array;
   mutable accesses : int;
   mutable violations : violation list;
-  stale_value : int;  (* what an uninitialised cell reads as *)
 }
 
-let create ?(stale_value = 0x2A) ~size name =
+(* what an uninitialised cell reads as *)
+let stale_value = 0x2A
+
+let create ~size name =
   if size <= 0 then invalid_arg "Memcheck.create: size";
   {
     name;
@@ -32,7 +34,6 @@ let create ?(stale_value = 0x2A) ~size name =
     written = Array.make size false;
     accesses = 0;
     violations = [];
-    stale_value;
   }
 
 let size m = Array.length m.data
@@ -55,7 +56,7 @@ let read m ~addr =
   else begin
     m.violations <-
       { memory = m.name; address = addr; access_index = idx } :: m.violations;
-    m.stale_value
+    stale_value
   end
 
 let clear_all m =

@@ -13,24 +13,19 @@ type violation = {
 
 type t
 
-val create : ?stale_value:int -> size:int -> string -> t
+val create : size:int -> string -> t
 val size : t -> int
 
 val write : t -> addr:int -> int -> unit
 val read : t -> addr:int -> int
-(** Returns the stored value, or the stale value (recording a
+(** Returns the stored value, or the stale value [0x2A] (recording a
     violation) when the cell was never written. *)
-
-val clear_all : t -> unit
-(** Explicit initialisation of every cell — the fix for the error
-    class. *)
 
 val violations : t -> violation list
 (** In occurrence order. *)
 
 val is_clean : t -> bool
 
-val pp_violation : Format.formatter -> violation -> unit
 val report : Format.formatter -> t -> unit
 
 val accumulator_model :

@@ -17,8 +17,6 @@ type t = {
 
 type test = int array
 
-let input_count m = List.length m.inputs
-
 let mask_inputs m (test : test) =
   let widths = Array.of_list (List.map snd m.inputs) in
   if Array.length test <> Array.length widths then

@@ -15,11 +15,6 @@ type t = {
 
 type test = int array
 
-val input_count : t -> int
-
-val mask_inputs : t -> test -> test
-(** Mask each value to its declared width; raises on arity mismatch. *)
-
 val run : ?cover:Coverage.t -> ?fault:fault -> t -> test -> int array
 
 val coverage : ?pool:Symbad_par.Par.pool -> t -> test list -> Coverage.t

@@ -20,7 +20,7 @@ val evaluate :
     identical at any pool width. *)
 
 val compare_engines :
-  ?pool:Symbad_par.Par.pool -> ?budget:int -> ?seed:int -> Model.t -> evaluation list
-(** Random vs genetic at equal pattern budget. *)
+  ?pool:Symbad_par.Par.pool -> ?budget:int -> Model.t -> evaluation list
+(** Random vs genetic at equal pattern budget, both seeded 1. *)
 
 val pp_evaluation : Format.formatter -> evaluation -> unit

@@ -12,16 +12,11 @@
 
 type t
 
-val env_var : string
-(** ["SYMBAD_CACHE_DIR"] — overrides the default directory. *)
-
-val default_dir : unit -> string
-(** [$SYMBAD_CACHE_DIR] if set and non-empty, else ["_symbad_cache"]
-    (relative to the working directory). *)
-
 val create : ?dir:string -> unit -> t
-(** A handle on [dir] (default {!default_dir}).  Nothing touches the
-    filesystem until the first {!store}. *)
+(** A handle on [dir] (default [$SYMBAD_CACHE_DIR] if set and
+    non-empty, else ["_symbad_cache"] relative to the working
+    directory).  Nothing touches the filesystem until the first
+    {!store}. *)
 
 val dir : t -> string
 

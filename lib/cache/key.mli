@@ -3,11 +3,6 @@
     and the numeric engine parameters.  Any edit to any of them changes
     the key. *)
 
-val budget_class : Symbad_gov.Budget.t -> string
-(** The budget's cache-relevant class: conflict/pattern allowances and
-    the retry count, plus a flag for deadline presence.  The deadline
-    {e instant} never enters a key (it is wall-clock state). *)
-
 val make :
   netlist:Symbad_hdl.Netlist.t ->
   props:Symbad_mc.Prop.t list ->

@@ -49,9 +49,8 @@ let energy_of ~latency_ns ~cpu_busy_ns ~bus_busy_ns ~bitstream_bytes =
   +. (0.5 *. float_of_int bus_busy_ns)
   +. (4.0 *. float_of_int bitstream_bytes)
 
-let grade_level2 ?(config = Level2.default_config) ~task_area ~label graph
-    mapping =
-  let r = Level2.run ~config graph mapping in
+let grade_level2 ~task_area ~label graph mapping =
+  let r = Level2.run graph mapping in
   {
     mapping;
     label;
@@ -90,8 +89,7 @@ let grade_level3 ?(config = Level3.default_config) ~task_area ~label graph
    architecture-exploration loop.  Candidates simulate independently, so
    they fan out on the pool; progress goes through [symbad_obs] events
    (never stdout), emitted from the calling domain only. *)
-let sweep_hw_sets ?pool ?config ~task_area ~profile ~pinned_sw ?(max_hw = 6)
-    graph =
+let sweep_hw_sets ?pool ~task_area ~profile ~pinned_sw ?(max_hw = 6) graph =
   let module Obs = Symbad_obs.Obs in
   let module Json = Symbad_obs.Json in
   let progress ~completed ~total =
@@ -103,8 +101,7 @@ let sweep_hw_sets ?pool ?config ~task_area ~profile ~pinned_sw ?(max_hw = 6)
     (Symbad_par.Par.get pool)
     (fun n ->
       let mapping = Mapping.of_ranking ~pinned_sw ~top_n:n profile graph in
-      grade_level2 ?config ~task_area ~label:(Printf.sprintf "hw%d" n) graph
-        mapping)
+      grade_level2 ~task_area ~label:(Printf.sprintf "hw%d" n) graph mapping)
     (List.init (max_hw + 1) Fun.id)
 
 (* Pareto filter over (latency, area, energy): keep points not dominated

@@ -13,20 +13,13 @@ type grade = {
   energy_proxy : float;
 }
 
-val area_of : task_area:(string -> int) -> Mapping.t -> int
-(** Hardwired modules pay full area; an FPGA pays twice its largest
-    context (programmability density penalty). *)
-
-val energy_of :
-  latency_ns:int -> cpu_busy_ns:int -> bus_busy_ns:int -> bitstream_bytes:int -> float
-
 val grade_level2 :
-  ?config:Level2.config ->
   task_area:(string -> int) ->
   label:string ->
   Task_graph.t ->
   Mapping.t ->
   grade
+(** Graded on {!Level2.default_config}. *)
 
 val grade_level3 :
   ?config:Level3.config ->
@@ -38,7 +31,6 @@ val grade_level3 :
 
 val sweep_hw_sets :
   ?pool:Symbad_par.Par.pool ->
-  ?config:Level2.config ->
   task_area:(string -> int) ->
   profile:Symbad_tlm.Annotation.Profile.t ->
   pinned_sw:string list ->

@@ -12,11 +12,10 @@ val default_workload : workload
 (** 8 frames, 64-pixel frames, 20 identities. *)
 
 val smoke_workload : workload
-(** 3 frames, 32 pixels, 6 identities — for tests and micro-benches. *)
+(** 3 frames, 32 pixels, 6 identities — for tests, fault campaigns and
+    the report. *)
 
 val database : workload -> Symbad_image.Database.t
-val db_matrix : Symbad_image.Database.t -> int array array
-val work_of_stage : workload -> string -> int
 
 val graph : workload -> Task_graph.t
 (** The Figure 2 task graph.  Deterministic in the workload. *)

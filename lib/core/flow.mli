@@ -27,12 +27,11 @@ val run :
   ?escalate:bool ->
   ?seed:int ->
   ?workload:Face_app.workload ->
-  ?deadline_ns:int ->
   ?gov:Symbad_gov.Gov.t ->
   unit ->
   t
-(** [deadline_ns] (default 40 ms, i.e. 25 frames/s) is the level-2
-    real-time requirement checked by LPV.  [pool] fans the
+(** LPV checks the level-2 real-time requirement, a 40 ms deadline
+    (25 frames/s).  [pool] fans the
     fault-detectability, ATPG and model-checking work out across
     domains; results are identical at any width (defaults to the
     sequential pool).  [seed] (default 1) drives the ATPG engines.
@@ -68,5 +67,4 @@ val to_json : ?timings:bool -> t -> string
     so reports compare byte-identically across runs and [--jobs]
     widths. *)
 
-val pp_level : Format.formatter -> level_report -> unit
 val pp : Format.formatter -> t -> unit

@@ -110,7 +110,6 @@ let config_info_of mapping =
                (fun (task, c) -> if String.equal c ctx then Some task else None)
                assignments ))
          (Mapping.contexts mapping))
-    ()
 
 (* Instrumented SW: the cyclostatic loop with reconfiguration calls
    inserted before FPGA-resident invocations (omitting loads already

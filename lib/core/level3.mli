@@ -57,7 +57,6 @@ type result = {
 
 val simulation_speed_khz : bus_period_ns:int -> result -> float
 
-val build_fpga : config -> Mapping.t -> Symbad_fpga.Fpga.t
 val config_info_of : Mapping.t -> Symbad_symbc.Config_info.t
 
 val instrumented_program :

@@ -369,8 +369,10 @@ let verify_module_live ?pool ~gov ~escalate ~max_depth ~pcc_depth ~max_reg_bits
              m.netlist m.properties);
     }
 
-let verify_module ?pool ?cache ?gov ?(escalate = false) ?(max_depth = 12)
-    ?(pcc_depth = 6) ?(max_reg_bits = 4) m =
+let verify_module ?pool ?cache ?gov ?(escalate = false) m =
+  (* BMC to depth 12, PCC miters to depth 6, four stuck-at bits per
+     register *)
+  let max_depth = 12 and pcc_depth = 6 and max_reg_bits = 4 in
   let gov = Symbad_gov.Gov.get gov in
   let key =
     match cache with
@@ -410,7 +412,7 @@ let verify_module ?pool ?cache ?gov ?(escalate = false) ?(max_depth = 12)
       | _ -> ());
       r
 
-let run ?pool ?cache ?gov ?escalate ?max_depth ?pcc_depth ?max_reg_bits () =
+let run ?pool ?cache ?gov ?escalate () =
   let gov = Symbad_gov.Gov.get gov in
   let ms = modules () in
   (* per-module budget shares, fixed before any verification runs *)
@@ -419,8 +421,7 @@ let run ?pool ?cache ?gov ?escalate ?max_depth ?pcc_depth ?max_reg_bits () =
     modules =
       List.map2
         (fun m g ->
-          verify_module ?pool ?cache ~gov:g ?escalate ?max_depth ?pcc_depth
-            ?max_reg_bits m)
+          verify_module ?pool ?cache ~gov:g ?escalate m)
         ms shares;
   }
 

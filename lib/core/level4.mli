@@ -12,8 +12,6 @@ type rtl_module = {
 
 val distance_properties : unit -> Symbad_mc.Prop.t list
 val root_properties : unit -> Symbad_mc.Prop.t list
-val wrapper_properties : Symbad_hdl.Netlist.t -> Symbad_mc.Prop.t list
-val argmin_properties : unit -> Symbad_mc.Prop.t list
 
 val modules : unit -> rtl_module list
 (** DISTANCE, ROOT, the hand-written wrapper, the streaming ARGMIN and
@@ -54,13 +52,12 @@ val verify_module :
   ?cache:Symbad_cache.Cache.t ->
   ?gov:Symbad_gov.Gov.t ->
   ?escalate:bool ->
-  ?max_depth:int ->
-  ?pcc_depth:int ->
-  ?max_reg_bits:int ->
   rtl_module ->
   module_report
-(** [pool] fans the per-fault PCC checks and per-property model-checking
-    runs across domains; verdicts are identical at any pool width.
+(** Model checking runs BMC to depth 12; PCC checks its miters to depth
+    6 over four stuck-at bits per register.  [pool] fans the per-fault
+    PCC checks and per-property model-checking runs across domains;
+    verdicts are identical at any pool width.
     The lint gate runs first over a small budget slice; lint {e errors}
     (never warnings or governor skips) gate the expensive engines off —
     the module report then carries the diagnostics instead of MC/PCC
@@ -87,13 +84,10 @@ val run :
   ?cache:Symbad_cache.Cache.t ->
   ?gov:Symbad_gov.Gov.t ->
   ?escalate:bool ->
-  ?max_depth:int ->
-  ?pcc_depth:int ->
-  ?max_reg_bits:int ->
   unit ->
   result
-(** Verify every case-study module.  [gov]'s remaining budget is split
-    near-equally across the modules before any verification runs. *)
+(** Verify every case-study module with {!verify_module}.  [gov]'s
+    remaining budget is split near-equally across the modules before
+    any verification runs. *)
 
-val pp_module_report : Format.formatter -> module_report -> unit
 val pp : Format.formatter -> result -> unit

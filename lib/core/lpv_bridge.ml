@@ -66,18 +66,18 @@ let net_of ?(capacity = 2) ?(extra_channels = []) ?timing ?mapping ?profile
       let self =
         Lpv.Petri.add_place net ~tokens:1 ("self." ^ t.Task_graph.name)
       in
-      Lpv.Petri.add_pre net ~transition:i ~place:self ();
-      Lpv.Petri.add_post net ~transition:i ~place:self ())
+      Lpv.Petri.add_pre net ~transition:i ~place:self;
+      Lpv.Petri.add_post net ~transition:i ~place:self)
     graph.Task_graph.tasks;
   let add_channel ?(tokens = 0) name src dst =
     let producer = Hashtbl.find tindex src and consumer = Hashtbl.find tindex dst in
     let fwd = Lpv.Petri.add_place net ~tokens name in
-    Lpv.Petri.add_post net ~transition:producer ~place:fwd ();
-    Lpv.Petri.add_pre net ~transition:consumer ~place:fwd ();
+    Lpv.Petri.add_post net ~transition:producer ~place:fwd;
+    Lpv.Petri.add_pre net ~transition:consumer ~place:fwd;
     if capacity > 0 then begin
       let credit = Lpv.Petri.add_place net ~tokens:capacity (name ^ ".credit") in
-      Lpv.Petri.add_pre net ~transition:producer ~place:credit ();
-      Lpv.Petri.add_post net ~transition:consumer ~place:credit ()
+      Lpv.Petri.add_pre net ~transition:producer ~place:credit;
+      Lpv.Petri.add_post net ~transition:consumer ~place:credit
     end
   in
   List.iter
@@ -97,16 +97,15 @@ let net_of ?(capacity = 2) ?(extra_channels = []) ?timing ?mapping ?profile
 (* The level-1 deadlock-freeness check and the level-2 timing checks, as
    the flow invokes them.  Each takes the governor through to the LPV
    engines, which degrade to Not_analyzable / None on exhaustion. *)
-let check_deadlock ?capacity ?extra_channels ?gov graph =
-  Lpv.Deadlock.check ?gov (net_of ?capacity ?extra_channels graph)
+let check_deadlock ?extra_channels ?gov graph =
+  Lpv.Deadlock.check ?gov (net_of ?extra_channels graph)
 
-let check_deadline ~deadline_ns ~timing ~mapping ~profile ?capacity ?gov graph =
-  let net = net_of ?capacity ~timing ~mapping ~profile graph in
+let check_deadline ~deadline_ns ~timing ~mapping ~profile ?gov graph =
+  let net = net_of ~timing ~mapping ~profile graph in
   ( Lpv.Timing.min_cycle_ratio ?gov net,
     Lpv.Timing.deadline_met ?gov ~deadline:deadline_ns net )
 
-let dimension_fifos ~deadline_ns ~timing ~mapping ~profile ?(max_capacity = 64)
-    ?gov graph =
-  Lpv.Timing.min_uniform_capacity ~max_capacity ?gov ~deadline:deadline_ns
+let dimension_fifos ~deadline_ns ~timing ~mapping ~profile ?gov graph =
+  Lpv.Timing.min_uniform_capacity ~max_capacity:64 ?gov ~deadline:deadline_ns
     ~build:(fun c -> net_of ~capacity:c ~timing ~mapping ~profile graph)
     ()

@@ -11,10 +11,6 @@ type timing_model = {
 
 val default_timing : timing_model
 
-val firing_delay_ns :
-  timing_model -> Mapping.t -> Symbad_tlm.Annotation.Profile.t -> string -> int
-(** Annotated firing time of a task on its mapped resource. *)
-
 val net_of :
   ?capacity:int ->
   ?extra_channels:(string * string * string * int) list ->
@@ -25,40 +21,39 @@ val net_of :
   Symbad_lpv.Petri.t
 (** Tasks become transitions (delay 1 unless all of [timing], [mapping]
     and [profile] are given), channels forward places plus credit places
-    of [capacity] (0 = unbounded), and each task a marked self-loop.
+    of [capacity] (default 2; 0 = unbounded), and each task a marked
+    self-loop.
     [extra_channels] adds [(name, src, dst, tokens)] feedback edges —
     synchronisation added at mapping time, or seeded deadlock bugs. *)
 
 val check_deadlock :
-  ?capacity:int ->
   ?extra_channels:(string * string * string * int) list ->
   ?gov:Symbad_gov.Gov.t ->
   Task_graph.t ->
   Symbad_lpv.Deadlock.verdict
-(** The level-1 deadlock-freeness check; an exhausted [gov] yields
-    [Not_analyzable]. *)
+(** The level-1 deadlock-freeness check over {!net_of}'s default
+    capacity; an exhausted [gov] yields [Not_analyzable]. *)
 
 val check_deadline :
   deadline_ns:int ->
   timing:timing_model ->
   mapping:Mapping.t ->
   profile:Symbad_tlm.Annotation.Profile.t ->
-  ?capacity:int ->
   ?gov:Symbad_gov.Gov.t ->
   Task_graph.t ->
   Symbad_lpv.Timing.verdict * bool
-(** The minimum period and whether the deadline is achievable; an
-    exhausted [gov] yields [(Not_analyzable _, false)]. *)
+(** The minimum period and whether the deadline is achievable, over
+    {!net_of}'s default capacity; an exhausted [gov] yields
+    [(Not_analyzable _, false)]. *)
 
 val dimension_fifos :
   deadline_ns:int ->
   timing:timing_model ->
   mapping:Mapping.t ->
   profile:Symbad_tlm.Annotation.Profile.t ->
-  ?max_capacity:int ->
   ?gov:Symbad_gov.Gov.t ->
   Task_graph.t ->
   int option
-(** Smallest uniform channel capacity meeting the deadline.  [gov] is
+(** Smallest uniform channel capacity, up to 64, meeting the deadline.  [gov] is
     polled per candidate capacity; exhaustion stops the search with
     [None]. *)

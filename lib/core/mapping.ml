@@ -19,7 +19,6 @@ let annotation_target = function
   | Hw -> Annotation.Hw
   | Fpga _ -> Annotation.Fpga
 
-let sw_tasks m = List.filter_map (fun (t, tg) -> if tg = Sw then Some t else None) m
 let hw_tasks m = List.filter_map (fun (t, tg) -> if tg = Hw then Some t else None) m
 
 let fpga_tasks m =

@@ -9,7 +9,6 @@ val target_of : t -> string -> target
 
 val annotation_target : target -> Symbad_tlm.Annotation.target
 
-val sw_tasks : t -> string list
 val hw_tasks : t -> string list
 val fpga_tasks : t -> (string * string) list
 (** [(task, context)] pairs. *)

@@ -45,9 +45,6 @@ let source ~name ~outputs ~work script =
       | None -> None
       | Some produced -> Some { outputs = produced; work })
 
-let find_task g name =
-  List.find_opt (fun (t : task) -> String.equal t.name name) g.tasks
-
 let channels g =
   List.concat_map (fun (t : task) -> t.outputs) g.tasks |> List.sort_uniq compare
 

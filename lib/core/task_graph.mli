@@ -55,7 +55,6 @@ val make : name:string -> tasks:task list -> sinks:string list -> t
 (** Validates the graph; raises [Invalid_argument] on duplicate names,
     multiply-driven or dangling channels, or self-loops. *)
 
-val find_task : t -> string -> task option
 val channels : t -> string list
 val producer_of : t -> string -> task option
 val consumer_of : t -> string -> task option

@@ -76,5 +76,3 @@ let to_shape = function Shape e -> e | t -> invalid_arg ("Token: expected shape,
 let to_scan = function Scan s -> s | t -> invalid_arg ("Token: expected scan, got " ^ kind_to_string t)
 let to_vec = function Vec v -> v | t -> invalid_arg ("Token: expected vec, got " ^ kind_to_string t)
 let to_mat = function Mat m -> m | t -> invalid_arg ("Token: expected mat, got " ^ kind_to_string t)
-let to_num = function Num n -> n | t -> invalid_arg ("Token: expected num, got " ^ kind_to_string t)
-let to_verdict = function Verdict v -> v | t -> invalid_arg ("Token: expected verdict, got " ^ kind_to_string t)

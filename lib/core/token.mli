@@ -35,5 +35,3 @@ val to_shape : t -> Symbad_image.Ellipse.t
 val to_scan : t -> Symbad_image.Line.scan
 val to_vec : t -> int array
 val to_mat : t -> int array array
-val to_num : t -> int
-val to_verdict : t -> Symbad_image.Winner.verdict

@@ -15,19 +15,18 @@
 type design = {
   graph : Task_graph.t;
   mapping : Mapping.t;
-  config : Level2.config;
   profile : Symbad_tlm.Annotation.Profile.t;
 }
 
 (* Transformation 1: from the level-1 (all-SW, untimed) description to a
    timed TL design.  [hw] is the first HW candidate set. *)
-let to_timed_tl ?(config = Level2.default_config) ~profile ~hw graph =
+let to_timed_tl ~profile ~hw graph =
   let mapping =
     List.fold_left
       (fun m task -> Mapping.move m task Mapping.Hw)
       (Mapping.all_sw graph) hw
   in
-  { graph; mapping; config; profile }
+  { graph; mapping; profile }
 
 (* Transformation 2a/2b: move one module across the HW/SW boundary. *)
 let move_to_hw design task =
@@ -38,8 +37,8 @@ let move_to_sw design task =
 
 (* Re-evaluate after a transformation: re-simulate the timed model (this
    re-annotates automatically, because annotation is applied from the
-   profile at simulation time). *)
-let evaluate design = Level2.run ~config:design.config design.graph design.mapping
+   profile at simulation time), on the default level-2 platform. *)
+let evaluate design = Level2.run design.graph design.mapping
 
 (* Convenience: compare the timing effect of moving [task] to HW. *)
 let speedup_of_moving_to_hw design task =

@@ -6,12 +6,10 @@
 type design = {
   graph : Task_graph.t;
   mapping : Mapping.t;
-  config : Level2.config;
   profile : Symbad_tlm.Annotation.Profile.t;
 }
 
 val to_timed_tl :
-  ?config:Level2.config ->
   profile:Symbad_tlm.Annotation.Profile.t ->
   hw:string list ->
   Task_graph.t ->
@@ -26,6 +24,7 @@ val move_to_sw : design -> string -> design
 (** Transformation 2b. *)
 
 val evaluate : design -> Level2.result
-(** Re-simulate; annotation is re-applied automatically. *)
+(** Re-simulate on {!Level2.default_config}; annotation is re-applied
+    automatically. *)
 
 val speedup_of_moving_to_hw : design -> string -> float

@@ -25,22 +25,22 @@ let default_passed = function
   | Disproved _ | Inconclusive _ -> false
   | Coverage { hit; total } -> hit = total
 
-let make ?passed ?(host_seconds = 0.) ?(detail = "") ?(cached = false) ~name
-    outcome =
+let make ?passed ?(host_seconds = 0.) ?(detail = "") ~name outcome =
   {
     name;
     outcome;
     passed = (match passed with Some p -> p | None -> default_passed outcome);
     host_seconds;
     detail;
-    cached;
+    cached = false;
   }
 
 let with_cached t = { t with cached = true; host_seconds = 0. }
 
 (* --- adapters --------------------------------------------------------- *)
 
-let of_pcc ?host_seconds ?(threshold = 0.75) (r : Symbad_pcc.Pcc.report) =
+let of_pcc (r : Symbad_pcc.Pcc.report) =
+  let threshold = 0.75 (* the flow's completeness gate *) in
   let name = Printf.sprintf "PCC completeness %s" r.Symbad_pcc.Pcc.design in
   let unresolved =
     List.length
@@ -52,7 +52,7 @@ let of_pcc ?host_seconds ?(threshold = 0.75) (r : Symbad_pcc.Pcc.report) =
   let total_faults = List.length r.Symbad_pcc.Pcc.faults in
   let covered = r.Symbad_pcc.Pcc.covered in
   if unresolved = 0 then
-    make ?host_seconds ~name
+    make ~name
       ~passed:(r.Symbad_pcc.Pcc.coverage >= threshold)
       ~detail:
         (Printf.sprintf "%.0f%% of %d detectable faults"
@@ -67,7 +67,7 @@ let of_pcc ?host_seconds ?(threshold = 0.75) (r : Symbad_pcc.Pcc.report) =
     let ratio hit = float_of_int hit /. float_of_int total in
     let worst = ratio covered and best = ratio (covered + unresolved) in
     let bounded ~passed ~bound ratio =
-      make ?host_seconds ~name ~passed
+      make ~name ~passed
         ~detail:
           (Printf.sprintf "%s %.0f%% of %d detectable + %d unresolved faults"
              bound (100. *. ratio) r.Symbad_pcc.Pcc.detectable unresolved)
@@ -78,7 +78,7 @@ let of_pcc ?host_seconds ?(threshold = 0.75) (r : Symbad_pcc.Pcc.report) =
     else
       (* the gate lies between the bounds: only a larger budget can
          decide it, so report what WAS classified *)
-      make ?host_seconds ~name
+      make ~name
         ~detail:
           (Printf.sprintf "resource budget exhausted; %d/%d faults classified"
              (total_faults - unresolved) total_faults)
@@ -96,12 +96,11 @@ let of_lpv_deadlock ?host_seconds (v : Symbad_lpv.Deadlock.verdict) =
   | Symbad_lpv.Deadlock.Not_analyzable why ->
       make ?host_seconds ~name (Inconclusive why)
 
-let of_lpv_timing ?host_seconds ~deadline_ns ~met
-    (v : Symbad_lpv.Timing.verdict) =
+let of_lpv_timing ~deadline_ns ~met (v : Symbad_lpv.Timing.verdict) =
   let detail =
     Fmt.str "%a vs deadline %dns" Symbad_lpv.Timing.pp_verdict v deadline_ns
   in
-  make ?host_seconds ~name:"LPV timing deadline" ~detail
+  make ~name:"LPV timing deadline" ~detail
     (match v with
     | Symbad_lpv.Timing.Not_analyzable why -> Inconclusive why
     | Symbad_lpv.Timing.Period _ | Symbad_lpv.Timing.Unschedulable _ ->

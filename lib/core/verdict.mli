@@ -28,14 +28,13 @@ val make :
   ?passed:bool ->
   ?host_seconds:float ->
   ?detail:string ->
-  ?cached:bool ->
   name:string ->
   outcome ->
   t
 (** [passed] defaults from the outcome: [Proved] passes,
     [Disproved]/[Inconclusive] fail, [Coverage] passes at full
     coverage — give [~passed] explicitly for thresholded gates.
-    [cached] defaults to [false]. *)
+    [cached] is [false] (see {!with_cached}). *)
 
 val with_cached : t -> t
 (** The verdict marked as a cache replay: [cached] set, [host_seconds]
@@ -43,9 +42,9 @@ val with_cached : t -> t
 
 (** {1 Adapters} *)
 
-val of_pcc : ?host_seconds:float -> ?threshold:float -> Symbad_pcc.Pcc.report -> t
-(** [Coverage] over detectable faults; passes at [threshold] (default
-    [0.75], the flow's completeness gate).
+val of_pcc : Symbad_pcc.Pcc.report -> t
+(** [Coverage] over detectable faults; passes at [0.75], the flow's
+    completeness gate.
 
     [Unresolved] faults (the resource budget ran out) are bounded, not
     guessed: over [detectable + unresolved] faults, the worst case
@@ -62,7 +61,7 @@ val of_lpv_deadlock : ?host_seconds:float -> Symbad_lpv.Deadlock.verdict -> t
     governed run). *)
 
 val of_lpv_timing :
-  ?host_seconds:float -> deadline_ns:int -> met:bool -> Symbad_lpv.Timing.verdict -> t
+  deadline_ns:int -> met:bool -> Symbad_lpv.Timing.verdict -> t
 (** [met] is the caller's deadline comparison; the verdict's period (or
     unschedulability / non-analyzability) lands in the detail line. *)
 

@@ -206,8 +206,8 @@ let checkers spec nl =
 
 (* Synthesise, generate the checkers, and verify them — the push-button
    flow of the foreseeable option. *)
-let synthesize_and_verify ?(max_depth = 12) spec =
+let synthesize_and_verify spec =
   let nl = synthesize spec in
   let props = checkers spec nl in
-  let reports = Symbad_mc.Engine.check_all ~max_depth nl props in
+  let reports = Symbad_mc.Engine.check_all ~max_depth:12 nl props in
   (nl, props, reports)

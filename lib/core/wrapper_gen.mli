@@ -30,7 +30,7 @@ val checkers : spec -> Symbad_hdl.Netlist.t -> Symbad_mc.Prop.t list
     (count' = count + accepted - taken). *)
 
 val synthesize_and_verify :
-  ?max_depth:int ->
   spec ->
   Symbad_hdl.Netlist.t * Symbad_mc.Prop.t list * Symbad_mc.Engine.report list
-(** The push-button flow: synthesise, generate checkers, model check. *)
+(** The push-button flow: synthesise, generate checkers, model check
+    (BMC to depth 12). *)

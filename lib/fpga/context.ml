@@ -20,11 +20,9 @@ let provides c resource_name =
 (* Bitstream size: a fixed configuration-frame header plus a per-area
    payload.  8 bytes of configuration data per logic unit is in the range
    of embedded FPGA fabrics of the period. *)
-let bitstream_bytes ?(header_bytes = 512) ?(bytes_per_area = 8) c =
-  header_bytes + (bytes_per_area * area c)
+let bitstream_bytes c = 512 + (8 * area c)
 
-let bitstream_words ?header_bytes ?bytes_per_area c =
-  (bitstream_bytes ?header_bytes ?bytes_per_area c + 3) / 4
+let bitstream_words c = (bitstream_bytes c + 3) / 4
 
 (* Deterministic pseudo-bitstream: word [i] is a splitmix-style hash of
    the context name and the index, so every context has a stable golden
@@ -37,8 +35,7 @@ let bitstream_word c i =
   let x = x * 0x85EBCA77 land 0xFFFFFFFF in
   x lxor (x lsr 13) land 0xFFFFFFFF
 
-let golden_crc ?header_bytes ?bytes_per_area c =
-  Crc.words (bitstream_word c) (bitstream_words ?header_bytes ?bytes_per_area c)
+let golden_crc c = Crc.words (bitstream_word c) (bitstream_words c)
 
 let pp fmt c =
   Fmt.pf fmt "%s{%a}" c.name (Fmt.list ~sep:Fmt.comma Resource.pp) c.resources

@@ -13,11 +13,11 @@ val provides : t -> string -> bool
 (** [provides c r] is true iff resource [r] is available once [c] is
     loaded. *)
 
-val bitstream_bytes : ?header_bytes:int -> ?bytes_per_area:int -> t -> int
-(** Size of the configuration bitstream (header + per-area payload;
-    defaults 512 + 8/unit). *)
+val bitstream_bytes : t -> int
+(** Size of the configuration bitstream: a 512-byte header plus 8 bytes
+    per area unit. *)
 
-val bitstream_words : ?header_bytes:int -> ?bytes_per_area:int -> t -> int
+val bitstream_words : t -> int
 (** {!bitstream_bytes} in 32-bit words (rounded up). *)
 
 val bitstream_word : t -> int -> int
@@ -25,7 +25,7 @@ val bitstream_word : t -> int -> int
     pseudo-bitstream — a stable hash of the context name and the index,
     so every context has a golden image without storing one. *)
 
-val golden_crc : ?header_bytes:int -> ?bytes_per_area:int -> t -> int
+val golden_crc : t -> int
 (** CRC-32 of the clean bitstream ({!Crc.words} over
     {!bitstream_word}); what {!Fpga.reconfigure} compares a download
     against. *)

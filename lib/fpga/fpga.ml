@@ -31,7 +31,6 @@ type t = {
   contexts : Context.t list;
   program_ns_per_byte : int;
   burst_bytes : int;  (* bus-burst granularity of bitstream downloads *)
-  max_redownloads : int;
   mutable loaded : Context.t option;
   (* per-context, per-copy upset flags: inactive contexts keep resident
      configuration frames in their resource areas, so SEUs hit them too *)
@@ -57,7 +56,7 @@ type t = {
 }
 
 let create ?(capacity = 10_000) ?(copies = 1) ?(program_ns_per_byte = 1)
-    ?(burst_bytes = 8) ?(max_redownloads = 2) ~contexts name =
+    ?(burst_bytes = 8) ~contexts name =
   if copies <> 1 && copies <> 3 then
     invalid_arg "Fpga.create: copies must be 1 (simplex) or 3 (TMR)";
   List.iter
@@ -69,7 +68,6 @@ let create ?(capacity = 10_000) ?(copies = 1) ?(program_ns_per_byte = 1)
              (Context.name c) (Context.area c) copies capacity))
     contexts;
   if burst_bytes <= 0 then invalid_arg "Fpga.create: burst_bytes";
-  if max_redownloads < 0 then invalid_arg "Fpga.create: max_redownloads";
   let corrupt = Hashtbl.create 8 in
   List.iter
     (fun c -> Hashtbl.replace corrupt (Context.name c) (Array.make copies false))
@@ -81,7 +79,6 @@ let create ?(capacity = 10_000) ?(copies = 1) ?(program_ns_per_byte = 1)
     contexts;
     program_ns_per_byte;
     burst_bytes;
-    max_redownloads;
     loaded = None;
     corrupt;
     stuck = [];
@@ -193,13 +190,13 @@ let download_once f ~bus ~master ctx ~attempt =
   | exception Bus.Transfer_failed _ -> Error `Bus
 
 (* Download with integrity checking: CRC mismatches and bus failures
-   trigger a bounded re-download, then [Download_failed]. *)
+   trigger up to two re-downloads, then [Download_failed]. *)
 let checked_download f ~bus ~master ctx =
   let golden = Context.golden_crc ctx in
   let ctx_name = Context.name ctx in
   let rec go attempt =
     let failed_attempt () =
-      if attempt >= f.max_redownloads then begin
+      if attempt >= 2 then begin
         f.failed_downloads <- f.failed_downloads + 1;
         raise
           (Download_failed
@@ -389,11 +386,6 @@ let require f resource =
   | Some ctx ->
       raise (Inconsistent { resource; loaded = Some (Context.name ctx) })
   | None -> raise (Inconsistent { resource; loaded = None })
-
-let provides_loaded f resource =
-  match f.loaded with
-  | Some ctx -> Context.provides ctx resource
-  | None -> false
 
 type stats = {
   reconfigurations : int;

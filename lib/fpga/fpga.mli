@@ -17,9 +17,9 @@
 exception Inconsistent of { resource : string; loaded : string option }
 
 exception Download_failed of { fpga : string; context : string; attempts : int }
-(** Raised by {!reconfigure} / {!scrub} when every download attempt
-    (1 + [max_redownloads]) ended in a CRC mismatch or a failed bus
-    transfer. *)
+(** Raised by {!reconfigure} / {!scrub} when all three download
+    attempts (the first and two re-downloads) ended in a CRC mismatch
+    or a failed bus transfer. *)
 
 type t
 
@@ -28,7 +28,6 @@ val create :
   ?copies:int ->
   ?program_ns_per_byte:int ->
   ?burst_bytes:int ->
-  ?max_redownloads:int ->
   contexts:Context.t list ->
   string ->
   t
@@ -39,9 +38,8 @@ val create :
     upsets by majority vote.  Only 1 (simplex) and 3 are accepted.
     [burst_bytes] (default 8, i.e. CPU-driven programmed I/O without a
     DMA engine) is the bus-burst granularity of bitstream downloads:
-    each burst is a separately arbitrated bus transaction.
-    [max_redownloads] (default 2) bounds how often a corrupted download
-    is re-attempted before {!Download_failed}. *)
+    each burst is a separately arbitrated bus transaction.  A corrupted
+    download is re-attempted twice before {!Download_failed}. *)
 
 val name : t -> string
 val capacity : t -> int
@@ -70,8 +68,6 @@ val reconfigure :
 
 val require : t -> string -> unit
 (** Assert that the named resource is currently available. *)
-
-val provides_loaded : t -> string -> bool
 
 (** {1 Fault injection and recovery} *)
 

@@ -119,8 +119,6 @@ let best_partition ?pool ~capacity ~max_contexts ~calls resources =
       in
       Some (List.fold_left (fun acc e -> if better e acc then e else acc) first rest)
 
-let exhaustive = best_partition
-
 let sweep ?pool ~capacity ~max_contexts ~calls resources =
   feasible_partitions ~capacity ~max_contexts resources
   |> evaluate_all ?pool ~label:"placement.sweep" ~calls

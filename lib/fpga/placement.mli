@@ -4,8 +4,6 @@
 type partition = Resource.t list list
 (** Groups of resources; group [i] becomes context ["config<i+1>"]. *)
 
-val contexts_of_partition : partition -> Context.t list
-
 val evaluate : calls:string list -> partition -> int * int
 (** [evaluate ~calls p] replays the dynamic resource-invocation sequence
     [calls] and returns [(reconfigurations, bitstream_bytes)]. *)
@@ -32,15 +30,6 @@ val best_partition :
     Candidates are evaluated one pool job each; progress is reported as
     ["placement.exhaustive"] obs events from the calling domain (never
     stdout), so parallel runs cannot corrupt console output. *)
-
-val exhaustive :
-  ?pool:Symbad_par.Par.pool ->
-  capacity:int ->
-  max_contexts:int ->
-  calls:string list ->
-  Resource.t list ->
-  evaluation option
-(** Alias of {!best_partition}. *)
 
 val sweep :
   ?pool:Symbad_par.Par.pool ->

@@ -10,10 +10,6 @@ let algorithm ~area name =
   if area <= 0 then invalid_arg "Resource.algorithm: area";
   { name; kind = Algorithm; area }
 
-let register_file ~area name =
-  if area <= 0 then invalid_arg "Resource.register_file: area";
-  { name; kind = Register_file; area }
-
 let name r = r.name
 let area r = r.area
 let kind r = r.kind

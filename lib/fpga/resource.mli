@@ -6,8 +6,6 @@ type t
 val algorithm : area:int -> string -> t
 (** A HW module implementing an algorithm; [area] in abstract logic units. *)
 
-val register_file : area:int -> string -> t
-
 val name : t -> string
 val area : t -> int
 val kind : t -> kind

@@ -3,10 +3,9 @@
    purpose — degraded reports must still compare byte-identically across
    runs and pool widths, so no timestamps or host figures here. *)
 
-type reason = Cancelled | Deadline | Conflicts | Patterns
+type reason = Deadline | Conflicts | Patterns
 
 let reason_string = function
-  | Cancelled -> "cancelled"
   | Deadline -> "deadline exhausted"
   | Conflicts -> "conflict budget exhausted"
   | Patterns -> "pattern budget exhausted"

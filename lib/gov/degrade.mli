@@ -9,14 +9,13 @@
     one-line detail string the uniform verdict carries. *)
 
 type reason =
-  | Cancelled  (** the {!Cancel} token was raised *)
   | Deadline  (** the wall-clock deadline passed *)
   | Conflicts  (** the SAT-conflict allowance is spent *)
   | Patterns  (** the test-pattern / simulation-unit allowance is spent *)
 
 val reason_string : reason -> string
-(** ["cancelled"], ["deadline exhausted"], ["conflict budget exhausted"]
-    or ["pattern budget exhausted"] — stable strings, safe to embed in
+(** ["deadline exhausted"], ["conflict budget exhausted"] or
+    ["pattern budget exhausted"] — stable strings, safe to embed in
     byte-compared reports (no timestamps). *)
 
 type partial = {

@@ -1,5 +1,5 @@
-(* The resource governor: a budget, live spend counters and a cancel
-   token, organised as a tree.  Children are granted shares of the
+(* The resource governor: a budget and live spend counters, organised
+   as a tree.  Children are granted shares of the
    remaining budget; their charges propagate to every ancestor, so the
    parent's "remaining" always reflects what the whole subtree spent and
    unspent allowance flows forward to the next phase.
@@ -23,7 +23,6 @@ type t = {
   label : string;
   budget : Budget.t;
   deadline_s : float option;  (* seconds to the deadline at creation *)
-  cancel : Cancel.t;
   spent_conflicts : int Atomic.t;
   spent_patterns : int Atomic.t;
   parent : t option;
@@ -32,12 +31,11 @@ type t = {
   degradations : string list Atomic.t;  (* reason strings, newest first *)
 }
 
-let node ~label ~cancel ~parent budget =
+let node ~label ~parent budget =
   {
     label;
     budget;
     deadline_s = Budget.remaining_s budget;
-    cancel;
     spent_conflicts = Atomic.make 0;
     spent_patterns = Atomic.make 0;
     parent;
@@ -46,8 +44,7 @@ let node ~label ~cancel ~parent budget =
     degradations = Atomic.make [];
   }
 
-let create ?(label = "gov") ?(cancel = Cancel.none) budget =
-  node ~label ~cancel ~parent:None budget
+let create ?(label = "gov") budget = node ~label ~parent:None budget
 
 let unlimited = create ~label:"unlimited" Budget.unlimited
 let get = function Some g -> g | None -> unlimited
@@ -62,7 +59,7 @@ let rec push cell x =
 (* the shared [unlimited] keeps no children, so ungoverned runs leave
    nothing reachable from it *)
 let child t ~label budget =
-  let c = node ~label ~cancel:t.cancel ~parent:(Some t) budget in
+  let c = node ~label ~parent:(Some t) budget in
   if t != unlimited then push t.children c;
   c
 
@@ -94,8 +91,7 @@ let remaining t =
 (* --- exhaustion ------------------------------------------------------- *)
 
 let exhaustion t =
-  if Cancel.is_cancelled t.cancel then Some Degrade.Cancelled
-  else if conflicts_left t = Some 0 then Some Degrade.Conflicts
+  if conflicts_left t = Some 0 then Some Degrade.Conflicts
   else if patterns_left t = Some 0 then Some Degrade.Patterns
   else if Budget.deadline_over t.budget then Some Degrade.Deadline
   else None

@@ -1,6 +1,6 @@
-(** The resource governor: one {!Budget} plus live spend accounting and
-    a {!Cancel} token, threaded through every verification engine so a
-    run always terminates on time with the best partial result.
+(** The resource governor: one {!Budget} plus live spend accounting,
+    threaded through every verification engine so a run always
+    terminates on time with the best partial result.
 
     A governor is handed to an engine entry point ([Sat.Solver.solve],
     [Mc.Engine.check], the ATPG generators, [Pcc.run], the LPV checks,
@@ -26,14 +26,14 @@
 
 type t
 
-val create : ?label:string -> ?cancel:Cancel.t -> Budget.t -> t
+val create : ?label:string -> Budget.t -> t
 (** A root governor over [budget].  [label] names it in telemetry
-    (default ["gov"]); [cancel] defaults to {!Cancel.none}. *)
+    (default ["gov"]). *)
 
 val unlimited : t
-(** The shared do-nothing governor: unlimited budget, never cancelled.
-    What engine entry points use when handed no governor — identical
-    behaviour to the pre-governor code.  It keeps no children, so an
+(** The shared do-nothing governor: unlimited budget.  What engine
+    entry points use when handed no governor — identical behaviour to
+    the pre-governor code.  It keeps no children, so an
     ungoverned run retains no tree. *)
 
 val get : t option -> t
@@ -74,9 +74,9 @@ val remaining : t -> Budget.t
 
 val exhaustion : t -> Degrade.reason option
 (** Why this governor wants the run stopped, or [None] while budget
-    remains.  Checks the cancel flag and the logical allowances first
-    (atomic reads), then the deadline (one clock read) — cheap enough to
-    poll at every step boundary. *)
+    remains.  Checks the logical allowances first (atomic reads), then
+    the deadline (one clock read) — cheap enough to poll at every step
+    boundary. *)
 
 val out_of_budget : t -> bool
 (** [exhaustion t <> None]. *)
@@ -84,11 +84,11 @@ val out_of_budget : t -> bool
 (** {1 Hierarchy} *)
 
 val split : ?label:string -> t -> int -> t list
-(** [split g n] derives [n] child governors sharing the cancel token,
-    each granted a near-equal share of the remaining logical allowances
-    and the same deadline — the parallel split (siblings race the same
-    clock).  Child charges propagate to [g].  Emits a [gov.split]
-    event.  Raises [Invalid_argument] when [n < 1]. *)
+(** [split g n] derives [n] child governors, each granted a near-equal
+    share of the remaining logical allowances and the same deadline —
+    the parallel split (siblings race the same clock).  Child charges
+    propagate to [g].  Emits a [gov.split] event.  Raises
+    [Invalid_argument] when [n < 1]. *)
 
 val slice : ?label:string -> fraction:float -> t -> t
 (** [slice g ~fraction] derives one child governor over

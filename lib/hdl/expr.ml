@@ -132,6 +132,25 @@ let rec eval ~input ~reg e =
   | Slice (a, hi, lo) -> Bitvec.slice (recur a) ~hi ~lo
   | Concat (hi, lo) -> Bitvec.concat (recur hi) (recur lo)
 
+let map f e =
+  match e with
+  | Const _ | Input _ | Reg _ -> e
+  | Unop (op, a) -> Unop (op, f a)
+  | Binop (op, a, b) ->
+      let b = f b in
+      let a = f a in
+      Binop (op, a, b)
+  | Mux (s, t, el) ->
+      let el = f el in
+      let t = f t in
+      let s = f s in
+      Mux (s, t, el)
+  | Slice (a, hi, lo) -> Slice (f a, hi, lo)
+  | Concat (a, b) ->
+      let b = f b in
+      let a = f a in
+      Concat (a, b)
+
 (* All input / register names mentioned. *)
 let rec fold_names f acc e =
   match e with

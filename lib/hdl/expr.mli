@@ -59,6 +59,13 @@ val width :
 
 val eval : input:(string -> Bitvec.t) -> reg:(string -> Bitvec.t) -> t -> Bitvec.t
 
+val map : (t -> t) -> t -> t
+(** [map f e] rebuilds [e]'s top node with [f] applied to each immediate
+    subterm; leaves ([Const], [Input], [Reg]) come back unchanged.  [f]
+    is applied right to left (a [Mux]'s else arm, then its then arm, then
+    its selector; a [Binop]'s or [Concat]'s right operand before its
+    left), so a rewrite that counts or raises sees a fixed order. *)
+
 val fold_names :
   ('a -> [ `Input of string | `Reg of string ] -> 'a) -> 'a -> t -> 'a
 

@@ -42,13 +42,10 @@ val outputs : t -> (string * Expr.t) list
 val input_width : string -> t -> int option
 val reg_width : string -> t -> int option
 
-val infer_expr_width : t -> Expr.t -> (int, string) result
-(** Total width inference for an expression in this netlist's context
-    (see {!Expr.infer_width}). *)
-
 val expr_width : t -> Expr.t -> int
 (** Width of an expression in this netlist's context.  Raises
-    [Invalid_argument] where {!infer_expr_width} returns [Error]. *)
+    [Invalid_argument] on undeclared names or width inconsistencies
+    (see {!Expr.infer_width}). *)
 
 val find_register : t -> string -> register option
 val find_output : t -> string -> Expr.t option

@@ -9,9 +9,6 @@ val zero : int -> Expr.t
 val zext : Expr.t -> from:int -> to_:int -> Expr.t
 (** Zero extension. *)
 
-val shr : Expr.t -> width:int -> by:int -> Expr.t
-(** Logical shift right by a constant. *)
-
 val counter : width:int -> Netlist.t
 (** Up-counter with [enable]/[clear] inputs and an [at_max] flag. *)
 

@@ -169,15 +169,6 @@ let state t =
     (fun i n -> (n, Bitvec.make ~width:s.reg_widths.(i) s.cur.(i)))
     s.reg_names
 
-let set_state t state =
-  let s = t.slots in
-  List.iteri
-    (fun i n ->
-      match List.assoc_opt n state with
-      | Some v -> s.cur.(i) <- Bitvec.to_int v land mask s.reg_widths.(i)
-      | None -> ())
-    s.reg_names
-
 let set_inputs t values =
   let s = t.slots in
   if Array.length values <> Array.length s.ins then

@@ -18,9 +18,6 @@ val state : t -> state
 val cycle : t -> int
 (** Clock edges executed so far. *)
 
-val set_state : t -> state -> unit
-(** Overwrite the listed registers; the others keep their values. *)
-
 val outputs : t -> inputs:(string * Bitvec.t) list -> (string * Bitvec.t) list
 (** Combinational outputs for the current state and the given inputs
     (every declared input must be bound; values are truncated to the

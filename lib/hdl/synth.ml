@@ -23,7 +23,6 @@ type dataflow = {
    is a clear error instead of a stack overflow. *)
 let rec inline ?(stack = []) defs (e : Expr.t) =
   match e with
-  | Expr.Const _ | Expr.Input _ -> e
   | Expr.Reg n -> (
       if List.mem n stack then
         invalid_arg
@@ -32,14 +31,7 @@ let rec inline ?(stack = []) defs (e : Expr.t) =
       match List.assoc_opt n defs with
       | Some def -> inline ~stack:(n :: stack) defs def
       | None -> invalid_arg ("Synth: reference to unknown def " ^ n))
-  | Expr.Unop (op, a) -> Expr.Unop (op, inline ~stack defs a)
-  | Expr.Binop (op, a, b) ->
-      Expr.Binop (op, inline ~stack defs a, inline ~stack defs b)
-  | Expr.Mux (s, t, f) ->
-      Expr.Mux (inline ~stack defs s, inline ~stack defs t, inline ~stack defs f)
-  | Expr.Slice (a, hi, lo) -> Expr.Slice (inline ~stack defs a, hi, lo)
-  | Expr.Concat (a, b) ->
-      Expr.Concat (inline ~stack defs a, inline ~stack defs b)
+  | e -> Expr.map (inline ~stack defs) e
 
 let resolve_output df (out_name, source) =
   if List.mem_assoc source df.df_inputs then (out_name, Expr.Input source)
@@ -65,14 +57,8 @@ let registered df =
   (* rewrite the combinational outputs to read the sampled inputs *)
   let rec sample (e : Expr.t) =
     match e with
-    | Expr.Const _ -> e
     | Expr.Input n -> Expr.Reg (in_reg n)
-    | Expr.Reg _ -> e
-    | Expr.Unop (op, a) -> Expr.Unop (op, sample a)
-    | Expr.Binop (op, a, b) -> Expr.Binop (op, sample a, sample b)
-    | Expr.Mux (s, t, f) -> Expr.Mux (sample s, sample t, sample f)
-    | Expr.Slice (a, hi, lo) -> Expr.Slice (sample a, hi, lo)
-    | Expr.Concat (a, b) -> Expr.Concat (sample a, sample b)
+    | e -> Expr.map sample e
   in
   let input_registers =
     List.map
@@ -107,10 +93,10 @@ let registered df =
    them equal on the whole input space... for a reference that is itself
    a netlist.  For an OCaml oracle we exhaustively simulate when the
    input space is small, which is the honest bounded check. *)
-let equivalent_to_oracle ?(max_input_bits = 16) nl oracle =
+let equivalent_to_oracle nl oracle =
   let inputs = Netlist.inputs nl in
   let bits = List.fold_left (fun a (_, w) -> a + w) 0 inputs in
-  if bits > max_input_bits then None
+  if bits > 16 then None
   else begin
     let sim = Simulator.create nl in
     let ok = ref true in

@@ -18,10 +18,7 @@ val registered : dataflow -> Netlist.t
     latency), for bus-clock integration. *)
 
 val equivalent_to_oracle :
-  ?max_input_bits:int ->
-  Netlist.t ->
-  ((string * int) list -> (string * int) list) ->
-  bool option
+  Netlist.t -> ((string * int) list -> (string * int) list) -> bool option
 (** Exhaustive equivalence of a combinational netlist against an OCaml
     oracle over the full input space; [None] when the space exceeds
-    [2^max_input_bits] (default 16). *)
+    [2^16]. *)

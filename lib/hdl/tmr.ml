@@ -20,15 +20,8 @@ let majority a b c =
 
 (* Redirect every register read to copy [i]; inputs are shared. *)
 let rec rename_regs i = function
-  | (Expr.Const _ | Expr.Input _) as e -> e
   | Expr.Reg n -> Expr.Reg (copy_reg i n)
-  | Expr.Unop (op, a) -> Expr.Unop (op, rename_regs i a)
-  | Expr.Binop (op, a, b) ->
-      Expr.Binop (op, rename_regs i a, rename_regs i b)
-  | Expr.Mux (s, t, e) ->
-      Expr.Mux (rename_regs i s, rename_regs i t, rename_regs i e)
-  | Expr.Slice (a, hi, lo) -> Expr.Slice (rename_regs i a, hi, lo)
-  | Expr.Concat (a, b) -> Expr.Concat (rename_regs i a, rename_regs i b)
+  | e -> Expr.map (rename_regs i) e
 
 let reduce op = function
   | [] -> invalid_arg "Tmr.reduce: empty"

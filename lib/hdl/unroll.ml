@@ -131,7 +131,6 @@ let create ?(init = Reset) solver nl =
 
 let ctx t = t.ctx
 let netlist t = t.netlist
-let nframes t = t.nframes
 
 let push_frame t f =
   if t.nframes = Array.length t.frames then begin

@@ -19,7 +19,6 @@ val create : ?init:init_mode -> Symbad_sat.Solver.t -> Netlist.t -> t
 
 val ctx : t -> Symbad_sat.Tseitin.ctx
 val netlist : t -> Netlist.t
-val nframes : t -> int
 
 val unroll_to : t -> int -> unit
 (** Ensure at least [n] frames (states 0..n-1) exist, adding transition

@@ -7,9 +7,10 @@ type t = {
   buffer : Buffer.t;
   signals : signal list;
   mutable last : (string * int) list;  (* signal name -> last dumped value *)
-  mutable headered : bool;
-  timescale_ns : int;
 }
+
+(* one 100 MHz cycle *)
+let timescale_ns = 10
 
 (* VCD identifier characters: printable ASCII 33..126. *)
 let id_of_index i =
@@ -21,7 +22,7 @@ let id_of_index i =
   in
   go i ""
 
-let create ?(timescale_ns = 10) nl =
+let create nl =
   let signals =
     List.mapi
       (fun i (name, width) -> { name; width; id = id_of_index i })
@@ -34,15 +35,13 @@ let create ?(timescale_ns = 10) nl =
     buffer = Buffer.create 1024;
     signals;
     last = [];
-    headered = false;
-    timescale_ns;
   }
 
 let emit_header t ~module_name =
   Buffer.add_string t.buffer "$date synthetic $end\n";
   Buffer.add_string t.buffer "$version symbad $end\n";
   Buffer.add_string t.buffer
-    (Printf.sprintf "$timescale %dns $end\n" t.timescale_ns);
+    (Printf.sprintf "$timescale %dns $end\n" timescale_ns);
   Buffer.add_string t.buffer
     (Printf.sprintf "$scope module %s $end\n" module_name);
   List.iter
@@ -50,8 +49,7 @@ let emit_header t ~module_name =
       Buffer.add_string t.buffer
         (Printf.sprintf "$var wire %d %s %s $end\n" s.width s.id s.name))
     t.signals;
-  Buffer.add_string t.buffer "$upscope $end\n$enddefinitions $end\n";
-  t.headered <- true
+  Buffer.add_string t.buffer "$upscope $end\n$enddefinitions $end\n"
 
 let binary_of value width =
   String.init width (fun i ->
@@ -66,8 +64,7 @@ let dump_value t s value =
 
 (* Record the signal values at one cycle; only changes are dumped. *)
 let sample t ~cycle values =
-  if not t.headered then invalid_arg "Vcd.sample: emit_header first";
-  Buffer.add_string t.buffer (Printf.sprintf "#%d\n" (cycle * t.timescale_ns));
+  Buffer.add_string t.buffer (Printf.sprintf "#%d\n" (cycle * timescale_ns));
   List.iter
     (fun s ->
       match List.assoc_opt s.name values with
@@ -86,9 +83,9 @@ let sample t ~cycle values =
 
 let contents t = Buffer.contents t.buffer
 
-(* Convenience: simulate a stimulus and return the VCD text. *)
-let of_simulation ?timescale_ns nl stimulus =
-  let vcd = create ?timescale_ns nl in
+(* Simulate a stimulus and return the VCD text. *)
+let of_simulation nl stimulus =
+  let vcd = create nl in
   emit_header vcd ~module_name:(Netlist.name nl);
   let sim = Simulator.create nl in
   List.iteri

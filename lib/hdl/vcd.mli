@@ -1,23 +1,7 @@
 (** VCD (Value Change Dump) emission for netlist simulations, consumable
     by standard waveform viewers. *)
 
-type t
-
-val create : ?timescale_ns:int -> Netlist.t -> t
-(** Tracks every input and register of the netlist (default timescale
-    10 ns = one 100 MHz cycle). *)
-
-val emit_header : t -> module_name:string -> unit
-
-val sample : t -> cycle:int -> (string * int) list -> unit
-(** Record the given signal values at a cycle; only changes are dumped.
-    Requires {!emit_header} first. *)
-
-val contents : t -> string
-
-val of_simulation :
-  ?timescale_ns:int ->
-  Netlist.t ->
-  (string * Bitvec.t) list list ->
-  string
-(** Simulate a stimulus and return the complete VCD text. *)
+val of_simulation : Netlist.t -> (string * Bitvec.t) list list -> string
+(** Simulate a stimulus and return the complete VCD text, tracking every
+    input and register of the netlist on a 10 ns timescale (one 100 MHz
+    cycle); each cycle dumps only the values that changed. *)

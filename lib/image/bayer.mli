@@ -10,9 +10,6 @@ type channel = R | G | B
 val channel_at : int -> int -> channel
 (** Colour filter at photosite [(x, y)] in the RGGB pattern. *)
 
-val gain : channel -> int
-(** Channel gain in 1/256ths. *)
-
 val mosaic : Image.t -> Image.t
 (** Simulate the sensor: apply the colour-filter gain per photosite. *)
 

@@ -12,7 +12,6 @@ val entries : t -> entry list
 val size : t -> int
 val find : t -> int -> entry option
 
-val serialized_size : t -> int
 val serialize : t -> Bytes.t
 (** 16-bit little-endian encoding: header (dim, count), then per entry
     the identity and [dim] components. *)

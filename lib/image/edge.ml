@@ -30,13 +30,13 @@ let magnitude img =
   done;
   out
 
-let detect ?(threshold = 40) img =
+let detect img =
   let w = Image.width img and h = Image.height img in
   let out = Image.create ~width:w ~height:h in
   for y = 0 to h - 1 do
     for x = 0 to w - 1 do
       let m = sobel_at img x y / 4 in
-      Image.set out x y (if m > threshold then 255 else 0)
+      Image.set out x y (if m > 40 then 255 else 0)
     done
   done;
   out

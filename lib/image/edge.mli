@@ -6,8 +6,8 @@ val sobel_at : Image.t -> int -> int -> int
 val magnitude : Image.t -> Image.t
 (** Gradient-magnitude image (scaled to pixel range). *)
 
-val detect : ?threshold:int -> Image.t -> Image.t
-(** Binary edge map: 255 where the scaled magnitude exceeds
-    [threshold] (default 40), 0 elsewhere. *)
+val detect : Image.t -> Image.t
+(** Binary edge map: 255 where the scaled magnitude exceeds 40, 0
+    elsewhere. *)
 
 val work : width:int -> height:int -> int

@@ -13,7 +13,7 @@ type t = {
   support : int;  (* number of edge pixels used *)
 }
 
-let fit ?(min_support = 16) edge_map =
+let fit edge_map =
   let w = Image.width edge_map and h = Image.height edge_map in
   let n = ref 0 and sx = ref 0 and sy = ref 0 in
   for y = 0 to h - 1 do
@@ -25,7 +25,7 @@ let fit ?(min_support = 16) edge_map =
       end
     done
   done;
-  if !n < min_support then None
+  if !n < 16 then None
   else begin
     let nf = float_of_int !n in
     let cx = float_of_int !sx /. nf and cy = float_of_int !sy /. nf in

@@ -12,8 +12,8 @@ type t = {
   support : int;  (** edge pixels used by the fit *)
 }
 
-val fit : ?min_support:int -> Image.t -> t option
-(** [None] when fewer than [min_support] (default 16) edge pixels. *)
+val fit : Image.t -> t option
+(** [None] when fewer than 16 edge pixels. *)
 
 val digest : t -> string
 (** Quantised digest for trace comparison. *)

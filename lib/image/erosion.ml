@@ -2,15 +2,14 @@
    follows demosaicing in the case-study pipeline.  Erosion suppresses
    isolated bright sensor noise before gradient computation. *)
 
-let apply ?(radius = 1) img =
-  if radius < 1 then invalid_arg "Erosion.apply: radius";
+let apply img =
   let w = Image.width img and h = Image.height img in
   let out = Image.create ~width:w ~height:h in
   for y = 0 to h - 1 do
     for x = 0 to w - 1 do
       let m = ref 255 in
-      for dy = -radius to radius do
-        for dx = -radius to radius do
+      for dy = -1 to 1 do
+        for dx = -1 to 1 do
           let v = Image.get_clamped img (x + dx) (y + dy) in
           if v < !m then m := v
         done
@@ -21,15 +20,14 @@ let apply ?(radius = 1) img =
   out
 
 (* Dual operator, used by tests to check the morphological laws. *)
-let dilate ?(radius = 1) img =
-  if radius < 1 then invalid_arg "Erosion.dilate: radius";
+let dilate img =
   let w = Image.width img and h = Image.height img in
   let out = Image.create ~width:w ~height:h in
   for y = 0 to h - 1 do
     for x = 0 to w - 1 do
       let m = ref 0 in
-      for dy = -radius to radius do
-        for dx = -radius to radius do
+      for dy = -1 to 1 do
+        for dx = -1 to 1 do
           let v = Image.get_clamped img (x + dx) (y + dy) in
           if v > !m then m := v
         done

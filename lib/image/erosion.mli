@@ -1,10 +1,10 @@
 (** Morphological erosion and dilation (square structuring element). *)
 
-val apply : ?radius:int -> Image.t -> Image.t
-(** Minimum filter over a [(2r+1)x(2r+1)] window (default radius 1);
-    suppresses isolated bright sensor noise before edge detection. *)
+val apply : Image.t -> Image.t
+(** Minimum filter over a 3x3 window; suppresses isolated bright sensor
+    noise before edge detection. *)
 
-val dilate : ?radius:int -> Image.t -> Image.t
+val dilate : Image.t -> Image.t
 (** Maximum filter, the dual operator. *)
 
 val work : width:int -> height:int -> int

@@ -17,8 +17,6 @@ val pose : int -> pose
 (** Pose [0] is the canonical frontal pose (no perturbation, no noise);
     other ids give deterministic perturbations. *)
 
-val frontal_pose : pose
-
 val render : ?size:int -> identity -> pose -> Image.t
 (** Render a frame ([size] defaults to 64). *)
 

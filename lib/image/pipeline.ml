@@ -68,8 +68,7 @@ let distances db features =
       (e.Database.identity, Root.isqrt d2))
     (Database.entries db)
 
-let recognize ?reject_above db raw =
-  Winner.select ?reject_above (distances db (features_of_frame raw))
+let recognize db raw = Winner.select (distances db (features_of_frame raw))
 
 (* Enrollment: the database of [identities] identities, each enrolled from
    its frontal pose (pose 0). *)

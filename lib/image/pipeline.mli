@@ -36,7 +36,8 @@ val features_of_frame : Image.t -> int array
 val distances : Database.t -> int array -> (int * int) list
 (** CALCDIST/DISTANCE/ROOT: [(identity, distance)] per database entry. *)
 
-val recognize : ?reject_above:int -> Database.t -> Image.t -> Winner.verdict
+val recognize : Database.t -> Image.t -> Winner.verdict
+(** The nearest database entry; never rejects. *)
 
 val enroll : ?size:int -> identities:int -> unit -> Database.t
 (** Enroll [identities] identities from their frontal poses. *)

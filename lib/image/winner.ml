@@ -20,10 +20,6 @@ let select ?(reject_above = max_int) distances =
       if distance <= reject_above then Match { identity; distance }
       else Unknown { best_identity = identity; distance }
 
-let verdict_identity = function
-  | Match { identity; _ } -> Some identity
-  | Unknown _ -> None
-
 let pp fmt = function
   | Match { identity; distance } ->
       Fmt.pf fmt "match id=%d d=%d" identity distance

@@ -9,6 +9,5 @@ val select : ?reject_above:int -> (int * int) list -> verdict
 (** [select candidates] over [(identity, distance)] pairs; raises on an
     empty list.  Ties keep the earliest candidate. *)
 
-val verdict_identity : verdict -> int option
 val pp : Format.formatter -> verdict -> unit
 val work : candidates:int -> int

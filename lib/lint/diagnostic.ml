@@ -27,19 +27,13 @@ type t = {
   discharged : discharge option;
 }
 
-let make ?hint ?discharged ~rule ~severity ~target ~location message =
-  { rule; severity; target; location; message; hint; discharged }
+let make ?hint ~rule ~severity ~target ~location message =
+  { rule; severity; target; location; message; hint; discharged = None }
 
 let severity_label = function
   | Error -> "error"
   | Warning -> "warning"
   | Info -> "info"
-
-let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | "info" -> Some Info
-  | _ -> None
 
 let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 

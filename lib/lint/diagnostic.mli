@@ -34,16 +34,15 @@ type t = {
 
 val make :
   ?hint:string ->
-  ?discharged:discharge ->
   rule:string ->
   severity:severity ->
   target:string ->
   location:string ->
   string ->
   t
+(** A finding not yet escalated ([discharged = None]). *)
 
 val severity_label : severity -> string
-val severity_of_string : string -> severity option
 
 val severity_rank : severity -> int
 (** [Error] ranks 0, [Warning] 1, [Info] 2 — lower is graver.  This is

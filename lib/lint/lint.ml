@@ -142,20 +142,18 @@ let run_cfg ?pool ?gov ?rules ?suppress ?(name = "program") ci cfg =
 let run_program ?pool ?gov ?rules ?suppress ?name ci program =
   run_cfg ?pool ?gov ?rules ?suppress ?name ci (Symbad_symbc.Cfg.build program)
 
-let run_tenants ?pool ?gov ?rules ?suppress ?cost_ns ?deadline_ns
-    ?(name = "tenants") ci tenants =
+let run_tenants ?pool ?gov ?rules ?suppress ?deadline_ns ci tenants =
   let cfgs =
     List.map (fun (n, prog) -> (n, Symbad_symbc.Cfg.build prog)) tenants
   in
-  let ctx =
-    Sched_rules.context ?cost_ns ?deadline_ns ~target:name ci cfgs
-  in
+  let target = "tenants" in
+  let ctx = Sched_rules.context ?deadline_ns ~target ci cfgs in
   let impl = function
     | "sched.context-conflict" -> Sched_rules.rule_context_conflict ctx
     | "sched.wcrt" -> Sched_rules.rule_wcrt ctx
     | id -> invalid_arg ("Lint: not a schedule rule: " ^ id)
   in
-  run_rules ~target:name ~family:sched_rule_ids ~impl ?pool ?gov ?rules
+  run_rules ~target ~family:sched_rule_ids ~impl ?pool ?gov ?rules
     ?suppress ()
 
 (* --- lint-to-proof escalation ------------------------------------------ *)

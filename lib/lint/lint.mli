@@ -31,15 +31,6 @@ val program_rule_ids : string list
     [cfg.never-loaded], [cfg.maybe-unloaded], [cfg.unknown-config],
     [cfg.redundant-config], [cfg.unreachable-config]. *)
 
-val sched_rule_ids : string list
-(** The multi-tenant schedule analyzer family:
-    [sched.context-conflict] (an interleaved tenant may reload the
-    shared fabric between a tenant's reconfiguration and its call) and
-    [sched.wcrt] (static worst-case reconfiguration-time bound vs the
-    admission deadline). *)
-
-val all_rule_ids : string list
-
 val run_netlist :
   ?pool:Symbad_par.Par.pool ->
   ?gov:Symbad_gov.Gov.t ->
@@ -83,17 +74,18 @@ val run_tenants :
   ?gov:Symbad_gov.Gov.t ->
   ?rules:string list ->
   ?suppress:string list ->
-  ?cost_ns:(string -> int) ->
   ?deadline_ns:int ->
-  ?name:string ->
   Symbad_symbc.Config_info.t ->
   (string * Symbad_symbc.Ast.program) list ->
   report
 (** Admission analysis of a tenant set sharing one fabric: the
-    {!sched_rule_ids} family over every tenant pair's interleaved
-    product.  [cost_ns] prices one reconfiguration (default 1 ms);
-    [deadline_ns] enables [sched.wcrt] — without it only the
-    interference rule can fire. *)
+    multi-tenant schedule family over every tenant pair's interleaved
+    product, under the target ["tenants"] — [sched.context-conflict]
+    (an interleaved tenant may reload the shared fabric between a
+    tenant's reconfiguration and its call) and [sched.wcrt] (static
+    worst-case reconfiguration-time bound vs the admission deadline).
+    One reconfiguration costs 1 ms; [deadline_ns] enables [sched.wcrt]
+    — without it only the interference rule can fire. *)
 
 val escalate :
   ?pool:Symbad_par.Par.pool ->

@@ -24,8 +24,6 @@ type analysis = {
 }
 
 let reg_value a name = List.assoc_opt name a.env
-let x_registers a = a.xregs
-
 (* Structural soundness: the netlist [Netlist.make] would accept.  The
    syntactic rules own everything else; interpreting a malformed
    netlist would only cascade their findings. *)
@@ -369,7 +367,6 @@ type obligation = {
    checker does not resolve output names. *)
 let rec inline nl (e : Expr.t) : Expr.t =
   match e with
-  | Expr.Const _ | Expr.Input _ -> e
   | Expr.Reg n -> (
       match Netlist.find_register nl (Netlist_rules.base_name n) with
       | Some _ -> e
@@ -377,11 +374,7 @@ let rec inline nl (e : Expr.t) : Expr.t =
           match Netlist.find_output nl n with
           | Some e' -> inline nl e'
           | None -> e))
-  | Expr.Unop (u, a) -> Expr.Unop (u, inline nl a)
-  | Expr.Binop (op, a, b) -> Expr.Binop (op, inline nl a, inline nl b)
-  | Expr.Mux (s, t, f) -> Expr.Mux (inline nl s, inline nl t, inline nl f)
-  | Expr.Slice (a, hi, lo) -> Expr.Slice (inline nl a, hi, lo)
-  | Expr.Concat (a, b) -> Expr.Concat (inline nl a, inline nl b)
+  | e -> Expr.map (inline nl) e
 
 let zext k e = Expr.concat (Expr.const ~width:k 0) e
 

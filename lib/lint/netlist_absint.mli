@@ -25,10 +25,6 @@ val analyze :
 val reg_value : analysis -> string -> Value_domain.t option
 (** The register's abstract value at the fixpoint. *)
 
-val x_registers : analysis -> string list
-(** Registers modelled as X after reset: an explicit reset-like input
-    exists and their next-state cone never reads it. *)
-
 (** {1 The rule implementations} *)
 
 val rule_x_prop : Netlist_rules.ctx -> Diagnostic.t list

@@ -32,17 +32,15 @@ type ctx = {
   target : string;
   ci : Ci.t;
   tenants : (string * Cfg.t) list;
-  cost_ns : string -> int;  (** reconfiguration cost per configuration *)
   deadline_ns : int option;  (** admission deadline; [None] disables wcrt *)
 }
 
 (* A fabric reload is dominated by bitstream transfer; 1 ms is the
    order of magnitude the paper's platform reports. *)
-let default_cost_ns _config = 1_000_000
+let reconfig_cost_ns = 1_000_000
 
-let context ?(cost_ns = default_cost_ns) ?deadline_ns ?(target = "tenants") ci
-    tenants =
-  { target; ci; tenants; cost_ns; deadline_ns }
+let context ?deadline_ns ~target ci tenants =
+  { target; ci; tenants; deadline_ns }
 
 let diag ctx ?hint ~rule ~severity ~location message =
   D.make ?hint ~rule ~severity ~target:ctx.target ~location message
@@ -190,12 +188,12 @@ let rule_context_conflict ctx =
    has been accounted for; a round [nnodes + 1] change means a
    positive-cost cycle — a reconfiguration inside a loop — so the bound
    is unbounded. *)
-let wcrt_bound ctx (cfg : Cfg.t) =
+let wcrt_bound (cfg : Cfg.t) =
   let minf = min_int in
   let dist = Array.make cfg.Cfg.nnodes minf in
   dist.(cfg.Cfg.entry) <- 0;
   let cost (a : Cfg.action) =
-    match a with Cfg.Reconfig c -> ctx.cost_ns c | Cfg.Nop | Cfg.Call _ -> 0
+    match a with Cfg.Reconfig _ -> reconfig_cost_ns | Cfg.Nop | Cfg.Call _ -> 0
   in
   let relax_round () =
     List.fold_left
@@ -227,7 +225,7 @@ let rule_wcrt ctx =
             diag ctx ~rule:"sched.wcrt" ~severity:D.Error
               ~location:("tenant " ^ name)
           in
-          match wcrt_bound ctx cfg with
+          match wcrt_bound cfg with
           | None ->
               Some
                 (mk

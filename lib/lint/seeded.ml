@@ -203,7 +203,6 @@ let ci =
   Ci.make
     ~fpga_functions:[ "edge"; "erosion" ]
     ~configurations:[ ("c_edge", [ "edge" ]); ("c_erosion", [ "erosion" ]) ]
-    ()
 
 let program_clean =
   [ Ast.reconfig "c_edge"; Ast.call "edge"; Ast.reconfig "c_erosion";

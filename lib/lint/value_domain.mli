@@ -19,11 +19,6 @@ type t
 
 val width : t -> int
 
-val bottom : width:int -> t
-(** The empty set (unreachable). *)
-
-val is_bottom : t -> bool
-
 val const : Symbad_hdl.Bitvec.t -> t
 (** The singleton. *)
 

@@ -11,7 +11,7 @@ type verdict =
       (** places of the token-free cycle *)
   | Not_analyzable of string
       (** degenerate net, numerically unbounded LP, or resource budget
-          exhausted (governor deadline, allowance or cancellation) *)
+          exhausted (governor deadline or allowance) *)
 
 val check : ?gov:Symbad_gov.Gov.t -> Petri.t -> verdict
 (** Decide deadlock-freeness by one LP over the invariant cone.  [gov]

@@ -14,10 +14,10 @@ type transition = { tname : string; mutable delay : int }
 type t = {
   mutable places : place array;
   mutable transitions : transition array;
-  (* arcs: (transition index, place index, weight);
+  (* arcs of weight 1: (transition index, place index);
      pre = consumed by t, post = produced by t *)
-  mutable pre : (int * int * int) list;
-  mutable post : (int * int * int) list;
+  mutable pre : (int * int) list;
+  mutable post : (int * int) list;
 }
 
 let create () =
@@ -34,50 +34,32 @@ let add_transition net ?(delay = 0) tname =
   net.transitions <- Array.append net.transitions [| t |];
   Array.length net.transitions - 1
 
-let add_pre net ~transition ~place ?(weight = 1) () =
-  net.pre <- (transition, place, weight) :: net.pre
+let add_pre net ~transition ~place = net.pre <- (transition, place) :: net.pre
 
-let add_post net ~transition ~place ?(weight = 1) () =
-  net.post <- (transition, place, weight) :: net.post
+let add_post net ~transition ~place =
+  net.post <- (transition, place) :: net.post
 
 let n_places net = Array.length net.places
 let n_transitions net = Array.length net.transitions
 let place_name net i = net.places.(i).pname
-let transition_name net i = net.transitions.(i).tname
 let initial_marking net = Array.map (fun p -> p.m0) net.places
 let delay net i = net.transitions.(i).delay
-
-let place_index net name =
-  let rec go i =
-    if i >= Array.length net.places then None
-    else if String.equal net.places.(i).pname name then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let transition_index net name =
-  let rec go i =
-    if i >= Array.length net.transitions then None
-    else if String.equal net.transitions.(i).tname name then Some i
-    else go (i + 1)
-  in
-  go 0
 
 (* Incidence matrix C with C.(t).(p) = post(t,p) - pre(t,p). *)
 let incidence net =
   let c =
     Array.init (n_transitions net) (fun _ -> Array.make (n_places net) 0)
   in
-  List.iter (fun (t, p, w) -> c.(t).(p) <- c.(t).(p) - w) net.pre;
-  List.iter (fun (t, p, w) -> c.(t).(p) <- c.(t).(p) + w) net.post;
+  List.iter (fun (t, p) -> c.(t).(p) <- c.(t).(p) - 1) net.pre;
+  List.iter (fun (t, p) -> c.(t).(p) <- c.(t).(p) + 1) net.post;
   c
 
 (* Producers/consumers of a place (for diagnostics and graph views). *)
 let producers net p =
-  List.filter_map (fun (t, p', _) -> if p' = p then Some t else None) net.post
+  List.filter_map (fun (t, p') -> if p' = p then Some t else None) net.post
 
 let consumers net p =
-  List.filter_map (fun (t, p', _) -> if p' = p then Some t else None) net.pre
+  List.filter_map (fun (t, p') -> if p' = p then Some t else None) net.pre
 
 (* State-equation reachability relaxation: M reachable from M0 only if
    the system  M = M0 + C^T x,  x >= 0  is feasible.  Infeasibility is a

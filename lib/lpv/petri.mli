@@ -13,18 +13,15 @@ val add_place : t -> ?tokens:int -> string -> int
 
 val add_transition : t -> ?delay:int -> string -> int
 
-val add_pre : t -> transition:int -> place:int -> ?weight:int -> unit -> unit
-(** [place] is consumed by [transition]. *)
+val add_pre : t -> transition:int -> place:int -> unit
+(** [place] is consumed by [transition] (arc weight 1). *)
 
-val add_post : t -> transition:int -> place:int -> ?weight:int -> unit -> unit
-(** [place] is produced by [transition]. *)
+val add_post : t -> transition:int -> place:int -> unit
+(** [place] is produced by [transition] (arc weight 1). *)
 
 val n_places : t -> int
 val n_transitions : t -> int
 val place_name : t -> int -> string
-val transition_name : t -> int -> string
-val place_index : t -> string -> int option
-val transition_index : t -> string -> int option
 val initial_marking : t -> int array
 val delay : t -> int -> int
 

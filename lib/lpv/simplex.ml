@@ -219,8 +219,3 @@ let feasible ~nvars constraints =
   | Optimal _ -> true
   | Infeasible -> false
   | Unbounded -> true
-
-let pp_outcome fmt = function
-  | Optimal { value; _ } -> Fmt.pf fmt "optimal %a" Rat.pp value
-  | Infeasible -> Fmt.string fmt "infeasible"
-  | Unbounded -> Fmt.string fmt "unbounded"

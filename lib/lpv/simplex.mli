@@ -25,5 +25,3 @@ val solve : problem -> outcome
 
 val feasible : nvars:int -> constr list -> bool
 (** Pure feasibility of a constraint system. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -5,8 +5,8 @@ type verdict =
   | Period of Rat.t  (** minimum sustainable iteration period *)
   | Unschedulable of string  (** a zero-token cycle: no finite period *)
   | Not_analyzable of string
-      (** resource budget exhausted (governor deadline, allowance or
-          cancellation) before the LP could run *)
+      (** resource budget exhausted (governor deadline or allowance)
+          before the LP could run *)
 
 val min_cycle_ratio : ?gov:Symbad_gov.Gov.t -> Petri.t -> verdict
 (** One LP: minimise [r] subject to

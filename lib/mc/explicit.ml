@@ -35,8 +35,8 @@ let input_valuations nl =
       in
       split idx inputs)
 
-let check ?(max_states = 1 lsl 20) ?(max_input_bits = 12)
-    ?(max_evals = 1 lsl 22) nl prop =
+let check nl prop =
+  let max_states = 1 lsl 20 and max_input_bits = 12 and max_evals = 1 lsl 22 in
   let prop = Prop.validate nl prop in
   if total_input_bits nl > max_input_bits then Too_large
   else begin
@@ -130,12 +130,8 @@ let check ?(max_states = 1 lsl 20) ?(max_input_bits = 12)
   end
 
 (* Reachable-state count, for reachability-checking reports. *)
-let reachable_states ?(max_states = 1 lsl 20) ?(max_input_bits = 12)
-    ?max_evals nl =
-  match
-    check ~max_states ~max_input_bits ?max_evals nl
-      (Prop.make ~name:"true" (Expr.const ~width:1 1))
-  with
+let reachable_states nl =
+  match check nl (Prop.make ~name:"true" (Expr.const ~width:1 1)) with
   | Proved { states } -> Some states
   | Falsified _ -> None
   | Too_large -> None

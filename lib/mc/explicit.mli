@@ -9,23 +9,12 @@ type result =
   | Falsified of Trace.t  (** BFS gives a shortest counterexample *)
   | Too_large
 
-val check :
-  ?max_states:int ->
-  ?max_input_bits:int ->
-  ?max_evals:int ->
-  Symbad_hdl.Netlist.t ->
-  Prop.t ->
-  result
-(** [max_evals] (default [2{^22}]) bounds the total number of
-    (state, input-valuation) transition evaluations: tractability is
-    the product of the state and input spaces, and a design within both
-    individual caps can still mean billions of expansions.  Exceeding
-    any cap yields [Too_large]. *)
+val check : Symbad_hdl.Netlist.t -> Prop.t -> result
+(** Tractable up to [2{^20}] reachable states, 12 input bits and
+    [2{^22}] (state, input-valuation) transition evaluations: the last
+    cap is the product of the state and input spaces, since a design
+    within both individual caps can still mean billions of expansions.
+    Exceeding any cap yields [Too_large]. *)
 
-val reachable_states :
-  ?max_states:int ->
-  ?max_input_bits:int ->
-  ?max_evals:int ->
-  Symbad_hdl.Netlist.t ->
-  int option
+val reachable_states : Symbad_hdl.Netlist.t -> int option
 (** Reachable-state count, if tractable. *)

@@ -25,13 +25,8 @@ let strip_prime n =
    step properties can be written as [implies guard (next expr)]. *)
 let rec next (e : Expr.t) =
   match e with
-  | Expr.Const _ | Expr.Input _ -> e
   | Expr.Reg n -> Expr.Reg (if is_primed n then n else n ^ "'")
-  | Expr.Unop (op, a) -> Expr.Unop (op, next a)
-  | Expr.Binop (op, a, b) -> Expr.Binop (op, next a, next b)
-  | Expr.Mux (s, t, f) -> Expr.Mux (next s, next t, next f)
-  | Expr.Slice (a, hi, lo) -> Expr.Slice (next a, hi, lo)
-  | Expr.Concat (a, b) -> Expr.Concat (next a, next b)
+  | e -> Expr.map next e
 
 (* Inline a named output of the netlist as an expression usable inside a
    property (outputs are combinational, so substitution is sound). *)

@@ -74,7 +74,6 @@ let samples g =
     (List.rev g.g_samples)
 
 let observe h v = Histogram.observe h.h_hist v
-let hist h = h.h_hist
 
 (* --- lookups (for guards and tests) --- *)
 
@@ -172,29 +171,6 @@ let to_jsonl t =
     (fun name ->
       match Hashtbl.find_opt t.table name with
       | Some m -> metric_jsonl buf name m
-      | None -> ())
-    (names t);
-  Buffer.contents buf
-
-let to_table t =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "%-36s %-10s %s\n" "metric" "kind" "value";
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt t.table name with
-      | Some (Counter c) -> add "%-36s %-10s %d\n" name "counter" c.c_value
-      | Some (Gauge g) ->
-          add "%-36s %-10s %s (%d samples)\n" name "gauge"
-            (match g.g_last with
-            | Some v -> Printf.sprintf "%.3f" v
-            | None -> "-")
-            (List.length g.g_samples)
-      | Some (Hist h) ->
-          let hh = h.h_hist in
-          add "%-36s %-10s n=%d mean=%.1f min=%d max=%d\n" name "histogram"
-            (Histogram.count hh) (Histogram.mean hh) (Histogram.min_value hh)
-            (Histogram.max_value hh)
       | None -> ())
     (names t);
   Buffer.contents buf

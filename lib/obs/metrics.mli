@@ -49,9 +49,6 @@ val histogram : t -> string -> histogram
 val observe : histogram -> int -> unit
 (** Record one observation. *)
 
-val hist : histogram -> Histogram.t
-(** The underlying {!Histogram.t} (for reading bucket data). *)
-
 (** {1 Lookup} *)
 
 val find_counter : t -> string -> int option
@@ -80,6 +77,3 @@ val absorb : t -> t -> unit
 val to_jsonl : t -> string
 (** One JSON object per line: counters and histograms one line each,
     gauges one line per sample. *)
-
-val to_table : t -> string
-(** Human-readable summary table. *)

@@ -84,12 +84,12 @@ let end_span ?args ?sim_ns = function
   | No_span -> ()
   | Span (t, s) -> Tracer.end_span t ?args ?sim_ns s
 
-let span ?track ?cat ?args ?sim_ns name f =
+let span ?track ?cat ?args name f =
   match recorder () with
   | None ->
       note_drop ();
       f ()
-  | Some (t, _) -> Tracer.with_span t ?track ?cat ?args ?sim_ns name f
+  | Some (t, _) -> Tracer.with_span t ?track ?cat ?args name f
 
 (* --- metric conveniences (registry lookup per call; fine off the hot
    path, hot paths should flush deltas at quiescent points) --- *)

@@ -86,11 +86,11 @@ val span :
   ?track:string ->
   ?cat:string ->
   ?args:(string * Json.t) list ->
-  ?sim_ns:int ->
   string ->
   (unit -> 'a) ->
   'a
-(** Scoped span around a computation; transparent while disabled. *)
+(** Scoped span around a computation, host time only (see
+    {!begin_span} for simulated time); transparent while disabled. *)
 
 (** {1 Metric shorthands} *)
 

@@ -155,14 +155,13 @@ let with_span t ?track ?cat ?args ?sim_ns name f =
       end_span t s;
       raise e
 
-let instant t ?(track = default_track) ?(severity = Severity.Info)
-    ?(args = []) ?sim_ns name =
+let instant t ?(severity = Severity.Info) ?(args = []) ?sim_ns name =
   t.instants <-
     {
       i_name = name;
       i_severity = severity;
       i_ts_us = now_us ();
-      i_track = track_of t track;
+      i_track = track_of t default_track;
       i_sim_ns = sim_ns;
       i_args = args;
     }

@@ -32,9 +32,6 @@ type completed = {
   args : (string * Json.t) list;
 }
 
-val default_track : string
-(** ["flow"]. *)
-
 val create : unit -> t
 (** An empty timeline. *)
 
@@ -46,7 +43,7 @@ val begin_span :
   ?sim_ns:int ->
   string ->
   span
-(** Open a span on [track] (default {!default_track}) at the current
+(** Open a span on [track] (default ["flow"]) at the current
     host time; [cat] is the Chrome category, [sim_ns] the simulated
     start time.  Its parent is the innermost span still open on the
     timeline. *)
@@ -69,13 +66,12 @@ val with_span :
 
 val instant :
   t ->
-  ?track:string ->
   ?severity:Severity.t ->
   ?args:(string * Json.t) list ->
   ?sim_ns:int ->
   string ->
   unit
-(** A zero-duration marker on the timeline. *)
+(** A zero-duration marker on the ["flow"] track. *)
 
 val absorb : t -> parent:span -> lane:int -> t -> unit
 (** [absorb t ~parent ~lane job] appends the spans and instants of the

@@ -24,14 +24,11 @@
 
 type pool
 
-val default_jobs : unit -> int
-(** [$SYMBAD_JOBS] when set to a positive integer, else
-    [Domain.recommended_domain_count ()]. *)
-
 val create : ?jobs:int -> unit -> pool
 (** A pool of [jobs] lanes: the calling domain plus [jobs - 1] worker
-    domains ([jobs] defaults to [default_jobs ()]; values below 1 are
-    clamped to 1). *)
+    domains ([jobs] defaults to [$SYMBAD_JOBS] when set to a positive
+    integer, else [Domain.recommended_domain_count ()]; values below 1
+    are clamped to 1). *)
 
 val jobs : pool -> int
 

@@ -69,23 +69,26 @@ let force_bit e ~width ~bit ~value =
   else
     Expr.and_ e (Expr.const ~width (((1 lsl width) - 1) lxor (1 lsl bit)))
 
-(* Replace the [index]-th mux selector (in traversal order) by a
-   constant.  Returns the rewritten expression and the number of muxes
-   consumed. *)
+(* Replace the [index]-th mux selector by a constant.  Muxes are
+   numbered in pre-order over [exprs]: a mux, then the muxes of its
+   selector, its else arm and its then arm, in that order; a [Binop]'s or
+   [Concat]'s right operand before its left (the order of [Expr.map]).  The
+   fault names of every report rest on this numbering. *)
 let stuck_cond ~index ~value exprs =
   let counter = ref 0 in
   let rec rewrite (e : Expr.t) =
     match e with
-    | Expr.Const _ | Expr.Input _ | Expr.Reg _ -> e
-    | Expr.Unop (op, a) -> Expr.Unop (op, rewrite a)
-    | Expr.Slice (a, hi, lo) -> Expr.Slice (rewrite a, hi, lo)
-    | Expr.Binop (op, a, b) -> Expr.Binop (op, rewrite a, rewrite b)
-    | Expr.Concat (a, b) -> Expr.Concat (rewrite a, rewrite b)
     | Expr.Mux (s, t, f) ->
         let my_index = !counter in
         incr counter;
-        let s = if my_index = index then Expr.const ~width:1 (if value then 1 else 0) else rewrite s in
-        Expr.Mux (s, rewrite t, rewrite f)
+        let s =
+          if my_index = index then Expr.const ~width:1 (if value then 1 else 0)
+          else rewrite s
+        in
+        let f = rewrite f in
+        let t = rewrite t in
+        Expr.Mux (s, t, f)
+    | e -> Expr.map rewrite e
   in
   List.map rewrite exprs
 

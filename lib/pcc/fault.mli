@@ -11,7 +11,6 @@ type t =
 
 val to_string : t -> string
 
-val count_muxes : Symbad_hdl.Expr.t -> int
 val netlist_muxes : Symbad_hdl.Netlist.t -> int
 
 val enumerate : ?max_reg_bits:int -> Symbad_hdl.Netlist.t -> t list

@@ -8,15 +8,8 @@ module Netlist = Symbad_hdl.Netlist
 
 let rec rename_regs prefix (e : Expr.t) =
   match e with
-  | Expr.Const _ | Expr.Input _ -> e
   | Expr.Reg n -> Expr.Reg (prefix ^ n)
-  | Expr.Unop (op, a) -> Expr.Unop (op, rename_regs prefix a)
-  | Expr.Binop (op, a, b) ->
-      Expr.Binop (op, rename_regs prefix a, rename_regs prefix b)
-  | Expr.Mux (s, t, f) ->
-      Expr.Mux (rename_regs prefix s, rename_regs prefix t, rename_regs prefix f)
-  | Expr.Slice (a, hi, lo) -> Expr.Slice (rename_regs prefix a, hi, lo)
-  | Expr.Concat (a, b) -> Expr.Concat (rename_regs prefix a, rename_regs prefix b)
+  | e -> Expr.map (rename_regs prefix) e
 
 (* Build the miter of [a] and [b]; they must have identical input and
    output interfaces.  Output ["equal"] is 1 iff all outputs agree. *)

@@ -249,12 +249,6 @@ let uncovered_faults report =
     (fun r -> match r.status with Uncovered -> Some r.fault | _ -> None)
     report.faults
 
-let pp_status fmt = function
-  | Covered { property; _ } -> Fmt.pf fmt "covered by %s" property
-  | Uncovered -> Fmt.string fmt "UNCOVERED"
-  | Undetectable -> Fmt.string fmt "undetectable"
-  | Unresolved -> Fmt.string fmt "unresolved"
-
 let pp fmt r =
   Fmt.pf fmt "PCC %s: %d properties, %d faults, %d detectable, %d covered (%.0f%%)@."
     r.design (List.length r.properties) (List.length r.faults) r.detectable

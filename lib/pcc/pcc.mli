@@ -19,8 +19,8 @@ type fault_status =
   | Uncovered  (** detectable, yet every property passes: a gap *)
   | Undetectable  (** no output difference within the bound *)
   | Unresolved
-      (** the governor's budget (conflict allowance, deadline or
-          cancellation) ran out before the fault could be classified:
+      (** the governor's budget (conflict allowance or deadline) ran
+          out before the fault could be classified:
           during the detectability check, or during a property check
           with no other property falsifying the mutant *)
 
@@ -58,5 +58,4 @@ val run :
 val uncovered_faults : report -> Fault.t list
 (** The faults demanding new properties. *)
 
-val pp_status : Format.formatter -> fault_status -> unit
 val pp : Format.formatter -> report -> unit

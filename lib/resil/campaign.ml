@@ -47,11 +47,6 @@ type mode = Scrub | Tmr
 
 let mode_to_string = function Scrub -> "scrub" | Tmr -> "tmr"
 
-let mode_of_string = function
-  | "scrub" -> Some Scrub
-  | "tmr" -> Some Tmr
-  | _ -> None
-
 type outcome = {
   trial : int;
   kind : string;  (* "control" or a Fault.kind name *)
@@ -583,7 +578,8 @@ let first_failure r =
     (fun (o : outcome) -> (not o.skipped) && not (trial_passed o))
     r.outcomes
 
-let verdict ?(name = "fault campaign") r =
+let verdict r =
+  let name = "fault campaign" in
   match first_failure r with
   | Some o ->
       let why =

@@ -27,12 +27,6 @@
     TMR + bus-ECC masking. *)
 type mode = Scrub | Tmr
 
-val mode_to_string : mode -> string
-(** ["scrub"] or ["tmr"]. *)
-
-val mode_of_string : string -> mode option
-(** Inverse of {!mode_to_string}. *)
-
 (** The grade of one trial. *)
 type outcome = {
   trial : int;  (** position in the plan; 0 is the control *)
@@ -67,7 +61,7 @@ type kind_row = {
     are byte-stable. *)
 type report = {
   seed : int;
-  mode : string;  (** {!mode_to_string} of the operating mode *)
+  mode : string;  (** the operating mode, ["scrub"] or ["tmr"] *)
   trials_per_kind : int;
   kind_names : string list;
   baseline_latency_ns : int;
@@ -83,10 +77,6 @@ type report = {
       (** log-2 buckets of {!outcome.recovery_ns} over executed trials *)
   passed : bool;  (** no skips and every trial passed *)
 }
-
-val trial_passed : outcome -> bool
-(** An executed control that matched, or an executed injection that was
-    injected, detected, recovered {e and} correct. *)
 
 val run :
   ?pool:Symbad_par.Par.pool ->
@@ -113,9 +103,10 @@ val run :
 val first_failure : report -> outcome option
 (** The first executed trial that did not pass, if any. *)
 
-val verdict : ?name:string -> report -> Symbad_core.Verdict.t
-(** [Disproved] naming the first failing trial; else [Inconclusive] if
-    any trial was skipped; else [Proved]. *)
+val verdict : report -> Symbad_core.Verdict.t
+(** The ["fault campaign"] verdict: [Disproved] naming the first
+    failing trial; else [Inconclusive] if any trial was skipped; else
+    [Proved]. *)
 
 val to_json : report -> Symbad_obs.Json.t
 (** Byte-stable JSON rendering (the committed artefact format). *)

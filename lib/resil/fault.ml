@@ -48,8 +48,6 @@ let of_string s =
         (Printf.sprintf "unknown fault kind %S (valid kinds: %s)" s
            (String.concat ", " (List.map kind_to_string all_kinds)))
 
-let pp_kind fmt k = Fmt.string fmt (kind_to_string k)
-
 type injection =
   | Seu of { word : int; attempts : int }
   | Upset of { at_permille : int; copy : int }

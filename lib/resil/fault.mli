@@ -39,15 +39,10 @@ val all_kinds : kind list
 val kind_to_string : kind -> string
 (** Stable lowercase name, e.g. ["bitstream_seu"]. *)
 
-val kind_of_string : string -> kind option
-(** Inverse of {!kind_to_string}. *)
-
 val of_string : string -> (kind, string) result
-(** Like {!kind_of_string}, but an unknown name comes back as [Error]
-    with a message listing every valid kind — the CLI parser's error
-    text. *)
-
-val pp_kind : Format.formatter -> kind -> unit
+(** The kind that {!kind_to_string} names; an unknown name comes back
+    as [Error] with a message listing every valid kind — the CLI
+    parser's error text. *)
 
 (** One concrete planned fault, with its injection parameters. *)
 type injection =
@@ -72,14 +67,6 @@ val kind_of_injection : injection -> kind
 
 val injection_to_string : injection -> string
 (** One deterministic human-readable line for reports. *)
-
-val lossy_channels : string list
-(** Bus-borne channels of the face-recognition level-3 mapping — the
-    candidates for {!Fifo_loss}. *)
-
-val fpga_resources : string list
-(** FPGA-resident resources of the case study — the candidates for
-    {!Stuck_resource}. *)
 
 val plan_injection : Symbad_image.Rng.t -> kind -> injection
 (** Draw one injection of the given kind from the trial's generator.

@@ -14,16 +14,14 @@ module Tmr = Symbad_hdl.Tmr
 module Prop = Symbad_mc.Prop
 module Engine = Symbad_mc.Engine
 
-let voter_netlist ?(width = 8) () = Tmr.voter ~width ()
-
 let voter_properties nl =
   List.map
     (fun (name, formula) -> Prop.validate nl (Prop.make ~name formula))
     (Tmr.voter_properties ())
 
-(* Prove the voter's masking contract at the given word width. *)
-let check_voter ?pool ?gov ?(width = 8) () =
-  let nl = voter_netlist ~width () in
+(* Prove the voter's masking contract on 8-bit words. *)
+let check_voter ?pool ?gov () =
+  let nl = Tmr.voter ~width:8 () in
   Engine.check_all ?pool ?gov nl (voter_properties nl)
 
 (* Prove the lock-step invariant of a triplicated datapath: closed by

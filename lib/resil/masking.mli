@@ -12,9 +12,6 @@
     - {e lock-step}: a triplicated datapath's register banks never
       diverge without a fault (1-inductive). *)
 
-val voter_netlist : ?width:int -> unit -> Symbad_hdl.Netlist.t
-(** The voter under verification (default width 8). *)
-
 val voter_properties : Symbad_hdl.Netlist.t -> Symbad_mc.Prop.t list
 (** [Symbad_hdl.Tmr.voter_properties] wrapped and validated against the
     voter netlist. *)
@@ -22,10 +19,9 @@ val voter_properties : Symbad_hdl.Netlist.t -> Symbad_mc.Prop.t list
 val check_voter :
   ?pool:Symbad_par.Par.pool ->
   ?gov:Symbad_gov.Gov.t ->
-  ?width:int ->
   unit ->
   Symbad_mc.Engine.report list
-(** Prove the voter's masking contract at the given word width. *)
+(** Prove the voter's masking contract on 8-bit words. *)
 
 val check_triplicated :
   ?pool:Symbad_par.Par.pool ->

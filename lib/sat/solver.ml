@@ -487,9 +487,9 @@ let new_level s =
   s.trail_lim_size <- s.trail_lim_size + 1
 
 let solve_search assumptions gov s =
-  (* the governor's conflict allowance caps the call; deadline and
-     cancellation are polled at every conflict — conflicts are heavy
-     enough that one clock read is noise *)
+  (* the governor's conflict allowance caps the call; the deadline is
+     polled at every conflict — conflicts are heavy enough that one
+     clock read is noise *)
   let allowance =
     Option.value ~default:max_int
       (Option.bind gov Symbad_gov.Gov.conflicts_left)

@@ -20,8 +20,8 @@
 type t
 
 type result = Sat | Unsat | Unknown
-(** [Unknown]: the governor's budget ran out — its conflict allowance,
-    its wall-clock deadline, or a cancellation (see {!Symbad_gov.Gov}). *)
+(** [Unknown]: the governor's budget ran out — its conflict allowance
+    or its wall-clock deadline (see {!Symbad_gov.Gov}). *)
 
 val create : int -> t
 (** [create n] is a solver over variables [1..n]. *)
@@ -56,11 +56,11 @@ val solve : ?assumptions:int list -> ?gov:Symbad_gov.Gov.t -> t -> result
     variable beyond {!nvars}, as {!add_clause} does.
 
     [gov] is the only budget: its conflict allowance caps this call, its
-    deadline and cancel token are polled at every conflict, and the
-    conflicts actually spent are charged back to it on return (on every
-    exit path).  An exhausted governor yields [Unknown] immediately.
-    Without [gov] the search runs to completion.  The effort a call
-    spent is the difference of {!stats} around it. *)
+    deadline is polled at every conflict, and the conflicts actually
+    spent are charged back to it on return (on every exit path).  An
+    exhausted governor yields [Unknown] immediately.  Without [gov] the
+    search runs to completion.  The effort a call spent is the
+    difference of {!stats} around it. *)
 
 val model_value : t -> int -> bool
 (** Value of a variable in the model; meaningful only right after [solve]

@@ -39,8 +39,6 @@ let shared ctx key clauses =
       Hashtbl.add ctx.gates key o;
       o
 
-let not_gate _ctx a = -a
-
 let and_gate ctx a b =
   if a = b then a
   else if a = -b then const_false ctx
@@ -84,10 +82,6 @@ let mux_gate ctx ~sel a b =
 let and_list ctx = function
   | [] -> const_true ctx
   | l :: ls -> List.fold_left (and_gate ctx) l ls
-
-let or_list ctx = function
-  | [] -> const_false ctx
-  | l :: ls -> List.fold_left (or_gate ctx) l ls
 
 (* Full adder: returns (sum, carry). *)
 let full_adder ctx a b cin =

@@ -31,7 +31,6 @@ val of_bool : ctx -> bool -> int
 val fresh : ctx -> int
 (** A fresh unconstrained variable (as a positive literal). *)
 
-val not_gate : ctx -> int -> int
 val and_gate : ctx -> int -> int -> int
 val or_gate : ctx -> int -> int -> int
 val xor_gate : ctx -> int -> int -> int
@@ -41,7 +40,6 @@ val mux_gate : ctx -> sel:int -> int -> int -> int
 (** [mux_gate ~sel a b] is [if sel then a else b]. *)
 
 val and_list : ctx -> int list -> int
-val or_list : ctx -> int list -> int
 
 val full_adder : ctx -> int -> int -> int -> int * int
 (** [(sum, carry)] of a one-bit full adder. *)

@@ -45,8 +45,6 @@ let push q time payload =
   q.size <- q.size + 1;
   up (q.size - 1)
 
-let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
-
 let pop q =
   if q.size = 0 then None
   else begin

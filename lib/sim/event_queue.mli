@@ -15,8 +15,5 @@ val length : 'a t -> int
 val push : 'a t -> Time.t -> 'a -> unit
 (** [push q time payload] schedules [payload] at [time]. *)
 
-val peek_time : 'a t -> Time.t option
-(** Timestamp of the earliest pending event, if any. *)
-
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest pending event. *)

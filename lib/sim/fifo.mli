@@ -20,7 +20,6 @@ val create : ?capacity:int -> string -> 'a t
 val name : 'a t -> string
 val capacity : 'a t -> int
 val length : 'a t -> int
-val is_full : 'a t -> bool
 
 val put : 'a t -> 'a -> unit
 (** Blocking write; parks the calling process while the channel is full.

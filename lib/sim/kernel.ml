@@ -139,11 +139,6 @@ let run ?until k =
   in
   Fun.protect ~finally:finish loop
 
-let reset_stats k =
-  k.events_processed <- 0;
-  k.processes_spawned <- 0;
-  k.run_cpu_seconds <- 0.
-
 let stats k =
   {
     events = k.events_processed;

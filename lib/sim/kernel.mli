@@ -49,8 +49,4 @@ val stop : t -> unit
 
 val stats : t -> stats
 
-val reset_stats : t -> unit
-(** Zero the event, process and CPU-time accumulators (the clock is
-    kept), so benchmarks can measure steady state after a warm-up run. *)
-
 val pp_stats : Format.formatter -> stats -> unit

@@ -3,7 +3,6 @@
 
 let wait d = Effect.perform (Kernel.Wait d)
 let wait_ns n = wait (Time.ns n)
-let wait_cycles ~period_ns c = wait (Time.of_cycles ~period_ns c)
 let suspend register = Effect.perform (Kernel.Suspend register)
 let kernel () = Effect.perform Kernel.Get_kernel
 let now () = Kernel.now (kernel ())

@@ -8,7 +8,6 @@ val wait : Time.t -> unit
 (** Block the calling process for the given simulated duration. *)
 
 val wait_ns : int -> unit
-val wait_cycles : period_ns:int -> int -> unit
 
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process.  [register] receives the

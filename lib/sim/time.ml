@@ -12,8 +12,6 @@ let s n = n * 1_000_000_000
 let of_cycles ~period_ns cycles = cycles * period_ns
 
 let to_ns t = t
-let to_float_s t = float_of_int t /. 1e9
-
 let add = ( + )
 let sub a b = a - b
 let compare = Int.compare

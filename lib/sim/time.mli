@@ -25,7 +25,6 @@ val of_cycles : period_ns:int -> int -> t
     clock with period [period_ns]. *)
 
 val to_ns : t -> int
-val to_float_s : t -> float
 
 val add : t -> t -> t
 val sub : t -> t -> t

@@ -80,14 +80,6 @@ let compare_data ~reference ~actual =
 let equal_data ~reference ~actual =
   match compare_data ~reference ~actual with [] -> true | _ :: _ -> false
 
-let pp_mismatch fmt m =
-  let pp_opt fmt = function
-    | None -> Fmt.string fmt "<missing>"
-    | Some v -> Fmt.string fmt v
-  in
-  Fmt.pf fmt "%s.%s[%d]: expected %a, got %a" m.source m.label m.index pp_opt
-    m.expected pp_opt m.actual
-
 let pp fmt t =
   List.iter
     (fun e ->

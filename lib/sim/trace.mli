@@ -39,5 +39,4 @@ val compare_data : reference:t -> actual:t -> mismatch list
 
 val equal_data : reference:t -> actual:t -> bool
 
-val pp_mismatch : Format.formatter -> mismatch -> unit
 val pp : Format.formatter -> t -> unit

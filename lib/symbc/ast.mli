@@ -16,7 +16,6 @@ val reconfig : string -> stmt
 val if_ : stmt list -> stmt list -> stmt
 val while_ : stmt list -> stmt
 
-val pp_stmt : ?indent:int -> Format.formatter -> stmt -> unit
 val pp : Format.formatter -> program -> unit
 
 val called_functions : program -> string list

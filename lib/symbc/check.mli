@@ -33,5 +33,4 @@ val check : Config_info.t -> Ast.program -> verdict
 (** Raises [Invalid_argument] if the program loads an unknown
     configuration. *)
 
-val pp_step : Format.formatter -> step -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -4,13 +4,12 @@
    always available. *)
 
 type t = {
-  reconfig_procedure : string;  (* name/signature of the loader *)
   fpga_functions : string list;  (* functions that live in the FPGA *)
   configurations : (string * string list) list;
       (* configuration name -> functions present when it is loaded *)
 }
 
-let make ?(reconfig_procedure = "load") ~fpga_functions ~configurations () =
+let make ~fpga_functions ~configurations =
   List.iter
     (fun (c, fns) ->
       List.iter
@@ -22,7 +21,7 @@ let make ?(reconfig_procedure = "load") ~fpga_functions ~configurations () =
                  f c))
         fns)
     configurations;
-  { reconfig_procedure; fpga_functions; configurations }
+  { fpga_functions; configurations }
 
 let is_fpga_function t f = List.mem f t.fpga_functions
 
@@ -38,8 +37,7 @@ let provides t ~config f = List.mem f (functions_of t config)
 let configuration_names t = List.map fst t.configurations
 
 let pp fmt t =
-  Fmt.pf fmt "reconfig procedure: %s@.FPGA functions: %a@."
-    t.reconfig_procedure
+  Fmt.pf fmt "reconfig procedure: load@.FPGA functions: %a@."
     (Fmt.list ~sep:Fmt.comma Fmt.string)
     t.fpga_functions;
   List.iter

@@ -5,17 +5,13 @@
 type t
 
 val make :
-  ?reconfig_procedure:string ->
   fpga_functions:string list ->
   configurations:(string * string list) list ->
-  unit ->
   t
 (** Raises if a configuration lists a function not in
-    [fpga_functions]. *)
+    [fpga_functions].  The reconfiguration procedure is [load]. *)
 
 val is_fpga_function : t -> string -> bool
-val functions_of : t -> string -> string list
-(** Raises on unknown configurations. *)
 
 val has_configuration : t -> string -> bool
 val provides : t -> config:string -> string -> bool

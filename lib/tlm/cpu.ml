@@ -11,20 +11,18 @@ module Time = Symbad_sim.Time
 type t = {
   name : string;
   period_ns : int;
-  bus_priority : int;
   mutable executed_cycles : int;
   mutable busy_ns : int;
   mutable firings : int;
 }
 
-let create ?(period_ns = 20) ?(bus_priority = 4) name =
+let create ?(period_ns = 20) name =
   (* 20 ns = 50 MHz, a typical ARM7TDMI clock of the period *)
   if period_ns <= 0 then invalid_arg "Cpu.create: period";
-  { name; period_ns; bus_priority; executed_cycles = 0; busy_ns = 0; firings = 0 }
+  { name; period_ns; executed_cycles = 0; busy_ns = 0; firings = 0 }
 
 let name c = c.name
 let period_ns c = c.period_ns
-let bus_priority c = c.bus_priority
 
 let execute c ~cycles =
   if cycles < 0 then invalid_arg "Cpu.execute: negative cycles";

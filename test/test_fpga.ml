@@ -16,9 +16,7 @@ let context_area_and_lookup () =
 
 let context_bitstream_size () =
   let c = Context.make "c1" [ r "dist" 100 ] in
-  check "default sizing" (512 + 800) (Context.bitstream_bytes c);
-  check "custom sizing" (64 + 200)
-    (Context.bitstream_bytes ~header_bytes:64 ~bytes_per_area:2 c)
+  check "sizing" (512 + 800) (Context.bitstream_bytes c)
 
 let context_rejects_duplicates () =
   Alcotest.(check bool) "raises" true
@@ -259,7 +257,7 @@ let fpga_download_gives_up () =
       try Fpga.reconfigure f ~bus ~master:"cpu" "c1"
       with Fpga.Download_failed { attempts = a; _ } -> attempts := a);
   Sim.Kernel.run k;
-  check "gave up after max_redownloads + 1 attempts" 3 !attempts;
+  check "gave up after three attempts" 3 !attempts;
   let s = Fpga.stats f in
   check "failed download counted" 1 s.Fpga.failed_downloads;
   check "nothing loaded" 0 s.Fpga.reconfigurations

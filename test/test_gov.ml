@@ -1,5 +1,5 @@
 (* Tests for the resource governor: budget split/slice arithmetic,
-   hierarchical charge propagation, cancellation, retry dispatch, the
+   hierarchical charge propagation, retry dispatch, the
    zero-budget degradation contract of every engine (inconclusive with
    partial data, fast, never raising), governed-flow determinism across
    pool widths, and the qcheck monotonicity properties (shrinking a
@@ -9,7 +9,6 @@
 open Symbad_core
 module Gov = Symbad_gov.Gov
 module Budget = Symbad_gov.Budget
-module Cancel = Symbad_gov.Cancel
 module Degrade = Symbad_gov.Degrade
 module Par = Symbad_par.Par
 
@@ -76,7 +75,7 @@ let slice_leaves_rest_in_parent () =
   (* sequential split: only what the slice SPENDS leaves the parent *)
   check_int "unspent flows back" 90 (Option.get (Gov.conflicts_left g))
 
-(* --- exhaustion and cancellation --- *)
+(* --- exhaustion --- *)
 
 let exhaustion_reasons () =
   let g = Gov.create (Budget.make ~conflicts:1 ()) in
@@ -91,22 +90,6 @@ let exhaustion_reasons () =
   check_bool "instant deadline exhausted" true
     (Gov.exhaustion g = Some Degrade.Deadline);
   check_bool "unlimited never exhausts" false (Gov.out_of_budget Gov.unlimited)
-
-let cancellation () =
-  let c = Cancel.create () in
-  let g = Gov.create ~cancel:c Budget.unlimited in
-  check_bool "not cancelled yet" false (Gov.out_of_budget g);
-  Cancel.cancel c;
-  check_bool "cancel wins" true (Gov.exhaustion g = Some Degrade.Cancelled);
-  (* children share the token *)
-  let c2 = Cancel.create () in
-  let root = Gov.create ~cancel:c2 (Budget.make ~conflicts:100 ()) in
-  let child = List.hd (Gov.split root 2) in
-  Cancel.cancel c2;
-  check_bool "child sees the shared token" true
-    (Gov.exhaustion child = Some Degrade.Cancelled);
-  Cancel.cancel Cancel.none;
-  check_bool "none is uncancellable" false (Cancel.is_cancelled Cancel.none)
 
 (* --- portfolio retry --- *)
 
@@ -372,7 +355,6 @@ let suite =
     Alcotest.test_case "slice leaves unspent budget in parent" `Quick
       slice_leaves_rest_in_parent;
     Alcotest.test_case "exhaustion reasons" `Quick exhaustion_reasons;
-    Alcotest.test_case "cancellation is cooperative and shared" `Quick cancellation;
     Alcotest.test_case "with_retry dispatch semantics" `Quick with_retry_semantics;
     Alcotest.test_case "degraded verdict shape" `Quick degraded_verdict;
     Alcotest.test_case "zero budget: engines degrade instantly" `Quick

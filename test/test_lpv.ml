@@ -180,10 +180,10 @@ let build_pipeline () =
   let b = Petri.add_transition net ~delay:5 "B" in
   let p = Petri.add_place net ~tokens:0 "ab" in
   let credit = Petri.add_place net ~tokens:2 "ab.credit" in
-  Petri.add_post net ~transition:a ~place:p ();
-  Petri.add_pre net ~transition:b ~place:p ();
-  Petri.add_pre net ~transition:a ~place:credit ();
-  Petri.add_post net ~transition:b ~place:credit ();
+  Petri.add_post net ~transition:a ~place:p;
+  Petri.add_pre net ~transition:b ~place:p;
+  Petri.add_pre net ~transition:a ~place:credit;
+  Petri.add_post net ~transition:b ~place:credit;
   (net, a, b, p)
 
 let petri_incidence () =
@@ -218,10 +218,10 @@ let deadlock_detected_crossed () =
   let b = Petri.add_transition net "B" in
   let ab = Petri.add_place net ~tokens:0 "ab" in
   let ba = Petri.add_place net ~tokens:0 "ba" in
-  Petri.add_post net ~transition:a ~place:ab ();
-  Petri.add_pre net ~transition:b ~place:ab ();
-  Petri.add_post net ~transition:b ~place:ba ();
-  Petri.add_pre net ~transition:a ~place:ba ();
+  Petri.add_post net ~transition:a ~place:ab;
+  Petri.add_pre net ~transition:b ~place:ab;
+  Petri.add_post net ~transition:b ~place:ba;
+  Petri.add_pre net ~transition:a ~place:ba;
   match Deadlock.check net with
   | Deadlock.Potential_deadlock { witness } ->
       Alcotest.(check (list string)) "witness cycle" [ "ab"; "ba" ]
@@ -235,10 +235,10 @@ let deadlock_fixed_by_initial_token () =
   let ab = Petri.add_place net ~tokens:0 "ab" in
   let ba = Petri.add_place net ~tokens:1 "ba" in
   (* the classic fix: prime the feedback channel *)
-  Petri.add_post net ~transition:a ~place:ab ();
-  Petri.add_pre net ~transition:b ~place:ab ();
-  Petri.add_post net ~transition:b ~place:ba ();
-  Petri.add_pre net ~transition:a ~place:ba ();
+  Petri.add_post net ~transition:a ~place:ab;
+  Petri.add_pre net ~transition:b ~place:ab;
+  Petri.add_post net ~transition:b ~place:ba;
+  Petri.add_pre net ~transition:a ~place:ba;
   match Deadlock.check net with
   | Deadlock.Deadlock_free _ -> ()
   | _ -> Alcotest.fail "expected deadlock-free after priming"
@@ -252,8 +252,8 @@ let structural_boundedness () =
   let a = Petri.add_transition unb "A" in
   let b = Petri.add_transition unb "B" in
   let p = Petri.add_place unb ~tokens:0 "ab" in
-  Petri.add_post unb ~transition:a ~place:p ();
-  Petri.add_pre unb ~transition:b ~place:p ();
+  Petri.add_post unb ~transition:a ~place:p;
+  Petri.add_pre unb ~transition:b ~place:p;
   check_bool "uncredited channel unbounded" false
     (Petri.structurally_bounded unb)
 
@@ -265,8 +265,8 @@ let timing_bottleneck () =
   List.iteri
     (fun i _ ->
       let p = Petri.add_place net ~tokens:1 (Printf.sprintf "self%d" i) in
-      Petri.add_pre net ~transition:i ~place:p ();
-      Petri.add_post net ~transition:i ~place:p ())
+      Petri.add_pre net ~transition:i ~place:p;
+      Petri.add_post net ~transition:i ~place:p)
     [ (); () ];
   match Timing.min_cycle_ratio net with
   | Timing.Period p -> Alcotest.check rat "bottleneck 5" (Rat.of_int 5) p
@@ -281,10 +281,10 @@ let timing_capacity_effect () =
     let b = Petri.add_transition net ~delay:5 "B" in
     let p = Petri.add_place net ~tokens:0 "ab" in
     let credit = Petri.add_place net ~tokens:cap "credit" in
-    Petri.add_post net ~transition:a ~place:p ();
-    Petri.add_pre net ~transition:b ~place:p ();
-    Petri.add_pre net ~transition:a ~place:credit ();
-    Petri.add_post net ~transition:b ~place:credit ();
+    Petri.add_post net ~transition:a ~place:p;
+    Petri.add_pre net ~transition:b ~place:p;
+    Petri.add_pre net ~transition:a ~place:credit;
+    Petri.add_post net ~transition:b ~place:credit;
     net
   in
   (match Timing.min_cycle_ratio (build 1) with
@@ -303,10 +303,10 @@ let timing_deadline_and_dimensioning () =
     let b = Petri.add_transition net ~delay:5 "B" in
     let p = Petri.add_place net ~tokens:0 "ab" in
     let credit = Petri.add_place net ~tokens:cap "credit" in
-    Petri.add_post net ~transition:a ~place:p ();
-    Petri.add_pre net ~transition:b ~place:p ();
-    Petri.add_pre net ~transition:a ~place:credit ();
-    Petri.add_post net ~transition:b ~place:credit ();
+    Petri.add_post net ~transition:a ~place:p;
+    Petri.add_pre net ~transition:b ~place:p;
+    Petri.add_pre net ~transition:a ~place:credit;
+    Petri.add_post net ~transition:b ~place:credit;
     net
   in
   check_bool "deadline 8 met at cap 1" true (Timing.deadline_met ~deadline:8 (build 1));
@@ -323,10 +323,10 @@ let timing_zero_token_cycle () =
   let b = Petri.add_transition net ~delay:1 "B" in
   let ab = Petri.add_place net ~tokens:0 "ab" in
   let ba = Petri.add_place net ~tokens:0 "ba" in
-  Petri.add_post net ~transition:a ~place:ab ();
-  Petri.add_pre net ~transition:b ~place:ab ();
-  Petri.add_post net ~transition:b ~place:ba ();
-  Petri.add_pre net ~transition:a ~place:ba ();
+  Petri.add_post net ~transition:a ~place:ab;
+  Petri.add_pre net ~transition:b ~place:ab;
+  Petri.add_post net ~transition:b ~place:ba;
+  Petri.add_pre net ~transition:a ~place:ba;
   match Timing.min_cycle_ratio net with
   | Timing.Unschedulable _ -> ()
   | Timing.Period _ | Timing.Not_analyzable _ ->

@@ -50,6 +50,45 @@ let fault_cond_stuck () =
   check "counts while disabled" 2
     (Bitvec.to_int (Simulator.output sim ~inputs:idle "count"))
 
+(* Every report's [condN] fault names rest on the mux numbering:
+   pre-order, a mux's selector before its else arm before its then arm,
+   and a binop's right operand before its left. *)
+let fault_cond_numbering () =
+  let sel = [ "s0"; "s1"; "s2"; "s3"; "s4" ] in
+  let nl =
+    Netlist.make ~name:"muxes"
+      ~inputs:(List.map (fun s -> (s, 1)) sel
+               @ List.map (fun n -> (n, 4)) [ "a"; "b"; "c"; "d" ])
+      ~registers:[]
+      ~outputs:
+        [
+          ( "o",
+            E.mux (E.input "s0")
+              (E.mux (E.input "s1") (E.input "a") (E.input "b"))
+              (E.mux (E.input "s2") (E.input "c") (E.input "d")) );
+          ( "p",
+            E.add
+              (E.mux (E.input "s3") (E.input "a") (E.input "b"))
+              (E.mux (E.input "s4") (E.input "c") (E.input "d")) );
+        ]
+  in
+  let stuck index =
+    let mutant = Fault.apply nl (Fault.Cond_stuck { index; value = true }) in
+    let read =
+      List.fold_left
+        (fun acc (_, e) ->
+          E.fold_names
+            (fun acc -> function `Input n -> n :: acc | `Reg _ -> acc)
+            acc e)
+        [] (Netlist.outputs mutant)
+    in
+    List.filter (fun s -> not (List.mem s read)) sel
+  in
+  Alcotest.(check (list (list string)))
+    "selector stuck by cond0..cond4"
+    [ [ "s0" ]; [ "s2" ]; [ "s1" ]; [ "s4" ]; [ "s3" ] ]
+    (List.init (Fault.netlist_muxes nl) stuck)
+
 (* --- Miter --- *)
 
 let miter_identical_designs_equal () =
@@ -395,6 +434,7 @@ let suite =
     Alcotest.test_case "unknown register rejected" `Quick
       fault_apply_unknown_reg;
     Alcotest.test_case "condition stuck-at" `Quick fault_cond_stuck;
+    Alcotest.test_case "condition numbering" `Quick fault_cond_numbering;
     Alcotest.test_case "miter: identical designs" `Quick
       miter_identical_designs_equal;
     Alcotest.test_case "miter: seeded bug detectable" `Quick

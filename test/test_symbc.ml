@@ -9,7 +9,6 @@ let info =
   Config_info.make
     ~fpga_functions:[ "distance"; "root" ]
     ~configurations:[ ("config1", [ "distance" ]); ("config2", [ "root" ]) ]
-    ()
 
 (* --- Config_info --- *)
 
@@ -26,7 +25,7 @@ let config_info_rejects_unknown_fn () =
     (try
        ignore
          (Config_info.make ~fpga_functions:[ "a" ]
-            ~configurations:[ ("c", [ "b" ]) ] ());
+            ~configurations:[ ("c", [ "b" ]) ]);
        false
      with Invalid_argument _ -> true)
 
