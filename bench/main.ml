@@ -28,8 +28,6 @@ let profile = level1_result.Level1.profile
 let mapping2 = Face_app.level2_mapping ~profile graph
 let mapping3 = Mapping.refine_to_fpga mapping2 Face_app.level3_refinement
 
-let bus_period = Level2.default_config.Level2.bus_period_ns
-
 (* ---------------------------------------------------------------- *)
 (* F1: Figure 1 — the full four-level flow with all verifications.   *)
 
@@ -77,8 +75,8 @@ let speed_table () =
   let m3 = Mapping.refine_to_fpga m2 Face_app.level3_refinement in
   let l2, t2 = host_time (fun () -> Level2.run g m2) in
   let l3, t3 = host_time (fun () -> Level3.run g m3) in
-  let khz2 = Level2.simulation_speed_khz ~bus_period_ns:bus_period l2 in
-  let khz3 = Level3.simulation_speed_khz ~bus_period_ns:bus_period l3 in
+  let khz2 = Level3.simulation_speed_khz l2 in
+  let khz3 = Level3.simulation_speed_khz l3 in
   let ev2 = l2.Level2.kernel_stats.Sim.Kernel.events in
   let ev3 = l3.Level3.kernel_stats.Sim.Kernel.events in
   Format.printf "%-28s %-8s %-12s %-13s %-10s@." "level" "host s" "sim latency"
@@ -338,7 +336,7 @@ let a3_download_granularity () =
       in
       Format.printf "%-14d %10d %12d %12.0f %10.3f@." burst
         l3.Level3.kernel_stats.Sim.Kernel.events l3.Level3.latency_ns
-        (Level3.simulation_speed_khz ~bus_period_ns:bus_period l3)
+        (Level3.simulation_speed_khz l3)
         secs)
     [ 4; 8; 64; 512 ];
   Format.printf
@@ -352,13 +350,13 @@ let a2_static_vs_reconfig () =
   section "A2" "static (first implementation) vs reconfigurable flow";
   let task_area = Level3.default_task_area in
   let static =
-    Explore.grade_level3
+    Explore.grade
       ~config:{ Level3.default_config with Level3.fpga_capacity = 2000 }
       ~task_area ~label:"static" graph
       (Mapping.refine_to_fpga mapping2
          [ ("DISTANCE", "config_all"); ("ROOT", "config_all") ])
   in
-  let reconf = Explore.grade_level3 ~task_area ~label:"reconfig" graph mapping3 in
+  let reconf = Explore.grade ~task_area ~label:"reconfig" graph mapping3 in
   Format.printf "%a@.%a@." Explore.pp_grade static Explore.pp_grade reconf;
   Format.printf
     "shape: static faster (%.2fx) but larger (+%.0f%% area); reconfigurable \

@@ -271,8 +271,12 @@ let flow_cmd =
 (* --- level --- *)
 
 let run_level level c markdown json =
-  let w = workload c in
-  let graph = Face_app.graph w in
+  if level < 1 || level > 3 then begin
+    Format.eprintf "symbad: no such level: %d (use 1, 2 or 3)@." level;
+    2
+  end
+  else
+  let graph = Face_app.graph (workload c) in
   let l1 = Level1.run graph in
   let report =
     match level with
@@ -281,37 +285,34 @@ let run_level level c markdown json =
           l1.Level1.kernel_stats;
         Format.printf "profiling ranking:@.%a@."
           Symbad_tlm.Annotation.Profile.pp l1.Level1.profile;
-        Some
-          (Json.Obj
-             [
-               ("level", Json.Int 1);
-               ( "ranking",
-                 Json.List
-                   (List.map
-                      (fun (task, units) ->
-                        Json.Obj
-                          [ ("task", Json.Str task); ("units", Json.Int units) ])
-                      (Symbad_tlm.Annotation.Profile.ranking l1.Level1.profile))
-               );
-             ])
+        Json.Obj
+          [
+            ("level", Json.Int 1);
+            ( "ranking",
+              Json.List
+                (List.map
+                   (fun (task, units) ->
+                     Json.Obj
+                       [ ("task", Json.Str task); ("units", Json.Int units) ])
+                   (Symbad_tlm.Annotation.Profile.ranking l1.Level1.profile)) );
+          ]
     | 2 ->
         let m = Face_app.level2_mapping ~profile:l1.Level1.profile graph in
         let r = Level2.run graph m in
         Format.printf "mapping:@.%a" Mapping.pp m;
         Format.printf "latency: %dns; %.0f kHz; cpu %a@.bus %a@."
           r.Level2.latency_ns
-          (Level2.simulation_speed_khz ~bus_period_ns:10 r)
+          (Level3.simulation_speed_khz r)
           Symbad_tlm.Cpu.pp_stats r.Level2.cpu_stats
           Symbad_tlm.Bus.pp_report r.Level2.bus_report;
-        Some
-          (Json.Obj
-             [
-               ("level", Json.Int 2);
-               ("latency_ns", Json.Int r.Level2.latency_ns);
-               ( "bus_utilisation",
-                 Json.Float r.Level2.bus_report.Symbad_tlm.Bus.utilisation );
-             ])
-    | 3 ->
+        Json.Obj
+          [
+            ("level", Json.Int 2);
+            ("latency_ns", Json.Int r.Level2.latency_ns);
+            ( "bus_utilisation",
+              Json.Float r.Level2.bus_report.Symbad_tlm.Bus.utilisation );
+          ]
+    | _ (* 3 *) ->
         let m =
           Mapping.refine_to_fpga
             (Face_app.level2_mapping ~profile:l1.Level1.profile graph)
@@ -320,32 +321,26 @@ let run_level level c markdown json =
         let r = Level3.run graph m in
         Format.printf "latency: %dns; %.0f kHz@.fpga %a@.bus %a@."
           r.Level3.latency_ns
-          (Level3.simulation_speed_khz ~bus_period_ns:10 r)
+          (Level3.simulation_speed_khz r)
           Symbad_fpga.Fpga.pp_stats r.Level3.fpga_stats
           Symbad_tlm.Bus.pp_report r.Level3.bus_report;
         Format.printf "instrumented SW:@.%a@." Symbad_symbc.Ast.pp
           r.Level3.instrumented_sw;
-        Some
-          (Json.Obj
-             [
-               ("level", Json.Int 3);
-               ("latency_ns", Json.Int r.Level3.latency_ns);
-               ( "bitstream_bytes",
-                 Json.Int r.Level3.bus_report.Symbad_tlm.Bus.bitstream_bytes );
-             ])
-    | n ->
-        Format.printf "no such level: %d (use 1, 2 or 3)@." n;
-        None
+        Json.Obj
+          [
+            ("level", Json.Int 3);
+            ("latency_ns", Json.Int r.Level3.latency_ns);
+            ( "bitstream_bytes",
+              Json.Int r.Level3.bus_report.Symbad_tlm.Bus.bitstream_bytes );
+          ]
   in
-  match report with
-  | None -> 1
-  | Some j ->
-      artefact ~what:"json report" (fun () -> Json.to_string j) json;
-      artefact ~what:"markdown report"
-        (fun () ->
-          Printf.sprintf "# Level %d\n\n```\n%s\n```\n" level (Json.to_string j))
-        markdown;
-      0
+  artefact ~what:"json report" (fun () -> Json.to_string report) json;
+  artefact ~what:"markdown report"
+    (fun () ->
+      Printf.sprintf "# Level %d\n\n```\n%s\n```\n" level
+        (Json.to_string report))
+    markdown;
+  0
 
 let level_cmd =
   let doc = "Run one refinement level of the case study." in
@@ -358,55 +353,61 @@ let level_cmd =
 (* --- verify --- *)
 
 let run_verify what c markdown json =
-  let w = workload c in
-  let graph = Face_app.graph w in
-  let verdicts =
-    match what with
-    | "deadlock" ->
-        Some
+  let graph () = Face_app.graph (workload c) in
+  let checks =
+    [
+      ( "deadlock",
+        fun () ->
           [
             Verdict.of_lpv_deadlock
-              (Lpv_bridge.check_deadlock ?gov:(gov_of ~label:"verify" c) graph);
-          ]
-    | "timing" ->
-        let l1 = Level1.run graph in
-        let m = Face_app.level2_mapping ~profile:l1.Level1.profile graph in
-        let verdict, met =
-          Lpv_bridge.check_deadline ~deadline_ns:40_000_000
-            ~timing:Lpv_bridge.default_timing ~mapping:m
-            ~profile:l1.Level1.profile ?gov:(gov_of ~label:"verify" c) graph
-        in
-        Some [ Verdict.of_lpv_timing ~deadline_ns:40_000_000 ~met verdict ]
-    | "symbc" ->
-        let l1 = Level1.run graph in
-        let m =
-          Mapping.refine_to_fpga
-            (Face_app.level2_mapping ~profile:l1.Level1.profile graph)
-            Face_app.level3_refinement
-        in
-        let r = Level3.run graph m in
-        Some
+              (Lpv_bridge.check_deadlock ?gov:(gov_of ~label:"verify" c)
+                 (graph ()));
+          ] );
+      ( "timing",
+        fun () ->
+          let graph = graph () in
+          let l1 = Level1.run graph in
+          let m = Face_app.level2_mapping ~profile:l1.Level1.profile graph in
+          let verdict, met =
+            Lpv_bridge.check_deadline ~deadline_ns:40_000_000
+              ~timing:Lpv_bridge.default_timing ~mapping:m
+              ~profile:l1.Level1.profile ?gov:(gov_of ~label:"verify" c) graph
+          in
+          [ Verdict.of_lpv_timing ~deadline_ns:40_000_000 ~met verdict ] );
+      ( "symbc",
+        fun () ->
+          let graph = graph () in
+          let l1 = Level1.run graph in
+          let m =
+            Mapping.refine_to_fpga
+              (Face_app.level2_mapping ~profile:l1.Level1.profile graph)
+              Face_app.level3_refinement
+          in
+          let r = Level3.run graph m in
           [
             Verdict.of_symbc
               (Symbad_symbc.Check.check r.Level3.config_info
                  r.Level3.instrumented_sw);
-          ]
-    | "rtl" ->
-        let cache = cache_of c in
-        let l4 =
-          with_pool c (fun pool ->
-              Level4.run ~pool ?cache ?gov:(gov_of ~label:"verify" c) ())
-        in
-        Format.printf "%a@." Level4.pp l4;
-        report_cache_use c cache;
-        Some (List.concat_map Level4.module_verdicts l4.Level4.modules)
-    | other ->
-        Format.printf "unknown check %S (deadlock|timing|symbc|rtl)@." other;
-        None
+          ] );
+      ( "rtl",
+        fun () ->
+          let cache = cache_of c in
+          let l4 =
+            with_pool c (fun pool ->
+                Level4.run ~pool ?cache ?gov:(gov_of ~label:"verify" c) ())
+          in
+          Format.printf "%a@." Level4.pp l4;
+          report_cache_use c cache;
+          List.concat_map Level4.module_verdicts l4.Level4.modules );
+    ]
   in
-  match verdicts with
-  | None -> 1
-  | Some vs ->
+  match List.assoc_opt what checks with
+  | None ->
+      Format.eprintf "symbad: unknown check %S (%s)@." what
+        (String.concat "|" (List.map fst checks));
+      2
+  | Some run ->
+      let vs = run () in
       List.iter (fun v -> Format.printf "%a@." Verdict.pp v) vs;
       artefact ~what:"json report"
         (fun () ->

@@ -43,12 +43,12 @@ let () =
     let config =
       { Level3.default_config with Level3.fpga_capacity = 2000 }
     in
-    Explore.grade_level3 ~config ~task_area ~label:"static" graph
+    Explore.grade ~config ~task_area ~label:"static" graph
       (Mapping.refine_to_fpga mapping2
          [ ("DISTANCE", "config_all"); ("ROOT", "config_all") ])
   in
   let reconf =
-    Explore.grade_level3 ~task_area ~label:"reconfig" graph
+    Explore.grade ~task_area ~label:"reconfig" graph
       (Mapping.refine_to_fpga mapping2 Face_app.level3_refinement)
   in
   Format.printf "  %a@.  %a@." Explore.pp_grade static Explore.pp_grade reconf;

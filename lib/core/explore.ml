@@ -1,9 +1,9 @@
 (* Architecture exploration: "a single configuration must be graded
    according to performance, silicon usage, power consumption".
 
-   Each candidate mapping is simulated at level 2 (or level 3 for
-   reconfigurable candidates) and graded; the sweep reports all points
-   and the Pareto-optimal subset.  The static-vs-reconfigurable
+   Each candidate mapping is simulated on the level-3 platform (with no
+   FPGA contexts, that is level 2) and graded; the sweep reports all
+   points and the Pareto-optimal subset.  The static-vs-reconfigurable
    comparison reproduces the paper's motivating trade-off: the all-HW
    "static approach where all HW resources were assumed simultaneously
    available" is fastest but pays full silicon area, while FPGA contexts
@@ -49,25 +49,7 @@ let energy_of ~latency_ns ~cpu_busy_ns ~bus_busy_ns ~bitstream_bytes =
   +. (0.5 *. float_of_int bus_busy_ns)
   +. (4.0 *. float_of_int bitstream_bytes)
 
-let grade_level2 ~task_area ~label graph mapping =
-  let r = Level2.run graph mapping in
-  {
-    mapping;
-    label;
-    latency_ns = r.Level2.latency_ns;
-    bus_busy_ns = r.Level2.bus_report.Symbad_tlm.Bus.busy_ns;
-    bus_utilisation = r.Level2.bus_report.Symbad_tlm.Bus.utilisation;
-    bitstream_bytes = 0;
-    area = area_of ~task_area mapping;
-    energy_proxy =
-      energy_of ~latency_ns:r.Level2.latency_ns
-        ~cpu_busy_ns:r.Level2.cpu_stats.Symbad_tlm.Cpu.busy_ns
-        ~bus_busy_ns:r.Level2.bus_report.Symbad_tlm.Bus.busy_ns
-        ~bitstream_bytes:0;
-  }
-
-let grade_level3 ?(config = Level3.default_config) ~task_area ~label graph
-    mapping =
+let grade ?(config = Level3.default_config) ~task_area ~label graph mapping =
   let r = Level3.run ~config graph mapping in
   {
     mapping;
@@ -101,7 +83,7 @@ let sweep_hw_sets ?pool ~task_area ~profile ~pinned_sw ?(max_hw = 6) graph =
     (Symbad_par.Par.get pool)
     (fun n ->
       let mapping = Mapping.of_ranking ~pinned_sw ~top_n:n profile graph in
-      grade_level2 ~task_area ~label:(Printf.sprintf "hw%d" n) graph mapping)
+      grade ~task_area ~label:(Printf.sprintf "hw%d" n) graph mapping)
     (List.init (max_hw + 1) Fun.id)
 
 (* Pareto filter over (latency, area, energy): keep points not dominated

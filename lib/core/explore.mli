@@ -13,21 +13,15 @@ type grade = {
   energy_proxy : float;
 }
 
-val grade_level2 :
-  task_area:(string -> int) ->
-  label:string ->
-  Task_graph.t ->
-  Mapping.t ->
-  grade
-(** Graded on {!Level2.default_config}. *)
-
-val grade_level3 :
+val grade :
   ?config:Level3.config ->
   task_area:(string -> int) ->
   label:string ->
   Task_graph.t ->
   Mapping.t ->
   grade
+(** Simulate the mapping on the level-3 platform (a mapping with no FPGA
+    contexts is a level-2 candidate) and grade it. *)
 
 val sweep_hw_sets :
   ?pool:Symbad_par.Par.pool ->

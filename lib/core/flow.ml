@@ -167,10 +167,7 @@ let run ?pool ?cache ?escalate ?(seed = 1)
       title = "architecture mapping (timed TL, CPU + AMBA)";
       host_seconds = l2_seconds;
       latency_ns = Some l2.Level2.latency_ns;
-      sim_speed_khz =
-        Some
-          (Level2.simulation_speed_khz
-             ~bus_period_ns:Level2.default_config.Level2.bus_period_ns l2);
+      sim_speed_khz = Some (Level3.simulation_speed_khz l2);
       verifications =
         entry2
         @ [
@@ -245,10 +242,7 @@ let run ?pool ?cache ?escalate ?(seed = 1)
       title = "reconfiguration refinement (FPGA contexts on the bus)";
       host_seconds = l3_seconds;
       latency_ns = Some l3.Level3.latency_ns;
-      sim_speed_khz =
-        Some
-          (Level3.simulation_speed_khz
-             ~bus_period_ns:Level2.default_config.Level2.bus_period_ns l3);
+      sim_speed_khz = Some (Level3.simulation_speed_khz l3);
       verifications =
         entry3
         @ [
@@ -350,7 +344,7 @@ let to_markdown t =
   Buffer.contents buf
 
 (* JSON rendering of the same report, for machine consumption (CI
-   dashboards, the [stats] subcommand, regression diffing).
+   dashboards, [symbad report], regression diffing).
    [~timings:false] zeroes host timing and simulation speed — the only
    run-dependent fields — so two runs of the same flow at any [--jobs]
    width serialise byte-identically. *)

@@ -1,39 +1,28 @@
 (** Level 2: timed transaction-level simulation of the mapped
-    architecture.
+    architecture — the level-3 platform ({!Level3.run}) on a mapping
+    with no FPGA contexts.
 
     SW tasks collapse into one CPU process running a cyclostatic
     schedule; HW tasks are autonomous processes; channels with a HW
     endpoint ride the shared bus.  Timing comes from the annotation
     model applied to each firing's work units. *)
 
-type config = {
-  annotation : Symbad_tlm.Annotation.t;
-  bus_width_bytes : int;
-  bus_period_ns : int;
-  cpu_period_ns : int;
-  hw_period_ns : int;
-  fifo_capacity : int;  (** bounded channels; sinks stay unbounded *)
-}
-
-val default_config : config
-(** 32-bit 100 MHz bus, 50 MHz CPU, 100 MHz HW logic, capacity 2. *)
-
-type result = {
+type result = Level3.result = {
   trace : Symbad_sim.Trace.t;
   kernel_stats : Symbad_sim.Kernel.stats;
   bus_report : Symbad_tlm.Bus.report;
   cpu_stats : Symbad_tlm.Cpu.stats;
+  fpga_stats : Symbad_fpga.Fpga.stats;
   latency_ns : int;
+  bus_period_ns : int;
+  call_sequence : string list;
+  sw_fallbacks : int;
   channel_occupancy : (string * Symbad_sim.Fifo.occupancy) list;
+  instrumented_sw : Symbad_symbc.Ast.program;
+  config_info : Symbad_symbc.Config_info.t;
 }
 
-val simulation_speed_khz : bus_period_ns:int -> result -> float
-(** Simulated bus-clock kHz achieved per host CPU second — the figure
-    the paper reports as "simulation speed close to 200 kHz". *)
-
-val crosses_bus : Mapping.t -> Task_graph.t -> string -> bool
-(** Does the channel leave the CPU (and hence ride the bus)? *)
-
-val run : ?config:config -> Task_graph.t -> Mapping.t -> result
-(** Raises [Invalid_argument] if a source is not mapped to SW or any
-    task is mapped to an FPGA context (that is level 3). *)
+val run : ?config:Level3.platform -> Task_graph.t -> Mapping.t -> result
+(** [config] defaults to [Level3.default_config.level2].  Raises
+    [Invalid_argument] if a source is not mapped to SW or any task is
+    mapped to an FPGA context (that is level 3). *)

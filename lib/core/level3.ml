@@ -12,15 +12,35 @@
        (annotated) FPGA computation, and reads the results back.
 
    The run also records the dynamic resource-call sequence and emits the
-   instrumented mini-C program, which is exactly what SymbC consumes. *)
+   instrumented mini-C program, which is exactly what SymbC consumes.
+
+   Underneath sits the level-2 platform, which [Level2.run] simulates on
+   its own by running this one on a mapping with no FPGA contexts: SW
+   tasks collapse into a single CPU process executing a cyclostatic
+   schedule (the topological order restricted to CPU-side tasks); each
+   HW task is its own process.  Channels between two SW tasks stay
+   CPU-internal; any channel with a HW endpoint is carried by the shared
+   bus, the producer paying the transfer.  Task timing comes from the
+   annotation model applied to the work units each firing reports
+   (automatic for SW, as Vista does; the HW cost factors model the
+   designer's manual annotation). *)
 
 module Sim = Symbad_sim
 module Tlm = Symbad_tlm
 module Fpga = Symbad_fpga
 module Annotation = Symbad_tlm.Annotation
 
+type platform = {
+  annotation : Annotation.t;
+  bus_width_bytes : int;
+  bus_period_ns : int;
+  cpu_period_ns : int;
+  hw_period_ns : int;
+  fifo_capacity : int;  (* bounded channels; sinks stay unbounded *)
+}
+
 type config = {
-  level2 : Level2.config;
+  level2 : platform;
   fpga_capacity : int;
   fpga_period_ns : int;
   program_ns_per_byte : int;
@@ -38,7 +58,15 @@ let default_task_area = function
 
 let default_config =
   {
-    level2 = Level2.default_config;
+    level2 =
+      {
+        annotation = Annotation.default;
+        bus_width_bytes = 4;
+        bus_period_ns = 10;  (* 100 MHz AMBA *)
+        cpu_period_ns = 20;  (* 50 MHz ARM7 class *)
+        hw_period_ns = 10;  (* 100 MHz hardwired logic *)
+        fifo_capacity = 2;
+      };
     fpga_capacity = 1200;
     fpga_period_ns = 20;  (* FPGA fabric slower than hard gates *)
     program_ns_per_byte = 4;
@@ -58,6 +86,7 @@ type result = {
   cpu_stats : Tlm.Cpu.stats;
   fpga_stats : Fpga.Fpga.stats;
   latency_ns : int;
+  bus_period_ns : int;  (* the bus clock the run simulated *)
   call_sequence : string list;  (* dynamic FPGA-resource invocations *)
   sw_fallbacks : int;  (* firings degraded to software *)
   channel_occupancy : (string * Sim.Fifo.occupancy) list;
@@ -65,10 +94,24 @@ type result = {
   config_info : Symbad_symbc.Config_info.t;
 }
 
-let simulation_speed_khz ~bus_period_ns (r : result) =
-  let cycles = float_of_int r.latency_ns /. float_of_int bus_period_ns in
+(* Simulated-clock speed achieved by the host, in kHz: how many simulated
+   bus-clock cycles elapse per host CPU second — the figure the paper
+   quotes as "simulation speed close to 200 kHz". *)
+let simulation_speed_khz (r : result) =
+  let cycles = float_of_int r.latency_ns /. float_of_int r.bus_period_ns in
   let secs = r.kernel_stats.Sim.Kernel.cpu_seconds in
   if secs <= 0. then infinity else cycles /. secs /. 1000.
+
+(* Does the channel cross out of the CPU? *)
+let crosses_bus mapping graph channel =
+  let endpoint_sw task_opt =
+    match task_opt with
+    | None -> true (* environment side: no bus model *)
+    | Some (t : Task_graph.task) -> Mapping.is_sw mapping t.Task_graph.name
+  in
+  not
+    (endpoint_sw (Task_graph.producer_of graph channel)
+    && endpoint_sw (Task_graph.consumer_of graph channel))
 
 (* Build the FPGA device from the mapping: one resource per FPGA task,
    grouped into contexts. *)
@@ -145,10 +188,10 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
   let kernel = Sim.Kernel.create () in
   let trace = Sim.Trace.create () in
   let bus =
-    Tlm.Bus.create ~width_bytes:l2.Level2.bus_width_bytes
-      ~period_ns:l2.Level2.bus_period_ns ~ecc:config.masked "amba"
+    Tlm.Bus.create ~width_bytes:l2.bus_width_bytes
+      ~period_ns:l2.bus_period_ns ~ecc:config.masked "amba"
   in
-  let cpu = Tlm.Cpu.create ~period_ns:l2.Level2.cpu_period_ns "arm7" in
+  let cpu = Tlm.Cpu.create ~period_ns:l2.cpu_period_ns "arm7" in
   let fpga = build_fpga config mapping in
   let calls = ref [] in
   let fifos : (string, Token.t Sim.Fifo.t) Hashtbl.t = Hashtbl.create 32 in
@@ -159,7 +202,7 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
         (* sink channels are drained by the environment: unbounded *)
         let capacity =
           if List.mem channel graph.Task_graph.sinks then 0
-          else l2.Level2.fifo_capacity
+          else l2.fifo_capacity
         in
         let f = Sim.Fifo.create ~capacity channel in
         (match List.assoc_opt channel channel_loss with
@@ -167,10 +210,6 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
         | None -> ());
         Hashtbl.add fifos channel f;
         f
-  in
-  let record task channel token =
-    Sim.Trace.record trace ~time:(Sim.Kernel.now kernel) ~source:task
-      ~label:channel (Token.digest token)
   in
   (* Reliable delivery over possibly-lossy links: a dropped put is
      detected through the channel's drop counter (the ack that never
@@ -185,13 +224,17 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
     in
     go 0
   in
-  let send ~master task channel token =
-    record task channel token;
-    if Level2.crosses_bus mapping graph channel then
-      Tlm.Bus.transfer bus
-        (Tlm.Transaction.make ~master ~target:channel
-           ~kind:Tlm.Transaction.Write ~bytes:(Token.bytes token));
-    reliable_put (fifo_of channel) token
+  let send ~master (t : Task_graph.task) outputs =
+    List.iter2
+      (fun channel token ->
+        Sim.Trace.record trace ~time:(Sim.Kernel.now kernel)
+          ~source:t.Task_graph.name ~label:channel (Token.digest token);
+        if crosses_bus mapping graph channel then
+          Tlm.Bus.transfer bus
+            (Tlm.Transaction.make ~master ~target:channel
+               ~kind:Tlm.Transaction.Write ~bytes:(Token.bytes token));
+        reliable_put (fifo_of channel) token)
+      t.Task_graph.outputs outputs
   in
   (* pure-HW tasks stay autonomous *)
   let spawn_hw (t : Task_graph.task) =
@@ -204,14 +247,11 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
           | None -> ()
           | Some { Task_graph.outputs; work } ->
               let cycles =
-                Annotation.cycles l2.Level2.annotation ~target:Annotation.Hw
+                Annotation.cycles l2.annotation ~target:Annotation.Hw
                   ~weight:work
               in
-              Sim.Process.wait (Sim.Time.ns (cycles * l2.Level2.hw_period_ns));
-              List.iter2
-                (fun c token ->
-                  send ~master:t.Task_graph.name t.Task_graph.name c token)
-                t.Task_graph.outputs outputs;
+              Sim.Process.wait (Sim.Time.ns (cycles * l2.hw_period_ns));
+              send ~master:t.Task_graph.name t outputs;
               loop (firing_index + 1)
         in
         loop 0)
@@ -224,6 +264,11 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
         | Mapping.Hw -> false)
       (Task_graph.topological_order graph)
   in
+  (* Unit-rate SDF: every task fires exactly once per source frame, so
+     the cyclostatic CPU loop runs whole rounds (sources first, then the
+     other CPU-side tasks in topological order, blocking on HW-produced
+     inputs) and stops at the round in which every source is
+     exhausted. *)
   let sources, cpu_rest =
     List.partition (fun (t : Task_graph.task) -> t.Task_graph.inputs = [])
       schedule
@@ -247,31 +292,24 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
             | None -> Hashtbl.replace ended name ()
             | Some { Task_graph.outputs; work } -> (
                 Hashtbl.replace counts name (firing_index + 1);
+                let fire_sw () =
+                  let cycles =
+                    Annotation.cycles l2.annotation ~target:Annotation.Sw
+                      ~weight:work
+                  in
+                  Tlm.Cpu.execute cpu ~cycles;
+                  send ~master:"cpu" t outputs
+                in
                 match Mapping.target_of mapping name with
                 | Mapping.Hw -> assert false
-                | Mapping.Sw ->
-                    let cycles =
-                      Annotation.cycles l2.Level2.annotation
-                        ~target:Annotation.Sw ~weight:work
-                    in
-                    Tlm.Cpu.execute cpu ~cycles;
-                    List.iter2
-                      (fun c token -> send ~master:"cpu" name c token)
-                      t.Task_graph.outputs outputs
+                | Mapping.Sw -> fire_sw ()
                 | Mapping.Fpga ctx ->
                     (* graceful degradation: once recovery has given up
                        on the fabric, the task's software implementation
                        computes the very same tokens, only slower *)
                     let fire_sw_fallback () =
                       incr sw_fallbacks;
-                      let cycles =
-                        Annotation.cycles l2.Level2.annotation
-                          ~target:Annotation.Sw ~weight:work
-                      in
-                      Tlm.Cpu.execute cpu ~cycles;
-                      List.iter2
-                        (fun c token -> send ~master:"cpu" name c token)
-                        t.Task_graph.outputs outputs
+                      fire_sw ()
                     in
                     if not (Fpga.Fpga.is_healthy fpga) then fire_sw_fallback ()
                     else begin
@@ -321,7 +359,7 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
                                   Fpga.Fpga.loaded_corrupted fpga
                                 in
                                 let cycles =
-                                  Annotation.cycles l2.Level2.annotation
+                                  Annotation.cycles l2.annotation
                                     ~target:Annotation.Fpga ~weight:work
                                 in
                                 Sim.Process.wait
@@ -338,10 +376,7 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
                                   match Fpga.Fpga.vote_and_repair fpga with
                                   | `Corrupt -> fire_sw_fallback ()
                                   | `Clean | `Masked ->
-                                      List.iter2
-                                        (fun c token ->
-                                          send ~master:"efpga" name c token)
-                                        t.Task_graph.outputs outputs
+                                      send ~master:"efpga" t outputs
                                 end
                                 else if
                                   config.scrub_period_ns > 0
@@ -356,15 +391,10 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
                                 else
                                 (* an unrepaired configuration upset makes
                                    the fabric compute garbage — silently *)
-                                let outputs =
-                                  if corrupt_pre then
-                                    List.map Token.garble outputs
-                                  else outputs
-                                in
-                                List.iter2
-                                  (fun c token ->
-                                    send ~master:"efpga" name c token)
-                                  t.Task_graph.outputs outputs)
+                                send ~master:"efpga" t
+                                  (if corrupt_pre then
+                                     List.map Token.garble outputs
+                                   else outputs))
                           end
                     end)
           end
@@ -427,6 +457,7 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
     cpu_stats = Tlm.Cpu.stats cpu;
     fpga_stats = Fpga.Fpga.stats fpga;
     latency_ns = Sim.Time.to_ns kernel_stats.Sim.Kernel.final_time;
+    bus_period_ns = l2.bus_period_ns;
     call_sequence = List.rev !calls;
     sw_fallbacks = !sw_fallbacks;
     channel_occupancy =

@@ -5,10 +5,27 @@
     modelled as real burst traffic, plus programming time) whenever the
     next call needs a context that is not loaded.  The run records the
     dynamic resource-call sequence and emits the instrumented mini-C
-    program that SymbC consumes. *)
+    program that SymbC consumes.
+
+    Underneath is the level-2 platform, which {!Level2.run} simulates
+    alone by running this one on a mapping with no FPGA contexts: SW
+    tasks collapse into one CPU process running a cyclostatic schedule;
+    HW tasks are autonomous processes; channels with a HW endpoint ride
+    the shared bus.  Timing comes from the annotation model applied to
+    each firing's work units. *)
+
+(** The CPU + AMBA platform of level 2. *)
+type platform = {
+  annotation : Symbad_tlm.Annotation.t;
+  bus_width_bytes : int;
+  bus_period_ns : int;
+  cpu_period_ns : int;
+  hw_period_ns : int;
+  fifo_capacity : int;  (** bounded channels; sinks stay unbounded *)
+}
 
 type config = {
-  level2 : Level2.config;
+  level2 : platform;
   fpga_capacity : int;
   fpga_period_ns : int;
   program_ns_per_byte : int;
@@ -36,7 +53,10 @@ type config = {
 }
 
 val default_task_area : string -> int
+
 val default_config : config
+(** The level-2 platform is a 32-bit 100 MHz bus, a 50 MHz CPU,
+    100 MHz HW logic and FIFO capacity 2. *)
 
 type result = {
   trace : Symbad_sim.Trace.t;
@@ -45,6 +65,7 @@ type result = {
   cpu_stats : Symbad_tlm.Cpu.stats;
   fpga_stats : Symbad_fpga.Fpga.stats;
   latency_ns : int;
+  bus_period_ns : int;  (** the bus clock period the run simulated *)
   call_sequence : string list;  (** dynamic FPGA-resource invocations *)
   sw_fallbacks : int;
       (** FPGA firings degraded to the software implementation because
@@ -55,7 +76,9 @@ type result = {
   config_info : Symbad_symbc.Config_info.t;
 }
 
-val simulation_speed_khz : bus_period_ns:int -> result -> float
+val simulation_speed_khz : result -> float
+(** Simulated bus-clock kHz achieved per host CPU second — the figure
+    the paper reports as "simulation speed close to 200 kHz". *)
 
 val config_info_of : Mapping.t -> Symbad_symbc.Config_info.t
 

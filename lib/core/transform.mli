@@ -24,7 +24,7 @@ val move_to_sw : design -> string -> design
 (** Transformation 2b. *)
 
 val evaluate : design -> Level2.result
-(** Re-simulate on {!Level2.default_config}; annotation is re-applied
-    automatically. *)
+(** Re-simulate at level 2 on the default platform; annotation is
+    re-applied automatically. *)
 
 val speedup_of_moving_to_hw : design -> string -> float

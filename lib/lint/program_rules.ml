@@ -1,13 +1,14 @@
 (* The reconfiguration analyzer family: static dataflow over the
    mini-C CFG, no simulation.
 
-   One forward may-analysis computes, per CFG node, the set of FPGA
-   states — [None] (unloaded) or [Some config] — that can hold when
-   control reaches it.  [Reconfig c] is a strong update (the whole
-   fabric is reloaded, so the post-state is exactly [{Some c}]); every
-   other action is the identity.  Because reconfiguration replaces the
-   state wholesale, a singleton may-set is simultaneously the must-set,
-   which is what makes the redundancy rule exact.
+   The rules read SymbC's may-analysis ([Absint.may_states]): per CFG
+   node, the set of FPGA states — unloaded or one configuration loaded —
+   that can hold when control reaches it.  [Reconfig c] is a strong
+   update (the whole fabric is reloaded, so the post-state is exactly
+   [{Loaded c}]); every other action is the identity.  Because
+   reconfiguration replaces the state wholesale, a singleton may-set is
+   simultaneously the must-set, which is what makes the redundancy rule
+   exact.
 
    The may/must gap is the documented warning direction: a call whose
    context is loaded on only *some* paths is a warning here (dynamic
@@ -15,13 +16,10 @@
 
 module Cfg = Symbad_symbc.Cfg
 module Ci = Symbad_symbc.Config_info
+module Check = Symbad_symbc.Check
+module Absint = Symbad_symbc.Absint
+module States = Absint.State_set
 module D = Diagnostic
-
-module States = Set.Make (struct
-  type t = string option
-
-  let compare = Option.compare String.compare
-end)
 
 type ctx = { ci : Ci.t; cfg : Cfg.t; target : string }
 
@@ -35,52 +33,35 @@ let edge_loc (e : Cfg.edge) =
     (Cfg.action_to_string e.Cfg.action)
 
 (* Deterministic edge order for reporting. *)
-let edges ctx =
+let sorted_edges (cfg : Cfg.t) =
   List.sort
     (fun (a : Cfg.edge) (b : Cfg.edge) ->
       compare
         (a.Cfg.src, a.Cfg.dst, Cfg.action_to_string a.Cfg.action)
         (b.Cfg.src, b.Cfg.dst, Cfg.action_to_string b.Cfg.action))
-    ctx.cfg.Cfg.edges
+    cfg.Cfg.edges
 
-(* The may-analysis fixpoint: reachable nodes have non-empty sets. *)
-let may_states ctx =
-  let cfg = ctx.cfg in
-  let states = Array.make cfg.Cfg.nnodes States.empty in
-  states.(cfg.Cfg.entry) <- States.singleton None;
-  let transfer (a : Cfg.action) s =
-    match a with
-    | Cfg.Reconfig c -> if States.is_empty s then s else States.singleton (Some c)
-    | Cfg.Nop | Cfg.Call _ -> s
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (e : Cfg.edge) ->
-        let out = transfer e.Cfg.action states.(e.Cfg.src) in
-        let merged = States.union states.(e.Cfg.dst) out in
-        if not (States.equal merged states.(e.Cfg.dst)) then begin
-          states.(e.Cfg.dst) <- merged;
-          changed := true
-        end)
-      cfg.Cfg.edges
-  done;
-  states
+(* Reachable nodes have non-empty sets. *)
+let may_states (cfg : Cfg.t) =
+  Absint.may_states ~nnodes:cfg.Cfg.nnodes ~entry:cfg.Cfg.entry
+    (Cfg.successors cfg)
 
-let state_label = function None -> "unloaded" | Some c -> c
+let state_label = function Check.Unloaded -> "unloaded" | Check.Loaded c -> c
 
-let providers ctx f s =
+(* The states of [s] whose loaded configuration provides [f]; an
+   unknown configuration provides nothing. *)
+let providers ci f s =
   States.filter
     (function
-      | Some c -> Ci.has_configuration ctx.ci c && Ci.provides ctx.ci ~config:c f
-      | None -> false)
+      | Check.Loaded c ->
+          Ci.has_configuration ci c && Ci.provides ci ~config:c f
+      | Check.Unloaded -> false)
     s
 
 (* --- cfg.never-loaded / cfg.maybe-unloaded ----------------------------- *)
 
 let call_findings ctx =
-  let may = may_states ctx in
+  let may = may_states ctx.cfg in
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
@@ -88,13 +69,13 @@ let call_findings ctx =
           let s = may.(e.Cfg.src) in
           if States.is_empty s then None (* unreachable: not a call defect *)
           else
-            let good = providers ctx f s in
+            let good = providers ctx.ci f s in
             if States.is_empty good then Some (`Never, e, f, s)
             else if States.cardinal good < States.cardinal s then
               Some (`Maybe, e, f, s)
             else None
       | _ -> None)
-    (edges ctx)
+    (sorted_edges ctx.cfg)
 
 let rule_never_loaded ctx =
   List.filter_map
@@ -148,17 +129,17 @@ let rule_unknown_config ctx =
                (Printf.sprintf "reconfiguration loads unknown configuration \
                                 '%s'" c))
       | _ -> None)
-    (edges ctx)
+    (sorted_edges ctx.cfg)
 
 (* --- cfg.redundant-config ---------------------------------------------- *)
 
 let rule_redundant_config ctx =
-  let may = may_states ctx in
+  let may = may_states ctx.cfg in
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
       | Cfg.Reconfig c
-        when States.equal may.(e.Cfg.src) (States.singleton (Some c)) ->
+        when States.equal may.(e.Cfg.src) (States.singleton (Check.Loaded c)) ->
           Some
             (diag ctx ~rule:"cfg.redundant-config" ~severity:D.Warning
                ~location:(edge_loc e)
@@ -166,12 +147,12 @@ let rule_redundant_config ctx =
                (Printf.sprintf
                   "configuration '%s' is already loaded on every path here" c))
       | _ -> None)
-    (edges ctx)
+    (sorted_edges ctx.cfg)
 
 (* --- cfg.unreachable-config -------------------------------------------- *)
 
 let rule_unreachable_config ctx =
-  let may = may_states ctx in
+  let may = may_states ctx.cfg in
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
@@ -182,4 +163,4 @@ let rule_unreachable_config ctx =
                ~hint:"dead code: remove it or fix the control flow"
                (Printf.sprintf "unreachable reconfiguration of '%s'" c))
       | _ -> None)
-    (edges ctx)
+    (sorted_edges ctx.cfg)

@@ -1,15 +1,16 @@
 (* The multi-tenant schedule analyzer family.
 
    Tenants are reconfiguration programs admitted to one shared fabric.
-   Solo, each may be clean under [Program_rules]'s may-analysis; the
-   hazard this family adds is *interleaving*: between a tenant's
+   Solo, each may be clean under SymbC's may-analysis
+   ([Absint.may_states], which [Program_rules] reads too); the hazard
+   this family adds is *interleaving*: between a tenant's
    reconfiguration and its FPGA call, another tenant may reload the
-   fabric.  The interference analysis runs the same may-loaded fixpoint
-   over the product of two CFGs — nodes are pairs, edges interleave one
-   step of either tenant, the fabric state is shared and [Reconfig] is
-   still a strong update — so a call that is provably loaded solo can
-   become maybe-unloaded in the product, which is exactly the
-   context-conflict finding.
+   fabric.  The interference analysis runs the same fixpoint over the
+   product of two CFGs — nodes are pairs, edges interleave one step of
+   either tenant, the fabric state is shared and [Reconfig] is still a
+   strong update — so a call that is provably loaded solo can become
+   maybe-unloaded in the product, which is exactly the context-conflict
+   finding.
 
    The second rule is admission-time feasibility: each tenant's
    worst-case reconfiguration time is a longest-path bound over its own
@@ -20,13 +21,10 @@
 
 module Cfg = Symbad_symbc.Cfg
 module Ci = Symbad_symbc.Config_info
+module Check = Symbad_symbc.Check
+module Absint = Symbad_symbc.Absint
+module States = Absint.State_set
 module D = Diagnostic
-
-module States = Set.Make (struct
-  type t = string option
-
-  let compare = Option.compare String.compare
-end)
 
 type ctx = {
   target : string;
@@ -45,77 +43,25 @@ let context ?deadline_ns ~target ci tenants =
 let diag ctx ?hint ~rule ~severity ~location message =
   D.make ?hint ~rule ~severity ~target:ctx.target ~location message
 
-let transfer (a : Cfg.action) s =
-  match a with
-  | Cfg.Reconfig c -> if States.is_empty s then s else States.singleton (Some c)
-  | Cfg.Nop | Cfg.Call _ -> s
-
-(* Solo may-analysis — same fixpoint as [Program_rules.may_states]. *)
-let solo_states (cfg : Cfg.t) =
-  let states = Array.make cfg.Cfg.nnodes States.empty in
-  states.(cfg.Cfg.entry) <- States.singleton None;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (e : Cfg.edge) ->
-        let out = transfer e.Cfg.action states.(e.Cfg.src) in
-        let merged = States.union states.(e.Cfg.dst) out in
-        if not (States.equal merged states.(e.Cfg.dst)) then begin
-          states.(e.Cfg.dst) <- merged;
-          changed := true
-        end)
-      cfg.Cfg.edges
-  done;
-  states
-
 (* Interleaved-product may-analysis of tenants [a] and [b]: node
-   (u, v) indexed as [u * b.nnodes + v], fabric state shared. *)
+   (u, v) indexed as [u * b.nnodes + v], fabric state shared; a product
+   edge is one step of either tenant. *)
 let product_states (a : Cfg.t) (b : Cfg.t) =
   let nb = b.Cfg.nnodes in
-  let states = Array.make (a.Cfg.nnodes * nb) States.empty in
-  states.((a.Cfg.entry * nb) + b.Cfg.entry) <- States.singleton None;
-  let changed = ref true in
-  let relax src dst action =
-    let out = transfer action states.(src) in
-    let merged = States.union states.(dst) out in
-    if not (States.equal merged states.(dst)) then begin
-      states.(dst) <- merged;
-      changed := true
-    end
-  in
-  while !changed do
-    changed := false;
-    for v = 0 to nb - 1 do
-      List.iter
+  let succ_a = Array.init a.Cfg.nnodes (Cfg.successors a)
+  and succ_b = Array.init nb (Cfg.successors b) in
+  Absint.may_states ~nnodes:(a.Cfg.nnodes * nb)
+    ~entry:((a.Cfg.entry * nb) + b.Cfg.entry)
+    (fun node ->
+      let u = node / nb and v = node mod nb in
+      List.map
         (fun (e : Cfg.edge) ->
-          relax ((e.Cfg.src * nb) + v) ((e.Cfg.dst * nb) + v) e.Cfg.action)
-        a.Cfg.edges
-    done;
-    for u = 0 to a.Cfg.nnodes - 1 do
-      List.iter
-        (fun (e : Cfg.edge) ->
-          relax ((u * nb) + e.Cfg.src) ((u * nb) + e.Cfg.dst) e.Cfg.action)
-        b.Cfg.edges
-    done
-  done;
-  states
-
-let providers ctx f s =
-  States.filter
-    (function
-      | Some c -> Ci.has_configuration ctx.ci c && Ci.provides ctx.ci ~config:c f
-      | None -> false)
-    s
-
-(* Deterministic edge order, as in [Program_rules]. *)
-let sorted_edges (cfg : Cfg.t) =
-  List.sort
-    (fun (a : Cfg.edge) (b : Cfg.edge) ->
-      compare
-        (a.Cfg.src, a.Cfg.dst, Cfg.action_to_string a.Cfg.action)
-        (b.Cfg.src, b.Cfg.dst, Cfg.action_to_string b.Cfg.action))
-    cfg.Cfg.edges
+          { e with Cfg.src = node; dst = (e.Cfg.dst * nb) + v })
+        succ_a.(u)
+      @ List.map
+          (fun (e : Cfg.edge) ->
+            { e with Cfg.src = node; dst = (u * nb) + e.Cfg.dst })
+          succ_b.(v))
 
 (* --- sched.context-conflict -------------------------------------------- *)
 
@@ -124,7 +70,7 @@ let sorted_edges (cfg : Cfg.t) =
    solo analysis flags are [cfg.never-loaded]/[cfg.maybe-unloaded]
    findings on the tenant itself, not interference. *)
 let solo_clean_calls ctx (cfg : Cfg.t) =
-  let solo = solo_states cfg in
+  let solo = Program_rules.may_states cfg in
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
@@ -132,11 +78,11 @@ let solo_clean_calls ctx (cfg : Cfg.t) =
           let s = solo.(e.Cfg.src) in
           if
             (not (States.is_empty s))
-            && States.equal (providers ctx f s) s
+            && States.equal (Program_rules.providers ctx.ci f s) s
           then Some (e, f)
           else None
       | _ -> None)
-    (sorted_edges cfg)
+    (Program_rules.sorted_edges cfg)
 
 let rule_context_conflict ctx =
   let seen = Hashtbl.create 8 in
@@ -151,12 +97,14 @@ let rule_context_conflict ctx =
         for v = 0 to nb - 1 do
           s := States.union !s product.((e.Cfg.src * nb) + v)
         done;
-        let bad = States.diff !s (providers ctx f !s) in
+        let bad = States.diff !s (Program_rules.providers ctx.ci f !s) in
         match States.elements bad with
         | [] -> None
         | witness :: _ ->
             let c =
-              match witness with Some c -> c | None -> "(unloaded)"
+              match witness with
+              | Check.Loaded c -> c
+              | Check.Unloaded -> "(unloaded)"
             in
             let key = (an, bn, f, c) in
             if Hashtbl.mem seen key then None

@@ -11,7 +11,9 @@
    consistency").
 
    For this property the powerset domain loses no precision, so the two
-   engines must agree on every program; the test suite checks that. *)
+   engines must agree on every program; the test suite checks that.  The
+   fixpoint runs over any successor function: the reconfiguration lints
+   read it over a CFG and over the interleaved product of two. *)
 
 module State_set = Set.Make (struct
   type t = Check.fpga_state
@@ -36,21 +38,16 @@ let transfer action states =
   | Cfg.Reconfig c -> State_set.singleton (Check.Loaded c)
   | Cfg.Nop | Cfg.Call _ -> states
 
-let analyze info (program : Ast.program) =
-  List.iter
-    (fun c ->
-      if not (Config_info.has_configuration info c) then
-        invalid_arg ("Absint.analyze: program loads unknown configuration " ^ c))
-    (Ast.loaded_configs program);
-  let cfg = Cfg.build program in
-  let nnodes = cfg.Cfg.nnodes in
+(* Worklist fixpoint over any graph: a node is queued only when its set
+   grows, so only nodes reachable from [entry] are ever visited and the
+   rest keep the empty set. *)
+let may_states ~nnodes ~entry successors =
   let in_states = Array.make nnodes State_set.empty in
-  in_states.(cfg.Cfg.entry) <- State_set.singleton Check.Unloaded;
-  (* worklist fixpoint *)
+  in_states.(entry) <- State_set.singleton Check.Unloaded;
   let worklist = Queue.create () in
-  Queue.push cfg.Cfg.entry worklist;
+  Queue.push entry worklist;
   let on_queue = Array.make nnodes false in
-  on_queue.(cfg.Cfg.entry) <- true;
+  on_queue.(entry) <- true;
   while not (Queue.is_empty worklist) do
     let node = Queue.pop worklist in
     on_queue.(node) <- false;
@@ -66,8 +63,21 @@ let analyze info (program : Ast.program) =
             on_queue.(e.Cfg.dst) <- true
           end
         end)
-      (Cfg.successors cfg node)
+      (successors node)
   done;
+  in_states
+
+let analyze info (program : Ast.program) =
+  List.iter
+    (fun c ->
+      if not (Config_info.has_configuration info c) then
+        invalid_arg ("Absint.analyze: program loads unknown configuration " ^ c))
+    (Ast.loaded_configs program);
+  let cfg = Cfg.build program in
+  let nnodes = cfg.Cfg.nnodes in
+  let in_states =
+    may_states ~nnodes ~entry:cfg.Cfg.entry (Cfg.successors cfg)
+  in
   (* check every call edge against its source invariant *)
   let calls_checked = ref 0 in
   let violation = ref None in
@@ -105,19 +115,6 @@ let analyze info (program : Ast.program) =
             |> List.filter (fun inv -> inv.states <> []);
           calls_checked = !calls_checked;
         }
-
-let agrees_with_check info program =
-  let a = analyze info program in
-  let c = Check.check info program in
-  match (a, c) with
-  | Safe _, Check.Consistent _ -> true
-  | Unsafe { failing_call; _ }, Check.Inconsistent cex ->
-      (* both engines must blame a genuine violation; the specific call
-         may differ when several are unsafe, so only cross-check
-         existence plus that the abstract engine's verdict is real *)
-      String.length failing_call > 0
-      && String.length cex.Check.failing_call > 0
-  | Safe _, Check.Inconsistent _ | Unsafe _, Check.Consistent _ -> false
 
 let pp_verdict fmt = function
   | Safe { invariants; calls_checked } ->

@@ -7,6 +7,17 @@
     product-reachability engine of {!Check} (the test suite verifies
     this); {!Check} additionally produces counterexample paths. *)
 
+module State_set : Set.S with type elt = Check.fpga_state
+
+val may_states :
+  nnodes:int -> entry:int -> (int -> Cfg.edge list) -> State_set.t array
+(** The worklist fixpoint over nodes [0 .. nnodes - 1] and the edges
+    [successors node] leaves by: per node, the FPGA states that may hold
+    when control reaches it, from [Unloaded] at [entry].  A
+    reconfiguration edge sets the state, every other edge keeps it.
+    Nodes unreachable from [entry] get the empty set.  Unknown
+    configurations are not checked. *)
+
 type node_invariant = { node : int; states : Check.fpga_state list }
 
 type verdict =
@@ -19,8 +30,5 @@ type verdict =
 
 val analyze : Config_info.t -> Ast.program -> verdict
 (** Raises [Invalid_argument] on unknown configurations. *)
-
-val agrees_with_check : Config_info.t -> Ast.program -> bool
-(** Do the two engines reach the same verdict on this program? *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -1,9 +1,9 @@
 (* The golden-file producer: writes the exact determinism columns of
-   the fault campaigns, the lint corpus and the governed verdict mixes
-   as resil.out, tmr.out, lint.out and gov.out in the current
-   directory.  The dune file beside it diffs each against its committed
-   .json, so `dune runtest` fails on any drift and `dune promote`
-   accepts a deliberate move.  No host timings: wall-clock figures are
+   the fault campaigns, the lint corpus, the governed verdict mixes and
+   the level-2/3 platform as resil.out, tmr.out, lint.out, gov.out and
+   platform.out in the current directory.  The dune file beside it
+   diffs each against its committed .json, so `dune runtest` fails on
+   any drift and `dune promote` accepts a deliberate move.  No host timings: wall-clock figures are
    the benchmark's job (perf/). *)
 
 open Symbad_core
@@ -114,7 +114,135 @@ let gov () =
             (fun (label, n) -> ("conflicts+patterns " ^ label, mix (logical n)))
             [ ("100k", 100_000); ("10k", 10_000); ("1k", 1_000); ("0", 0) ]))
 
+(* The level-2/3 platform, pinned: the simulated-time figures of every
+   HW-set sweep point and of the flow's level-2 and level-3 runs, the
+   full lint reports of the reconfiguration fixtures, and both SymbC
+   engines' verdicts on the case study's instrumented software, with
+   and without the seeded missing load. *)
+let platform () =
+  let module Seeded = Symbad_lint.Seeded in
+  let module Symbc = Symbad_symbc in
+  let ints fields =
+    Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) fields)
+  in
+  let figures (r : Level3.result) =
+    let bus = r.Level3.bus_report in
+    Json.Obj
+      [
+        ("latency_ns", Json.Int r.Level3.latency_ns);
+        ( "kernel_events",
+          Json.Int r.Level3.kernel_stats.Symbad_sim.Kernel.events );
+        ("bus_transactions", Json.Int bus.Symbad_tlm.Bus.transactions);
+        ("bus_busy_ns", Json.Int bus.Symbad_tlm.Bus.busy_ns);
+        ("bitstream_bytes", Json.Int bus.Symbad_tlm.Bus.bitstream_bytes);
+        ("cpu_busy_ns", Json.Int r.Level3.cpu_stats.Symbad_tlm.Cpu.busy_ns);
+        ( "channels",
+          Json.Obj
+            (List.map
+               (fun (name, (o : Symbad_sim.Fifo.occupancy)) ->
+                 ( name,
+                   ints
+                     [
+                       ("puts", o.Symbad_sim.Fifo.puts);
+                       ("gets", o.Symbad_sim.Fifo.gets);
+                       ("max_occupancy", o.Symbad_sim.Fifo.max_occupancy);
+                       ("drops", o.Symbad_sim.Fifo.drops);
+                     ] ))
+               r.Level3.channel_occupancy) );
+      ]
+  in
+  let graph = Face_app.graph Face_app.default_workload in
+  let profile = (Level1.run graph).Level1.profile in
+  let sweep =
+    Explore.sweep_hw_sets ~task_area:Level3.default_task_area ~profile
+      ~pinned_sw:Face_app.pinned_sw graph
+  in
+  let mapping2 = Face_app.level2_mapping ~profile graph in
+  let mapping3 = Mapping.refine_to_fpga mapping2 Face_app.level3_refinement in
+  let l3 = Level3.run graph mapping3 in
+  let schedule =
+    List.filter_map
+      (fun (t : Task_graph.task) ->
+        match Mapping.target_of mapping3 t.Task_graph.name with
+        | Mapping.Sw | Mapping.Fpga _ -> Some t.Task_graph.name
+        | Mapping.Hw -> None)
+      (Task_graph.topological_order graph)
+  in
+  let symbc program =
+    Json.Obj
+      [
+        ( "check",
+          Json.Str
+            (Fmt.str "%a" Symbc.Check.pp_verdict
+               (Symbc.Check.check l3.Level3.config_info program)) );
+        ( "absint",
+          Json.Str
+            (Fmt.str "%a" Symbc.Absint.pp_verdict
+               (Symbc.Absint.analyze l3.Level3.config_info program)) );
+      ]
+  in
+  let tenants deadline_ns =
+    Json.Obj
+      (List.map
+         (fun (name, fixture) ->
+           ( name,
+             Lint.to_json (Lint.run_tenants ?deadline_ns Seeded.ci fixture) ))
+         [
+           ("conflict", Seeded.tenants_conflict);
+           ("clean", Seeded.tenants_clean);
+           ("wcrt_unbounded", Seeded.tenant_wcrt_unbounded);
+           ("wcrt_straight", Seeded.tenant_wcrt_straight);
+         ])
+  in
+  write "platform"
+    (Json.Obj
+       [
+         ( "sweep",
+           Json.Obj
+             (List.map
+                (fun (g : Explore.grade) ->
+                  ( g.Explore.label,
+                    Json.Obj
+                      [
+                        ( "grade",
+                          ints
+                            [
+                              ("latency_ns", g.Explore.latency_ns);
+                              ("bus_busy_ns", g.Explore.bus_busy_ns);
+                              ("bitstream_bytes", g.Explore.bitstream_bytes);
+                              ("area", g.Explore.area);
+                            ] );
+                        ("run", figures (Level2.run graph g.Explore.mapping));
+                      ] ))
+                sweep) );
+         ("level2", figures (Level2.run graph mapping2));
+         ("level3", figures l3);
+         ( "lint",
+           Json.Obj
+             (List.map
+                (fun (name, program) ->
+                  (name, Lint.to_json (Lint.run_program Seeded.ci program)))
+                (("clean", Seeded.program_clean) :: Seeded.program_fixtures)
+             @ [
+                 ( "cfg.unreachable-config",
+                   Lint.to_json
+                     (Lint.run_cfg Seeded.ci Seeded.cfg_unreachable) );
+                 ("tenants", tenants None);
+                 ("tenants_deadline", tenants (Some 1_500_000));
+               ]) );
+         ( "symbc",
+           Json.Obj
+             [
+               ("instrumented", symbc l3.Level3.instrumented_sw);
+               ( "omit_load_ROOT",
+                 symbc
+                   (Level3.instrumented_program ~omit_load_for:[ "ROOT" ]
+                      schedule mapping3) );
+             ] );
+       ])
+
 let () =
   campaigns ();
   lint ();
-  gov ()
+  gov ();
+  platform ()

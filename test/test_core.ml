@@ -298,7 +298,8 @@ let level2_capacity_effect_on_latency () =
   let mapping = Mapping.move (Mapping.all_sw g) "DBL" Mapping.Hw in
   let latency cap =
     (Level2.run
-       ~config:{ Level2.default_config with Level2.fifo_capacity = cap }
+       ~config:
+         { Level3.default_config.Level3.level2 with Level3.fifo_capacity = cap }
        g mapping)
       .Level2.latency_ns
   in
@@ -327,10 +328,10 @@ let level3_bus_wait_under_contention () =
 let explore_grades_have_bitstream_only_at_level3 () =
   let _, g, l1, m2 = face_setup () in
   let task_area = Level3.default_task_area in
-  let g2 = Explore.grade_level2 ~task_area ~label:"l2" g m2 in
+  let g2 = Explore.grade ~task_area ~label:"l2" g m2 in
   check "no bitstream at level 2" 0 g2.Explore.bitstream_bytes;
   let g3 =
-    Explore.grade_level3 ~task_area ~label:"l3" g
+    Explore.grade ~task_area ~label:"l3" g
       (Mapping.refine_to_fpga m2 Face_app.level3_refinement)
   in
   ignore l1;
@@ -390,7 +391,8 @@ let qcheck_levels_agree_on_random_pipelines =
       in
       let l1 = Level1.run g in
       let config =
-        { Level2.default_config with Level2.fifo_capacity = capacity }
+        { Level3.default_config.Level3.level2 with
+          Level3.fifo_capacity = capacity }
       in
       let l2 = Level2.run ~config g mapping2 in
       let l3 =
