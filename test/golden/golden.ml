@@ -78,8 +78,10 @@ let lint () =
          ]))
 
 (* The smoke flow's passed/failed/inconclusive verdict mix, ungoverned
-   and under shrinking logical budgets (conflicts and patterns alike).
-   Logical budgets degrade deterministically, so each mix is exact. *)
+   and under shrinking logical budgets (conflicts and patterns alike),
+   each next to that run's whole report without host timings: every
+   row's detail and reason, and which check each budget degraded.
+   Logical budgets degrade deterministically, so each run is exact. *)
 let gov () =
   let mix budget =
     let report =
@@ -104,6 +106,7 @@ let gov () =
         ("passed", Json.Int passed);
         ("failed", Json.Int failed);
         ("inconclusive", Json.Int inconclusive);
+        ("report", Json.parse_exn (Flow.to_json ~timings:false report));
       ]
   in
   let logical n = Some (Budget.make ~conflicts:n ~patterns:n ()) in
