@@ -19,14 +19,14 @@ let host_time f =
   let r = f () in
   (r, Sys.time () -. t0)
 
-(* Shared setup: the case-study application at two scales. *)
+(* Shared setup: the case study on the default workload (the speed
+   table builds a longer one). *)
 let workload = Face_app.default_workload
-let graph = Face_app.graph workload
-let reference = Face_app.reference_trace workload
-let level1_result = Level1.run graph
-let profile = level1_result.Level1.profile
-let mapping2 = Face_app.level2_mapping ~profile graph
-let mapping3 = Mapping.refine_to_fpga mapping2 Face_app.level3_refinement
+let case_study = Face_app.case_study workload
+let graph = Lazy.force case_study.graph
+let profile = (Lazy.force case_study.level1).Level1.profile
+let mapping2 = Lazy.force case_study.mapping2
+let mapping3 = Lazy.force case_study.mapping3
 
 (* ---------------------------------------------------------------- *)
 (* F1: Figure 1 — the full four-level flow with all verifications.   *)
@@ -42,8 +42,7 @@ let f1_flow () =
 
 let f2_recognition () =
   section "F2" "face recognition quality (Figure 2 system)";
-  let db = I.Pipeline.enroll ~size:workload.Face_app.size
-      ~identities:workload.Face_app.identities () in
+  let db = Lazy.force case_study.database in
   Format.printf "%-8s %-10s %-10s@." "poses" "accuracy" "margin";
   List.iter
     (fun poses ->
@@ -52,8 +51,10 @@ let f2_recognition () =
         r.I.Metrics.mean_margin)
     [ 1; 3; 5 ];
   (* and the trace-comparison verification of the system model *)
+  let reference = Lazy.force case_study.reference in
   let mism =
-    Sim.Trace.compare_data ~reference ~actual:level1_result.Level1.trace
+    Sim.Trace.compare_data ~reference
+      ~actual:(Lazy.force case_study.level1).Level1.trace
   in
   Format.printf "level-1 model vs C reference model: %d mismatches over %d streams@."
     (List.length mism)
@@ -65,16 +66,17 @@ let f2_recognition () =
 let speed_table () =
   section "E1-E3" "simulation speed per level (paper: <15s / ~200kHz / ~30kHz)";
   (* a longer run than the flow default, for stable host timings *)
-  let w =
-    { Face_app.default_workload with
-      Face_app.frames = List.init 24 (fun i -> (i * 2 mod 20, 1 + (i mod 4))) }
+  let cs =
+    Face_app.case_study
+      { workload with
+        Face_app.frames =
+          Face_app.camera_script ~identities:workload.Face_app.identities 24 }
   in
-  let g = Face_app.graph w in
-  let l1, t1 = host_time (fun () -> Level1.run g) in
-  let m2 = Face_app.level2_mapping ~profile:l1.Level1.profile g in
-  let m3 = Mapping.refine_to_fpga m2 Face_app.level3_refinement in
-  let l2, t2 = host_time (fun () -> Level2.run g m2) in
-  let l3, t3 = host_time (fun () -> Level3.run g m3) in
+  ignore (Lazy.force cs.graph);
+  let l1, t1 = host_time (fun () -> Lazy.force cs.level1) in
+  ignore (Lazy.force cs.mapping3);
+  let l2, t2 = host_time (fun () -> Lazy.force cs.level2) in
+  let l3, t3 = host_time (fun () -> Lazy.force cs.level3) in
   let khz2 = Level3.simulation_speed_khz l2 in
   let khz3 = Level3.simulation_speed_khz l3 in
   let ev2 = l2.Level2.kernel_stats.Sim.Kernel.events in
@@ -196,7 +198,7 @@ let e6_lpv_timing () =
 
 let e7_symbc () =
   section "E7" "SymbC reconfiguration consistency (level 3)";
-  let l3 = Level3.run graph mapping3 in
+  let l3 = Lazy.force case_study.level3 in
   let verdict, secs =
     host_time (fun () ->
         Symbad_symbc.Check.check l3.Level3.config_info
@@ -204,16 +206,8 @@ let e7_symbc () =
   in
   Format.printf "generated SW:        %a (%.4fs)@."
     Symbad_symbc.Check.pp_verdict verdict secs;
-  let schedule =
-    List.filter_map
-      (fun (t : Task_graph.task) ->
-        match Mapping.target_of mapping3 t.Task_graph.name with
-        | Mapping.Sw | Mapping.Fpga _ -> Some t.Task_graph.name
-        | Mapping.Hw -> None)
-      (Task_graph.topological_order graph)
-  in
   let buggy =
-    Level3.instrumented_program ~omit_load_for:[ "ROOT" ] schedule mapping3
+    Level3.instrumented_program ~omit_load_for:[ "ROOT" ] graph mapping3
   in
   let verdict, secs =
     host_time (fun () ->
@@ -282,7 +276,7 @@ let e8_mc_pcc () =
 
 let a1_context_ablation () =
   section "A1" "context partition tuning (reconfigurations vs partition)";
-  let l3 = Level3.run graph mapping3 in
+  let l3 = Lazy.force case_study.level3 in
   let calls = l3.Level3.call_sequence in
   let resources =
     [
@@ -302,7 +296,6 @@ let a1_context_ablation () =
         e.Symbad_fpga.Placement.bitstream_bytes)
     (Symbad_fpga.Placement.sweep ~capacity:1700 ~max_contexts:2 ~calls resources);
   (* and the simulated effect of the two interesting partitions *)
-  let split = Level3.run graph mapping3 in
   let merged =
     Level3.run
       ~config:{ Level3.default_config with Level3.fpga_capacity = 2000 }
@@ -312,8 +305,8 @@ let a1_context_ablation () =
   in
   Format.printf
     "simulated: split contexts %dns / %d reconfigs;  single context %dns / %d reconfigs@."
-    split.Level3.latency_ns
-    split.Level3.fpga_stats.Symbad_fpga.Fpga.reconfigurations
+    l3.Level3.latency_ns
+    l3.Level3.fpga_stats.Symbad_fpga.Fpga.reconfigurations
     merged.Level3.latency_ns
     merged.Level3.fpga_stats.Symbad_fpga.Fpga.reconfigurations
 

@@ -66,6 +66,22 @@ let warn_dropped () =
       (if n = 1 then "" else "s")
   end
 
+(* --trace/--metrics: telemetry stays off (and off the hot paths) unless
+   an export asks for it; the exports are written once the run is
+   over. *)
+let start_telemetry ~trace ~metrics =
+  if trace <> None || metrics <> None then begin
+    Obs.reset ();
+    Obs.set_enabled true
+  end
+
+let export_telemetry ~trace ~metrics =
+  artefact ~what:"chrome trace"
+    (fun () -> Tracer.to_chrome_json (Obs.tracer ()))
+    trace;
+  artefact ~what:"metrics" (fun () -> Metrics.to_jsonl (Obs.metrics ())) metrics;
+  if trace <> None || metrics <> None then warn_dropped ()
+
 (* --- the shared option vocabulary --- *)
 
 type common = {
@@ -81,14 +97,34 @@ type common = {
   cache_dir : string option;  (* overrides $SYMBAD_CACHE_DIR / default *)
 }
 
+(* A workload size or trial count below 1 is a usage error: reported on
+   stderr with exit 2 (the [~term_err] the commands are evaluated with)
+   before any work. *)
+let at_least_one option arg =
+  let check n =
+    if n >= 1 then `Ok n
+    else
+      `Error
+        (true, Printf.sprintf "option '%s' must be at least 1, got %d" option n)
+  in
+  Term.(ret (const check $ arg))
+
 let frames_arg =
-  Arg.(value & opt int 8 & info [ "frames" ] ~docv:"N" ~doc:"Camera frames to process.")
+  at_least_one "--frames"
+    Arg.(value & opt int 8 & info [ "frames" ] ~docv:"N" ~doc:"Camera frames to process.")
 
 let size_arg =
-  Arg.(value & opt int 64 & info [ "size" ] ~docv:"PIXELS" ~doc:"Frame side length.")
+  at_least_one "--size"
+    Arg.(value & opt int 64 & info [ "size" ] ~docv:"PIXELS" ~doc:"Frame side length.")
 
 let identities_arg =
-  Arg.(value & opt int 20 & info [ "identities" ] ~docv:"N" ~doc:"Database population.")
+  at_least_one "--identities"
+    Arg.(value & opt int 20 & info [ "identities" ] ~docv:"N" ~doc:"Database population.")
+
+let trials_arg ~default =
+  at_least_one "--trials"
+    Arg.(value & opt int default
+         & info [ "trials" ] ~docv:"N" ~doc:"Fault-campaign trials per fault kind.")
 
 let jobs_arg =
   let env = Cmd.Env.info "SYMBAD_JOBS" ~doc:"Default for $(b,--jobs)." in
@@ -110,6 +146,25 @@ let markdown_arg =
   Arg.(value & opt (some string) None
        & info [ "markdown" ] ~docv:"FILE"
            ~doc:"Write the report as markdown (\"-\" for stdout).")
+
+let no_timings_arg =
+  Arg.(value & flag
+       & info [ "no-timings" ]
+           ~doc:"Zero host times in the report, making it byte-comparable \
+                 across runs and $(b,--jobs) widths.")
+
+let trace_arg =
+  Arg.(value & opt (some string) None
+       & info [ "trace" ] ~docv:"FILE"
+           ~doc:"Enable telemetry and write the run's Chrome trace_event \
+                 timeline (one lane per worker domain; load in \
+                 chrome://tracing or Perfetto; \"-\" for stdout).")
+
+let metrics_arg =
+  Arg.(value & opt (some string) None
+       & info [ "metrics" ] ~docv:"FILE"
+           ~doc:"Enable telemetry and write metrics as JSON lines (\"-\" \
+                 for stdout).")
 
 let deadline_arg =
   Arg.(value & opt (some float) None
@@ -197,32 +252,13 @@ let workload c =
   {
     Face_app.size = c.size;
     identities = c.identities;
-    frames =
-      List.init c.frames (fun i -> (i * 2 mod c.identities, 1 + (i mod 4)));
+    frames = Face_app.camera_script ~identities:c.identities c.frames;
   }
-
-(* Markdown verdict table shared by [verify] and ad-hoc reports. *)
-let verdicts_markdown title verdicts =
-  let buf = Buffer.create 256 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "# %s\n\n| check | verdict | detail |\n|---|---|---|\n" title;
-  List.iter
-    (fun v ->
-      add "| %s | %s | %s |\n" v.Verdict.name
-        (if v.Verdict.passed then "PASS" else "FAIL")
-        v.Verdict.detail)
-    verdicts;
-  Buffer.contents buf
 
 (* --- flow --- *)
 
 let run_flow c markdown json no_timings trace metrics =
-  (* telemetry stays off (and off the hot paths) unless an export asks
-     for it *)
-  if trace <> None || metrics <> None then begin
-    Obs.reset ();
-    Obs.set_enabled true
-  end;
+  start_telemetry ~trace ~metrics;
   let w = workload c in
   let cache = cache_of c in
   let report =
@@ -236,34 +272,11 @@ let run_flow c markdown json no_timings trace metrics =
   artefact ~what:"json report"
     (fun () -> Flow.to_json ~timings:(not no_timings) report)
     json;
-  artefact ~what:"chrome trace"
-    (fun () -> Tracer.to_chrome_json (Obs.tracer ()))
-    trace;
-  artefact ~what:"metrics" (fun () -> Metrics.to_jsonl (Obs.metrics ())) metrics;
-  if trace <> None || metrics <> None then warn_dropped ();
+  export_telemetry ~trace ~metrics;
   if report.Flow.all_passed then 0 else 1
 
 let flow_cmd =
   let doc = "Run the complete four-level design and verification flow." in
-  let no_timings_arg =
-    Arg.(value & flag
-         & info [ "no-timings" ]
-             ~doc:"Zero host times in the JSON report, making reports \
-                   byte-comparable across runs and $(b,--jobs) widths.")
-  in
-  let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Enable telemetry and write a Chrome trace_event JSON \
-                   timeline (load in chrome://tracing or Perfetto; \"-\" \
-                   for stdout).")
-  in
-  let metrics_arg =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Enable telemetry and write metrics as JSON lines (\"-\" \
-                   for stdout).")
-  in
   Cmd.v (Cmd.info "flow" ~doc)
     Term.(const run_flow $ common_term $ markdown_arg $ json_arg
           $ no_timings_arg $ trace_arg $ metrics_arg)
@@ -276,11 +289,11 @@ let run_level level c markdown json =
     2
   end
   else
-  let graph = Face_app.graph (workload c) in
-  let l1 = Level1.run graph in
+  let cs = Face_app.case_study (workload c) in
   let report =
     match level with
     | 1 ->
+        let l1 = Lazy.force cs.level1 in
         Format.printf "level 1: %a@." Symbad_sim.Kernel.pp_stats
           l1.Level1.kernel_stats;
         Format.printf "profiling ranking:@.%a@."
@@ -297,8 +310,8 @@ let run_level level c markdown json =
                    (Symbad_tlm.Annotation.Profile.ranking l1.Level1.profile)) );
           ]
     | 2 ->
-        let m = Face_app.level2_mapping ~profile:l1.Level1.profile graph in
-        let r = Level2.run graph m in
+        let m = Lazy.force cs.mapping2 in
+        let r = Lazy.force cs.level2 in
         Format.printf "mapping:@.%a" Mapping.pp m;
         Format.printf "latency: %dns; %.0f kHz; cpu %a@.bus %a@."
           r.Level2.latency_ns
@@ -313,12 +326,7 @@ let run_level level c markdown json =
               Json.Float r.Level2.bus_report.Symbad_tlm.Bus.utilisation );
           ]
     | _ (* 3 *) ->
-        let m =
-          Mapping.refine_to_fpga
-            (Face_app.level2_mapping ~profile:l1.Level1.profile graph)
-            Face_app.level3_refinement
-        in
-        let r = Level3.run graph m in
+        let r = Lazy.force cs.level3 in
         Format.printf "latency: %dns; %.0f kHz@.fpga %a@.bus %a@."
           r.Level3.latency_ns
           (Level3.simulation_speed_khz r)
@@ -353,37 +361,30 @@ let level_cmd =
 (* --- verify --- *)
 
 let run_verify what c markdown json =
-  let graph () = Face_app.graph (workload c) in
+  let cs = Face_app.case_study (workload c) in
   let checks =
     [
       ( "deadlock",
         fun () ->
+          let graph = Lazy.force cs.graph in
           [
             Verdict.of_lpv_deadlock
-              (Lpv_bridge.check_deadlock ?gov:(gov_of ~label:"verify" c)
-                 (graph ()));
+              (Lpv_bridge.check_deadlock ?gov:(gov_of ~label:"verify" c) graph);
           ] );
       ( "timing",
         fun () ->
-          let graph = graph () in
-          let l1 = Level1.run graph in
-          let m = Face_app.level2_mapping ~profile:l1.Level1.profile graph in
+          let graph = Lazy.force cs.graph and m = Lazy.force cs.mapping2 in
+          let deadline_ns = Face_app.deadline_ns in
           let verdict, met =
-            Lpv_bridge.check_deadline ~deadline_ns:40_000_000
+            Lpv_bridge.check_deadline ~deadline_ns
               ~timing:Lpv_bridge.default_timing ~mapping:m
-              ~profile:l1.Level1.profile ?gov:(gov_of ~label:"verify" c) graph
+              ~profile:(Lazy.force cs.level1).Level1.profile
+              ?gov:(gov_of ~label:"verify" c) graph
           in
-          [ Verdict.of_lpv_timing ~deadline_ns:40_000_000 ~met verdict ] );
+          [ Verdict.of_lpv_timing ~deadline_ns ~met verdict ] );
       ( "symbc",
         fun () ->
-          let graph = graph () in
-          let l1 = Level1.run graph in
-          let m =
-            Mapping.refine_to_fpga
-              (Face_app.level2_mapping ~profile:l1.Level1.profile graph)
-              Face_app.level3_refinement
-          in
-          let r = Level3.run graph m in
+          let r = Lazy.force cs.level3 in
           [
             Verdict.of_symbc
               (Symbad_symbc.Check.check r.Level3.config_info
@@ -414,7 +415,9 @@ let run_verify what c markdown json =
           Json.to_string (Json.List (List.map (Verdict.to_json ~timings:true) vs)))
         json;
       artefact ~what:"markdown report"
-        (fun () -> verdicts_markdown ("Verification: " ^ what) vs)
+        (fun () ->
+          Printf.sprintf "# Verification: %s\n\n%s" what
+            (Verdict.markdown_table vs))
         markdown;
       if List.for_all (fun v -> v.Verdict.passed) vs then 0 else 1
 
@@ -460,15 +463,7 @@ let lint_reports c target rules ~escalate ~programs =
         ]
       in
       let program () =
-        let w = workload c in
-        let graph = Face_app.graph w in
-        let l1 = Level1.run graph in
-        let m =
-          Mapping.refine_to_fpga
-            (Face_app.level2_mapping ~profile:l1.Level1.profile graph)
-            Face_app.level3_refinement
-        in
-        let r = Level3.run graph m in
+        let r = Lazy.force (Face_app.case_study (workload c)).level3 in
         let base =
           Lint.run_program ~pool ?gov ?rules ~name:"instrumented software"
             r.Level3.config_info r.Level3.instrumented_sw
@@ -609,14 +604,14 @@ let lint_cmd =
 (* --- explore --- *)
 
 let run_explore c max_hw json =
-  let w = workload c in
-  let graph = Face_app.graph w in
-  let l1 = Level1.run graph in
+  let cs = Face_app.case_study (workload c) in
+  (* forced before the sweep's fan-out: no Par job may force a part *)
+  let graph = Lazy.force cs.graph in
+  let profile = (Lazy.force cs.level1).Level1.profile in
   let grades =
     with_pool c (fun pool ->
         Explore.sweep_hw_sets ~pool ~task_area:Level3.default_task_area
-          ~profile:l1.Level1.profile ~pinned_sw:Face_app.pinned_sw ~max_hw
-          graph)
+          ~profile ~pinned_sw:Face_app.pinned_sw ~max_hw graph)
   in
   List.iter (fun g -> Format.printf "%a@." Explore.pp_grade g) grades;
   Format.printf "pareto:@.";
@@ -678,10 +673,7 @@ let recognize_cmd =
 
 let run_faults c markdown json trials kinds_opt mode scrub_period trace metrics
     =
-  if trace <> None || metrics <> None then begin
-    Obs.reset ();
-    Obs.set_enabled true
-  end;
+  start_telemetry ~trace ~metrics;
   let module Fault = Symbad_resil.Fault in
   let module Campaign = Symbad_resil.Campaign in
   let kinds =
@@ -735,13 +727,7 @@ let run_faults c markdown json trials kinds_opt mode scrub_period trace metrics
       let finish ~passed ~md ~js =
         artefact ~what:"markdown report" md markdown;
         artefact ~what:"json report" js json;
-        artefact ~what:"chrome trace"
-          (fun () -> Tracer.to_chrome_json (Obs.tracer ()))
-          trace;
-        artefact ~what:"metrics"
-          (fun () -> Metrics.to_jsonl (Obs.metrics ()))
-          metrics;
-        if trace <> None || metrics <> None then warn_dropped ();
+        export_telemetry ~trace ~metrics;
         if passed then 0 else 1
       in
       match mode with
@@ -778,10 +764,6 @@ let faults_cmd =
      channel loss and stuck resources, each graded on detection, recovery, \
      masking and end-to-end correctness."
   in
-  let trials_arg =
-    Arg.(value & opt int 3
-         & info [ "trials" ] ~docv:"N" ~doc:"Trials per fault kind.")
-  in
   let kinds_arg =
     Arg.(value & opt (some string) None
          & info [ "kinds" ] ~docv:"K1,K2"
@@ -810,31 +792,9 @@ let faults_cmd =
                    trials; 0 disables scrubbing, making upsets \
                    undetectable (reported as failures).")
   in
-  let markdown_arg =
-    Arg.(value & opt (some string) None
-         & info [ "markdown" ] ~docv:"PATH"
-             ~doc:"Write the dependability report as markdown (\"-\" for \
-                   stdout).")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"PATH"
-             ~doc:"Write the dependability report as JSON (\"-\" for \
-                   stdout); byte-identical at any $(b,--jobs) width.")
-  in
-  let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"PATH"
-             ~doc:"Write a Chrome trace of the campaign (\"-\" for stdout).")
-  in
-  let metrics_arg =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"PATH"
-             ~doc:"Write campaign metrics as JSONL (\"-\" for stdout).")
-  in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(const run_faults $ common_term $ markdown_arg $ json_arg
-          $ trials_arg $ kinds_arg $ mode_arg $ scrub_arg $ trace_arg
+          $ trials_arg ~default:3 $ kinds_arg $ mode_arg $ scrub_arg $ trace_arg
           $ metrics_arg)
 
 (* --- wrapper (automated interface synthesis) --- *)
@@ -912,26 +872,9 @@ let report_cmd =
      summary.  With $(b,--no-timings) the JSON and markdown are \
      byte-identical at any $(b,--jobs) width."
   in
-  let trials_arg =
-    Arg.(value & opt int 1
-         & info [ "trials" ] ~docv:"N"
-             ~doc:"Fault-campaign trials per fault kind.")
-  in
   let no_faults_arg =
     Arg.(value & flag
          & info [ "no-faults" ] ~doc:"Skip the fault-injection campaign.")
-  in
-  let no_timings_arg =
-    Arg.(value & flag
-         & info [ "no-timings" ]
-             ~doc:"Zero host times in the report, making it \
-                   byte-comparable across runs and $(b,--jobs) widths.")
-  in
-  let trace_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Also write the run's Chrome trace (one lane per worker \
-                   domain; \"-\" for stdout).")
   in
   let escalate_arg =
     Arg.(value & flag
@@ -943,7 +886,7 @@ let report_cmd =
                    counterexample.")
   in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(const run_report $ common_term $ trials_arg $ no_faults_arg
+    Term.(const run_report $ common_term $ trials_arg ~default:1 $ no_faults_arg
           $ no_timings_arg $ escalate_arg $ markdown_arg $ json_arg
           $ trace_arg)
 
@@ -951,7 +894,7 @@ let () =
   let doc = "Symbad: design and verification flow for reconfigurable SoCs." in
   let info = Cmd.info "symbad" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval'
+    (Cmd.eval' ~term_err:2
        (Cmd.group info
           [ flow_cmd; level_cmd; verify_cmd; lint_cmd; explore_cmd;
             recognize_cmd; faults_cmd; wrapper_cmd; report_cmd ]))

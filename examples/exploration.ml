@@ -9,10 +9,9 @@
 open Symbad_core
 
 let () =
-  let w = Face_app.smoke_workload in
-  let graph = Face_app.graph w in
-  let l1 = Level1.run graph in
-  let profile = l1.Level1.profile in
+  let cs = Face_app.case_study Face_app.smoke_workload in
+  let graph = Lazy.force cs.graph in
+  let profile = (Lazy.force cs.level1).Level1.profile in
   Format.printf "profiling ranking (level-1 execution):@.";
   List.iteri
     (fun i (task, units) ->
@@ -37,7 +36,7 @@ let () =
      contexts, shrinking the fabric at the cost of per-frame
      reconfigurations. *)
   Format.printf "@.static (one configuration) vs reconfigurable (two contexts):@.";
-  let mapping2 = Face_app.level2_mapping ~profile graph in
+  let mapping2 = Lazy.force cs.mapping2 in
   let static =
     (* the single configuration needs a fabric big enough for both *)
     let config =
@@ -49,7 +48,7 @@ let () =
   in
   let reconf =
     Explore.grade ~task_area ~label:"reconfig" graph
-      (Mapping.refine_to_fpga mapping2 Face_app.level3_refinement)
+      (Lazy.force cs.mapping3)
   in
   Format.printf "  %a@.  %a@." Explore.pp_grade static Explore.pp_grade reconf;
   let speed_penalty =

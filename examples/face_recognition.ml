@@ -17,10 +17,8 @@ let () =
   Format.printf "%a@." Flow.pp report;
 
   (* recognition quality of the underlying pipeline *)
-  let db =
-    Symbad_image.Pipeline.enroll ~size:workload.Face_app.size
-      ~identities:workload.Face_app.identities ()
-  in
+  let cs = Face_app.case_study workload in
+  let db = Lazy.force cs.database in
   let quality = Symbad_image.Metrics.evaluate ~size:workload.Face_app.size ~poses:3 db in
   Format.printf "recognition quality: %a@.@." Symbad_image.Metrics.pp quality;
 
@@ -31,23 +29,10 @@ let () =
   (* show the verification flow catching a seeded reconfiguration bug:
      the SW "forgets" to load config2 before calling ROOT *)
   Format.printf "--- seeded bug: missing load before ROOT ---@.";
-  let graph = Face_app.graph workload in
-  let l1 = Level1.run graph in
-  let mapping =
-    Mapping.refine_to_fpga
-      (Face_app.level2_mapping ~profile:l1.Level1.profile graph)
-      Face_app.level3_refinement
-  in
+  let mapping = report.Flow.mapping in
   let buggy_sw =
     Level3.instrumented_program ~omit_load_for:[ "ROOT" ]
-      (List.map (fun (t : Task_graph.task) -> t.Task_graph.name)
-         (List.filter
-            (fun (t : Task_graph.task) ->
-              match Mapping.target_of mapping t.Task_graph.name with
-              | Mapping.Sw | Mapping.Fpga _ -> true
-              | Mapping.Hw -> false)
-            (Task_graph.topological_order graph)))
-      mapping
+      (Lazy.force cs.graph) mapping
   in
   let info = Level3.config_info_of mapping in
   (match Symbad_symbc.Check.check info buggy_sw with

@@ -17,19 +17,19 @@ type workload = {
   frames : (int * int) list;  (* (identity, pose) script for the camera *)
 }
 
+(* The scripted camera: frame i shows identity 2i (mod the population)
+   in one of the four non-frontal poses. *)
+let camera_script ~identities frames =
+  List.init frames (fun i -> (i * 2 mod identities, 1 + (i mod 4)))
+
 let default_workload =
-  {
-    size = 64;
-    identities = 20;
-    frames = List.init 8 (fun i -> (i * 2 mod 20, 1 + (i mod 4)));
-  }
+  { size = 64; identities = 20; frames = camera_script ~identities:20 8 }
 
 let smoke_workload =
   { size = 32; identities = 6; frames = [ (0, 1); (3, 2); (5, 1) ] }
 
-(* Feature database, enrolled once from frontal poses (the "flash memory"
-   contents). *)
-let database w = I.Pipeline.enroll ~size:w.size ~identities:w.identities ()
+(* the level-2 real-time requirement: 25 frames/s *)
+let deadline_ns = 40_000_000
 
 let db_matrix db =
   Array.of_list
@@ -39,8 +39,7 @@ let db_matrix db =
 (* Work-unit models per firing (profiling weights). *)
 let work_of_stage w stage = List.assoc stage (I.Pipeline.stage_work ~size:w.size)
 
-let graph w =
-  let db = database w in
+let build_graph w db =
   let dbm = db_matrix db in
   let nposes = Array.length dbm in
   let size = w.size in
@@ -205,8 +204,7 @@ let graph w =
 (* The C reference model: same pipeline, direct function composition, no
    simulation kernel.  Produces a trace with the same stream labels as
    the level-1..3 models, recorded at time zero. *)
-let reference_trace w =
-  let db = database w in
+let build_reference w db =
   let dbm = db_matrix db in
   let trace = Symbad_sim.Trace.create () in
   let record source label token =
@@ -266,3 +264,46 @@ let level2_mapping ~profile g =
 (* "modules DISTANCE and ROOT be mapped both into the FPGA ... split into
    two different contexts, named config1 and config2" *)
 let level3_refinement = [ ("DISTANCE", "config1"); ("ROOT", "config2") ]
+
+(* The case study, built once.  The database ("flash memory" contents,
+   enrolled from frontal poses) feeds both the graph and the reference
+   model; each level reads the levels before it, so every part is
+   computed at most once, when first forced. *)
+type case_study = {
+  database : I.Database.t Lazy.t;
+  graph : Task_graph.t Lazy.t;
+  reference : Symbad_sim.Trace.t Lazy.t;
+  level1 : Level1.result Lazy.t;
+  mapping2 : Mapping.t Lazy.t;
+  mapping3 : Mapping.t Lazy.t;
+  level2 : Level2.result Lazy.t;
+  level3 : Level3.result Lazy.t;
+}
+
+let case_study w =
+  let database =
+    lazy (I.Pipeline.enroll ~size:w.size ~identities:w.identities ())
+  in
+  let graph = lazy (build_graph w (Lazy.force database)) in
+  let level1 = lazy (Level1.run (Lazy.force graph)) in
+  let mapping2 =
+    lazy
+      (level2_mapping ~profile:(Lazy.force level1).Level1.profile
+         (Lazy.force graph))
+  in
+  let mapping3 =
+    lazy (Mapping.refine_to_fpga (Lazy.force mapping2) level3_refinement)
+  in
+  {
+    database;
+    graph;
+    reference = lazy (build_reference w (Lazy.force database));
+    level1;
+    mapping2;
+    mapping3;
+    level2 = lazy (Level2.run (Lazy.force graph) (Lazy.force mapping2));
+    level3 = lazy (Level3.run (Lazy.force graph) (Lazy.force mapping3));
+  }
+
+let graph w = Lazy.force (case_study w).graph
+let reference_trace w = Lazy.force (case_study w).reference

@@ -7,7 +7,6 @@
    Section 4. *)
 
 module Sim = Symbad_sim
-module Annotation = Symbad_tlm.Annotation
 module Obs = Symbad_obs.Obs
 module Json = Symbad_obs.Json
 module Gov = Symbad_gov.Gov
@@ -29,7 +28,7 @@ type t = {
   all_passed : bool;
 }
 
-(* Time one verification step; the seconds land in the verdict. *)
+(* Time one step: a level's simulation or one of its verifications. *)
 let timed f =
   let t0 = Sys.time () in
   let v = f () in
@@ -90,130 +89,99 @@ let entry_verdicts level g =
              (Printf.sprintf "governor: %s" (Degrade.reason_string reason)));
       ]
 
-let run ?pool ?cache ?escalate ?(seed = 1)
-    ?(workload = Face_app.default_workload) ?gov () =
-  (* the level-2 real-time requirement: 25 frames/s *)
-  let deadline_ns = 40_000_000 in
-  let gov = Gov.get gov in
-  (* sequential slices: each level gets its fraction of what the levels
-     before it left unspent; level 4 runs over the rest *)
-  let level_gov n =
-    match List.assoc_opt n level_fractions with
-    | Some fraction ->
-        Gov.slice ~label:(Printf.sprintf "level%d" n) ~fraction gov
-    | None -> gov
-  in
-  let graph = Face_app.graph workload in
-  let reference = Face_app.reference_trace workload in
-  (* ---- Level 1: functional model + functional verification ---- *)
-  let l1, level1 =
-    Obs.span ~cat:"level" "level1" @@ fun () ->
-  let g1 = level_gov 1 in
-  let entry1 = entry_verdicts 1 g1 in
-  let t0 = Sys.time () in
-  let l1 = Level1.run graph in
-  let l1_seconds = Sys.time () -. t0 in
+(* The four levels.  Each runs its design step and verifications under
+   its governor share [g], reading the levels before it from the case
+   study. *)
+
+(* Level 1: functional model + functional verification. *)
+let level1 ?pool ~seed (cs : Face_app.case_study) g =
+  let l1, host_seconds = timed (fun () -> Lazy.force cs.level1) in
   (* the level's two governed checks get their shares up front *)
   let atpg_gov, lpv_gov =
-    match Gov.split ~label:"checks" g1 2 with
+    match Gov.split ~label:"checks" g 2 with
     | [ a; b ] -> (a, b)
     | _ -> assert false
   in
   let deadlock =
-    let v, secs = timed (fun () -> Lpv_bridge.check_deadlock ~gov:lpv_gov graph) in
+    let v, secs =
+      timed (fun () ->
+          Lpv_bridge.check_deadlock ~gov:lpv_gov (Lazy.force cs.graph))
+    in
     Verdict.of_lpv_deadlock ~host_seconds:secs v
   in
-  let level1 =
-    {
-      level = 1;
-      title = "system level specification (untimed TL)";
-      host_seconds = l1_seconds;
-      latency_ns = None;
-      sim_speed_khz = None;
-      verifications =
-        entry1
-        @ [
-            compare_traces ~check:"trace match vs C reference model"
-              ~reference ~actual:l1.Level1.trace;
-            Engines.atpg ?pool ~gov:atpg_gov ~seed ();
-            deadlock;
-          ];
-    }
-  in
-  emit_verdicts 1 level1.verifications;
-  (l1, level1)
-  in
-  (* ---- Level 2: architecture mapping + timing verification ---- *)
-  let l2, level2, mapping2 =
-    Obs.span ~cat:"level" "level2" @@ fun () ->
-  let g2 = level_gov 2 in
-  let entry2 = entry_verdicts 2 g2 in
-  let mapping2 = Face_app.level2_mapping ~profile:l1.Level1.profile graph in
-  let t0 = Sys.time () in
-  let l2 = Level2.run graph mapping2 in
-  let l2_seconds = Sys.time () -. t0 in
+  {
+    level = 1;
+    title = "system level specification (untimed TL)";
+    host_seconds;
+    latency_ns = None;
+    sim_speed_khz = None;
+    verifications =
+      [
+        compare_traces ~check:"trace match vs C reference model"
+          ~reference:(Lazy.force cs.reference) ~actual:l1.Level1.trace;
+        Engines.atpg ?pool ~gov:atpg_gov ~seed ();
+        deadlock;
+      ];
+  }
+
+(* Level 2: architecture mapping + timing verification. *)
+let level2 (cs : Face_app.case_study) g =
+  let graph = Lazy.force cs.graph and mapping = Lazy.force cs.mapping2 in
+  let l2, host_seconds = timed (fun () -> Lazy.force cs.level2) in
+  let profile = (Lazy.force cs.level1).Level1.profile in
+  let deadline_ns = Face_app.deadline_ns in
   let timing = Lpv_bridge.default_timing in
-  let period_verdict, deadline_ok =
-    Lpv_bridge.check_deadline ~deadline_ns ~timing ~mapping:mapping2
-      ~profile:l1.Level1.profile ~gov:g2 graph
+  let period, met =
+    Lpv_bridge.check_deadline ~deadline_ns ~timing ~mapping ~profile ~gov:g
+      graph
   in
   let fifo_dim =
-    Lpv_bridge.dimension_fifos ~deadline_ns ~timing ~mapping:mapping2
-      ~profile:l1.Level1.profile ~gov:g2 graph
+    Lpv_bridge.dimension_fifos ~deadline_ns ~timing ~mapping ~profile ~gov:g
+      graph
   in
-  let level2 =
-    {
-      level = 2;
-      title = "architecture mapping (timed TL, CPU + AMBA)";
-      host_seconds = l2_seconds;
-      latency_ns = Some l2.Level2.latency_ns;
-      sim_speed_khz = Some (Level3.simulation_speed_khz l2);
-      verifications =
-        entry2
-        @ [
-          compare_traces ~check:"trace match vs level 1"
-            ~reference:l1.Level1.trace ~actual:l2.Level2.trace;
-          Verdict.of_lpv_timing ~deadline_ns ~met:deadline_ok period_verdict;
-          (match (fifo_dim, Gov.exhaustion g2) with
-          | Some c, _ ->
-              Verdict.make ~name:"LPV FIFO dimensioning"
-                ~detail:(Printf.sprintf "minimal uniform capacity %d" c)
-                Verdict.Proved
-          | None, Some reason ->
-              (* the capacity search was cut short, not exhausted *)
-              Verdict.make ~name:"LPV FIFO dimensioning"
-                (Verdict.Inconclusive
-                   (Printf.sprintf "governor: %s"
-                      (Degrade.reason_string reason)))
-          | None, None ->
-              Verdict.make ~name:"LPV FIFO dimensioning"
-                (Verdict.Disproved "no capacity meets the deadline"));
-          ];
-    }
-  in
-  emit_verdicts 2 level2.verifications;
-  (l2, level2, mapping2)
-  in
-  (* ---- Level 3: reconfigurable refinement + consistency ---- *)
-  let level3, mapping3 =
-    Obs.span ~cat:"level" "level3" @@ fun () ->
-  let g3 = level_gov 3 in
-  let entry3 = entry_verdicts 3 g3 in
-  let mapping3 = Mapping.refine_to_fpga mapping2 Face_app.level3_refinement in
-  let t0 = Sys.time () in
-  let l3 = Level3.run graph mapping3 in
-  let l3_seconds = Sys.time () -. t0 in
+  {
+    level = 2;
+    title = "architecture mapping (timed TL, CPU + AMBA)";
+    host_seconds;
+    latency_ns = Some l2.Level2.latency_ns;
+    sim_speed_khz = Some (Level3.simulation_speed_khz l2);
+    verifications =
+      [
+        compare_traces ~check:"trace match vs level 1"
+          ~reference:(Lazy.force cs.level1).Level1.trace
+          ~actual:l2.Level2.trace;
+        Verdict.of_lpv_timing ~deadline_ns ~met period;
+        (match (fifo_dim, Gov.exhaustion g) with
+        | Some c, _ ->
+            Verdict.make ~name:"LPV FIFO dimensioning"
+              ~detail:(Printf.sprintf "minimal uniform capacity %d" c)
+              Verdict.Proved
+        | None, Some reason ->
+            (* the capacity search was cut short, not exhausted *)
+            Verdict.make ~name:"LPV FIFO dimensioning"
+              (Verdict.Inconclusive
+                 (Printf.sprintf "governor: %s" (Degrade.reason_string reason)))
+        | None, None ->
+            Verdict.make ~name:"LPV FIFO dimensioning"
+              (Verdict.Disproved "no capacity meets the deadline"));
+      ];
+  }
+
+(* Level 3: reconfigurable refinement + consistency. *)
+let level3 ?pool (cs : Face_app.case_study) g =
+  (* the refinement itself stays outside the level's host time *)
+  ignore (Lazy.force cs.mapping3);
+  let l3, host_seconds = timed (fun () -> Lazy.force cs.level3) in
   (* the static reconfiguration lint gates dynamic SymbC: a program the
      dataflow pass disproves is never simulated.  Warnings (the may/must
      gap) defer to SymbC, which decides them dynamically. *)
   let lint_report, lint_secs =
     timed (fun () ->
         Symbad_lint.Lint.run_program ?pool
-          ~gov:(Gov.slice ~label:"lint" ~fraction:0.1 g3)
+          ~gov:(Gov.slice ~label:"lint" ~fraction:0.1 g)
           ~name:"instrumented software" l3.Level3.config_info
           l3.Level3.instrumented_sw)
   in
-  let lint_v = Verdict.of_lint ~host_seconds:lint_secs lint_report in
   let symbc =
     if Symbad_lint.Lint.errors lint_report > 0 then
       Verdict.make ~name:"SymbC reconfiguration consistency"
@@ -222,9 +190,9 @@ let run ?pool ?cache ?escalate ?(seed = 1)
     else
       (* SymbC itself has no resource knob (one linear pass over the
          call sites), so the governor gates it at entry only *)
-      match Gov.exhaustion g3 with
+      match Gov.exhaustion g with
       | Some reason ->
-          Gov.note_degraded g3 ~what:"symbc" reason;
+          Gov.note_degraded g ~what:"symbc" reason;
           Verdict.make ~name:"SymbC reconfiguration consistency"
             (Verdict.Inconclusive
                (Printf.sprintf "governor: %s" (Degrade.reason_string reason)))
@@ -236,63 +204,85 @@ let run ?pool ?cache ?escalate ?(seed = 1)
           in
           Verdict.of_symbc ~host_seconds:secs v
   in
-  let level3 =
-    {
-      level = 3;
-      title = "reconfiguration refinement (FPGA contexts on the bus)";
-      host_seconds = l3_seconds;
-      latency_ns = Some l3.Level3.latency_ns;
-      sim_speed_khz = Some (Level3.simulation_speed_khz l3);
-      verifications =
-        entry3
-        @ [
-            compare_traces ~check:"trace match vs level 2"
-              ~reference:l2.Level2.trace ~actual:l3.Level3.trace;
-            lint_v;
-            symbc;
-            Verdict.make ~name:"FPGA reconfiguration activity"
-              ~detail:
-                (Fmt.str "%a" Symbad_fpga.Fpga.pp_stats l3.Level3.fpga_stats)
-              Verdict.Proved;
-          ];
-    }
+  {
+    level = 3;
+    title = "reconfiguration refinement (FPGA contexts on the bus)";
+    host_seconds;
+    latency_ns = Some l3.Level3.latency_ns;
+    sim_speed_khz = Some (Level3.simulation_speed_khz l3);
+    verifications =
+      [
+        compare_traces ~check:"trace match vs level 2"
+          ~reference:(Lazy.force cs.level2).Level2.trace
+          ~actual:l3.Level3.trace;
+        Verdict.of_lint ~host_seconds:lint_secs lint_report;
+        symbc;
+        Verdict.make ~name:"FPGA reconfiguration activity"
+          ~detail:(Fmt.str "%a" Symbad_fpga.Fpga.pp_stats l3.Level3.fpga_stats)
+          Verdict.Proved;
+      ];
+  }
+
+(* Level 4: RTL + model checking + PCC. *)
+let level4 ?pool ?cache ?escalate (_ : Face_app.case_study) g =
+  let l4, host_seconds =
+    timed (fun () -> Level4.run ?pool ?cache ?escalate ~gov:g ())
   in
-  emit_verdicts 3 level3.verifications;
-  (level3, mapping3)
-  in
-  (* ---- Level 4: RTL + model checking + PCC ---- *)
-  let level4 =
-    Obs.span ~cat:"level" "level4" @@ fun () ->
-  let g4 = level_gov 4 in
-  let entry4 = entry_verdicts 4 g4 in
-  let t0 = Sys.time () in
-  let l4 = Level4.run ?pool ?cache ?escalate ~gov:g4 () in
-  let l4_seconds = Sys.time () -. t0 in
-  (* the consolidated rows come straight off the module reports now
-     (Level4 owns their shape); the table keeps its historical order —
-     all lint rows, then MC, then PCC *)
+  (* the consolidated rows come straight off the module reports (Level4
+     owns their shape); the table keeps its historical order — all lint
+     rows, then MC, then PCC *)
   let row f = List.map f l4.Level4.modules in
-  let lint_ver = row (fun m -> m.Level4.lint_verdict) in
-  let mc_ver = row (fun m -> m.Level4.mc_verdict) in
-  let pcc_ver = row (fun m -> m.Level4.pcc_verdict) in
-  let level4 =
-    {
-      level = 4;
-      title = "RTL generation (predefined IPs + interface wrappers)";
-      host_seconds = l4_seconds;
-      latency_ns = None;
-      sim_speed_khz = None;
-      verifications = entry4 @ lint_ver @ mc_ver @ pcc_ver;
-    }
+  {
+    level = 4;
+    title = "RTL generation (predefined IPs + interface wrappers)";
+    host_seconds;
+    latency_ns = None;
+    sim_speed_khz = None;
+    verifications =
+      row (fun m -> m.Level4.lint_verdict)
+      @ row (fun m -> m.Level4.mc_verdict)
+      @ row (fun m -> m.Level4.pcc_verdict);
+  }
+
+(* The level driver: level [n] runs in its span, under its governor
+   slice taken when it starts (its fraction of what the levels before
+   it left unspent; level 4 runs over the rest), behind its entry gate,
+   and emits its verdict events. *)
+let drive gov cs (n, level) =
+  Obs.span ~cat:"level" (Printf.sprintf "level%d" n) @@ fun () ->
+  let g =
+    match List.assoc_opt n level_fractions with
+    | Some fraction ->
+        Gov.slice ~label:(Printf.sprintf "level%d" n) ~fraction gov
+    | None -> gov
   in
-  emit_verdicts 4 level4.verifications;
-  level4
+  let entry = entry_verdicts n g in
+  let l = level cs g in
+  let l = { l with verifications = entry @ l.verifications } in
+  emit_verdicts n l.verifications;
+  l
+
+let run ?pool ?cache ?escalate ?(seed = 1)
+    ?(workload = Face_app.default_workload) ?gov () =
+  let gov = Gov.get gov in
+  let cs = Face_app.case_study workload in
+  (* the inputs of every comparison are built before level 1, outside
+     its span and its host time *)
+  ignore (Lazy.force cs.graph);
+  ignore (Lazy.force cs.reference);
+  let levels =
+    List.map (drive gov cs)
+      [
+        (1, level1 ?pool ~seed);
+        (2, level2);
+        (3, level3 ?pool);
+        (4, level4 ?pool ?cache ?escalate);
+      ]
   in
-  let levels = [ level1; level2; level3; level4 ] in
   {
     workload;
     levels;
-    mapping = mapping3;
+    mapping = Lazy.force cs.mapping3;
     all_passed =
       List.for_all
         (fun l -> List.for_all (fun v -> v.Verdict.passed) l.verifications)
@@ -331,13 +321,7 @@ let to_markdown t =
       | Some khz when khz <> infinity -> add "- simulation speed: %.1f kHz\n" khz
       | Some _ | None -> ());
       add "- host time: %.3f s\n\n" l.host_seconds;
-      add "| check | verdict | detail |\n|---|---|---|\n";
-      List.iter
-        (fun v ->
-          add "| %s | %s | %s |\n" v.Verdict.name
-            (if v.Verdict.passed then "PASS" else "FAIL")
-            v.Verdict.detail)
-        l.verifications;
+      add "%s" (Verdict.markdown_table l.verifications);
       add "\n")
     t.levels;
   add "Overall: **%s**\n" (if t.all_passed then "ALL PASSED" else "FAILURES");

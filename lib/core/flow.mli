@@ -30,11 +30,14 @@ val run :
   ?gov:Symbad_gov.Gov.t ->
   unit ->
   t
-(** LPV checks the level-2 real-time requirement, a 40 ms deadline
-    (25 frames/s).  [pool] fans the
-    fault-detectability, ATPG and model-checking work out across
-    domains; results are identical at any width (defaults to the
-    sequential pool).  [seed] (default 1) drives the ATPG engines.
+(** Builds one {!Face_app.case_study} of [workload] (default
+    {!Face_app.default_workload}) and runs the four levels on it in
+    order, each reading the levels before it from the case study.  LPV
+    checks the level-2 real-time requirement, {!Face_app.deadline_ns}
+    (25 frames/s).  [pool] fans the fault-detectability, ATPG and
+    model-checking work out across domains; results are identical at
+    any width (defaults to the sequential pool).  [seed] (default 1)
+    drives the ATPG engines.
 
     [gov] puts the whole run under a resource governor: levels 1–3
     get fixed fractions of its remaining budget (level 4, where the

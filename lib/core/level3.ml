@@ -154,16 +154,27 @@ let config_info_of mapping =
                assignments ))
          (Mapping.contexts mapping))
 
+(* The CPU's cyclostatic schedule: the SW and FPGA-resident tasks in
+   topological order. *)
+let cpu_schedule graph mapping =
+  List.filter
+    (fun (t : Task_graph.task) ->
+      match Mapping.target_of mapping t.Task_graph.name with
+      | Mapping.Sw | Mapping.Fpga _ -> true
+      | Mapping.Hw -> false)
+    (Task_graph.topological_order graph)
+
 (* Instrumented SW: the cyclostatic loop with reconfiguration calls
    inserted before FPGA-resident invocations (omitting loads already
    guaranteed by the previous call in the straight-line schedule).
    [omit_load_for] seeds the consistency bug used by the verification
    experiments. *)
-let instrumented_program ?(omit_load_for = []) schedule mapping =
+let instrumented_program ?(omit_load_for = []) graph mapping =
   let body =
     let current = ref None in
     List.concat_map
-      (fun task ->
+      (fun (t : Task_graph.task) ->
+        let task = t.Task_graph.name in
         match Mapping.target_of mapping task with
         | Mapping.Sw | Mapping.Hw -> [ Symbad_symbc.Ast.call task ]
         | Mapping.Fpga ctx ->
@@ -173,7 +184,7 @@ let instrumented_program ?(omit_load_for = []) schedule mapping =
             in
             current := Some ctx;
             load @ [ Symbad_symbc.Ast.call task ])
-      schedule
+      (cpu_schedule graph mapping)
   in
   [ Symbad_symbc.Ast.while_ body ]
 
@@ -256,14 +267,7 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
         in
         loop 0)
   in
-  let schedule =
-    List.filter
-      (fun (t : Task_graph.task) ->
-        match Mapping.target_of mapping t.Task_graph.name with
-        | Mapping.Sw | Mapping.Fpga _ -> true
-        | Mapping.Hw -> false)
-      (Task_graph.topological_order graph)
-  in
+  let schedule = cpu_schedule graph mapping in
   (* Unit-rate SDF: every task fires exactly once per source frame, so
      the cyclostatic CPU loop runs whole rounds (sources first, then the
      other CPU-side tasks in topological order, blocking on HW-produced
@@ -464,9 +468,6 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
       Hashtbl.fold (fun name f acc -> (name, Sim.Fifo.occupancy f) :: acc)
         fifos []
       |> List.sort compare;
-    instrumented_sw =
-      instrumented_program ~omit_load_for
-        (List.map (fun (t : Task_graph.task) -> t.Task_graph.name) schedule)
-        mapping;
+    instrumented_sw = instrumented_program ~omit_load_for graph mapping;
     config_info = config_info_of mapping;
   }

@@ -84,11 +84,13 @@ val config_info_of : Mapping.t -> Symbad_symbc.Config_info.t
 
 val instrumented_program :
   ?omit_load_for:string list ->
-  string list ->
+  Task_graph.t ->
   Mapping.t ->
   Symbad_symbc.Ast.program
-(** The cyclostatic schedule as mini-C with reconfiguration calls
-    inserted before FPGA invocations.  [omit_load_for] seeds the
+(** The CPU's cyclostatic schedule of the mapped graph (its SW and
+    FPGA-resident tasks in topological order) as mini-C, with
+    reconfiguration calls inserted before FPGA invocations — the
+    [instrumented_sw] of a {!run}.  [omit_load_for] seeds the
     consistency bug used by the verification experiments. *)
 
 val run :

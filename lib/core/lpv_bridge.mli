@@ -42,9 +42,9 @@ val check_deadline :
   ?gov:Symbad_gov.Gov.t ->
   Task_graph.t ->
   Symbad_lpv.Timing.verdict * bool
-(** The minimum period and whether the deadline is achievable, over
-    {!net_of}'s default capacity; an exhausted [gov] yields
-    [(Not_analyzable _, false)]. *)
+(** The minimum period and whether it meets the deadline
+    ({!Symbad_lpv.Timing.meets}), from one LP over {!net_of}'s default
+    capacity; an exhausted [gov] yields [(Not_analyzable _, false)]. *)
 
 val dimension_fifos :
   deadline_ns:int ->

@@ -191,7 +191,11 @@ let to_json ?(timings = true) t =
   Json.Obj (base @ extra @ cached)
 
 (* Parse a [to_json] document back; [None] on any missing or ill-typed
-   field.  This is what lets the verdict cache replay stored rows. *)
+   field, and on a row whose [passed] contradicts its outcome (a proof
+   that failed, a disproof or an inconclusive row that passed; a
+   coverage row may go either way, its gate being a threshold).  This
+   is what lets the verdict cache replay stored rows: a rejected row
+   makes the entry a miss. *)
 let of_json j =
   let str k = Option.bind (Json.member k j) Json.to_str in
   let int k =
@@ -215,18 +219,35 @@ let of_json j =
             | _ -> None)
         | _ -> None
       in
-      Option.map
-        (fun outcome ->
-          {
-            name;
-            outcome;
-            passed;
-            host_seconds = 0.;
-            detail;
-            cached = Option.value ~default:false (bool "cached");
-          })
-        outcome
+      let consistent = function
+        | Proved -> passed
+        | Disproved _ | Inconclusive _ -> not passed
+        | Coverage _ -> true
+      in
+      Option.bind outcome (fun outcome ->
+          if consistent outcome then
+            Some
+              {
+                name;
+                outcome;
+                passed;
+                host_seconds = 0.;
+                detail;
+                cached = Option.value ~default:false (bool "cached");
+              }
+          else None)
   | _ -> None
+
+(* The markdown verdict table of the flow and [symbad verify] reports. *)
+let markdown_table vs =
+  String.concat ""
+    ("| check | verdict | detail |\n|---|---|---|\n"
+    :: List.map
+         (fun t ->
+           Printf.sprintf "| %s | %s | %s |\n" t.name
+             (if t.passed then "PASS" else "FAIL")
+             t.detail)
+         vs)
 
 let pp fmt t =
   Fmt.pf fmt "[%s] %-38s %s%s"

@@ -100,7 +100,13 @@ val to_json : ?timings:bool -> t -> Symbad_obs.Json.t
 
 val of_json : Symbad_obs.Json.t -> t option
 (** Parse a {!to_json} document back ([host_seconds] comes back as
-    [0.]); [None] on missing or ill-typed fields.  This is how the
-    content-addressed verdict cache replays stored rows. *)
+    [0.]); [None] on missing or ill-typed fields, and on a row whose
+    [passed] contradicts its outcome: a [Proved] row that did not pass,
+    or a [Disproved] or [Inconclusive] row that did ([Coverage] may go
+    either way).  This is how the content-addressed verdict cache
+    replays stored rows; a rejected row makes the entry a miss. *)
+
+val markdown_table : t list -> string
+(** The rows as a markdown table: check, PASS/FAIL, detail. *)
 
 val pp : Format.formatter -> t -> unit

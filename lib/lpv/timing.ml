@@ -76,10 +76,11 @@ let min_cycle_ratio ?gov net =
 (* "Timing deadline achievement": can the system sustain one iteration
    every [deadline] time units?  A degraded (Not_analyzable) run is
    conservatively "not met". *)
-let deadline_met ?gov ~deadline net =
-  match min_cycle_ratio ?gov net with
+let meets ~deadline = function
   | Period p -> Rat.(p <= of_int deadline)
   | Unschedulable _ | Not_analyzable _ -> false
+
+let deadline_met ?gov ~deadline net = meets ~deadline (min_cycle_ratio ?gov net)
 
 (* FIFO channel dimensioning: smallest uniform capacity (over a monotone
    family of nets built by [build]) that meets the deadline.  The period

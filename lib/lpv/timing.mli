@@ -14,9 +14,14 @@ val min_cycle_ratio : ?gov:Symbad_gov.Gov.t -> Petri.t -> verdict
     every place [p].  [gov] is polled at entry; exhaustion yields
     [Not_analyzable]. *)
 
+val meets : deadline:int -> verdict -> bool
+(** Does the period meet the deadline?  Only a [Period] at most
+    [deadline] does: an unschedulable or degraded verdict answers
+    [false] — conservative, never optimistic. *)
+
 val deadline_met : ?gov:Symbad_gov.Gov.t -> deadline:int -> Petri.t -> bool
 (** Can the system sustain one iteration every [deadline] time units?
-    A degraded run answers [false] — conservative, never optimistic. *)
+    {!meets} of {!min_cycle_ratio}: one LP. *)
 
 val min_uniform_capacity :
   ?max_capacity:int ->

@@ -37,9 +37,7 @@ module Time = Symbad_sim.Time
 module Transaction = Symbad_tlm.Transaction
 module Bus = Symbad_tlm.Bus
 module Fpga = Symbad_fpga.Fpga
-module Level1 = Symbad_core.Level1
 module Level3 = Symbad_core.Level3
-module Mapping = Symbad_core.Mapping
 module Face_app = Symbad_core.Face_app
 module Verdict = Symbad_core.Verdict
 
@@ -115,11 +113,11 @@ let total_drops (r : Level3.result) =
       acc + o.Symbad_sim.Fifo.drops)
     0 r.Level3.channel_occupancy
 
-(* Grade one completed run against the baseline.  [masked] is the
+(* Grade [trial]'s completed run against the baseline.  [masked] is the
    strongest grade: the mechanism absorbed the fault without a retry
    round-trip or a repair pause — the result is correct and the service
    completed at exactly the baseline instant. *)
-let grade ~baseline ~base_winner inj (r : Level3.result) =
+let grade ~baseline ~base_winner (trial : outcome) inj (r : Level3.result) =
   let fs = r.Level3.fpga_stats in
   let bs = r.Level3.bus_report in
   let correct = winner_stream r.Level3.trace = base_winner in
@@ -188,7 +186,8 @@ let grade ~baseline ~base_winner inj (r : Level3.result) =
           Printf.sprintf "watchdog=%d fallbacks=%d" fs.Fpga.watchdog_fires
             r.Level3.sw_fallbacks )
   in
-  (injected, detected, recovered, masked, correct, recovery_ns, detail)
+  { trial with
+    injected; detected; recovered; masked; correct; recovery_ns; detail }
 
 (* The uninjected control: every observable of the platform run must be
    byte-identical to the baseline — the scoreboard for the injection
@@ -214,43 +213,42 @@ let grade_control ~baseline (r : Level3.result) =
     if mismatches = [] then "identical to baseline"
     else "differs from baseline: " ^ String.concat "," mismatches )
 
-let run_one ~workload ~mapping ~baseline ~base_winner ~base_config
-    ~scrub_period_ns (index, inj_opt) =
-  let graph = Face_app.graph workload in
+(* A planned trial before it is graded: nothing observed yet. *)
+let ungraded (index, inj_opt) =
+  let kind, injection =
+    match inj_opt with
+    | None -> ("control", "none")
+    | Some inj ->
+        ( Fault.kind_to_string (Fault.kind_of_injection inj),
+          Fault.injection_to_string inj )
+  in
+  {
+    trial = index;
+    kind;
+    injection;
+    injected = false;
+    detected = false;
+    recovered = false;
+    masked = false;
+    correct = false;
+    skipped = false;
+    recovery_ns = 0;
+    detail = "";
+  }
+
+let crashed e = "crashed: " ^ Printexc.to_string e
+
+let run_one ~graph ~mapping ~baseline ~base_winner ~base_config
+    ~scrub_period_ns ((_, inj_opt) as planned) =
+  let trial = ungraded planned in
   match inj_opt with
   | None -> (
       match Level3.run ~config:base_config graph mapping with
       | r ->
-          let ok, detail = grade_control ~baseline r in
-          {
-            trial = index;
-            kind = "control";
-            injection = "none";
-            injected = false;
-            detected = false;
-            recovered = false;
-            masked = false;
-            correct = ok;
-            skipped = false;
-            recovery_ns = 0;
-            detail;
-          }
-      | exception e ->
-          {
-            trial = index;
-            kind = "control";
-            injection = "none";
-            injected = false;
-            detected = false;
-            recovered = false;
-            masked = false;
-            correct = false;
-            skipped = false;
-            recovery_ns = 0;
-            detail = "crashed: " ^ Printexc.to_string e;
-          })
+          let correct, detail = grade_control ~baseline r in
+          { trial with correct; detail }
+      | exception e -> { trial with detail = crashed e })
   | Some inj -> (
-      let kind = Fault.kind_of_injection inj in
       let config =
         match inj with
         | Fault.Upset _ when not base_config.Level3.masked ->
@@ -338,60 +336,16 @@ let run_one ~workload ~mapping ~baseline ~base_winner ~base_config
         | Fault.Loss _ -> ()
         | Fault.Stuck { resource } -> Fpga.set_stuck fpga resource
       in
-      let finish
-          (injected, detected, recovered, masked, correct, recovery_ns, detail)
-          =
-        {
-          trial = index;
-          kind = Fault.kind_to_string kind;
-          injection = Fault.injection_to_string inj;
-          injected;
-          detected;
-          recovered;
-          masked;
-          correct;
-          skipped = false;
-          recovery_ns;
-          detail;
-        }
-      in
       match Level3.run ~config ~channel_loss ~tap graph mapping with
-      | r -> finish (grade ~baseline ~base_winner inj r)
+      | r -> grade ~baseline ~base_winner trial inj r
       | exception e ->
           (* a crash is a detected, unrecovered fault — never a pass *)
-          {
-            trial = index;
-            kind = Fault.kind_to_string kind;
-            injection = Fault.injection_to_string inj;
-            injected = true;
-            detected = true;
-            recovered = false;
-            masked = false;
-            correct = false;
-            skipped = false;
-            recovery_ns = 0;
-            detail = "crashed: " ^ Printexc.to_string e;
-          })
+          { trial with injected = true; detected = true; detail = crashed e })
 
-let skipped_outcome (index, inj_opt) =
-  let kind, injection =
-    match inj_opt with
-    | None -> ("control", "none")
-    | Some inj ->
-        ( Fault.kind_to_string (Fault.kind_of_injection inj),
-          Fault.injection_to_string inj )
-  in
+let skipped_outcome planned =
   {
-    trial = index;
-    kind;
-    injection;
-    injected = false;
-    detected = false;
-    recovered = false;
-    masked = false;
-    correct = false;
+    (ungraded planned) with
     skipped = true;
-    recovery_ns = 0;
     detail = "skipped: resource budget exhausted";
   }
 
@@ -454,15 +408,16 @@ let run ?pool ?gov ?(mode = Scrub) ?(kinds = Fault.all_kinds)
     | Scrub -> Level3.default_config
     | Tmr -> { Level3.default_config with Level3.masked = true }
   in
+  (* One case study for every trial: its graph and level-3 mapping are
+     forced here, since no Par job may force a part. *)
+  let cs = Face_app.case_study workload in
+  let graph = Lazy.force cs.graph in
+  let mapping = Lazy.force cs.mapping3 in
   (* Fault-free baseline, on the calling domain.  The tap only counts
      the write transactions (always answering Okay, the same path the
      bus takes with no hook installed), so the baseline stays
      byte-identical to the control trial while telling us how many
      writes a bus fault can actually target. *)
-  let graph = Face_app.graph workload in
-  let l1 = Level1.run graph in
-  let mapping2 = Face_app.level2_mapping ~profile:l1.Level1.profile graph in
-  let mapping = Mapping.refine_to_fpga mapping2 Face_app.level3_refinement in
   let write_count = ref 0 in
   let count_writes ~bus ~fpga:_ ~kernel:_ =
     Bus.inject_faults bus
@@ -513,7 +468,7 @@ let run ?pool ?gov ?(mode = Scrub) ?(kinds = Fault.all_kinds)
       (Option.value ~default:Degrade.Patterns (Gov.exhaustion gov));
   let ran =
     Par.map ~label:"resil.trials" pool
-      (run_one ~workload ~mapping ~baseline ~base_winner ~base_config
+      (run_one ~graph ~mapping ~baseline ~base_winner ~base_config
          ~scrub_period_ns)
       to_run
   in

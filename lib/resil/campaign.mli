@@ -91,7 +91,8 @@ val run :
   report
 (** Run a campaign.  [mode] defaults to {!Scrub}; [kinds] defaults to
     {!Fault.all_kinds}, [trials_per_kind] to [3], [workload] to
-    {!Symbad_core.Face_app.smoke_workload}.  [scrub_period_ns] (default
+    {!Symbad_core.Face_app.smoke_workload}, whose one case study gives
+    every trial its graph and level-3 mapping.  [scrub_period_ns] (default
     [10_000]) is the readback-scrubbing period used for configuration
     upsets in {!Scrub} mode; in {!Tmr} mode upsets are caught by the
     voter at readout instead and scrubbing stays off.  [0] disables

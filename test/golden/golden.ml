@@ -48,14 +48,7 @@ let lint () =
           ("warnings", Json.Int (Lint.warnings r));
         ] )
   in
-  let graph = Face_app.graph Face_app.default_workload in
-  let l1 = Level1.run graph in
-  let l3 =
-    Level3.run graph
-      (Mapping.refine_to_fpga
-         (Face_app.level2_mapping ~profile:l1.Level1.profile graph)
-         Face_app.level3_refinement)
-  in
+  let l3 = Lazy.force (Face_app.case_study Face_app.default_workload).level3 in
   let recovery = Symbad_resil.Recovery.netlist () in
   write "lint"
     (Json.Obj
@@ -154,23 +147,14 @@ let platform () =
                r.Level3.channel_occupancy) );
       ]
   in
-  let graph = Face_app.graph Face_app.default_workload in
-  let profile = (Level1.run graph).Level1.profile in
+  let cs = Face_app.case_study Face_app.default_workload in
+  let graph = Lazy.force cs.graph in
   let sweep =
-    Explore.sweep_hw_sets ~task_area:Level3.default_task_area ~profile
+    Explore.sweep_hw_sets ~task_area:Level3.default_task_area
+      ~profile:(Lazy.force cs.level1).Level1.profile
       ~pinned_sw:Face_app.pinned_sw graph
   in
-  let mapping2 = Face_app.level2_mapping ~profile graph in
-  let mapping3 = Mapping.refine_to_fpga mapping2 Face_app.level3_refinement in
-  let l3 = Level3.run graph mapping3 in
-  let schedule =
-    List.filter_map
-      (fun (t : Task_graph.task) ->
-        match Mapping.target_of mapping3 t.Task_graph.name with
-        | Mapping.Sw | Mapping.Fpga _ -> Some t.Task_graph.name
-        | Mapping.Hw -> None)
-      (Task_graph.topological_order graph)
-  in
+  let l3 = Lazy.force cs.level3 in
   let symbc program =
     Json.Obj
       [
@@ -218,7 +202,7 @@ let platform () =
                         ("run", figures (Level2.run graph g.Explore.mapping));
                       ] ))
                 sweep) );
-         ("level2", figures (Level2.run graph mapping2));
+         ("level2", figures (Lazy.force cs.level2));
          ("level3", figures l3);
          ( "lint",
            Json.Obj
@@ -240,7 +224,7 @@ let platform () =
                ( "omit_load_ROOT",
                  symbc
                    (Level3.instrumented_program ~omit_load_for:[ "ROOT" ]
-                      schedule mapping3) );
+                      graph (Lazy.force cs.mapping3)) );
              ] );
        ])
 

@@ -113,6 +113,68 @@ let level4_hit_and_replay () =
     (Level4.module_verdicts cold)
     (Level4.module_verdicts warm)
 
+(* A stored row whose [passed] contradicts its outcome is rejected, so
+   the entry misses and the module re-verifies live. *)
+let contradictory_row_reverifies () =
+  with_scratch @@ fun dir ->
+  let module Json = Symbad_obs.Json in
+  let cache = Cache.create ~dir () in
+  let m = first_module () in
+  let cold = Level4.verify_module ~cache m in
+  let entry =
+    match
+      List.filter
+        (fun f -> Filename.check_suffix f ".json")
+        (Array.to_list (Sys.readdir dir))
+    with
+    | [ f ] -> Filename.concat dir f
+    | fs -> Alcotest.failf "expected one stored entry, found %d" (List.length fs)
+  in
+  let set k v = function
+    | Json.Obj fields ->
+        Json.Obj (List.map (fun (k', x) -> if k' = k then (k, v) else (k', x)) fields)
+    | j -> j
+  in
+  (* the MC row (the second) claims a disproof yet still passes *)
+  let tampered =
+    match Json.parse_exn (In_channel.with_open_bin entry In_channel.input_all) with
+    | Json.Obj _ as doc -> (
+        match Option.bind (Json.member "verdicts" doc) Json.to_list with
+        | Some [ lint; mc; pcc ] ->
+            set "verdicts"
+              (Json.List [ lint; set "outcome" (Json.Str "disproved") mc; pcc ])
+              doc
+        | _ -> Alcotest.fail "expected three stored rows")
+    | _ -> Alcotest.fail "expected a JSON object"
+  in
+  Out_channel.with_open_bin entry (fun oc ->
+      output_string oc (Json.to_string tampered));
+  let rerun = Level4.verify_module ~cache m in
+  check_bool "tampered entry re-verifies" true (not rerun.Level4.cached);
+  check_bool "live MC verdict" true
+    (rerun.Level4.mc_verdict = cold.Level4.mc_verdict
+    && rerun.Level4.mc_verdict.Verdict.passed
+    && rerun.Level4.mc_verdict.Verdict.outcome = Verdict.Proved)
+
+let verdict_json_rejects_contradictions () =
+  let parses passed outcome =
+    Verdict.of_json
+      (Verdict.to_json ~timings:false
+         { (Verdict.make ~name:"row" outcome) with Verdict.passed })
+    <> None
+  in
+  check_bool "proved, passed" true (parses true Verdict.Proved);
+  check_bool "proved, failed" false (parses false Verdict.Proved);
+  check_bool "disproved, passed" false (parses true (Verdict.Disproved "w"));
+  check_bool "disproved, failed" true (parses false (Verdict.Disproved "w"));
+  check_bool "inconclusive, passed" false
+    (parses true (Verdict.Inconclusive "r"));
+  check_bool "inconclusive, failed" true
+    (parses false (Verdict.Inconclusive "r"));
+  let coverage = Verdict.Coverage { hit = 3; total = 4 } in
+  check_bool "coverage, passed" true (parses true coverage);
+  check_bool "coverage, failed" true (parses false coverage)
+
 let level4_miss_on_edit () =
   with_scratch @@ fun dir ->
   let cache = Cache.create ~dir () in
@@ -201,6 +263,10 @@ let suite =
     Alcotest.test_case "store roundtrip" `Quick store_roundtrip;
     Alcotest.test_case "level4 hit and replay" `Quick level4_hit_and_replay;
     Alcotest.test_case "level4 miss on edit" `Quick level4_miss_on_edit;
+    Alcotest.test_case "contradictory row re-verifies" `Quick
+      contradictory_row_reverifies;
+    Alcotest.test_case "verdict json rejects contradictions" `Quick
+      verdict_json_rejects_contradictions;
     Alcotest.test_case "inconclusive never stored" `Quick
       inconclusive_never_stored;
     Alcotest.test_case "flow warm identity across jobs" `Slow

@@ -56,8 +56,13 @@ let graph_validation () =
   check_bool "unconsumed channel" true
     (try ignore (bad_unconsumed ()); false with Invalid_argument _ -> true)
 
+(* The smoke case study, shared by the tests below: each part is built
+   once, when a test first reads it. *)
+let smoke = Face_app.case_study Face_app.smoke_workload
+let ( !! ) = Lazy.force
+
 let graph_topological_order () =
-  let g = Face_app.graph Face_app.smoke_workload in
+  let g = !!(smoke.graph) in
   let order = Task_graph.topological_order g in
   check "all tasks" 13 (List.length order);
   let pos name =
@@ -88,12 +93,71 @@ let level1_runs_and_profiles () =
      | None -> 0)
 
 let level1_matches_reference () =
-  let w = Face_app.smoke_workload in
-  let r = Level1.run (Face_app.graph w) in
   check "no mismatches" 0
     (List.length
-       (Sim.Trace.compare_data ~reference:(Face_app.reference_trace w)
-          ~actual:r.Level1.trace))
+       (Sim.Trace.compare_data ~reference:!!(smoke.reference)
+          ~actual:!!(smoke.level1).Level1.trace))
+
+(* --- the case study --- *)
+
+(* Each part is built once: repeated reads return the same value, and
+   every value equals what the chain gives when built by hand. *)
+let case_study_parts () =
+  let cs = Face_app.case_study Face_app.smoke_workload in
+  let once name part =
+    check_bool (name ^ " built once") true (!!part == !!part)
+  in
+  once "database" cs.database;
+  once "graph" cs.graph;
+  once "reference" cs.reference;
+  once "level1" cs.level1;
+  once "mapping2" cs.mapping2;
+  once "mapping3" cs.mapping3;
+  once "level2" cs.level2;
+  once "level3" cs.level3;
+  (* the chain by hand *)
+  let w = Face_app.smoke_workload in
+  let db =
+    Symbad_image.Pipeline.enroll ~size:w.Face_app.size
+      ~identities:w.Face_app.identities ()
+  in
+  let g = Face_app.graph w in
+  let l1 = Level1.run g in
+  let m2 = Face_app.level2_mapping ~profile:l1.Level1.profile g in
+  let m3 = Mapping.refine_to_fpga m2 Face_app.level3_refinement in
+  let l2 = Level2.run g m2 and l3 = Level3.run g m3 in
+  check_bool "database" true
+    (Symbad_image.Database.entries db
+    = Symbad_image.Database.entries !!(cs.database));
+  let shape (g : Task_graph.t) =
+    ( g.Task_graph.sinks,
+      List.map
+        (fun (t : Task_graph.task) ->
+          (t.Task_graph.name, t.Task_graph.inputs, t.Task_graph.outputs))
+        g.Task_graph.tasks )
+  in
+  check_bool "graph" true (shape g = shape !!(cs.graph));
+  let same_data name reference actual =
+    check_bool name true (Sim.Trace.equal_data ~reference ~actual)
+  in
+  same_data "reference" (Face_app.reference_trace w) !!(cs.reference);
+  same_data "level1 trace" l1.Level1.trace !!(cs.level1).Level1.trace;
+  check_bool "profile" true
+    (Symbad_tlm.Annotation.Profile.ranking l1.Level1.profile
+    = Symbad_tlm.Annotation.Profile.ranking !!(cs.level1).Level1.profile);
+  check_bool "mapping2" true (m2 = !!(cs.mapping2));
+  check_bool "mapping3" true (m3 = !!(cs.mapping3));
+  List.iter
+    (fun (name, (hand : Level3.result), (r : Level3.result)) ->
+      same_data (name ^ " trace") hand.Level3.trace r.Level3.trace;
+      check (name ^ " latency") hand.Level3.latency_ns r.Level3.latency_ns;
+      check_bool (name ^ " platform") true
+        (hand.Level3.bus_report = r.Level3.bus_report
+        && hand.Level3.fpga_stats = r.Level3.fpga_stats
+        && hand.Level3.cpu_stats = r.Level3.cpu_stats
+        && hand.Level3.channel_occupancy = r.Level3.channel_occupancy
+        && hand.Level3.instrumented_sw = r.Level3.instrumented_sw))
+    [ ("level2", l2, !!(cs.level2)); ("level3", l3, !!(cs.level3)) ]
 
 (* --- Level 2 --- *)
 
@@ -133,18 +197,9 @@ let level2_rejects_fpga_and_hw_sources () =
 
 (* --- Level 3 --- *)
 
-let face_setup () =
-  let w = Face_app.smoke_workload in
-  let g = Face_app.graph w in
-  let l1 = Level1.run g in
-  let m2 = Face_app.level2_mapping ~profile:l1.Level1.profile g in
-  (w, g, l1, m2)
-
 let level3_preserves_data_and_costs_time () =
-  let _, g, l1, m2 = face_setup () in
-  let l2 = Level2.run g m2 in
-  let m3 = Mapping.refine_to_fpga m2 Face_app.level3_refinement in
-  let l3 = Level3.run g m3 in
+  let l1 = !!(smoke.level1) and l2 = !!(smoke.level2) in
+  let l3 = !!(smoke.level3) in
   check_bool "data equal to level2" true
     (Sim.Trace.equal_data ~reference:l2.Level2.trace ~actual:l3.Level3.trace);
   check_bool "data equal to level1" true
@@ -155,45 +210,31 @@ let level3_preserves_data_and_costs_time () =
     (l3.Level3.bus_report.Symbad_tlm.Bus.bitstream_bytes > 0)
 
 let level3_reconfig_count () =
-  let w, g, _, m2 = face_setup () in
-  let m3 = Mapping.refine_to_fpga m2 Face_app.level3_refinement in
-  let l3 = Level3.run g m3 in
   (* DISTANCE and ROOT alternate every frame: 2 reconfigs per frame *)
-  check "reconfigurations" (2 * List.length w.Face_app.frames)
-    l3.Level3.fpga_stats.Symbad_fpga.Fpga.reconfigurations
+  check "reconfigurations"
+    (2 * List.length Face_app.smoke_workload.Face_app.frames)
+    !!(smoke.level3).Level3.fpga_stats.Symbad_fpga.Fpga.reconfigurations
 
 let level3_single_context_loads_once () =
-  let _, g, _, m2 = face_setup () in
   let m3 =
-    Mapping.refine_to_fpga m2
+    Mapping.refine_to_fpga !!(smoke.mapping2)
       [ ("DISTANCE", "ctx"); ("ROOT", "ctx") ]
   in
   let config = { Level3.default_config with Level3.fpga_capacity = 2000 } in
-  let l3 = Level3.run ~config g m3 in
+  let l3 = Level3.run ~config !!(smoke.graph) m3 in
   check "loads once" 1 l3.Level3.fpga_stats.Symbad_fpga.Fpga.reconfigurations
 
 let level3_emits_consistent_sw () =
-  let _, g, _, m2 = face_setup () in
-  let m3 = Mapping.refine_to_fpga m2 Face_app.level3_refinement in
-  let l3 = Level3.run g m3 in
+  let l3 = !!(smoke.level3) in
   match Symbad_symbc.Check.check l3.Level3.config_info l3.Level3.instrumented_sw with
   | Symbad_symbc.Check.Consistent _ -> ()
   | Symbad_symbc.Check.Inconsistent _ ->
       Alcotest.fail "generated SW must be consistent"
 
 let level3_seeded_bug_detected_statically_and_dynamically () =
-  let _, g, _, m2 = face_setup () in
-  let m3 = Mapping.refine_to_fpga m2 Face_app.level3_refinement in
+  let g = !!(smoke.graph) and m3 = !!(smoke.mapping3) in
   (* static: SymbC on the buggy program *)
-  let schedule =
-    List.filter_map
-      (fun (t : Task_graph.task) ->
-        match Mapping.target_of m3 t.Task_graph.name with
-        | Mapping.Sw | Mapping.Fpga _ -> Some t.Task_graph.name
-        | Mapping.Hw -> None)
-      (Task_graph.topological_order g)
-  in
-  let buggy = Level3.instrumented_program ~omit_load_for:[ "ROOT" ] schedule m3 in
+  let buggy = Level3.instrumented_program ~omit_load_for:[ "ROOT" ] g m3 in
   (match Symbad_symbc.Check.check (Level3.config_info_of m3) buggy with
   | Symbad_symbc.Check.Inconsistent cex ->
       Alcotest.(check string) "static" "ROOT" cex.Symbad_symbc.Check.failing_call
@@ -208,14 +249,14 @@ let level3_seeded_bug_detected_statically_and_dynamically () =
 (* --- Lpv bridge --- *)
 
 let lpv_bridge_face_app () =
-  let _, g, l1, m2 = face_setup () in
+  let g = !!(smoke.graph) in
   (match Lpv_bridge.check_deadlock g with
   | Symbad_lpv.Deadlock.Deadlock_free _ -> ()
   | _ -> Alcotest.fail "face app is deadlock-free");
   let timing = Lpv_bridge.default_timing in
   let verdict, met =
-    Lpv_bridge.check_deadline ~deadline_ns:1_000_000_000 ~timing ~mapping:m2
-      ~profile:l1.Level1.profile g
+    Lpv_bridge.check_deadline ~deadline_ns:1_000_000_000 ~timing
+      ~mapping:!!(smoke.mapping2) ~profile:!!(smoke.level1).Level1.profile g
   in
   check_bool "generous deadline met" true met;
   (match verdict with
@@ -238,12 +279,43 @@ let lpv_bridge_seeded_deadlock () =
         (List.exists (fun p -> p = "feedback" || p = "a") witness)
   | _ -> Alcotest.fail "expected deadlock"
 
+(* One LP per timing question: the verdict row reads the deadline off
+   the period that LP found, so a deadline equal to the period is met,
+   one below it is missed, and a spent governor leaves it undecided. *)
+let lpv_bridge_deadline_verdicts () =
+  let deadline_row ?gov deadline_ns =
+    let period, met =
+      Lpv_bridge.check_deadline ~deadline_ns ~timing:Lpv_bridge.default_timing
+        ~mapping:!!(smoke.mapping2) ~profile:!!(smoke.level1).Level1.profile
+        ?gov !!(smoke.graph)
+    in
+    (period, Verdict.of_lpv_timing ~deadline_ns ~met period)
+  in
+  let period =
+    match fst (deadline_row Face_app.deadline_ns) with
+    | Symbad_lpv.Timing.Period p when Symbad_lpv.Rat.den p = 1 ->
+        Symbad_lpv.Rat.num p
+    | v -> Alcotest.failf "expected a whole period, got %a" Symbad_lpv.Timing.pp_verdict v
+  in
+  let outcome ?gov deadline_ns =
+    Verdict.outcome_label (snd (deadline_row ?gov deadline_ns)).Verdict.outcome
+  in
+  Alcotest.(check string) "deadline = period" "proved" (outcome period);
+  Alcotest.(check string) "deadline below the period" "disproved"
+    (outcome (period - 1));
+  let spent =
+    Symbad_gov.Gov.create ~label:"spent"
+      (Symbad_gov.Budget.make ~conflicts:0 ~patterns:0 ())
+  in
+  Alcotest.(check string) "exhausted governor" "inconclusive"
+    (outcome ~gov:spent period)
+
 let lpv_bridge_fifo_dimensioning () =
-  let _, g, l1, m2 = face_setup () in
   let timing = Lpv_bridge.default_timing in
   match
-    Lpv_bridge.dimension_fifos ~deadline_ns:1_000_000_000 ~timing ~mapping:m2
-      ~profile:l1.Level1.profile g
+    Lpv_bridge.dimension_fifos ~deadline_ns:1_000_000_000 ~timing
+      ~mapping:!!(smoke.mapping2) ~profile:!!(smoke.level1).Level1.profile
+      !!(smoke.graph)
   with
   | Some c -> check_bool "small capacity suffices" true (c <= 4)
   | None -> Alcotest.fail "expected a capacity"
@@ -282,10 +354,10 @@ let explore_pareto () =
     (List.map (fun p -> p.Explore.label) (Explore.pareto points))
 
 let explore_sweep_monotone_latency () =
-  let _, g, l1, _ = face_setup () in
   let grades =
     Explore.sweep_hw_sets ~task_area:Level3.default_task_area
-      ~profile:l1.Level1.profile ~pinned_sw:Face_app.pinned_sw ~max_hw:4 g
+      ~profile:!!(smoke.level1).Level1.profile ~pinned_sw:Face_app.pinned_sw
+      ~max_hw:4 !!(smoke.graph)
   in
   check "five grades" 5 (List.length grades);
   let latencies = List.map (fun gr -> gr.Explore.latency_ns) grades in
@@ -318,23 +390,17 @@ let level2_reports_occupancy () =
 let level3_bus_wait_under_contention () =
   (* HW tasks and bitstream downloads share the bus: the report must
      account waits or busy time for multiple masters *)
-  let _, g, _, m2 = face_setup () in
-  let m3 = Mapping.refine_to_fpga m2 Face_app.level3_refinement in
-  let r = Level3.run g m3 in
+  let r = !!(smoke.level3) in
   let masters = r.Level3.bus_report.Symbad_tlm.Bus.per_master in
   check_bool "several masters" true (List.length masters >= 3);
   check_bool "cpu among masters" true (List.mem_assoc "cpu" masters)
 
 let explore_grades_have_bitstream_only_at_level3 () =
-  let _, g, l1, m2 = face_setup () in
+  let g = !!(smoke.graph) in
   let task_area = Level3.default_task_area in
-  let g2 = Explore.grade ~task_area ~label:"l2" g m2 in
+  let g2 = Explore.grade ~task_area ~label:"l2" g !!(smoke.mapping2) in
   check "no bitstream at level 2" 0 g2.Explore.bitstream_bytes;
-  let g3 =
-    Explore.grade ~task_area ~label:"l3" g
-      (Mapping.refine_to_fpga m2 Face_app.level3_refinement)
-  in
-  ignore l1;
+  let g3 = Explore.grade ~task_area ~label:"l3" g !!(smoke.mapping3) in
   check_bool "bitstream at level 3" true (g3.Explore.bitstream_bytes > 0)
 
 (* qcheck: on random linear pipelines with random mappings, all three
@@ -612,6 +678,7 @@ let suite =
     Alcotest.test_case "level1 run + profile" `Quick level1_runs_and_profiles;
     Alcotest.test_case "level1 matches reference" `Quick
       level1_matches_reference;
+    Alcotest.test_case "case study parts built once" `Quick case_study_parts;
     Alcotest.test_case "level2 preserves data" `Quick level2_preserves_data;
     Alcotest.test_case "level2 HW speedup" `Quick level2_hw_speedup;
     Alcotest.test_case "level2 bus only for crossings" `Quick
@@ -633,6 +700,8 @@ let suite =
       lpv_bridge_seeded_deadlock;
     Alcotest.test_case "lpv bridge fifo dimensioning" `Quick
       lpv_bridge_fifo_dimensioning;
+    Alcotest.test_case "lpv bridge deadline verdicts" `Quick
+      lpv_bridge_deadline_verdicts;
     Alcotest.test_case "transformations move modules" `Quick transform_moves;
     Alcotest.test_case "explore pareto filter" `Quick explore_pareto;
     Alcotest.test_case "explore sweep monotone" `Quick
