@@ -4,7 +4,7 @@
    invalidation protocol — an edited netlist or property simply hashes
    to a different key and misses.  Writes go through a temp file and a
    rename, so a torn write can never produce a half-parseable entry; a
-   corrupt or unreadable entry reads as a miss.
+   corrupt, unreadable or undecodable entry reads as a miss.
 
    Telemetry: every lookup bumps the [cache.hits] or [cache.misses]
    counter (and each write [cache.stores]) through the Obs facade, and
@@ -57,13 +57,13 @@ let read_file p =
       (fun () -> Some (really_input_string ic (in_channel_length ic)))
   with Sys_error _ | End_of_file -> None
 
-let find t key =
+let find t key decode =
   let entry =
     match read_file (path t key) with
     | None -> None
-    | Some s -> ( match Json.parse s with Ok j -> Some j | Error _ -> None)
+    | Some s -> ( match Json.parse s with Ok j -> decode j | Error _ -> None)
   in
-  count t ~hit:(entry <> None);
+  count t ~hit:(Option.is_some entry);
   entry
 
 let ensure_dir d =

@@ -3,8 +3,8 @@
 
     No invalidation protocol exists or is needed — an edited netlist,
     property, budget or engine version hashes to a different key and
-    misses.  Corrupt or unreadable entries read as misses; writes are
-    atomic (temp file + rename).
+    misses.  Corrupt, unreadable or undecodable entries read as misses;
+    writes are atomic (temp file + rename).
 
     Every lookup bumps [cache.hits] / [cache.misses] (and each write
     [cache.stores]) on the {!Symbad_obs.Obs} facade, and the same
@@ -20,9 +20,10 @@ val create : ?dir:string -> unit -> t
 
 val dir : t -> string
 
-val find : t -> string -> Symbad_obs.Json.t option
-(** Look a key up; [None] (a miss) on absent, unreadable or unparseable
-    entries. *)
+val find : t -> string -> (Symbad_obs.Json.t -> 'a option) -> 'a option
+(** Look a key up and decode its entry; [None] (a miss) on absent,
+    unreadable or unparseable entries and on those [decode] rejects.
+    Only a decoded entry counts as a hit. *)
 
 val store : t -> string -> Symbad_obs.Json.t -> unit
 (** Write an entry.  Filesystem errors are swallowed — a cache that

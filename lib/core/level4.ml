@@ -270,29 +270,29 @@ let cache_key ~escalate ~max_depth ~pcc_depth ~max_reg_bits gov m =
       ]
     ()
 
+(* A hit needs all three rows to decode: an entry with a missing,
+   ill-typed or contradictory row ({!Verdict.of_json}) is a miss. *)
 let cached_report cache key (m : rtl_module) =
-  match Symbad_cache.Cache.find cache key with
-  | None -> None
-  | Some entry -> (
-      let module Json = Symbad_obs.Json in
-      let row i =
-        Option.bind (Json.member "verdicts" entry) Json.to_list
-        |> Fun.flip Option.bind (fun l -> List.nth_opt l i)
-        |> Fun.flip Option.bind Verdict.of_json
-        |> Option.map Verdict.with_cached
-      in
-      match (row 0, row 1, row 2) with
-      | Some lint_verdict, Some mc_verdict, Some pcc_verdict ->
-          Some
-            {
-              module_name = m.module_name;
-              cached = true;
-              lint_verdict;
-              mc_verdict;
-              pcc_verdict;
-              results = None;
-            }
-      | _ -> None)
+  let module Json = Symbad_obs.Json in
+  Symbad_cache.Cache.find cache key @@ fun entry ->
+  let row i =
+    Option.bind (Json.member "verdicts" entry) Json.to_list
+    |> Fun.flip Option.bind (fun l -> List.nth_opt l i)
+    |> Fun.flip Option.bind Verdict.of_json
+    |> Option.map Verdict.with_cached
+  in
+  match (row 0, row 1, row 2) with
+  | Some lint_verdict, Some mc_verdict, Some pcc_verdict ->
+      Some
+        {
+          module_name = m.module_name;
+          cached = true;
+          lint_verdict;
+          mc_verdict;
+          pcc_verdict;
+          results = None;
+        }
+  | _ -> None
 
 (* Only conclusive work is worth replaying: every property proved, no
    unresolved PCC faults, a clean ungated lint, and no exhaustion or

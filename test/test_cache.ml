@@ -75,16 +75,17 @@ let store_roundtrip () =
   let module Json = Symbad_obs.Json in
   let c = Cache.create ~dir () in
   let k = key_of () in
-  check_bool "cold miss" true (Cache.find c k = None);
+  let find () = Cache.find c k Option.some in
+  check_bool "cold miss" true (find () = None);
   Cache.store c k (Json.Obj [ ("x", Json.Int 1) ]);
-  (match Cache.find c k with
+  (match find () with
   | Some (Json.Obj [ ("x", Json.Int 1) ]) -> ()
   | _ -> Alcotest.fail "expected the stored document back");
   (* a corrupt entry reads as a miss, never a failure *)
   let oc = open_out (Filename.concat dir (k ^ ".json")) in
   output_string oc "{not json";
   close_out oc;
-  check_bool "corrupt entry is a miss" true (Cache.find c k = None);
+  check_bool "corrupt entry is a miss" true (find () = None);
   Alcotest.(check int) "hits" 1 (Cache.hits c);
   Alcotest.(check int) "misses" 2 (Cache.misses c);
   Alcotest.(check int) "stores" 1 (Cache.stores c)
@@ -151,6 +152,8 @@ let contradictory_row_reverifies () =
       output_string oc (Json.to_string tampered));
   let rerun = Level4.verify_module ~cache m in
   check_bool "tampered entry re-verifies" true (not rerun.Level4.cached);
+  Alcotest.(check (pair int int)) "counted as a miss, not a hit" (0, 2)
+    (Cache.hits cache, Cache.misses cache);
   check_bool "live MC verdict" true
     (rerun.Level4.mc_verdict = cold.Level4.mc_verdict
     && rerun.Level4.mc_verdict.Verdict.passed
