@@ -425,6 +425,40 @@ let qcheck_crc_detects_any_single_bit_flip =
       in
       clean <> flipped)
 
+(* The bit-serial CRC-32 step, one shift per bit: the reference the
+   table-driven [Crc.update] must reproduce bit for bit. *)
+let crc_reference crc word =
+  let crc = ref (crc lxor (word land 0xFFFF_FFFF)) in
+  for _ = 0 to 31 do
+    crc := if !crc land 1 = 1 then (!crc lsr 1) lxor 0xEDB8_8320 else !crc lsr 1
+  done;
+  !crc
+
+let crc_reference_words gen n =
+  let crc = ref 0xFFFF_FFFF in
+  for i = 0 to n - 1 do
+    crc := crc_reference !crc (gen i)
+  done;
+  !crc lxor 0xFFFF_FFFF
+
+(* zlib's CRC-32 of "12345678", read as two little-endian words *)
+let crc_known_answer () =
+  let words = [| 0x3433_3231; 0x3837_3635 |] in
+  check "crc32(\"12345678\")" 0x9AE0_DAAF (Crc.words (Array.get words) 2)
+
+let qcheck_crc_update_matches_reference =
+  QCheck.Test.make ~name:"crc update matches the bit-serial loop" ~count:1000
+    QCheck.(pair int (map (fun w -> w land 0xFFFF_FFFF) int))
+    (fun (crc, word) -> Crc.update crc word = crc_reference crc word)
+
+let qcheck_golden_crc_matches_reference =
+  QCheck.Test.make ~name:"golden crc matches the bit-serial loop" ~count:100
+    QCheck.(pair string (int_range 1 2_000))
+    (fun (name, area) ->
+      let c = Context.make name [ r "x" area ] in
+      Context.golden_crc c
+      = crc_reference_words (Context.bitstream_word c) (Context.bitstream_words c))
+
 let fpga_stuck_resource () =
   let f = two_ctx_fpga () in
   Alcotest.(check bool) "responding" true (Fpga.responding f "dist");
@@ -500,4 +534,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_greedy_never_worse_than_singletons;
     QCheck_alcotest.to_alcotest qcheck_placement_single_context_optimal;
     QCheck_alcotest.to_alcotest qcheck_crc_detects_any_single_bit_flip;
+    Alcotest.test_case "crc known answer" `Quick crc_known_answer;
+    QCheck_alcotest.to_alcotest qcheck_crc_update_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_golden_crc_matches_reference;
   ]
