@@ -60,9 +60,11 @@ let run (graph : Task_graph.t) =
         loop 0)
   in
   List.iter spawn_task graph.Task_graph.tasks;
-  Sim.Kernel.run kernel;
   (* a non-source task still blocked on inputs simply never fired again;
-     the kernel drains when sources end and all tokens are consumed *)
+     the kernel drains when sources end and all tokens are consumed, and
+     disposing it unwinds the blocked tasks *)
+  Fun.protect ~finally:(fun () -> Sim.Kernel.dispose kernel) @@ fun () ->
+  Sim.Kernel.run kernel;
   {
     trace;
     profile;

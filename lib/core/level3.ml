@@ -452,6 +452,10 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
   (match tap with
   | Some install -> install ~bus ~fpga ~kernel
   | None -> ());
+  (* the processes still blocked when the queue drains (HW tasks waiting
+     for input, a saboteur, bus waiters) are unwound once the figures
+     below are read *)
+  Fun.protect ~finally:(fun () -> Sim.Kernel.dispose kernel) @@ fun () ->
   Sim.Kernel.run kernel;
   let kernel_stats = Sim.Kernel.stats kernel in
   {

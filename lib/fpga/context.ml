@@ -1,14 +1,15 @@
 (* An FPGA context (configuration): a fixed set of resources that are
    simultaneously available once the context's bitstream is loaded. *)
 
-type t = { name : string; resources : Resource.t list }
+(* [seed] is the name's hash, taken once: every bitstream word reads it *)
+type t = { name : string; resources : Resource.t list; seed : int }
 
 let make name resources =
   let names = List.map Resource.name resources in
   let dedup = List.sort_uniq String.compare names in
   if List.length dedup <> List.length names then
     invalid_arg ("Context.make: duplicate resource in " ^ name);
-  { name; resources }
+  { name; resources; seed = Hashtbl.hash name land 0xFFFF }
 
 let name c = c.name
 let resources c = c.resources
@@ -29,13 +30,10 @@ let bitstream_words c = (bitstream_bytes c + 3) / 4
    image without storing one.  [Hashtbl.hash] on strings is
    deterministic across runs. *)
 let bitstream_word c i =
-  let x = (Hashtbl.hash c.name land 0xFFFF) + (i * 0x01000193) in
+  let x = c.seed + (i * 0x01000193) in
   let x = x * 0x9E3779B1 land 0xFFFFFFFF in
   let x = x lxor (x lsr 15) in
   let x = x * 0x85EBCA77 land 0xFFFFFFFF in
   x lxor (x lsr 13) land 0xFFFFFFFF
 
 let golden_crc c = Crc.words (bitstream_word c) (bitstream_words c)
-
-let pp fmt c =
-  Fmt.pf fmt "%s{%a}" c.name (Fmt.list ~sep:Fmt.comma Resource.pp) c.resources

@@ -29,5 +29,3 @@ val golden_crc : t -> int
 (** CRC-32 of the clean bitstream ({!Crc.words} over
     {!bitstream_word}); what {!Fpga.reconfigure} compares a download
     against. *)
-
-val pp : Format.formatter -> t -> unit

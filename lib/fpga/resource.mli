@@ -1,6 +1,5 @@
-(** FPGA computing resources: HW algorithm modules and register files. *)
+(** FPGA computing resources: HW algorithm modules. *)
 
-type kind = Algorithm | Register_file
 type t
 
 val algorithm : area:int -> string -> t
@@ -8,5 +7,3 @@ val algorithm : area:int -> string -> t
 
 val name : t -> string
 val area : t -> int
-val kind : t -> kind
-val pp : Format.formatter -> t -> unit

@@ -81,8 +81,8 @@ let check ?(max_depth = 20) ?gov nl prop =
   let name = Prop.name prop in
   let session = Session.create nl prop in
   let fallback () =
-    (* last resort: exact reachability if tractable *)
-    match Explicit.check nl prop with
+    (* last resort: exact reachability if tractable and in budget *)
+    match Explicit.check ~gov nl prop with
     | Explicit.Proved { states } ->
         { property = name;
           verdict = Proved { method_ = Printf.sprintf "reachability(%d states)" states; depth = max_depth };
@@ -92,6 +92,10 @@ let check ?(max_depth = 20) ?gov nl prop =
     | Explicit.Too_large ->
         { property = name;
           verdict = Unknown { reason = Printf.sprintf "no proof within k=%d" max_depth };
+          checked_depth = max_depth }
+    | Explicit.Interrupted ->
+        { property = name;
+          verdict = Unknown { reason = out_reason gov ~what:"reachability" };
           checked_depth = max_depth }
   in
   (* governed degradation: the best bound fully checked is k - 1 *)

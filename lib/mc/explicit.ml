@@ -10,11 +10,13 @@ module Hdl = Symbad_hdl
 module Netlist = Symbad_hdl.Netlist
 module Bitvec = Symbad_hdl.Bitvec
 module Expr = Symbad_hdl.Expr
+module Gov = Symbad_gov.Gov
 
 type result =
   | Proved of { states : int }
   | Falsified of Trace.t
   | Too_large
+  | Interrupted
 
 (* Packed state: register values in declaration order. *)
 let pack values = values
@@ -35,7 +37,8 @@ let input_valuations nl =
       in
       split idx inputs)
 
-let check nl prop =
+let check ?gov nl prop =
+  let gov = Gov.get gov in
   let max_states = 1 lsl 20 and max_input_bits = 12 and max_evals = 1 lsl 22 in
   let prop = Prop.validate nl prop in
   if total_input_bits nl > max_input_bits then Too_large
@@ -100,6 +103,7 @@ let check nl prop =
     in
     let exception Violation of Trace.t in
     let exception Blown_up in
+    let exception Out_of_budget in
     (* Tractability is the PRODUCT of states and input valuations, not
        either alone: a 12-bit-input design within the state cap still
        means billions of transition evaluations.  Count every (state,
@@ -107,6 +111,9 @@ let check nl prop =
     let evals = ref 0 in
     try
       while not (Queue.is_empty queue) do
+        (* one expanded state is one pattern of the governor's *)
+        if Gov.out_of_budget gov then raise Out_of_budget;
+        Gov.charge_patterns gov 1;
         let state = Queue.pop queue in
         List.iter
           (fun inputs ->
@@ -127,11 +134,11 @@ let check nl prop =
     with
     | Violation tr -> Falsified tr
     | Blown_up -> Too_large
+    | Out_of_budget -> Interrupted
   end
 
 (* Reachable-state count, for reachability-checking reports. *)
 let reachable_states nl =
   match check nl (Prop.make ~name:"true" (Expr.const ~width:1 1)) with
   | Proved { states } -> Some states
-  | Falsified _ -> None
-  | Too_large -> None
+  | Falsified _ | Too_large | Interrupted -> None

@@ -16,6 +16,7 @@ let create ~dummy_payload =
 
 let is_empty q = q.size = 0
 let length q = q.size
+let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
 
 let before a b =
   let c = Time.compare a.time b.time in

@@ -15,5 +15,8 @@ val length : 'a t -> int
 val push : 'a t -> Time.t -> 'a -> unit
 (** [push q time payload] schedules [payload] at [time]. *)
 
+val peek_time : 'a t -> Time.t option
+(** The time of the earliest pending event, left in the queue. *)
+
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest pending event. *)

@@ -4,16 +4,26 @@
    primitives ([Process.wait], FIFO get/put, ...) perform effects that the
    scheduler interprets by parking the continuation and resuming it when the
    corresponding event fires.  This mirrors the SystemC process model the
-   paper's level-1..3 descriptions are written in. *)
+   paper's level-1..3 descriptions are written in.
+
+   Every parked continuation stays reachable from the kernel — a timed
+   wait as a [Resume] event in the queue, a [Suspend] in [parked] until
+   someone resumes it — so that [dispose] can unwind the fibers a run
+   leaves blocked.  A continuation that is dropped instead keeps its
+   fiber stack alive for the rest of the process. *)
 
 module Obs = Symbad_obs.Obs
 module Json = Symbad_obs.Json
+open Effect.Deep
 
-type action = unit -> unit
+type event = Run of (unit -> unit) | Resume of (unit, unit) continuation
 
 type t = {
   mutable now : Time.t;
-  queue : action Event_queue.t;
+  queue : event Event_queue.t;
+  parked : (int, (unit, unit) continuation) Hashtbl.t;
+  mutable next_park : int;  (* numbers suspensions in the order made *)
+  mutable disposing : bool;
   mutable events_processed : int;
   mutable processes_spawned : int;
   mutable stop_requested : bool;
@@ -38,7 +48,10 @@ type _ Effect.t +=
 let create () =
   {
     now = Time.zero;
-    queue = Event_queue.create ~dummy_payload:(fun () -> ());
+    queue = Event_queue.create ~dummy_payload:(Run ignore);
+    parked = Hashtbl.create 16;
+    next_park = 0;
+    disposing = false;
     events_processed = 0;
     processes_spawned = 0;
     stop_requested = false;
@@ -48,14 +61,24 @@ let create () =
 let now k = k.now
 
 let schedule ?(delay = Time.zero) k action =
-  Event_queue.push k.queue (Time.add k.now delay) action
+  Event_queue.push k.queue (Time.add k.now delay) (Run action)
 
-let schedule_at k time action = Event_queue.push k.queue time action
+let schedule_at k time action = Event_queue.push k.queue time (Run action)
 
 let stop k = k.stop_requested <- true
 
+let park k cont register =
+  let id = k.next_park in
+  k.next_park <- id + 1;
+  Hashtbl.add k.parked id cont;
+  register (fun () ->
+      match Hashtbl.find_opt k.parked id with
+      | Some cont ->
+          Hashtbl.remove k.parked id;
+          Event_queue.push k.queue k.now (Resume cont)
+      | None -> ())
+
 let exec_fiber k body =
-  let open Effect.Deep in
   match_with body ()
     {
       retc = (fun () -> ());
@@ -63,20 +86,15 @@ let exec_fiber k body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
+          | (Wait _ | Suspend _) when k.disposing ->
+              (* a fiber that blocks again while unwinding *)
+              Some (fun (cont : (a, _) continuation) -> discontinue cont Halted)
           | Wait d ->
               Some
                 (fun (cont : (a, _) continuation) ->
-                  schedule_at k (Time.add k.now d) (fun () ->
-                      continue cont ()))
+                  Event_queue.push k.queue (Time.add k.now d) (Resume cont))
           | Suspend register ->
-              Some
-                (fun (cont : (a, _) continuation) ->
-                  let resumed = ref false in
-                  register (fun () ->
-                      if not !resumed then begin
-                        resumed := true;
-                        schedule_at k k.now (fun () -> continue cont ())
-                      end))
+              Some (fun (cont : (a, _) continuation) -> park k cont register)
           | Get_kernel ->
               Some (fun (cont : (a, _) continuation) -> continue cont k)
           | _ -> None);
@@ -86,6 +104,8 @@ let spawn k body =
   k.processes_spawned <- k.processes_spawned + 1;
   if Obs.enabled () then Obs.incr_counter "sim.processes_spawned";
   schedule k (fun () -> exec_fiber k body)
+
+let dispatch = function Run action -> action () | Resume cont -> continue cont ()
 
 let run ?until k =
   let t0 = Sys.time () in
@@ -100,22 +120,18 @@ let run ?until k =
     match until with None -> true | Some limit -> Time.(time <= limit)
   in
   let rec loop () =
-    if k.stop_requested then ()
-    else
-      match Event_queue.pop k.queue with
+    if not k.stop_requested then
+      match Event_queue.peek_time k.queue with
       | None -> ()
-      | Some (time, action) ->
-          if within time then begin
-            k.now <- time;
-            k.events_processed <- k.events_processed + 1;
-            action ();
-            loop ()
-          end
-          else
-            (* leave the event consumed; clamp the clock at the horizon *)
-            match until with
-            | Some limit -> k.now <- limit
-            | None -> ()
+      | Some time when within time ->
+          let _, event = Option.get (Event_queue.pop k.queue) in
+          k.now <- time;
+          k.events_processed <- k.events_processed + 1;
+          dispatch event;
+          loop ()
+      | Some _ ->
+          (* the event stays queued; clamp the clock at the horizon *)
+          Option.iter (fun limit -> k.now <- limit) until
   in
   (* accumulate host time even when an action escapes with [Halted],
      an uncaught model exception, or a [stop] request *)
@@ -138,6 +154,39 @@ let run ?until k =
     end
   in
   Fun.protect ~finally:finish loop
+
+(* Unwind one parked fiber.  Whatever it raises on the way out is
+   dropped: the owner is done with the simulation, and an exception here
+   would leave the remaining fibers parked. *)
+let unwind cont = try discontinue cont Halted with _ -> ()
+
+let dispose k =
+  k.disposing <- true;
+  let rec drain () =
+    match Event_queue.pop k.queue with
+    | Some (_, Resume cont) ->
+        unwind cont;
+        drain ()
+    | Some (_, Run _) -> drain ()  (* nothing started, nothing to unwind *)
+    | None when Hashtbl.length k.parked = 0 -> ()
+    | None ->
+        let ids =
+          List.sort compare (List.of_seq (Hashtbl.to_seq_keys k.parked))
+        in
+        List.iter
+          (fun id ->
+            (* an earlier fiber's unwinding may have resumed this one:
+               it is back in the queue, for the next round *)
+            match Hashtbl.find_opt k.parked id with
+            | Some cont ->
+                Hashtbl.remove k.parked id;
+                unwind cont
+            | None -> ())
+          ids;
+        drain ()
+  in
+  drain ();
+  k.disposing <- false
 
 let stats k =
   {

@@ -3,7 +3,11 @@
     A kernel owns a clock and a queue of pending events.  Simulation
     processes (see {!Process}) are OCaml functions run as fibers on top of
     it: when a process blocks, its continuation is parked until the event
-    that unblocks it fires.  Same-time events run in schedule order. *)
+    that unblocks it fires.  Same-time events run in schedule order.
+
+    A kernel's owner disposes it ({!dispose}) once done with it: the
+    processes still blocked then are unwound with {!Halted}.  A fiber
+    that is never resumed nor unwound keeps its stack allocated. *)
 
 type t
 
@@ -42,10 +46,22 @@ val spawn : t -> (unit -> unit) -> unit
 
 val run : ?until:Time.t -> t -> unit
 (** Dispatch events until the queue drains, {!stop} is called, or the
-    clock would pass [until]. *)
+    clock would pass [until].  Events past [until] stay queued. *)
 
 val stop : t -> unit
 (** Request that {!run} return after the current event. *)
+
+val dispose : t -> unit
+(** Unwind every process still blocked: discontinue each with {!Halted}
+    (so its [Fun.protect ~finally] clauses and handlers run), the timed
+    waits in queue order, then the suspensions in the order they were
+    made, repeated until none is left — a [finally] may wake another
+    process.  A process that waits or suspends while unwinding is
+    discontinued at once, and what it raises on the way out is dropped.
+    Pending {!schedule}d actions and processes that never started are
+    discarded.  Call it from outside any process, after {!run} has
+    returned; the kernel is then empty, and disposing it again does
+    nothing. *)
 
 val stats : t -> stats
 

@@ -246,6 +246,22 @@ let level3_seeded_bug_detected_statically_and_dynamically () =
        false
      with Symbad_fpga.Fpga.Inconsistent { resource; _ } -> resource = "ROOT")
 
+(* A saboteur that blocks forever is unwound when the run returns. *)
+let level3_unwinds_blocked_processes () =
+  let unwound = ref false in
+  let tap ~bus:_ ~fpga:_ ~kernel =
+    Sim.Kernel.spawn kernel (fun () ->
+        Fun.protect
+          ~finally:(fun () -> unwound := true)
+          (fun () -> Sim.Process.suspend (fun _never_resumed -> ())))
+  in
+  let r = Level3.run ~tap !!(smoke.graph) !!(smoke.mapping3) in
+  check_bool "saboteur's finally ran" true !unwound;
+  let l3 = !!(smoke.level3) in
+  check "same latency" l3.Level3.latency_ns r.Level3.latency_ns;
+  check_bool "same fpga figures" true
+    (l3.Level3.fpga_stats = r.Level3.fpga_stats)
+
 (* --- Lpv bridge --- *)
 
 let lpv_bridge_face_app () =
@@ -695,6 +711,8 @@ let suite =
       level3_emits_consistent_sw;
     Alcotest.test_case "level3 seeded bug found twice" `Quick
       level3_seeded_bug_detected_statically_and_dynamically;
+    Alcotest.test_case "level3 unwinds blocked processes" `Quick
+      level3_unwinds_blocked_processes;
     Alcotest.test_case "lpv bridge on face app" `Quick lpv_bridge_face_app;
     Alcotest.test_case "lpv bridge seeded deadlock" `Quick
       lpv_bridge_seeded_deadlock;

@@ -153,6 +153,57 @@ let explicit_reachable_states () =
   Alcotest.(check (option int)) "fifo states" (Some 5)
     (Explicit.reachable_states fifo)
 
+(* A 20-bit counter that wraps at 499,999, beside a 12-bit input
+   register.  [c <> 2^20 - 1] holds, but no k <= 12 makes it inductive
+   (a free state just below 2^20 - 1 counts up into it), so the engine
+   falls back to explicit reachability: 4,096 input valuations per
+   state, seconds of work if nothing stops it. *)
+let wrapping_counter =
+  let c = E.reg "c" and w20 = E.const ~width:20 in
+  Netlist.make ~name:"wrap" ~inputs:[ ("x", 12) ] ~outputs:[]
+    ~registers:
+      [
+        {
+          Netlist.name = "c";
+          width = 20;
+          init = Bitvec.zero ~width:20;
+          next = E.mux (E.eq c (w20 499_999)) (w20 0) (E.add c (w20 1));
+        };
+        {
+          Netlist.name = "r";
+          width = 12;
+          init = Bitvec.zero ~width:12;
+          next = E.input "x";
+        };
+      ]
+
+let p_never_all_ones =
+  Prop.make ~name:"c_not_all_ones"
+    (E.not_ (E.eq (E.reg "c") (E.const ~width:20 ((1 lsl 20) - 1))))
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let explicit_fallback_honours_governor () =
+  let gov = Symbad_gov.Gov.create (Symbad_gov.Budget.make ~patterns:10 ()) in
+  let r = Engine.check ~max_depth:12 ~gov wrapping_counter p_never_all_ones in
+  (match r.Engine.verdict with
+  | Engine.Unknown { reason } ->
+      check_bool ("names the pattern budget: " ^ reason) true
+        (contains reason "pattern budget")
+  | v -> Alcotest.failf "expected unknown, got %a" Engine.pp_verdict v);
+  Alcotest.(check int) "checked depth" 12 r.Engine.checked_depth;
+  check_bool "at most 10 states expanded" true
+    (Symbad_gov.Gov.spent_patterns gov <= 10)
+
+let explicit_interrupted_by_spent_governor () =
+  let gov = Symbad_gov.Gov.create (Symbad_gov.Budget.make ~patterns:0 ()) in
+  check_bool "interrupted before the first state" true
+    (Explicit.check ~gov fifo p_count_bound = Explicit.Interrupted);
+  Alcotest.(check int) "nothing expanded" 0 (Symbad_gov.Gov.spent_patterns gov)
+
 (* --- Engine --- *)
 
 (* qcheck: the engine and explicit reachability agree on random small
@@ -476,8 +527,7 @@ let qcheck_bmc_explicit_agree =
       let explicit_says =
         match Explicit.check fifo p with
         | Explicit.Falsified _ -> false
-        | Explicit.Proved _ -> true
-        | Explicit.Too_large -> true
+        | Explicit.Proved _ | Explicit.Too_large | Explicit.Interrupted -> true
       in
       (* depth 8 >= diameter of the 5-state fifo, so both are decisive *)
       bmc_says = explicit_says)
@@ -503,6 +553,10 @@ let suite =
     Alcotest.test_case "explicit too large" `Quick explicit_too_large;
     Alcotest.test_case "explicit reachable states" `Quick
       explicit_reachable_states;
+    Alcotest.test_case "explicit fallback honours the governor" `Quick
+      explicit_fallback_honours_governor;
+    Alcotest.test_case "explicit interrupted by a spent governor" `Quick
+      explicit_interrupted_by_spent_governor;
     QCheck_alcotest.to_alcotest qcheck_engine_agreement;
     Alcotest.test_case "engine step properties" `Quick engine_step_property;
     Alcotest.test_case "engine finds seeded fifo bug" `Quick

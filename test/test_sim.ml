@@ -135,6 +135,64 @@ let kernel_same_time_fifo_order () =
   Kernel.run k;
   Alcotest.(check (list int)) "insertion order" [ 1; 2; 3; 4; 5 ] (List.rev !log)
 
+(* --- Disposal: the fibers a run leaves blocked are unwound --- *)
+
+let kernel_dispose_unwinds_parked () =
+  let k = Kernel.create () in
+  let unwound = ref 0 and finished = ref 0 in
+  let parked body =
+    Kernel.spawn k (fun () ->
+        Fun.protect ~finally:(fun () -> incr unwound) body)
+  in
+  parked (fun () -> Process.suspend (fun _never_resumed -> ()));
+  parked (fun () -> ignore (Fifo.get (Fifo.create "never fed")));
+  parked (fun () -> Process.wait (Time.ns 100));
+  Kernel.spawn k (fun () ->
+      Fun.protect
+        ~finally:(fun () -> incr finished)
+        (fun () -> Process.wait (Time.ns 1)));
+  Kernel.run ~until:(Time.ns 10) k;
+  check "blocked, not unwound by run" 0 !unwound;
+  check "ended normally" 1 !finished;
+  Kernel.dispose k;
+  check "suspend, fifo get and wait past the horizon" 3 !unwound;
+  check "ended process untouched" 1 !finished;
+  Kernel.dispose k;
+  check "second dispose does nothing" 3 !unwound;
+  Kernel.run k;
+  check "nothing left to run" 10 (Time.to_ns (Kernel.now k))
+
+(* A is unwound first.  Its [finally] wakes B, which moves B from the
+   suspensions to the queue, and then waits: the wait is discontinued at
+   once, before B's turn, and B is unwound on the next round. *)
+let kernel_dispose_blocking_finally () =
+  let k = Kernel.create () in
+  let wake = Fifo.create "wake" in
+  let log = ref [] in
+  let say s = log := s :: !log in
+  Kernel.spawn k (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Fifo.put wake ();
+          say "a unwinds";
+          Fun.protect
+            ~finally:(fun () -> say "a's wait discontinued")
+            (fun () -> Process.wait (Time.ns 1));
+          say "a waited")
+        (fun () -> Process.suspend (fun _never_resumed -> ())));
+  Kernel.spawn k (fun () ->
+      Fun.protect
+        ~finally:(fun () -> say "b unwinds")
+        (fun () ->
+          Fifo.get wake;
+          say "b woke"));
+  Kernel.run k;
+  Kernel.dispose k;
+  Alcotest.(check (list string))
+    "unwound in order, no wait completed"
+    [ "a unwinds"; "a's wait discontinued"; "b unwinds" ]
+    (List.rev !log)
+
 (* --- Fifo --- *)
 
 let fifo_fifo_order () =
@@ -320,6 +378,10 @@ let suite =
     Alcotest.test_case "nested spawn" `Quick kernel_nested_spawn;
     Alcotest.test_case "process halt" `Quick kernel_halt;
     Alcotest.test_case "kernel schedule helpers" `Quick kernel_schedule_direct;
+    Alcotest.test_case "kernel dispose unwinds parked fibers" `Quick
+      kernel_dispose_unwinds_parked;
+    Alcotest.test_case "kernel dispose discontinues a blocking finally" `Quick
+      kernel_dispose_blocking_finally;
     Alcotest.test_case "same-time events keep order" `Quick
       kernel_same_time_fifo_order;
     Alcotest.test_case "fifo order" `Quick fifo_fifo_order;
