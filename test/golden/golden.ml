@@ -1,7 +1,8 @@
 (* The golden-file producer: writes the exact determinism columns of
-   the fault campaigns, the lint corpus, the governed verdict mixes and
-   the level-2/3 platform as resil.out, tmr.out, lint.out, gov.out and
-   platform.out in the current directory.  The dune file beside it
+   the fault campaigns, the lint corpus, the governed verdict mixes, the
+   level-2/3 platform and the case study's pixels as resil.out, tmr.out,
+   lint.out, gov.out, platform.out and image.out in the current
+   directory.  The dune file beside it
    diffs each against its committed .json, so `dune runtest` fails on
    any drift and `dune promote` accepts a deliberate move.  No host timings: wall-clock figures are
    the benchmark's job (perf/). *)
@@ -228,8 +229,66 @@ let platform () =
              ] );
        ])
 
+(* The image pipeline, pixel for pixel: for every size, identity and
+   pose of the grid, the digests of the rendered scene, the camera's
+   Bayer frame and the gray, eroded and edge images, the fitted
+   ellipse (null when the fit fails) and the feature vector; and the
+   head of three [Rng] streams, which also drive ATPG and the fault
+   plans.  One entry per line, so a drift names its frame. *)
+let image () =
+  let module I = Symbad_image in
+  let rng seed =
+    let r = I.Rng.create seed in
+    ( Printf.sprintf "rng/%d" seed,
+      Json.List
+        (List.init 8 (fun _ -> Json.Str (Printf.sprintf "%016Lx" (I.Rng.next r))))
+    )
+  in
+  let frame size identity pose =
+    let scene = I.Facegen.frame ~size ~identity ~pose () in
+    let s = I.Pipeline.extract (I.Bayer.mosaic scene) in
+    let digest img = Json.Str (I.Image.digest img) in
+    ( Printf.sprintf "%d/%d/%d" size identity pose,
+      Json.Obj
+        [
+          ("scene", digest scene);
+          ("camera", digest s.I.Pipeline.raw);
+          ("gray", digest s.I.Pipeline.gray);
+          ("eroded", digest s.I.Pipeline.eroded);
+          ("edges", digest s.I.Pipeline.edges);
+          ( "ellipse",
+            match I.Ellipse.fit s.I.Pipeline.edges with
+            | Some e -> Json.Str (I.Ellipse.digest e)
+            | None -> Json.Null );
+          ( "features",
+            Json.List
+              (Array.to_list (Array.map (fun v -> Json.Int v) s.I.Pipeline.features))
+          );
+        ] )
+  in
+  let entries =
+    List.map rng [ 0; 1; 12345 ]
+    @ List.concat_map
+        (fun size ->
+          List.concat_map
+            (fun identity -> List.init 5 (frame size identity))
+            (List.init 20 Fun.id))
+        [ 16; 32; 64 ]
+  in
+  Out_channel.with_open_bin "image.out" (fun oc ->
+      output_string oc "{\n";
+      List.iteri
+        (fun i (key, v) ->
+          if i > 0 then output_string oc ",\n";
+          output_string oc (Json.to_string (Json.Str key));
+          output_string oc ":";
+          output_string oc (Json.to_string v))
+        entries;
+      output_string oc "\n}\n")
+
 let () =
   campaigns ();
   lint ();
   gov ();
-  platform ()
+  platform ();
+  image ()

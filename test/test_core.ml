@@ -605,6 +605,48 @@ let flow_speed_ordering () =
   | Some a, Some b -> check_bool "reconfig costs latency" true (b > a)
   | _ -> Alcotest.fail "levels 2 and 3 report latency"
 
+(* --- Level 4: the search trajectory ---
+
+   The solver effort of each flow module's whole plan (lint, model
+   checking and PCC; no cache, one lane), 310 solves, 3,138 conflicts
+   and 601,921 propagations in all, as a traced cold flow counts them.
+   Every verdict can stay while the encoding's clause order or the
+   solver's decisions change the search, and either moves these
+   counts. *)
+
+let level4_search_trajectory () =
+  let module Obs = Symbad_obs.Obs in
+  let sat_counts m =
+    Obs.reset ();
+    Obs.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        ignore (Level4.verify_module m);
+        let metrics = Obs.metrics () in
+        List.map
+          (fun name ->
+            Option.value ~default:0
+              (Symbad_obs.Metrics.find_counter metrics name))
+          [ "sat.solves"; "sat.conflicts"; "sat.propagations" ])
+  in
+  List.iter2
+    (fun (m : Level4.rtl_module) (name, want) ->
+      Alcotest.(check string) "module order" name m.Level4.module_name;
+      Alcotest.(check (list int))
+        (name ^ ": sat.solves, conflicts, propagations")
+        want (sat_counts m))
+    (Level4.modules ())
+    [
+      ("DISTANCE", [ 3; 65; 24_675 ]);
+      ("ROOT", [ 191; 1_738; 498_248 ]);
+      ("WRAPPER", [ 56; 277; 11_590 ]);
+      ("ARGMIN", [ 50; 964; 65_288 ]);
+      ("IFGEN", [ 10; 94; 2_120 ]);
+    ]
+
 (* --- Verdict.of_pcc under a budget --- *)
 
 module Pcc = Symbad_pcc.Pcc
@@ -745,4 +787,6 @@ let suite =
     Alcotest.test_case "flow smoke: all pass" `Slow flow_smoke_all_passes;
     Alcotest.test_case "flow markdown report" `Slow flow_markdown_report;
     Alcotest.test_case "flow speed ordering" `Slow flow_speed_ordering;
+    Alcotest.test_case "level4 search trajectory" `Slow
+      level4_search_trajectory;
   ]

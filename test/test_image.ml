@@ -284,6 +284,268 @@ let qcheck_rng_deterministic =
       List.for_all (fun _ -> Rng.int a 1000 = Rng.int b 1000)
         (List.init 20 (fun i -> i)))
 
+(* --- The per-pixel reference kernels ---
+
+   The kernels as first written, one accessor call per pixel and per
+   stencil tap, kept as the specification of the array kernels: every
+   pixel, digest, ellipse and feature must come out the same. *)
+
+module Ref = struct
+  let gain x y =
+    match Bayer.channel_at x y with Bayer.R -> 205 | G -> 256 | B -> 230
+
+  let mosaic img =
+    let w = Image.width img and h = Image.height img in
+    let out = Image.create ~width:w ~height:h in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        Image.set out x y (Image.get img x y * gain x y / 256)
+      done
+    done;
+    out
+
+  let demosaic raw =
+    let w = Image.width raw and h = Image.height raw in
+    let corrected = Image.create ~width:w ~height:h in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        Image.set corrected x y (Image.get raw x y * 256 / gain x y)
+      done
+    done;
+    let out = Image.create ~width:w ~height:h in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        let c = Image.get_clamped corrected in
+        let v =
+          ((4 * c x y) + c (x - 1) y + c (x + 1) y + c x (y - 1) + c x (y + 1))
+          / 8
+        in
+        Image.set out x y v
+      done
+    done;
+    out
+
+  (* the 3x3 window's [pick] (min for erosion, max for dilation) *)
+  let window pick init img =
+    let w = Image.width img and h = Image.height img in
+    let out = Image.create ~width:w ~height:h in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        let m = ref init in
+        for dy = -1 to 1 do
+          for dx = -1 to 1 do
+            m := pick !m (Image.get_clamped img (x + dx) (y + dy))
+          done
+        done;
+        Image.set out x y !m
+      done
+    done;
+    out
+
+  let erosion = window min 255
+  let dilation = window max 0
+
+  let sobel_at img x y =
+    let p = Image.get_clamped img in
+    let gx =
+      -p (x - 1) (y - 1) + p (x + 1) (y - 1)
+      - (2 * p (x - 1) y)
+      + (2 * p (x + 1) y)
+      - p (x - 1) (y + 1)
+      + p (x + 1) (y + 1)
+    in
+    let gy =
+      -p (x - 1) (y - 1)
+      - (2 * p x (y - 1))
+      - p (x + 1) (y - 1)
+      + p (x - 1) (y + 1)
+      + (2 * p x (y + 1))
+      + p (x + 1) (y + 1)
+    in
+    abs gx + abs gy
+
+  let edge img =
+    let w = Image.width img and h = Image.height img in
+    let out = Image.create ~width:w ~height:h in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        Image.set out x y (if sobel_at img x y / 4 > 40 then 255 else 0)
+      done
+    done;
+    out
+
+  let ellipse_fit edge_map =
+    let w = Image.width edge_map and h = Image.height edge_map in
+    let n = ref 0 and sx = ref 0 and sy = ref 0 in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        if Image.get edge_map x y > 0 then begin
+          incr n;
+          sx := !sx + x;
+          sy := !sy + y
+        end
+      done
+    done;
+    if !n < 16 then None
+    else begin
+      let nf = float_of_int !n in
+      let cx = float_of_int !sx /. nf and cy = float_of_int !sy /. nf in
+      let sxx = ref 0. and syy = ref 0. in
+      for y = 0 to h - 1 do
+        for x = 0 to w - 1 do
+          if Image.get edge_map x y > 0 then begin
+            let dx = float_of_int x -. cx and dy = float_of_int y -. cy in
+            sxx := !sxx +. (dx *. dx);
+            syy := !syy +. (dy *. dy)
+          end
+        done
+      done;
+      let rx = sqrt (2. *. !sxx /. nf) and ry = sqrt (2. *. !syy /. nf) in
+      Some
+        {
+          Ellipse.cx;
+          cy;
+          rx = Float.max rx 1.;
+          ry = Float.max ry 1.;
+          support = !n;
+        }
+    end
+
+  let border_profile ~bins edge_map (e : Ellipse.t) =
+    let w = Image.width edge_map and h = Image.height edge_map in
+    let max_r = float_of_int (max w h) in
+    let scale = (e.Ellipse.rx +. e.Ellipse.ry) /. 2. in
+    let pi = 4.0 *. atan 1.0 in
+    Array.init bins (fun b ->
+        let angle = 2. *. pi *. float_of_int b /. float_of_int bins in
+        let dx = cos angle and dy = sin angle in
+        let rec march r last =
+          if r > max_r then last
+          else begin
+            let x = int_of_float (e.Ellipse.cx +. (r *. dx)) in
+            let y = int_of_float (e.Ellipse.cy +. (r *. dy)) in
+            if x < 0 || x >= w || y < 0 || y >= h then last
+            else
+              let last = if Image.get edge_map x y > 0 then r else last in
+              march (r +. 1.) last
+          end
+        in
+        int_of_float (march 1. 0. /. scale *. 64.))
+
+  let calc_features img (e : Ellipse.t) (s : Line.scan) =
+    let w = Image.width img and h = Image.height img in
+    let clip lo hi v = if v < lo then lo else if v > hi then hi else v in
+    let x0 = clip 0 (w - 1) (int_of_float (e.Ellipse.cx -. e.Ellipse.rx)) in
+    let x1 = clip 0 (w - 1) (int_of_float (e.Ellipse.cx +. e.Ellipse.rx)) in
+    let y0 = clip 0 (h - 1) (int_of_float (e.Ellipse.cy -. e.Ellipse.ry)) in
+    let y1 = clip 0 (h - 1) (int_of_float (e.Ellipse.cy +. e.Ellipse.ry)) in
+    let row_mean y =
+      let sum = ref 0 in
+      for x = x0 to x1 do
+        sum := !sum + Image.get img x y
+      done;
+      !sum / max 1 (x1 - x0 + 1)
+    in
+    let col_mean x =
+      let sum = ref 0 in
+      for y = y0 to y1 do
+        sum := !sum + Image.get img x y
+      done;
+      !sum / max 1 (y1 - y0 + 1)
+    in
+    Array.append (Array.map row_mean s.Line.rows) (Array.map col_mean s.Line.cols)
+
+  let digest img =
+    let w = Image.width img and h = Image.height img in
+    let fnv = ref 0xcbf29ce484222325L and sum = ref 0 in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        let p = Image.get img x y in
+        sum := !sum + p;
+        fnv := Int64.mul (Int64.logxor !fnv (Int64.of_int p)) 0x100000001b3L
+      done
+    done;
+    Printf.sprintf "%dx%d/m%d/%Lx" w h (!sum / (w * h)) !fnv
+
+  (* xorshift64-star over boxed int64 state *)
+  let rng_stream seed n =
+    let s = ref (if seed = 0 then 0x9E3779B97F4A7C15L else Int64.of_int seed) in
+    List.init n (fun _ ->
+        let x = !s in
+        let x = Int64.logxor x (Int64.shift_left x 13) in
+        let x = Int64.logxor x (Int64.shift_right_logical x 7) in
+        let x = Int64.logxor x (Int64.shift_left x 17) in
+        s := x;
+        Int64.mul x 0x2545F4914F6CDD1DL)
+end
+
+(* A random image of 1..70 x 1..70 pixels (one-pixel rows and columns
+   drawn often: their clamped neighbours are the edge case), either
+   full-range or a sparse 0/255 map like an edge map, and a random
+   ellipse that may lie partly or wholly off the image. *)
+let arb_image_and_ellipse =
+  let open QCheck.Gen in
+  let side = oneof [ return 1; return 2; int_range 1 70 ] in
+  let gen =
+    side >>= fun width ->
+    side >>= fun height ->
+    oneofl
+      [ int_bound 255; map (fun r -> if r = 0 then 255 else 0) (int_bound 5) ]
+    >>= fun pixel ->
+    array_repeat (width * height) pixel >>= fun pixels ->
+    let coord = float_range (-10.) 80. and radius = float_range 1. 40. in
+    map
+      (fun (cx, cy, rx, ry) ->
+        let img = Image.create ~width ~height in
+        Array.iteri (fun i v -> Image.set img (i mod width) (i / width) v) pixels;
+        (img, { Ellipse.cx; cy; rx; ry; support = 0 }))
+      (quad coord coord radius radius)
+  in
+  QCheck.make gen ~print:(fun (img, e) ->
+      Fmt.str "%a, %a" Image.pp img Ellipse.pp e)
+
+let qcheck_kernels_match_reference =
+  QCheck.Test.make ~name:"array kernels equal the per-pixel reference"
+    ~count:500 arb_image_and_ellipse (fun (img, e) ->
+      let before = Image.copy img in
+      let same_image name a b =
+        Image.equal a b || QCheck.Test.fail_reportf "%s differs" name
+      in
+      let same name a b = a = b || QCheck.Test.fail_reportf "%s differs" name in
+      let edges = Ref.edge img in
+      let fitted =
+        Option.value (Ref.ellipse_fit edges)
+          ~default:(Pipeline.fallback_ellipse edges)
+      in
+      same_image "mosaic" (Bayer.mosaic img) (Ref.mosaic img)
+      && same_image "demosaic" (Bayer.demosaic img) (Ref.demosaic img)
+      && same_image "erosion" (Erosion.apply img) (Ref.erosion img)
+      && same_image "dilation" (Erosion.dilate img) (Ref.dilation img)
+      && same_image "edge" (Edge.detect img) (Ref.edge img)
+      && same "ellipse fit of the image" (Ellipse.fit img) (Ref.ellipse_fit img)
+      && same "ellipse fit of its edges" (Ellipse.fit edges)
+           (Ref.ellipse_fit edges)
+      && List.for_all
+           (fun e ->
+             same "border profile"
+               (Border.profile ~bins:16 edges e)
+               (Ref.border_profile ~bins:16 edges e)
+             &&
+             let scan = Line.create_lines ~n:8 img e in
+             same "line features"
+               (Line.calc_features img e scan)
+               (Ref.calc_features img e scan))
+           [ fitted; e ]
+      && same "digest" (Image.digest img) (Ref.digest img)
+      && same_image "input untouched" img before)
+
+let qcheck_rng_matches_reference =
+  QCheck.Test.make ~name:"rng stream equals the int64 reference" ~count:100
+    QCheck.(oneof [ always 0; int ])
+    (fun seed ->
+      let r = Rng.create seed in
+      List.for_all (fun v -> Rng.next r = v) (Ref.rng_stream seed 40))
+
 let suite =
   [
     Alcotest.test_case "image get/set/clamp" `Quick image_get_set;
@@ -325,4 +587,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_erosion_dilation_order;
     QCheck_alcotest.to_alcotest qcheck_border_profile_wellformed;
     QCheck_alcotest.to_alcotest qcheck_rng_deterministic;
+    QCheck_alcotest.to_alcotest qcheck_kernels_match_reference;
+    QCheck_alcotest.to_alcotest qcheck_rng_matches_reference;
   ]
