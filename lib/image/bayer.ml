@@ -24,42 +24,57 @@ let channel_at x y =
 
 let gain = function R -> gain_r | G -> gain_g | B -> gain_b
 
-(* Simulate the sensor: apply the colour-filter gain at each photosite. *)
+(* Simulate the sensor: apply the colour-filter gain at each photosite.
+   A row alternates two filters, starting at even [x].  Gains are at most
+   1, so values stay in range. *)
 let mosaic img =
   let w = Image.width img and h = Image.height img in
-  let out = Image.create ~width:w ~height:h in
+  let src = Image.pixels img in
+  let out = Array.make (w * h) 0 in
   for y = 0 to h - 1 do
+    let even = gain (channel_at 0 y) and odd = gain (channel_at 1 y) in
+    let row = y * w in
     for x = 0 to w - 1 do
-      let v = Image.get img x y * gain (channel_at x y) / 256 in
-      Image.set out x y v
+      let g = if x land 1 = 0 then even else odd in
+      out.(row + x) <- src.(row + x) * g / 256
     done
   done;
-  out
+  Image.of_pixels ~width:w ~height:h out
 
 (* Reconstruct gray from the mosaic: undo the per-channel gain at each
-   site, then smooth with the quincunx average to kill the residual
+   site (clamped: the inverse gains exceed 1), then smooth with the
+   quincunx average, borders replicated, to kill the residual
    checkerboard. *)
 let demosaic raw =
   let w = Image.width raw and h = Image.height raw in
-  let corrected = Image.create ~width:w ~height:h in
+  let src = Image.pixels raw in
+  let c = Array.make (w * h) 0 in
   for y = 0 to h - 1 do
+    let even = gain (channel_at 0 y) and odd = gain (channel_at 1 y) in
+    let row = y * w in
     for x = 0 to w - 1 do
-      let v = Image.get raw x y * 256 / gain (channel_at x y) in
-      Image.set corrected x y v
+      let g = if x land 1 = 0 then even else odd in
+      c.(row + x) <- Image.clamp (src.(row + x) * 256 / g)
     done
   done;
-  let out = Image.create ~width:w ~height:h in
+  let out = Array.make (w * h) 0 in
   for y = 0 to h - 1 do
+    let row = y * w in
+    let up = if y > 0 then row - w else row
+    and down = if y < h - 1 then row + w else row in
     for x = 0 to w - 1 do
-      let c = Image.get_clamped corrected in
-      let v =
-        ((4 * c x y) + c (x - 1) y + c (x + 1) y + c x (y - 1) + c x (y + 1))
+      let left = if x > 0 then x - 1 else x
+      and right = if x < w - 1 then x + 1 else x in
+      out.(row + x) <-
+        ((4 * c.(row + x))
+        + c.(row + left)
+        + c.(row + right)
+        + c.(up + x)
+        + c.(down + x))
         / 8
-      in
-      Image.set out x y v
     done
   done;
-  out
+  Image.of_pixels ~width:w ~height:h out
 
 (* Work units per frame for profiling: one unit per photosite for the
    gain pass plus five for the interpolation pass. *)

@@ -13,12 +13,16 @@ type t = {
   support : int;  (* number of edge pixels used *)
 }
 
+(* Both passes visit the edge pixels in raster order, so the float sums
+   accumulate in one fixed order. *)
 let fit edge_map =
   let w = Image.width edge_map and h = Image.height edge_map in
+  let px = Image.pixels edge_map in
   let n = ref 0 and sx = ref 0 and sy = ref 0 in
   for y = 0 to h - 1 do
+    let row = y * w in
     for x = 0 to w - 1 do
-      if Image.get edge_map x y > 0 then begin
+      if px.(row + x) > 0 then begin
         incr n;
         sx := !sx + x;
         sy := !sy + y
@@ -31,9 +35,10 @@ let fit edge_map =
     let cx = float_of_int !sx /. nf and cy = float_of_int !sy /. nf in
     let sxx = ref 0. and syy = ref 0. in
     for y = 0 to h - 1 do
+      let row = y * w and dy = float_of_int y -. cy in
       for x = 0 to w - 1 do
-        if Image.get edge_map x y > 0 then begin
-          let dx = float_of_int x -. cx and dy = float_of_int y -. cy in
+        if px.(row + x) > 0 then begin
+          let dx = float_of_int x -. cx in
           sxx := !sxx +. (dx *. dx);
           syy := !syy +. (dy *. dy)
         end

@@ -2,39 +2,34 @@
    follows demosaicing in the case-study pipeline.  Erosion suppresses
    isolated bright sensor noise before gradient computation. *)
 
+let min (a : int) b = if a < b then a else b
+
+(* The 3x3 minimum is separable: per row, the minimum of each column's
+   three taps (rows replicated at the border), then of three adjacent
+   column minima (columns replicated). *)
 let apply img =
   let w = Image.width img and h = Image.height img in
-  let out = Image.create ~width:w ~height:h in
+  let src = Image.pixels img in
+  let out = Array.make (w * h) 0 and col = Array.make w 0 in
   for y = 0 to h - 1 do
+    let row = y * w in
+    let up = if y > 0 then row - w else row
+    and down = if y < h - 1 then row + w else row in
     for x = 0 to w - 1 do
-      let m = ref 255 in
-      for dy = -1 to 1 do
-        for dx = -1 to 1 do
-          let v = Image.get_clamped img (x + dx) (y + dy) in
-          if v < !m then m := v
-        done
-      done;
-      Image.set out x y !m
+      col.(x) <- min (min src.(up + x) src.(row + x)) src.(down + x)
+    done;
+    for x = 0 to w - 1 do
+      let left = if x > 0 then x - 1 else x
+      and right = if x < w - 1 then x + 1 else x in
+      out.(row + x) <- min (min col.(left) col.(x)) col.(right)
     done
   done;
-  out
+  Image.of_pixels ~width:w ~height:h out
 
-(* Dual operator, used by tests to check the morphological laws. *)
+(* Dual operator, used by tests to check the morphological laws: the
+   maximum of a window is 255 minus the minimum of its complement. *)
 let dilate img =
-  let w = Image.width img and h = Image.height img in
-  let out = Image.create ~width:w ~height:h in
-  for y = 0 to h - 1 do
-    for x = 0 to w - 1 do
-      let m = ref 0 in
-      for dy = -1 to 1 do
-        for dx = -1 to 1 do
-          let v = Image.get_clamped img (x + dx) (y + dy) in
-          if v > !m then m := v
-        done
-      done;
-      Image.set out x y !m
-    done
-  done;
-  out
+  let complement = Image.map (fun p -> 255 - p) in
+  complement (apply (complement img))
 
 let work ~width ~height = width * height * 9

@@ -72,81 +72,86 @@ let pose pose_id =
     }
   end
 
-(* Smooth-edged ellipse: full intensity inside, linear falloff over about
-   one pixel at the rim. *)
-let draw_ellipse img ~cx ~cy ~rx ~ry ~level =
-  let w = Image.width img and h = Image.height img in
-  for y = 0 to h - 1 do
-    for x = 0 to w - 1 do
-      let nx = (float_of_int x -. cx) /. rx in
-      let ny = (float_of_int y -. cy) /. ry in
-      let d = (nx *. nx) +. (ny *. ny) in
-      if d <= 1.0 then Image.set img x y level
-      else if d <= 1.15 then begin
-        let blend = (1.15 -. d) /. 0.15 in
-        let bg = Image.get img x y in
-        let v =
-          int_of_float
-            ((blend *. float_of_int level) +. ((1. -. blend) *. float_of_int bg))
-        in
-        Image.set img x y v
-      end
-    done
+(* The drawing primitives paint into a [size] x [size] row-major pixel
+   array; [level] is in [0, 255].
+
+   Smooth-edged ellipse: full intensity inside, linear falloff over about
+   one pixel at the rim (d <= 1.15).  Since d = nx^2 + ny^2 >= ny^2, a
+   row whose ny^2 exceeds 1.15 holds no pixel of it and is skipped. *)
+let draw_ellipse px ~size ~cx ~cy ~rx ~ry ~level =
+  for y = 0 to size - 1 do
+    let ny = (float_of_int y -. cy) /. ry in
+    let ny2 = ny *. ny in
+    if ny2 <= 1.15 then
+      for x = 0 to size - 1 do
+        let nx = (float_of_int x -. cx) /. rx in
+        let d = (nx *. nx) +. ny2 in
+        let i = (y * size) + x in
+        if d <= 1.0 then px.(i) <- level
+        else if d <= 1.15 then begin
+          let blend = (1.15 -. d) /. 0.15 in
+          let bg = px.(i) in
+          let v =
+            int_of_float
+              ((blend *. float_of_int level)
+              +. ((1. -. blend) *. float_of_int bg))
+          in
+          px.(i) <- Image.clamp v
+        end
+      done
   done
 
-let draw_hbar img ~cx ~cy ~half_w ~half_h ~level =
+let draw_hbar px ~size ~cx ~cy ~half_w ~half_h ~level =
   let x0 = int_of_float (cx -. half_w) and x1 = int_of_float (cx +. half_w) in
   let y0 = int_of_float (cy -. half_h) and y1 = int_of_float (cy +. half_h) in
-  for y = max 0 y0 to min (Image.height img - 1) y1 do
-    for x = max 0 x0 to min (Image.width img - 1) x1 do
-      Image.set img x y level
+  for y = Int.max 0 y0 to Int.min (size - 1) y1 do
+    for x = Int.max 0 x0 to Int.min (size - 1) x1 do
+      px.((y * size) + x) <- level
     done
   done
 
 let render ?(size = 64) ident pose =
-  let img = Image.create ~width:size ~height:size in
+  let px = Array.make (size * size) 0 in
   let s = float_of_int size in
   (* background: mild vertical gradient, like an indoor scene *)
   for y = 0 to size - 1 do
-    for x = 0 to size - 1 do
-      Image.set img x y (40 + (y * 20 / size))
-    done
+    Array.fill px (y * size) size (40 + (y * 20 / size))
   done;
   let cx = (0.5 +. pose.dx) *. s and cy = (0.5 +. pose.dy) *. s in
   let sc = pose.scale *. s in
   let skin = Image.clamp (ident.skin + pose.brightness) in
   (* head *)
-  draw_ellipse img ~cx ~cy ~rx:(ident.face_rx *. sc) ~ry:(ident.face_ry *. sc)
-    ~level:skin;
+  draw_ellipse px ~size ~cx ~cy ~rx:(ident.face_rx *. sc)
+    ~ry:(ident.face_ry *. sc) ~level:skin;
   (* eyes *)
   let eye_y = cy -. (ident.eye_dy *. sc) in
   let eye_off = ident.eye_dx *. sc in
   let eye_r = ident.eye_r *. sc in
-  draw_ellipse img ~cx:(cx -. eye_off) ~cy:eye_y ~rx:eye_r ~ry:eye_r ~level:30;
-  draw_ellipse img ~cx:(cx +. eye_off) ~cy:eye_y ~rx:eye_r ~ry:eye_r ~level:30;
+  draw_ellipse px ~size ~cx:(cx -. eye_off) ~cy:eye_y ~rx:eye_r ~ry:eye_r
+    ~level:30;
+  draw_ellipse px ~size ~cx:(cx +. eye_off) ~cy:eye_y ~rx:eye_r ~ry:eye_r
+    ~level:30;
   (* brows *)
   let brow_y = cy -. (ident.brow_drop *. sc) in
-  draw_hbar img ~cx:(cx -. eye_off) ~cy:brow_y ~half_w:(eye_r *. 1.4)
+  draw_hbar px ~size ~cx:(cx -. eye_off) ~cy:brow_y ~half_w:(eye_r *. 1.4)
     ~half_h:1.0 ~level:50;
-  draw_hbar img ~cx:(cx +. eye_off) ~cy:brow_y ~half_w:(eye_r *. 1.4)
+  draw_hbar px ~size ~cx:(cx +. eye_off) ~cy:brow_y ~half_w:(eye_r *. 1.4)
     ~half_h:1.0 ~level:50;
   (* nose *)
-  draw_hbar img ~cx ~cy:(cy +. (ident.nose_len *. sc *. 0.5))
+  draw_hbar px ~size ~cx ~cy:(cy +. (ident.nose_len *. sc *. 0.5))
     ~half_w:1.0 ~half_h:(ident.nose_len *. sc *. 0.5)
     ~level:(Image.clamp (skin - 40));
   (* mouth *)
-  draw_hbar img ~cx ~cy:(cy +. (ident.mouth_y *. sc))
+  draw_hbar px ~size ~cx ~cy:(cy +. (ident.mouth_y *. sc))
     ~half_w:(ident.mouth_w *. sc) ~half_h:1.5 ~level:60;
-  (* sensor noise *)
+  (* sensor noise, drawn in raster order *)
   if pose.noise_amp > 0. then begin
     let rng = Rng.create ((ident.id * 1009) + (pose.pose_id * 13) + 3) in
-    for y = 0 to size - 1 do
-      for x = 0 to size - 1 do
-        let n = int_of_float (Rng.noise rng *. pose.noise_amp) in
-        Image.set img x y (Image.get img x y + n)
-      done
+    for i = 0 to (size * size) - 1 do
+      let n = int_of_float (Rng.noise rng *. pose.noise_amp) in
+      px.(i) <- Image.clamp (px.(i) + n)
     done
   end;
-  img
+  Image.of_pixels ~width:size ~height:size px
 
 let frame ?(size = 64) ~identity:id ~pose:p () = render ~size (identity id) (pose p)

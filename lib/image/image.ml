@@ -7,8 +7,15 @@ let create ~width ~height =
   if width <= 0 || height <= 0 then invalid_arg "Image.create: dimensions";
   { width; height; pixels = Array.make (width * height) 0 }
 
+let of_pixels ~width ~height pixels =
+  if width <= 0 || height <= 0 then invalid_arg "Image.of_pixels: dimensions";
+  if Array.length pixels <> width * height then
+    invalid_arg "Image.of_pixels: length";
+  { width; height; pixels }
+
 let width img = img.width
 let height img = img.height
+let pixels img = img.pixels
 
 let clamp v = if v < 0 then 0 else if v > 255 then 255 else v
 
@@ -53,15 +60,19 @@ let count_above img threshold =
   Array.fold_left (fun n p -> if p > threshold then n + 1 else n) 0 img.pixels
 
 (* Compact digest used for trace comparison: dimensions, mean, and a
-   64-bit FNV-1a hash of the pixel data. *)
+   64-bit FNV-1a hash of the pixel data.  A local loop keeps the int64
+   accumulator unboxed; a closure over it would box every step. *)
 let digest img =
-  let fnv = ref 0xcbf29ce484222325L in
-  Array.iter
-    (fun p ->
-      fnv := Int64.logxor !fnv (Int64.of_int p);
-      fnv := Int64.mul !fnv 0x100000001b3L)
-    img.pixels;
-  Printf.sprintf "%dx%d/m%d/%Lx" img.width img.height (mean img) !fnv
+  let px = img.pixels in
+  let fnv = ref 0xcbf29ce484222325L and sum = ref 0 in
+  for i = 0 to Array.length px - 1 do
+    let p = px.(i) in
+    sum := !sum + p;
+    fnv := Int64.mul (Int64.logxor !fnv (Int64.of_int p)) 0x100000001b3L
+  done;
+  Printf.sprintf "%dx%d/m%d/%Lx" img.width img.height
+    (!sum / Array.length px)
+    !fnv
 
 let pp fmt img =
   Fmt.pf fmt "<image %dx%d mean=%d>" img.width img.height (mean img)

@@ -28,6 +28,7 @@ let create_lines ?(n = 8) img (e : Ellipse.t) =
    ellipse's horizontal/vertical extent. *)
 let calc_features img (e : Ellipse.t) (s : scan) =
   let w = Image.width img and h = Image.height img in
+  let px = Image.pixels img in
   let clip lo hi v = if v < lo then lo else if v > hi then hi else v in
   let x0 = clip 0 (w - 1) (int_of_float (e.Ellipse.cx -. e.Ellipse.rx)) in
   let x1 = clip 0 (w - 1) (int_of_float (e.Ellipse.cx +. e.Ellipse.rx)) in
@@ -35,17 +36,17 @@ let calc_features img (e : Ellipse.t) (s : scan) =
   let y1 = clip 0 (h - 1) (int_of_float (e.Ellipse.cy +. e.Ellipse.ry)) in
   let row_mean y =
     let sum = ref 0 in
-    for x = x0 to x1 do
-      sum := !sum + Image.get img x y
+    for i = (y * w) + x0 to (y * w) + x1 do
+      sum := !sum + px.(i)
     done;
-    !sum / max 1 (x1 - x0 + 1)
+    !sum / Int.max 1 (x1 - x0 + 1)
   in
   let col_mean x =
     let sum = ref 0 in
     for y = y0 to y1 do
-      sum := !sum + Image.get img x y
+      sum := !sum + px.((y * w) + x)
     done;
-    !sum / max 1 (y1 - y0 + 1)
+    !sum / Int.max 1 (y1 - y0 + 1)
   in
   Array.append (Array.map row_mean s.rows) (Array.map col_mean s.cols)
 

@@ -1,19 +1,23 @@
 (* Deterministic pseudo-random numbers (xorshift64-star), so that synthetic
    camera frames and noise are reproducible across runs and platforms. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer, read and written unboxed;
+   a mutable int64 field would box every new state. *)
+type t = Bytes.t
 
 let create seed =
+  let t = Bytes.create 8 in
   (* avoid the all-zero state *)
-  let s = Int64.of_int seed in
-  { state = (if Int64.equal s 0L then 0x9E3779B97F4A7C15L else s) }
+  Bytes.set_int64_ne t 0
+    (if seed = 0 then 0x9E3779B97F4A7C15L else Int64.of_int seed);
+  t
 
-let next t =
-  let x = t.state in
+let[@inline] next t =
+  let x = Bytes.get_int64_ne t 0 in
   let x = Int64.logxor x (Int64.shift_left x 13) in
   let x = Int64.logxor x (Int64.shift_right_logical x 7) in
   let x = Int64.logxor x (Int64.shift_left x 17) in
-  t.state <- x;
+  Bytes.set_int64_ne t 0 x;
   Int64.mul x 0x2545F4914F6CDD1DL
 
 let int t bound =
@@ -21,7 +25,7 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let float t =
+let[@inline] float t =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v /. 9007199254740992. (* 2^53 *)
 

@@ -454,7 +454,8 @@ let qcheck_blast_matches_eval =
           Unroll.bits_value solver bits = want
       | Symbad_sat.Solver.Unsat | Symbad_sat.Solver.Unknown -> false)
 
-(* --- New IP datapaths vs the reference image library --- *)
+(* --- New IP datapaths vs the image library and its per-pixel reference
+   kernels (test_image.ml) --- *)
 
 let sobel_window_matches_reference () =
   let nl = Rtl_lib.sobel_window_datapath () in
@@ -465,7 +466,7 @@ let sobel_window_matches_reference () =
     (* reference: a 3x3 image evaluated at its centre *)
     let img = I.Image.create ~width:3 ~height:3 in
     Array.iteri (fun i v -> I.Image.set img (i mod 3) (i / 3) v) window;
-    let want = I.Edge.sobel_at img 1 1 in
+    let want = Test_image.Ref.sobel_at img 1 1 in
     let inputs =
       Array.to_list
         (Array.mapi (fun i v -> (Printf.sprintf "p%d" i, bv 8 v)) window)
