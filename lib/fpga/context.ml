@@ -1,15 +1,17 @@
 (* An FPGA context (configuration): a fixed set of resources that are
    simultaneously available once the context's bitstream is loaded. *)
 
-(* [seed] is the name's hash, taken once: every bitstream word reads it *)
-type t = { name : string; resources : Resource.t list; seed : int }
-
-let make name resources =
-  let names = List.map Resource.name resources in
-  let dedup = List.sort_uniq String.compare names in
-  if List.length dedup <> List.length names then
-    invalid_arg ("Context.make: duplicate resource in " ^ name);
-  { name; resources; seed = Hashtbl.hash name land 0xFFFF }
+(* [seed] is the name's hash, taken once: every bitstream word reads it.
+   [golden_crc] is the clean image's CRC, taken once in [make]: every
+   download compares against it.  A plain field, not a [Lazy.t]: a
+   context may be read from several domains, and forcing one lazy value
+   from two domains at once raises. *)
+type t = {
+  name : string;
+  resources : Resource.t list;
+  seed : int;
+  golden_crc : int;
+}
 
 let name c = c.name
 let resources c = c.resources
@@ -36,4 +38,14 @@ let bitstream_word c i =
   let x = x * 0x85EBCA77 land 0xFFFFFFFF in
   x lxor (x lsr 13) land 0xFFFFFFFF
 
-let golden_crc c = Crc.words (bitstream_word c) (bitstream_words c)
+let make name resources =
+  let names = List.map Resource.name resources in
+  let dedup = List.sort_uniq String.compare names in
+  if List.length dedup <> List.length names then
+    invalid_arg ("Context.make: duplicate resource in " ^ name);
+  let c =
+    { name; resources; seed = Hashtbl.hash name land 0xFFFF; golden_crc = 0 }
+  in
+  { c with golden_crc = Crc.words (bitstream_word c) (bitstream_words c) }
+
+let golden_crc c = c.golden_crc

@@ -27,5 +27,5 @@ val bitstream_word : t -> int -> int
 
 val golden_crc : t -> int
 (** CRC-32 of the clean bitstream ({!Crc.words} over
-    {!bitstream_word}); what {!Fpga.reconfigure} compares a download
-    against. *)
+    {!bitstream_word}), computed once by {!make}; what
+    {!Fpga.reconfigure} compares a download against. *)
