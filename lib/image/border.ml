@@ -16,19 +16,20 @@ let profile ?(bins = 16) edge_map (e : Ellipse.t) =
   Array.init bins (fun b ->
       let angle = 2. *. pi *. float_of_int b /. float_of_int bins in
       let dx = cos angle and dy = sin angle in
-      (* march outward from r = 1 until past max_r or off the image,
-         remembering the last edge hit *)
-      let r = ref 1. and last = ref 0. and inside = ref true in
-      while !inside && !r <= max_r do
-        let x = int_of_float (e.Ellipse.cx +. (!r *. dx)) in
-        let y = int_of_float (e.Ellipse.cy +. (!r *. dy)) in
-        if x < 0 || x >= w || y < 0 || y >= h then inside := false
+      (* march outward, remember the last edge hit *)
+      let rec march r last =
+        if r > max_r then last
         else begin
-          if px.((y * w) + x) > 0 then last := !r;
-          r := !r +. 1.
+          let x = int_of_float (e.Ellipse.cx +. (r *. dx)) in
+          let y = int_of_float (e.Ellipse.cy +. (r *. dy)) in
+          if x < 0 || x >= w || y < 0 || y >= h then last
+          else
+            let last = if px.((y * w) + x) > 0 then r else last in
+            march (r +. 1.) last
         end
-      done;
+      in
+      let dist = march 1. 0. in
       (* normalise to 1/64ths of the ellipse scale *)
-      int_of_float (!last /. scale *. 64.))
+      int_of_float (dist /. scale *. 64.))
 
 let work ~width ~height ~bins = bins * max width height
