@@ -787,6 +787,6 @@ let suite =
     Alcotest.test_case "flow smoke: all pass" `Slow flow_smoke_all_passes;
     Alcotest.test_case "flow markdown report" `Slow flow_markdown_report;
     Alcotest.test_case "flow speed ordering" `Slow flow_speed_ordering;
-    Alcotest.test_case "level4 search trajectory" `Slow
+    Alcotest.test_case "level4 search trajectory" `Quick
       level4_search_trajectory;
   ]
