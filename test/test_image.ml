@@ -513,6 +513,7 @@ let qcheck_kernels_match_reference =
       in
       let same name a b = a = b || QCheck.Test.fail_reportf "%s differs" name in
       let edges = Ref.edge img in
+      let edges_before = Image.copy edges in
       let fitted =
         Option.value (Ref.ellipse_fit edges)
           ~default:(Pipeline.fallback_ellipse edges)
@@ -537,7 +538,8 @@ let qcheck_kernels_match_reference =
                (Ref.calc_features img e scan))
            [ fitted; e ]
       && same "digest" (Image.digest img) (Ref.digest img)
-      && same_image "input untouched" img before)
+      && same_image "input untouched" img before
+      && same_image "edge map untouched" edges edges_before)
 
 let qcheck_rng_matches_reference =
   QCheck.Test.make ~name:"rng stream equals the int64 reference" ~count:100
