@@ -165,7 +165,7 @@ let e5_lpv_deadlock () =
 
 let e6_lpv_timing () =
   section "E6" "LPV timing: deadline achievement and FIFO dimensioning";
-  let timing = Lpv_bridge.default_timing in
+  let timing = Level3.default_config in
   Format.printf "%-10s %-18s@." "capacity" "min period (ns)";
   List.iter
     (fun cap ->
@@ -341,15 +341,14 @@ simulation@.and longer reconfiguration — the cost the paper's level 3 pays@."
 
 let a2_static_vs_reconfig () =
   section "A2" "static (first implementation) vs reconfigurable flow";
-  let task_area = Level3.default_task_area in
   let static =
     Explore.grade
       ~config:{ Level3.default_config with Level3.fpga_capacity = 2000 }
-      ~task_area ~label:"static" graph
+      ~label:"static" graph
       (Mapping.refine_to_fpga mapping2
          [ ("DISTANCE", "config_all"); ("ROOT", "config_all") ])
   in
-  let reconf = Explore.grade ~task_area ~label:"reconfig" graph mapping3 in
+  let reconf = Explore.grade ~label:"reconfig" graph mapping3 in
   Format.printf "%a@.%a@." Explore.pp_grade static Explore.pp_grade reconf;
   Format.printf
     "shape: static faster (%.2fx) but larger (+%.0f%% area); reconfigurable \
@@ -362,7 +361,7 @@ let a2_static_vs_reconfig () =
   Format.printf "@.HW-set sweep (level 2):@.";
   List.iter
     (fun g -> Format.printf "  %a@." Explore.pp_grade g)
-    (Explore.sweep_hw_sets ~task_area ~profile ~pinned_sw:Face_app.pinned_sw
+    (Explore.sweep_hw_sets ~profile ~pinned_sw:Face_app.pinned_sw
        ~max_hw:6 graph)
 
 let () =

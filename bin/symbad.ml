@@ -377,7 +377,7 @@ let run_verify what c markdown json =
           let deadline_ns = Face_app.deadline_ns in
           let verdict, met =
             Lpv_bridge.check_deadline ~deadline_ns
-              ~timing:Lpv_bridge.default_timing ~mapping:m
+              ~timing:Level3.default_config ~mapping:m
               ~profile:(Lazy.force cs.level1).Level1.profile
               ?gov:(gov_of ~label:"verify" c) graph
           in
@@ -610,8 +610,8 @@ let run_explore c max_hw json =
   let profile = (Lazy.force cs.level1).Level1.profile in
   let grades =
     with_pool c (fun pool ->
-        Explore.sweep_hw_sets ~pool ~task_area:Level3.default_task_area
-          ~profile ~pinned_sw:Face_app.pinned_sw ~max_hw graph)
+        Explore.sweep_hw_sets ~pool ~profile ~pinned_sw:Face_app.pinned_sw
+          ~max_hw graph)
   in
   List.iter (fun g -> Format.printf "%a@." Explore.pp_grade g) grades;
   Format.printf "pareto:@.";

@@ -18,10 +18,9 @@ let () =
       if i < 8 then Format.printf "  %2d. %-10s %8d units@." (i + 1) task units)
     (Symbad_tlm.Annotation.Profile.ranking profile);
 
-  let task_area = Level3.default_task_area in
   Format.printf "@.sweep of HW-set sizes (transformation 2 applied 0..6 times):@.";
   let grades =
-    Explore.sweep_hw_sets ~task_area ~profile ~pinned_sw:Face_app.pinned_sw
+    Explore.sweep_hw_sets ~profile ~pinned_sw:Face_app.pinned_sw
       ~max_hw:6 graph
   in
   List.iter (fun g -> Format.printf "  %a@." Explore.pp_grade g) grades;
@@ -42,12 +41,12 @@ let () =
     let config =
       { Level3.default_config with Level3.fpga_capacity = 2000 }
     in
-    Explore.grade ~config ~task_area ~label:"static" graph
+    Explore.grade ~config ~label:"static" graph
       (Mapping.refine_to_fpga mapping2
          [ ("DISTANCE", "config_all"); ("ROOT", "config_all") ])
   in
   let reconf =
-    Explore.grade ~task_area ~label:"reconfig" graph
+    Explore.grade ~label:"reconfig" graph
       (Lazy.force cs.mapping3)
   in
   Format.printf "  %a@.  %a@." Explore.pp_grade static Explore.pp_grade reconf;

@@ -15,7 +15,6 @@ type t
 
 val create : unit -> t
 
-val hit : t -> point -> unit
 val stmt : t -> string -> unit
 val branch : t -> string -> bool -> unit
 val cond : t -> string -> bool -> unit

@@ -36,8 +36,6 @@ let create ~size name =
     violations = [];
   }
 
-let size m = Array.length m.data
-
 let check_addr m addr =
   if addr < 0 || addr >= Array.length m.data then
     invalid_arg (Printf.sprintf "Memcheck.%s: address %d" m.name addr)

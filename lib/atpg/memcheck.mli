@@ -14,7 +14,6 @@ type violation = {
 type t
 
 val create : size:int -> string -> t
-val size : t -> int
 
 val write : t -> addr:int -> int -> unit
 val read : t -> addr:int -> int

@@ -17,10 +17,6 @@ type test = int array
 
 val run : ?cover:Coverage.t -> ?fault:fault -> t -> test -> int array
 
-val coverage : ?pool:Symbad_par.Par.pool -> t -> test list -> Coverage.t
-(** Coverage accumulated over a suite (per-test runs fan out on [pool];
-    the in-order merge keeps the result identical at any width). *)
-
 val coverage_report : ?pool:Symbad_par.Par.pool -> t -> test list -> Coverage.report
 
 val detected_faults : ?pool:Symbad_par.Par.pool -> t -> test list -> fault list

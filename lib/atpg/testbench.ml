@@ -36,10 +36,10 @@ let evaluate ?pool ~engine model tests =
 
 (* Head-to-head of the engines at equal pattern budget, the shape the
    ATPG experiment reports: formal/guided engines beat random. *)
-let compare_engines ?pool ?(budget = 64) model =
+let compare_engines ?(budget = 64) model =
   let random = Random_engine.generate ~seed:1 ~count:budget model in
   let genetic =
-    Genetic_engine.generate ?pool
+    Genetic_engine.generate
       ~params:
         {
           Genetic_engine.default_params with
@@ -52,8 +52,8 @@ let compare_engines ?pool ?(budget = 64) model =
   (* GA commits only coverage-increasing vectors; cap at the same budget *)
   let genetic = List.filteri (fun i _ -> i < budget) genetic in
   [
-    evaluate ?pool ~engine:"random" model random;
-    evaluate ?pool ~engine:"genetic" model genetic;
+    evaluate ~engine:"random" model random;
+    evaluate ~engine:"genetic" model genetic;
   ]
 
 let pp_evaluation fmt e =

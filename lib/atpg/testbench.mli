@@ -19,8 +19,7 @@ val evaluate :
 (** Coverage and fault simulation fan out on [pool]; the evaluation is
     identical at any pool width. *)
 
-val compare_engines :
-  ?pool:Symbad_par.Par.pool -> ?budget:int -> Model.t -> evaluation list
+val compare_engines : ?budget:int -> Model.t -> evaluation list
 (** Random vs genetic at equal pattern budget, both seeded 1. *)
 
 val pp_evaluation : Format.formatter -> evaluation -> unit

@@ -49,7 +49,7 @@ let energy_of ~latency_ns ~cpu_busy_ns ~bus_busy_ns ~bitstream_bytes =
   +. (0.5 *. float_of_int bus_busy_ns)
   +. (4.0 *. float_of_int bitstream_bytes)
 
-let grade ?(config = Level3.default_config) ~task_area ~label graph mapping =
+let grade ?(config = Level3.default_config) ~label graph mapping =
   let r = Level3.run ~config graph mapping in
   {
     mapping;
@@ -58,7 +58,7 @@ let grade ?(config = Level3.default_config) ~task_area ~label graph mapping =
     bus_busy_ns = r.Level3.bus_report.Symbad_tlm.Bus.busy_ns;
     bus_utilisation = r.Level3.bus_report.Symbad_tlm.Bus.utilisation;
     bitstream_bytes = r.Level3.bus_report.Symbad_tlm.Bus.bitstream_bytes;
-    area = area_of ~task_area mapping;
+    area = area_of ~task_area:config.Level3.task_area mapping;
     energy_proxy =
       energy_of ~latency_ns:r.Level3.latency_ns
         ~cpu_busy_ns:r.Level3.cpu_stats.Symbad_tlm.Cpu.busy_ns
@@ -71,7 +71,7 @@ let grade ?(config = Level3.default_config) ~task_area ~label graph mapping =
    architecture-exploration loop.  Candidates simulate independently, so
    they fan out on the pool; progress goes through [symbad_obs] events
    (never stdout), emitted from the calling domain only. *)
-let sweep_hw_sets ?pool ~task_area ~profile ~pinned_sw ?(max_hw = 6) graph =
+let sweep_hw_sets ?pool ~profile ~pinned_sw ?(max_hw = 6) graph =
   let module Obs = Symbad_obs.Obs in
   let module Json = Symbad_obs.Json in
   let progress ~completed ~total =
@@ -83,7 +83,7 @@ let sweep_hw_sets ?pool ~task_area ~profile ~pinned_sw ?(max_hw = 6) graph =
     (Symbad_par.Par.get pool)
     (fun n ->
       let mapping = Mapping.of_ranking ~pinned_sw ~top_n:n profile graph in
-      grade ~task_area ~label:(Printf.sprintf "hw%d" n) graph mapping)
+      grade ~label:(Printf.sprintf "hw%d" n) graph mapping)
     (List.init (max_hw + 1) Fun.id)
 
 (* Pareto filter over (latency, area, energy): keep points not dominated

@@ -14,24 +14,21 @@ type grade = {
 }
 
 val grade :
-  ?config:Level3.config ->
-  task_area:(string -> int) ->
-  label:string ->
-  Task_graph.t ->
-  Mapping.t ->
-  grade
-(** Simulate the mapping on the level-3 platform (a mapping with no FPGA
-    contexts is a level-2 candidate) and grade it. *)
+  ?config:Level3.config -> label:string -> Task_graph.t -> Mapping.t -> grade
+(** Simulate the mapping on the level-3 platform [config] (default
+    [Level3.default_config]; a mapping with no FPGA contexts is a
+    level-2 candidate) and grade it.  The area is that of the same
+    platform: [config.task_area] sizes each module. *)
 
 val sweep_hw_sets :
   ?pool:Symbad_par.Par.pool ->
-  task_area:(string -> int) ->
   profile:Symbad_tlm.Annotation.Profile.t ->
   pinned_sw:string list ->
   ?max_hw:int ->
   Task_graph.t ->
   grade list
-(** Map the [n] heaviest tasks to HW for [n] in [0, max_hw].
+(** Map the [n] heaviest tasks to HW for [n] in [0, max_hw] and grade
+    each on [Level3.default_config].
     Candidates are graded in parallel on [pool] (results are in [n]
     order at any width); progress is reported through
     ["explore.progress"] observability events. *)

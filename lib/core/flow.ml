@@ -130,7 +130,8 @@ let level2 (cs : Face_app.case_study) g =
   let l2, host_seconds = timed (fun () -> Lazy.force cs.level2) in
   let profile = (Lazy.force cs.level1).Level1.profile in
   let deadline_ns = Face_app.deadline_ns in
-  let timing = Lpv_bridge.default_timing in
+  (* the platform the case study's level-2 run simulates *)
+  let timing = Level3.default_config in
   let period, met =
     Lpv_bridge.check_deadline ~deadline_ns ~timing ~mapping ~profile ~gov:g
       graph

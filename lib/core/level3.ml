@@ -45,7 +45,7 @@ type config = {
   fpga_period_ns : int;
   program_ns_per_byte : int;
   fpga_burst_bytes : int;  (* download granularity: 8 = programmed I/O *)
-  task_area : string -> int;  (* area of each FPGA-mapped task's module *)
+  task_area : string -> int;  (* area of each task's module *)
   scrub_period_ns : int;  (* readback-scrubbing period; 0 = off *)
   watchdog_ns : int;  (* wait before declaring a resource wedged *)
   masked : bool;  (* masked-fault mode: TMR contexts + SEC-DED bus ECC *)

@@ -32,7 +32,9 @@ type config = {
   fpga_burst_bytes : int;
       (** download granularity: 8 models CPU programmed I/O, larger
           values a DMA engine *)
-  task_area : string -> int;  (** area of each FPGA-mapped module *)
+  task_area : string -> int;
+      (** area of each task's module: sizes its FPGA resource, and
+          [Explore.grade] charges it for hardwired and FPGA modules *)
   scrub_period_ns : int;
       (** period of the readback-scrubbing process that detects and
           repairs configuration-memory upsets; 0 (the default) disables
@@ -51,8 +53,6 @@ type config = {
           programming time, triple resource area, and every bus
           transfer widened by 39/32. *)
 }
-
-val default_task_area : string -> int
 
 val default_config : config
 (** The level-2 platform is a 32-bit 100 MHz bus, a 50 MHz CPU,

@@ -10,7 +10,6 @@ type rtl_module = {
   properties : Symbad_mc.Prop.t list;
 }
 
-val distance_properties : unit -> Symbad_mc.Prop.t list
 val root_properties : unit -> Symbad_mc.Prop.t list
 
 val modules : unit -> rtl_module list

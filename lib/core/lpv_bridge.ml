@@ -11,33 +11,23 @@
 module Annotation = Symbad_tlm.Annotation
 module Lpv = Symbad_lpv
 
-type timing_model = {
-  annotation : Annotation.t;
-  cpu_period_ns : int;
-  hw_period_ns : int;
-  fpga_period_ns : int;
-}
+(* A firing's delay reads the annotation and the clock periods from the
+   platform config the level-2/3 simulations run, so LPV times the
+   platform that is simulated. *)
+let default_timing = Level3.default_config
 
-let default_timing =
-  {
-    annotation = Annotation.default;
-    cpu_period_ns = 20;
-    hw_period_ns = 10;
-    fpga_period_ns = 20;
-  }
-
-let firing_delay_ns timing mapping profile task =
+let firing_delay_ns (timing : Level3.config) mapping profile task =
   let weight = Annotation.Profile.units_per_firing profile task in
   let target = Mapping.target_of mapping task in
   let cycles =
-    Annotation.cycles timing.annotation
+    Annotation.cycles timing.level2.annotation
       ~target:(Mapping.annotation_target target)
       ~weight
   in
   let period =
     match target with
-    | Mapping.Sw -> timing.cpu_period_ns
-    | Mapping.Hw -> timing.hw_period_ns
+    | Mapping.Sw -> timing.level2.cpu_period_ns
+    | Mapping.Hw -> timing.level2.hw_period_ns
     | Mapping.Fpga _ -> timing.fpga_period_ns
   in
   cycles * period

@@ -2,27 +2,24 @@
     model is translated in an abstract model where communication and
     synchronization characteristics remain un-abstracted". *)
 
-type timing_model = {
-  annotation : Symbad_tlm.Annotation.t;
-  cpu_period_ns : int;
-  hw_period_ns : int;
-  fpga_period_ns : int;
-}
-
-val default_timing : timing_model
+val default_timing : Level3.config
+(** [Level3.default_config], the platform the case study simulates. *)
 
 val net_of :
   ?capacity:int ->
   ?extra_channels:(string * string * string * int) list ->
-  ?timing:timing_model ->
+  ?timing:Level3.config ->
   ?mapping:Mapping.t ->
   ?profile:Symbad_tlm.Annotation.Profile.t ->
   Task_graph.t ->
   Symbad_lpv.Petri.t
-(** Tasks become transitions (delay 1 unless all of [timing], [mapping]
-    and [profile] are given), channels forward places plus credit places
-    of [capacity] (default 2; 0 = unbounded), and each task a marked
-    self-loop.
+(** Tasks become transitions, channels forward places plus credit
+    places of [capacity] (default 2; 0 = unbounded), and each task a
+    marked self-loop.  A transition's delay is 1 unless all of
+    [timing], [mapping] and [profile] are given; then it is the
+    annotated cycles of one firing on the task's mapped resource times
+    that resource's clock period, both read from [timing], the platform
+    config the simulation runs.
     [extra_channels] adds [(name, src, dst, tokens)] feedback edges —
     synchronisation added at mapping time, or seeded deadlock bugs. *)
 
@@ -36,7 +33,7 @@ val check_deadlock :
 
 val check_deadline :
   deadline_ns:int ->
-  timing:timing_model ->
+  timing:Level3.config ->
   mapping:Mapping.t ->
   profile:Symbad_tlm.Annotation.Profile.t ->
   ?gov:Symbad_gov.Gov.t ->
@@ -48,7 +45,7 @@ val check_deadline :
 
 val dimension_fifos :
   deadline_ns:int ->
-  timing:timing_model ->
+  timing:Level3.config ->
   mapping:Mapping.t ->
   profile:Symbad_tlm.Annotation.Profile.t ->
   ?gov:Symbad_gov.Gov.t ->

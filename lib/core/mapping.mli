@@ -35,5 +35,4 @@ val refine_to_fpga : t -> (string * string) list -> t
 val move : t -> string -> target -> t
 (** The paper's transformation 2: move one module between partitions. *)
 
-val target_to_string : target -> string
 val pp : Format.formatter -> t -> unit

@@ -123,14 +123,3 @@ let topological_order g =
   in
   if tasks <> [] then step ();
   List.rev !order
-
-let pp fmt g =
-  Fmt.pf fmt "graph %s (%d tasks)@." g.name (List.length g.tasks);
-  List.iter
-    (fun (t : task) ->
-      Fmt.pf fmt "  %-10s [%a] -> [%a]@." t.name
-        (Fmt.list ~sep:Fmt.comma Fmt.string)
-        t.inputs
-        (Fmt.list ~sep:Fmt.comma Fmt.string)
-        t.outputs)
-    g.tasks

@@ -62,5 +62,3 @@ val consumer_of : t -> string -> task option
 val topological_order : t -> task list
 (** Kahn's algorithm; raises on cyclic graphs (cyclic specifications go
     through the LPV deadlock analysis first). *)
-
-val pp : Format.formatter -> t -> unit

@@ -29,21 +29,27 @@ let bytes = function
   | Num _ -> 4
   | Verdict _ -> 4
 
-let vec_digest v =
-  let fnv = ref 0xcbf29ce484222325L in
-  Array.iter
-    (fun x ->
-      fnv := Int64.logxor !fnv (Int64.of_int x);
-      fnv := Int64.mul !fnv 0x100000001b3L)
-    v;
-  Printf.sprintf "v%d/%Lx" (Array.length v) !fnv
+(* Count and 64-bit FNV-1a hash of the rows' elements read as one
+   sequence, walked in place.  A local loop keeps the int64 accumulator
+   unboxed, as in [Image.digest]; a closure over it would box every
+   step. *)
+let rows_digest rows =
+  let fnv = ref 0xcbf29ce484222325L and n = ref 0 in
+  for r = 0 to Array.length rows - 1 do
+    let row = rows.(r) in
+    n := !n + Array.length row;
+    for i = 0 to Array.length row - 1 do
+      fnv := Int64.mul (Int64.logxor !fnv (Int64.of_int row.(i))) 0x100000001b3L
+    done
+  done;
+  Printf.sprintf "v%d/%Lx" !n !fnv
 
 let digest = function
   | Frame img -> "F" ^ Image.digest img
   | Shape e -> "E" ^ Ellipse.digest e
-  | Scan s -> "S" ^ vec_digest (Array.append s.Line.rows s.Line.cols)
-  | Vec v -> "V" ^ vec_digest v
-  | Mat m -> "M" ^ vec_digest (Array.concat (Array.to_list m))
+  | Scan s -> "S" ^ rows_digest [| s.Line.rows; s.Line.cols |]
+  | Vec v -> "V" ^ rows_digest [| v |]
+  | Mat m -> "M" ^ rows_digest m
   | Num n -> "N" ^ string_of_int n
   | Verdict v -> "W" ^ Fmt.str "%a" Winner.pp v
 

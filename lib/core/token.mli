@@ -19,8 +19,6 @@ val bytes : t -> int
 val digest : t -> string
 (** Canonical trace representation. *)
 
-val kind_to_string : t -> string
-
 val garble : t -> t
 (** Deterministic payload corruption (fault-injection campaigns): xors a
     fixed mask into numeric payloads ([Vec]/[Mat]/[Num]), guaranteed to

@@ -14,7 +14,6 @@ type t = {
 }
 
 let name c = c.name
-let resources c = c.resources
 let area c = List.fold_left (fun a r -> a + Resource.area r) 0 c.resources
 
 let provides c resource_name =

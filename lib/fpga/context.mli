@@ -6,7 +6,6 @@ val make : string -> Resource.t list -> t
 (** Raises [Invalid_argument] on duplicate resource names. *)
 
 val name : t -> string
-val resources : t -> Resource.t list
 val area : t -> int
 
 val provides : t -> string -> bool

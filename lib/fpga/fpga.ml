@@ -101,10 +101,7 @@ let create ?(capacity = 10_000) ?(copies = 1) ?(program_ns_per_byte = 1)
     area_loaded = 0;
   }
 
-let name f = f.name
-let capacity f = f.capacity
 let copies f = f.copies
-let contexts f = f.contexts
 let loaded f = f.loaded
 let is_healthy f = f.healthy
 let mark_unhealthy f = f.healthy <- false

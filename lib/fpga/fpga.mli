@@ -41,10 +41,7 @@ val create :
     each burst is a separately arbitrated bus transaction.  A corrupted
     download is re-attempted twice before {!Download_failed}. *)
 
-val name : t -> string
-val capacity : t -> int
 val copies : t -> int
-val contexts : t -> Context.t list
 val loaded : t -> Context.t option
 val find_context : t -> string -> Context.t
 

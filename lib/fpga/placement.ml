@@ -95,21 +95,20 @@ let progress_event what ~completed ~total =
     ~args:[ ("completed", Json.Int completed); ("total", Json.Int total) ]
     what
 
-(* Replay one candidate per pool job; evaluation is a pure fold over the
-   call sequence, so the fan-out is deterministic at any pool width. *)
-let evaluate_all ?pool ~label ~calls candidates =
-  let pool = Symbad_par.Par.get pool in
+(* Replay one candidate per job of the sequential pool; evaluation is a
+   pure fold over the call sequence. *)
+let evaluate_all ~label ~calls candidates =
   Symbad_par.Par.map ~label
     ~progress:(progress_event label)
-    pool
+    (Symbad_par.Par.get None)
     (fun p ->
       let reconfigurations, bitstream_bytes = evaluate ~calls p in
       { partition = p; reconfigurations; bitstream_bytes })
     candidates
 
-let best_partition ?pool ~capacity ~max_contexts ~calls resources =
+let best_partition ~capacity ~max_contexts ~calls resources =
   let candidates = feasible_partitions ~capacity ~max_contexts resources in
-  match evaluate_all ?pool ~label:"placement.exhaustive" ~calls candidates with
+  match evaluate_all ~label:"placement.exhaustive" ~calls candidates with
   | [] -> None
   | first :: rest ->
       let better a b =
@@ -119,9 +118,9 @@ let best_partition ?pool ~capacity ~max_contexts ~calls resources =
       in
       Some (List.fold_left (fun acc e -> if better e acc then e else acc) first rest)
 
-let sweep ?pool ~capacity ~max_contexts ~calls resources =
+let sweep ~capacity ~max_contexts ~calls resources =
   feasible_partitions ~capacity ~max_contexts resources
-  |> evaluate_all ?pool ~label:"placement.sweep" ~calls
+  |> evaluate_all ~label:"placement.sweep" ~calls
   |> List.sort (fun a b ->
          compare
            (a.reconfigurations, a.bitstream_bytes)

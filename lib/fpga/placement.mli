@@ -20,26 +20,23 @@ type evaluation = {
 }
 
 val best_partition :
-  ?pool:Symbad_par.Par.pool ->
   capacity:int ->
   max_contexts:int ->
   calls:string list ->
   Resource.t list ->
   evaluation option
 (** Exhaustive optimum (fewest reconfigurations, bytes as tie-break).
-    Candidates are evaluated one pool job each; progress is reported as
-    ["placement.exhaustive"] obs events from the calling domain (never
-    stdout), so parallel runs cannot corrupt console output. *)
+    Progress is reported as ["placement.exhaustive"] obs events (never
+    stdout). *)
 
 val sweep :
-  ?pool:Symbad_par.Par.pool ->
   capacity:int ->
   max_contexts:int ->
   calls:string list ->
   Resource.t list ->
   evaluation list
-(** Every feasible partition with its cost, best first; candidates fan
-    out on [pool], progress as ["placement.sweep"] obs events. *)
+(** Every feasible partition with its cost, best first; progress as
+    ["placement.sweep"] obs events. *)
 
 val greedy_partition :
   capacity:int ->

@@ -6,7 +6,6 @@
    Invariant kept by every constructor: logical allowances are >= 0, so
    "Some 0" uniformly means "exhausted" and None means "unlimited". *)
 
-module Json = Symbad_obs.Json
 
 type t = {
   deadline : float option;
@@ -60,25 +59,3 @@ let slice ~fraction t =
     conflicts = scale t.conflicts;
     patterns = scale t.patterns;
   }
-
-let pp fmt t =
-  let axis name pp_v fmt = function
-    | None -> Fmt.pf fmt "%s=inf" name
-    | Some v -> Fmt.pf fmt "%s=%a" name pp_v v
-  in
-  Fmt.pf fmt "{%a %a %a retries=%d}"
-    (axis "deadline_s" (fun fmt d -> Fmt.pf fmt "%+.3f" (d -. Unix.gettimeofday ())))
-    t.deadline
-    (axis "conflicts" Fmt.int) t.conflicts
-    (axis "patterns" Fmt.int) t.patterns
-    t.retries
-
-let to_json t =
-  let opt f = function None -> Json.Null | Some v -> f v in
-  Json.Obj
-    [
-      ("deadline_s_left", opt (fun s -> Json.Float s) (remaining_s t));
-      ("conflicts", opt (fun n -> Json.Int n) t.conflicts);
-      ("patterns", opt (fun n -> Json.Int n) t.patterns);
-      ("retries", Json.Int t.retries);
-    ]

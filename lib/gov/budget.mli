@@ -62,9 +62,3 @@ val slice : fraction:float -> t -> t
     and the deadline pulled forward to [now + fraction * remaining].
     What a flow level grants to one phase, leaving the rest for the
     phases after it. *)
-
-val pp : Format.formatter -> t -> unit
-
-val to_json : t -> Symbad_obs.Json.t
-(** Allowances and the {e relative} seconds left until the deadline
-    (absolute instants would make reports non-reproducible). *)

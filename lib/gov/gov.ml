@@ -48,7 +48,6 @@ let create ?(label = "gov") budget = node ~label ~parent:None budget
 
 let unlimited = create ~label:"unlimited" Budget.unlimited
 let get = function Some g -> g | None -> unlimited
-let label t = t.label
 let budget t = t.budget
 
 (* lock-free prepend: children and degradations arrive from any domain *)
@@ -169,13 +168,6 @@ let with_retry ?label:(l = "engine") t ~inconclusive run =
     else r
   in
   go 0
-
-let pp fmt t =
-  Fmt.pf fmt "%s: %a%a" t.label Budget.pp (remaining t)
-    (fun fmt -> function
-      | None -> ()
-      | Some r -> Fmt.pf fmt " [%s]" (Degrade.reason_string r))
-    (exhaustion t)
 
 (* --- the budget waterfall ---------------------------------------------- *)
 

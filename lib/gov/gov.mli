@@ -40,10 +40,9 @@ val get : t option -> t
 (** [get (Some g)] is [g]; [get None] is {!unlimited} — the idiom for
     [?gov] optional arguments. *)
 
-val label : t -> string
 val budget : t -> Budget.t
 (** The budget this governor was created over (allowances as granted,
-    not as remaining — see {!remaining}). *)
+    not as remaining). *)
 
 (** {1 Spend accounting} *)
 
@@ -65,10 +64,6 @@ val spent_conflicts : t -> int
     propagate upward). *)
 
 val spent_patterns : t -> int
-
-val remaining : t -> Budget.t
-(** The budget still available: granted allowances minus spend, same
-    deadline, same retry count.  What {!split} and {!slice} divide. *)
 
 (** {1 Exhaustion} *)
 
@@ -116,9 +111,6 @@ val note_degraded : t -> what:string -> Degrade.reason -> unit
 (** Report that a run under this governor degraded: a [gov.degrade]
     warning event plus the [gov.degradations] counter (merged from
     worker domains); the reason is kept on the node for {!waterfall}. *)
-
-val pp : Format.formatter -> t -> unit
-(** Label, remaining budget and exhaustion state. *)
 
 (** {1 The budget waterfall} *)
 

@@ -35,14 +35,6 @@ let neg a = make ~width:a.width (-a.value)
 let equal a b = check2 a b "equal"; a.value = b.value
 let ult a b = check2 a b "ult"; a.value < b.value
 
-let shift_left a n =
-  if n < 0 then invalid_arg "Bitvec.shift_left";
-  make ~width:a.width (a.value lsl n)
-
-let shift_right_logical a n =
-  if n < 0 then invalid_arg "Bitvec.shift_right_logical";
-  make ~width:a.width (a.value lsr n)
-
 let bit a i =
   if i < 0 || i >= a.width then invalid_arg "Bitvec.bit";
   (a.value lsr i) land 1 = 1
@@ -59,6 +51,3 @@ let concat hi lo =
 let extend a ~width:w =
   if w < a.width then invalid_arg "Bitvec.extend: narrower";
   make ~width:w a.value
-
-let pp fmt v = Fmt.pf fmt "%d'd%d" v.width v.value
-let to_string v = Fmt.str "%a" pp v

@@ -30,9 +30,6 @@ val equal : t -> t -> bool
 val ult : t -> t -> bool
 (** Unsigned less-than. *)
 
-val shift_left : t -> int -> t
-val shift_right_logical : t -> int -> t
-
 val bit : t -> int -> bool
 val slice : t -> hi:int -> lo:int -> t
 (** Bits [hi..lo] inclusive, as a [(hi - lo + 1)]-bit vector. *)
@@ -42,6 +39,3 @@ val concat : t -> t -> t
 
 val extend : t -> width:int -> t
 (** Zero extension. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -162,15 +162,3 @@ let rec fold_names f acc e =
   | Mux (a, b, c) -> fold_names f (fold_names f (fold_names f acc a) b) c
   | Slice (a, _, _) -> fold_names f acc a
   | Concat (a, b) -> fold_names f (fold_names f acc a) b
-
-let rec pp fmt e =
-  match e with
-  | Const v -> Bitvec.pp fmt v
-  | Input n -> Fmt.pf fmt "i:%s" n
-  | Reg n -> Fmt.pf fmt "r:%s" n
-  | Unop (Not, a) -> Fmt.pf fmt "~(%a)" pp a
-  | Unop (Neg, a) -> Fmt.pf fmt "-(%a)" pp a
-  | Binop (op, a, b) -> Fmt.pf fmt "(%a %s %a)" pp a (binop_to_string op) pp b
-  | Mux (s, t, f) -> Fmt.pf fmt "(%a ? %a : %a)" pp s pp t pp f
-  | Slice (a, hi, lo) -> Fmt.pf fmt "%a[%d:%d]" pp a hi lo
-  | Concat (a, b) -> Fmt.pf fmt "{%a,%a}" pp a pp b

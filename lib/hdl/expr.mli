@@ -68,5 +68,3 @@ val map : (t -> t) -> t -> t
 
 val fold_names :
   ('a -> [ `Input of string | `Reg of string ] -> 'a) -> 'a -> t -> 'a
-
-val pp : Format.formatter -> t -> unit

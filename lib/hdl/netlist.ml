@@ -98,14 +98,3 @@ let rec expr_cost = function
 let area nl =
   List.fold_left (fun acc (r : register) -> acc + r.width + expr_cost r.next) 0 nl.registers
   + List.fold_left (fun acc (_, e) -> acc + expr_cost e) 0 nl.outputs
-
-let pp fmt nl =
-  Fmt.pf fmt "netlist %s@." nl.name;
-  List.iter (fun (n, w) -> Fmt.pf fmt "  input %s : %d@." n w) nl.inputs;
-  List.iter
-    (fun (r : register) ->
-      Fmt.pf fmt "  reg %s : %d init %a next %a@." r.name r.width Bitvec.pp
-        r.init Expr.pp r.next)
-    nl.registers;
-  List.iter (fun (n, e) -> Fmt.pf fmt "  output %s = %a@." n Expr.pp e)
-    nl.outputs

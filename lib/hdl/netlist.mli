@@ -52,5 +52,3 @@ val find_output : t -> string -> Expr.t option
 
 val area : t -> int
 (** Gate-count proxy used as the FPGA-mapping area estimate. *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,9 +3,6 @@
     a teaching counter.  Each safety-critical module also has a
     seeded-bug variant used by the verification experiments. *)
 
-val zero : int -> Expr.t
-(** All-zero constant of the given width. *)
-
 val zext : Expr.t -> from:int -> to_:int -> Expr.t
 (** Zero extension. *)
 

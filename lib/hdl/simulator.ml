@@ -228,13 +228,3 @@ let output t ~inputs name =
 let step t ~inputs =
   load t inputs;
   tick t
-
-(* Run a stimulus: list of input valuations, one per cycle; returns the
-   outputs observed at each cycle (before the clock edge). *)
-let run t stimulus =
-  List.map
-    (fun inputs ->
-      let outs = outputs t ~inputs in
-      tick t;
-      outs)
-    stimulus

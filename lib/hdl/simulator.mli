@@ -28,13 +28,6 @@ val output : t -> inputs:(string * Bitvec.t) list -> string -> Bitvec.t
 val step : t -> inputs:(string * Bitvec.t) list -> unit
 (** One clock edge: all registers update simultaneously. *)
 
-val run :
-  t ->
-  (string * Bitvec.t) list list ->
-  (string * Bitvec.t) list list
-(** Apply a stimulus (one input valuation per cycle); returns the outputs
-    observed before each edge. *)
-
 (** {2 Raw slots}
 
     For loops that draw their own stimulus: inputs as ints in

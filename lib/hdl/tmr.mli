@@ -10,9 +10,6 @@
     [Symbad_resil.Masking]) and usable directly as lint property
     input. *)
 
-val majority : Expr.t -> Expr.t -> Expr.t -> Expr.t
-(** Bitwise 2-of-3 majority. *)
-
 val copy_reg : int -> string -> string
 (** Register name of copy [i] (0..2) in a triplicated netlist:
     [name ^ "__tmr" ^ i]. *)

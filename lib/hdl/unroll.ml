@@ -129,8 +129,6 @@ let create ?(init = Reset) solver nl =
   let f0 = make_frame0 ctx nl init in
   { ctx; netlist = nl; frames = Array.make 4 f0; nframes = 1 }
 
-let ctx t = t.ctx
-let netlist t = t.netlist
 
 let push_frame t f =
   if t.nframes = Array.length t.frames then begin

@@ -9,22 +9,12 @@ type t
 
 type init_mode = Reset | Free
 
-type frame = {
-  input_bits : (string * int array) list;
-  reg_bits : (string * int array) list;
-}
-
 val create : ?init:init_mode -> Symbad_sat.Solver.t -> Netlist.t -> t
 (** One frame (state 0) exists initially. *)
-
-val ctx : t -> Symbad_sat.Tseitin.ctx
-val netlist : t -> Netlist.t
 
 val unroll_to : t -> int -> unit
 (** Ensure at least [n] frames (states 0..n-1) exist, adding transition
     constraints. *)
-
-val frame : t -> int -> frame
 
 val expr_lits : t -> int -> Expr.t -> int array
 (** Literals of an expression at frame [i] (width-checked). *)

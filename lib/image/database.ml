@@ -14,12 +14,8 @@ let create ~dim entries =
     entries;
   { dim; entries }
 
-let dim db = db.dim
 let entries db = db.entries
 let size db = List.length db.entries
-
-let find db identity =
-  List.find_opt (fun e -> e.identity = identity) db.entries
 
 (* Serialisation: 16-bit little-endian header (dim, count) then per entry
    a 16-bit identity and [dim] 16-bit feature components. *)

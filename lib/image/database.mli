@@ -7,10 +7,8 @@ type t
 val create : dim:int -> entry list -> t
 (** Raises if any entry's feature vector is not [dim] long. *)
 
-val dim : t -> int
 val entries : t -> entry list
 val size : t -> int
-val find : t -> int -> entry option
 
 val serialize : t -> Bytes.t
 (** 16-bit little-endian encoding: header (dim, count), then per entry

@@ -110,7 +110,7 @@ let draw_hbar px ~size ~cx ~cy ~half_w ~half_h ~level =
     done
   done
 
-let render ?(size = 64) ident pose =
+let render ~size ident pose =
   let px = Array.make (size * size) 0 in
   let s = float_of_int size in
   (* background: mild vertical gradient, like an indoor scene *)

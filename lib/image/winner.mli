@@ -1,11 +1,8 @@
-(** WINNER: select the closest database entry, with rejection. *)
+(** WINNER: select the closest database entry. *)
 
-type verdict =
-  | Match of { identity : int; distance : int }
-  | Unknown of { best_identity : int; distance : int }
-      (** best candidate rejected by the threshold *)
+type verdict = Match of { identity : int; distance : int }
 
-val select : ?reject_above:int -> (int * int) list -> verdict
+val select : (int * int) list -> verdict
 (** [select candidates] over [(identity, distance)] pairs; raises on an
     empty list.  Ties keep the earliest candidate. *)
 

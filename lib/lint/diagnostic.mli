@@ -51,13 +51,10 @@ val severity_rank : severity -> int
 
 val discharge_label : discharge_status -> string
 
-val compare : t -> t -> int
-(** Severity rank, then rule id, then location, then message — the
-    stable report order. *)
-
 val order : t list -> t list
-(** The canonical report order: stable sort by {!compare}.  Centralised
-    so [symbad lint] and [symbad report] render identically. *)
+(** The canonical report order: stable sort by severity rank, then rule
+    id, location and message.  Centralised so [symbad lint] and
+    [symbad report] render identically. *)
 
 val to_json : t -> Symbad_obs.Json.t
 val pp : Format.formatter -> t -> unit

@@ -126,7 +126,7 @@ let run_netlist ?pool ?gov ?rules ?suppress ?properties nl =
   run_rules ~target:ctx.Netlist_rules.target ~family:netlist_rule_ids ~impl
     ?pool ?gov ?rules ?suppress ()
 
-let run_cfg ?pool ?gov ?rules ?suppress ?(name = "program") ci cfg =
+let run_cfg ?pool ?gov ?rules ?(name = "program") ci cfg =
   let ctx = Program_rules.context ~target:name ci cfg in
   let impl = function
     | "cfg.never-loaded" -> Program_rules.rule_never_loaded ctx
@@ -136,13 +136,12 @@ let run_cfg ?pool ?gov ?rules ?suppress ?(name = "program") ci cfg =
     | "cfg.unreachable-config" -> Program_rules.rule_unreachable_config ctx
     | id -> invalid_arg ("Lint: not a program rule: " ^ id)
   in
-  run_rules ~target:name ~family:program_rule_ids ~impl ?pool ?gov ?rules
-    ?suppress ()
+  run_rules ~target:name ~family:program_rule_ids ~impl ?pool ?gov ?rules ()
 
-let run_program ?pool ?gov ?rules ?suppress ?name ci program =
-  run_cfg ?pool ?gov ?rules ?suppress ?name ci (Symbad_symbc.Cfg.build program)
+let run_program ?pool ?gov ?rules ?name ci program =
+  run_cfg ?pool ?gov ?rules ?name ci (Symbad_symbc.Cfg.build program)
 
-let run_tenants ?pool ?gov ?rules ?suppress ?deadline_ns ci tenants =
+let run_tenants ?pool ?gov ?rules ?deadline_ns ci tenants =
   let cfgs =
     List.map (fun (n, prog) -> (n, Symbad_symbc.Cfg.build prog)) tenants
   in
@@ -153,8 +152,7 @@ let run_tenants ?pool ?gov ?rules ?suppress ?deadline_ns ci tenants =
     | "sched.wcrt" -> Sched_rules.rule_wcrt ctx
     | id -> invalid_arg ("Lint: not a schedule rule: " ^ id)
   in
-  run_rules ~target ~family:sched_rule_ids ~impl ?pool ?gov ?rules
-    ?suppress ()
+  run_rules ~target ~family:sched_rule_ids ~impl ?pool ?gov ?rules ()
 
 (* --- lint-to-proof escalation ------------------------------------------ *)
 

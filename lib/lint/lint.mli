@@ -50,7 +50,6 @@ val run_program :
   ?pool:Symbad_par.Par.pool ->
   ?gov:Symbad_gov.Gov.t ->
   ?rules:string list ->
-  ?suppress:string list ->
   ?name:string ->
   Symbad_symbc.Config_info.t ->
   Symbad_symbc.Ast.program ->
@@ -62,7 +61,6 @@ val run_cfg :
   ?pool:Symbad_par.Par.pool ->
   ?gov:Symbad_gov.Gov.t ->
   ?rules:string list ->
-  ?suppress:string list ->
   ?name:string ->
   Symbad_symbc.Config_info.t ->
   Symbad_symbc.Cfg.t ->
@@ -73,7 +71,6 @@ val run_tenants :
   ?pool:Symbad_par.Par.pool ->
   ?gov:Symbad_gov.Gov.t ->
   ?rules:string list ->
-  ?suppress:string list ->
   ?deadline_ns:int ->
   Symbad_symbc.Config_info.t ->
   (string * Symbad_symbc.Ast.program) list ->

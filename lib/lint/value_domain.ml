@@ -359,5 +359,3 @@ let to_string t =
         ^ String.concat "," (List.map string_of_int (IntSet.elements s))
         ^ "}"
     | Range (lo, hi) -> Printf.sprintf "[%d..%d]" lo hi
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -22,8 +22,6 @@ val width : t -> int
 val const : Symbad_hdl.Bitvec.t -> t
 (** The singleton. *)
 
-val of_list : width:int -> int list -> t
-val range : width:int -> int -> int -> t
 val top : width:int -> t
 
 val x : width:int -> t
@@ -33,9 +31,6 @@ val is_poison : t -> bool
 
 val is_const : t -> int option
 (** [Some v] iff the value is exactly the non-poison singleton [v]. *)
-
-val bounds : t -> (int * int) option
-(** Inclusive bounds of a non-bottom value. *)
 
 val mem : int -> t -> bool
 (** Concretisation membership — the soundness predicate. *)
@@ -83,5 +78,3 @@ val mul_may_wrap : t -> t -> bool
 
 val to_string : t -> string
 (** Stable rendering for diagnostics: ["X"], ["{0,2,4}"], ["[0..255]"]. *)
-
-val pp : Format.formatter -> t -> unit

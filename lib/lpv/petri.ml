@@ -106,13 +106,3 @@ let structurally_bounded net =
     in
     Simplex.feasible ~nvars:np rows
   end
-
-let pp fmt net =
-  Fmt.pf fmt "petri: %d places, %d transitions@." (n_places net)
-    (n_transitions net);
-  Array.iteri
-    (fun i p -> Fmt.pf fmt "  place %s m0=%d (idx %d)@." p.pname p.m0 i)
-    net.places;
-  Array.iteri
-    (fun i t -> Fmt.pf fmt "  trans %s d=%d (idx %d)@." t.tname t.delay i)
-    net.transitions

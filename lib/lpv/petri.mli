@@ -41,5 +41,3 @@ val structurally_bounded : t -> bool
     bounds the token count under every initial marking (conservative
     nets qualify); [false] means some transition sequence can grow some
     place without bound. *)
-
-val pp : Format.formatter -> t -> unit

@@ -32,7 +32,6 @@ let div a b =
   make (a.num * b.den) (a.den * b.num)
 
 let neg a = { a with num = -a.num }
-let abs a = { a with num = Stdlib.abs a.num }
 let inv a = div one a
 
 let compare a b = Stdlib.compare (a.num * b.den) (b.num * a.den)
@@ -49,12 +48,7 @@ let ( <= ) a b = compare a b <= 0
 let ( > ) a b = compare a b > 0
 let ( >= ) a b = compare a b >= 0
 
-let min a b = if Stdlib.( <= ) (compare a b) 0 then a else b
-let max a b = if Stdlib.( >= ) (compare a b) 0 then a else b
-
 let to_float r = float_of_int r.num /. float_of_int r.den
 
 let pp fmt r =
   if r.den = 1 then Fmt.int fmt r.num else Fmt.pf fmt "%d/%d" r.num r.den
-
-let to_string r = Fmt.str "%a" pp r

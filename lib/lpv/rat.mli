@@ -23,7 +23,6 @@ val div : t -> t -> t
 (** Raises [Invalid_argument] on division by zero. *)
 
 val neg : t -> t
-val abs : t -> t
 val inv : t -> t
 
 val compare : t -> t -> int
@@ -40,9 +39,5 @@ val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 
-val min : t -> t -> t
-val max : t -> t -> t
-
 val to_float : t -> float
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

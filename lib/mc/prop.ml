@@ -39,8 +39,6 @@ let output nl out =
 
 let implies a b = Expr.or_ (Expr.not_ a) b
 
-let never e = Expr.not_ e
-
 (* Validate that the formula is a width-1 expression of the netlist;
    primed registers are allowed only in step properties. *)
 let validate nl p =
@@ -56,5 +54,3 @@ let validate nl p =
     invalid_arg
       (Printf.sprintf "Prop %s: formula width %d, expected 1" p.name w);
   p
-
-let pp fmt p = Fmt.pf fmt "%s: %a" p.name Expr.pp p.formula

@@ -30,10 +30,7 @@ val output : Netlist.t -> string -> Expr.t
 (** Inline a named combinational output for use inside a property. *)
 
 val implies : Expr.t -> Expr.t -> Expr.t
-val never : Expr.t -> Expr.t
 
 val validate : Netlist.t -> t -> t
 (** Check the formula is width-1 over the netlist's signals; raises
     [Invalid_argument] otherwise. *)
-
-val pp : Format.formatter -> t -> unit

@@ -49,8 +49,6 @@ let create nl prop =
   if Obs.enabled () then Obs.incr_counter "mc.sessions";
   { nl; prop; base = None; step = None; proved = Hashtbl.create 16 }
 
-let netlist t = t.nl
-let prop t = t.prop
 
 let make_sub ~init nl =
   let solver = Solver.create 0 in

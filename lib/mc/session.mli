@@ -21,9 +21,6 @@ val create : Symbad_hdl.Netlist.t -> Prop.t -> t
     lazily: a session that only runs induction never pays for the
     reset-initialised instance, and vice versa. *)
 
-val netlist : t -> Symbad_hdl.Netlist.t
-val prop : t -> Prop.t
-
 type base_result =
   | Base_holds  (** no counterexample ending at exactly this bound *)
   | Base_cex of Trace.t  (** concrete reset-path violation *)

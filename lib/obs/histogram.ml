@@ -89,12 +89,3 @@ let reset h =
   h.sum <- 0.;
   h.min_value <- 0;
   h.max_value <- 0
-
-let pp fmt h =
-  Fmt.pf fmt "n=%d mean=%.1f min=%d max=%d" h.count (mean h) h.min_value
-    h.max_value;
-  List.iter
-    (fun (lo, hi, c) ->
-      if lo = hi then Fmt.pf fmt "@.  [%d] %d" lo c
-      else Fmt.pf fmt "@.  [%d,%d] %d" lo hi c)
-    (nonempty_buckets h)

@@ -42,6 +42,3 @@ val absorb : t -> t -> unit
 
 val reset : t -> unit
 (** Drop every observation. *)
-
-val pp : Format.formatter -> t -> unit
-(** Count/min/mean/max summary plus the populated buckets. *)

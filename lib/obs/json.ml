@@ -64,8 +64,6 @@ let to_string j =
   emit buf j;
   Buffer.contents buf
 
-let pp fmt j = Fmt.string fmt (to_string j)
-
 (* --- parsing --- *)
 
 exception Parse_error of string

@@ -17,9 +17,6 @@ type t =
 val to_string : t -> string
 (** Strict single-line JSON (non-finite floats emit as [null]). *)
 
-val pp : Format.formatter -> t -> unit
-(** Same output as {!to_string}, on a formatter. *)
-
 exception Parse_error of string
 
 val parse_exn : string -> t

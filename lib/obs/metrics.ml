@@ -94,10 +94,6 @@ let find_histogram t name =
 
 let names t = List.rev t.names
 
-let reset t =
-  Hashtbl.reset t.table;
-  t.names <- []
-
 (* The fan-in of a Par job: absorbing job registries in a fixed order
    gives the same registry whatever order the jobs ran in. *)
 let absorb t other =

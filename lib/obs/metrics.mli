@@ -63,9 +63,6 @@ val find_histogram : t -> string -> Histogram.t option
 val names : t -> string list
 (** Every registered metric name, sorted. *)
 
-val reset : t -> unit
-(** Drop every registered metric. *)
-
 val absorb : t -> t -> unit
 (** [absorb t other] folds [other] into [t], registering its names in
     [other]'s registration order: counters add, histograms merge, gauge

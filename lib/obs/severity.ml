@@ -10,12 +10,4 @@ let to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 let compare a b = Int.compare (to_int a) (to_int b)
-let pp fmt s = Fmt.string fmt (to_string s)

@@ -2,17 +2,8 @@
 
 type t = Debug | Info | Warn | Error
 
-val to_int : t -> int
-(** The ordering rank, [0] for [Debug] through [3] for [Error]. *)
-
 val to_string : t -> string
 (** Lowercase name, e.g. ["warn"]. *)
 
-val of_string : string -> t option
-(** Inverse of {!to_string} (case-insensitive); [None] on anything else. *)
-
 val compare : t -> t -> int
 (** Severity order: [Debug < Info < Warn < Error]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_string}. *)

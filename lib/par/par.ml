@@ -267,8 +267,8 @@ let map ?label ?progress pool f xs =
 let mapi ?label pool f xs =
   map ?label pool (fun (i, x) -> f i x) (List.mapi (fun i x -> (i, x)) xs)
 
-let map_reduce ?label pool ~map:f ~fold ~init xs =
-  List.fold_left fold init (map ?label pool f xs)
+let map_reduce pool ~map:f ~fold ~init xs =
+  List.fold_left fold init (map pool f xs)
 
 (* --- seed splitting ---------------------------------------------------- *)
 
@@ -288,5 +288,5 @@ let split_seed ~seed i =
   let v = to_int (shift_right_logical z 2) in
   if v = 0 then 1 else v
 
-let map_seeded ?label pool ~seed f xs =
-  mapi ?label pool (fun i x -> f ~seed:(split_seed ~seed i) x) xs
+let map_seeded pool ~seed f xs =
+  mapi pool (fun i x -> f ~seed:(split_seed ~seed i) x) xs

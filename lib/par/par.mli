@@ -39,12 +39,9 @@ val shutdown : pool -> unit
 val with_pool : ?jobs:int -> (pool -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exception). *)
 
-val sequential : pool
-(** The shared one-lane pool: same code path, no worker domains, never
-    shut down.  What [?pool] call sites use when handed [None]. *)
-
 val get : pool option -> pool
-(** [get (Some p)] is [p]; [get None] is [sequential]. *)
+(** [get (Some p)] is [p]; [get None] is the shared one-lane pool (the
+    same code path with no worker domains, never shut down). *)
 
 val current_lane : unit -> int
 (** The pool lane the calling domain is: [0] for a dispatching domain,
@@ -69,7 +66,6 @@ val mapi : ?label:string -> pool -> (int -> 'a -> 'b) -> 'a list -> 'b list
     equals [List.mapi f xs] for pure [f] at any pool width. *)
 
 val map_reduce :
-  ?label:string ->
   pool ->
   map:('a -> 'b) ->
   fold:('c -> 'b -> 'c) ->
@@ -88,5 +84,5 @@ val split_seed : seed:int -> int -> int
     reproduce seeded sequential runs exactly. *)
 
 val map_seeded :
-  ?label:string -> pool -> seed:int -> (seed:int -> 'a -> 'b) -> 'a list -> 'b list
+  pool -> seed:int -> (seed:int -> 'a -> 'b) -> 'a list -> 'b list
 (** [map] where item [i] also receives [split_seed ~seed i]. *)

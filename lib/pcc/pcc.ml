@@ -248,14 +248,3 @@ let uncovered_faults report =
   List.filter_map
     (fun r -> match r.status with Uncovered -> Some r.fault | _ -> None)
     report.faults
-
-let pp fmt r =
-  Fmt.pf fmt "PCC %s: %d properties, %d faults, %d detectable, %d covered (%.0f%%)@."
-    r.design (List.length r.properties) (List.length r.faults) r.detectable
-    r.covered (100. *. r.coverage);
-  List.iter
-    (fun fr ->
-      match fr.status with
-      | Uncovered -> Fmt.pf fmt "  missing property for: %s@." (Fault.to_string fr.fault)
-      | Covered _ | Undetectable | Unresolved -> ())
-    r.faults

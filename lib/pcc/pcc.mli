@@ -57,5 +57,3 @@ val run :
 
 val uncovered_faults : report -> Fault.t list
 (** The faults demanding new properties. *)
-
-val pp : Format.formatter -> report -> unit

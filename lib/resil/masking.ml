@@ -9,7 +9,6 @@
    triplicated datapath (the three register banks never diverge, so the
    disagreement outputs are silent in the absence of faults). *)
 
-module Netlist = Symbad_hdl.Netlist
 module Tmr = Symbad_hdl.Tmr
 module Prop = Symbad_mc.Prop
 module Engine = Symbad_mc.Engine
@@ -20,20 +19,20 @@ let voter_properties nl =
     (Tmr.voter_properties ())
 
 (* Prove the voter's masking contract on 8-bit words. *)
-let check_voter ?pool ?gov () =
+let check_voter () =
   let nl = Tmr.voter ~width:8 () in
-  Engine.check_all ?pool ?gov nl (voter_properties nl)
+  Engine.check_all nl (voter_properties nl)
 
 (* Prove the lock-step invariant of a triplicated datapath: closed by
    1-induction (equal register banks under shared inputs step to equal
    register banks). *)
-let check_triplicated ?pool ?gov nl =
+let check_triplicated nl =
   let tmr = Tmr.triplicate nl in
   let props =
     List.map
       (fun (name, formula) -> Prop.validate tmr (Prop.make ~name formula))
       (Tmr.triplication_properties nl)
   in
-  Engine.check_all ?pool ?gov tmr props
+  Engine.check_all tmr props
 
 let all_proved = Engine.all_proved

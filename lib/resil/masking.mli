@@ -12,22 +12,10 @@
     - {e lock-step}: a triplicated datapath's register banks never
       diverge without a fault (1-inductive). *)
 
-val voter_properties : Symbad_hdl.Netlist.t -> Symbad_mc.Prop.t list
-(** [Symbad_hdl.Tmr.voter_properties] wrapped and validated against the
-    voter netlist. *)
-
-val check_voter :
-  ?pool:Symbad_par.Par.pool ->
-  ?gov:Symbad_gov.Gov.t ->
-  unit ->
-  Symbad_mc.Engine.report list
+val check_voter : unit -> Symbad_mc.Engine.report list
 (** Prove the voter's masking contract on 8-bit words. *)
 
-val check_triplicated :
-  ?pool:Symbad_par.Par.pool ->
-  ?gov:Symbad_gov.Gov.t ->
-  Symbad_hdl.Netlist.t ->
-  Symbad_mc.Engine.report list
+val check_triplicated : Symbad_hdl.Netlist.t -> Symbad_mc.Engine.report list
 (** Triplicate the given datapath and prove its lock-step invariant. *)
 
 val all_proved : Symbad_mc.Engine.report list -> bool

@@ -34,9 +34,6 @@ let create ?(capacity = 0) name =
     loss = None;
   }
 
-let name f = f.name
-let capacity f = f.capacity
-let length f = Queue.length f.items
 let is_full f = f.capacity > 0 && Queue.length f.items >= f.capacity
 let drops f = f.total_drops
 let set_loss f p = f.loss <- p

@@ -17,10 +17,6 @@ type 'a t
 val create : ?capacity:int -> string -> 'a t
 (** [create ~capacity name].  [capacity = 0] (default) is unbounded. *)
 
-val name : 'a t -> string
-val capacity : 'a t -> int
-val length : 'a t -> int
-
 val put : 'a t -> 'a -> unit
 (** Blocking write; parks the calling process while the channel is full.
     On a lossy channel (see {!set_loss}) a selected attempt drops the

@@ -2,7 +2,6 @@
    passed to [Kernel.spawn]).  They perform the kernel's effects. *)
 
 let wait d = Effect.perform (Kernel.Wait d)
-let wait_ns n = wait (Time.ns n)
 let suspend register = Effect.perform (Kernel.Suspend register)
 let kernel () = Effect.perform Kernel.Get_kernel
 let now () = Kernel.now (kernel ())

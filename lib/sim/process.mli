@@ -7,8 +7,6 @@
 val wait : Time.t -> unit
 (** Block the calling process for the given simulated duration. *)
 
-val wait_ns : int -> unit
-
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process.  [register] receives the
     resume function; whoever calls it wakes the process at the then-current

@@ -15,10 +15,8 @@ let to_ns t = t
 let add = ( + )
 let sub a b = a - b
 let compare = Int.compare
-let equal = Int.equal
 let ( <= ) (a : t) (b : t) = Stdlib.( <= ) a b
 let ( < ) (a : t) (b : t) = Stdlib.( < ) a b
-let max = Stdlib.max
 
 let pp fmt t =
   if t = 0 then Fmt.string fmt "0s"

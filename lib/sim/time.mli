@@ -29,10 +29,8 @@ val to_ns : t -> int
 val add : t -> t -> t
 val sub : t -> t -> t
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
-val max : t -> t -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

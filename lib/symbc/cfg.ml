@@ -64,9 +64,3 @@ let build (program : Ast.program) =
 
 let successors t node =
   List.filter (fun e -> e.src = node) t.edges
-
-let pp fmt t =
-  Fmt.pf fmt "cfg: %d nodes, entry %d, exit %d@." t.nnodes t.entry t.exit_;
-  List.iter
-    (fun e -> Fmt.pf fmt "  %d -> %d [%s]@." e.src e.dst (action_to_string e.action))
-    t.edges

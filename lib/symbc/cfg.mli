@@ -10,4 +10,3 @@ type t = { entry : int; exit_ : int; nnodes : int; edges : edge list }
 val action_to_string : action -> string
 val build : Ast.program -> t
 val successors : t -> int -> edge list
-val pp : Format.formatter -> t -> unit

@@ -35,12 +35,3 @@ let has_configuration t config = List.mem_assoc config t.configurations
 let provides t ~config f = List.mem f (functions_of t config)
 
 let configuration_names t = List.map fst t.configurations
-
-let pp fmt t =
-  Fmt.pf fmt "reconfig procedure: load@.FPGA functions: %a@."
-    (Fmt.list ~sep:Fmt.comma Fmt.string)
-    t.fpga_functions;
-  List.iter
-    (fun (c, fns) ->
-      Fmt.pf fmt "  %s: {%a}@." c (Fmt.list ~sep:Fmt.comma Fmt.string) fns)
-    t.configurations

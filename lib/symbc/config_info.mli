@@ -16,4 +16,3 @@ val is_fpga_function : t -> string -> bool
 val has_configuration : t -> string -> bool
 val provides : t -> config:string -> string -> bool
 val configuration_names : t -> string list
-val pp : Format.formatter -> t -> unit

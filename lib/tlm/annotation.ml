@@ -21,21 +21,12 @@ type t = {
 
 let default = { sw_cycles_per_unit = 12; hw_cycles_per_unit = 1; fpga_cycles_per_unit = 2 }
 
-let make ?(sw_cycles_per_unit = default.sw_cycles_per_unit)
-    ?(hw_cycles_per_unit = default.hw_cycles_per_unit)
-    ?(fpga_cycles_per_unit = default.fpga_cycles_per_unit) () =
-  if sw_cycles_per_unit <= 0 || hw_cycles_per_unit <= 0 || fpga_cycles_per_unit <= 0
-  then invalid_arg "Annotation.make: cost factors must be positive";
-  { sw_cycles_per_unit; hw_cycles_per_unit; fpga_cycles_per_unit }
-
 let cycles t ~target ~weight =
   if weight < 0 then invalid_arg "Annotation.cycles: negative weight";
   match target with
   | Sw -> weight * t.sw_cycles_per_unit
   | Hw -> weight * t.hw_cycles_per_unit
   | Fpga -> weight * t.fpga_cycles_per_unit
-
-let target_to_string = function Sw -> "SW" | Hw -> "HW" | Fpga -> "FPGA"
 
 (* A profile maps task names to measured work units per firing.  It is
    produced by level-1 execution (see Core.Level1) and consumed here. *)

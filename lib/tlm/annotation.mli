@@ -15,21 +15,11 @@ type t
 val default : t
 (** 12 CPU cycles, 1 hardwired cycle, 2 FPGA cycles per work unit. *)
 
-val make :
-  ?sw_cycles_per_unit:int ->
-  ?hw_cycles_per_unit:int ->
-  ?fpga_cycles_per_unit:int ->
-  unit ->
-  t
-
 val cycles : t -> target:target -> weight:int -> int
 (** Cycle cost of one firing with the given profile weight. *)
 
-val target_to_string : target -> string
-
 (** Execution profiles gathered at level 1. *)
 module Profile : sig
-  type entry = { task : string; firings : int; total_units : int }
   type t
 
   val create : unit -> t
@@ -39,9 +29,6 @@ module Profile : sig
 
   val units_per_firing : t -> string -> int
   (** Average units per firing (0 for unknown tasks). *)
-
-  val entries : t -> entry list
-  (** All entries, heaviest first. *)
 
   val ranking : t -> (string * int) list
   (** Tasks ranked by total work — the input to the HW/SW partition. *)

@@ -9,14 +9,12 @@
 
    Slave responses can be faulted (ERROR / RETRY, the AHB non-OKAY
    responses) through an injectable hook; the master-side recovery is a
-   bounded retry with exponential backoff, each extra attempt charged
-   against the governor when one is installed. *)
+   bounded retry with exponential backoff. *)
 
 module Proc = Symbad_sim.Process
 module Time = Symbad_sim.Time
 module Obs = Symbad_obs.Obs
 module Json = Symbad_obs.Json
-module Gov = Symbad_gov.Gov
 
 type response = Okay | Error | Retry
 
@@ -34,9 +32,6 @@ type t = {
   name : string;
   width_bytes : int;
   period_ns : int;
-  arbitration_cycles : int;
-  setup_cycles : int;
-  max_retries : int;
   ecc : bool;  (* SEC-DED protection on every transfer *)
   mutable busy : bool;
   mutable waiters : (int * int * (unit -> unit)) list;
@@ -52,24 +47,22 @@ type t = {
   mutable ecc_double_errors : int;
   mutable fault : (Transaction.t -> attempt:int -> response) option;
   mutable corruption : (Transaction.t -> attempt:int -> int) option;
-  mutable gov : Gov.t option;
   masters : (string, master_stats) Hashtbl.t;
   mutable start_ns : int option;
   mutable last_release_ns : int;
 }
 
-let create ?(width_bytes = 4) ?(period_ns = 10) ?(arbitration_cycles = 1)
-    ?(setup_cycles = 1) ?(max_retries = 3) ?(ecc = false) name =
+let arbitration_cycles = 1
+let setup_cycles = 1
+let max_retries = 3
+
+let create ?(width_bytes = 4) ?(period_ns = 10) ?(ecc = false) name =
   if width_bytes <= 0 then invalid_arg "Bus.create: width";
   if period_ns <= 0 then invalid_arg "Bus.create: period";
-  if max_retries < 0 then invalid_arg "Bus.create: max_retries";
   {
     name;
     width_bytes;
     period_ns;
-    arbitration_cycles;
-    setup_cycles;
-    max_retries;
     ecc;
     busy = false;
     waiters = [];
@@ -85,18 +78,15 @@ let create ?(width_bytes = 4) ?(period_ns = 10) ?(arbitration_cycles = 1)
     ecc_double_errors = 0;
     fault = None;
     corruption = None;
-    gov = None;
     masters = Hashtbl.create 8;
     start_ns = None;
     last_release_ns = 0;
   }
 
-let name b = b.name
 let period_ns b = b.period_ns
 let ecc b = b.ecc
 let inject_faults b h = b.fault <- h
 let inject_corruption b h = b.corruption <- h
-let govern b g = b.gov <- Some g
 
 let master_stats b master =
   match Hashtbl.find_opt b.masters master with
@@ -114,7 +104,7 @@ let coded_bytes b bytes =
   else bytes
 
 let transfer_cycles b bytes =
-  b.arbitration_cycles + b.setup_cycles
+  arbitration_cycles + setup_cycles
   + ((coded_bytes b bytes + b.width_bytes - 1) / b.width_bytes)
 
 let transfer_time b bytes = Time.ns (transfer_cycles b bytes * b.period_ns)
@@ -150,26 +140,6 @@ let release b =
   b.last_release_ns <- Time.to_ns (Proc.now ());
   grant_next b
 
-(* Retry budget left for one more attempt?  Each extra attempt is one
-   pattern charged to the governor, so bus-level recovery competes with
-   verification work for the same allowance. *)
-let may_retry b =
-  match b.gov with
-  | None -> true
-  | Some g ->
-      if Gov.out_of_budget g then false
-      else begin
-        Gov.charge_patterns g 1;
-        true
-      end
-
-(* Each ECC syndrome (a corrected single or a detected double) is
-   diagnostic work charged like a retry: one governor pattern. *)
-let charge_syndrome b =
-  match b.gov with
-  | Some g when not (Gov.out_of_budget g) -> Gov.charge_patterns g 1
-  | _ -> ()
-
 (* Run the injected corruption (a number of flipped bits in one coded
    word of the transfer) through the real codec on a deterministic
    witness word.  A corrected single error costs no extra time — the
@@ -192,12 +162,10 @@ let ecc_check b (txn : Transaction.t) ~attempt ~flips =
   match Ecc.decode corrupted with
   | Ecc.Corrected { word = w; _ } when flips = 1 && w = word ->
       b.ecc_corrected <- b.ecc_corrected + 1;
-      charge_syndrome b;
       if Obs.enabled () then Obs.incr_counter "bus.ecc_corrected";
       `Corrected
   | Ecc.Double_error | Ecc.Corrected _ | Ecc.Ok _ ->
       b.ecc_double_errors <- b.ecc_double_errors + 1;
-      charge_syndrome b;
       if Obs.enabled () then Obs.incr_counter "bus.ecc_double";
       `Uncorrectable
 
@@ -297,7 +265,7 @@ let transfer ?(priority = 8) b (txn : Transaction.t) =
               ]
             ~sim_ns:(Time.to_ns (Proc.now ()))
             event_name;
-        if attempt >= b.max_retries || not (may_retry b) then begin
+        if attempt >= max_retries then begin
           b.failed_transfers <- b.failed_transfers + 1;
           if Obs.enabled () then
             Obs.end_span

@@ -9,11 +9,8 @@
     slave response of every completed transfer ({!response}, the AHB
     OKAY/ERROR/RETRY phase).  The master-side recovery is a bounded retry
     with exponential backoff ([period_ns * 2{^attempt}] between
-    attempts); when the retry budget is exhausted the transfer raises
-    {!Transfer_failed}.  With a governor installed ({!govern}) every
-    extra attempt charges one pattern, so bus-level recovery competes
-    with the verification engines for the same allowance and an
-    exhausted governor stops the retrying early. *)
+    attempts); after three retries the transfer raises
+    {!Transfer_failed}. *)
 
 type t
 
@@ -25,21 +22,14 @@ type response =
 
 exception
   Transfer_failed of { master : string; target : string; attempts : int }
-(** Raised by {!transfer} when every attempt (1 + [max_retries], or
-    fewer under an exhausted governor) drew a non-[Okay] response. *)
+(** Raised by {!transfer} when every attempt (the first and three
+    retries) drew a non-[Okay] response. *)
 
-val create :
-  ?width_bytes:int ->
-  ?period_ns:int ->
-  ?arbitration_cycles:int ->
-  ?setup_cycles:int ->
-  ?max_retries:int ->
-  ?ecc:bool ->
-  string ->
-  t
+val create : ?width_bytes:int -> ?period_ns:int -> ?ecc:bool -> string -> t
 (** [create name] with defaults: 32-bit bus ([width_bytes = 4]),
-    100 MHz ([period_ns = 10]), 1 arbitration and 1 setup cycle,
-    [max_retries = 3] re-attempts after a faulted response.
+    100 MHz ([period_ns = 10]).  Every transaction pays 1 arbitration
+    and 1 setup cycle, and a faulted transfer is re-attempted up to 3
+    times.
 
     With [ecc] (default [false]) every transfer is SEC-DED protected
     ({!Ecc}): payloads travel as 39-bit codewords per 32 data bits —
@@ -49,7 +39,6 @@ val create :
     round-trip, and double-bit corruptions are detected and fall back
     to the bounded retry. *)
 
-val name : t -> string
 val period_ns : t -> int
 
 val ecc : t -> bool
@@ -66,14 +55,9 @@ val inject_corruption : t -> (Transaction.t -> attempt:int -> int) option -> uni
     how many bits of one coded word of the transfer were flipped ([0] =
     clean).  On an ECC bus a single flip is corrected in place (counted
     in [ecc_corrected], the transfer completes normally) and a double
-    flip is detected ([ecc_double_errors]) and retried; each syndrome
-    charges one governor pattern.  On a plain bus any corruption
-    surfaces as an ERROR response.  Must be deterministic. *)
-
-val govern : t -> Symbad_gov.Gov.t -> unit
-(** Charge each retry attempt against [gov] (one pattern per extra
-    attempt); once [gov] is out of budget, faulted transfers fail
-    immediately instead of retrying. *)
+    flip is detected ([ecc_double_errors]) and retried.  On a plain bus
+    any corruption surfaces as an ERROR response.  Must be
+    deterministic. *)
 
 val transfer_cycles : t -> int -> int
 (** [transfer_cycles b bytes] is the cost of one transaction in bus

@@ -21,8 +21,6 @@ let create ?(period_ns = 20) name =
   if period_ns <= 0 then invalid_arg "Cpu.create: period";
   { name; period_ns; executed_cycles = 0; busy_ns = 0; firings = 0 }
 
-let name c = c.name
-let period_ns c = c.period_ns
 
 let execute c ~cycles =
   if cycles < 0 then invalid_arg "Cpu.execute: negative cycles";

@@ -9,9 +9,6 @@ type t
 val create : ?period_ns:int -> string -> t
 (** Default clock: 20 ns (50 MHz ARM7TDMI class). *)
 
-val name : t -> string
-val period_ns : t -> int
-
 val execute : t -> cycles:int -> unit
 (** Block the calling process for [cycles] CPU cycles and account them. *)
 

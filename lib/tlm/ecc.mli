@@ -28,7 +28,3 @@ type decoded =
 val decode : int -> decoded
 (** Check-and-correct a received codeword.  Exact for at most two
     flipped bits (the code's design point). *)
-
-val syndrome : int -> int
-(** The Hamming syndrome of a codeword: [0] when all check groups are
-    clean, else the xor of the flipped positions. *)

@@ -22,8 +22,6 @@ let create ?(access_cycles = 2) ~size name =
     writes = 0;
   }
 
-let name m = m.name
-let size m = Bytes.length m.data
 
 let check m addr len =
   if addr < 0 || len < 0 || addr + len > Bytes.length m.data then

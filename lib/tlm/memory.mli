@@ -4,8 +4,6 @@
 type t
 
 val create : ?access_cycles:int -> size:int -> string -> t
-val name : t -> string
-val size : t -> int
 
 val poke : t -> addr:int -> Bytes.t -> unit
 (** Zero-time store, for preloading contents before simulation. *)

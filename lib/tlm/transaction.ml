@@ -21,6 +21,3 @@ let kind_to_string = function
   | Read -> "read"
   | Write -> "write"
   | Bitstream -> "bitstream"
-
-let pp fmt t =
-  Fmt.pf fmt "%s->%s %s %dB" t.master t.target (kind_to_string t.kind) t.bytes

@@ -14,4 +14,3 @@ type t = {
 
 val make : master:string -> target:string -> kind:kind -> bytes:int -> t
 val kind_to_string : kind -> string
-val pp : Format.formatter -> t -> unit

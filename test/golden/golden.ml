@@ -151,8 +151,7 @@ let platform () =
   let cs = Face_app.case_study Face_app.default_workload in
   let graph = Lazy.force cs.graph in
   let sweep =
-    Explore.sweep_hw_sets ~task_area:Level3.default_task_area
-      ~profile:(Lazy.force cs.level1).Level1.profile
+    Explore.sweep_hw_sets ~profile:(Lazy.force cs.level1).Level1.profile
       ~pinned_sw:Face_app.pinned_sw graph
   in
   let l3 = Lazy.force cs.level3 in

@@ -22,6 +22,23 @@ let token_digest_stable () =
   check_bool "distinguishes" false
     (Token.digest (Token.Vec [| 1; 2 |]) = Token.digest (Token.Vec [| 2; 1 |]))
 
+(* The exact digest strings: every level's trace comparison and the
+   golden reports rest on them, so a rewrite must keep them byte for
+   byte.  A [Mat] or [Scan] hashes its elements in row order as one
+   sequence, empty rows and the sign of a component included. *)
+let token_digest_strings () =
+  let check_str = Alcotest.(check string) in
+  check_str "vec" "Vv8/f4e6c9090bf6f63"
+    (Token.digest (Token.Vec [| 3; 1; 4; 1; 5; 9; -2; max_int |]));
+  check_str "empty vec" "Vv0/cbf29ce484222325" (Token.digest (Token.Vec [||]));
+  check_str "ragged mat" "Mv6/9746a713f3a6584a"
+    (Token.digest (Token.Mat [| [| 1; 2; 3 |]; [||]; [| 4 |]; [| 5; 6 |] |]));
+  check_str "empty mat" "Mv0/cbf29ce484222325" (Token.digest (Token.Mat [||]));
+  check_str "scan" "Sv5/3a82badb7f0f04d0"
+    (Token.digest
+       (Token.Scan
+          { Symbad_image.Line.rows = [| 10; 20; 30 |]; cols = [| 7; 8 |] }))
+
 let token_accessors_reject () =
   check_bool "raises" true
     (try ignore (Token.to_frame (Token.Num 1)); false
@@ -336,6 +353,36 @@ let lpv_bridge_fifo_dimensioning () =
   | Some c -> check_bool "small capacity suffices" true (c <= 4)
   | None -> Alcotest.fail "expected a capacity"
 
+(* LPV times the platform it is given: with every task on the CPU, each
+   delay is cycles times the CPU period, so doubling that period in the
+   config doubles the minimum cycle time exactly.  The default is the
+   platform the case study simulates. *)
+let lpv_bridge_reads_platform () =
+  check_bool "default timing is the simulated platform" true
+    (Lpv_bridge.default_timing == Level3.default_config);
+  let g = !!(smoke.graph) in
+  let mapping = Mapping.all_sw g in
+  let period timing =
+    match
+      fst
+        (Lpv_bridge.check_deadline ~deadline_ns:Face_app.deadline_ns ~timing
+           ~mapping ~profile:!!(smoke.level1).Level1.profile g)
+    with
+    | Symbad_lpv.Timing.Period p -> p
+    | v -> Alcotest.failf "expected a period, got %a" Symbad_lpv.Timing.pp_verdict v
+  in
+  let base = Level3.default_config in
+  let slow_cpu =
+    {
+      base with
+      Level3.level2 =
+        { base.Level3.level2 with cpu_period_ns = 2 * base.level2.cpu_period_ns };
+    }
+  in
+  check_bool "doubled CPU period doubles the cycle time" true
+    (Symbad_lpv.Rat.equal (period slow_cpu)
+       (Symbad_lpv.Rat.mul (Symbad_lpv.Rat.of_int 2) (period base)))
+
 (* --- Transform --- *)
 
 let transform_moves () =
@@ -371,8 +418,8 @@ let explore_pareto () =
 
 let explore_sweep_monotone_latency () =
   let grades =
-    Explore.sweep_hw_sets ~task_area:Level3.default_task_area
-      ~profile:!!(smoke.level1).Level1.profile ~pinned_sw:Face_app.pinned_sw
+    Explore.sweep_hw_sets ~profile:!!(smoke.level1).Level1.profile
+      ~pinned_sw:Face_app.pinned_sw
       ~max_hw:4 !!(smoke.graph)
   in
   check "five grades" 5 (List.length grades);
@@ -413,11 +460,30 @@ let level3_bus_wait_under_contention () =
 
 let explore_grades_have_bitstream_only_at_level3 () =
   let g = !!(smoke.graph) in
-  let task_area = Level3.default_task_area in
-  let g2 = Explore.grade ~task_area ~label:"l2" g !!(smoke.mapping2) in
+  let g2 = Explore.grade ~label:"l2" g !!(smoke.mapping2) in
   check "no bitstream at level 2" 0 g2.Explore.bitstream_bytes;
-  let g3 = Explore.grade ~task_area ~label:"l3" g !!(smoke.mapping3) in
+  let g3 = Explore.grade ~label:"l3" g !!(smoke.mapping3) in
   check_bool "bitstream at level 3" true (g3.Explore.bitstream_bytes > 0)
+
+(* The graded area is the simulated platform's: [config.task_area]
+   sizes the hardwired modules and, twice over, the largest FPGA
+   context (DISTANCE and ROOT each fill one at level 3). *)
+let explore_area_reads_config () =
+  let g = !!(smoke.graph) in
+  let task_area t = 10 + String.length t in
+  let config = { Level3.default_config with Level3.task_area } in
+  let hw_area m =
+    List.fold_left (fun a t -> a + task_area t) 0 (Mapping.hw_tasks m)
+  in
+  let m2 = !!(smoke.mapping2) and m3 = !!(smoke.mapping3) in
+  let area m = (Explore.grade ~config ~label:"area" g m).Explore.area in
+  check_bool "level 2 has HW modules" true (Mapping.hw_tasks m2 <> []);
+  check "level-2 area" (hw_area m2) (area m2);
+  check "level-3 area"
+    (hw_area m3 + (2 * max (task_area "DISTANCE") (task_area "ROOT")))
+    (area m3);
+  check_bool "not the default areas" true
+    (area m2 <> (Explore.grade ~label:"area" g m2).Explore.area)
 
 (* qcheck: on random linear pipelines with random mappings, all three
    refinement levels compute identical data streams. *)
@@ -730,6 +796,7 @@ let suite =
     Alcotest.test_case "PCC verdict bounds unresolved faults" `Quick
       of_pcc_bounds_unresolved;
     Alcotest.test_case "token digest" `Quick token_digest_stable;
+    Alcotest.test_case "token digest strings" `Quick token_digest_strings;
     Alcotest.test_case "token accessors" `Quick token_accessors_reject;
     Alcotest.test_case "graph validation" `Quick graph_validation;
     Alcotest.test_case "graph topological order" `Quick graph_topological_order;
@@ -760,6 +827,8 @@ let suite =
       lpv_bridge_seeded_deadlock;
     Alcotest.test_case "lpv bridge fifo dimensioning" `Quick
       lpv_bridge_fifo_dimensioning;
+    Alcotest.test_case "lpv bridge reads the platform" `Quick
+      lpv_bridge_reads_platform;
     Alcotest.test_case "lpv bridge deadline verdicts" `Quick
       lpv_bridge_deadline_verdicts;
     Alcotest.test_case "transformations move modules" `Quick transform_moves;
@@ -774,6 +843,8 @@ let suite =
       level3_bus_wait_under_contention;
     Alcotest.test_case "explore bitstream accounting" `Quick
       explore_grades_have_bitstream_only_at_level3;
+    Alcotest.test_case "explore area reads the config" `Quick
+      explore_area_reads_config;
     QCheck_alcotest.to_alcotest qcheck_levels_agree_on_random_pipelines;
     Alcotest.test_case "wrapper_gen verifies both depths" `Quick
       wrapper_gen_verifies_both_depths;

@@ -182,14 +182,11 @@ let distance_properties () =
   check "symmetric" (Distance.squared a b) (Distance.squared b a)
 
 let winner_selects_min () =
-  (match Winner.select [ (0, 10); (1, 3); (2, 7) ] with
-  | Winner.Match { identity; distance } ->
-      check "id" 1 identity;
-      check "distance" 3 distance
-  | Winner.Unknown _ -> Alcotest.fail "expected match");
-  match Winner.select ~reject_above:2 [ (0, 10); (1, 3) ] with
-  | Winner.Unknown { best_identity; _ } -> check "best" 1 best_identity
-  | Winner.Match _ -> Alcotest.fail "expected rejection"
+  let (Winner.Match { identity; distance }) =
+    Winner.select [ (0, 10); (1, 3); (2, 7) ]
+  in
+  check "id" 1 identity;
+  check "distance" 3 distance
 
 (* --- Database --- *)
 
@@ -223,11 +220,9 @@ let pipeline_feature_dim () =
 let pipeline_recognises_enrolled_pose () =
   let db = Pipeline.enroll ~identities:5 () in
   let raw = Pipeline.camera ~identity:3 ~pose:0 () in
-  match Pipeline.recognize db raw with
-  | Winner.Match { identity; distance } ->
-      check "identity" 3 identity;
-      check "zero distance on enrolled frame" 0 distance
-  | Winner.Unknown _ -> Alcotest.fail "expected match"
+  let (Winner.Match { identity; distance }) = Pipeline.recognize db raw in
+  check "identity" 3 identity;
+  check "zero distance on enrolled frame" 0 distance
 
 let pipeline_accuracy_above_chance () =
   let db = Pipeline.enroll ~identities:10 () in
@@ -575,7 +570,7 @@ let suite =
       root_exhaustive_16bit_sample;
     Alcotest.test_case "isqrt rejects negative" `Quick root_rejects_negative;
     Alcotest.test_case "distance SSD" `Quick distance_properties;
-    Alcotest.test_case "winner argmin + rejection" `Quick winner_selects_min;
+    Alcotest.test_case "winner argmin" `Quick winner_selects_min;
     Alcotest.test_case "database (de)serialisation" `Quick
       database_serialisation_roundtrip;
     Alcotest.test_case "database dim check" `Quick database_rejects_dim_mismatch;
