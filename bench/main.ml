@@ -166,10 +166,16 @@ let e5_lpv_deadlock () =
 let e6_lpv_timing () =
   section "E6" "LPV timing: deadline achievement and FIFO dimensioning";
   let timing = Level3.default_config in
+  let with_capacity fifo_capacity =
+    { timing with Level3.level2 = { timing.Level3.level2 with fifo_capacity } }
+  in
   Format.printf "%-10s %-18s@." "capacity" "min period (ns)";
   List.iter
     (fun cap ->
-      let net = Lpv_bridge.net_of ~capacity:cap ~timing ~mapping:mapping2 ~profile graph in
+      let net =
+        Lpv_bridge.net_of ~timing:(with_capacity cap) ~mapping:mapping2 ~profile
+          graph
+      in
       match Symbad_lpv.Timing.min_cycle_ratio net with
       | Symbad_lpv.Timing.Period p ->
           Format.printf "%-10d %-18.0f@." cap (Symbad_lpv.Rat.to_float p)
@@ -188,8 +194,8 @@ let e6_lpv_timing () =
           ~profile graph
       in
       Format.printf
-        "deadline %8dns: met at capacity 2 = %-5b  minimal capacity = %s@."
-        deadline_ns met
+        "deadline %8dns: met at capacity %d = %-5b  minimal capacity = %s@."
+        deadline_ns timing.level2.fifo_capacity met
         (match dim with Some c -> string_of_int c | None -> "none"))
     [ 2_000_000; 1_000_000; 600_000 ]
 

@@ -11,9 +11,9 @@
 module Annotation = Symbad_tlm.Annotation
 module Lpv = Symbad_lpv
 
-(* A firing's delay reads the annotation and the clock periods from the
-   platform config the level-2/3 simulations run, so LPV times the
-   platform that is simulated. *)
+(* A firing's delay reads the annotation and the clock periods, and each
+   channel its capacity, from the platform config the level-2/3
+   simulations run, so LPV times the platform that is simulated. *)
 let default_timing = Level3.default_config
 
 let firing_delay_ns (timing : Level3.config) mapping profile task =
@@ -32,16 +32,17 @@ let firing_delay_ns (timing : Level3.config) mapping profile task =
   in
   cycles * period
 
-(* Build the net.  [capacity] bounds every channel (0 = unbounded: no
-   credit place).  [extra_channels] adds feedback edges absent from the
-   dataflow graph (used to model synchronisation added at mapping time,
-   and to seed the deadlock experiment). *)
-let net_of ?(capacity = 2) ?(extra_channels = []) ?timing ?mapping ?profile
+(* Build the net.  The simulated FIFO capacity bounds every channel (0 =
+   unbounded: no credit place).  [extra_channels] adds feedback edges
+   absent from the dataflow graph (used to model synchronisation added at
+   mapping time, and to seed the deadlock experiment). *)
+let net_of ?(extra_channels = []) ?(timing = default_timing) ?mapping ?profile
     (graph : Task_graph.t) =
   let net = Lpv.Petri.create () in
+  let capacity = timing.level2.fifo_capacity in
   let delay_of task =
-    match (timing, mapping, profile) with
-    | Some t, Some m, Some p -> firing_delay_ns t m p task
+    match (mapping, profile) with
+    | Some m, Some p -> firing_delay_ns timing m p task
     | _ -> 1
   in
   let tindex : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -99,6 +100,9 @@ let check_deadline ~deadline_ns ~timing ~mapping ~profile ?gov graph =
   (v, Lpv.Timing.meets ~deadline:deadline_ns v)
 
 let dimension_fifos ~deadline_ns ~timing ~mapping ~profile ?gov graph =
+  let with_capacity fifo_capacity =
+    { timing with Level3.level2 = { timing.Level3.level2 with fifo_capacity } }
+  in
   Lpv.Timing.min_uniform_capacity ~max_capacity:64 ?gov ~deadline:deadline_ns
-    ~build:(fun c -> net_of ~capacity:c ~timing ~mapping ~profile graph)
+    ~build:(fun c -> net_of ~timing:(with_capacity c) ~mapping ~profile graph)
     ()

@@ -5,8 +5,8 @@
    thoroughly tuned for obtaining optimal performances" — this module
    evaluates and optimises that partition: given the dynamic sequence of
    resource invocations, it counts the reconfigurations (and downloaded
-   bytes) each candidate partition would cause, and searches for the best
-   one (exhaustively for the case-study sizes, greedily beyond). *)
+   bytes) each candidate partition would cause, and searches exhaustively
+   for the best one (the case study's resource sets are small). *)
 
 type partition = Resource.t list list
 (* groups of resources; each group becomes one context *)
@@ -125,60 +125,6 @@ let sweep ~capacity ~max_contexts ~calls resources =
          compare
            (a.reconfigurations, a.bitstream_bytes)
            (b.reconfigurations, b.bitstream_bytes))
-
-(* Greedy partitioner for resource sets beyond exhaustive reach:
-   repeatedly merge the two groups with the highest call-adjacency
-   affinity (adjacent invocations of resources in different contexts are
-   exactly the reconfigurations a merge would save), subject to the
-   capacity, until at most [max_contexts] groups remain and no further
-   merge pays. *)
-let greedy_partition ~capacity ~max_contexts ~calls resources =
-  if resources = [] then None
-  else if List.exists (fun r -> Resource.area r > capacity) resources then None
-  else begin
-    let affinity a b =
-      (* adjacent call pairs crossing groups a and b *)
-      let in_group g name =
-        List.exists (fun r -> String.equal (Resource.name r) name) g
-      in
-      let rec count acc = function
-        | x :: (y :: _ as rest) ->
-            let crossing =
-              (in_group a x && in_group b y) || (in_group b x && in_group a y)
-            in
-            count (if crossing then acc + 1 else acc) rest
-        | [ _ ] | [] -> acc
-      in
-      count 0 calls
-    in
-    let group_area g = List.fold_left (fun s r -> s + Resource.area r) 0 g in
-    let rec merge groups =
-      let n = List.length groups in
-      (* candidate merges that fit *)
-      let best = ref None in
-      List.iteri
-        (fun i gi ->
-          List.iteri
-            (fun j gj ->
-              if i < j && group_area gi + group_area gj <= capacity then begin
-                let a = affinity gi gj in
-                match !best with
-                | Some (_, _, a') when a' >= a -> ()
-                | _ -> best := Some (i, j, a)
-              end)
-            groups)
-        groups;
-      match !best with
-      | Some (i, j, a) when n > max_contexts || a > 0 ->
-          let gi = List.nth groups i and gj = List.nth groups j in
-          let rest =
-            List.filteri (fun k _ -> k <> i && k <> j) groups
-          in
-          merge ((gi @ gj) :: rest)
-      | Some _ | None -> if n <= max_contexts then Some groups else None
-    in
-    merge (List.map (fun r -> [ r ]) resources)
-  end
 
 let pp_partition fmt p =
   let pp_group fmt g =

@@ -38,16 +38,4 @@ val sweep :
 (** Every feasible partition with its cost, best first; progress as
     ["placement.sweep"] obs events. *)
 
-val greedy_partition :
-  capacity:int ->
-  max_contexts:int ->
-  calls:string list ->
-  Resource.t list ->
-  partition option
-(** Polynomial heuristic for resource sets beyond exhaustive reach:
-    merge the groups whose call-adjacency affinity is highest (those are
-    the reconfigurations a merge saves) while they fit in [capacity],
-    until at most [max_contexts] groups remain.  [None] if no feasible
-    partition is found. *)
-
 val pp_partition : Format.formatter -> partition -> unit

@@ -247,43 +247,6 @@ let fifo_ctrl_buggy ?(addr_width = 3) () =
           next } ]
     ~outputs:[ ("full", full); ("empty", empty); ("count", count) ]
 
-(* --- EDGE: Sobel gradient magnitude (|gx| + |gy|), combinational ------- *)
-(* One 3x3 window per evaluation, pixel inputs p0..p8 row-major.  The
-   unsigned IR has no negative numbers, so |a - b| is computed as
-   mux(a < b, b - a, a - b). *)
-
-let sobel_window_datapath ?(pixel_width = 8) () =
-  let w = pixel_width + 4 in
-  (* headroom for the weighted sums *)
-  let p i = zext (Expr.input (Printf.sprintf "p%d" i)) ~from:pixel_width ~to_:w in
-  let ( + ) = Expr.add and ( * ) k e = Expr.mul (Expr.const ~width:w k) e in
-  let abs_diff a b =
-    Expr.mux (Expr.ult a b) (Expr.sub b a) (Expr.sub a b)
-  in
-  (* gx = (p2 + 2 p5 + p8) - (p0 + 2 p3 + p6); gy likewise transposed *)
-  let gx_pos = p 2 + (2 * p 5) + p 8 and gx_neg = p 0 + (2 * p 3) + p 6 in
-  let gy_pos = p 6 + (2 * p 7) + p 8 and gy_neg = p 0 + (2 * p 1) + p 2 in
-  let magnitude = abs_diff gx_pos gx_neg + abs_diff gy_pos gy_neg in
-  Netlist.make ~name:"sobel_window"
-    ~inputs:(List.init 9 (fun i -> (Printf.sprintf "p%d" i, pixel_width)))
-    ~registers:[]
-    ~outputs:[ ("magnitude", magnitude) ]
-
-(* --- EROSION: 3x3 minimum, combinational ------------------------------ *)
-
-let min9_datapath ?(pixel_width = 8) () =
-  let p i = Expr.input (Printf.sprintf "p%d" i) in
-  let min2 a b = Expr.mux (Expr.ult a b) a b in
-  let rec tree = function
-    | [] -> invalid_arg "min9"
-    | [ x ] -> x
-    | x :: y :: rest -> tree (min2 x y :: rest)
-  in
-  Netlist.make ~name:"min9"
-    ~inputs:(List.init 9 (fun i -> (Printf.sprintf "p%d" i, pixel_width)))
-    ~registers:[]
-    ~outputs:[ ("minimum", tree (List.init 9 p)) ]
-
 (* --- WINNER: streaming argmin FSM -------------------------------------- *)
 (* start clears; each valid cycle streams one candidate distance; the
    running minimum and its index are registered.  [idx_width] bounds the

@@ -39,13 +39,6 @@ val fifo_ctrl : ?addr_width:int -> unit -> Netlist.t
 val fifo_ctrl_buggy : ?addr_width:int -> unit -> Netlist.t
 (** Seeded off-by-one: [full] asserts one entry late. *)
 
-val sobel_window_datapath : ?pixel_width:int -> unit -> Netlist.t
-(** EDGE kernel: combinational Sobel gradient magnitude [|gx| + |gy|]
-    over one 3x3 window (inputs [p0..p8], row-major). *)
-
-val min9_datapath : ?pixel_width:int -> unit -> Netlist.t
-(** EROSION kernel: combinational 3x3 minimum (inputs [p0..p8]). *)
-
 val argmin_datapath : ?data_width:int -> ?idx_width:int -> unit -> Netlist.t
 (** WINNER: streaming argmin FSM.  [start] clears; each [valid] cycle
     consumes one candidate distance [d]; outputs the running minimum

@@ -26,10 +26,4 @@ let apply img =
   done;
   Image.of_pixels ~width:w ~height:h out
 
-(* Dual operator, used by tests to check the morphological laws: the
-   maximum of a window is 255 minus the minimum of its complement. *)
-let dilate img =
-  let complement = Image.map (fun p -> 255 - p) in
-  complement (apply (complement img))
-
 let work ~width ~height = width * height * 9

@@ -41,9 +41,6 @@ let fill img v =
 
 let copy img = { img with pixels = Array.copy img.pixels }
 
-let map f img =
-  { img with pixels = Array.map (fun p -> clamp (f p)) img.pixels }
-
 let equal a b =
   a.width = b.width && a.height = b.height && a.pixels = b.pixels
 

@@ -41,9 +41,6 @@ val set : t -> int -> int -> int -> unit
 val fill : t -> int -> unit
 val copy : t -> t
 
-val map : (int -> int) -> t -> t
-(** Pointwise transform (result clamped). *)
-
 val equal : t -> t -> bool
 
 val mean : t -> int

@@ -56,10 +56,10 @@ let unreset_registers nl =
 exception Unresolved
 
 (* Abstract evaluation of an expression under a register environment.
-   Combinational nets (output names read as [Reg], the Synth SSA
-   idiom) are expanded in place; primed register reads (properties)
-   resolve to the register's fixpoint value, which is closed under the
-   transition so the prime is absorbed soundly.  [hook] observes every
+   Combinational nets (output names read as [Reg], the SSA idiom) are
+   expanded in place; primed register reads (properties) resolve to the
+   register's fixpoint value, which is closed under the transition so
+   the prime is absorbed soundly.  [hook] observes every
    binop with its operand expressions and abstract values — but not
    inside expanded comb nets, whose arithmetic is attributed to their
    own site. *)

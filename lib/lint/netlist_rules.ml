@@ -5,8 +5,8 @@
    elaboration time must be representable so they can be diagnosed
    here instead of as runtime exceptions.  In that relaxed world an
    [Expr.Reg n] reference resolves, in order, to the register [n], to
-   the combinational net driven by output [n] (the [Synth] SSA idiom),
-   or to nothing at all (an undriven net).  Properties may read primed
+   the combinational net driven by output [n] (the SSA idiom), or to
+   nothing at all (an undriven net).  Properties may read primed
    registers ([Reg "x'"], the next-state value) — primes are stripped
    before resolution. *)
 

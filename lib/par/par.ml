@@ -264,12 +264,6 @@ let map_array ?(label = "par.map") ?progress pool f xs =
 let map ?label ?progress pool f xs =
   Array.to_list (map_array ?label ?progress pool f (Array.of_list xs))
 
-let mapi ?label pool f xs =
-  map ?label pool (fun (i, x) -> f i x) (List.mapi (fun i x -> (i, x)) xs)
-
-let map_reduce pool ~map:f ~fold ~init xs =
-  List.fold_left fold init (map pool f xs)
-
 (* --- seed splitting ---------------------------------------------------- *)
 
 (* splitmix64 finalizer over a (seed, lane) mix: independent streams per
@@ -287,6 +281,3 @@ let split_seed ~seed i =
   (* keep 62 bits: [to_int] of anything wider can wrap negative *)
   let v = to_int (shift_right_logical z 2) in
   if v = 0 then 1 else v
-
-let map_seeded pool ~seed f xs =
-  mapi pool (fun i x -> f ~seed:(split_seed ~seed i) x) xs

@@ -61,20 +61,6 @@ val map :
     is invoked on the {e calling} domain as chunks complete (counts in
     chunks), the safe place to emit progress events from. *)
 
-val mapi : ?label:string -> pool -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** {!map} where the function also receives the item's input index —
-    equals [List.mapi f xs] for pure [f] at any pool width. *)
-
-val map_reduce :
-  pool ->
-  map:('a -> 'b) ->
-  fold:('c -> 'b -> 'c) ->
-  init:'c ->
-  'a list ->
-  'c
-(** Parallel [map] then a sequential in-order [fold] on the calling
-    domain: equals [List.fold_left (fun acc x -> fold acc (map x)) init xs]. *)
-
 (** {1 Seed splitting} *)
 
 val split_seed : seed:int -> int -> int
@@ -82,7 +68,3 @@ val split_seed : seed:int -> int -> int
     for lane [i], via a splitmix64-style hash.  Depends only on
     [(seed, i)] — never on the pool width — so seeded parallel runs
     reproduce seeded sequential runs exactly. *)
-
-val map_seeded :
-  pool -> seed:int -> (seed:int -> 'a -> 'b) -> 'a list -> 'b list
-(** [map] where item [i] also receives [split_seed ~seed i]. *)

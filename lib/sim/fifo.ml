@@ -78,17 +78,6 @@ let rec wait_put f x =
 
 let put f x = if lossy f then () else wait_put f x
 
-let try_write f x =
-  if lossy f then true
-  else if is_full f then begin
-    f.total_drops <- f.total_drops + 1;
-    false
-  end
-  else begin
-    enqueue f x;
-    true
-  end
-
 let rec get f =
   match Queue.take_opt f.items with
   | Some x ->
@@ -98,16 +87,6 @@ let rec get f =
   | None ->
       Process.suspend (fun resume -> f.readers <- resume :: f.readers);
       get f
-
-let try_get f =
-  match Queue.take_opt f.items with
-  | Some x ->
-      f.total_gets <- f.total_gets + 1;
-      wake_writers f;
-      Some x
-  | None -> None
-
-let try_read = try_get
 
 type occupancy = {
   puts : int;

@@ -8,9 +8,7 @@
     For the platform fault-injection campaigns a channel can be made
     {e lossy} ({!set_loss}): selected write attempts silently discard
     their token and are counted by {!drops}, modelling a link that
-    corrupts frames in flight.  The non-blocking {!try_write} additionally
-    counts a drop when it refuses a write because the channel is full, so
-    overflow on best-effort producers shows up in the same counter. *)
+    corrupts frames in flight. *)
 
 type 'a t
 
@@ -25,27 +23,14 @@ val put : 'a t -> 'a -> unit
 val get : 'a t -> 'a
 (** Blocking read; parks the calling process while the channel is empty. *)
 
-val try_get : 'a t -> 'a option
-(** Non-blocking read. *)
-
-val try_read : 'a t -> 'a option
-(** Alias of {!try_get}, the counterpart of {!try_write}. *)
-
-val try_write : 'a t -> 'a -> bool
-(** Non-blocking write.  Returns [false] — and counts a drop — when the
-    channel is full instead of parking the caller.  A write discarded by
-    an injected loss returns [true]: the producer cannot observe the
-    fault, exactly like a corrupted frame on a real link. *)
-
 val set_loss : 'a t -> (int -> bool) option -> unit
 (** [set_loss f (Some p)] makes the channel lossy: a write attempt with
-    index [i] (0-based, counting every [put]/[try_write] call) is
-    discarded when [p i] is true.  [set_loss f None] restores reliable
-    delivery.  Dropped tokens are counted by {!drops}. *)
+    index [i] (0-based, counting every [put] call) is discarded when
+    [p i] is true.  [set_loss f None] restores reliable delivery.
+    Dropped tokens are counted by {!drops}. *)
 
 val drops : 'a t -> int
-(** Tokens discarded so far — by injected loss or by a full-channel
-    {!try_write}. *)
+(** Tokens discarded so far by injected loss. *)
 
 type occupancy = {
   puts : int;  (** total successful writes *)

@@ -83,7 +83,6 @@ let create ?(width_bytes = 4) ?(period_ns = 10) ?(ecc = false) name =
     last_release_ns = 0;
   }
 
-let period_ns b = b.period_ns
 let ecc b = b.ecc
 let inject_faults b h = b.fault <- h
 let inject_corruption b h = b.corruption <- h

@@ -39,8 +39,6 @@ val create : ?width_bytes:int -> ?period_ns:int -> ?ecc:bool -> string -> t
     round-trip, and double-bit corruptions are detected and fall back
     to the bounded retry. *)
 
-val period_ns : t -> int
-
 val ecc : t -> bool
 (** Whether this bus was created with SEC-DED protection. *)
 

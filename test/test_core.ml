@@ -355,14 +355,15 @@ let lpv_bridge_fifo_dimensioning () =
 
 (* LPV times the platform it is given: with every task on the CPU, each
    delay is cycles times the CPU period, so doubling that period in the
-   config doubles the minimum cycle time exactly.  The default is the
-   platform the case study simulates. *)
+   config doubles the minimum cycle time exactly; and every channel holds
+   the FIFO capacity the config simulates, so on the level-2 mapping
+   one-slot channels lengthen the cycle.  The default is the platform
+   the case study simulates. *)
 let lpv_bridge_reads_platform () =
   check_bool "default timing is the simulated platform" true
     (Lpv_bridge.default_timing == Level3.default_config);
   let g = !!(smoke.graph) in
-  let mapping = Mapping.all_sw g in
-  let period timing =
+  let period mapping timing =
     match
       fst
         (Lpv_bridge.check_deadline ~deadline_ns:Face_app.deadline_ns ~timing
@@ -372,16 +373,21 @@ let lpv_bridge_reads_platform () =
     | v -> Alcotest.failf "expected a period, got %a" Symbad_lpv.Timing.pp_verdict v
   in
   let base = Level3.default_config in
+  let with_level2 level2 = { base with Level3.level2 } in
   let slow_cpu =
-    {
-      base with
-      Level3.level2 =
-        { base.Level3.level2 with cpu_period_ns = 2 * base.level2.cpu_period_ns };
-    }
+    with_level2
+      { base.Level3.level2 with cpu_period_ns = 2 * base.level2.cpu_period_ns }
   in
+  let all_sw = Mapping.all_sw g in
   check_bool "doubled CPU period doubles the cycle time" true
-    (Symbad_lpv.Rat.equal (period slow_cpu)
-       (Symbad_lpv.Rat.mul (Symbad_lpv.Rat.of_int 2) (period base)))
+    (Symbad_lpv.Rat.equal (period all_sw slow_cpu)
+       (Symbad_lpv.Rat.mul (Symbad_lpv.Rat.of_int 2) (period all_sw base)));
+  let mapping2 = !!(smoke.mapping2) in
+  let period_ns timing = Symbad_lpv.Rat.to_float (period mapping2 timing) in
+  Alcotest.(check (float 0.)) "period at the default capacity 2" 245_760.
+    (period_ns base);
+  Alcotest.(check (float 0.)) "period at capacity 1" 386_560.
+    (period_ns (with_level2 { base.Level3.level2 with fifo_capacity = 1 }))
 
 (* --- Transform --- *)
 

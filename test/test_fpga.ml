@@ -137,63 +137,6 @@ let placement_sweep_sorted () =
   let costs = List.map (fun e -> e.Placement.reconfigurations) sweep in
   Alcotest.(check (list int)) "sorted ascending" (List.sort compare costs) costs
 
-let greedy_matches_exhaustive_small () =
-  let resources = [ r "a" 10; r "b" 10; r "c" 10 ] in
-  let calls = [ "a"; "b"; "a"; "b"; "c"; "c"; "a"; "b" ] in
-  match
-    ( Placement.greedy_partition ~capacity:25 ~max_contexts:2 ~calls resources,
-      Placement.best_partition ~capacity:25 ~max_contexts:2 ~calls resources )
-  with
-  | Some greedy, Some best ->
-      let n_greedy, _ = Placement.evaluate ~calls greedy in
-      check "greedy optimal here" best.Placement.reconfigurations n_greedy
-  | _ -> Alcotest.fail "both must find a partition"
-
-let greedy_scales_and_is_feasible () =
-  let resources =
-    List.init 12 (fun i -> r (Printf.sprintf "m%d" i) (5 + i))
-  in
-  let calls =
-    List.concat
-      (List.init 40 (fun i ->
-           [ Printf.sprintf "m%d" (i mod 12); Printf.sprintf "m%d" ((i + 3) mod 12) ]))
-  in
-  match Placement.greedy_partition ~capacity:45 ~max_contexts:4 ~calls resources with
-  | Some p ->
-      Alcotest.(check bool) "group count" true (List.length p <= 4);
-      List.iter
-        (fun g ->
-          Alcotest.(check bool) "fits" true
-            (List.fold_left (fun s x -> s + Resource.area x) 0 g <= 45))
-        p;
-      (* every resource placed exactly once *)
-      check "all placed" 12 (List.length (List.concat p))
-  | None -> Alcotest.fail "feasible partition exists"
-
-let greedy_rejects_oversized_resource () =
-  Alcotest.(check bool) "none" true
-    (Placement.greedy_partition ~capacity:5 ~max_contexts:2 ~calls:[]
-       [ r "big" 10 ]
-    = None)
-
-let qcheck_greedy_never_worse_than_singletons =
-  QCheck.Test.make ~name:"greedy never worse than singleton partition"
-    ~count:100
-    QCheck.(list_of_size Gen.(2 -- 16) (int_bound 3))
-    (fun calls_idx ->
-      let names = [| "a"; "b"; "c"; "d" |] in
-      let calls = List.map (fun i -> names.(i)) calls_idx in
-      let resources = Array.to_list (Array.map (fun n -> r n 10) names) in
-      let singletons = List.map (fun x -> [ x ]) resources in
-      let n_single, _ = Placement.evaluate ~calls singletons in
-      match
-        Placement.greedy_partition ~capacity:20 ~max_contexts:4 ~calls resources
-      with
-      | Some p ->
-          let n, _ = Placement.evaluate ~calls p in
-          n <= n_single
-      | None -> false)
-
 let qcheck_placement_single_context_optimal =
   QCheck.Test.make ~name:"one context is optimal when everything fits"
     ~count:100
@@ -525,13 +468,6 @@ let suite =
       placement_feasible_partitions;
     Alcotest.test_case "placement best partition" `Quick placement_best_partition;
     Alcotest.test_case "placement sweep sorted" `Quick placement_sweep_sorted;
-    Alcotest.test_case "greedy matches exhaustive (small)" `Quick
-      greedy_matches_exhaustive_small;
-    Alcotest.test_case "greedy scales and is feasible" `Quick
-      greedy_scales_and_is_feasible;
-    Alcotest.test_case "greedy rejects oversized resource" `Quick
-      greedy_rejects_oversized_resource;
-    QCheck_alcotest.to_alcotest qcheck_greedy_never_worse_than_singletons;
     QCheck_alcotest.to_alcotest qcheck_placement_single_context_optimal;
     QCheck_alcotest.to_alcotest qcheck_crc_detects_any_single_bit_flip;
     Alcotest.test_case "crc known answer" `Quick crc_known_answer;

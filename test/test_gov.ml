@@ -204,7 +204,7 @@ let lpv_degrades () =
   match
     within_1s "timing" (fun () ->
         Symbad_lpv.Timing.min_cycle_ratio ~gov:(zero ())
-          (Lpv_bridge.net_of ~capacity:2 graph))
+          (Lpv_bridge.net_of graph))
   with
   | Symbad_lpv.Timing.Not_analyzable _ -> ()
   | _ -> Alcotest.fail "timing: expected Not_analyzable"

@@ -454,42 +454,7 @@ let qcheck_blast_matches_eval =
           Unroll.bits_value solver bits = want
       | Symbad_sat.Solver.Unsat | Symbad_sat.Solver.Unknown -> false)
 
-(* --- New IP datapaths vs the image library and its per-pixel reference
-   kernels (test_image.ml) --- *)
-
-let sobel_window_matches_reference () =
-  let nl = Rtl_lib.sobel_window_datapath () in
-  let sim = Simulator.create nl in
-  let rng = I.Rng.create 11 in
-  for _ = 1 to 200 do
-    let window = Array.init 9 (fun _ -> I.Rng.int rng 256) in
-    (* reference: a 3x3 image evaluated at its centre *)
-    let img = I.Image.create ~width:3 ~height:3 in
-    Array.iteri (fun i v -> I.Image.set img (i mod 3) (i / 3) v) window;
-    let want = Test_image.Ref.sobel_at img 1 1 in
-    let inputs =
-      Array.to_list
-        (Array.mapi (fun i v -> (Printf.sprintf "p%d" i, bv 8 v)) window)
-    in
-    let got = Bitvec.to_int (Simulator.output sim ~inputs "magnitude") in
-    if got <> want then
-      Alcotest.failf "sobel window: got %d want %d" got want
-  done
-
-let min9_matches_reference () =
-  let nl = Rtl_lib.min9_datapath () in
-  let sim = Simulator.create nl in
-  let rng = I.Rng.create 13 in
-  for _ = 1 to 200 do
-    let window = Array.init 9 (fun _ -> I.Rng.int rng 256) in
-    let want = Array.fold_left min 255 window in
-    let inputs =
-      Array.to_list
-        (Array.mapi (fun i v -> (Printf.sprintf "p%d" i, bv 8 v)) window)
-    in
-    let got = Bitvec.to_int (Simulator.output sim ~inputs "minimum") in
-    if got <> want then Alcotest.failf "min9: got %d want %d" got want
-  done
+(* --- ARGMIN datapath (WINNER) --- *)
 
 let argmin_streams_correctly () =
   let nl = Rtl_lib.argmin_datapath () in
@@ -607,80 +572,6 @@ let rtl_backend_recognises () =
   check "RTL winner = behavioural winner" want_idx
     (Bitvec.to_int (Simulator.output argmin_sim ~inputs:idle_w "best_idx"))
 
-(* --- Synth (behavioural-synthesis front end) --- *)
-
-let sq_diff_dataflow =
-  {
-    Synth.df_name = "sq_diff";
-    df_inputs = [ ("a", 4); ("b", 4) ];
-    df_defs =
-      [
-        ("ax", Expr.concat (Expr.const ~width:4 0) (Expr.input "a"));
-        ("bx", Expr.concat (Expr.const ~width:4 0) (Expr.input "b"));
-        ("d", Expr.sub (Expr.reg "ax") (Expr.reg "bx"));
-        ("sq", Expr.mul (Expr.reg "d") (Expr.reg "d"));
-      ];
-    df_outputs = [ ("y", "sq"); ("echo", "a") ];
-  }
-
-let synth_combinational_equivalence () =
-  let nl = Synth.combinational sq_diff_dataflow in
-  let oracle env =
-    let a = List.assoc "a" env and b = List.assoc "b" env in
-    [ ("y", (a - b) * (a - b) land 0xff); ("echo", a) ]
-  in
-  match Synth.equivalent_to_oracle nl oracle with
-  | Some true -> ()
-  | Some false -> Alcotest.fail "synthesised netlist differs from oracle"
-  | None -> Alcotest.fail "input space should be enumerable"
-
-let synth_registered_latency () =
-  let nl = Synth.registered sq_diff_dataflow in
-  let sim = Simulator.create nl in
-  let inputs = [ ("a", bv 4 7); ("b", bv 4 2) ] in
-  let idle = [ ("a", bv 4 0); ("b", bv 4 0) ] in
-  Simulator.step sim ~inputs;
-  (* after one edge only the input registers hold the operands *)
-  Simulator.step sim ~inputs:idle;
-  (* after two edges the result register carries (7-2)^2 = 25 *)
-  check "two-cycle latency" 25
-    (Bitvec.to_int (Simulator.output sim ~inputs:idle "y"))
-
-let synth_rejects_unknown_refs () =
-  check_bool "unknown def" true
-    (try
-       ignore
-         (Synth.combinational
-            { Synth.df_name = "bad"; df_inputs = [ ("x", 4) ];
-              df_defs = [ ("d", Expr.reg "nothere") ];
-              df_outputs = [ ("y", "d") ] });
-       false
-     with Invalid_argument _ -> true);
-  check_bool "unknown output source" true
-    (try
-       ignore
-         (Synth.combinational
-            { Synth.df_name = "bad"; df_inputs = [ ("x", 4) ];
-              df_defs = []; df_outputs = [ ("y", "ghost") ] });
-       false
-     with Invalid_argument _ -> true)
-
-let qcheck_synth_registered_matches_combinational =
-  QCheck.Test.make ~name:"registered synthesis = delayed combinational"
-    ~count:100
-    QCheck.(pair (int_bound 15) (int_bound 15))
-    (fun (a, b) ->
-      let comb = Synth.combinational sq_diff_dataflow in
-      let reg = Synth.registered sq_diff_dataflow in
-      let inputs = [ ("a", bv 4 a); ("b", bv 4 b) ] in
-      let idle = [ ("a", bv 4 0); ("b", bv 4 0) ] in
-      let sim_c = Simulator.create comb in
-      let want = Bitvec.to_int (Simulator.output sim_c ~inputs "y") in
-      let sim_r = Simulator.create reg in
-      Simulator.step sim_r ~inputs;
-      Simulator.step sim_r ~inputs:idle;
-      Bitvec.to_int (Simulator.output sim_r ~inputs:idle "y") = want)
-
 (* --- VCD --- *)
 
 let vcd_structure () =
@@ -752,19 +643,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_unroll_matches_simulator;
     Alcotest.test_case "RTL back-end recognises (co-simulation)" `Quick
       rtl_backend_recognises;
-    Alcotest.test_case "sobel window vs reference" `Quick
-      sobel_window_matches_reference;
-    Alcotest.test_case "min9 vs reference" `Quick min9_matches_reference;
     Alcotest.test_case "argmin streams correctly" `Quick
       argmin_streams_correctly;
     Alcotest.test_case "argmin properties prove" `Quick argmin_properties_prove;
-    Alcotest.test_case "synth: combinational equivalence" `Quick
-      synth_combinational_equivalence;
-    Alcotest.test_case "synth: registered latency" `Quick
-      synth_registered_latency;
-    Alcotest.test_case "synth: rejects unknown refs" `Quick
-      synth_rejects_unknown_refs;
-    QCheck_alcotest.to_alcotest qcheck_synth_registered_matches_combinational;
     Alcotest.test_case "vcd structure" `Quick vcd_structure;
     Alcotest.test_case "vcd change-only dumps" `Quick vcd_change_only_dumps;
     QCheck_alcotest.to_alcotest qcheck_blast_matches_eval;

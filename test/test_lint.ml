@@ -3,8 +3,7 @@
    must not), the governed/parallel framework contracts (jobs-width
    invariant reports, governor skips recorded, suppressions recorded),
    the documented may/must-vs-dynamic-SymbC warning direction, and the
-   satellite bugfixes (Expr.infer_width, early Simulator errors, Synth
-   combinational-loop detection). *)
+   satellite bugfixes (Expr.infer_width, early Simulator errors). *)
 
 module Lint = Symbad_lint.Lint
 module Diagnostic = Symbad_lint.Diagnostic
@@ -13,7 +12,6 @@ module Expr = Symbad_hdl.Expr
 module Bitvec = Symbad_hdl.Bitvec
 module Netlist = Symbad_hdl.Netlist
 module Simulator = Symbad_hdl.Simulator
-module Synth = Symbad_hdl.Synth
 module Json = Symbad_obs.Json
 module Par = Symbad_par.Par
 module Gov = Symbad_gov.Gov
@@ -260,27 +258,6 @@ let simulator_rejects_malformed () =
         (String.length msg >= 4
         && String.sub msg 0 4 |> String.equal "Simu")
 
-let synth_detects_comb_loop () =
-  let df =
-    {
-      Synth.df_name = "loop";
-      df_inputs = [ ("x", 4) ];
-      df_defs =
-        [
-          ("a", Expr.add (Expr.reg "b") (Expr.input "x"));
-          ("b", Expr.not_ (Expr.reg "a"));
-        ];
-      df_outputs = [ ("y", "a") ];
-    }
-  in
-  match Synth.combinational df with
-  | _ -> Alcotest.fail "cyclic defs must be rejected"
-  | exception Invalid_argument msg ->
-      check_bool "error mentions the loop" true
-        (String.length msg > 0
-        && Option.is_some
-             (String.index_opt msg '>' (* "a -> b -> a" arrow *)))
-
 (* --- the repo corpus lints clean -------------------------------------
 
    Every netlist the repo builds, with its intentional suppressions
@@ -288,15 +265,12 @@ let synth_detects_comb_loop () =
    - [distance_datapath_buggy] drops the [start] clear (the seeded
      memory-init bug), leaving [start] genuinely unused — net.unused is
      the symptom of the bug, so it is suppressed, not fixed;
-   - [sobel_window_datapath]'s centre pixel [p4] has Sobel weight 0 in
-     both gradients, so the input is unused by construction;
    - net.range is suppressed on the datapaths whose wraparound is
      intentional or guarded: [counter] wraps by definition, [distance]
      computes two's-complement differences before squaring (the wrap
      IS the negation), [fifo_ctrl]'s count is inc/dec-guarded by
      full/empty (provable via --escalate, beyond the static interval),
-     [sobel_window] sums absolute gradients the same two's-complement
-     way, [recovery]'s retry and no-op counters are compare-guarded
+     [recovery]'s retry and no-op counters are compare-guarded
      (escalation proves both), [root]'s num update wraps by
      two's-complement construction (escalation returns the concrete
      wrap trace) and [argmin]'s accumulation has no proof within
@@ -316,9 +290,6 @@ let repo_corpus_is_clean () =
   clean "wrapper_buggy" (R.handshake_wrapper_buggy ());
   clean "fifo_ctrl" ~suppress:[ "net.range" ] (R.fifo_ctrl ());
   clean "fifo_ctrl_buggy" ~suppress:[ "net.range" ] (R.fifo_ctrl_buggy ());
-  clean "sobel_window" ~suppress:[ "net.unused"; "net.range" ]
-    (R.sobel_window_datapath ());
-  clean "min9" (R.min9_datapath ());
   clean "argmin" ~suppress:[ "net.range" ] (R.argmin_datapath ());
   (* verification-only registers (ROOT's [nsave], recovery's [nonop])
      are live only through property cones: these two lint clean WITH
@@ -623,6 +594,4 @@ let suite =
     Alcotest.test_case "Expr.infer_width is total" `Quick infer_width_result;
     Alcotest.test_case "Simulator.create rejects malformed netlists" `Quick
       simulator_rejects_malformed;
-    Alcotest.test_case "Synth rejects cyclic defs" `Quick
-      synth_detects_comb_loop;
   ]

@@ -28,16 +28,6 @@ let map_determinism () =
       check_ints "empty" [] (Par.map pool f []);
       check_ints "singleton" [ f 7 ] (Par.map pool f [ 7 ]))
 
-let mapi_and_map_reduce () =
-  let xs = List.init 50 (fun i -> i + 1) in
-  Par.with_pool ~jobs:3 (fun pool ->
-      check_ints "mapi"
-        (List.mapi (fun i x -> i * x) xs)
-        (Par.mapi pool (fun i x -> i * x) xs);
-      check_int "map_reduce"
-        (List.fold_left ( + ) 0 (List.map (fun x -> x * x) xs))
-        (Par.map_reduce pool ~map:(fun x -> x * x) ~fold:( + ) ~init:0 xs))
-
 (* nested maps share the one queue; the inner map's caller keeps taking
    jobs, so this must complete at width 2 (regression for deadlock) *)
 let nested_maps () =
@@ -84,19 +74,7 @@ let seed_split_independence () =
   let module S = Set.Make (Int) in
   check_int "all lanes distinct" 1000 (S.cardinal (S.of_list seeds));
   check_bool "master-seed dependent" true
-    (Par.split_seed ~seed:1 0 <> Par.split_seed ~seed:2 0);
-  (* map_seeded equals its sequential definition at every width *)
-  let xs = List.init 20 Fun.id in
-  let f ~seed x = (seed lxor x) land 0xFFFF in
-  let expect = List.mapi (fun i x -> f ~seed:(Par.split_seed ~seed:7 i) x) xs in
-  List.iter
-    (fun jobs ->
-      Par.with_pool ~jobs (fun pool ->
-          check_ints
-            (Printf.sprintf "map_seeded jobs=%d" jobs)
-            expect
-            (Par.map_seeded pool ~seed:7 f xs)))
-    widths
+    (Par.split_seed ~seed:1 0 <> Par.split_seed ~seed:2 0)
 
 (* --- telemetry --- *)
 
@@ -429,7 +407,6 @@ let qcheck_map_is_list_map =
 let suite =
   [
     Alcotest.test_case "map determinism across widths" `Quick map_determinism;
-    Alcotest.test_case "mapi and map_reduce" `Quick mapi_and_map_reduce;
     Alcotest.test_case "nested maps do not deadlock" `Quick nested_maps;
     Alcotest.test_case "exception propagation" `Quick exception_propagation;
     Alcotest.test_case "shutdown semantics" `Quick shutdown_semantics;

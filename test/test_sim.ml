@@ -230,50 +230,18 @@ let fifo_blocking_capacity () =
   check "gets" 3 o.Fifo.gets;
   check "max occupancy" 1 o.Fifo.max_occupancy
 
-let fifo_try_get () =
-  let k = Kernel.create () in
-  let f = Fifo.create "c" in
-  let observed = ref [] in
-  Kernel.spawn k (fun () ->
-      observed := Fifo.try_get f :: !observed;
-      Fifo.put f 7;
-      observed := Fifo.try_get f :: !observed);
-  Kernel.run k;
-  Alcotest.(check (list (option int)))
-    "try_get" [ None; Some 7 ] (List.rev !observed)
-
-let fifo_try_write_overflow () =
-  let k = Kernel.create () in
-  let f = Fifo.create ~capacity:1 "c" in
-  let results = ref [] in
-  Kernel.spawn k (fun () ->
-      results := Fifo.try_write f 1 :: !results;
-      (* full: refused and counted as a drop, caller not parked *)
-      results := Fifo.try_write f 2 :: !results;
-      Alcotest.(check (option int)) "try_read" (Some 1) (Fifo.try_read f);
-      results := Fifo.try_write f 3 :: !results;
-      Alcotest.(check (option int)) "second read" (Some 3) (Fifo.try_read f);
-      Alcotest.(check (option int)) "empty" None (Fifo.try_read f));
-  Kernel.run k;
-  Alcotest.(check (list bool))
-    "write results" [ true; false; true ] (List.rev !results);
-  check "drops" 1 (Fifo.drops f);
-  let o = Fifo.occupancy f in
-  check "occupancy drops" 1 o.Fifo.drops;
-  check "occupancy puts" 2 o.Fifo.puts
-
 let fifo_injected_loss () =
   let k = Kernel.create () in
   let f = Fifo.create "c" in
-  (* drop write attempts 0 and 2; attempts count every put/try_write *)
+  (* drop write attempts 0 and 2; attempts count every put *)
   Fifo.set_loss f (Some (fun i -> i = 0 || i = 2));
   let got = ref [] in
   Kernel.spawn k (fun () ->
       Fifo.put f 10;
       (* lost silently *)
       Fifo.put f 11;
-      (* the producer cannot observe an injected loss *)
-      Alcotest.(check bool) "lossy try_write" true (Fifo.try_write f 12);
+      Fifo.put f 12;
+      (* lost too: the producer cannot observe an injected loss *)
       Fifo.put f 13);
   Kernel.spawn k (fun () ->
       got := Fifo.get f :: !got;
@@ -387,8 +355,6 @@ let suite =
       kernel_same_time_fifo_order;
     Alcotest.test_case "fifo order" `Quick fifo_fifo_order;
     Alcotest.test_case "fifo blocking at capacity" `Quick fifo_blocking_capacity;
-    Alcotest.test_case "fifo try_get" `Quick fifo_try_get;
-    Alcotest.test_case "fifo try_write overflow" `Quick fifo_try_write_overflow;
     Alcotest.test_case "fifo injected loss" `Quick fifo_injected_loss;
     Alcotest.test_case "fifo rejects negative capacity" `Quick
       fifo_rejects_negative_capacity;

@@ -112,47 +112,6 @@ let bus_wait_accounted () =
   let second = List.assoc "second" r.Bus.per_master in
   Alcotest.(check bool) "waited for the grant" true (second.Bus.wait_ns > 0)
 
-(* --- Memory --- *)
-
-let memory_poke_peek () =
-  let m = Memory.create ~size:64 "mem" in
-  Memory.poke m ~addr:10 (Bytes.of_string "hello");
-  Alcotest.(check string) "peek" "hello"
-    (Bytes.to_string (Memory.peek m ~addr:10 ~len:5))
-
-let memory_bounds () =
-  let m = Memory.create ~size:16 "mem" in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Memory.peek m ~addr:10 ~len:10);
-       false
-     with Invalid_argument _ -> true)
-
-let memory_bus_read_latency () =
-  let k = Sim.Kernel.create () in
-  let b = Bus.create "bus" in
-  let m = Memory.create ~access_cycles:2 ~size:64 "mem" in
-  Memory.poke m ~addr:0 (Bytes.of_string "abcd");
-  let got = ref "" and at = ref 0 in
-  Sim.Kernel.spawn k (fun () ->
-      got := Bytes.to_string (Memory.read m ~bus:b ~master:"cpu" ~addr:0 ~len:4);
-      at := Sim.Time.to_ns (Sim.Process.now ()));
-  Sim.Kernel.run k;
-  Alcotest.(check string) "data" "abcd" !got;
-  (* 3 bus cycles (30ns) + 2 access cycles (20ns) *)
-  check "latency" 50 !at;
-  Alcotest.(check (pair int int)) "accesses" (1, 0) (Memory.accesses m)
-
-let memory_bus_write () =
-  let k = Sim.Kernel.create () in
-  let b = Bus.create "bus" in
-  let m = Memory.create ~size:64 "mem" in
-  Sim.Kernel.spawn k (fun () ->
-      Memory.write m ~bus:b ~master:"cpu" ~addr:8 (Bytes.of_string "xy"));
-  Sim.Kernel.run k;
-  Alcotest.(check string) "stored" "xy"
-    (Bytes.to_string (Memory.peek m ~addr:8 ~len:2))
-
 (* --- Annotation --- *)
 
 let annotation_targets () =
@@ -196,33 +155,6 @@ let cpu_accounts_cycles () =
   check "busy" 3000 s.Cpu.busy_ns;
   check "firings" 2 s.Cpu.firings;
   check "sim time" 3000 (Sim.Time.to_ns (Sim.Kernel.stats k).Sim.Kernel.final_time)
-
-(* --- Integration: the face database in the nonvolatile memory model --- *)
-
-let database_in_flash_memory () =
-  (* serialise the enrolled database into the bus-attached memory (the
-     flash device of the case study) and read it back over the bus *)
-  let db = Symbad_image.Pipeline.enroll ~size:32 ~identities:4 () in
-  let image = Symbad_image.Database.serialize db in
-  let m = Memory.create ~size:(Bytes.length image + 16) "flash" in
-  Memory.poke m ~addr:8 image;
-  let k = Sim.Kernel.create () in
-  let b = Bus.create "bus" in
-  let roundtrip = ref None in
-  Sim.Kernel.spawn k (fun () ->
-      let bytes =
-        Memory.read m ~bus:b ~master:"cpu" ~addr:8 ~len:(Bytes.length image)
-      in
-      roundtrip := Some (Symbad_image.Database.deserialize bytes));
-  Sim.Kernel.run k;
-  (match !roundtrip with
-  | Some db' ->
-      Alcotest.(check bool) "db roundtrip over the bus" true
-        (Symbad_image.Database.equal db db')
-  | None -> Alcotest.fail "read never completed");
-  (* the transfer size shows up in the bus report *)
-  let r = Bus.report b in
-  check "bytes over the bus" (Bytes.length image) r.Bus.data_bytes
 
 (* --- Fault injection: ERROR/RETRY responses, bounded retry --- *)
 
@@ -370,17 +302,11 @@ let suite =
     Alcotest.test_case "bus retry then ok" `Quick bus_retry_then_ok;
     Alcotest.test_case "bus error exhausts retries" `Quick
       bus_error_exhausts_retries;
-    Alcotest.test_case "memory poke/peek" `Quick memory_poke_peek;
-    Alcotest.test_case "memory bounds check" `Quick memory_bounds;
-    Alcotest.test_case "memory bus read latency" `Quick memory_bus_read_latency;
-    Alcotest.test_case "memory bus write" `Quick memory_bus_write;
     Alcotest.test_case "annotation per-target cost" `Quick annotation_targets;
     Alcotest.test_case "annotation input validation" `Quick
       annotation_rejects_bad;
     Alcotest.test_case "profile ranking" `Quick profile_ranking;
     Alcotest.test_case "cpu accounts cycles" `Quick cpu_accounts_cycles;
-    Alcotest.test_case "database in flash memory over the bus" `Quick
-      database_in_flash_memory;
     QCheck_alcotest.to_alcotest qcheck_transfer_monotone;
     QCheck_alcotest.to_alcotest qcheck_ecc_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_ecc_corrects_every_single_flip;
