@@ -431,12 +431,8 @@ let verify_cmd =
 
 (* --- lint --- *)
 
-let prop_pairs props =
-  List.map (fun p -> (Symbad_mc.Prop.name p, Symbad_mc.Prop.formula p)) props
-
-(* The lintable corpus.  Netlists are linted WITH their properties:
-   property cones keep verification-only registers (recovery's [nsave],
-   [nonop]) live, so lint agrees with what the engines actually read. *)
+(* The lint targets: the report's netlist corpus, the instrumented
+   software and the seeded fixtures. *)
 let lint_reports c target rules ~escalate ~programs =
   let module Lint = Symbad_lint.Lint in
   with_pool c (fun pool ->
@@ -444,23 +440,12 @@ let lint_reports c target rules ~escalate ~programs =
       (* --escalate folds model-checker verdicts into the warnings that
          carry obligations; the escalation runs under the same governor
          and is byte-identical at any --jobs width. *)
-      let netlist ?(properties = []) nl =
-        let r = Lint.run_netlist ~pool ?gov ?rules ~properties nl in
-        if escalate then Lint.escalate ~pool ?gov ~properties nl r else r
+      let corpus part =
+        Symbad_report.Report.lint_corpus ~pool ?gov ?rules ~escalate part
       in
-      let rtl () =
-        List.map
-          (fun (m : Level4.rtl_module) ->
-            netlist ~properties:(prop_pairs m.Level4.properties)
-              m.Level4.netlist)
-          (Level4.modules ())
-      in
-      let recovery () =
-        let nl = Symbad_resil.Recovery.netlist () in
-        [
-          netlist ~properties:(prop_pairs (Symbad_resil.Recovery.properties nl))
-            nl;
-        ]
+      let seeded nl =
+        let r = Lint.run_netlist ~pool ?gov ?rules nl in
+        if escalate then Lint.escalate ~pool ?gov nl r else r
       in
       let program () =
         let r = Lazy.force (Face_app.case_study (workload c)).level3 in
@@ -489,20 +474,23 @@ let lint_reports c target rules ~escalate ~programs =
           ]
       in
       match target with
-      | "all" -> Some (rtl () @ recovery () @ program ())
-      | "rtl" -> Some (rtl ())
-      | "recovery" -> Some (recovery ())
+      | "all" ->
+          (* a governor spends its rules in the printed order *)
+          let netlists = corpus `All in
+          Some (netlists @ program ())
+      | "rtl" -> Some (corpus `Rtl)
+      | "recovery" -> Some (corpus `Recovery)
       | "program" -> Some (program ())
       | "demo" ->
           (* the seeded defective netlist: a stable exercise target for
              the error path (comb loop + width + multiple drivers) *)
-          Some [ netlist Symbad_lint.Seeded.demo ]
+          Some [ seeded Symbad_lint.Seeded.demo ]
       | "escalation" ->
           (* the seeded escalation netlist: two net.range warnings with
              obligations, one disprovable (the accumulator wraps) and one
              provable (d + ~d never carries) — the stable exercise target
              for --escalate *)
-          Some [ netlist Symbad_lint.Seeded.escalation ]
+          Some [ seeded Symbad_lint.Seeded.escalation ]
       | _ -> None)
 
 let run_lint target c rules_opt threshold escalate programs sarif markdown json

@@ -4,7 +4,7 @@
      1. ATPG coverage + memory inspection        (level 1)
      2. LPV deadlock freeness                    (level 1)
      3. LPV timing / FIFO dimensioning           (level 2)
-     4. SymbC consistency (product + absint)     (level 3)
+     4. SymbC consistency (product reachability) (level 3)
      5. Model checking + PCC + interface synth   (level 4)
 
    Run with: dune exec examples/verification_tour.exe *)
@@ -35,8 +35,8 @@ let atpg_tour () =
 let lpv_deadlock_tour () =
   banner "2. LPV: deadlock freeness via the invariant LP";
   let net = Symbad_lpv.Petri.create () in
-  let producer = Symbad_lpv.Petri.add_transition net ~delay:2 "producer" in
-  let consumer = Symbad_lpv.Petri.add_transition net ~delay:3 "consumer" in
+  let producer = Symbad_lpv.Petri.add_transition net ~delay:2 () in
+  let consumer = Symbad_lpv.Petri.add_transition net ~delay:3 () in
   let data = Symbad_lpv.Petri.add_place net ~tokens:0 "data" in
   let ack = Symbad_lpv.Petri.add_place net ~tokens:0 "ack" in
   Symbad_lpv.Petri.add_post net ~transition:producer ~place:data;
@@ -47,8 +47,8 @@ let lpv_deadlock_tour () =
     (Symbad_lpv.Deadlock.check net);
   (* fix: prime the acknowledgement channel *)
   let fixed = Symbad_lpv.Petri.create () in
-  let producer = Symbad_lpv.Petri.add_transition fixed ~delay:2 "producer" in
-  let consumer = Symbad_lpv.Petri.add_transition fixed ~delay:3 "consumer" in
+  let producer = Symbad_lpv.Petri.add_transition fixed ~delay:2 () in
+  let consumer = Symbad_lpv.Petri.add_transition fixed ~delay:3 () in
   let data = Symbad_lpv.Petri.add_place fixed ~tokens:0 "data" in
   let ack = Symbad_lpv.Petri.add_place fixed ~tokens:1 "ack" in
   Symbad_lpv.Petri.add_post fixed ~transition:producer ~place:data;
@@ -60,10 +60,10 @@ let lpv_deadlock_tour () =
   Format.printf "throughput:         %a@." Symbad_lpv.Timing.pp_verdict
     (Symbad_lpv.Timing.min_cycle_ratio fixed)
 
-(* 3. SymbC: both engines -------------------------------------------- *)
+(* 3. SymbC ----------------------------------------------------------- *)
 
 let symbc_tour () =
-  banner "3. SymbC: product reachability + abstract interpretation";
+  banner "3. SymbC: product reachability";
   let info =
     Symbad_symbc.Config_info.make
       ~fpga_functions:[ "filter"; "transform" ]
@@ -81,8 +81,6 @@ let symbc_tour () =
   in
   Format.printf "product engine: %a@." Symbad_symbc.Check.pp_verdict
     (Symbad_symbc.Check.check info buggy);
-  Format.printf "absint engine:  %a@." Symbad_symbc.Absint.pp_verdict
-    (Symbad_symbc.Absint.analyze info buggy);
   let fixed =
     Symbad_symbc.Parser.parse
       {| load(cfgA);

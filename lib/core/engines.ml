@@ -71,12 +71,12 @@ let atpg ?gov ?pool ~seed () =
     | Some reason when worst <= 0.85 ->
         (* out of budget short of the gate: report what was covered *)
         Gov.note_degraded g ~what:"atpg" reason;
-        Verdict.degraded ~host_seconds ~name:"ATPG coverage (Laerte++)"
-          ~partial:
-            { Degrade.units_done = hit;
-              units_total = Some total;
-              what = "coverage points hit" }
-          reason
+        let why = Degrade.reason_string reason in
+        Verdict.make ~name:"ATPG coverage (Laerte++)" ~host_seconds
+          ~detail:
+            (Printf.sprintf "governor: %s; %d/%d coverage points hit" why hit
+               total)
+          (Verdict.Inconclusive why)
     | Some _ | None ->
         Verdict.make ~name:"ATPG coverage (Laerte++)" ~host_seconds
           ~passed:(worst > 0.85)

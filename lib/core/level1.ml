@@ -26,7 +26,7 @@ let run (graph : Task_graph.t) =
     match Hashtbl.find_opt fifos channel with
     | Some f -> f
     | None ->
-        let f = Sim.Fifo.create channel in
+        let f = Sim.Fifo.create () in
         Hashtbl.add fifos channel f;
         f
   in

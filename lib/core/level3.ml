@@ -200,9 +200,9 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
   let trace = Sim.Trace.create () in
   let bus =
     Tlm.Bus.create ~width_bytes:l2.bus_width_bytes
-      ~period_ns:l2.bus_period_ns ~ecc:config.masked "amba"
+      ~period_ns:l2.bus_period_ns ~ecc:config.masked ()
   in
-  let cpu = Tlm.Cpu.create ~period_ns:l2.cpu_period_ns "arm7" in
+  let cpu = Tlm.Cpu.create ~period_ns:l2.cpu_period_ns () in
   let fpga = build_fpga config mapping in
   let calls = ref [] in
   let fifos : (string, Token.t Sim.Fifo.t) Hashtbl.t = Hashtbl.create 32 in
@@ -215,7 +215,7 @@ let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
           if List.mem channel graph.Task_graph.sinks then 0
           else l2.fifo_capacity
         in
-        let f = Sim.Fifo.create ~capacity channel in
+        let f = Sim.Fifo.create ~capacity () in
         (match List.assoc_opt channel channel_loss with
         | Some p -> Sim.Fifo.set_loss f (Some p)
         | None -> ());

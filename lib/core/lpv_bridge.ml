@@ -49,8 +49,7 @@ let net_of ?(extra_channels = []) ?(timing = default_timing) ?mapping ?profile
   List.iter
     (fun (t : Task_graph.task) ->
       let i =
-        Lpv.Petri.add_transition net ~delay:(delay_of t.Task_graph.name)
-          t.Task_graph.name
+        Lpv.Petri.add_transition net ~delay:(delay_of t.Task_graph.name) ()
       in
       Hashtbl.add tindex t.Task_graph.name i;
       (* serial re-execution: a marked self-loop *)
@@ -103,6 +102,6 @@ let dimension_fifos ~deadline_ns ~timing ~mapping ~profile ?gov graph =
   let with_capacity fifo_capacity =
     { timing with Level3.level2 = { timing.Level3.level2 with fifo_capacity } }
   in
-  Lpv.Timing.min_uniform_capacity ~max_capacity:64 ?gov ~deadline:deadline_ns
+  Lpv.Timing.min_uniform_capacity ?gov ~deadline:deadline_ns
     ~build:(fun c -> net_of ~timing:(with_capacity c) ~mapping ~profile graph)
     ()

@@ -152,13 +152,6 @@ let of_lint ?host_seconds (r : Symbad_lint.Lint.report) =
             else "; suppressed: " ^ String.concat " " r.Lint.suppressed))
       Proved
 
-(* A governed run that ran out of budget: Inconclusive carrying the
-   degradation reason and whatever partial progress the engine made. *)
-let degraded ?host_seconds ~name ~partial reason =
-  make ?host_seconds ~name
-    ~detail:(Symbad_gov.Degrade.detail ~reason partial)
-    (Inconclusive (Symbad_gov.Degrade.reason_string reason))
-
 (* --- rendering -------------------------------------------------------- *)
 
 let outcome_label = function

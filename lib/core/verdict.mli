@@ -75,17 +75,6 @@ val of_lint : ?host_seconds:float -> Symbad_lint.Lint.report -> t
     [Inconclusive]; otherwise [Proved] over the rule set, warnings in
     the detail line. *)
 
-val degraded :
-  ?host_seconds:float ->
-  name:string ->
-  partial:Symbad_gov.Degrade.partial ->
-  Symbad_gov.Degrade.reason ->
-  t
-(** A governed run that ran out of budget: [Inconclusive] with the
-    degradation reason as its reason and the partial progress
-    ([units_done]/[units_total]) in [detail].  The detail string is
-    wall-clock free, so degraded reports stay byte-stable. *)
-
 (** {1 Rendering} *)
 
 val outcome_label : outcome -> string

@@ -26,7 +26,6 @@ exception Download_failed of { fpga : string; context : string; attempts : int }
 
 type t = {
   name : string;
-  capacity : int;  (* max fabric area of a loadable configuration *)
   copies : int;  (* 1 = simplex, 3 = TMR with majority voting *)
   contexts : Context.t list;
   program_ns_per_byte : int;
@@ -74,7 +73,6 @@ let create ?(capacity = 10_000) ?(copies = 1) ?(program_ns_per_byte = 1)
     contexts;
   {
     name;
-    capacity;
     copies;
     contexts;
     program_ns_per_byte;

@@ -5,8 +5,7 @@
     next step boundary and reports the partial result it achieved (the
     best bound reached in BMC, the coverage attained in ATPG, the faults
     classified in PCC) as an inconclusive outcome.  This module is the
-    vocabulary of that contract: the exhaustion reasons and the
-    one-line detail string the uniform verdict carries. *)
+    vocabulary of that contract: the exhaustion reasons. *)
 
 type reason =
   | Deadline  (** the wall-clock deadline passed *)
@@ -17,14 +16,3 @@ val reason_string : reason -> string
 (** ["deadline exhausted"], ["conflict budget exhausted"] or
     ["pattern budget exhausted"] — stable strings, safe to embed in
     byte-compared reports (no timestamps). *)
-
-type partial = {
-  units_done : int;  (** steps completed before exhaustion *)
-  units_total : int option;  (** steps planned, when known up front *)
-  what : string;  (** the unit, e.g. ["faults classified"] *)
-}
-
-val detail : reason:reason -> partial -> string
-(** The human-readable line an [Inconclusive] verdict carries, e.g.
-    ["governor: deadline exhausted; 3/17 faults classified"].
-    Deterministic — contains no wall-clock quantities. *)

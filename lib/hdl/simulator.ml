@@ -195,6 +195,14 @@ let tick t =
   s.cur <- spare;
   t.cycle <- t.cycle + 1
 
+let load_state t values =
+  let s = t.slots in
+  if Array.length values <> Array.length s.cur then
+    invalid_arg "Simulator.load_state: one value per register expected";
+  Array.iteri (fun i v -> s.cur.(i) <- v land mask s.reg_widths.(i)) values
+
+let read_state t = Array.copy t.slots.cur
+
 let compile_with t ~reg e =
   match compile_expr ~input:(input_reader t.slots) ~reg e with
   | f, _ -> f

@@ -41,6 +41,15 @@ val set_inputs : t -> int array -> unit
 val tick : t -> unit
 (** One clock edge under the loaded inputs, which stay loaded. *)
 
+val load_state : t -> int array -> unit
+(** Overwrite the state: one value per register, in
+    {!Netlist.registers} order (truncated to the declared widths).
+    Raises [Invalid_argument] on an array of another length. *)
+
+val read_state : t -> int array
+(** A copy of the state, one value per register in {!Netlist.registers}
+    order. *)
+
 val compile : t -> Expr.t -> unit -> int
 (** [compile t e] reads [e] over the loaded inputs and the current
     state.  Raises [Invalid_argument] on undeclared signals or

@@ -17,6 +17,10 @@ type report = {
   diagnostics : D.t list;
 }
 
+(* The abstract-interpretation rules: they read one fixpoint. *)
+let semantic_rule_ids =
+  [ "net.x-prop"; "net.range"; "net.unreachable-state"; "net.const-reg" ]
+
 let netlist_rule_ids =
   [
     "net.width";
@@ -26,11 +30,8 @@ let netlist_rule_ids =
     "net.unused";
     "net.dead-logic";
     "net.no-reset";
-    "net.x-prop";
-    "net.range";
-    "net.unreachable-state";
-    "net.const-reg";
   ]
+  @ semantic_rule_ids
 
 let program_rule_ids =
   [
@@ -66,7 +67,10 @@ let select ~family ?rules ?(suppress = []) () =
 
 (* Governed fan-out: one rule = one pattern.  The allowance is read
    once, before the parallel map, so the set of rules run — and with it
-   the report — is the same at any pool width. *)
+   the report — is the same at any pool width.  [impl to_run] runs on
+   the calling domain before the fan-out: it computes once the analysis
+   the rules to run share (their family's fixpoint) and returns each
+   rule's implementation over it, so no job recomputes the fixpoint. *)
 let run_rules ~target ~family ~impl ?pool ?gov ?rules ?suppress () =
   let pool = Par.get pool and gov = Gov.get gov in
   let active, suppressed = select ~family ?rules ?suppress () in
@@ -84,9 +88,7 @@ let run_rules ~target ~family ~impl ?pool ?gov ?rules ?suppress () =
   in
   let to_run, skipped = split affordable active in
   let run () =
-    let diags =
-      Par.map ~label:"lint" pool (fun id -> impl id) to_run |> List.concat
-    in
+    let diags = Par.map ~label:"lint" pool (impl to_run) to_run |> List.concat in
     Gov.charge_patterns gov (List.length to_run);
     if Obs.enabled () then begin
       Obs.incr_counter ~by:(List.length to_run) "lint.rules_run";
@@ -109,7 +111,15 @@ let run_rules ~target ~family ~impl ?pool ?gov ?rules ?suppress () =
 
 let run_netlist ?pool ?gov ?rules ?suppress ?properties nl =
   let ctx = Netlist_rules.context ?properties nl in
-  let impl = function
+  let impl to_run =
+    let absint =
+      if List.exists (fun id -> List.mem id semantic_rule_ids) to_run then
+        Netlist_absint.analyze nl
+      else None
+    in
+    (* an unsound netlist has no fixpoint: the syntactic rules own it *)
+    let semantic rule = match absint with Some a -> rule ctx a | None -> [] in
+    function
     | "net.width" -> Netlist_rules.rule_width ctx
     | "net.undriven" -> Netlist_rules.rule_undriven ctx
     | "net.multi-driven" -> Netlist_rules.rule_multi_driven ctx
@@ -117,10 +127,10 @@ let run_netlist ?pool ?gov ?rules ?suppress ?properties nl =
     | "net.unused" -> Netlist_rules.rule_unused ctx
     | "net.dead-logic" -> Netlist_rules.rule_dead_logic ctx
     | "net.no-reset" -> Netlist_rules.rule_no_reset ctx
-    | "net.x-prop" -> Netlist_absint.rule_x_prop ctx
-    | "net.range" -> Netlist_absint.rule_range ctx
-    | "net.unreachable-state" -> Netlist_absint.rule_unreachable_state ctx
-    | "net.const-reg" -> Netlist_absint.rule_const_reg ctx
+    | "net.x-prop" -> semantic Netlist_absint.rule_x_prop
+    | "net.range" -> semantic Netlist_absint.rule_range
+    | "net.unreachable-state" -> semantic Netlist_absint.rule_unreachable_state
+    | "net.const-reg" -> semantic Netlist_absint.rule_const_reg
     | id -> invalid_arg ("Lint: not a netlist rule: " ^ id)
   in
   run_rules ~target:ctx.Netlist_rules.target ~family:netlist_rule_ids ~impl
@@ -128,12 +138,14 @@ let run_netlist ?pool ?gov ?rules ?suppress ?properties nl =
 
 let run_cfg ?pool ?gov ?rules ?(name = "program") ci cfg =
   let ctx = Program_rules.context ~target:name ci cfg in
-  let impl = function
-    | "cfg.never-loaded" -> Program_rules.rule_never_loaded ctx
-    | "cfg.maybe-unloaded" -> Program_rules.rule_maybe_unloaded ctx
+  let impl _ =
+    let may = Program_rules.may_states cfg in
+    function
+    | "cfg.never-loaded" -> Program_rules.rule_never_loaded ctx may
+    | "cfg.maybe-unloaded" -> Program_rules.rule_maybe_unloaded ctx may
     | "cfg.unknown-config" -> Program_rules.rule_unknown_config ctx
-    | "cfg.redundant-config" -> Program_rules.rule_redundant_config ctx
-    | "cfg.unreachable-config" -> Program_rules.rule_unreachable_config ctx
+    | "cfg.redundant-config" -> Program_rules.rule_redundant_config ctx may
+    | "cfg.unreachable-config" -> Program_rules.rule_unreachable_config ctx may
     | id -> invalid_arg ("Lint: not a program rule: " ^ id)
   in
   run_rules ~target:name ~family:program_rule_ids ~impl ?pool ?gov ?rules ()
@@ -147,7 +159,7 @@ let run_tenants ?pool ?gov ?rules ?deadline_ns ci tenants =
   in
   let target = "tenants" in
   let ctx = Sched_rules.context ?deadline_ns ~target ci cfgs in
-  let impl = function
+  let impl _ = function
     | "sched.context-conflict" -> Sched_rules.rule_context_conflict ctx
     | "sched.wcrt" -> Sched_rules.rule_wcrt ctx
     | id -> invalid_arg ("Lint: not a schedule rule: " ^ id)
@@ -170,15 +182,18 @@ let escalate ?pool ?gov ?(max_depth = 12) ?properties nl report =
   let ctx = Netlist_rules.context ?properties nl in
   let key (d : D.t) = (d.D.rule, d.D.location, d.D.message) in
   let wanted =
-    List.filter
-      (fun (o : Netlist_absint.obligation) ->
-        List.exists
-          (fun (d : D.t) ->
-            d.D.discharged = None
-            && key d = (o.Netlist_absint.rule, o.Netlist_absint.location,
-                        o.Netlist_absint.message))
-          report.diagnostics)
-      (Netlist_absint.obligations ctx)
+    match Netlist_absint.analyze nl with
+    | None -> []
+    | Some a ->
+        List.filter
+          (fun (o : Netlist_absint.obligation) ->
+            List.exists
+              (fun (d : D.t) ->
+                d.D.discharged = None
+                && key d = (o.Netlist_absint.rule, o.Netlist_absint.location,
+                            o.Netlist_absint.message))
+              report.diagnostics)
+          (Netlist_absint.obligations ctx a)
   in
   if wanted = [] then report
   else begin

@@ -5,7 +5,8 @@
     Rules fan out per-rule on a [Symbad_par] pool under a [Symbad_gov]
     budget slice (one rule = one pattern); the allowance is read once
     before the fan-out, so reports are identical at any [--jobs]
-    width.  Rules the governor could not afford are listed in
+    width.  The fixpoint a family's rules share is computed once per
+    run, before the fan-out.  Rules the governor could not afford are listed in
     [skipped_rules], never silently dropped. *)
 
 module Expr := Symbad_hdl.Expr

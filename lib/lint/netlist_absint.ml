@@ -110,8 +110,7 @@ let rec eval ?hook nl env visited (e : Expr.t) : VD.t =
 let widen_after = 8
 let max_iterations = 64
 
-let analyze ?(properties = []) nl =
-  ignore properties;
+let analyze nl =
   if not (structurally_sound nl) then None
   else
     let regs = Netlist.registers nl in
@@ -150,11 +149,6 @@ let analyze ?(properties = []) nl =
     in
     Some { nl; env = iterate 0 env0; xregs }
 
-let with_analysis (ctx : Netlist_rules.ctx) f =
-  match analyze ~properties:ctx.Netlist_rules.properties ctx.Netlist_rules.nl with
-  | None -> []
-  | Some a -> f a
-
 (* Sites where a value becomes observable: next-state functions and
    outputs.  Properties join for the X and dead-state scans (they are
    read by the engines) but not for the range scan — arithmetic inside
@@ -170,40 +164,37 @@ let value_sites (ctx : Netlist_rules.ctx) =
 
 (* --- net.x-prop -------------------------------------------------------- *)
 
-let rule_x_prop (ctx : Netlist_rules.ctx) =
-  with_analysis ctx (fun a ->
-      if a.xregs = [] then []
-      else
-        let mk =
-          Netlist_rules.diag ctx ~rule:"net.x-prop" ~severity:D.Warning
-        in
-        let observable =
-          List.map (fun (n, e) -> ("output " ^ n, e)) (Netlist.outputs a.nl)
-          @ List.map
-              (fun (n, e) -> ("property " ^ n, e))
-              ctx.Netlist_rules.properties
-        in
-        List.filter_map
-          (fun (loc, e) ->
-            match eval a.nl a.env [] e with
-            | exception Unresolved -> None
-            | v when VD.is_poison v ->
-                let in_cone = Netlist_rules.cone a.nl ~through_regs:true [ e ] in
-                let sources =
-                  List.filter (fun r -> Hashtbl.mem in_cone r) a.xregs
-                in
-                Some
-                  (mk ~location:loc
-                     ~hint:
-                       "cover the register with the reset or give it a \
-                        defined load path"
-                     (Printf.sprintf
-                        "may be X after reset: uninitialized register%s %s in \
-                         its cone"
-                        (if List.length sources = 1 then "" else "s")
-                        (String.concat ", " sources)))
-            | _ -> None)
-          observable)
+let rule_x_prop (ctx : Netlist_rules.ctx) a =
+  if a.xregs = [] then []
+  else
+    let mk = Netlist_rules.diag ctx ~rule:"net.x-prop" ~severity:D.Warning in
+    let observable =
+      List.map (fun (n, e) -> ("output " ^ n, e)) (Netlist.outputs a.nl)
+      @ List.map
+          (fun (n, e) -> ("property " ^ n, e))
+          ctx.Netlist_rules.properties
+    in
+    List.filter_map
+      (fun (loc, e) ->
+        match eval a.nl a.env [] e with
+        | exception Unresolved -> None
+        | v when VD.is_poison v ->
+            let in_cone = Netlist_rules.cone a.nl ~through_regs:true [ e ] in
+            let sources =
+              List.filter (fun r -> Hashtbl.mem in_cone r) a.xregs
+            in
+            Some
+              (mk ~location:loc
+                 ~hint:
+                   "cover the register with the reset or give it a \
+                    defined load path"
+                 (Printf.sprintf
+                    "may be X after reset: uninitialized register%s %s in \
+                     its cone"
+                    (if List.length sources = 1 then "" else "s")
+                    (String.concat ", " sources)))
+        | _ -> None)
+      observable
 
 (* --- net.const-reg ----------------------------------------------------- *)
 
@@ -211,72 +202,70 @@ let const_reg_message name v =
   Printf.sprintf "register '%s' provably holds %d in every reachable cycle"
     name v
 
-let rule_const_reg (ctx : Netlist_rules.ctx) =
-  with_analysis ctx (fun a ->
-      let mk = Netlist_rules.diag ctx ~rule:"net.const-reg" ~severity:D.Info in
-      List.filter_map
-        (fun (r : Netlist.register) ->
-          match VD.is_const (List.assoc r.Netlist.name a.env) with
-          | Some v ->
-              Some
-                (mk
-                   ~location:("register " ^ r.Netlist.name)
-                   ~hint:
-                     "fold the constant into its readers or drive it with \
-                      varying data"
-                   (const_reg_message r.Netlist.name v))
-          | None -> None)
-        (Netlist.registers a.nl))
+let rule_const_reg (ctx : Netlist_rules.ctx) a =
+  let mk = Netlist_rules.diag ctx ~rule:"net.const-reg" ~severity:D.Info in
+  List.filter_map
+    (fun (r : Netlist.register) ->
+      match VD.is_const (List.assoc r.Netlist.name a.env) with
+      | Some v ->
+          Some
+            (mk
+               ~location:("register " ^ r.Netlist.name)
+               ~hint:
+                 "fold the constant into its readers or drive it with \
+                  varying data"
+               (const_reg_message r.Netlist.name v))
+      | None -> None)
+    (Netlist.registers a.nl)
 
 (* --- net.unreachable-state --------------------------------------------- *)
 
-let rule_unreachable_state (ctx : Netlist_rules.ctx) =
-  with_analysis ctx (fun a ->
-      let mk =
-        Netlist_rules.diag ctx ~rule:"net.unreachable-state"
-          ~severity:D.Warning
-      in
-      let seen = Hashtbl.create 8 in
-      let scan (loc, e) =
-        let finds = ref [] in
-        let rec go (e : Expr.t) =
-          (match e with
-          | Expr.Binop (Expr.Eq, Expr.Reg r, Expr.Const c)
-          | Expr.Binop (Expr.Eq, Expr.Const c, Expr.Reg r) -> (
-              let rn = Netlist_rules.base_name r in
-              match List.assoc_opt rn a.env with
-              | Some v when not (VD.mem (Bitvec.to_int c) v) ->
-                  let key = (loc, rn, Bitvec.to_int c) in
-                  if not (Hashtbl.mem seen key) then begin
-                    Hashtbl.replace seen key ();
-                    finds :=
-                      mk ~location:loc
-                        ~hint:
-                          "remove the dead state or fix the transition meant \
-                           to reach it"
-                        (Printf.sprintf
-                           "state test '%s == %d' can never be true: \
-                            reachable values %s"
-                           rn (Bitvec.to_int c) (VD.to_string v))
-                      :: !finds
-                  end
-              | _ -> ())
-          | _ -> ());
-          match e with
-          | Expr.Const _ | Expr.Input _ | Expr.Reg _ -> ()
-          | Expr.Unop (_, x) | Expr.Slice (x, _, _) -> go x
-          | Expr.Binop (_, x, y) | Expr.Concat (x, y) ->
-              go x;
-              go y
-          | Expr.Mux (x, y, z) ->
-              go x;
-              go y;
-              go z
-        in
-        go e;
-        List.rev !finds
-      in
-      List.concat_map scan (Netlist_rules.sites ctx))
+let rule_unreachable_state (ctx : Netlist_rules.ctx) a =
+  let mk =
+    Netlist_rules.diag ctx ~rule:"net.unreachable-state"
+      ~severity:D.Warning
+  in
+  let seen = Hashtbl.create 8 in
+  let scan (loc, e) =
+    let finds = ref [] in
+    let rec go (e : Expr.t) =
+      (match e with
+      | Expr.Binop (Expr.Eq, Expr.Reg r, Expr.Const c)
+      | Expr.Binop (Expr.Eq, Expr.Const c, Expr.Reg r) -> (
+          let rn = Netlist_rules.base_name r in
+          match List.assoc_opt rn a.env with
+          | Some v when not (VD.mem (Bitvec.to_int c) v) ->
+              let key = (loc, rn, Bitvec.to_int c) in
+              if not (Hashtbl.mem seen key) then begin
+                Hashtbl.replace seen key ();
+                finds :=
+                  mk ~location:loc
+                    ~hint:
+                      "remove the dead state or fix the transition meant \
+                       to reach it"
+                    (Printf.sprintf
+                       "state test '%s == %d' can never be true: \
+                        reachable values %s"
+                       rn (Bitvec.to_int c) (VD.to_string v))
+                  :: !finds
+              end
+          | _ -> ())
+      | _ -> ());
+      match e with
+      | Expr.Const _ | Expr.Input _ | Expr.Reg _ -> ()
+      | Expr.Unop (_, x) | Expr.Slice (x, _, _) -> go x
+      | Expr.Binop (_, x, y) | Expr.Concat (x, y) ->
+          go x;
+          go y
+      | Expr.Mux (x, y, z) ->
+          go x;
+          go y;
+          go z
+    in
+    go e;
+    List.rev !finds
+  in
+  List.concat_map scan (Netlist_rules.sites ctx)
 
 (* --- net.range --------------------------------------------------------- *)
 
@@ -341,17 +330,16 @@ let range_sites a ctx =
       List.rev !acc)
     (value_sites ctx)
 
-let rule_range (ctx : Netlist_rules.ctx) =
-  with_analysis ctx (fun a ->
-      let mk = Netlist_rules.diag ctx ~rule:"net.range" ~severity:D.Warning in
-      List.map
-        (fun rs ->
-          mk ~location:rs.loc
-            ~hint:
-              "widen the datapath, guard the operation, or discharge the \
-               no-wrap obligation with --escalate"
-            (range_message rs))
-        (range_sites a ctx))
+let rule_range (ctx : Netlist_rules.ctx) a =
+  let mk = Netlist_rules.diag ctx ~rule:"net.range" ~severity:D.Warning in
+  List.map
+    (fun rs ->
+      mk ~location:rs.loc
+        ~hint:
+          "widen the datapath, guard the operation, or discharge the \
+           no-wrap obligation with --escalate"
+        (range_message rs))
+    (range_sites a ctx)
 
 (* --- proof obligations ------------------------------------------------- *)
 
@@ -398,44 +386,42 @@ let range_obligation_formula nl rs =
            (Expr.const ~width:w 0))
   | _ -> None
 
-let obligations (ctx : Netlist_rules.ctx) =
-  with_analysis ctx (fun a ->
-      let const_obls =
-        List.filter_map
-          (fun (r : Netlist.register) ->
-            match VD.is_const (List.assoc r.Netlist.name a.env) with
-            | Some v ->
-                Some
-                  {
-                    rule = "net.const-reg";
-                    location = "register " ^ r.Netlist.name;
-                    message = const_reg_message r.Netlist.name v;
-                    prop =
-                      Prop.make
-                        ~name:("lint.const-reg." ^ r.Netlist.name)
-                        (Expr.eq (Expr.reg r.Netlist.name)
-                           (Expr.const ~width:r.Netlist.width v));
-                  }
-            | None -> None)
-          (Netlist.registers a.nl)
-      in
-      let range_obls =
-        List.filter_map
-          (fun rs ->
-            match range_obligation_formula a.nl rs with
-            | None -> None
-            | Some f ->
-                Some
-                  {
-                    rule = "net.range";
-                    location = rs.loc;
-                    message = range_message rs;
-                    prop =
-                      Prop.make
-                        ~name:
-                          (Printf.sprintf "lint.range.%s.%d" rs.loc rs.idx)
-                        f;
-                  })
-          (range_sites a ctx)
-      in
-      const_obls @ range_obls)
+let obligations (ctx : Netlist_rules.ctx) a =
+  let const_obls =
+    List.filter_map
+      (fun (r : Netlist.register) ->
+        match VD.is_const (List.assoc r.Netlist.name a.env) with
+        | Some v ->
+            Some
+              {
+                rule = "net.const-reg";
+                location = "register " ^ r.Netlist.name;
+                message = const_reg_message r.Netlist.name v;
+                prop =
+                  Prop.make
+                    ~name:("lint.const-reg." ^ r.Netlist.name)
+                    (Expr.eq (Expr.reg r.Netlist.name)
+                       (Expr.const ~width:r.Netlist.width v));
+              }
+        | None -> None)
+      (Netlist.registers a.nl)
+  in
+  let range_obls =
+    List.filter_map
+      (fun rs ->
+        match range_obligation_formula a.nl rs with
+        | None -> None
+        | Some f ->
+            Some
+              {
+                rule = "net.range";
+                location = rs.loc;
+                message = range_message rs;
+                prop =
+                  Prop.make
+                    ~name:(Printf.sprintf "lint.range.%s.%d" rs.loc rs.idx)
+                    f;
+              })
+      (range_sites a ctx)
+  in
+  const_obls @ range_obls

@@ -16,21 +16,20 @@
 
 type analysis
 
-val analyze :
-  ?properties:(string * Symbad_hdl.Expr.t) list ->
-  Symbad_hdl.Netlist.t ->
-  analysis option
+val analyze : Symbad_hdl.Netlist.t -> analysis option
 (** [None] when the netlist is not structurally sound. *)
 
 val reg_value : analysis -> string -> Value_domain.t option
 (** The register's abstract value at the fixpoint. *)
 
-(** {1 The rule implementations} *)
+(** {1 The rule implementations}
 
-val rule_x_prop : Netlist_rules.ctx -> Diagnostic.t list
-val rule_range : Netlist_rules.ctx -> Diagnostic.t list
-val rule_unreachable_state : Netlist_rules.ctx -> Diagnostic.t list
-val rule_const_reg : Netlist_rules.ctx -> Diagnostic.t list
+    Each reads the fixpoint its caller computed once for the run. *)
+
+val rule_x_prop : Netlist_rules.ctx -> analysis -> Diagnostic.t list
+val rule_range : Netlist_rules.ctx -> analysis -> Diagnostic.t list
+val rule_unreachable_state : Netlist_rules.ctx -> analysis -> Diagnostic.t list
+val rule_const_reg : Netlist_rules.ctx -> analysis -> Diagnostic.t list
 
 (** {1 Lint-to-proof obligations} *)
 
@@ -45,7 +44,7 @@ type obligation = {
           confirms the warning and whose proof discharges it *)
 }
 
-val obligations : Netlist_rules.ctx -> obligation list
+val obligations : Netlist_rules.ctx -> analysis -> obligation list
 (** Every definable obligation of the netlist's semantic warnings, in
     deterministic rule order: [net.range] sites small enough to widen
     within {!Symbad_hdl.Bitvec.max_width}, and [net.const-reg]

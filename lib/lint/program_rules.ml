@@ -1,8 +1,9 @@
 (* The reconfiguration analyzer family: static dataflow over the
    mini-C CFG, no simulation.
 
-   The rules read SymbC's may-analysis ([Absint.may_states]): per CFG
-   node, the set of FPGA states — unloaded or one configuration loaded —
+   The rules read SymbC's may-analysis ([Absint.may_states], computed
+   once per run by [Lint] and handed to each rule): per CFG node, the
+   set of FPGA states — unloaded or one configuration loaded —
    that can hold when control reaches it.  [Reconfig c] is a strong
    update (the whole fabric is reloaded, so the post-state is exactly
    [{Loaded c}]); every other action is the identity.  Because
@@ -60,8 +61,7 @@ let providers ci f s =
 
 (* --- cfg.never-loaded / cfg.maybe-unloaded ----------------------------- *)
 
-let call_findings ctx =
-  let may = may_states ctx.cfg in
+let call_findings ctx may =
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
@@ -77,7 +77,7 @@ let call_findings ctx =
       | _ -> None)
     (sorted_edges ctx.cfg)
 
-let rule_never_loaded ctx =
+let rule_never_loaded ctx may =
   List.filter_map
     (fun finding ->
       match finding with
@@ -95,9 +95,9 @@ let rule_never_loaded ctx =
                    configuration"
                   f))
       | _ -> None)
-    (call_findings ctx)
+    (call_findings ctx may)
 
-let rule_maybe_unloaded ctx =
+let rule_maybe_unloaded ctx may =
   List.filter_map
     (fun finding ->
       match finding with
@@ -113,7 +113,7 @@ let rule_maybe_unloaded ctx =
                   (String.concat ", "
                      (List.map state_label (States.elements s)))))
       | _ -> None)
-    (call_findings ctx)
+    (call_findings ctx may)
 
 (* --- cfg.unknown-config ------------------------------------------------ *)
 
@@ -133,8 +133,7 @@ let rule_unknown_config ctx =
 
 (* --- cfg.redundant-config ---------------------------------------------- *)
 
-let rule_redundant_config ctx =
-  let may = may_states ctx.cfg in
+let rule_redundant_config ctx may =
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with
@@ -151,8 +150,7 @@ let rule_redundant_config ctx =
 
 (* --- cfg.unreachable-config -------------------------------------------- *)
 
-let rule_unreachable_config ctx =
-  let may = may_states ctx.cfg in
+let rule_unreachable_config ctx may =
   List.filter_map
     (fun (e : Cfg.edge) ->
       match e.Cfg.action with

@@ -7,9 +7,9 @@
    place invariants, unreachability via the state equation, timing via
    cycle ratios) are exact. *)
 
-type place = { pname : string; mutable m0 : int }
+type place = { pname : string; m0 : int }
 
-type transition = { tname : string; mutable delay : int }
+type transition = { delay : int }
 
 type t = {
   mutable places : place array;
@@ -29,8 +29,8 @@ let add_place net ?(tokens = 0) pname =
   net.places <- Array.append net.places [| p |];
   Array.length net.places - 1
 
-let add_transition net ?(delay = 0) tname =
-  let t = { tname; delay } in
+let add_transition net ?(delay = 0) () =
+  let t = { delay } in
   net.transitions <- Array.append net.transitions [| t |];
   Array.length net.transitions - 1
 

@@ -11,7 +11,8 @@ val create : unit -> t
 val add_place : t -> ?tokens:int -> string -> int
 (** Returns the place index. *)
 
-val add_transition : t -> ?delay:int -> string -> int
+val add_transition : t -> ?delay:int -> unit -> int
+(** Returns the transition index. *)
 
 val add_pre : t -> transition:int -> place:int -> unit
 (** [place] is consumed by [transition] (arc weight 1). *)

@@ -87,7 +87,9 @@ let deadline_met ?gov ~deadline net = meets ~deadline (min_cycle_ratio ?gov net)
    is non-increasing in capacity, so linear search from 1 terminates at
    the optimum.  The governor is polled per candidate capacity (one LP
    each); exhaustion stops the search with None. *)
-let min_uniform_capacity ?(max_capacity = 64) ?gov ~deadline ~build () =
+let max_capacity = 64
+
+let min_uniform_capacity ?gov ~deadline ~build () =
   let rec go c =
     if c > max_capacity then None
     else

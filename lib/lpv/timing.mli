@@ -24,15 +24,14 @@ val deadline_met : ?gov:Symbad_gov.Gov.t -> deadline:int -> Petri.t -> bool
     {!meets} of {!min_cycle_ratio}: one LP. *)
 
 val min_uniform_capacity :
-  ?max_capacity:int ->
   ?gov:Symbad_gov.Gov.t ->
   deadline:int ->
   build:(int -> Petri.t) ->
   unit ->
   int option
-(** Smallest uniform channel capacity meeting the deadline, over a
-    monotone family of nets built by [build].  [gov] is polled before
-    each candidate capacity (one LP each); exhaustion stops the search
-    with [None]. *)
+(** Smallest uniform channel capacity from 1 to 64 meeting the
+    deadline, over a monotone family of nets built by [build]; [None]
+    when even 64 misses it.  [gov] is polled before each candidate
+    capacity (one LP each); exhaustion stops the search with [None]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

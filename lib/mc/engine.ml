@@ -27,7 +27,6 @@
    Parallelism lives one level up: [check_all] fans out one job per
    property, each job driving its own session sequentially. *)
 
-module Netlist = Symbad_hdl.Netlist
 module Par = Symbad_par.Par
 module Gov = Symbad_gov.Gov
 module Degrade = Symbad_gov.Degrade

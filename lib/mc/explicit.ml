@@ -4,11 +4,15 @@
    decision procedure (Proved / Falsified) whenever the state and input
    spaces fit in memory — the case for the control-dominated RTL modules
    of the case study.  Used both as a reference oracle for the SAT-based
-   engines and to answer "reachability checking" queries directly. *)
+   engines and to answer "reachability checking" queries directly.
 
-module Hdl = Symbad_hdl
+   Every expansion runs on the compiled [Hdl.Simulator]: the state is
+   loaded into its slots, one input valuation is loaded and the clock
+   ticked, and the property is read across that edge — primed registers
+   after it, everything else (an invariant entirely) before it. *)
+
 module Netlist = Symbad_hdl.Netlist
-module Bitvec = Symbad_hdl.Bitvec
+module Simulator = Symbad_hdl.Simulator
 module Expr = Symbad_hdl.Expr
 module Gov = Symbad_gov.Gov
 
@@ -18,24 +22,19 @@ type result =
   | Too_large
   | Interrupted
 
-(* Packed state: register values in declaration order. *)
-let pack values = values
-
 let total_input_bits nl =
   List.fold_left (fun acc (_, w) -> acc + w) 0 (Netlist.inputs nl)
 
-(* All input valuations as assoc lists, by counting a flat index. *)
+(* All input valuations, one value per input in declaration order, by
+   counting a flat index: the first input takes the low bits. *)
 let input_valuations nl =
-  let inputs = Netlist.inputs nl in
-  let bits = total_input_bits nl in
-  List.init (1 lsl bits) (fun idx ->
-      let rec split idx = function
-        | [] -> []
-        | (n, w) :: rest ->
-            (n, Bitvec.make ~width:w (idx land ((1 lsl w) - 1)))
-            :: split (idx lsr w) rest
-      in
-      split idx inputs)
+  let rec split idx = function
+    | [] -> []
+    | (_, w) :: rest -> (idx land ((1 lsl w) - 1)) :: split (idx lsr w) rest
+  in
+  Array.init
+    (1 lsl total_input_bits nl)
+    (fun idx -> Array.of_list (split idx (Netlist.inputs nl)))
 
 let check ?gov nl prop =
   let gov = Gov.get gov in
@@ -43,63 +42,32 @@ let check ?gov nl prop =
   let prop = Prop.validate nl prop in
   if total_input_bits nl > max_input_bits then Too_large
   else begin
-    let formula = Prop.formula prop in
+    let sim = Simulator.create nl in
+    let holds = Simulator.compile_step sim (Prop.formula prop) in
     let valuations = input_valuations nl in
-    let registers = Netlist.registers nl in
-    let init =
-      List.map (fun (r : Netlist.register) -> r.Netlist.init) registers
-    in
-    let lookup env n =
-      match List.assoc_opt n env with
-      | Some v -> v
-      | None -> invalid_arg ("Explicit: unbound " ^ n)
-    in
-    let eval state inputs e =
-      let env_regs =
-        List.map2
-          (fun (r : Netlist.register) v -> (r.Netlist.name, v))
-          registers state
-      in
-      Expr.eval ~input:(lookup inputs) ~reg:(lookup env_regs) e
-    in
-    let next state inputs =
-      List.map (fun (r : Netlist.register) -> eval state inputs r.Netlist.next)
-        registers
-    in
-    (* step properties read primed registers from the successor state *)
-    let eval_prop state succ inputs =
-      let env =
-        List.concat
-          (List.map2
-             (fun (r : Netlist.register) (cur, nxt) ->
-               [ (r.Netlist.name, cur); (r.Netlist.name ^ "'", nxt) ])
-             registers
-             (List.combine state succ))
-      in
-      Expr.eval ~input:(lookup inputs) ~reg:(lookup env) formula
-    in
+    (* every reached state, with its BFS parent and the valuation taken
+       from it, for counterexample reconstruction *)
     let visited = Hashtbl.create 1024 in
-    (* parent map for counterexample reconstruction *)
-    let parent = Hashtbl.create 1024 in
     let queue = Queue.create () in
-    Hashtbl.add visited (pack init) ();
+    let init = Simulator.read_state sim in
+    Hashtbl.add visited init None;
     Queue.push init queue;
     let to_frame state inputs =
+      let named names values = List.combine names (Array.to_list values) in
       {
-        Trace.inputs =
-          List.map (fun (n, v) -> (n, Bitvec.to_int v)) inputs;
+        Trace.inputs = named (List.map fst (Netlist.inputs nl)) inputs;
         regs =
-          List.map2
-            (fun (r : Netlist.register) v -> (r.Netlist.name, Bitvec.to_int v))
-            registers state;
+          named
+            (List.map (fun (r : Netlist.register) -> r.Netlist.name)
+               (Netlist.registers nl))
+            state;
       }
     in
     let rec rebuild state inputs acc =
-      let frame = to_frame state inputs in
-      match Hashtbl.find_opt parent (pack state) with
-      | None -> frame :: acc
-      | Some (prev_state, prev_inputs) ->
-          rebuild prev_state prev_inputs (frame :: acc)
+      let acc = to_frame state inputs :: acc in
+      match Hashtbl.find visited state with
+      | None -> acc
+      | Some (prev_state, prev_inputs) -> rebuild prev_state prev_inputs acc
     in
     let exception Violation of Trace.t in
     let exception Blown_up in
@@ -115,17 +83,18 @@ let check ?gov nl prop =
         if Gov.out_of_budget gov then raise Out_of_budget;
         Gov.charge_patterns gov 1;
         let state = Queue.pop queue in
-        List.iter
+        Array.iter
           (fun inputs ->
             incr evals;
             if !evals > max_evals then raise Blown_up;
-            let succ = next state inputs in
-            let holds = Bitvec.to_int (eval_prop state succ inputs) = 1 in
-            if not holds then raise (Violation (rebuild state inputs []));
-            if not (Hashtbl.mem visited (pack succ)) then begin
+            Simulator.load_state sim state;
+            Simulator.set_inputs sim inputs;
+            Simulator.tick sim;
+            if holds () <> 1 then raise (Violation (rebuild state inputs []));
+            let succ = Simulator.read_state sim in
+            if not (Hashtbl.mem visited succ) then begin
               if Hashtbl.length visited >= max_states then raise Blown_up;
-              Hashtbl.add visited (pack succ) ();
-              Hashtbl.add parent (pack succ) (state, inputs);
+              Hashtbl.add visited succ (Some (state, inputs));
               Queue.push succ queue
             end)
           valuations

@@ -6,7 +6,6 @@
    primary output differ from the fault-free design; a property set
    "covers" it if some property fails on the faulty design. *)
 
-module Hdl = Symbad_hdl
 module Expr = Symbad_hdl.Expr
 module Netlist = Symbad_hdl.Netlist
 module Bitvec = Symbad_hdl.Bitvec

@@ -74,23 +74,29 @@ let prop_pairs props =
    The instrumented reconfiguration software is not re-linted here: the
    flow's own level-3 verification already covers the program, and
    re-deriving it would mean running levels 1-3 a second time. *)
-let lint_corpus ?pool ~gov ?(escalate = false) () =
+let lint_corpus ?pool ?gov ?rules ~escalate part =
   let run nl properties =
     let properties = prop_pairs properties in
-    let r = Lint.run_netlist ?pool ~gov ~properties nl in
-    if escalate then Lint.escalate ?pool ~gov ~properties nl r else r
+    let r = Lint.run_netlist ?pool ?gov ?rules ~properties nl in
+    if escalate then Lint.escalate ?pool ?gov ~properties nl r else r
   in
-  let rtl =
+  let rtl () =
     List.map
       (fun (m : Level4.rtl_module) ->
         run m.Level4.netlist m.Level4.properties)
       (Level4.modules ())
   in
-  let recovery =
+  let recovery () =
     let nl = Recovery.netlist () in
     [ run nl (Recovery.properties nl) ]
   in
-  rtl @ recovery
+  match part with
+  | `Rtl -> rtl ()
+  | `Recovery -> recovery ()
+  | `All ->
+      (* a governor spends its rules in the printed order *)
+      let rtl = rtl () in
+      rtl @ recovery ()
 
 let profile_of_spans spans =
   (* self time = inclusive minus direct children, via one parent pass *)
@@ -156,7 +162,7 @@ let assemble ?pool ?cache ?(seed = 1) ?(workload = Face_app.default_workload)
   let lint_reports =
     lint_corpus ?pool
       ~gov:(Gov.slice ~label:"lint" ~fraction:0.5 root)
-      ~escalate ()
+      ~escalate `All
   in
   let lint = Lint.merge ~target:"all" lint_reports in
   let fault_report =

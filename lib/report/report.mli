@@ -79,6 +79,19 @@ val assemble :
     populated on return (the CLI exports the Chrome trace from it), and
     the enabled flag is restored for callers that had it off. *)
 
+val lint_corpus :
+  ?pool:Symbad_par.Par.pool ->
+  ?gov:Symbad_gov.Gov.t ->
+  ?rules:string list ->
+  escalate:bool ->
+  [ `Rtl | `Recovery | `All ] ->
+  Symbad_lint.Lint.report list
+(** Lint the level-4 RTL modules ([`Rtl]), the recovery controller
+    ([`Recovery]) or both in that order ([`All]), each netlist with its
+    properties, through {!Symbad_lint.Lint.run_netlist} with [rules],
+    under [gov] (omitted = unlimited).  With [escalate],
+    {!Symbad_lint.Lint.escalate} runs on every report. *)
+
 val to_json : ?timings:bool -> t -> string
 (** One JSON document (trailing newline).  [~timings:false] scrubs host
     timing per the convention above for byte-stable comparison. *)

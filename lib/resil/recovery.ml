@@ -115,8 +115,8 @@ let properties ?(max_tries = 2) nl =
          (Expr.or_ (in_state oper) (in_state fallback)));
   ]
 
-let check ?pool ?gov ?(max_tries = 2) () =
-  let nl = netlist ~max_tries () in
-  Engine.check_all ?pool ?gov nl (properties ~max_tries nl)
+let check () =
+  let nl = netlist () in
+  Engine.check_all nl (properties nl)
 
 let all_proved = Engine.all_proved

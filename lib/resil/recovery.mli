@@ -20,14 +20,9 @@ val properties :
     machine is operational again within [max_tries + 2] cycles, and the
     [operational] output is exactly OPER-or-FALLBACK. *)
 
-val check :
-  ?pool:Symbad_par.Par.pool ->
-  ?gov:Symbad_gov.Gov.t ->
-  ?max_tries:int ->
-  unit ->
-  Symbad_mc.Engine.report list
-(** Build the netlist and discharge every property with the level-4
-    engine. *)
+val check : unit -> Symbad_mc.Engine.report list
+(** Build the default netlist and discharge every property with the
+    level-4 engine, sequentially and unlimited. *)
 
 val all_proved : Symbad_mc.Engine.report list -> bool
 (** Re-export of [Symbad_mc.Engine.all_proved]. *)

@@ -5,7 +5,6 @@
    at level 3. *)
 
 type 'a t = {
-  name : string;
   capacity : int; (* 0 = unbounded *)
   items : 'a Queue.t;
   mutable readers : (unit -> unit) list;
@@ -18,10 +17,9 @@ type 'a t = {
   mutable loss : (int -> bool) option;
 }
 
-let create ?(capacity = 0) name =
+let create ?(capacity = 0) () =
   if capacity < 0 then invalid_arg "Fifo.create: negative capacity";
   {
-    name;
     capacity;
     items = Queue.create ();
     readers = [];

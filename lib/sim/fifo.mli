@@ -12,8 +12,8 @@
 
 type 'a t
 
-val create : ?capacity:int -> string -> 'a t
-(** [create ~capacity name].  [capacity = 0] (default) is unbounded. *)
+val create : ?capacity:int -> unit -> 'a t
+(** [capacity = 0] (default) is unbounded. *)
 
 val put : 'a t -> 'a -> unit
 (** Blocking write; parks the calling process while the channel is full.

@@ -1,11 +1,12 @@
-(** Abstract-interpretation engine for the consistency property — the
-    technology the paper names for SymbC.
+(** Abstract interpretation of the FPGA state — the technology the
+    paper names for SymbC.
 
     Domain: powerset of FPGA states ordered by inclusion; worklist
-    fixpoint over the CFG; joins at merge points.  For this property the
-    powerset domain is exact, so the verdict always agrees with the
-    product-reachability engine of {!Check} (the test suite verifies
-    this); {!Check} additionally produces counterexample paths. *)
+    fixpoint over a graph; joins at merge points.  For this property the
+    powerset domain is exact: over a program's CFG the fixpoint equals
+    the certificate of {!Check}, which gives the verdict (the test suite
+    verifies this node by node).  The reconfiguration lints read the
+    fixpoint. *)
 
 module State_set : Set.S with type elt = Check.fpga_state
 
@@ -17,18 +18,3 @@ val may_states :
     reconfiguration edge sets the state, every other edge keeps it.
     Nodes unreachable from [entry] get the empty set.  Unknown
     configurations are not checked. *)
-
-type node_invariant = { node : int; states : Check.fpga_state list }
-
-type verdict =
-  | Safe of { invariants : node_invariant list; calls_checked : int }
-  | Unsafe of {
-      failing_call : string;
-      node : int;
-      offending_states : Check.fpga_state list;
-    }
-
-val analyze : Config_info.t -> Ast.program -> verdict
-(** Raises [Invalid_argument] on unknown configurations. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

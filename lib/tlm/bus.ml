@@ -29,7 +29,6 @@ type master_stats = {
 }
 
 type t = {
-  name : string;
   width_bytes : int;
   period_ns : int;
   ecc : bool;  (* SEC-DED protection on every transfer *)
@@ -56,11 +55,10 @@ let arbitration_cycles = 1
 let setup_cycles = 1
 let max_retries = 3
 
-let create ?(width_bytes = 4) ?(period_ns = 10) ?(ecc = false) name =
+let create ?(width_bytes = 4) ?(period_ns = 10) ?(ecc = false) () =
   if width_bytes <= 0 then invalid_arg "Bus.create: width";
   if period_ns <= 0 then invalid_arg "Bus.create: period";
   {
-    name;
     width_bytes;
     period_ns;
     ecc;

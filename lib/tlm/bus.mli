@@ -25,8 +25,8 @@ exception
 (** Raised by {!transfer} when every attempt (the first and three
     retries) drew a non-[Okay] response. *)
 
-val create : ?width_bytes:int -> ?period_ns:int -> ?ecc:bool -> string -> t
-(** [create name] with defaults: 32-bit bus ([width_bytes = 4]),
+val create : ?width_bytes:int -> ?period_ns:int -> ?ecc:bool -> unit -> t
+(** [create ()] with defaults: 32-bit bus ([width_bytes = 4]),
     100 MHz ([period_ns = 10]).  Every transaction pays 1 arbitration
     and 1 setup cycle, and a faulted transfer is re-attempted up to 3
     times.

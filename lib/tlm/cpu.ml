@@ -9,17 +9,16 @@ module Proc = Symbad_sim.Process
 module Time = Symbad_sim.Time
 
 type t = {
-  name : string;
   period_ns : int;
   mutable executed_cycles : int;
   mutable busy_ns : int;
   mutable firings : int;
 }
 
-let create ?(period_ns = 20) name =
+let create ?(period_ns = 20) () =
   (* 20 ns = 50 MHz, a typical ARM7TDMI clock of the period *)
   if period_ns <= 0 then invalid_arg "Cpu.create: period";
-  { name; period_ns; executed_cycles = 0; busy_ns = 0; firings = 0 }
+  { period_ns; executed_cycles = 0; busy_ns = 0; firings = 0 }
 
 
 let execute c ~cycles =

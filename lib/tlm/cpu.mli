@@ -6,7 +6,7 @@
 
 type t
 
-val create : ?period_ns:int -> string -> t
+val create : ?period_ns:int -> unit -> t
 (** Default clock: 20 ns (50 MHz ARM7TDMI class). *)
 
 val execute : t -> cycles:int -> unit

@@ -113,9 +113,9 @@ let gov () =
 
 (* The level-2/3 platform, pinned: the simulated-time figures of every
    HW-set sweep point and of the flow's level-2 and level-3 runs, the
-   full lint reports of the reconfiguration fixtures, and both SymbC
-   engines' verdicts on the case study's instrumented software, with
-   and without the seeded missing load. *)
+   full lint reports of the reconfiguration fixtures, and the SymbC
+   verdict on the case study's instrumented software, with and without
+   the seeded missing load. *)
 let platform () =
   let module Seeded = Symbad_lint.Seeded in
   let module Symbc = Symbad_symbc in
@@ -162,10 +162,6 @@ let platform () =
           Json.Str
             (Fmt.str "%a" Symbc.Check.pp_verdict
                (Symbc.Check.check l3.Level3.config_info program)) );
-        ( "absint",
-          Json.Str
-            (Fmt.str "%a" Symbc.Absint.pp_verdict
-               (Symbc.Absint.analyze l3.Level3.config_info program)) );
       ]
   in
   let tenants deadline_ns =

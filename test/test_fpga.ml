@@ -36,7 +36,7 @@ let fpga_rejects_oversized_context () =
 
 let fpga_reconfigure_and_require () =
   let k = Sim.Kernel.create () in
-  let bus = Tlm.Bus.create "bus" in
+  let bus = Tlm.Bus.create () in
   let f =
     Fpga.create
       ~contexts:
@@ -68,7 +68,7 @@ let fpga_reconfigure_and_require () =
 
 let fpga_reconfig_takes_time () =
   let k = Sim.Kernel.create () in
-  let bus = Tlm.Bus.create "bus" in
+  let bus = Tlm.Bus.create () in
   let f =
     Fpga.create ~program_ns_per_byte:2
       ~contexts:[ Context.make "c1" [ r "x" 10 ] ]
@@ -161,7 +161,7 @@ let two_ctx_fpga () =
 
 let fpga_noop_counter () =
   let k = Sim.Kernel.create () in
-  let bus = Tlm.Bus.create "bus" in
+  let bus = Tlm.Bus.create () in
   let f = two_ctx_fpga () in
   Sim.Kernel.spawn k (fun () ->
       Fpga.reconfigure f ~bus ~master:"cpu" "c1";
@@ -174,7 +174,7 @@ let fpga_noop_counter () =
 
 let fpga_crc_redownload () =
   let k = Sim.Kernel.create () in
-  let bus = Tlm.Bus.create "bus" in
+  let bus = Tlm.Bus.create () in
   let f = two_ctx_fpga () in
   (* flip one bitstream word on the first download attempt only *)
   Fpga.inject_download_fault f
@@ -191,7 +191,7 @@ let fpga_crc_redownload () =
 
 let fpga_download_gives_up () =
   let k = Sim.Kernel.create () in
-  let bus = Tlm.Bus.create "bus" in
+  let bus = Tlm.Bus.create () in
   let f = two_ctx_fpga () in
   (* persistent corruption: every attempt flips a word *)
   Fpga.inject_download_fault f (Some (fun ~attempt:_ ~word:_ -> 1));
@@ -207,7 +207,7 @@ let fpga_download_gives_up () =
 
 let fpga_scrub_reloads_upset () =
   let k = Sim.Kernel.create () in
-  let bus = Tlm.Bus.create "bus" in
+  let bus = Tlm.Bus.create () in
   let f = two_ctx_fpga () in
   Sim.Kernel.spawn k (fun () ->
       Alcotest.(check bool) "scrub of empty fabric" false
@@ -227,7 +227,7 @@ let fpga_scrub_reloads_upset () =
 
 let fpga_verify_previous_on_switch () =
   let k = Sim.Kernel.create () in
-  let bus = Tlm.Bus.create "bus" in
+  let bus = Tlm.Bus.create () in
   let f = two_ctx_fpga () in
   Sim.Kernel.spawn k (fun () ->
       Fpga.reconfigure f ~bus ~master:"cpu" "c1";
@@ -252,7 +252,7 @@ let fpga_verify_previous_on_switch () =
    active context keeps running undisturbed *)
 let fpga_scrub_repairs_inactive_context () =
   let k = Sim.Kernel.create () in
-  let bus = Tlm.Bus.create "bus" in
+  let bus = Tlm.Bus.create () in
   let f = two_ctx_fpga () in
   Sim.Kernel.spawn k (fun () ->
       Fpga.reconfigure f ~bus ~master:"cpu" "c1";
@@ -305,7 +305,7 @@ let fpga_tmr_create_validates () =
 
 let fpga_tmr_vote_masks_and_repairs () =
   let k = Sim.Kernel.create () in
-  let bus = Tlm.Bus.create "bus" in
+  let bus = Tlm.Bus.create () in
   let f = tmr_fpga () in
   Sim.Kernel.spawn k (fun () ->
       Fpga.reconfigure f ~bus ~master:"cpu" "c1";
@@ -336,7 +336,7 @@ let fpga_tmr_vote_masks_and_repairs () =
 
 let fpga_simplex_vote_never_masks () =
   let k = Sim.Kernel.create () in
-  let bus = Tlm.Bus.create "bus" in
+  let bus = Tlm.Bus.create () in
   let f = two_ctx_fpga () in
   Sim.Kernel.spawn k (fun () ->
       Fpga.reconfigure f ~bus ~master:"cpu" "c1";

@@ -120,21 +120,6 @@ let with_retry_semantics () =
        (fun ~attempt:_ -> incr n; -1));
   check_int "no retry without budget" 1 !n
 
-(* --- the degraded verdict --- *)
-
-let degraded_verdict () =
-  let v =
-    Verdict.degraded ~name:"X"
-      ~partial:{ Degrade.units_done = 3; units_total = Some 17; what = "faults classified" }
-      Degrade.Deadline
-  in
-  check_bool "degraded fails the gate" false v.Verdict.passed;
-  (match v.Verdict.outcome with
-  | Verdict.Inconclusive r -> check_str "reason" "deadline exhausted" r
-  | _ -> Alcotest.fail "expected Inconclusive");
-  check_str "detail line" "governor: deadline exhausted; 3/17 faults classified"
-    v.Verdict.detail
-
 (* --- zero-budget engine degradation: inconclusive, partial, fast --- *)
 
 let zero () = Gov.create ~label:"zero" (Budget.make ~conflicts:0 ~patterns:0 ())
@@ -356,7 +341,6 @@ let suite =
       slice_leaves_rest_in_parent;
     Alcotest.test_case "exhaustion reasons" `Quick exhaustion_reasons;
     Alcotest.test_case "with_retry dispatch semantics" `Quick with_retry_semantics;
-    Alcotest.test_case "degraded verdict shape" `Quick degraded_verdict;
     Alcotest.test_case "zero budget: engines degrade instantly" `Quick
       engines_degrade_instantly;
     Alcotest.test_case "zero budget: LPV not analyzable" `Quick lpv_degrades;

@@ -132,6 +132,69 @@ let simulator_at_max_flag () =
   done;
   check "at_max" 1 (Bitvec.to_int (Simulator.output sim ~inputs:en "at_max"))
 
+let simulator_load_state () =
+  let sim = Simulator.create nl_counter in
+  let en = [ ("enable", bv 1 1); ("clear", bv 1 0) ] in
+  Simulator.load_state sim [| 21 |];
+  Alcotest.(check (array int)) "truncated to 4 bits" [| 5 |]
+    (Simulator.read_state sim);
+  Simulator.step sim ~inputs:en;
+  check "counts on from the loaded state" 6
+    (Bitvec.to_int (Simulator.output sim ~inputs:en "count"));
+  List.iter
+    (fun values ->
+      Alcotest.check_raises "one value per register"
+        (Invalid_argument "Simulator.load_state: one value per register expected")
+        (fun () -> Simulator.load_state sim values))
+    [ [||]; [| 1; 2 |] ];
+  Alcotest.(check (array int)) "a rejected load leaves the state" [| 6 |]
+    (Simulator.read_state sim)
+
+(* qcheck: the simulator's raw state load and clock edge, on which
+   [Mc.Explicit] expands states, agree with an independent reference:
+   one clock edge as an [Expr.eval] fold over association lists.  Each
+   cycle starts from the reference's state, loaded into the simulator,
+   so a state load after an edge (the spare state array swapped in) is
+   exercised too. *)
+let qcheck_state_load_matches_eval =
+  QCheck.Test.make ~count:200 ~name:"state load and tick match Expr.eval"
+    (QCheck.make
+       QCheck.Gen.(
+         let* ((nl, width, _) as case) = Netlist_gen.gen ~cycles:6 in
+         let* start =
+           list_repeat
+             (List.length (Netlist.registers nl))
+             (int_bound ((1 lsl width) - 1))
+         in
+         return (case, start)))
+    (fun ((nl, width, stimulus), start) ->
+      let registers = Netlist.registers nl in
+      let lookup env n = List.assoc n env in
+      let next state inputs =
+        List.map
+          (fun (r : Netlist.register) ->
+            ( r.Netlist.name,
+              Expr.eval ~input:(lookup inputs) ~reg:(lookup state)
+                r.Netlist.next ))
+          registers
+      in
+      let ints state = Array.of_list (List.map (fun (_, v) -> Bitvec.to_int v) state) in
+      let sim = Simulator.create nl in
+      let state0 =
+        List.map2
+          (fun (r : Netlist.register) v -> (r.Netlist.name, bv width v))
+          registers start
+      in
+      snd
+        (List.fold_left
+           (fun (state, agree) (va, vb) ->
+             Simulator.load_state sim (ints state);
+             Simulator.set_inputs sim [| va; vb |];
+             Simulator.tick sim;
+             let state = next state (Netlist_gen.inputs ~width (va, vb)) in
+             (state, agree && Simulator.read_state sim = ints state))
+           (state0, true) stimulus))
+
 (* --- TMR: triplication structure and fault-free transparency --- *)
 
 let tmr_triplicate_structure () =
@@ -624,6 +687,8 @@ let suite =
     Alcotest.test_case "simulator: counter" `Quick simulator_counter;
     Alcotest.test_case "simulator: counter wraps" `Quick simulator_counter_wraps;
     Alcotest.test_case "simulator: at_max flag" `Quick simulator_at_max_flag;
+    Alcotest.test_case "simulator: state load" `Quick simulator_load_state;
+    QCheck_alcotest.to_alcotest qcheck_state_load_matches_eval;
     Alcotest.test_case "tmr triplicate structure" `Quick
       tmr_triplicate_structure;
     Alcotest.test_case "tmr transparent without faults" `Quick

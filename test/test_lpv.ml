@@ -176,8 +176,8 @@ let qcheck_simplex_sound =
 
 let build_pipeline () =
   let net = Petri.create () in
-  let a = Petri.add_transition net ~delay:3 "A" in
-  let b = Petri.add_transition net ~delay:5 "B" in
+  let a = Petri.add_transition net ~delay:3 () in
+  let b = Petri.add_transition net ~delay:5 () in
   let p = Petri.add_place net ~tokens:0 "ab" in
   let credit = Petri.add_place net ~tokens:2 "ab.credit" in
   Petri.add_post net ~transition:a ~place:p;
@@ -214,8 +214,8 @@ let deadlock_free_pipeline () =
 
 let deadlock_detected_crossed () =
   let net = Petri.create () in
-  let a = Petri.add_transition net "A" in
-  let b = Petri.add_transition net "B" in
+  let a = Petri.add_transition net () in
+  let b = Petri.add_transition net () in
   let ab = Petri.add_place net ~tokens:0 "ab" in
   let ba = Petri.add_place net ~tokens:0 "ba" in
   Petri.add_post net ~transition:a ~place:ab;
@@ -230,8 +230,8 @@ let deadlock_detected_crossed () =
 
 let deadlock_fixed_by_initial_token () =
   let net = Petri.create () in
-  let a = Petri.add_transition net "A" in
-  let b = Petri.add_transition net "B" in
+  let a = Petri.add_transition net () in
+  let b = Petri.add_transition net () in
   let ab = Petri.add_place net ~tokens:0 "ab" in
   let ba = Petri.add_place net ~tokens:1 "ba" in
   (* the classic fix: prime the feedback channel *)
@@ -249,8 +249,8 @@ let structural_boundedness () =
   check_bool "credited pipeline bounded" true (Petri.structurally_bounded net);
   (* uncredited channel: the producer can fire forever, unbounded *)
   let unb = Petri.create () in
-  let a = Petri.add_transition unb "A" in
-  let b = Petri.add_transition unb "B" in
+  let a = Petri.add_transition unb () in
+  let b = Petri.add_transition unb () in
   let p = Petri.add_place unb ~tokens:0 "ab" in
   Petri.add_post unb ~transition:a ~place:p;
   Petri.add_pre unb ~transition:b ~place:p;
@@ -277,8 +277,8 @@ let timing_capacity_effect () =
   (* capacity 1 on a 2-stage pipeline: period = d(A)+d(B) over 1 token *)
   let build cap =
     let net = Petri.create () in
-    let a = Petri.add_transition net ~delay:3 "A" in
-    let b = Petri.add_transition net ~delay:5 "B" in
+    let a = Petri.add_transition net ~delay:3 () in
+    let b = Petri.add_transition net ~delay:5 () in
     let p = Petri.add_place net ~tokens:0 "ab" in
     let credit = Petri.add_place net ~tokens:cap "credit" in
     Petri.add_post net ~transition:a ~place:p;
@@ -297,10 +297,10 @@ let timing_capacity_effect () =
       Alcotest.fail "schedulable"
 
 let timing_deadline_and_dimensioning () =
-  let build cap =
+  let build ?(delays = (3, 5)) cap =
     let net = Petri.create () in
-    let a = Petri.add_transition net ~delay:3 "A" in
-    let b = Petri.add_transition net ~delay:5 "B" in
+    let a = Petri.add_transition net ~delay:(fst delays) () in
+    let b = Petri.add_transition net ~delay:(snd delays) () in
     let p = Petri.add_place net ~tokens:0 "ab" in
     let credit = Petri.add_place net ~tokens:cap "credit" in
     Petri.add_post net ~transition:a ~place:p;
@@ -314,13 +314,18 @@ let timing_deadline_and_dimensioning () =
     (Timing.deadline_met ~deadline:5 (build 1));
   Alcotest.(check (option int)) "min capacity for deadline 5" (Some 2)
     (Timing.min_uniform_capacity ~deadline:5 ~build ());
-  Alcotest.(check (option int)) "deadline 1 impossible within bound" None
-    (Timing.min_uniform_capacity ~max_capacity:4 ~deadline:1 ~build ())
+  (* the search stops at capacity 64: a cycle of delay 130 meets period
+     3 from capacity 44 but period 2 only from capacity 65 *)
+  let slow = build ~delays:(100, 30) in
+  Alcotest.(check (option int)) "deadline 3 at cap 44" (Some 44)
+    (Timing.min_uniform_capacity ~deadline:3 ~build:slow ());
+  Alcotest.(check (option int)) "deadline 2 impossible within bound" None
+    (Timing.min_uniform_capacity ~deadline:2 ~build:slow ())
 
 let timing_zero_token_cycle () =
   let net = Petri.create () in
-  let a = Petri.add_transition net ~delay:1 "A" in
-  let b = Petri.add_transition net ~delay:1 "B" in
+  let a = Petri.add_transition net ~delay:1 () in
+  let b = Petri.add_transition net ~delay:1 () in
   let ab = Petri.add_place net ~tokens:0 "ab" in
   let ba = Petri.add_place net ~tokens:0 "ba" in
   Petri.add_post net ~transition:a ~place:ab;

@@ -145,7 +145,7 @@ let kernel_dispose_unwinds_parked () =
         Fun.protect ~finally:(fun () -> incr unwound) body)
   in
   parked (fun () -> Process.suspend (fun _never_resumed -> ()));
-  parked (fun () -> ignore (Fifo.get (Fifo.create "never fed")));
+  parked (fun () -> ignore (Fifo.get (Fifo.create ())));
   parked (fun () -> Process.wait (Time.ns 100));
   Kernel.spawn k (fun () ->
       Fun.protect
@@ -168,7 +168,7 @@ let kernel_dispose_unwinds_parked () =
    B's turn, and B is unwound on the next round. *)
 let kernel_dispose_blocking_finally () =
   let k = Kernel.create () in
-  let wake = Fifo.create "wake" in
+  let wake = Fifo.create () in
   let log = ref [] in
   let say s = log := s :: !log in
   Kernel.spawn k (fun () ->
@@ -198,7 +198,7 @@ let kernel_dispose_blocking_finally () =
 
 let fifo_fifo_order () =
   let k = Kernel.create () in
-  let f = Fifo.create "c" in
+  let f = Fifo.create () in
   let got = ref [] in
   Kernel.spawn k (fun () -> List.iter (Fifo.put f) [ 1; 2; 3 ]);
   Kernel.spawn k (fun () ->
@@ -210,7 +210,7 @@ let fifo_fifo_order () =
 
 let fifo_blocking_capacity () =
   let k = Kernel.create () in
-  let f = Fifo.create ~capacity:1 "c" in
+  let f = Fifo.create ~capacity:1 () in
   let put_times = ref [] in
   Kernel.spawn k (fun () ->
       for i = 1 to 3 do
@@ -232,7 +232,7 @@ let fifo_blocking_capacity () =
 
 let fifo_injected_loss () =
   let k = Kernel.create () in
-  let f = Fifo.create "c" in
+  let f = Fifo.create () in
   (* drop write attempts 0 and 2; attempts count every put *)
   Fifo.set_loss f (Some (fun i -> i = 0 || i = 2));
   let got = ref [] in
@@ -259,7 +259,7 @@ let fifo_injected_loss () =
 let fifo_rejects_negative_capacity () =
   Alcotest.check_raises "negative capacity"
     (Invalid_argument "Fifo.create: negative capacity") (fun () ->
-      ignore (Fifo.create ~capacity:(-1) "bad"))
+      ignore (Fifo.create ~capacity:(-1) ()))
 
 (* --- Trace --- *)
 
@@ -325,7 +325,7 @@ let qcheck_fifo_preserves_order =
     QCheck.(pair (int_bound 5) (small_list small_int))
     (fun (cap, items) ->
       let k = Kernel.create () in
-      let f = Fifo.create ~capacity:cap "c" in
+      let f = Fifo.create ~capacity:cap () in
       let got = ref [] in
       Kernel.spawn k (fun () -> List.iter (Fifo.put f) items);
       Kernel.spawn k (fun () ->

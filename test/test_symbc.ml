@@ -164,22 +164,51 @@ let unknown_config_rejected () =
        false
      with Invalid_argument _ -> true)
 
-(* --- Absint: the abstract-interpretation engine --- *)
+(* --- Absint: the may-states fixpoint --- *)
+
+(* The fixpoint over a program's CFG: per node, the FPGA states that
+   may hold there. *)
+let may_states p =
+  let cfg = Cfg.build p in
+  (cfg, Absint.may_states ~nnodes:cfg.Cfg.nnodes ~entry:cfg.Cfg.entry
+          (Cfg.successors cfg))
+
+(* Every call the fixpoint reaches, in edge order, with the states that
+   may hold at it and those of them in which the call is unavailable. *)
+let calls_reached p =
+  let cfg, may = may_states p in
+  List.filter_map
+    (fun (e : Cfg.edge) ->
+      match e.Cfg.action with
+      | Cfg.Call f when not (Absint.State_set.is_empty may.(e.Cfg.src)) ->
+          let states = may.(e.Cfg.src) in
+          Some
+            ( f,
+              Absint.State_set.elements states,
+              Absint.State_set.elements
+                (Absint.State_set.filter
+                   (fun s -> not (Check.call_ok info s f))
+                   states) )
+      | _ -> None)
+    cfg.Cfg.edges
+
+let offending p =
+  List.filter_map
+    (fun (f, _, bad) -> if bad = [] then None else Some (f, bad))
+    (calls_reached p)
 
 let absint_safe_program () =
   let p = Parser.parse "load(config1); distance(); load(config2); root();" in
-  match Absint.analyze info p with
-  | Absint.Safe { calls_checked; _ } -> check "calls" 2 calls_checked
-  | Absint.Unsafe _ -> Alcotest.fail "expected safe"
+  check "calls" 2 (List.length (calls_reached p));
+  check "offending calls" 0 (List.length (offending p))
 
 let absint_unsafe_program () =
   let p = Parser.parse "load(config2); distance();" in
-  match Absint.analyze info p with
-  | Absint.Unsafe { failing_call; offending_states; _ } ->
-      Alcotest.(check string) "call" "distance" failing_call;
-      check_bool "config2 offends" true
-        (List.mem (Check.Loaded "config2") offending_states)
-  | Absint.Safe _ -> Alcotest.fail "expected unsafe"
+  match offending p with
+  | [ (f, bad) ] ->
+      Alcotest.(check string) "call" "distance" f;
+      check_bool "config2 offends" true (List.mem (Check.Loaded "config2") bad)
+  | _ -> Alcotest.fail "expected one offending call"
 
 let absint_join_precision () =
   (* after the branch, both configurations are possible: the invariant
@@ -188,20 +217,23 @@ let absint_join_precision () =
     Parser.parse
       "if (*) { load(config1); } else { load(config2); } distance();"
   in
-  match Absint.analyze info p with
-  | Absint.Unsafe { offending_states; _ } ->
-      check "only config2 offends" 1 (List.length offending_states)
-  | Absint.Safe _ -> Alcotest.fail "join must keep both states"
+  match calls_reached p with
+  | [ ("distance", states, bad) ] ->
+      check "both states reach the call" 2 (List.length states);
+      check "only config2 offends" 1 (List.length bad)
+  | _ -> Alcotest.fail "join must keep both states"
 
 let absint_loop_fixpoint () =
   (* the loop body's final state flows back to its head *)
   let p =
     Parser.parse "load(config1); while (*) { distance(); load(config2); root(); }"
   in
-  match Absint.analyze info p with
-  | Absint.Unsafe { failing_call; _ } ->
-      Alcotest.(check string) "loop-carried state" "distance" failing_call
-  | Absint.Safe _ -> Alcotest.fail "fixpoint must carry config2 back"
+  match offending p with
+  | (f, bad) :: _ ->
+      Alcotest.(check string) "loop-carried state" "distance" f;
+      check_bool "config2 carried back" true
+        (List.mem (Check.Loaded "config2") bad)
+  | [] -> Alcotest.fail "fixpoint must carry config2 back"
 
 (* qcheck: the product-automaton verdict agrees with exhaustive bounded
    path exploration on random small programs. *)
@@ -282,31 +314,32 @@ let qcheck_check_vs_path_enumeration =
          some bounded path for loop depth <= 2 over a 3-state lattice *)
       if symbc_ok then paths_ok else true)
 
-(* The two engines reach the same verdict.  On a consistent program the
-   abstract engine's per-node state sets must equal the product BFS's
-   certificate node by node: this pins the fixpoint the reconfiguration
-   lints read against an independent reference.  When several calls are
-   unsafe the engines may blame different ones, so an inconsistent
-   program only needs a failing call from both. *)
-let agrees_with_check info program =
-  match (Absint.analyze info program, Check.check info program) with
-  | Absint.Safe { invariants; _ }, Check.Consistent cert ->
-      List.map
-        (fun (i : Absint.node_invariant) -> (i.Absint.node, i.Absint.states))
-        invariants
-      = List.map
-          (fun (node, states) -> (node, List.sort compare states))
-          cert.Check.invariants
-  | Absint.Unsafe { failing_call; _ }, Check.Inconsistent cex ->
-      String.length failing_call > 0
-      && String.length cex.Check.failing_call > 0
-  | Absint.Safe _, Check.Inconsistent _ | Absint.Unsafe _, Check.Consistent _ ->
-      false
-
+(* The fixpoint agrees with the product check, the verdict engine: a
+   call the may-states find unavailable exists exactly when the program
+   is inconsistent, and on a consistent program the per-node state sets
+   equal [Check]'s certificate node by node.  This pins the fixpoint the
+   reconfiguration lints read against an independent reference. *)
 let qcheck_absint_agrees_with_product =
   QCheck.Test.make ~name:"abstract interpretation agrees with product check"
     ~count:300 (QCheck.make gen_program)
-    (fun program -> agrees_with_check info program)
+    (fun program ->
+      let cfg, may = may_states program in
+      let reached =
+        List.filter_map
+          (fun node ->
+            match Absint.State_set.elements may.(node) with
+            | [] -> None
+            | states -> Some (node, states))
+          (List.init cfg.Cfg.nnodes Fun.id)
+      in
+      match Check.check info program with
+      | Check.Consistent cert ->
+          offending program = []
+          && reached
+             = List.map
+                 (fun (node, states) -> (node, List.sort compare states))
+                 cert.Check.invariants
+      | Check.Inconsistent _ -> offending program <> [])
 
 let suite =
   [

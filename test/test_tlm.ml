@@ -8,7 +8,7 @@ let check = Alcotest.(check int)
 (* --- Transactions & transfer cost model --- *)
 
 let transfer_cost () =
-  let b = Bus.create ~width_bytes:4 ~period_ns:10 "bus" in
+  let b = Bus.create ~width_bytes:4 ~period_ns:10 () in
   (* 1 word: arb + setup + 1 beat = 3 cycles *)
   check "4 bytes" 3 (Bus.transfer_cycles b 4);
   check "5 bytes" 4 (Bus.transfer_cycles b 5);
@@ -17,7 +17,7 @@ let transfer_cost () =
 
 let bus_serialises () =
   let k = Sim.Kernel.create () in
-  let b = Bus.create "bus" in
+  let b = Bus.create () in
   let done_at = ref [] in
   let master name =
     Sim.Kernel.spawn k (fun () ->
@@ -34,7 +34,7 @@ let bus_serialises () =
 
 let bus_priority_grant () =
   let k = Sim.Kernel.create () in
-  let b = Bus.create "bus" in
+  let b = Bus.create () in
   let order = ref [] in
   (* occupy the bus, then two waiters with different priorities *)
   Sim.Kernel.spawn k (fun () ->
@@ -59,7 +59,7 @@ let bus_priority_grant () =
 
 let bus_report_accounts () =
   let k = Sim.Kernel.create () in
-  let b = Bus.create "bus" in
+  let b = Bus.create () in
   Sim.Kernel.spawn k (fun () ->
       Bus.transfer b
         (Transaction.make ~master:"cpu" ~target:"fpga"
@@ -76,7 +76,7 @@ let bus_report_accounts () =
 
 let bus_fifo_within_priority () =
   let k = Sim.Kernel.create () in
-  let b = Bus.create "bus" in
+  let b = Bus.create () in
   let order = ref [] in
   Sim.Kernel.spawn k (fun () ->
       Bus.transfer b
@@ -97,7 +97,7 @@ let bus_fifo_within_priority () =
 
 let bus_wait_accounted () =
   let k = Sim.Kernel.create () in
-  let b = Bus.create "bus" in
+  let b = Bus.create () in
   Sim.Kernel.spawn k (fun () ->
       Bus.transfer b
         (Transaction.make ~master:"first" ~target:"t" ~kind:Transaction.Write
@@ -145,7 +145,7 @@ let profile_ranking () =
 
 let cpu_accounts_cycles () =
   let k = Sim.Kernel.create () in
-  let c = Cpu.create ~period_ns:20 "arm" in
+  let c = Cpu.create ~period_ns:20 () in
   Sim.Kernel.spawn k (fun () ->
       Cpu.execute c ~cycles:100;
       Cpu.execute c ~cycles:50);
@@ -160,7 +160,7 @@ let cpu_accounts_cycles () =
 
 let bus_retry_then_ok () =
   let k = Sim.Kernel.create () in
-  let b = Bus.create "bus" in
+  let b = Bus.create () in
   (* the slave answers the first two attempts of the first transaction
      with RETRY, then OKAY *)
   Bus.inject_faults b
@@ -180,7 +180,7 @@ let bus_retry_then_ok () =
 
 let bus_error_exhausts_retries () =
   let k = Sim.Kernel.create () in
-  let b = Bus.create "bus" in
+  let b = Bus.create () in
   Bus.inject_faults b (Some (fun _txn ~attempt:_ -> Bus.Error));
   let failed = ref None in
   Sim.Kernel.spawn k (fun () ->
@@ -201,7 +201,7 @@ let qcheck_transfer_monotone =
   QCheck.Test.make ~name:"bus transfer cost monotone in size" ~count:200
     QCheck.(pair (int_bound 4096) (int_bound 4096))
     (fun (a, b) ->
-      let bus = Bus.create "bus" in
+      let bus = Bus.create () in
       let ca = Bus.transfer_cycles bus a and cb = Bus.transfer_cycles bus b in
       if a <= b then ca <= cb else ca >= cb)
 
@@ -244,8 +244,8 @@ let qcheck_ecc_detects_every_double_flip =
         (List.init Ecc.code_bits Fun.id))
 
 let ecc_transfer_widening () =
-  let plain = Bus.create ~width_bytes:4 ~period_ns:10 "plain" in
-  let ecc = Bus.create ~ecc:true ~width_bytes:4 ~period_ns:10 "ecc" in
+  let plain = Bus.create ~width_bytes:4 ~period_ns:10 () in
+  let ecc = Bus.create ~ecc:true ~width_bytes:4 ~period_ns:10 () in
   Alcotest.(check bool) "ecc flag" true (Bus.ecc ecc);
   Alcotest.(check bool) "plain flag" false (Bus.ecc plain);
   (* 4 data bytes ride as ceil(4*39/32) = 5 coded bytes: 2 beats *)
@@ -260,7 +260,7 @@ let write_txn =
 
 let run_corrupted ~ecc ~flips =
   let k = Sim.Kernel.create () in
-  let b = Bus.create ~ecc "bus" in
+  let b = Bus.create ~ecc () in
   Bus.inject_corruption b
     (Some (fun _txn ~attempt -> if attempt = 0 then flips else 0));
   Sim.Kernel.spawn k (fun () -> Bus.transfer b write_txn);
