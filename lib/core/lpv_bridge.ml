@@ -91,8 +91,8 @@ let check_deadlock ?extra_channels ?gov graph =
   Lpv.Deadlock.check ?gov (net_of ?extra_channels graph)
 
 let check_deadline ~deadline_ns ~timing ~mapping ~profile ?gov graph =
-  (* one LP: whether the deadline is met is read off the period, so a
-     second solve can never disagree with (or degrade after) the first *)
+  (* one search: whether the deadline is met is read off the period, so
+     a second solve can never disagree with (or degrade after) the first *)
   let v =
     Lpv.Timing.min_cycle_ratio ?gov (net_of ~timing ~mapping ~profile graph)
   in

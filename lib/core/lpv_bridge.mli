@@ -41,8 +41,9 @@ val check_deadline :
   Task_graph.t ->
   Symbad_lpv.Timing.verdict * bool
 (** The minimum period and whether it meets the deadline
-    ({!Symbad_lpv.Timing.meets}), from one LP over the net of [timing],
-    its FIFO capacity included; an exhausted [gov] yields
+    ({!Symbad_lpv.Timing.meets}), from one
+    {!Symbad_lpv.Timing.min_cycle_ratio} over the net of [timing], its
+    FIFO capacity included; an exhausted [gov] yields
     [(Not_analyzable _, false)]. *)
 
 val dimension_fifos :

@@ -86,7 +86,11 @@ let solo_clean_calls ctx (cfg : Cfg.t) =
 
 let rule_context_conflict ctx =
   let seen = Hashtbl.create 8 in
-  let pair (an, a) (bn, b) =
+  (* each tenant's solo fixpoint once, not once per partner *)
+  let tenants =
+    List.map (fun (name, cfg) -> (name, cfg, solo_clean_calls ctx cfg)) ctx.tenants
+  in
+  let pair (an, a, calls) (bn, b, _) =
     let product = product_states a b in
     let nb = b.Cfg.nnodes in
     List.filter_map
@@ -121,14 +125,14 @@ let rule_context_conflict ctx =
                        the shared fabric to '%s'"
                       f an bn c))
             end)
-      (solo_clean_calls ctx a)
+      calls
   in
   let rec pairs = function
     | [] -> []
     | t :: rest ->
         List.concat_map (fun u -> pair t u @ pair u t) rest @ pairs rest
   in
-  pairs ctx.tenants
+  pairs tenants
 
 (* --- sched.wcrt -------------------------------------------------------- *)
 

@@ -1,18 +1,30 @@
 (** LPV real-time analysis: deadline achievement and FIFO dimensioning
-    via the maximum-cycle-ratio LP over timed marked graphs. *)
+    via the maximum cycle ratio of timed marked graphs. *)
 
 type verdict =
   | Period of Rat.t  (** minimum sustainable iteration period *)
-  | Unschedulable of string  (** a zero-token cycle: no finite period *)
+  | Unschedulable of string
+      (** a zero-token cycle of positive delay: no finite period; the
+          reason names the cycle's places in cycle order *)
   | Not_analyzable of string
       (** resource budget exhausted (governor deadline or allowance)
-          before the LP could run *)
+          before the search could run; or ["engine error: ..."], when
+          the answer failed its certificate check or the delays and
+          tokens are too large for exact integers *)
 
 val min_cycle_ratio : ?gov:Symbad_gov.Gov.t -> Petri.t -> verdict
-(** One LP: minimise [r] subject to
-    [s(consumer) - s(producer) + r * tokens(p) >= delay(producer)] for
-    every place [p].  [gov] is polled at entry; exhaustion yields
-    [Not_analyzable]. *)
+(** The least [r >= 0] such that potentials [s] with
+    [s(consumer) - s(producer) + r * tokens(p) >= delay(producer)] exist
+    for every place [p] (the cycle-ratio LP of Dellacherie et al.),
+    found by an exact integer search over cycle ratios and checked,
+    before it is returned, by a pass over the net that does not use the
+    search: the potentials satisfy every place at [r] and a cycle of
+    ratio exactly [r] exists (or [r = 0]); an [Unschedulable] cycle
+    carries no token and positive delay.  A net whose
+    [n * D * M] exceeds [max_int / 4] ([n] transitions; [D] and [M] the
+    sums of |delay| and of tokens over the arcs, each at least 1) is
+    [Not_analyzable].
+    [gov] is polled at entry; exhaustion yields [Not_analyzable]. *)
 
 val meets : deadline:int -> verdict -> bool
 (** Does the period meet the deadline?  Only a [Period] at most
@@ -21,7 +33,7 @@ val meets : deadline:int -> verdict -> bool
 
 val deadline_met : ?gov:Symbad_gov.Gov.t -> deadline:int -> Petri.t -> bool
 (** Can the system sustain one iteration every [deadline] time units?
-    {!meets} of {!min_cycle_ratio}: one LP. *)
+    {!meets} of {!min_cycle_ratio}. *)
 
 val min_uniform_capacity :
   ?gov:Symbad_gov.Gov.t ->
@@ -32,6 +44,7 @@ val min_uniform_capacity :
 (** Smallest uniform channel capacity from 1 to 64 meeting the
     deadline, over a monotone family of nets built by [build]; [None]
     when even 64 misses it.  [gov] is polled before each candidate
-    capacity (one LP each); exhaustion stops the search with [None]. *)
+    capacity (one {!min_cycle_ratio} each); exhaustion stops the search
+    with [None]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

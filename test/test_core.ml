@@ -312,8 +312,8 @@ let lpv_bridge_seeded_deadlock () =
         (List.exists (fun p -> p = "feedback" || p = "a") witness)
   | _ -> Alcotest.fail "expected deadlock"
 
-(* One LP per timing question: the verdict row reads the deadline off
-   the period that LP found, so a deadline equal to the period is met,
+(* One search per timing question: the verdict row reads the deadline
+   off the period it found, so a deadline equal to the period is met,
    one below it is missed, and a spent governor leaves it undecided. *)
 let lpv_bridge_deadline_verdicts () =
   let deadline_row ?gov deadline_ns =

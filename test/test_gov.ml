@@ -182,17 +182,32 @@ let engines_degrade_instantly () =
        r.Symbad_pcc.Pcc.faults)
 
 let lpv_degrades () =
-  let graph = Face_app.graph Face_app.smoke_workload in
+  let cs = Face_app.case_study Face_app.smoke_workload in
+  let graph = Lazy.force cs.graph and mapping = Lazy.force cs.mapping2 in
+  let profile = (Lazy.force cs.level1).Level1.profile in
+  let timing = Lpv_bridge.default_timing and deadline_ns = Face_app.deadline_ns in
   (match within_1s "deadlock" (fun () -> Lpv_bridge.check_deadlock ~gov:(zero ()) graph) with
   | Symbad_lpv.Deadlock.Not_analyzable _ -> ()
   | _ -> Alcotest.fail "deadlock: expected Not_analyzable");
-  match
-    within_1s "timing" (fun () ->
-        Symbad_lpv.Timing.min_cycle_ratio ~gov:(zero ())
-          (Lpv_bridge.net_of graph))
-  with
+  (match
+     within_1s "timing" (fun () ->
+         Symbad_lpv.Timing.min_cycle_ratio ~gov:(zero ())
+           (Lpv_bridge.net_of graph))
+   with
   | Symbad_lpv.Timing.Not_analyzable _ -> ()
-  | _ -> Alcotest.fail "timing: expected Not_analyzable"
+  | _ -> Alcotest.fail "timing: expected Not_analyzable");
+  (match
+     within_1s "deadline" (fun () ->
+         Lpv_bridge.check_deadline ~deadline_ns ~timing ~mapping ~profile
+           ~gov:(zero ()) graph)
+   with
+  | Symbad_lpv.Timing.Not_analyzable _, false -> ()
+  | _ -> Alcotest.fail "deadline: expected (Not_analyzable, false)");
+  check_bool "dimension_fifos: no capacity" true
+    (within_1s "fifo dimensioning" (fun () ->
+         Lpv_bridge.dimension_fifos ~deadline_ns ~timing ~mapping ~profile
+           ~gov:(zero ()) graph)
+    = None)
 
 (* --- the governed flow: degrades, and identically at any width --- *)
 

@@ -212,34 +212,30 @@ let deadlock_free_pipeline () =
       Alcotest.check rat "cycle tokens" Rat.one min_cycle_tokens
   | _ -> Alcotest.fail "expected deadlock-free"
 
-let deadlock_detected_crossed () =
+(* A and B waiting on each other: A feeds B through "ab", B feeds A
+   through "ba". *)
+let crossed ?(delays = (0, 0)) (tokens_ab, tokens_ba) =
   let net = Petri.create () in
-  let a = Petri.add_transition net () in
-  let b = Petri.add_transition net () in
-  let ab = Petri.add_place net ~tokens:0 "ab" in
-  let ba = Petri.add_place net ~tokens:0 "ba" in
+  let a = Petri.add_transition net ~delay:(fst delays) () in
+  let b = Petri.add_transition net ~delay:(snd delays) () in
+  let ab = Petri.add_place net ~tokens:tokens_ab "ab" in
+  let ba = Petri.add_place net ~tokens:tokens_ba "ba" in
   Petri.add_post net ~transition:a ~place:ab;
   Petri.add_pre net ~transition:b ~place:ab;
   Petri.add_post net ~transition:b ~place:ba;
   Petri.add_pre net ~transition:a ~place:ba;
-  match Deadlock.check net with
+  net
+
+let deadlock_detected_crossed () =
+  match Deadlock.check (crossed (0, 0)) with
   | Deadlock.Potential_deadlock { witness } ->
       Alcotest.(check (list string)) "witness cycle" [ "ab"; "ba" ]
         (List.sort compare witness)
   | _ -> Alcotest.fail "expected deadlock"
 
 let deadlock_fixed_by_initial_token () =
-  let net = Petri.create () in
-  let a = Petri.add_transition net () in
-  let b = Petri.add_transition net () in
-  let ab = Petri.add_place net ~tokens:0 "ab" in
-  let ba = Petri.add_place net ~tokens:1 "ba" in
   (* the classic fix: prime the feedback channel *)
-  Petri.add_post net ~transition:a ~place:ab;
-  Petri.add_pre net ~transition:b ~place:ab;
-  Petri.add_post net ~transition:b ~place:ba;
-  Petri.add_pre net ~transition:a ~place:ba;
-  match Deadlock.check net with
+  match Deadlock.check (crossed (0, 1)) with
   | Deadlock.Deadlock_free _ -> ()
   | _ -> Alcotest.fail "expected deadlock-free after priming"
 
@@ -323,19 +319,152 @@ let timing_deadline_and_dimensioning () =
     (Timing.min_uniform_capacity ~deadline:2 ~build:slow ())
 
 let timing_zero_token_cycle () =
-  let net = Petri.create () in
-  let a = Petri.add_transition net ~delay:1 () in
-  let b = Petri.add_transition net ~delay:1 () in
-  let ab = Petri.add_place net ~tokens:0 "ab" in
-  let ba = Petri.add_place net ~tokens:0 "ba" in
-  Petri.add_post net ~transition:a ~place:ab;
-  Petri.add_pre net ~transition:b ~place:ab;
-  Petri.add_post net ~transition:b ~place:ba;
-  Petri.add_pre net ~transition:a ~place:ba;
-  match Timing.min_cycle_ratio net with
-  | Timing.Unschedulable _ -> ()
+  match Timing.min_cycle_ratio (crossed ~delays:(1, 1) (0, 0)) with
+  | Timing.Unschedulable why ->
+      Alcotest.(check string) "names the cycle in order"
+        "zero-token cycle with positive delay through {ab, ba}" why
   | Timing.Period _ | Timing.Not_analyzable _ ->
       Alcotest.fail "expected unschedulable"
+
+(* With one token on each place the crossed pair has period
+   (d(A) + d(B)) / 2.  Within the exact bound n·D·M <= max_int / 4 the
+   period is exact; past it the engine refuses instead of wrapping. *)
+let timing_delay_bound () =
+  let ring da db = crossed ~delays:(da, db) (1, 1) in
+  (match Timing.min_cycle_ratio (ring 1_000_000_000_000_000 3_000_000_000_000_000) with
+  | Timing.Period p ->
+      Alcotest.check rat "exact large period" (Rat.of_int 2_000_000_000_000_000) p
+  | v -> Alcotest.failf "expected a period, got %a" Timing.pp_verdict v);
+  List.iter
+    (fun (da, db) ->
+      match Timing.min_cycle_ratio (ring da db) with
+      | Timing.Not_analyzable why ->
+          check_bool "engine error" true
+            (String.starts_with ~prefix:"engine error:" why)
+      | v -> Alcotest.failf "expected not analyzable, got %a" Timing.pp_verdict v)
+    [ (max_int / 4, 1); (max_int, max_int); (min_int, 0) ]
+
+(* The cycle-ratio LP the engine replaced, kept as its specification
+   (Dellacherie et al., 1999): minimise r >= 0 subject to
+   s(consumer) - s(producer) + r * m(p) >= delay(producer) for every
+   (place, producer, consumer), each potential split into nonnegative
+   parts s+ - s-.  [None] when infeasible: a zero-token cycle. *)
+let lp_period net =
+  let nt = Petri.n_transitions net in
+  let sp t = t and sm t = nt + t and r_var = 2 * nt in
+  let m0 = Petri.initial_marking net in
+  let constraints =
+    List.concat
+      (List.init (Petri.n_places net) (fun p ->
+           List.concat_map
+             (fun producer ->
+               List.map
+                 (fun consumer ->
+                   {
+                     Simplex.coeffs =
+                       [
+                         (sp consumer, Rat.one);
+                         (sm consumer, Rat.minus_one);
+                         (sp producer, Rat.minus_one);
+                         (sm producer, Rat.one);
+                         (r_var, Rat.of_int m0.(p));
+                       ];
+                     cmp = Simplex.Ge;
+                     rhs = Rat.of_int (Petri.delay net producer);
+                   })
+                 (Petri.consumers net p))
+             (Petri.producers net p)))
+  in
+  match
+    Simplex.solve
+      { nvars = r_var + 1; constraints; objective = [ (r_var, Rat.one) ];
+        minimize = true }
+  with
+  | Simplex.Optimal { value; _ } -> Some value
+  | Simplex.Infeasible -> None
+  | Simplex.Unbounded -> Alcotest.fail "r >= 0 bounds the LP"
+
+(* The definition, by brute force: the largest delay/token ratio over
+   the simple cycles (each enumerated once, from its lowest transition),
+   at least 0; [None] when a cycle has positive delay and no token. *)
+let brute_period net =
+  let n = Petri.n_transitions net and m0 = Petri.initial_marking net in
+  let arcs =
+    List.concat
+      (List.init (Petri.n_places net) (fun p ->
+           List.concat_map
+             (fun u ->
+               List.map (fun v -> (u, v, m0.(p))) (Petri.consumers net p))
+             (Petri.producers net p)))
+  in
+  let best = ref (Some Rat.zero) and on_path = Array.make n false in
+  let record d m =
+    match !best with
+    | None -> ()
+    | Some r ->
+        if m = 0 then (if d > 0 then best := None)
+        else if Rat.(make d m > r) then best := Some (Rat.make d m)
+  in
+  let rec extend start v d m =
+    List.iter
+      (fun (u, w, tokens) ->
+        if u = v then
+          let d = d + Petri.delay net u and m = m + tokens in
+          if w = start then record d m
+          else if w > start && not on_path.(w) then begin
+            on_path.(w) <- true;
+            extend start w d m;
+            on_path.(w) <- false
+          end)
+      arcs
+  in
+  for start = 0 to n - 1 do
+    extend start start 0 0
+  done;
+  !best
+
+(* Random strongly connected marked graphs: a ring through every
+   transition plus up to n extra places (self-loops and parallel places
+   included), 0-2 tokens per place, delays up to 10^9 (some 0). *)
+let qcheck_period_references =
+  let gen =
+    QCheck.Gen.(
+      let* n = 2 -- 9 in
+      let* delays =
+        list_repeat n (frequency [ (1, return 0); (4, 1 -- 1_000_000_000) ])
+      in
+      let* ring = list_repeat n (0 -- 2) in
+      let* extra = list_size (0 -- n) (triple (0 -- (n - 1)) (0 -- (n - 1)) (0 -- 2)) in
+      return (delays, ring, extra))
+  in
+  let print (delays, ring, extra) =
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    Printf.sprintf "delays [%s] ring tokens [%s] extra [%s]" (ints delays)
+      (ints ring)
+      (String.concat ";"
+         (List.map (fun (s, d, k) -> Printf.sprintf "%d->%d:%d" s d k) extra))
+  in
+  let build (delays, ring, extra) =
+    let net = Petri.create () in
+    let n = List.length delays in
+    List.iter (fun delay -> ignore (Petri.add_transition net ~delay ())) delays;
+    let place src dst tokens =
+      let p = Petri.add_place net ~tokens (Printf.sprintf "%d->%d" src dst) in
+      Petri.add_post net ~transition:src ~place:p;
+      Petri.add_pre net ~transition:dst ~place:p
+    in
+    List.iteri (fun i tokens -> place i ((i + 1) mod n) tokens) ring;
+    List.iter (fun (src, dst, tokens) -> place src dst tokens) extra;
+    net
+  in
+  QCheck.Test.make ~name:"period = cycle-ratio LP = brute-force cycles"
+    ~count:2000 (QCheck.make ~print gen)
+    (fun spec ->
+      let net = build spec in
+      match (Timing.min_cycle_ratio net, lp_period net, brute_period net) with
+      | Timing.Period r, Some lp, Some brute -> Rat.equal r lp && Rat.equal r brute
+      | Timing.Unschedulable _, None, None -> true
+      | _ -> false)
 
 let suite =
   [
@@ -363,6 +492,8 @@ let suite =
       timing_deadline_and_dimensioning;
     Alcotest.test_case "zero-token cycle unschedulable" `Quick
       timing_zero_token_cycle;
+    Alcotest.test_case "timing delay bound" `Quick timing_delay_bound;
     QCheck_alcotest.to_alcotest qcheck_rat_field_laws;
     QCheck_alcotest.to_alcotest qcheck_simplex_sound;
+    QCheck_alcotest.to_alcotest qcheck_period_references;
   ]
