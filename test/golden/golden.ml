@@ -1,8 +1,8 @@
 (* The golden-file producer: writes the exact determinism columns of
    the fault campaigns, the lint corpus, the governed verdict mixes, the
-   level-2/3 platform and the case study's pixels as resil.out, tmr.out,
-   lint.out, gov.out, platform.out and image.out in the current
-   directory.  The dune file beside it
+   level-2/3 platform, LPV's deadlock verdicts and the case study's
+   pixels as resil.out, tmr.out, lint.out, gov.out, platform.out,
+   lpv.out and image.out in the current directory.  The dune file beside it
    diffs each against its committed .json, so `dune runtest` fails on
    any drift and `dune promote` accepts a deliberate move.  No host timings: wall-clock figures are
    the benchmark's job (perf/). *)
@@ -224,6 +224,61 @@ let platform () =
              ] );
        ])
 
+(* LPV's level-1 deadlock verdicts, each with its minimum cycle token
+   count or its witness places in order: bench E5's three nets (the case
+   study, the same graph with an unprimed WINNER->CAMERA ack loop, and
+   that loop primed with one token) and the verification tour's two ack
+   loops. *)
+let lpv () =
+  let module Lpv = Symbad_lpv in
+  let verdict = function
+    | Lpv.Deadlock.Deadlock_free { min_cycle_tokens } ->
+        Json.Obj
+          [
+            ( "min_cycle_tokens",
+              Json.Str (Fmt.str "%a" Lpv.Rat.pp min_cycle_tokens) );
+          ]
+    | Lpv.Deadlock.Potential_deadlock { witness } ->
+        Json.Obj
+          [ ("witness", Json.List (List.map (fun p -> Json.Str p) witness)) ]
+    | Lpv.Deadlock.Not_analyzable why -> Json.Obj [ ("not_analyzable", Json.Str why) ]
+  in
+  let graph = Lazy.force (Face_app.case_study Face_app.default_workload).graph in
+  let with_ack tokens =
+    Lpv_bridge.check_deadlock
+      ~extra_channels:[ ("ack", "WINNER", "CAMERA", tokens) ]
+      graph
+  in
+  let ack_loop tokens =
+    let net = Lpv.Petri.create () in
+    let producer = Lpv.Petri.add_transition net ~delay:2 () in
+    let consumer = Lpv.Petri.add_transition net ~delay:3 () in
+    let data = Lpv.Petri.add_place net ~tokens:0 "data" in
+    let ack = Lpv.Petri.add_place net ~tokens "ack" in
+    Lpv.Petri.add_post net ~transition:producer ~place:data;
+    Lpv.Petri.add_pre net ~transition:consumer ~place:data;
+    Lpv.Petri.add_post net ~transition:consumer ~place:ack;
+    Lpv.Petri.add_pre net ~transition:producer ~place:ack;
+    Lpv.Deadlock.check net
+  in
+  write "lpv"
+    (Json.Obj
+       [
+         ( "e5",
+           Json.Obj
+             [
+               ("case_study", verdict (Lpv_bridge.check_deadlock graph));
+               ("unprimed_ack", verdict (with_ack 0));
+               ("primed_ack", verdict (with_ack 1));
+             ] );
+         ( "tour",
+           Json.Obj
+             [
+               ("unprimed_ack", verdict (ack_loop 0));
+               ("primed_ack", verdict (ack_loop 1));
+             ] );
+       ])
+
 (* The image pipeline, pixel for pixel: for every size, identity and
    pose of the grid, the digests of the rendered scene, the camera's
    Bayer frame and the gray, eroded and edge images, the fitted
@@ -286,4 +341,5 @@ let () =
   lint ();
   gov ();
   platform ();
+  lpv ();
   image ()
