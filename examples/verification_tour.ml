@@ -33,7 +33,7 @@ let atpg_tour () =
 (* 2. LPV deadlock --------------------------------------------------- *)
 
 let lpv_deadlock_tour () =
-  banner "2. LPV: deadlock freeness via the invariant LP";
+  banner "2. LPV: deadlock freeness via the certified cycle search";
   let net = Symbad_lpv.Petri.create () in
   let producer = Symbad_lpv.Petri.add_transition net ~delay:2 () in
   let consumer = Symbad_lpv.Petri.add_transition net ~delay:3 () in

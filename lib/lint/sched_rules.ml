@@ -90,16 +90,16 @@ let rule_context_conflict ctx =
   let tenants =
     List.map (fun (name, cfg) -> (name, cfg, solo_clean_calls ctx cfg)) ctx.tenants
   in
-  let pair (an, a, calls) (bn, b, _) =
-    let product = product_states a b in
-    let nb = b.Cfg.nnodes in
+  (* [at x y]: the interleaved fixpoint at node [x] of [an] and node [y]
+     of [bn] *)
+  let pair (an, _, calls) (bn, b, _) at =
     List.filter_map
       (fun ((e : Cfg.edge), f) ->
         (* Fabric states reachable at the call site under interleaving
            with [b], over every position [b] may occupy. *)
         let s = ref States.empty in
-        for v = 0 to nb - 1 do
-          s := States.union !s product.((e.Cfg.src * nb) + v)
+        for v = 0 to b.Cfg.nnodes - 1 do
+          s := States.union !s (at e.Cfg.src v)
         done;
         let bad = States.diff !s (Program_rules.providers ctx.ci f !s) in
         match States.elements bad with
@@ -129,8 +129,17 @@ let rule_context_conflict ctx =
   in
   let rec pairs = function
     | [] -> []
-    | t :: rest ->
-        List.concat_map (fun u -> pair t u @ pair u t) rest @ pairs rest
+    | ((_, a, _) as t) :: rest ->
+        List.concat_map
+          (fun ((_, b, _) as u) ->
+            (* one fixpoint per pair: the product of [u] and [t] is the
+               transpose of this one (same entry, mirrored edges, one
+               least fixpoint), so its node (y, x) is this one's (x, y) *)
+            let product = product_states a b and nb = b.Cfg.nnodes in
+            pair t u (fun x y -> product.((x * nb) + y))
+            @ pair u t (fun y x -> product.((x * nb) + y)))
+          rest
+        @ pairs rest
   in
   pairs tenants
 

@@ -1,80 +1,38 @@
 (* LPV deadlock-freeness.
 
    For (strongly connected) marked graphs, the live/deadlock question is
-   exactly "does every directed cycle carry a token?".  Cycles are the
-   extreme points of the nonnegative place-invariant cone
-       { y >= 0 | y C = 0 },
-   so minimising the initial token count y . M0 over that cone (with the
-   normalisation sum y = 1) decides the question:
-     optimum > 0   =>  every cycle is marked: deadlock-free, and the
-                       optimum is the (scaled) minimum cycle token count;
-     optimum = 0   =>  the support of the optimal y is a token-free
-                       invariant — an unfireable cycle, i.e. a deadlock
-                       witness. *)
+   exactly "does every directed cycle carry a token?".  The paper's LP
+   minimises the initial token count over the place-invariant cone,
+   whose extreme rays are the cycles: its optimum is the least
+   tokens/places over the cycles, and a zero optimum's support is a
+   token-free cycle.  [Cycle_ratio] answers the same question at unit
+   delays, where a cycle's ratio is places/tokens:
+     ratio r > 0      =>  every cycle is marked: deadlock-free, with
+                          minimum cycle tokens 1/r;
+     ratio 0          =>  no cycle at all;
+     token-free cycle =>  an unfireable cycle, i.e. a deadlock witness. *)
 
 type verdict =
   | Deadlock_free of { min_cycle_tokens : Rat.t }
   | Potential_deadlock of { witness : string list }
-      (* token-free cycle: names of the places in the invariant support *)
+      (* token-free cycle: its places in place-index order *)
   | Not_analyzable of string
 
 let check ?gov net =
-  let np = Petri.n_places net and nt = Petri.n_transitions net in
-  if np = 0 || nt = 0 then Not_analyzable "empty net"
-  else begin
-    match Symbad_gov.Gov.exhaustion (Symbad_gov.Gov.get gov) with
-    | Some r ->
-        Not_analyzable
-          (Printf.sprintf "governor: %s" (Symbad_gov.Degrade.reason_string r))
-    | None ->
-    let c = Petri.incidence net in
-    let m0 = Petri.initial_marking net in
-    (* variables: y_p for each place *)
-    let invariant_rows =
-      List.init nt (fun t ->
-          {
-            Simplex.coeffs =
-              List.init np (fun p -> (p, Rat.of_int c.(t).(p)))
-              |> List.filter (fun (_, q) -> not (Rat.is_zero q));
-            cmp = Simplex.Eq;
-            rhs = Rat.zero;
-          })
-    in
-    let normalisation =
-      {
-        Simplex.coeffs = List.init np (fun p -> (p, Rat.one));
-        cmp = Simplex.Eq;
-        rhs = Rat.one;
-      }
-    in
-    let objective =
-      List.init np (fun p -> (p, Rat.of_int m0.(p)))
-      |> List.filter (fun (_, q) -> not (Rat.is_zero q))
-    in
-    match
-      Simplex.solve
-        {
-          nvars = np;
-          constraints = normalisation :: invariant_rows;
-          objective;
-          minimize = true;
-        }
-    with
-    | Simplex.Infeasible ->
-        (* no nonnegative invariant at all: no cycles, hence no cyclic
-           starvation in a marked graph *)
-        Deadlock_free { min_cycle_tokens = Rat.of_int max_int }
-    | Simplex.Unbounded -> Not_analyzable "unbounded invariant LP"
-    | Simplex.Optimal { value; solution } ->
-        if Rat.sign value > 0 then Deadlock_free { min_cycle_tokens = value }
-        else begin
-          let witness =
-            List.filteri (fun p _ -> Rat.sign solution.(p) > 0)
-              (Array.to_list (Array.init np (fun p -> Petri.place_name net p)))
-          in
-          Potential_deadlock { witness }
-        end
-  end
+  if Petri.n_places net = 0 || Petri.n_transitions net = 0 then
+    Not_analyzable "empty net"
+  else
+    match Cycle_ratio.governed gov with
+    | Some reason -> Not_analyzable reason
+    | None -> (
+        match Cycle_ratio.solve ~delay:(fun _ -> 1) net with
+        | Cycle_ratio.Ratio r when Rat.is_zero r ->
+            Deadlock_free { min_cycle_tokens = Rat.of_int max_int }
+        | Cycle_ratio.Ratio r -> Deadlock_free { min_cycle_tokens = Rat.inv r }
+        | Cycle_ratio.Token_free cycle ->
+            let places = List.sort_uniq compare cycle in
+            Potential_deadlock { witness = List.map (Petri.place_name net) places }
+        | Cycle_ratio.Engine_error reason -> Not_analyzable reason)
 
 let pp_verdict fmt = function
   | Deadlock_free { min_cycle_tokens } ->

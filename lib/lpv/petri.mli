@@ -2,7 +2,9 @@
 
     Tasks are transitions; channels are places (plus credit places for
     bounded channels).  Dataflow designs yield marked graphs, on which
-    the LPV analyses are exact. *)
+    LPV's one analysis is exact: the certified cycle-ratio search that
+    {!Timing} reads at the net's delays and {!Deadlock} at unit
+    delays. *)
 
 type t
 
@@ -26,19 +28,5 @@ val place_name : t -> int -> string
 val initial_marking : t -> int array
 val delay : t -> int -> int
 
-val incidence : t -> int array array
-(** [C.(t).(p) = post - pre]. *)
-
 val producers : t -> int -> int list
 val consumers : t -> int -> int list
-
-val state_equation_feasible : t -> int array -> bool
-(** State-equation relaxation: [false] is a *proof* that the marking is
-    unreachable — LPV's mechanism for discharging unreachability
-    properties. *)
-
-val structurally_bounded : t -> bool
-(** [true] iff a place weighting [y >= 1] with [y C <= 0] exists, which
-    bounds the token count under every initial marking (conservative
-    nets qualify); [false] means some transition sequence can grow some
-    place without bound. *)

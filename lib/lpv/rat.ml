@@ -1,8 +1,8 @@
 (* Exact rational arithmetic over native ints.
 
    Always normalised: gcd(num, den) = 1, den > 0.  Native 63-bit ints are
-   ample for the case-study LPs; [make] and the ring operations keep
-   numbers small through normalisation. *)
+   ample for the case study's cycle ratios; [make] and the ring
+   operations keep numbers small through normalisation. *)
 
 type t = { num : int; den : int }
 
@@ -39,10 +39,6 @@ let equal a b = a.num = b.num && a.den = b.den
 let sign a = Stdlib.compare a.num 0
 let is_zero a = a.num = 0
 
-let ( + ) = add
-let ( - ) = sub
-let ( * ) = mul
-let ( / ) = div
 let ( < ) a b = compare a b < 0
 let ( <= ) a b = compare a b <= 0
 let ( > ) a b = compare a b > 0

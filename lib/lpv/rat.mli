@@ -1,7 +1,8 @@
 (** Exact rational arithmetic over native ints.
 
     Values are always normalised (coprime, positive denominator).  Ample
-    for the case-study LPs; normalisation keeps numbers small. *)
+    for the case study's cycle ratios; normalisation keeps numbers
+    small. *)
 
 type t
 
@@ -30,10 +31,6 @@ val equal : t -> t -> bool
 val sign : t -> int
 val is_zero : t -> bool
 
-val ( + ) : t -> t -> t
-val ( - ) : t -> t -> t
-val ( * ) : t -> t -> t
-val ( / ) : t -> t -> t
 val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool

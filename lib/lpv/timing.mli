@@ -1,5 +1,7 @@
 (** LPV real-time analysis: deadline achievement and FIFO dimensioning
-    via the maximum cycle ratio of timed marked graphs. *)
+    via the maximum cycle ratio of timed marked graphs, found by the
+    certified cycle search that {!Deadlock.check} also reads (there at
+    unit delays). *)
 
 type verdict =
   | Period of Rat.t  (** minimum sustainable iteration period *)
@@ -43,8 +45,9 @@ val min_uniform_capacity :
   int option
 (** Smallest uniform channel capacity from 1 to 64 meeting the
     deadline, over a monotone family of nets built by [build]; [None]
-    when even 64 misses it.  [gov] is polled before each candidate
-    capacity (one {!min_cycle_ratio} each); exhaustion stops the search
-    with [None]. *)
+    when even 64 misses it.  Each candidate is one {!min_cycle_ratio}
+    read by {!meets}, so a candidate whose search is [Not_analyzable]
+    counts as a miss.  [gov] is polled before each candidate capacity;
+    exhaustion stops the search with [None]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -1,7 +1,10 @@
 (* Two-phase primal simplex over exact rationals with Bland's rule
-   (hence guaranteed termination).  This is the LP engine behind every
-   LPV analysis: deadlock invariants, state-equation unreachability,
-   deadline and FIFO-dimensioning checks. *)
+   (hence guaranteed termination): the reference the LPV tests check the
+   library's cycle search against, by solving the paper's LPs (the
+   place-invariant LP for deadlock, the cycle-ratio LP for timing)
+   directly. *)
+
+module Rat = Symbad_lpv.Rat
 
 type cmp = Le | Ge | Eq
 
@@ -212,10 +215,3 @@ let solve problem =
         in
         Optimal { value; solution }
   end
-
-(* Convenience: pure feasibility of a constraint system. *)
-let feasible ~nvars constraints =
-  match solve { nvars; constraints; objective = []; minimize = true } with
-  | Optimal _ -> true
-  | Infeasible -> false
-  | Unbounded -> true

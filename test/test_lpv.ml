@@ -81,8 +81,7 @@ let simplex_infeasible () =
   check_bool "infeasible" true
     (Simplex.solve
        { Simplex.nvars = 1; constraints; objective = []; minimize = true }
-    = Simplex.Infeasible);
-  check_bool "feasible helper" false (Simplex.feasible ~nvars:1 constraints)
+    = Simplex.Infeasible)
 
 let simplex_unbounded () =
   match
@@ -188,27 +187,14 @@ let build_pipeline () =
 
 let petri_incidence () =
   let net, a, b, p = build_pipeline () in
-  let c = Petri.incidence net in
-  check "A produces ab" 1 c.(a).(p);
-  check "B consumes ab" (-1) c.(b).(p);
   Alcotest.(check (list int)) "producers" [ a ] (Petri.producers net p);
   Alcotest.(check (list int)) "consumers" [ b ] (Petri.consumers net p)
-
-let petri_state_equation () =
-  let net, _, _, _ = build_pipeline () in
-  (* marking (1,1): fire A once -> feasible *)
-  check_bool "reachable relaxation" true
-    (Petri.state_equation_feasible net [| 1; 1 |]);
-  (* marking (5,2): would need 5 more tokens than credits allow *)
-  check_bool "unreachable proven" false
-    (Petri.state_equation_feasible net [| 5; 2 |])
 
 let deadlock_free_pipeline () =
   let net, _, _, _ = build_pipeline () in
   match Deadlock.check net with
   | Deadlock.Deadlock_free { min_cycle_tokens } ->
-      (* the only invariant is the ab/credit cycle: y = (1/2, 1/2),
-         tokens = (0 + 2) / 2 = 1 *)
+      (* the only cycle is ab/credit: (0 + 2) tokens over 2 places *)
       Alcotest.check rat "cycle tokens" Rat.one min_cycle_tokens
   | _ -> Alcotest.fail "expected deadlock-free"
 
@@ -238,20 +224,6 @@ let deadlock_fixed_by_initial_token () =
   match Deadlock.check (crossed (0, 1)) with
   | Deadlock.Deadlock_free _ -> ()
   | _ -> Alcotest.fail "expected deadlock-free after priming"
-
-let structural_boundedness () =
-  (* credited channel: conservative, hence bounded *)
-  let net, _, _, _ = build_pipeline () in
-  check_bool "credited pipeline bounded" true (Petri.structurally_bounded net);
-  (* uncredited channel: the producer can fire forever, unbounded *)
-  let unb = Petri.create () in
-  let a = Petri.add_transition unb () in
-  let b = Petri.add_transition unb () in
-  let p = Petri.add_place unb ~tokens:0 "ab" in
-  Petri.add_post unb ~transition:a ~place:p;
-  Petri.add_pre unb ~transition:b ~place:p;
-  check_bool "uncredited channel unbounded" false
-    (Petri.structurally_bounded unb)
 
 (* --- Timing --- *)
 
@@ -425,8 +397,9 @@ let brute_period net =
 
 (* Random strongly connected marked graphs: a ring through every
    transition plus up to n extra places (self-loops and parallel places
-   included), 0-2 tokens per place, delays up to 10^9 (some 0). *)
-let qcheck_period_references =
+   included), 0-2 tokens per place, delays up to 10^9 (some 0).  Place
+   i is named "p<i>". *)
+let marked_graph =
   let gen =
     QCheck.Gen.(
       let* n = 2 -- 9 in
@@ -444,26 +417,127 @@ let qcheck_period_references =
       (String.concat ";"
          (List.map (fun (s, d, k) -> Printf.sprintf "%d->%d:%d" s d k) extra))
   in
-  let build (delays, ring, extra) =
-    let net = Petri.create () in
-    let n = List.length delays in
-    List.iter (fun delay -> ignore (Petri.add_transition net ~delay ())) delays;
-    let place src dst tokens =
-      let p = Petri.add_place net ~tokens (Printf.sprintf "%d->%d" src dst) in
-      Petri.add_post net ~transition:src ~place:p;
-      Petri.add_pre net ~transition:dst ~place:p
+  QCheck.make ~print gen
+
+let build_marked_graph (delays, ring, extra) =
+  let net = Petri.create () in
+  let n = List.length delays in
+  List.iter (fun delay -> ignore (Petri.add_transition net ~delay ())) delays;
+  let place src dst tokens =
+    let p =
+      Petri.add_place net ~tokens (Printf.sprintf "p%d" (Petri.n_places net))
     in
-    List.iteri (fun i tokens -> place i ((i + 1) mod n) tokens) ring;
-    List.iter (fun (src, dst, tokens) -> place src dst tokens) extra;
-    net
+    Petri.add_post net ~transition:src ~place:p;
+    Petri.add_pre net ~transition:dst ~place:p
   in
+  List.iteri (fun i tokens -> place i ((i + 1) mod n) tokens) ring;
+  List.iter (fun (src, dst, tokens) -> place src dst tokens) extra;
+  net
+
+let qcheck_period_references =
   QCheck.Test.make ~name:"period = cycle-ratio LP = brute-force cycles"
-    ~count:2000 (QCheck.make ~print gen)
+    ~count:2000 marked_graph
     (fun spec ->
-      let net = build spec in
+      let net = build_marked_graph spec in
       match (Timing.min_cycle_ratio net, lp_period net, brute_period net) with
       | Timing.Period r, Some lp, Some brute -> Rat.equal r lp && Rat.equal r brute
       | Timing.Unschedulable _, None, None -> true
+      | _ -> false)
+
+(* The paper's place-invariant LP, the deadlock check's specification:
+   minimise the initial tokens y . M0 over y >= 0 with y C = 0 (C the
+   incidence matrix, post - pre) and sum y = 1.  The invariants of a
+   marked graph are its cycles, so a positive optimum is the least
+   tokens/places over the cycles, a zero optimum's support is a
+   token-free cycle, and no invariant at all means no cycle. *)
+let lp_deadlock net =
+  let np = Petri.n_places net and nt = Petri.n_transitions net in
+  let m0 = Petri.initial_marking net in
+  let count t ts = List.length (List.filter (( = ) t) ts) in
+  let incidence t p =
+    count t (Petri.producers net p) - count t (Petri.consumers net p)
+  in
+  let nonzero = List.filter (fun (_, q) -> not (Rat.is_zero q)) in
+  let invariant_rows =
+    List.init nt (fun t ->
+        {
+          Simplex.coeffs =
+            nonzero (List.init np (fun p -> (p, Rat.of_int (incidence t p))));
+          cmp = Simplex.Eq;
+          rhs = Rat.zero;
+        })
+  in
+  let normalisation =
+    {
+      Simplex.coeffs = List.init np (fun p -> (p, Rat.one));
+      cmp = Simplex.Eq;
+      rhs = Rat.one;
+    }
+  in
+  match
+    Simplex.solve
+      {
+        nvars = np;
+        constraints = normalisation :: invariant_rows;
+        objective = nonzero (List.init np (fun p -> (p, Rat.of_int m0.(p))));
+        minimize = true;
+      }
+  with
+  | Simplex.Infeasible ->
+      Deadlock.Deadlock_free { min_cycle_tokens = Rat.of_int max_int }
+  | Simplex.Unbounded -> Alcotest.fail "y . M0 >= 0 bounds the LP"
+  | Simplex.Optimal { value; _ } when Rat.sign value > 0 ->
+      Deadlock.Deadlock_free { min_cycle_tokens = value }
+  | Simplex.Optimal { solution; _ } ->
+      let support p = Rat.sign solution.(p) > 0 in
+      Deadlock.Potential_deadlock
+        {
+          witness =
+            List.map (Petri.place_name net)
+              (List.filter support (List.init np Fun.id));
+        }
+
+(* Is [witness] the place set, in place-index order, of one closed cycle
+   of token-free places?  Read off the net alone (place names unique):
+   following each witness place from its producer to its consumer, from
+   the first place, must come back to it after visiting every witness
+   place exactly once. *)
+let token_free_cycle net witness =
+  let places = List.init (Petri.n_places net) Fun.id in
+  let ps =
+    List.map
+      (fun w -> List.find (fun p -> Petri.place_name net p = w) places)
+      witness
+  in
+  let m0 = Petri.initial_marking net in
+  let next p =
+    List.find_opt (fun q -> Petri.producers net q = Petri.consumers net p) ps
+  in
+  match ps with
+  | [] -> false
+  | first :: _ ->
+      let len = List.length ps in
+      let rec walk k p =
+        match next p with
+        | Some q when q = first -> k = len
+        | Some q -> k < len && walk (k + 1) q
+        | None -> false
+      in
+      List.sort_uniq compare ps = ps
+      && List.for_all (fun p -> m0.(p) = 0) ps
+      && walk 1 first
+
+let qcheck_deadlock_references =
+  QCheck.Test.make ~name:"deadlock = invariant LP, witness a token-free cycle"
+    ~count:2000 marked_graph
+    (fun spec ->
+      let net = build_marked_graph spec in
+      match (Deadlock.check net, lp_deadlock net) with
+      | ( Deadlock.Deadlock_free { min_cycle_tokens = search },
+          Deadlock.Deadlock_free { min_cycle_tokens = lp } ) ->
+          Rat.equal search lp
+      | Deadlock.Potential_deadlock { witness }, Deadlock.Potential_deadlock _ ->
+          token_free_cycle net witness
       | _ -> false)
 
 let suite =
@@ -479,13 +553,11 @@ let suite =
       simplex_equality_constraints;
     Alcotest.test_case "simplex negative rhs" `Quick simplex_negative_rhs;
     Alcotest.test_case "petri incidence" `Quick petri_incidence;
-    Alcotest.test_case "petri state equation" `Quick petri_state_equation;
     Alcotest.test_case "deadlock-free pipeline" `Quick deadlock_free_pipeline;
     Alcotest.test_case "deadlock in crossed wait" `Quick
       deadlock_detected_crossed;
     Alcotest.test_case "deadlock fixed by priming" `Quick
       deadlock_fixed_by_initial_token;
-    Alcotest.test_case "structural boundedness" `Quick structural_boundedness;
     Alcotest.test_case "timing bottleneck" `Quick timing_bottleneck;
     Alcotest.test_case "timing capacity effect" `Quick timing_capacity_effect;
     Alcotest.test_case "deadline + FIFO dimensioning" `Quick
@@ -496,4 +568,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_rat_field_laws;
     QCheck_alcotest.to_alcotest qcheck_simplex_sound;
     QCheck_alcotest.to_alcotest qcheck_period_references;
+    QCheck_alcotest.to_alcotest qcheck_deadlock_references;
   ]
