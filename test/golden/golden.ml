@@ -19,6 +19,19 @@ let write name json =
       output_string oc (Json.to_string json);
       output_string oc "\n")
 
+(* One object, one entry per line, so a drift names its entry. *)
+let write_lines name entries =
+  Out_channel.with_open_bin (name ^ ".out") (fun oc ->
+      output_string oc "{\n";
+      List.iteri
+        (fun i (key, v) ->
+          if i > 0 then output_string oc ",\n";
+          output_string oc (Json.to_string (Json.Str key));
+          output_string oc ":";
+          output_string oc (Json.to_string v))
+        entries;
+      output_string oc "\n}\n")
+
 (* resil: the scrub campaign at seed 1.  tmr: the masked-mode campaign
    and its comparison against that same scrub run. *)
 let campaigns () =
@@ -279,6 +292,98 @@ let lpv () =
              ] );
        ])
 
+(* Lint-to-proof escalation over the lint corpus (the level-4 modules
+   and the recovery controller, each with its properties), the seeded
+   escalation netlist and a fixture with constancy and no-wrap claims
+   on registers declared out of name order: every escalated
+   diagnostic's rule, target, location, message, severity and
+   discharge.  One run is ungoverned; two run under one root governor
+   of a logical conflict budget over the whole corpus, as
+   [Report.lint_corpus] does, with the label and conflict columns of
+   the governor's waterfall rows, whose positions follow the order
+   escalation dispatches its obligations in.  One entry per line. *)
+let escalate () =
+  let module Seeded = Symbad_lint.Seeded in
+  let module D = Symbad_lint.Diagnostic in
+  let mixed =
+    let module Expr = Symbad_hdl.Expr in
+    let module Bitvec = Symbad_hdl.Bitvec in
+    let reg name width init next = { Symbad_hdl.Netlist.name; width; init; next } in
+    let d = Expr.input "d" in
+    Symbad_hdl.Netlist.make ~name:"mixed_claims"
+      ~inputs:[ ("d", 4) ]
+      ~registers:
+        [
+          reg "z" 4 (Bitvec.make ~width:4 5) (Expr.reg "z");
+          reg "m" 4 (Bitvec.zero ~width:4) (Expr.add (Expr.reg "m") d);
+          reg "a" 4 (Bitvec.make ~width:4 3) (Expr.reg "a");
+          reg "b" 4 (Bitvec.zero ~width:4)
+            (Expr.sub (Expr.reg "b") (Expr.and_ d (Expr.reg "a")));
+        ]
+      ~outputs:
+        [
+          ("s", Expr.add d (Expr.not_ d));
+          ("q", Expr.and_ (Expr.reg "z") (Expr.reg "m"));
+        ]
+  in
+  let discharge (g : D.discharge) =
+    Json.Obj
+      ([
+         ("status", Json.Str (D.discharge_label g.D.status));
+         ("detail", Json.Str g.D.detail);
+       ]
+      @
+      match g.D.counterexample with
+      | None -> []
+      | Some cex -> [ ("counterexample", Json.Str cex) ])
+  in
+  let diagnostic (d : D.t) =
+    Option.map
+      (fun g ->
+        Json.Obj
+          [
+            ("rule", Json.Str d.D.rule);
+            ("target", Json.Str d.D.target);
+            ("location", Json.Str d.D.location);
+            ("message", Json.Str d.D.message);
+            ("severity", Json.Str (D.severity_label d.D.severity));
+            ("discharged", discharge g);
+          ])
+      d.D.discharged
+  in
+  let row (r : Gov.row) =
+    let opt = function None -> Json.Null | Some n -> Json.Int n in
+    Json.Obj
+      [
+        ("label", Json.Str r.Gov.label);
+        ("granted_conflicts", opt r.Gov.granted_conflicts);
+        ("charged_conflicts", Json.Int r.Gov.charged_conflicts);
+        ("subtree_conflicts", Json.Int r.Gov.subtree_conflicts);
+      ]
+  in
+  let run (name, budget) =
+    let gov = Option.map (fun n -> Gov.create ~label:"lint" (Budget.make ~conflicts:n ())) budget in
+    let seeded nl =
+      Lint.escalate ?gov nl (Lint.run_netlist ?gov nl)
+    in
+    let reports =
+      Symbad_report.Report.lint_corpus ?gov ~escalate:true `All
+      @ [ seeded Seeded.escalation; seeded mixed ]
+    in
+    let numbered kind xs =
+      List.mapi (fun i x -> (Printf.sprintf "%s/%s/%d" name kind i, x)) xs
+    in
+    numbered "diagnostic"
+      (List.concat_map
+         (fun (r : Lint.report) -> List.filter_map diagnostic r.Lint.diagnostics)
+         reports)
+    @ numbered "waterfall"
+        (match gov with None -> [] | Some g -> List.map row (Gov.waterfall g))
+  in
+  write_lines "escalate"
+    (List.concat_map run
+       [ ("unlimited", None); ("conflicts 40", Some 40); ("conflicts 400", Some 400) ])
+
 (* The image pipeline, pixel for pixel: for every size, identity and
    pose of the grid, the digests of the rendered scene, the camera's
    Bayer frame and the gray, eroded and edge images, the fitted
@@ -325,16 +430,7 @@ let image () =
             (List.init 20 Fun.id))
         [ 16; 32; 64 ]
   in
-  Out_channel.with_open_bin "image.out" (fun oc ->
-      output_string oc "{\n";
-      List.iteri
-        (fun i (key, v) ->
-          if i > 0 then output_string oc ",\n";
-          output_string oc (Json.to_string (Json.Str key));
-          output_string oc ":";
-          output_string oc (Json.to_string v))
-        entries;
-      output_string oc "\n}\n")
+  write_lines "image" entries
 
 let () =
   campaigns ();
@@ -342,4 +438,5 @@ let () =
   gov ();
   platform ();
   lpv ();
+  escalate ();
   image ()
