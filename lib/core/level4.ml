@@ -333,11 +333,9 @@ let verify_module_live ?pool ~gov ~escalate ~max_depth ~pcc_depth ~max_reg_bits
      disproves never reaches the SAT engines.  Only errors gate —
      warnings and governor-skipped rules let verification proceed. *)
   let lint_gov = Symbad_gov.Gov.slice ~label:"lint" ~fraction:0.1 gov in
-  let prop_pairs =
-    List.map (fun p -> (Prop.name p, Prop.formula p)) m.properties
-  in
   let lint =
-    Symbad_lint.Lint.run_netlist ?pool ~gov:lint_gov ~properties:prop_pairs
+    Symbad_lint.Lint.run_netlist ?pool ~gov:lint_gov
+      ~properties:(List.map (fun p -> (Prop.name p, Prop.formula p)) m.properties)
       m.netlist
   in
   (* escalation runs before the gate so a disproved warning (promoted
@@ -346,7 +344,7 @@ let verify_module_live ?pool ~gov ~escalate ~max_depth ~pcc_depth ~max_reg_bits
     if escalate && Symbad_lint.Lint.errors lint = 0 then
       Symbad_lint.Lint.escalate ?pool
         ~gov:(Symbad_gov.Gov.slice ~label:"lint.escalate" ~fraction:0.1 gov)
-        ~max_depth ~properties:prop_pairs m.netlist lint
+        ~max_depth m.netlist lint
     else lint
   in
   if Symbad_lint.Lint.errors lint > 0 then

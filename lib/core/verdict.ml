@@ -145,11 +145,8 @@ let of_lint ?host_seconds (r : Symbad_lint.Lint.report) =
   else
     make ?host_seconds ~name
       ~detail:
-        (Printf.sprintf "%d rules, %d warnings%s"
-           (List.length r.Lint.rules_run)
-           warnings
-           (if r.Lint.suppressed = [] then ""
-            else "; suppressed: " ^ String.concat " " r.Lint.suppressed))
+        (Printf.sprintf "%d rules, %d warnings"
+           (List.length r.Lint.rules_run) warnings)
       Proved
 
 (* --- rendering -------------------------------------------------------- *)

@@ -278,8 +278,16 @@ let reconfigure ?(verify_previous = false) f ~bus ~master ctx_name =
     in
     (* the download is real bus traffic: one burst-sized transaction per
        chunk, each arbitrated — this fine-grained modelling is what makes
-       level-3 simulation markedly slower than level 2 *)
-    load_all_copies f ~bus ~master ctx;
+       level-3 simulation markedly slower than level 2.  A download that
+       gives up closes the span before the failure propagates, or every
+       later span on the timeline would nest under it. *)
+    (try load_all_copies f ~bus ~master ctx
+     with Download_failed _ as e ->
+       Obs.end_span
+         ~args:[ ("failed", Json.Bool true) ]
+         ~sim_ns:(Time.to_ns (Proc.now ()))
+         sp;
+       raise e);
     f.loaded <- Some ctx;
     f.reconfigurations <- f.reconfigurations + 1;
     f.reconfig_ns_total <-

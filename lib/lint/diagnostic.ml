@@ -2,10 +2,12 @@
 
 module Json = Symbad_obs.Json
 
-(* Bump when the JSON shape of a diagnostic changes incompatibly.
-   Version 2: added [schema_version] itself and the [discharged]
-   escalation annotation. *)
-let schema_version = 2
+(* Bump when the JSON shape of a diagnostic or a lint report changes
+   incompatibly.  Version 2: added [schema_version] itself and the
+   [discharged] escalation annotation.  Version 3: the report dropped
+   its list of rule ids disabled by name, which no caller set, so it
+   was always empty. *)
+let schema_version = 3
 
 type severity = Error | Warning | Info
 

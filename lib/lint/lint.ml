@@ -12,9 +12,9 @@ module D = Diagnostic
 type report = {
   target : string;
   rules_run : string list;
-  suppressed : string list;
   skipped_rules : string list;
   diagnostics : D.t list;
+  obligations : (D.t * Mc.Prop.t) list;
 }
 
 (* The abstract-interpretation rules: they read one fixpoint. *)
@@ -47,10 +47,10 @@ let sched_rule_ids = [ "sched.context-conflict"; "sched.wcrt" ]
 let all_rule_ids = netlist_rule_ids @ program_rule_ids @ sched_rule_ids
 
 (* Selection: [rules] restricts (unknown ids rejected — a CLI typo must
-   not read as "clean"), [suppress] disables but is recorded. *)
-let select ~family ?rules ?(suppress = []) () =
-  (match rules with
-  | None -> ()
+   not read as "clean"). *)
+let select ~family ?rules () =
+  match rules with
+  | None -> family
   | Some ids ->
       List.iter
         (fun id ->
@@ -58,22 +58,19 @@ let select ~family ?rules ?(suppress = []) () =
             invalid_arg
               (Printf.sprintf "Lint: unknown rule '%s' (known: %s)" id
                  (String.concat ", " all_rule_ids)))
-        ids);
-  let wanted id = match rules with None -> true | Some ids -> List.mem id ids in
-  let active =
-    List.filter (fun id -> wanted id && not (List.mem id suppress)) family
-  in
-  (active, List.filter (fun id -> List.mem id family) suppress)
+        ids;
+      List.filter (fun id -> List.mem id ids) family
 
 (* Governed fan-out: one rule = one pattern.  The allowance is read
    once, before the parallel map, so the set of rules run — and with it
    the report — is the same at any pool width.  [impl to_run] runs on
    the calling domain before the fan-out: it computes once the analysis
    the rules to run share (their family's fixpoint) and returns each
-   rule's implementation over it, so no job recomputes the fixpoint. *)
-let run_rules ~target ~family ~impl ?pool ?gov ?rules ?suppress () =
+   rule's implementation over it, so no job recomputes the fixpoint,
+   together with the proof obligations of their findings. *)
+let run_rules ~target ~family ~impl ?pool ?gov ?rules () =
   let pool = Par.get pool and gov = Gov.get gov in
-  let active, suppressed = select ~family ?rules ?suppress () in
+  let active = select ~family ?rules () in
   let affordable =
     match Gov.patterns_left gov with
     | None -> List.length active
@@ -88,7 +85,8 @@ let run_rules ~target ~family ~impl ?pool ?gov ?rules ?suppress () =
   in
   let to_run, skipped = split affordable active in
   let run () =
-    let diags = Par.map ~label:"lint" pool (impl to_run) to_run |> List.concat in
+    let rule, obligations = impl to_run in
+    let diags = Par.map ~label:"lint" pool rule to_run |> List.concat in
     Gov.charge_patterns gov (List.length to_run);
     if Obs.enabled () then begin
       Obs.incr_counter ~by:(List.length to_run) "lint.rules_run";
@@ -100,16 +98,16 @@ let run_rules ~target ~family ~impl ?pool ?gov ?rules ?suppress () =
     {
       target;
       rules_run = to_run;
-      suppressed;
       skipped_rules = skipped;
       diagnostics = D.order diags;
+      obligations;
     }
   in
   if Obs.enabled () then
     Obs.span ~track:"lint" ~args:[ ("target", Json.Str target) ] "lint" run
   else run ()
 
-let run_netlist ?pool ?gov ?rules ?suppress ?properties nl =
+let run_netlist ?pool ?gov ?rules ?properties nl =
   let ctx = Netlist_rules.context ?properties nl in
   let impl to_run =
     let absint =
@@ -119,34 +117,48 @@ let run_netlist ?pool ?gov ?rules ?suppress ?properties nl =
     in
     (* an unsound netlist has no fixpoint: the syntactic rules own it *)
     let semantic rule = match absint with Some a -> rule ctx a | None -> [] in
-    function
-    | "net.width" -> Netlist_rules.rule_width ctx
-    | "net.undriven" -> Netlist_rules.rule_undriven ctx
-    | "net.multi-driven" -> Netlist_rules.rule_multi_driven ctx
-    | "net.comb-loop" -> Netlist_rules.rule_comb_loop ctx
-    | "net.unused" -> Netlist_rules.rule_unused ctx
-    | "net.dead-logic" -> Netlist_rules.rule_dead_logic ctx
-    | "net.no-reset" -> Netlist_rules.rule_no_reset ctx
-    | "net.x-prop" -> semantic Netlist_absint.rule_x_prop
-    | "net.range" -> semantic Netlist_absint.rule_range
-    | "net.unreachable-state" -> semantic Netlist_absint.rule_unreachable_state
-    | "net.const-reg" -> semantic Netlist_absint.rule_const_reg
-    | id -> invalid_arg ("Lint: not a netlist rule: " ^ id)
+    (* the findings that carry obligations are built here, once, so
+       each obligation sits next to the very diagnostic it discharges *)
+    let findings id rule = if List.mem id to_run then semantic rule else [] in
+    let const_reg = findings "net.const-reg" Netlist_absint.rule_const_reg
+    and range = findings "net.range" Netlist_absint.rule_range in
+    let rule = function
+      | "net.width" -> Netlist_rules.rule_width ctx
+      | "net.undriven" -> Netlist_rules.rule_undriven ctx
+      | "net.multi-driven" -> Netlist_rules.rule_multi_driven ctx
+      | "net.comb-loop" -> Netlist_rules.rule_comb_loop ctx
+      | "net.unused" -> Netlist_rules.rule_unused ctx
+      | "net.dead-logic" -> Netlist_rules.rule_dead_logic ctx
+      | "net.no-reset" -> Netlist_rules.rule_no_reset ctx
+      | "net.x-prop" -> semantic Netlist_absint.rule_x_prop
+      | "net.range" -> List.map fst range
+      | "net.unreachable-state" -> semantic Netlist_absint.rule_unreachable_state
+      | "net.const-reg" -> List.map fst const_reg
+      | id -> invalid_arg ("Lint: not a netlist rule: " ^ id)
+    in
+    (* escalation dispatches every constancy claim, then every no-wrap
+       claim: [Mc.Engine.check_all] splits its budget in this order *)
+    ( rule,
+      List.filter_map
+        (fun (d, prop) -> Option.map (fun p -> (d, p)) prop)
+        (const_reg @ range) )
   in
   run_rules ~target:ctx.Netlist_rules.target ~family:netlist_rule_ids ~impl
-    ?pool ?gov ?rules ?suppress ()
+    ?pool ?gov ?rules ()
 
 let run_cfg ?pool ?gov ?rules ?(name = "program") ci cfg =
   let ctx = Program_rules.context ~target:name ci cfg in
   let impl _ =
     let may = Program_rules.may_states cfg in
-    function
-    | "cfg.never-loaded" -> Program_rules.rule_never_loaded ctx may
-    | "cfg.maybe-unloaded" -> Program_rules.rule_maybe_unloaded ctx may
-    | "cfg.unknown-config" -> Program_rules.rule_unknown_config ctx
-    | "cfg.redundant-config" -> Program_rules.rule_redundant_config ctx may
-    | "cfg.unreachable-config" -> Program_rules.rule_unreachable_config ctx may
-    | id -> invalid_arg ("Lint: not a program rule: " ^ id)
+    ( (function
+      | "cfg.never-loaded" -> Program_rules.rule_never_loaded ctx may
+      | "cfg.maybe-unloaded" -> Program_rules.rule_maybe_unloaded ctx may
+      | "cfg.unknown-config" -> Program_rules.rule_unknown_config ctx
+      | "cfg.redundant-config" -> Program_rules.rule_redundant_config ctx may
+      | "cfg.unreachable-config" ->
+          Program_rules.rule_unreachable_config ctx may
+      | id -> invalid_arg ("Lint: not a program rule: " ^ id)),
+      [] )
   in
   run_rules ~target:name ~family:program_rule_ids ~impl ?pool ?gov ?rules ()
 
@@ -159,61 +171,42 @@ let run_tenants ?pool ?gov ?rules ?deadline_ns ci tenants =
   in
   let target = "tenants" in
   let ctx = Sched_rules.context ?deadline_ns ~target ci cfgs in
-  let impl _ = function
-    | "sched.context-conflict" -> Sched_rules.rule_context_conflict ctx
-    | "sched.wcrt" -> Sched_rules.rule_wcrt ctx
-    | id -> invalid_arg ("Lint: not a schedule rule: " ^ id)
+  let impl _ =
+    ( (function
+      | "sched.context-conflict" -> Sched_rules.rule_context_conflict ctx
+      | "sched.wcrt" -> Sched_rules.rule_wcrt ctx
+      | id -> invalid_arg ("Lint: not a schedule rule: " ^ id)),
+      [] )
   in
   run_rules ~target ~family:sched_rule_ids ~impl ?pool ?gov ?rules ()
 
 (* --- lint-to-proof escalation ------------------------------------------ *)
 
-(* A warning that carries a definable obligation becomes a model-checker
-   query; the verdict folds back into the same diagnostic.  Verdicts
-   are folded in the obligations' deterministic order and the report is
-   re-sorted with [D.order], so escalated reports stay byte-identical
-   at any pool width (check_all splits the governor before its
-   fan-out).  Escalation is a lint pass, not the level-4 gate: the
-   caller bounds it with [gov] (a thin slice in the flow), and an
-   obligation the engine cannot settle degrades to an [Inconclusive]
-   discharge (the warning keeps its severity) instead of stalling the
-   whole report. *)
-let escalate ?pool ?gov ?(max_depth = 12) ?properties nl report =
-  let ctx = Netlist_rules.context ?properties nl in
-  let key (d : D.t) = (d.D.rule, d.D.location, d.D.message) in
-  let wanted =
-    match Netlist_absint.analyze nl with
-    | None -> []
-    | Some a ->
-        List.filter
-          (fun (o : Netlist_absint.obligation) ->
-            List.exists
-              (fun (d : D.t) ->
-                d.D.discharged = None
-                && key d = (o.Netlist_absint.rule, o.Netlist_absint.location,
-                            o.Netlist_absint.message))
-              report.diagnostics)
-          (Netlist_absint.obligations ctx a)
+(* A warning that carries an obligation becomes a model-checker query;
+   the verdict folds back into the same diagnostic.  A diagnostic is
+   undischarged while the report still holds it as the lint run built
+   it: escalation replaces each diagnostic it discharges, so a second
+   escalation dispatches nothing twice.  The report is re-sorted with
+   [D.order], so escalated reports stay byte-identical at any pool
+   width (check_all splits the governor before its fan-out).
+   Escalation is a lint pass, not the level-4 gate: the caller bounds
+   it with [gov] (a thin slice in the flow), and an obligation the
+   engine cannot settle degrades to an [Inconclusive] discharge (the
+   warning keeps its severity) instead of stalling the whole report. *)
+let escalate ?pool ?gov ?(max_depth = 12) nl report =
+  let pending =
+    List.filter (fun (d, _) -> List.memq d report.diagnostics) report.obligations
   in
-  if wanted = [] then report
+  if pending = [] then report
   else begin
     let mc_reports =
-      Mc.Engine.check_all ?pool ~max_depth ?gov nl
-        (List.map (fun (o : Netlist_absint.obligation) -> o.Netlist_absint.prop)
-           wanted)
+      Mc.Engine.check_all ?pool ~max_depth ?gov nl (List.map snd pending)
     in
-    let verdicts = List.combine wanted mc_reports in
+    let verdicts = List.combine (List.map fst pending) mc_reports in
     let apply (d : D.t) =
-      match
-        List.find_opt
-          (fun ((o : Netlist_absint.obligation), _) ->
-            d.D.discharged = None
-            && key d = (o.Netlist_absint.rule, o.Netlist_absint.location,
-                        o.Netlist_absint.message))
-          verdicts
-      with
+      match List.assq_opt d verdicts with
       | None -> d
-      | Some (_, (mc : Mc.Engine.report)) -> (
+      | Some (mc : Mc.Engine.report) -> (
           match mc.Mc.Engine.verdict with
           | Mc.Engine.Proved { method_; depth } ->
               {
@@ -268,9 +261,9 @@ let merge ~target reports =
   {
     target;
     rules_run = union (List.map (fun r -> r.rules_run) reports);
-    suppressed = union (List.map (fun r -> r.suppressed) reports);
     skipped_rules = union (List.map (fun r -> r.skipped_rules) reports);
     diagnostics = D.order (List.concat_map (fun r -> r.diagnostics) reports);
+    obligations = List.concat_map (fun r -> r.obligations) reports;
   }
 
 let count_at_least sev r =
@@ -288,7 +281,6 @@ let to_json r =
       ("schema_version", Json.Int D.schema_version);
       ("lint", Json.Str r.target);
       ("rules_run", Json.List (List.map (fun s -> Json.Str s) r.rules_run));
-      ("suppressed", Json.List (List.map (fun s -> Json.Str s) r.suppressed));
       ("skipped", Json.List (List.map (fun s -> Json.Str s) r.skipped_rules));
       ("errors", Json.Int (errors r));
       ("warnings", Json.Int (warnings r));
@@ -299,10 +291,8 @@ let to_markdown r =
   let b = Buffer.create 256 in
   Buffer.add_string b (Printf.sprintf "## Lint: %s\n\n" r.target);
   Buffer.add_string b
-    (Printf.sprintf "%d rules run, %d errors, %d warnings%s%s\n\n"
+    (Printf.sprintf "%d rules run, %d errors, %d warnings%s\n\n"
        (List.length r.rules_run) (errors r) (warnings r)
-       (if r.suppressed = [] then ""
-        else ", suppressed: " ^ String.concat " " r.suppressed)
        (if r.skipped_rules = [] then ""
         else ", skipped (governor): " ^ String.concat " " r.skipped_rules));
   if r.diagnostics <> [] then begin

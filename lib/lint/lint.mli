@@ -15,9 +15,15 @@ module Netlist := Symbad_hdl.Netlist
 type report = {
   target : string;  (** netlist / program name *)
   rules_run : string list;
-  suppressed : string list;  (** intentionally disabled rule ids *)
   skipped_rules : string list;  (** unaffordable under the governor *)
   diagnostics : Diagnostic.t list;  (** {!Diagnostic.order}, gravest first *)
+  obligations : (Diagnostic.t * Symbad_mc.Prop.t) list;
+      (** the proof obligation of each [net.const-reg] and [net.range]
+          finding that has one, next to the diagnostic of [diagnostics]
+          it discharges (the same value), in the order {!escalate}
+          dispatches them: every constancy claim in register order,
+          then every no-wrap claim in site order.  No output renders
+          them. *)
 }
 
 val netlist_rule_ids : string list
@@ -36,7 +42,6 @@ val run_netlist :
   ?pool:Symbad_par.Par.pool ->
   ?gov:Symbad_gov.Gov.t ->
   ?rules:string list ->
-  ?suppress:string list ->
   ?properties:(string * Expr.t) list ->
   Netlist.t ->
   report
@@ -44,8 +49,9 @@ val run_netlist :
     named width-1 formulas over the netlist's signals (primed register
     reads allowed); they extend the cone of influence and are width-
     and vacuity-checked themselves.  [rules] selects a subset (raises
-    [Invalid_argument] on unknown ids); [suppress] disables ids while
-    recording the suppression in the report. *)
+    [Invalid_argument] on unknown ids).  The report carries the proof
+    obligations of its [net.const-reg] and [net.range] findings, built
+    from the fixpoint the semantic rules share. *)
 
 val run_program :
   ?pool:Symbad_par.Par.pool ->
@@ -89,19 +95,20 @@ val escalate :
   ?pool:Symbad_par.Par.pool ->
   ?gov:Symbad_gov.Gov.t ->
   ?max_depth:int ->
-  ?properties:(string * Expr.t) list ->
   Netlist.t ->
   report ->
   report
-(** Lint-to-proof escalation: every not-yet-discharged diagnostic of
-    [report] that carries a definable obligation
-    ({!Netlist_absint.obligations}) is dispatched to
+(** Lint-to-proof escalation of [report], which {!run_netlist} built
+    over the netlist: every obligation of [report.obligations] whose
+    diagnostic is still undischarged (still in [report.diagnostics] as
+    the lint run built it) is dispatched, in that list's order, to
     {!Symbad_mc.Engine.check_all} under [gov], and the verdict is
     folded back into the diagnostic as its [discharged] annotation —
     proved demotes to [Info], disproved promotes to [Error] with the
     counterexample trace attached, inconclusive leaves the severity
-    unchanged.  Diagnostics are never dropped.  Byte-identical at any
-    pool width.
+    unchanged.  Diagnostics are never dropped, and escalating the
+    result again dispatches nothing.  Byte-identical at any pool
+    width.
 
     [gov] is the only bound on solver effort (omitted = unlimited):
     escalation is a lint pass, not the level-4 gate, so an obligation
@@ -114,7 +121,8 @@ val escalate :
 
 val merge : target:string -> report list -> report
 (** Concatenate reports into one (rule lists unioned in first-seen
-    order, diagnostics re-sorted with {!Diagnostic.order}). *)
+    order, diagnostics re-sorted with {!Diagnostic.order}, obligations
+    concatenated). *)
 
 val errors : report -> int
 val warnings : report -> int

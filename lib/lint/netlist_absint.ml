@@ -35,24 +35,6 @@ let structurally_sound nl =
   | _ -> true
   | exception _ -> false
 
-(* Same predicate as [net.no-reset], shared so the X model and the
-   rule can never disagree. *)
-let unreset_registers nl =
-  let resets =
-    List.filter
-      (fun (n, _) ->
-        List.mem (String.lowercase_ascii n) Netlist_rules.reset_like)
-      (Netlist.inputs nl)
-  in
-  if resets = [] then []
-  else
-    List.filter_map
-      (fun (r : Netlist.register) ->
-        let seen = Netlist_rules.cone nl ~through_regs:false [ r.Netlist.next ] in
-        if List.exists (fun (n, _) -> Hashtbl.mem seen n) resets then None
-        else Some r.Netlist.name)
-      (Netlist.registers nl)
-
 exception Unresolved
 
 (* Abstract evaluation of an expression under a register environment.
@@ -114,7 +96,7 @@ let analyze nl =
   if not (structurally_sound nl) then None
   else
     let regs = Netlist.registers nl in
-    let xregs = unreset_registers nl in
+    let xregs = Netlist_rules.unreset_registers nl in
     let init_of (r : Netlist.register) =
       if List.mem r.Netlist.name xregs then VD.x ~width:r.Netlist.width
       else VD.const r.Netlist.init
@@ -149,33 +131,20 @@ let analyze nl =
     in
     Some { nl; env = iterate 0 env0; xregs }
 
-(* Sites where a value becomes observable: next-state functions and
-   outputs.  Properties join for the X and dead-state scans (they are
-   read by the engines) but not for the range scan — arithmetic inside
-   a property is the property author widening on purpose. *)
-let value_sites (ctx : Netlist_rules.ctx) =
-  List.map
-    (fun (r : Netlist.register) ->
-      ("next(" ^ r.Netlist.name ^ ")", r.Netlist.next))
-    (Netlist.registers ctx.Netlist_rules.nl)
-  @ List.map
-      (fun (n, e) -> ("output " ^ n, e))
-      (Netlist.outputs ctx.Netlist_rules.nl)
-
 (* --- net.x-prop -------------------------------------------------------- *)
 
 let rule_x_prop (ctx : Netlist_rules.ctx) a =
   if a.xregs = [] then []
   else
     let mk = Netlist_rules.diag ctx ~rule:"net.x-prop" ~severity:D.Warning in
+    (* a value becomes observable at an output or a property *)
     let observable =
-      List.map (fun (n, e) -> ("output " ^ n, e)) (Netlist.outputs a.nl)
-      @ List.map
-          (fun (n, e) -> ("property " ^ n, e))
-          ctx.Netlist_rules.properties
+      List.filter
+        (fun (kind, _, _) -> kind <> Netlist_rules.Next_state)
+        (Netlist_rules.sites ctx)
     in
     List.filter_map
-      (fun (loc, e) ->
+      (fun (_, loc, e) ->
         match eval a.nl a.env [] e with
         | exception Unresolved -> None
         | v when VD.is_poison v ->
@@ -202,6 +171,8 @@ let const_reg_message name v =
   Printf.sprintf "register '%s' provably holds %d in every reachable cycle"
     name v
 
+(* Each finding carries its constancy claim: the register equals its
+   constant in every reachable state. *)
 let rule_const_reg (ctx : Netlist_rules.ctx) a =
   let mk = Netlist_rules.diag ctx ~rule:"net.const-reg" ~severity:D.Info in
   List.filter_map
@@ -209,12 +180,17 @@ let rule_const_reg (ctx : Netlist_rules.ctx) a =
       match VD.is_const (List.assoc r.Netlist.name a.env) with
       | Some v ->
           Some
-            (mk
-               ~location:("register " ^ r.Netlist.name)
-               ~hint:
-                 "fold the constant into its readers or drive it with \
-                  varying data"
-               (const_reg_message r.Netlist.name v))
+            ( mk
+                ~location:("register " ^ r.Netlist.name)
+                ~hint:
+                  "fold the constant into its readers or drive it with \
+                   varying data"
+                (const_reg_message r.Netlist.name v),
+              Some
+                (Prop.make
+                   ~name:("lint.const-reg." ^ r.Netlist.name)
+                   (Expr.eq (Expr.reg r.Netlist.name)
+                      (Expr.const ~width:r.Netlist.width v))) )
       | None -> None)
     (Netlist.registers a.nl)
 
@@ -226,7 +202,7 @@ let rule_unreachable_state (ctx : Netlist_rules.ctx) a =
       ~severity:D.Warning
   in
   let seen = Hashtbl.create 8 in
-  let scan (loc, e) =
+  let scan (_, loc, e) =
     let finds = ref [] in
     let rec go (e : Expr.t) =
       (match e with
@@ -297,9 +273,17 @@ let range_message rs =
     rs.idx rs.op_width (VD.to_string rs.va) (op_symbol rs.op)
     (VD.to_string rs.vb)
 
+(* The arithmetic that may wrap, in site order.  Properties are left
+   out: arithmetic inside a property is the property author widening on
+   purpose. *)
 let range_sites a ctx =
+  let value_sites =
+    List.filter
+      (fun (kind, _, _) -> kind <> Netlist_rules.Property)
+      (Netlist_rules.sites ctx)
+  in
   List.concat_map
-    (fun (loc, e) ->
+    (fun (_, loc, e) ->
       let acc = ref [] and idx = ref 0 in
       let hook op lhs rhs va vb =
         match op with
@@ -328,27 +312,7 @@ let range_sites a ctx =
       in
       (try ignore (eval ~hook a.nl a.env [] e) with Unresolved -> ());
       List.rev !acc)
-    (value_sites ctx)
-
-let rule_range (ctx : Netlist_rules.ctx) a =
-  let mk = Netlist_rules.diag ctx ~rule:"net.range" ~severity:D.Warning in
-  List.map
-    (fun rs ->
-      mk ~location:rs.loc
-        ~hint:
-          "widen the datapath, guard the operation, or discharge the \
-           no-wrap obligation with --escalate"
-        (range_message rs))
-    (range_sites a ctx)
-
-(* --- proof obligations ------------------------------------------------- *)
-
-type obligation = {
-  rule : string;
-  location : string;
-  message : string;
-  prop : Prop.t;
-}
+    value_sites
 
 (* Replace comb-net reads with their driving expressions so the
    obligation formula is over registers and inputs only — the model
@@ -386,42 +350,16 @@ let range_obligation_formula nl rs =
            (Expr.const ~width:w 0))
   | _ -> None
 
-let obligations (ctx : Netlist_rules.ctx) a =
-  let const_obls =
-    List.filter_map
-      (fun (r : Netlist.register) ->
-        match VD.is_const (List.assoc r.Netlist.name a.env) with
-        | Some v ->
-            Some
-              {
-                rule = "net.const-reg";
-                location = "register " ^ r.Netlist.name;
-                message = const_reg_message r.Netlist.name v;
-                prop =
-                  Prop.make
-                    ~name:("lint.const-reg." ^ r.Netlist.name)
-                    (Expr.eq (Expr.reg r.Netlist.name)
-                       (Expr.const ~width:r.Netlist.width v));
-              }
-        | None -> None)
-      (Netlist.registers a.nl)
-  in
-  let range_obls =
-    List.filter_map
-      (fun rs ->
-        match range_obligation_formula a.nl rs with
-        | None -> None
-        | Some f ->
-            Some
-              {
-                rule = "net.range";
-                location = rs.loc;
-                message = range_message rs;
-                prop =
-                  Prop.make
-                    ~name:(Printf.sprintf "lint.range.%s.%d" rs.loc rs.idx)
-                    f;
-              })
-      (range_sites a ctx)
-  in
-  const_obls @ range_obls
+let rule_range (ctx : Netlist_rules.ctx) a =
+  let mk = Netlist_rules.diag ctx ~rule:"net.range" ~severity:D.Warning in
+  List.map
+    (fun rs ->
+      ( mk ~location:rs.loc
+          ~hint:
+            "widen the datapath, guard the operation, or discharge the \
+             no-wrap obligation with --escalate"
+          (range_message rs),
+        Option.map
+          (Prop.make ~name:(Printf.sprintf "lint.range.%s.%d" rs.loc rs.idx))
+          (range_obligation_formula a.nl rs) ))
+    (range_sites a ctx)

@@ -8,9 +8,9 @@
     with widening at the sequential back-edge — until stable.
 
     The fixpoint powers the four semantic rules ([net.x-prop],
-    [net.range], [net.unreachable-state], [net.const-reg]) and the
-    proof obligations {!Lint.escalate} dispatches to the model checker.
-    Only structurally sound netlists are interpreted: a netlist
+    [net.range], [net.unreachable-state], [net.const-reg]); [net.range]
+    and [net.const-reg] pair each finding with the proof obligation
+    {!Lint.escalate} dispatches to the model checker.  Only structurally sound netlists are interpreted: a netlist
     {!Symbad_hdl.Netlist.make} would reject yields no findings here —
     the syntactic rules own those defects. *)
 
@@ -27,25 +27,22 @@ val reg_value : analysis -> string -> Value_domain.t option
     Each reads the fixpoint its caller computed once for the run. *)
 
 val rule_x_prop : Netlist_rules.ctx -> analysis -> Diagnostic.t list
-val rule_range : Netlist_rules.ctx -> analysis -> Diagnostic.t list
 val rule_unreachable_state : Netlist_rules.ctx -> analysis -> Diagnostic.t list
-val rule_const_reg : Netlist_rules.ctx -> analysis -> Diagnostic.t list
 
-(** {1 Lint-to-proof obligations} *)
+(** {1 Findings that carry proof obligations}
 
-type obligation = {
-  rule : string;
-  location : string;
-  message : string;
-      (** [rule]/[location]/[message] key the diagnostic the obligation
-          belongs to — byte-identical to the one the rule reported *)
-  prop : Symbad_mc.Prop.t;
-      (** the residual proof obligation: an invariant whose refutation
-          confirms the warning and whose proof discharges it *)
-}
+    Each finding comes with its residual proof obligation when one is
+    definable: an invariant whose refutation confirms the warning and
+    whose proof discharges it. *)
 
-val obligations : Netlist_rules.ctx -> analysis -> obligation list
-(** Every definable obligation of the netlist's semantic warnings, in
-    deterministic rule order: [net.range] sites small enough to widen
-    within {!Symbad_hdl.Bitvec.max_width}, and [net.const-reg]
-    constancy claims. *)
+val rule_const_reg :
+  Netlist_rules.ctx -> analysis -> (Diagnostic.t * Symbad_mc.Prop.t option) list
+(** One finding per constant register, in register order, each with
+    its constancy claim. *)
+
+val rule_range :
+  Netlist_rules.ctx -> analysis -> (Diagnostic.t * Symbad_mc.Prop.t option) list
+(** One finding per arithmetic node that may wrap, in site order
+    (next-state functions by register, then outputs; DFS order within
+    a site), with its no-wrap claim when the widened operation fits
+    {!Symbad_hdl.Bitvec.max_width}. *)

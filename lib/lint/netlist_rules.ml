@@ -31,13 +31,17 @@ let base_name n =
 let diag ctx ?hint ~rule ~severity ~location message =
   D.make ?hint ~rule ~severity ~target:ctx.target ~location message
 
-(* Every expression in the design, with a location label. *)
+type site_kind = Next_state | Output | Property
+
+(* Every expression in the design, with its kind and a location label:
+   next-state functions in register order, outputs, then properties. *)
 let sites ctx =
   List.map
-    (fun (r : Netlist.register) -> ("next(" ^ r.Netlist.name ^ ")", r.Netlist.next))
+    (fun (r : Netlist.register) ->
+      (Next_state, "next(" ^ r.Netlist.name ^ ")", r.Netlist.next))
     (Netlist.registers ctx.nl)
-  @ List.map (fun (n, e) -> ("output " ^ n, e)) (Netlist.outputs ctx.nl)
-  @ List.map (fun (n, e) -> ("property " ^ n, e)) ctx.properties
+  @ List.map (fun (n, e) -> (Output, "output " ^ n, e)) (Netlist.outputs ctx.nl)
+  @ List.map (fun (n, e) -> (Property, "property " ^ n, e)) ctx.properties
 
 (* Names appearing more than once, deduplicated, sorted. *)
 let duplicates names =
@@ -120,7 +124,7 @@ let rule_undriven ctx =
   let mk = diag ctx ~rule:"net.undriven" ~severity:D.Error in
   let findings =
     List.concat_map
-      (fun (loc, e) ->
+      (fun (_, loc, e) ->
         Expr.fold_names
           (fun acc -> function
             | `Input n ->
@@ -379,7 +383,7 @@ let rule_dead_logic ctx =
     | Expr.Mux (a, b, c) -> scan ~loc (scan ~loc (scan ~loc acc a) b) c
   in
   let mux_diags =
-    List.fold_left (fun acc (loc, e) -> scan ~loc acc e) [] (sites ctx)
+    List.fold_left (fun acc (_, loc, e) -> scan ~loc acc e) [] (sites ctx)
     |> List.rev
   in
   let prop_diags =
@@ -414,32 +418,38 @@ let rule_dead_logic ctx =
 
 let reset_like = [ "reset"; "rst"; "rst_n"; "arst"; "nreset" ]
 
+let reset_inputs nl =
+  List.filter_map
+    (fun (n, _) ->
+      if List.mem (String.lowercase_ascii n) reset_like then Some n else None)
+    (Netlist.inputs nl)
+
+(* The registers whose next-state cone ignores every reset input.  With
+   no reset input there are none: registers then reset through their
+   init values, and there is no reset path to cover.  net.no-reset
+   reports these registers and the fixpoint models them as X after
+   reset, so the rule and the X model can never disagree. *)
+let unreset_registers nl =
+  match reset_inputs nl with
+  | [] -> []
+  | resets ->
+      List.filter_map
+        (fun (r : Netlist.register) ->
+          let seen = cone nl ~through_regs:false [ r.Netlist.next ] in
+          if List.exists (Hashtbl.mem seen) resets then None
+          else Some r.Netlist.name)
+        (Netlist.registers nl)
+
 let rule_no_reset ctx =
-  let nl = ctx.nl in
   let mk = diag ctx ~rule:"net.no-reset" ~severity:D.Warning in
-  let resets =
-    List.filter
-      (fun (n, _) -> List.mem (String.lowercase_ascii n) reset_like)
-      (Netlist.inputs nl)
-  in
-  if resets = [] then
-    (* registers reset through their init values; without an explicit
-       reset input there is no reset path to cover *)
-    []
-  else
-    List.filter_map
-      (fun (r : Netlist.register) ->
-        let seen = cone nl ~through_regs:false [ r.Netlist.next ] in
-        if List.exists (fun (n, _) -> Hashtbl.mem seen n) resets then None
-        else
-          Some
-            (mk
-               ~location:("register " ^ r.Netlist.name)
-               ~hint:
-                 (Printf.sprintf "gate next(%s) with input '%s'"
-                    r.Netlist.name
-                    (fst (List.hd resets)))
-               (Printf.sprintf
-                  "register '%s' has no path from any reset input"
-                  r.Netlist.name)))
-      (Netlist.registers nl)
+  match reset_inputs ctx.nl with
+  | [] -> []
+  | reset :: _ ->
+      List.map
+        (fun name ->
+          mk
+            ~location:("register " ^ name)
+            ~hint:(Printf.sprintf "gate next(%s) with input '%s'" name reset)
+            (Printf.sprintf "register '%s' has no path from any reset input"
+               name))
+        (unreset_registers ctx.nl)

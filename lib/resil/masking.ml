@@ -34,5 +34,3 @@ let check_triplicated nl =
       (Tmr.triplication_properties nl)
   in
   Engine.check_all tmr props
-
-let all_proved = Engine.all_proved

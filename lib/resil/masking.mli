@@ -17,5 +17,3 @@ val check_voter : unit -> Symbad_mc.Engine.report list
 
 val check_triplicated : Symbad_hdl.Netlist.t -> Symbad_mc.Engine.report list
 (** Triplicate the given datapath and prove its lock-step invariant. *)
-
-val all_proved : Symbad_mc.Engine.report list -> bool

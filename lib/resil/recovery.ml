@@ -118,5 +118,3 @@ let properties ?(max_tries = 2) nl =
 let check () =
   let nl = netlist () in
   Engine.check_all nl (properties nl)
-
-let all_proved = Engine.all_proved

@@ -23,6 +23,3 @@ val properties :
 val check : unit -> Symbad_mc.Engine.report list
 (** Build the default netlist and discharge every property with the
     level-4 engine, sequentially and unlimited. *)
-
-val all_proved : Symbad_mc.Engine.report list -> bool
-(** Re-export of [Symbad_mc.Engine.all_proved]. *)

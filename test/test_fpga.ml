@@ -189,21 +189,49 @@ let fpga_crc_redownload () =
   check "no failed downloads" 0 s.Fpga.failed_downloads;
   check "context up" 1 s.Fpga.reconfigurations
 
+(* With telemetry on, the reconfiguration span of a download that gives
+   up completes, marked failed, and a span begun afterwards has no
+   parent left open. *)
 let fpga_download_gives_up () =
-  let k = Sim.Kernel.create () in
-  let bus = Tlm.Bus.create () in
-  let f = two_ctx_fpga () in
-  (* persistent corruption: every attempt flips a word *)
-  Fpga.inject_download_fault f (Some (fun ~attempt:_ ~word:_ -> 1));
-  let attempts = ref 0 in
-  Sim.Kernel.spawn k (fun () ->
-      try Fpga.reconfigure f ~bus ~master:"cpu" "c1"
-      with Fpga.Download_failed { attempts = a; _ } -> attempts := a);
-  Sim.Kernel.run k;
-  check "gave up after three attempts" 3 !attempts;
-  let s = Fpga.stats f in
-  check "failed download counted" 1 s.Fpga.failed_downloads;
-  check "nothing loaded" 0 s.Fpga.reconfigurations
+  let module Obs = Symbad_obs.Obs in
+  let module Tracer = Symbad_obs.Tracer in
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let k = Sim.Kernel.create () in
+      let bus = Tlm.Bus.create () in
+      let f = two_ctx_fpga () in
+      (* persistent corruption: every attempt flips a word *)
+      Fpga.inject_download_fault f (Some (fun ~attempt:_ ~word:_ -> 1));
+      let attempts = ref 0 in
+      Sim.Kernel.spawn k (fun () ->
+          try Fpga.reconfigure f ~bus ~master:"cpu" "c1"
+          with Fpga.Download_failed { attempts = a; _ } -> attempts := a);
+      Sim.Kernel.run k;
+      check "gave up after three attempts" 3 !attempts;
+      let s = Fpga.stats f in
+      check "failed download counted" 1 s.Fpga.failed_downloads;
+      check "nothing loaded" 0 s.Fpga.reconfigurations;
+      Obs.end_span (Obs.begin_span "after");
+      let spans name =
+        List.filter
+          (fun (c : Tracer.completed) -> String.equal c.Tracer.name name)
+          (Tracer.completed_spans (Obs.tracer ()))
+      in
+      (match spans "fpga.reconfigure" with
+      | [ c ] ->
+          Alcotest.(check bool)
+            "span marked failed" true
+            (List.mem ("failed", Symbad_obs.Json.Bool true) c.Tracer.args)
+      | l -> Alcotest.failf "%d fpga.reconfigure spans, expected 1" (List.length l));
+      match spans "after" with
+      | [ c ] ->
+          Alcotest.(check (option int)) "no stale parent" None c.Tracer.parent
+      | _ -> Alcotest.fail "the later span did not complete")
 
 let fpga_scrub_reloads_upset () =
   let k = Sim.Kernel.create () in

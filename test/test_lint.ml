@@ -1,7 +1,7 @@
 (* Tests for the static-analysis subsystem: per-rule seeded-defect
    fixtures (one target that must fire each rule, one clean target that
    must not), the governed/parallel framework contracts (jobs-width
-   invariant reports, governor skips recorded, suppressions recorded),
+   invariant reports, governor skips recorded),
    the documented may/must-vs-dynamic-SymbC warning direction, and the
    satellite bugfixes (Expr.infer_width, early Simulator errors). *)
 
@@ -157,12 +157,6 @@ let never_loaded_is_error () =
 
 (* --- framework contracts --------------------------------------------- *)
 
-let suppression_recorded () =
-  let r = Lint.run_netlist ~suppress:[ "net.width" ] Seeded.width_mismatch in
-  check_bool "suppressed rule does not fire" false (fired "net.width" r);
-  check_bool "suppression recorded" true
-    (List.mem "net.width" r.Lint.suppressed)
-
 let unknown_rule_rejected () =
   match Lint.run_netlist ~rules:[ "net.typo" ] Seeded.clean with
   | _ -> Alcotest.fail "unknown rule id must be rejected"
@@ -260,12 +254,12 @@ let simulator_rejects_malformed () =
 
 (* --- the repo corpus lints clean -------------------------------------
 
-   Every netlist the repo builds, with its intentional suppressions
-   documented here:
+   Every netlist the repo builds, under every netlist rule but the
+   exceptions documented here:
    - [distance_datapath_buggy] drops the [start] clear (the seeded
      memory-init bug), leaving [start] genuinely unused — net.unused is
-     the symptom of the bug, so it is suppressed, not fixed;
-   - net.range is suppressed on the datapaths whose wraparound is
+     the symptom of the bug, so it is left out, not fixed;
+   - net.range is left out on the datapaths whose wraparound is
      intentional or guarded: [counter] wraps by definition, [distance]
      computes two's-complement differences before squaring (the wrap
      IS the negation), [fifo_ctrl]'s count is inc/dec-guarded by
@@ -278,40 +272,45 @@ let simulator_rejects_malformed () =
      escalatable on demand. *)
 let repo_corpus_is_clean () =
   let module R = Symbad_hdl.Rtl_lib in
-  let clean ?suppress name nl =
-    let r = Lint.run_netlist ?suppress nl in
+  let rules_but except =
+    List.filter (fun id -> not (List.mem id except)) Lint.netlist_rule_ids
+  in
+  let clean ?(except = []) name nl =
+    let r = Lint.run_netlist ~rules:(rules_but except) nl in
     check_int (name ^ " lints clean") 0 (List.length r.Lint.diagnostics)
   in
-  clean "counter" ~suppress:[ "net.range" ] (R.counter ~width:4);
-  clean "distance" ~suppress:[ "net.range" ] (R.distance_datapath ());
-  clean "distance_buggy" ~suppress:[ "net.unused"; "net.range" ]
+  clean "counter" ~except:[ "net.range" ] (R.counter ~width:4);
+  clean "distance" ~except:[ "net.range" ] (R.distance_datapath ());
+  clean "distance_buggy" ~except:[ "net.unused"; "net.range" ]
     (R.distance_datapath_buggy ());
   clean "wrapper" (R.handshake_wrapper ());
   clean "wrapper_buggy" (R.handshake_wrapper_buggy ());
-  clean "fifo_ctrl" ~suppress:[ "net.range" ] (R.fifo_ctrl ());
-  clean "fifo_ctrl_buggy" ~suppress:[ "net.range" ] (R.fifo_ctrl_buggy ());
-  clean "argmin" ~suppress:[ "net.range" ] (R.argmin_datapath ());
+  clean "fifo_ctrl" ~except:[ "net.range" ] (R.fifo_ctrl ());
+  clean "fifo_ctrl_buggy" ~except:[ "net.range" ] (R.fifo_ctrl_buggy ());
+  clean "argmin" ~except:[ "net.range" ] (R.argmin_datapath ());
   (* verification-only registers (ROOT's [nsave], recovery's [nonop])
      are live only through property cones: these two lint clean WITH
      their properties, and warn net.unused without them *)
   let pairs props =
     List.map (fun p -> (Symbad_mc.Prop.name p, Symbad_mc.Prop.formula p)) props
   in
-  let clean_with_props ?suppress name nl props =
+  let clean_with_props ~except name nl props =
     let bare = Lint.run_netlist nl in
     check_bool
       (name ^ " warns net.unused without properties")
       true
       (fired "net.unused" bare);
-    let r = Lint.run_netlist ?suppress ~properties:(pairs props) nl in
+    let r =
+      Lint.run_netlist ~rules:(rules_but except) ~properties:(pairs props) nl
+    in
     check_int (name ^ " lints clean with properties") 0
       (List.length r.Lint.diagnostics)
   in
-  clean_with_props "root" ~suppress:[ "net.range" ] (R.root_datapath ())
+  clean_with_props "root" ~except:[ "net.range" ] (R.root_datapath ())
     (Symbad_core.Level4.root_properties ());
   let module Recovery = Symbad_resil.Recovery in
   let nl = Recovery.netlist () in
-  clean_with_props "recovery_ctrl" ~suppress:[ "net.range" ] nl
+  clean_with_props "recovery_ctrl" ~except:[ "net.range" ] nl
     (Recovery.properties nl)
 
 (* --- the semantic (abstract-interpretation) engine ------------------- *)
@@ -373,12 +372,30 @@ let corpus_reaches_fixpoint () =
 (* The escalation round-trip on the seeded fixture: one warning is
    disproved (the accumulator wraps — promoted to error, two-frame
    counterexample attached), one is proved (d + ~d never carries —
-   demoted to info), nothing is dropped. *)
+   demoted to info), nothing is dropped.  The lint run pairs each
+   warning with its obligation, a rule that did not run leaves none,
+   and a second escalation dispatches nothing: its governor grows no
+   row below the root. *)
 let escalation_roundtrip () =
   let before = Lint.run_netlist Seeded.escalation in
   check_int "two warnings before" 2 (Lint.warnings before);
   check_int "no errors before" 0 (Lint.errors before);
+  check_bool "each obligation sits next to its warning" true
+    (List.length before.Lint.obligations = 2
+    && List.for_all
+         (fun (d, _) -> List.memq d before.Lint.diagnostics)
+         before.Lint.obligations);
+  let width_only = Lint.run_netlist ~rules:[ "net.width" ] Seeded.escalation in
+  check_int "no obligation without its rule" 0
+    (List.length width_only.Lint.obligations);
   let after = Lint.escalate Seeded.escalation before in
+  let gov = Gov.create (Budget.make ~conflicts:1_000 ()) in
+  let again = Lint.escalate ~gov Seeded.escalation after in
+  check_int "a second escalation dispatches nothing" 1
+    (List.length (Gov.waterfall gov));
+  check_str "and leaves the report as it was"
+    (Json.to_string (Lint.to_json after))
+    (Json.to_string (Lint.to_json again));
   check_int "nothing dropped" 2 (List.length after.Lint.diagnostics);
   check_int "exactly one promoted error" 1 (Lint.errors after);
   check_int "no warnings left" 0 (Lint.warnings after);
@@ -569,7 +586,6 @@ let suite =
     Alcotest.test_case "warning direction vs dynamic SymbC" `Quick
       warning_direction_vs_symbc;
     Alcotest.test_case "never-loaded is an error" `Quick never_loaded_is_error;
-    Alcotest.test_case "suppressions are recorded" `Quick suppression_recorded;
     Alcotest.test_case "unknown rule ids rejected" `Quick unknown_rule_rejected;
     Alcotest.test_case "governor skips are recorded" `Quick
       governor_skips_recorded;

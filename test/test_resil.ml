@@ -24,7 +24,7 @@ let recovery_fsm_proved () =
         | Symbad_mc.Engine.Proved _ -> true
         | _ -> false))
     reports;
-  Alcotest.(check bool) "all_proved" true (Recovery.all_proved reports)
+  Alcotest.(check bool) "all_proved" true (Symbad_mc.Engine.all_proved reports)
 
 let recovery_fsm_bounds_validated () =
   Alcotest.(check bool) "max_tries validated" true
@@ -184,7 +184,7 @@ let fault_of_string_parses_and_rejects () =
 let masking_voter_proved () =
   let reports = Masking.check_voter () in
   check "seven properties" 7 (List.length reports);
-  Alcotest.(check bool) "all proved" true (Masking.all_proved reports)
+  Alcotest.(check bool) "all proved" true (Symbad_mc.Engine.all_proved reports)
 
 let masking_lockstep_proved () =
   List.iter
@@ -192,7 +192,7 @@ let masking_lockstep_proved () =
       Alcotest.(check bool)
         (name ^ " lock-step proved")
         true
-        (Masking.all_proved (Masking.check_triplicated nl)))
+        (Symbad_mc.Engine.all_proved (Masking.check_triplicated nl)))
     [
       ("counter", Symbad_hdl.Rtl_lib.counter ~width:4);
       ( "distance",
