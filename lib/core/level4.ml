@@ -333,9 +333,11 @@ let verify_module_live ?pool ~gov ~escalate ~max_depth ~pcc_depth ~max_reg_bits
      disproves never reaches the SAT engines.  Only errors gate —
      warnings and governor-skipped rules let verification proceed. *)
   let lint_gov = Symbad_gov.Gov.slice ~label:"lint" ~fraction:0.1 gov in
+  let prop_pairs =
+    List.map (fun p -> (Prop.name p, Prop.formula p)) m.properties
+  in
   let lint =
-    Symbad_lint.Lint.run_netlist ?pool ~gov:lint_gov
-      ~properties:(List.map (fun p -> (Prop.name p, Prop.formula p)) m.properties)
+    Symbad_lint.Lint.run_netlist ?pool ~gov:lint_gov ~properties:prop_pairs
       m.netlist
   in
   (* escalation runs before the gate so a disproved warning (promoted

@@ -76,9 +76,8 @@ let prop_pairs props =
    re-deriving it would mean running levels 1-3 a second time. *)
 let lint_corpus ?pool ?gov ?rules ~escalate part =
   let run nl properties =
-    let r =
-      Lint.run_netlist ?pool ?gov ?rules ~properties:(prop_pairs properties) nl
-    in
+    let properties = prop_pairs properties in
+    let r = Lint.run_netlist ?pool ?gov ?rules ~properties nl in
     if escalate then Lint.escalate ?pool ?gov nl r else r
   in
   let rtl () =
