@@ -132,7 +132,8 @@ let run_netlist ?pool ?gov ?rules ?properties nl =
       | "net.no-reset" -> Netlist_rules.rule_no_reset ctx
       | "net.x-prop" -> semantic Netlist_absint.rule_x_prop
       | "net.range" -> List.map fst range
-      | "net.unreachable-state" -> semantic Netlist_absint.rule_unreachable_state
+      | "net.unreachable-state" ->
+          semantic Netlist_absint.rule_unreachable_state
       | "net.const-reg" -> List.map fst const_reg
       | id -> invalid_arg ("Lint: not a netlist rule: " ^ id)
     in
@@ -195,7 +196,9 @@ let run_tenants ?pool ?gov ?rules ?deadline_ns ci tenants =
    warning keeps its severity) instead of stalling the whole report. *)
 let escalate ?pool ?gov ?(max_depth = 12) nl report =
   let pending =
-    List.filter (fun (d, _) -> List.memq d report.diagnostics) report.obligations
+    List.filter
+      (fun (d, _) -> List.memq d report.diagnostics)
+      report.obligations
   in
   if pending = [] then report
   else begin

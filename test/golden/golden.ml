@@ -1,8 +1,9 @@
 (* The golden-file producer: writes the exact determinism columns of
    the fault campaigns, the lint corpus, the governed verdict mixes, the
-   level-2/3 platform, LPV's deadlock verdicts and the case study's
-   pixels as resil.out, tmr.out, lint.out, gov.out, platform.out,
-   lpv.out and image.out in the current directory.  The dune file beside it
+   level-2/3 platform, LPV's deadlock verdicts, the lint-to-proof
+   escalation and the case study's pixels as resil.out, tmr.out,
+   lint.out, gov.out, platform.out, lpv.out, escalate.out and image.out
+   in the current directory.  The dune file beside it
    diffs each against its committed .json, so `dune runtest` fails on
    any drift and `dune promote` accepts a deliberate move.  No host timings: wall-clock figures are
    the benchmark's job (perf/). *)
@@ -308,7 +309,9 @@ let escalate () =
   let mixed =
     let module Expr = Symbad_hdl.Expr in
     let module Bitvec = Symbad_hdl.Bitvec in
-    let reg name width init next = { Symbad_hdl.Netlist.name; width; init; next } in
+    let reg name width init next =
+      { Symbad_hdl.Netlist.name; width; init; next }
+    in
     let d = Expr.input "d" in
     Symbad_hdl.Netlist.make ~name:"mixed_claims"
       ~inputs:[ ("d", 4) ]
@@ -362,10 +365,12 @@ let escalate () =
       ]
   in
   let run (name, budget) =
-    let gov = Option.map (fun n -> Gov.create ~label:"lint" (Budget.make ~conflicts:n ())) budget in
-    let seeded nl =
-      Lint.escalate ?gov nl (Lint.run_netlist ?gov nl)
+    let gov =
+      Option.map
+        (fun n -> Gov.create ~label:"lint" (Budget.make ~conflicts:n ()))
+        budget
     in
+    let seeded nl = Lint.escalate ?gov nl (Lint.run_netlist ?gov nl) in
     let reports =
       Symbad_report.Report.lint_corpus ?gov ~escalate:true `All
       @ [ seeded Seeded.escalation; seeded mixed ]
@@ -375,14 +380,19 @@ let escalate () =
     in
     numbered "diagnostic"
       (List.concat_map
-         (fun (r : Lint.report) -> List.filter_map diagnostic r.Lint.diagnostics)
+         (fun (r : Lint.report) ->
+           List.filter_map diagnostic r.Lint.diagnostics)
          reports)
     @ numbered "waterfall"
         (match gov with None -> [] | Some g -> List.map row (Gov.waterfall g))
   in
   write_lines "escalate"
     (List.concat_map run
-       [ ("unlimited", None); ("conflicts 40", Some 40); ("conflicts 400", Some 400) ])
+       [
+         ("unlimited", None);
+         ("conflicts 40", Some 40);
+         ("conflicts 400", Some 400);
+       ])
 
 (* The image pipeline, pixel for pixel: for every size, identity and
    pose of the grid, the digests of the rendered scene, the camera's
