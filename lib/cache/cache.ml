@@ -1,10 +1,11 @@
 (* The verdict store: one JSON file per key under a cache directory.
 
    Lookups and stores are content-addressed ({!Key}), so there is no
-   invalidation protocol — an edited netlist or property simply hashes
-   to a different key and misses.  Writes go through a temp file and a
-   rename, so a torn write can never produce a half-parseable entry; a
-   corrupt, unreadable or undecodable entry reads as a miss.
+   invalidation protocol — an edited netlist or property, or an edit
+   to the library's code, simply hashes to a different key and misses.
+   Writes go through a temp file and a rename, so a torn write can
+   never produce a half-parseable entry; a corrupt, unreadable or
+   undecodable entry reads as a miss.
 
    Telemetry: every lookup bumps the [cache.hits] or [cache.misses]
    counter (and each write [cache.stores]) through the Obs facade, and
@@ -66,9 +67,13 @@ let find t key decode =
   count t ~hit:(Option.is_some entry);
   entry
 
-let ensure_dir d =
-  if not (Sys.file_exists d) then
+(* creates the missing parents too; a directory that cannot be made
+   surfaces as the failed write in [store] *)
+let rec ensure_dir d =
+  if not (Sys.file_exists d) then begin
+    ensure_dir (Filename.dirname d);
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
+  end
 
 let store t key json =
   ensure_dir t.dir;

@@ -2,9 +2,10 @@
     under a cache directory.
 
     No invalidation protocol exists or is needed — an edited netlist,
-    property, budget or engine version hashes to a different key and
-    misses.  Corrupt, unreadable or undecodable entries read as misses;
-    writes are atomic (temp file + rename).
+    property or budget, or a binary built from edited library sources,
+    hashes to a different key and misses.  Corrupt, unreadable or
+    undecodable entries read as misses; writes are atomic (temp file +
+    rename).
 
     Every lookup bumps [cache.hits] / [cache.misses] (and each write
     [cache.stores]) on the {!Symbad_obs.Obs} facade, and the same
@@ -16,7 +17,7 @@ val create : ?dir:string -> unit -> t
 (** A handle on [dir] (default [$SYMBAD_CACHE_DIR] if set and
     non-empty, else ["_symbad_cache"] relative to the working
     directory).  Nothing touches the filesystem until the first
-    {!store}. *)
+    {!store}, which creates [dir] and its missing parents. *)
 
 val dir : t -> string
 

@@ -1,115 +1,20 @@
 (* Content-addressed cache keys.
 
-   A key is the MD5 of a canonical text rendering of everything the
-   verdict depends on: the netlist (structure, widths, reset values),
-   the properties, the budget class, the engine version and the
-   numeric engine parameters.  Editing any of these — renaming a
-   register, widening a port, changing a property formula, granting a
-   different conflict allowance — changes the key, so a stale verdict
-   can never be replayed against different work.
+   A key is the MD5 of everything a verdict depends on: the digest of
+   the library sources that produced it ({!Build_digest}), the netlist,
+   the properties, the budget class and the escalation flag.  They are
+   marshalled without sharing, so equal values give equal bytes however
+   they were built.  Editing any of them, or any code under lib/,
+   changes the key, so a stale verdict can never be replayed; a changed
+   marshal format can only cause misses. *)
 
-   The rendering is explicit rather than [Marshal]-based so the key is
-   stable across compiler versions and insensitive to sharing. *)
-
-module Netlist = Symbad_hdl.Netlist
-module Expr = Symbad_hdl.Expr
-module Bitvec = Symbad_hdl.Bitvec
-module Prop = Symbad_mc.Prop
-module Budget = Symbad_gov.Budget
-
-let add_bitvec buf v =
-  Buffer.add_string buf
-    (Printf.sprintf "%d'%d" (Bitvec.width v) (Bitvec.to_int v))
-
-let rec add_expr buf (e : Expr.t) =
-  let str = Buffer.add_string buf in
-  match e with
-  | Expr.Const v ->
-      str "C(";
-      add_bitvec buf v;
-      str ")"
-  | Expr.Input n -> str (Printf.sprintf "I(%s)" n)
-  | Expr.Reg n -> str (Printf.sprintf "R(%s)" n)
-  | Expr.Unop (op, a) ->
-      str (match op with Expr.Not -> "not(" | Expr.Neg -> "neg(");
-      add_expr buf a;
-      str ")"
-  | Expr.Binop (op, a, b) ->
-      str (Expr.binop_to_string op);
-      str "(";
-      add_expr buf a;
-      str ",";
-      add_expr buf b;
-      str ")"
-  | Expr.Mux (s, t, f) ->
-      str "mux(";
-      add_expr buf s;
-      str ",";
-      add_expr buf t;
-      str ",";
-      add_expr buf f;
-      str ")"
-  | Expr.Slice (a, hi, lo) ->
-      str (Printf.sprintf "slice[%d:%d](" hi lo);
-      add_expr buf a;
-      str ")"
-  | Expr.Concat (hi, lo) ->
-      str "concat(";
-      add_expr buf hi;
-      str ",";
-      add_expr buf lo;
-      str ")"
-
-let add_netlist buf nl =
-  Buffer.add_string buf (Printf.sprintf "netlist:%s\n" (Netlist.name nl));
-  List.iter
-    (fun (n, w) -> Buffer.add_string buf (Printf.sprintf "in:%s:%d\n" n w))
-    (Netlist.inputs nl);
-  List.iter
-    (fun (r : Netlist.register) ->
-      Buffer.add_string buf
-        (Printf.sprintf "reg:%s:%d:init=" r.Netlist.name r.Netlist.width);
-      add_bitvec buf r.Netlist.init;
-      Buffer.add_string buf ":next=";
-      add_expr buf r.Netlist.next;
-      Buffer.add_char buf '\n')
-    (Netlist.registers nl);
-  List.iter
-    (fun (n, e) ->
-      Buffer.add_string buf (Printf.sprintf "out:%s=" n);
-      add_expr buf e;
-      Buffer.add_char buf '\n')
-    (Netlist.outputs nl)
-
-let add_prop buf p =
-  Buffer.add_string buf
-    (Printf.sprintf "prop:%s:%s=" (Prop.name p)
-       (if Prop.is_step p then "step" else "inv"));
-  add_expr buf (Prop.formula p);
-  Buffer.add_char buf '\n'
-
-(* The budget class: which logical allowances bound the run.  Only the
-   deterministic currencies and the retry count enter the key — the
-   deadline is a wall-clock cutoff whose effect is not reproducible, so
-   its mere presence poisons cachability upstream (see {!Cache}); here
-   it is recorded as a flag for completeness. *)
-let budget_class (b : Budget.t) =
-  let axis name = function None -> name ^ "=inf" | Some n -> Printf.sprintf "%s=%d" name n in
-  String.concat ";"
-    [
-      axis "conflicts" b.Budget.conflicts;
-      axis "patterns" b.Budget.patterns;
-      Printf.sprintf "retries=%d" b.Budget.retries;
-      Printf.sprintf "deadline=%b" (b.Budget.deadline <> None);
-    ]
-
-let make ~netlist ~props ~budget ~params () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("engine:" ^ Symbad_mc.Engine.version ^ "\n");
-  add_netlist buf netlist;
-  List.iter (add_prop buf) props;
-  Buffer.add_string buf ("budget:" ^ budget_class budget ^ "\n");
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "param:%s=%d\n" k v))
-    params;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+let make ~netlist ~props ~(budget : Symbad_gov.Budget.t) ~escalate =
+  (* the deadline instant is wall-clock state: only its presence is
+     part of the budget class *)
+  let budget =
+    { budget with deadline = Option.map (fun _ -> 0.) budget.deadline }
+  in
+  Marshal.to_string
+    (Build_digest.digest, netlist, props, budget, escalate)
+    [ Marshal.No_sharing ]
+  |> Digest.string |> Digest.to_hex

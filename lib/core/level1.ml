@@ -14,7 +14,6 @@ type result = {
   trace : Sim.Trace.t;
   profile : Annotation.Profile.t;
   kernel_stats : Sim.Kernel.stats;
-  firings : (string * int) list;  (* per task *)
 }
 
 let run (graph : Task_graph.t) =
@@ -30,7 +29,6 @@ let run (graph : Task_graph.t) =
         Hashtbl.add fifos channel f;
         f
   in
-  let firing_counts : (string, int) Hashtbl.t = Hashtbl.create 32 in
   let record_tokens task channels tokens =
     List.iter2
       (fun channel token ->
@@ -50,7 +48,6 @@ let run (graph : Task_graph.t) =
           | Some { Task_graph.outputs; work } ->
               Annotation.Profile.record profile ~task:t.Task_graph.name
                 ~units:work;
-              Hashtbl.replace firing_counts t.Task_graph.name (firing_index + 1);
               record_tokens t.Task_graph.name t.Task_graph.outputs outputs;
               List.iter2
                 (fun c token -> Sim.Fifo.put (fifo_of c) token)
@@ -65,15 +62,4 @@ let run (graph : Task_graph.t) =
      disposing it unwinds the blocked tasks *)
   Fun.protect ~finally:(fun () -> Sim.Kernel.dispose kernel) @@ fun () ->
   Sim.Kernel.run kernel;
-  {
-    trace;
-    profile;
-    kernel_stats = Sim.Kernel.stats kernel;
-    firings =
-      List.map
-        (fun (t : Task_graph.task) ->
-          ( t.Task_graph.name,
-            Option.value ~default:0
-              (Hashtbl.find_opt firing_counts t.Task_graph.name) ))
-        graph.Task_graph.tasks;
-  }
+  { trace; profile; kernel_stats = Sim.Kernel.stats kernel }

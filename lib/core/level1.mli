@@ -10,7 +10,6 @@ type result = {
   trace : Symbad_sim.Trace.t;
   profile : Symbad_tlm.Annotation.Profile.t;
   kernel_stats : Symbad_sim.Kernel.stats;
-  firings : (string * int) list;  (** per task *)
 }
 
 val run : Task_graph.t -> result

@@ -23,13 +23,6 @@ type result = Level3.result = {
 
 let run ?(config = Level3.default_config.Level3.level2) (graph : Task_graph.t)
     (mapping : Mapping.t) =
-  (* environment models (sources) must stay on the CPU: they pace the
-     cyclostatic schedule *)
-  List.iter
-    (fun (t : Task_graph.task) ->
-      if t.Task_graph.inputs = [] && not (Mapping.is_sw mapping t.Task_graph.name)
-      then invalid_arg ("Level2.run: source " ^ t.Task_graph.name ^ " must be SW"))
-    graph.Task_graph.tasks;
   List.iter
     (fun (t : Task_graph.task) ->
       match Mapping.target_of mapping t.Task_graph.name with

@@ -190,6 +190,8 @@ let instrumented_program ?(omit_load_for = []) graph mapping =
 
 let run ?(config = default_config) ?(omit_load_for = []) ?(channel_loss = [])
     ?tap (graph : Task_graph.t) (mapping : Mapping.t) =
+  (* environment models (sources) must stay on the CPU: they pace the
+     cyclostatic schedule *)
   List.iter
     (fun (t : Task_graph.task) ->
       if t.Task_graph.inputs = [] && not (Mapping.is_sw mapping t.Task_graph.name)

@@ -255,21 +255,6 @@ let results_verdicts ~module_name (res : module_results) =
 
 (* --- the verdict cache ------------------------------------------------ *)
 
-let cache_key ~escalate ~max_depth ~pcc_depth ~max_reg_bits gov m =
-  Symbad_cache.Key.make ~netlist:m.netlist ~props:m.properties
-    ~budget:(Symbad_gov.Gov.budget gov)
-    ~params:
-      [
-        ("max_depth", max_depth);
-        ("pcc_depth", pcc_depth);
-        ("max_reg_bits", max_reg_bits);
-        (* the lint gate's behaviour is part of the verdict: growing the
-           rule family or toggling escalation must miss stale entries *)
-        ("lint_rules", List.length Symbad_lint.Lint.netlist_rule_ids);
-        ("escalate", if escalate then 1 else 0);
-      ]
-    ()
-
 (* A hit needs all three rows to decode: an entry with a missing,
    ill-typed or contradictory row ({!Verdict.of_json}) is a miss. *)
 let cached_report cache key (m : rtl_module) =
@@ -374,18 +359,16 @@ let verify_module ?pool ?cache ?gov ?(escalate = false) m =
      register *)
   let max_depth = 12 and pcc_depth = 6 and max_reg_bits = 4 in
   let gov = Symbad_gov.Gov.get gov in
-  let key =
-    match cache with
-    | None -> None
-    | Some _ ->
-        Some (cache_key ~escalate ~max_depth ~pcc_depth ~max_reg_bits gov m)
+  (* the key covers these constants through the build digest *)
+  let cache =
+    Option.map
+      (fun c ->
+        ( c,
+          Symbad_cache.Key.make ~netlist:m.netlist ~props:m.properties
+            ~budget:(Symbad_gov.Gov.budget gov) ~escalate ))
+      cache
   in
-  let hit =
-    match (cache, key) with
-    | Some c, Some k -> cached_report c k m
-    | _ -> None
-  in
-  match hit with
+  match Option.bind cache (fun (c, k) -> cached_report c k m) with
   | Some r -> r
   | None ->
       let res =
@@ -405,8 +388,8 @@ let verify_module ?pool ?cache ?gov ?(escalate = false) m =
           results = Some res;
         }
       in
-      (match (cache, key) with
-      | Some c, Some k
+      (match cache with
+      | Some (c, k)
         when storable gov res (lint_verdict, mc_verdict, pcc_verdict) ->
           store_report c k r
       | _ -> ());

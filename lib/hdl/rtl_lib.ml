@@ -48,40 +48,32 @@ let counter ~width =
    Arithmetic is done at [acc_width]; because (-d)^2 = d^2 modulo 2^w,
    the zero-extended subtraction squares correctly. *)
 
-let distance_datapath ?(data_width = 8) ?(acc_width = 16) () =
+(* [next] wraps the [valid]-gated accumulation into the accumulator's
+   next state; the twins differ only there. *)
+let distance ~name ~next ~data_width ~acc_width =
   let aw = acc_width in
   let a = zext (Expr.input "a") ~from:data_width ~to_:aw in
   let b = zext (Expr.input "b") ~from:data_width ~to_:aw in
   let acc = Expr.reg "acc" in
   let diff = Expr.sub a b in
   let sq = Expr.mul diff diff in
-  let next =
-    Expr.mux (Expr.input "start") (zero aw)
-      (Expr.mux (Expr.input "valid") (Expr.add acc sq) acc)
-  in
-  Netlist.make ~name:"distance"
+  let next = next (Expr.mux (Expr.input "valid") (Expr.add acc sq) acc) in
+  Netlist.make ~name
     ~inputs:[ ("start", 1); ("valid", 1); ("a", data_width); ("b", data_width) ]
     ~registers:
       [ { Netlist.name = "acc"; width = aw; init = Bitvec.zero ~width:aw; next } ]
     ~outputs:[ ("acc", acc) ]
+
+let distance_datapath ?(data_width = 8) ?(acc_width = 16) () =
+  distance ~name:"distance" ~data_width ~acc_width
+    ~next:(Expr.mux (Expr.input "start") (zero acc_width))
 
 (* Seeded design error: the accumulator is not cleared on [start] — the
    "incorrect memory initialization" class of bug Laerte++ found at
    level 1.  Detectable only by a test that runs two vectors back to
    back. *)
 let distance_datapath_buggy ?(data_width = 8) ?(acc_width = 16) () =
-  let aw = acc_width in
-  let a = zext (Expr.input "a") ~from:data_width ~to_:aw in
-  let b = zext (Expr.input "b") ~from:data_width ~to_:aw in
-  let acc = Expr.reg "acc" in
-  let diff = Expr.sub a b in
-  let sq = Expr.mul diff diff in
-  let next = Expr.mux (Expr.input "valid") (Expr.add acc sq) acc in
-  Netlist.make ~name:"distance_buggy"
-    ~inputs:[ ("start", 1); ("valid", 1); ("a", data_width); ("b", data_width) ]
-    ~registers:
-      [ { Netlist.name = "acc"; width = aw; init = Bitvec.zero ~width:aw; next } ]
-    ~outputs:[ ("acc", acc) ]
+  distance ~name:"distance_buggy" ~data_width ~acc_width ~next:Fun.id
 
 (* --- ROOT datapath ----------------------------------------------------- *)
 (* Non-restoring integer square root, one result bit per two input bits.
@@ -159,7 +151,9 @@ let root_correctness ~width () =
 (* One-slot protocol converter: the RTL side offers (req, data); the TL
    side drains with [take].  [ack] pulses when a word is accepted. *)
 
-let handshake_wrapper ?(data_width = 8) () =
+(* [ack] maps the accept condition to the [ack] output; the twins
+   differ only there. *)
+let wrapper ~name ~ack ~data_width =
   let full = Expr.reg "full" and buf = Expr.reg "buf" in
   let req = Expr.input "req"
   and data = Expr.input "data"
@@ -168,7 +162,7 @@ let handshake_wrapper ?(data_width = 8) () =
   let drain = bool_and take full in
   let next_full = Expr.mux accept tru (Expr.mux drain (zero 1) full) in
   let next_buf = Expr.mux accept data buf in
-  Netlist.make ~name:"wrapper"
+  Netlist.make ~name
     ~inputs:[ ("req", 1); ("data", data_width); ("take", 1) ]
     ~registers:
       [
@@ -177,39 +171,28 @@ let handshake_wrapper ?(data_width = 8) () =
         { Netlist.name = "buf"; width = data_width;
           init = Bitvec.zero ~width:data_width; next = next_buf };
       ]
-    ~outputs:[ ("ack", accept); ("valid", full); ("out", buf) ]
+    ~outputs:[ ("ack", ack accept); ("valid", full); ("out", buf) ]
+
+let handshake_wrapper ?(data_width = 8) () =
+  wrapper ~name:"wrapper" ~data_width ~ack:Fun.id
 
 (* Seeded protocol bug: acknowledges even when full, silently dropping the
    word (the buffered data is overwritten only when not full, so an ack
    without storage loses data). *)
 let handshake_wrapper_buggy ?(data_width = 8) () =
-  let full = Expr.reg "full" and buf = Expr.reg "buf" in
-  let req = Expr.input "req"
-  and data = Expr.input "data"
-  and take = Expr.input "take" in
-  let accept = bool_and req (bool_not full) in
-  let drain = bool_and take full in
-  let next_full = Expr.mux accept tru (Expr.mux drain (zero 1) full) in
-  let next_buf = Expr.mux accept data buf in
-  Netlist.make ~name:"wrapper_buggy"
-    ~inputs:[ ("req", 1); ("data", data_width); ("take", 1) ]
-    ~registers:
-      [
-        { Netlist.name = "full"; width = 1; init = Bitvec.zero ~width:1;
-          next = next_full };
-        { Netlist.name = "buf"; width = data_width;
-          init = Bitvec.zero ~width:data_width; next = next_buf };
-      ]
-    ~outputs:[ ("ack", req); ("valid", full); ("out", buf) ]
+  wrapper ~name:"wrapper_buggy" ~data_width
+    ~ack:(Fun.const (Expr.input "req"))
 
 (* --- FIFO controller ---------------------------------------------------- *)
 (* Counter-based flags for a FIFO of depth 2^addr_width. *)
 
-let fifo_ctrl ?(addr_width = 3) () =
+(* [full_at] maps the depth to the count at which [full] asserts; the
+   twins differ only there. *)
+let fifo ~name ~full_at ~addr_width =
   let cw = addr_width + 1 in
   let depth = 1 lsl addr_width in
   let count = Expr.reg "count" in
-  let full = Expr.eq count (Expr.const ~width:cw depth) in
+  let full = Expr.eq count (Expr.const ~width:cw (full_at depth)) in
   let empty = is_zero count ~width:cw in
   let push_ok = bool_and (Expr.input "push") (bool_not full) in
   let pop_ok = bool_and (Expr.input "pop") (bool_not empty) in
@@ -218,34 +201,20 @@ let fifo_ctrl ?(addr_width = 3) () =
       (Expr.add count (zext push_ok ~from:1 ~to_:cw))
       (zext pop_ok ~from:1 ~to_:cw)
   in
-  Netlist.make ~name:"fifo_ctrl"
+  Netlist.make ~name
     ~inputs:[ ("push", 1); ("pop", 1) ]
     ~registers:
       [ { Netlist.name = "count"; width = cw; init = Bitvec.zero ~width:cw;
           next } ]
     ~outputs:[ ("full", full); ("empty", empty); ("count", count) ]
 
+let fifo_ctrl ?(addr_width = 3) () =
+  fifo ~name:"fifo_ctrl" ~addr_width ~full_at:Fun.id
+
 (* Seeded off-by-one: full asserts one entry late, so a push at
    count = depth overflows the storage. *)
 let fifo_ctrl_buggy ?(addr_width = 3) () =
-  let cw = addr_width + 1 in
-  let depth = 1 lsl addr_width in
-  let count = Expr.reg "count" in
-  let full = Expr.eq count (Expr.const ~width:cw (depth + 1)) in
-  let empty = is_zero count ~width:cw in
-  let push_ok = bool_and (Expr.input "push") (bool_not full) in
-  let pop_ok = bool_and (Expr.input "pop") (bool_not empty) in
-  let next =
-    Expr.sub
-      (Expr.add count (zext push_ok ~from:1 ~to_:cw))
-      (zext pop_ok ~from:1 ~to_:cw)
-  in
-  Netlist.make ~name:"fifo_ctrl_buggy"
-    ~inputs:[ ("push", 1); ("pop", 1) ]
-    ~registers:
-      [ { Netlist.name = "count"; width = cw; init = Bitvec.zero ~width:cw;
-          next } ]
-    ~outputs:[ ("full", full); ("empty", empty); ("count", count) ]
+  fifo ~name:"fifo_ctrl_buggy" ~addr_width ~full_at:succ
 
 (* --- WINNER: streaming argmin FSM -------------------------------------- *)
 (* start clears; each valid cycle streams one candidate distance; the

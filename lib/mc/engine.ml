@@ -32,11 +32,6 @@ module Gov = Symbad_gov.Gov
 module Degrade = Symbad_gov.Degrade
 module Obs = Symbad_obs.Obs
 
-(* Cache keys embed this (see Symbad_cache): bump on any change to the
-   decision procedure, encodings or verdict semantics so stale verdicts
-   can never be replayed against a different engine. *)
-let version = "5"
-
 type verdict =
   | Proved of { method_ : string; depth : int }
   | Falsified of Trace.t

@@ -15,11 +15,6 @@
     parallelism lives in [check_all ~pool], which fans out one job per
     property.  Reports are identical at any pool width. *)
 
-val version : string
-(** Engine version, embedded in content-addressed cache keys
-    ({!Symbad_cache}); bumped on any change to the decision procedure,
-    encodings or verdict semantics. *)
-
 type verdict =
   | Proved of { method_ : string; depth : int }
       (** proof certificate: the method and the depth it closed at —

@@ -22,8 +22,8 @@
    The search trajectory is part of the contract: every decision,
    propagation and learned clause, hence every conflict count, model
    and counterexample.  The budgeted verdict mixes in
-   test/golden/gov.json, the verdicts in the verification cache and
-   [Mc.Engine.version] rely on it, and test/test_sat.ml pins it.  The
+   test/golden/gov.json and the verdicts in the verification cache rely
+   on it, and test/test_sat.ml pins it.  The
    heap tie-break, the watcher order and the literal order inside a
    clause (conflict analysis iterates it) all decide the trajectory. *)
 

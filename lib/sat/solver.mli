@@ -9,8 +9,8 @@
     propagation and learned clause — so every conflict count, model and
     counterexample — is a function of the calls made, and stays fixed
     across changes to the solver's data structures: the budgeted verdict
-    mixes in [test/golden/gov.json], the verdicts held in the
-    verification cache and [Mc.Engine.version] rely on it.  Two orders
+    mixes in [test/golden/gov.json] and the verdicts held in the
+    verification cache rely on it.  Two orders
     decide it besides the literal order inside each clause.  A decision
     takes the unassigned variable of greatest activity, ties going to
     the lowest index.  A literal's watchers are visited most recently

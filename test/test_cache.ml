@@ -46,10 +46,10 @@ let counter ~threshold =
       Prop.make ~name:"bound" (E.ule (E.reg "n") (E.const ~width:3 threshold));
     ] )
 
-let key_of ?(threshold = 7) ?(budget = Budget.unlimited)
-    ?(params = [ ("max_depth", 12) ]) () =
+let key_of ?(threshold = 7) ?(budget = Budget.unlimited) ?(escalate = false)
+    () =
   let netlist, props = counter ~threshold in
-  Key.make ~netlist ~props ~budget ~params ()
+  Key.make ~netlist ~props ~budget ~escalate
 
 let key_deterministic () =
   Alcotest.(check string) "same inputs same key" (key_of ()) (key_of ());
@@ -60,10 +60,12 @@ let key_sensitivity () =
   check_bool "property edit changes key" true (base <> key_of ~threshold:6 ());
   check_bool "budget class changes key" true
     (base <> key_of ~budget:{ Budget.unlimited with Budget.conflicts = Some 100 } ());
-  check_bool "params change key" true
-    (base <> key_of ~params:[ ("max_depth", 11) ] ());
-  (* the deadline instant is wall-clock state and must not enter keys *)
+  check_bool "escalation changes key" true (base <> key_of ~escalate:true ());
+  (* the deadline instant is wall-clock state and must not enter keys;
+     only its presence is part of the budget class *)
   let at t = { Budget.unlimited with Budget.deadline = Some t } in
+  check_bool "deadline presence changes key" true
+    (base <> key_of ~budget:(at 1.) ());
   Alcotest.(check string) "deadline instant irrelevant"
     (key_of ~budget:(at 1.) ())
     (key_of ~budget:(at 2.) ())
@@ -89,6 +91,18 @@ let store_roundtrip () =
   Alcotest.(check int) "hits" 1 (Cache.hits c);
   Alcotest.(check int) "misses" 2 (Cache.misses c);
   Alcotest.(check int) "stores" 1 (Cache.stores c)
+
+(* A directory whose parents do not exist yet is created whole, so the
+   entry persists and the next lookup hits. *)
+let store_nested_dir () =
+  with_scratch @@ fun root ->
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let c = Cache.create ~dir () in
+  let k = key_of () in
+  Cache.store c k (Symbad_obs.Json.Obj []);
+  Alcotest.(check int) "stored" 1 (Cache.stores c);
+  check_bool "hit under the nested dir" true
+    (Cache.find c k Option.some <> None)
 
 (* --- level-4 replay ---------------------------------------------------- *)
 
@@ -264,6 +278,7 @@ let suite =
     Alcotest.test_case "key deterministic" `Quick key_deterministic;
     Alcotest.test_case "key sensitivity" `Quick key_sensitivity;
     Alcotest.test_case "store roundtrip" `Quick store_roundtrip;
+    Alcotest.test_case "store nested dir" `Quick store_nested_dir;
     Alcotest.test_case "level4 hit and replay" `Quick level4_hit_and_replay;
     Alcotest.test_case "level4 miss on edit" `Quick level4_miss_on_edit;
     Alcotest.test_case "contradictory row re-verifies" `Quick

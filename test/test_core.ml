@@ -101,8 +101,14 @@ let level1_runs_and_profiles () =
   let r = Level1.run g in
   Alcotest.(check (list string)) "sink data" [ "N0"; "N2"; "N4" ]
     (Sim.Trace.stream_of r.Level1.trace ~source:"DBL" ~label:"b");
+  (* one trace entry per output token per firing *)
   Alcotest.(check (list (pair string int))) "firings"
-    [ ("SRC", 3); ("DBL", 3) ] r.Level1.firings;
+    [ ("DBL", 3); ("SRC", 3) ]
+    (List.map
+       (fun (source, label) ->
+         let stream = Sim.Trace.stream_of r.Level1.trace ~source ~label in
+         (source, List.length stream))
+       (Sim.Trace.sources r.Level1.trace));
   check "profile units" 60
     (let open Symbad_tlm.Annotation in
      match List.assoc_opt "DBL" (Profile.ranking r.Level1.profile) with
